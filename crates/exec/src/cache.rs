@@ -73,6 +73,8 @@ fn lock<T>(shard: &Mutex<T>) -> MutexGuard<'_, T> {
 ///
 /// `prefix` names the cache in the metrics registry: hits and misses tick
 /// `<prefix>.hit` / `<prefix>.miss` counters whenever metrics are enabled.
+/// Live progress is not ticked here: its cache counts are evaluation-memo
+/// lookups, which the evaluation path reports itself.
 pub struct MemoCache<K, V> {
     shards: Vec<Mutex<HashMap<K, V>>>,
     hit_name: String,
@@ -111,13 +113,11 @@ impl<K: Eq + Hash + ShardKey, V: Clone> MemoCache<K, V> {
         if let Some(value) = lock(shard).get(&key).cloned() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.tick(&self.hit_name);
-            mc_trace::progress_cache_hit();
             return Ok(value);
         }
         let value = f()?;
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.tick(&self.miss_name);
-        mc_trace::progress_cache_miss();
         lock(shard).entry(key).or_insert_with(|| value.clone());
         Ok(value)
     }
@@ -250,6 +250,23 @@ mod tests {
         }
         let occupied = cache.shards.iter().filter(|s| !lock(s).is_empty()).count();
         assert!(occupied > SHARDS / 2, "only {occupied} of {SHARDS} shards used");
+    }
+
+    #[test]
+    fn lookups_leave_progress_cache_counts_alone() {
+        struct Quiet;
+        impl mc_trace::ProgressSink for Quiet {
+            fn on_progress(&self, _: mc_trace::ProgressEvent, _: &mc_trace::ProgressSnapshot) {}
+        }
+        mc_trace::install_progress(std::sync::Arc::new(Quiet));
+        let cache: MemoCache<u64, u64> = MemoCache::new("test.cache");
+        for k in [1, 2, 1, 1] {
+            let _ = cache.get_or_try_compute(k, || ok(k));
+        }
+        let snapshot = mc_trace::progress_snapshot();
+        mc_trace::uninstall_progress();
+        assert_eq!(cache.stats(), (2, 2));
+        assert_eq!((snapshot.cache_hits, snapshot.cache_misses), (0, 0));
     }
 
     #[test]

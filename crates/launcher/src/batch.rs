@@ -15,6 +15,13 @@
 //! fingerprints are computed once per distinct `Arc` in the batch, not
 //! per point. Only `Ok` reports are cached; errors always re-evaluate.
 //!
+//! A second memo holds interpreter verdicts, keyed by `(program
+//! fingerprint, KernelEnvironment::verify_fingerprint)`: the batch hands
+//! its program fingerprint to the launcher, and the verify-input half
+//! hashes only what verification reads, so the points of a frequency or
+//! core sweep share one verification per program. [`clear_cache`] and
+//! [`set_cache_enabled`] govern both memos.
+//!
 //! When a persistent store is installed ([`crate::store::install_store`])
 //! the memo cache gains a disk tier: a miss consults the store under the
 //! same key before evaluating, and fresh results are written back — so a
@@ -37,7 +44,7 @@
 
 use crate::checkpoint;
 use crate::input::KernelInput;
-use crate::launcher::{MicroLauncher, RunReport};
+use crate::launcher::{MicroLauncher, RunReport, VerifyReport};
 use crate::options::{LauncherOptions, OptionsDelta};
 use mc_exec::MemoCache;
 use mc_guard::{EvalError, JournalEntry};
@@ -84,19 +91,36 @@ fn eval_cache() -> &'static MemoCache<(u64, u64), RunReport> {
     CACHE.get_or_init(|| MemoCache::new("exec.cache"))
 }
 
-/// Enables or disables evaluation memoization process-wide.
-pub fn set_cache_enabled(on: bool) {
-    eval_cache().set_enabled(on);
+/// The process-wide verification memo: `(program fingerprint,
+/// verify-input fingerprint)` → the interpreter's verdict. Verification
+/// never reads frequency, cores, seed, noise or the sampling policy, so
+/// evaluations that differ only there share one interpreter run.
+pub(crate) fn verify_memo() -> &'static MemoCache<(u64, u64), VerifyReport> {
+    static CACHE: OnceLock<MemoCache<(u64, u64), VerifyReport>> = OnceLock::new();
+    CACHE.get_or_init(|| MemoCache::new("simarch.verify"))
 }
 
-/// Drops every memoized evaluation.
+/// Enables or disables evaluation and verification memoization
+/// process-wide (off = always compute).
+pub fn set_cache_enabled(on: bool) {
+    eval_cache().set_enabled(on);
+    verify_memo().set_enabled(on);
+}
+
+/// Drops every memoized evaluation and verification.
 pub fn clear_cache() {
     eval_cache().clear();
+    verify_memo().clear();
 }
 
 /// Lifetime `(hits, misses)` of the evaluation cache.
 pub fn cache_stats() -> (u64, u64) {
     eval_cache().stats()
+}
+
+/// Lifetime `(hits, misses)` of the verification memo.
+pub fn verify_cache_stats() -> (u64, u64) {
+    verify_memo().stats()
 }
 
 /// A stable fingerprint of a program (FNV-1a over its `Debug` form).
@@ -164,7 +188,7 @@ pub fn try_run_batch_supervised(points: Vec<EvalPoint>) -> Vec<Result<RunReport,
                         return Ok(report);
                     }
                     let report = MicroLauncher::new(options.clone())
-                        .run(&KernelInput::program(program.clone()))?;
+                        .run_fingerprinted(&KernelInput::program(program.clone()), program_fp)?;
                     store.save(
                         crate::store::EVAL_KIND,
                         &store_key,
@@ -172,12 +196,18 @@ pub fn try_run_batch_supervised(points: Vec<EvalPoint>) -> Vec<Result<RunReport,
                     );
                     return Ok(report);
                 }
-                MicroLauncher::new(options.clone()).run(&KernelInput::program(program.clone()))
+                MicroLauncher::new(options.clone())
+                    .run_fingerprinted(&KernelInput::program(program.clone()), program_fp)
             });
+            // Progress counts evaluation-memo lookups only; a disabled
+            // memo computes without a lookup, so it counts neither.
             if !computed {
+                mc_trace::progress_cache_hit();
                 if let Some(store) = &store {
                     store.note_mem_hit();
                 }
+            } else if report.is_ok() && eval_cache().is_enabled() {
+                mc_trace::progress_cache_miss();
             }
             report
         });

@@ -141,6 +141,27 @@ impl KernelEnvironment {
         interp
     }
 
+    /// The verify-input fingerprint: FNV over exactly what interpreter
+    /// verification reads besides the program — the trip count, every
+    /// array's base/offset/bytes, the step cap, the cache-replay toggle
+    /// and the machine preset. Frequency, cores, pinning, seed, noise and
+    /// the sampling policy never reach it, so a frequency or core sweep
+    /// verifies each program once. An option that changes verification
+    /// must act through this environment (as `--tripcount`, `--residence`
+    /// and `--vector-bytes` do) or be folded in here.
+    pub fn verify_fingerprint(&self, options: &LauncherOptions) -> u64 {
+        let mut key = mc_report::Fnv64::new()
+            .bytes(options.machine.name().as_bytes())
+            .u64(options.max_interp_steps)
+            .u64(u64::from(options.verify_cache))
+            .u64(self.trip_count)
+            .u64(self.arrays.len() as u64);
+        for array in &self.arrays {
+            key = key.u64(array.base).u64(array.offset).u64(array.bytes);
+        }
+        key.finish()
+    }
+
     /// Heats the caches by executing the kernel once ("the system first
     /// runs the benchmark program to load the caches", §4). Returns the
     /// number of lines the warm-up touched.
@@ -240,6 +261,62 @@ mod tests {
         let p = movaps_program();
         let env = KernelEnvironment::prepare(&LauncherOptions::default(), &p).unwrap();
         assert_eq!(env.heat_cache(&p, 10_000_000), env.working_set_bytes() / 64);
+    }
+
+    fn verify_key(options: &LauncherOptions, program: &Program) -> u64 {
+        KernelEnvironment::prepare(options, program).unwrap().verify_fingerprint(options)
+    }
+
+    #[test]
+    fn verify_key_ignores_what_verification_never_reads() {
+        let p = movaps_program();
+        let base = LauncherOptions::default();
+        let key = verify_key(&base, &p);
+        let unread = [
+            LauncherOptions { frequency_ghz: 1.6, ..base.clone() },
+            LauncherOptions { cores: 4, ..base.clone() },
+            LauncherOptions { mode: Mode::Fork, cores: 4, ..base.clone() },
+            LauncherOptions { seed: 7, ..base.clone() },
+            LauncherOptions { noise_amplitude: 0.2, ..base.clone() },
+            LauncherOptions { repetitions: 9, ..base.clone() },
+            LauncherOptions { adaptive: true, ..base.clone() },
+        ];
+        for options in &unread {
+            assert_eq!(verify_key(options, &p), key, "{options:?}");
+        }
+    }
+
+    #[test]
+    fn verify_key_separates_every_verify_input() {
+        use crate::options::MachinePreset;
+        let p = movaps_program();
+        let base = LauncherOptions::default();
+        let variants = [
+            base.clone(),
+            LauncherOptions { trip_count: 160, ..base.clone() },
+            LauncherOptions { alignments: vec![64], ..base.clone() },
+            LauncherOptions { vector_bytes: 1 << 20, ..base.clone() },
+            LauncherOptions { residence: Some(Level::L2), ..base.clone() },
+            LauncherOptions { element_bytes: 8, ..base.clone() },
+            LauncherOptions { max_interp_steps: 10_000, ..base.clone() },
+            LauncherOptions { verify_cache: true, ..base.clone() },
+            LauncherOptions { machine: MachinePreset::SandyBridgeE31240, ..base.clone() },
+        ];
+        let keys: std::collections::HashSet<u64> =
+            variants.iter().map(|o| verify_key(o, &p)).collect();
+        assert_eq!(keys.len(), variants.len(), "two verify inputs share a key");
+    }
+
+    #[test]
+    fn verify_key_is_pinned() {
+        // Golden value: the default options on the canonical 4x-unrolled
+        // movaps stream — FNV-1a over "x5650", then the little-endian
+        // u64s 50_000_000 (step cap), 0 (no cache replay), 4096 (trip),
+        // 1 (arrays), 0x1000_0000 (base), 0 (offset), 16384 (bytes).
+        // A change here changes which evaluations share a verification;
+        // make it on purpose.
+        let p = movaps_program();
+        assert_eq!(verify_key(&LauncherOptions::default(), &p), 0x3b79_8360_d2d3_926c);
     }
 
     #[test]

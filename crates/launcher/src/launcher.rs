@@ -162,6 +162,21 @@ impl MicroLauncher {
     /// Runs one kernel input. Traced as one `launcher.run` span carrying
     /// the kernel name, mode, and the reported result.
     pub fn run(&self, input: &KernelInput) -> Result<RunReport, String> {
+        self.run_input(input, None)
+    }
+
+    /// [`Self::run`] for a caller that already holds the program's
+    /// [`crate::batch::program_fingerprint`] (the batch path), so the
+    /// verification memo does not hash the program a second time.
+    pub(crate) fn run_fingerprinted(
+        &self,
+        input: &KernelInput,
+        program_fp: u64,
+    ) -> Result<RunReport, String> {
+        self.run_input(input, Some(program_fp))
+    }
+
+    fn run_input(&self, input: &KernelInput, program_fp: Option<u64>) -> Result<RunReport, String> {
         let mut span = mc_trace::span("launcher.run");
         let result = match input {
             KernelInput::Native(kernel) => self.run_native(kernel.as_ref()),
@@ -170,7 +185,7 @@ impl MicroLauncher {
             }
             _ => {
                 let program = input.as_program().expect("program-backed input");
-                self.run_simulated(program)
+                self.run_simulated(program, program_fp)
             }
         };
         if span.is_active() {
@@ -194,10 +209,32 @@ impl MicroLauncher {
 
     // -- Simulated path -----------------------------------------------------
 
-    fn run_simulated(&self, program: &Program) -> Result<RunReport, String> {
+    fn run_simulated(
+        &self,
+        program: &Program,
+        program_fp: Option<u64>,
+    ) -> Result<RunReport, String> {
         let o = &self.options;
         let env = KernelEnvironment::prepare(o, program)?;
-        let verify = if o.verify { Some(self.verify_program(program, &env)?) } else { None };
+        // Hashed at most once, and only when verification or a profile
+        // needs it and the caller did not hand it in.
+        let fp_cell = std::cell::OnceCell::new();
+        let program_fp = || {
+            *fp_cell.get_or_init(|| {
+                program_fp.unwrap_or_else(|| crate::batch::program_fingerprint(program))
+            })
+        };
+        let verify = if o.verify {
+            // Verification reads only the program and the verify inputs,
+            // so every point of a frequency or core sweep shares one run.
+            let key = (program_fp(), env.verify_fingerprint(o));
+            Some(crate::batch::verify_memo().get_or_try_compute(key, || {
+                let _span = mc_trace::span("simarch.verify");
+                self.verify_program(program, &env)
+            })?)
+        } else {
+            None
+        };
 
         let workers = match o.mode {
             Mode::Fork => o.cores.max(1),
@@ -224,8 +261,7 @@ impl MicroLauncher {
         let bottleneck = attribute(&timing, &env.machine);
         if let (Some(profiler), Some(collector)) = (profiler, collector) {
             let mut profile = collector.finish();
-            profile.program_fingerprint =
-                format!("{:016x}", crate::batch::program_fingerprint(program));
+            profile.program_fingerprint = format!("{:016x}", program_fp());
             profile.options_fingerprint = format!("{:016x}", o.fingerprint());
             profile.set_verdict(mc_insight::verdict_of(&bottleneck));
             profiler.record(profile);

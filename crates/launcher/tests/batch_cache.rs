@@ -9,9 +9,9 @@
 use mc_creator::MicroCreator;
 use mc_kernel::builder::load_stream;
 use mc_kernel::Program;
-use mc_launcher::batch::{cache_stats, clear_cache};
+use mc_launcher::batch::{cache_stats, clear_cache, set_cache_enabled, verify_cache_stats};
 use mc_launcher::sweeps::unroll_by_level_sweep;
-use mc_launcher::{EvalPoint, LauncherOptions};
+use mc_launcher::{EvalPoint, LauncherOptions, OptionsDelta, RunReport};
 use mc_simarch::config::Level;
 use std::sync::{Arc, Mutex};
 
@@ -91,4 +91,49 @@ fn sweep_publishes_exec_metrics() {
     let snapshot = mc_trace::metrics().snapshot();
     assert_eq!(snapshot.counter("exec.cache.hit"), Some(16));
     assert_eq!(snapshot.counter("exec.cache.miss"), Some(16));
+}
+
+struct QuietSink;
+
+impl mc_trace::ProgressSink for QuietSink {
+    fn on_progress(&self, _: mc_trace::ProgressEvent, _: &mc_trace::ProgressSnapshot) {}
+}
+
+#[test]
+fn frequency_sweep_verifies_each_program_once() {
+    let _guard = lock();
+    mc_exec::set_jobs(1);
+    let program = program(4);
+    let base = Arc::new(options());
+    let points = || -> Vec<EvalPoint> {
+        (0..8)
+            .map(|i| {
+                let delta = OptionsDelta {
+                    frequency_ghz: Some(1.6 + 0.2 * f64::from(i)),
+                    ..OptionsDelta::default()
+                };
+                EvalPoint::with_delta(program.clone(), base.clone(), delta)
+            })
+            .collect()
+    };
+
+    clear_cache();
+    mc_trace::install_progress(Arc::new(QuietSink));
+    let memoized: Vec<RunReport> = mc_launcher::run_batch(points()).expect("memo-on batch");
+    let progress = mc_trace::progress_snapshot();
+    mc_trace::uninstall_progress();
+    // Eight frequencies are eight evaluations but one verification.
+    assert_eq!(verify_cache_stats(), (7, 1), "one interpreter run, seven replays");
+    assert_eq!(cache_stats(), (0, 8));
+    // Progress cache counts are evaluation lookups only, not the
+    // verification memo's.
+    assert_eq!((progress.cache_hits, progress.cache_misses), (0, 8));
+
+    clear_cache();
+    set_cache_enabled(false);
+    let computed = mc_launcher::run_batch(points());
+    set_cache_enabled(true);
+    assert_eq!(verify_cache_stats(), (0, 0), "a disabled memo is never consulted");
+    assert_eq!(computed.expect("memo-off batch"), memoized, "memo on and off agree");
+    assert!(memoized.iter().all(|r| r.verify.as_ref().is_some_and(|v| v.passed)));
 }

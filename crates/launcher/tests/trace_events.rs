@@ -86,6 +86,9 @@ fn launcher_run_emits_protocol_shaped_events() {
 #[test]
 fn metrics_capture_launcher_and_simarch_tallies() {
     let _guard = tracer_lock();
+    // The replay runs inside verification, which replays from the
+    // verification memo once cached: start cold.
+    mc_launcher::batch::clear_cache();
     mc_trace::metrics().reset();
     mc_trace::enable_metrics(true);
     let opts = LauncherOptions {
@@ -112,6 +115,36 @@ fn metrics_capture_launcher_and_simarch_tallies() {
     let l1_hits = snapshot.counter("simarch.cache.l1.hits").unwrap_or(0);
     let l1_misses = snapshot.counter("simarch.cache.l1.misses").unwrap_or(0);
     assert!(l1_hits > l1_misses, "L1-resident replay: {l1_hits} hits vs {l1_misses} misses");
+}
+
+#[test]
+fn verification_runs_once_across_frequencies() {
+    let _guard = tracer_lock();
+    mc_launcher::batch::clear_cache();
+    mc_trace::metrics().reset();
+    mc_trace::enable_metrics(true);
+    let sink = Arc::new(MemorySink::new());
+    mc_trace::install(sink.clone());
+    for frequency_ghz in [1.6, 2.4] {
+        let opts = LauncherOptions {
+            frequency_ghz,
+            repetitions: 2,
+            meta_repetitions: 2,
+            ..LauncherOptions::default()
+        };
+        let report = MicroLauncher::new(opts).run(&movaps_input(2)).unwrap();
+        assert!(report.verify.is_some_and(|v| v.passed));
+    }
+    mc_trace::uninstall();
+    mc_trace::enable_metrics(false);
+    let snapshot = mc_trace::metrics().snapshot();
+    mc_trace::metrics().reset();
+    let events = sink.events();
+    // Two runs, one interpreter pass: the span marks the miss only.
+    assert_eq!(by_name(&events, "launcher.run").len(), 2);
+    assert_eq!(by_name(&events, "simarch.verify").len(), 1);
+    assert_eq!(snapshot.counter("simarch.verify.miss"), Some(1));
+    assert_eq!(snapshot.counter("simarch.verify.hit"), Some(1));
 }
 
 /// A clock whose state a trace sink can also advance — models a host

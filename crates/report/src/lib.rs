@@ -39,7 +39,7 @@ pub use analysis::Record;
 pub use csv::{CsvTable, CsvWriter};
 pub use experiments::{ExperimentId, ShapeCheck, ShapeOutcome};
 pub use fsio::{atomic_write, atomic_write_str};
-pub use manifest::{fnv1a64, RunManifest};
+pub use manifest::{fnv1a64, Fnv64, RunManifest};
 pub use rng::SplitMix64;
 pub use series::{Scale, Series};
 pub use stats::Summary;

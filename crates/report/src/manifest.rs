@@ -93,12 +93,46 @@ impl RunManifest {
 /// FNV-1a 64-bit hash — the options fingerprint. Stable across runs and
 /// platforms, dependency-free, and good enough to distinguish configs.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    Fnv64::new().bytes(bytes).finish()
+}
+
+/// Incremental FNV-1a 64-bit: a key built from explicit fields fed in a
+/// fixed order, with no intermediate string. Feeding the concatenation
+/// of byte slices equals [`fnv1a64`] over the concatenated bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv64(u64);
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64::new()
     }
-    hash
+}
+
+impl Fnv64 {
+    /// The FNV-1a offset basis.
+    pub const fn new() -> Self {
+        Fnv64(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds raw bytes in.
+    pub fn bytes(mut self, bytes: &[u8]) -> Self {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self
+    }
+
+    /// Folds one integer in (little-endian bytes, so the key is the same
+    /// on every platform).
+    pub fn u64(self, value: u64) -> Self {
+        self.bytes(&value.to_le_bytes())
+    }
+
+    /// The hash of everything fed so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 #[cfg(test)]
@@ -149,5 +183,11 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_ne!(fnv1a64(b"config-a"), fnv1a64(b"config-b"));
+    }
+
+    #[test]
+    fn incremental_fnv_matches_one_shot() {
+        assert_eq!(Fnv64::new().bytes(b"conf").bytes(b"ig-a").finish(), fnv1a64(b"config-a"));
+        assert_eq!(Fnv64::new().u64(7).finish(), fnv1a64(&7u64.to_le_bytes()));
     }
 }

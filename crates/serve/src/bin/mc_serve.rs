@@ -144,6 +144,10 @@ fn main() -> ExitCode {
     config.job_deadline_ms = deadline_ms;
 
     install_signal_handlers();
+    // `GET /metrics` serves the registry, which records nothing until
+    // enabled. The binary turns it on; an embedded `Daemon` leaves the
+    // choice (and its cost) to its host.
+    mc_trace::enable_metrics(true);
     let daemon = match Daemon::open(config) {
         Ok(d) => d,
         Err(e) => {

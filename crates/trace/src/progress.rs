@@ -45,9 +45,9 @@ pub struct ProgressSnapshot {
     pub failed: u64,
     /// Retry attempts consumed by mc-guard.
     pub retries: u64,
-    /// Memo-cache hits.
+    /// Evaluation-memo hits (other memo caches do not count).
     pub cache_hits: u64,
-    /// Memo-cache misses (computed evaluations).
+    /// Evaluation-memo misses (computed evaluations).
     pub cache_misses: u64,
     /// Timed samples the adaptive protocol skipped versus the fixed
     /// budget.
@@ -205,14 +205,14 @@ pub fn progress_retry() {
     }
 }
 
-/// One memo-cache hit.
+/// One evaluation-memo hit.
 pub fn progress_cache_hit() {
     if progress_enabled() {
         CACHE_HITS.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-/// One memo-cache miss.
+/// One evaluation-memo miss.
 pub fn progress_cache_miss() {
     if progress_enabled() {
         CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
