@@ -222,6 +222,38 @@ pub enum ArchReg {
     Flags,
 }
 
+impl ArchReg {
+    /// Number of architectural registers: 16 GPRs, 16 XMMs and the flags.
+    pub const COUNT: usize = GprName::ALL.len() + 16 + 1;
+
+    /// Every architectural register, in [`ArchReg::index`] order (which is
+    /// also the derived `Ord` order).
+    pub const ALL: [ArchReg; ArchReg::COUNT] = {
+        let mut all = [ArchReg::Flags; ArchReg::COUNT];
+        let mut i = 0;
+        while i < 16 {
+            all[i] = ArchReg::Gpr(GprName::ALL[i]);
+            all[16 + i] = ArchReg::Xmm(i as u8);
+            i += 1;
+        }
+        all
+    };
+
+    /// Dense slot of this register in `0..ArchReg::COUNT`: GPRs in
+    /// encoding order, then `%xmm0`–`%xmm15`, then the flags. Order
+    /// preserving, so sorted register lists map to ascending slots.
+    ///
+    /// Total: an `Xmm` number past 15 (which neither the parser nor
+    /// [`Reg::xmm`] produces) wraps instead of indexing out of range.
+    pub const fn index(self) -> usize {
+        match self {
+            ArchReg::Gpr(g) => g as usize,
+            ArchReg::Xmm(n) => 16 + (n as usize % 16),
+            ArchReg::Flags => ArchReg::COUNT - 1,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,6 +316,41 @@ mod tests {
         assert_eq!(Reg::gpr(GprName::Rax).arch_id(), Reg::gpr32(GprName::Rax).arch_id());
         assert_ne!(Reg::gpr(GprName::Rax).arch_id(), Reg::gpr(GprName::Rbx).arch_id());
         assert_ne!(Reg::xmm(0).arch_id(), Reg::xmm(1).arch_id());
+    }
+
+    #[test]
+    fn arch_index_is_a_bijection_onto_its_slots() {
+        let mut seen = [false; ArchReg::COUNT];
+        for (slot, reg) in ArchReg::ALL.into_iter().enumerate() {
+            assert_eq!(reg.index(), slot, "{reg:?}");
+            assert!(!std::mem::replace(&mut seen[reg.index()], true), "{reg:?} shares a slot");
+        }
+        assert!(seen.iter().all(|&s| s));
+        let mut sorted = ArchReg::ALL;
+        sorted.sort();
+        assert_eq!(sorted, ArchReg::ALL, "slot order is the derived Ord order");
+    }
+
+    #[test]
+    fn every_parsed_register_name_lands_in_its_slot() {
+        for (slot, gpr) in GprName::ALL.into_iter().enumerate() {
+            for width in [Width::Q, Width::L, Width::W, Width::B] {
+                let reg = Reg::from_name(&gpr.name_for_width(width)).expect("a GPR view parses");
+                assert_eq!(reg.arch_id().index(), slot, "{reg}");
+            }
+        }
+        for n in 0..16u8 {
+            let reg = Reg::from_name(&format!("xmm{n}")).expect("an xmm register parses");
+            assert_eq!(reg.arch_id().index(), 16 + usize::from(n));
+        }
+        assert_eq!(ArchReg::Flags.index(), ArchReg::COUNT - 1);
+        assert_eq!(ArchReg::COUNT, 33);
+    }
+
+    #[test]
+    fn arch_index_is_total() {
+        assert_eq!(ArchReg::Xmm(16).index(), ArchReg::Xmm(0).index());
+        assert_eq!(ArchReg::Xmm(u8::MAX).index(), ArchReg::Xmm(15).index());
     }
 
     #[test]

@@ -123,9 +123,15 @@ impl Program {
     /// "all but the branch".
     pub fn body_instructions(&self) -> Vec<&Inst> {
         let insts: Vec<&Inst> = self.instructions().collect();
+        Self::body_of(&insts).to_vec()
+    }
+
+    /// [`Program::body_instructions`] over an already collected
+    /// [`Program::instructions`] list: the prefix that is the body.
+    pub fn body_of<'a, 'i>(insts: &'a [&'i Inst]) -> &'a [&'i Inst] {
         let without_branch: &[&Inst] = match insts.split_last() {
             Some((last, rest)) if last.mnemonic.is_branch() => rest,
-            _ => &insts,
+            _ => insts,
         };
         // Trailing run of integer add/sub updates = induction maintenance.
         let mut end = without_branch.len();
@@ -140,7 +146,7 @@ impl Program {
                 break;
             }
         }
-        without_branch[..end].to_vec()
+        &without_branch[..end]
     }
 
     /// Number of load instructions in the body.

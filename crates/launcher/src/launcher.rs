@@ -680,14 +680,26 @@ mod tests {
         let _guard = crate::profile::test_slot_lock().lock().unwrap();
         let dir = std::env::temp_dir().join(format!("mc_profiled_run_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        // Tests run concurrently and any evaluation made while the
+        // process-wide profiler is installed records into it, so this
+        // test evaluates a kernel name no other test uses and counts only
+        // its own profiles.
+        let kernel = "profiled_run_kernel";
+        let desc = load_stream(mc_asm::Mnemonic::Movaps, 8, 8);
+        let mut program = MicroCreator::new().generate(&desc).unwrap().programs.remove(0);
+        program.name = kernel.to_string();
         let profiler = crate::profile::install_profiler(&dir).unwrap();
-        let report = MicroLauncher::with_defaults().run(&movaps_input(8)).unwrap();
+        let report = MicroLauncher::with_defaults().run(&KernelInput::program(program)).unwrap();
         crate::profile::clear_profiler();
-        assert_eq!(profiler.len(), 1, "one evaluation, one profile");
-        assert_eq!(profiler.finish(Some("run-under-test")), 1);
+        let ours = profiler.kernels().iter().filter(|k| *k == kernel).count();
+        assert_eq!(ours, 1, "one evaluation, one profile");
+        assert!(profiler.finish(Some("run-under-test")) >= 1);
 
         let index = std::fs::read_to_string(dir.join("index.jsonl")).unwrap();
-        let file = index.split("\"file\":\"").nth(1).unwrap().split('"').next().unwrap();
+        let mut lines = index.lines().filter(|l| l.contains(&format!("\"kernel\":\"{kernel}\"")));
+        let line = lines.next().expect("index lists the profile");
+        assert!(lines.next().is_none(), "one index entry per profile");
+        let file = line.split("\"file\":\"").nth(1).unwrap().split('"').next().unwrap();
         let profile =
             mc_scope::jsonl::decode(&std::fs::read_to_string(dir.join(file)).unwrap()).unwrap();
 

@@ -59,6 +59,13 @@ impl Profiler {
         self.entries.lock().expect("profiler entries poisoned").len()
     }
 
+    /// Kernel names of the profiles recorded so far, in record order.
+    #[cfg(test)]
+    pub(crate) fn kernels(&self) -> Vec<String> {
+        let entries = self.entries.lock().expect("profiler entries poisoned");
+        entries.iter().map(|p| p.kernel.clone()).collect()
+    }
+
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.len() == 0

@@ -4,7 +4,7 @@
 
 use crate::align::{alignment_effect, ArrayPlacement};
 use crate::config::{Level, MachineConfig};
-use crate::deps::{self, recurrence_detail};
+use crate::deps::{self, LoopBody};
 use crate::memory::{memory_cost, Stream};
 use crate::multicore::Placement;
 use crate::ports::PortPressure;
@@ -163,12 +163,11 @@ impl StreamInfo {
     }
 }
 
-/// Groups a program's memory instructions into per-array streams.
-pub fn extract_streams(program: &Program) -> Vec<StreamInfo> {
+/// Groups a loop's memory instructions into per-array streams. `insts` is
+/// the whole loop in program order ([`Program::instructions`]).
+pub fn extract_streams(insts: &[&Inst]) -> Vec<StreamInfo> {
     let mut streams: Vec<StreamInfo> = Vec::new();
-    let insts: Vec<&Inst> = program.instructions().collect();
-    let body = program.body_instructions();
-    for inst in &body {
+    for inst in Program::body_of(insts) {
         let (mem, load) = match (inst.load_ref(), inst.store_ref()) {
             (Some(m), _) => (m, true),
             (None, Some(m)) => (m, false),
@@ -202,7 +201,7 @@ pub fn extract_streams(program: &Program) -> Vec<StreamInfo> {
         entry.accesses += 1;
     }
     // Pointer advances come from the induction updates in the tail.
-    for inst in &insts {
+    for inst in insts {
         let delta =
             match (inst.mnemonic, inst.operands.first().and_then(mc_asm::inst::Operand::as_imm)) {
                 (mc_asm::Mnemonic::Add(_), Some(v)) => v,
@@ -247,20 +246,14 @@ pub fn estimate_with_scope(
     let frontend = pressure.frontend_cycles(machine);
     let ports = pressure.bound_cycles(machine);
     // The branch ends the iteration; recurrence flows through the rest.
-    let no_branch: Vec<(usize, &Inst)> = insts
-        .iter()
-        .enumerate()
-        .filter(|(_, i)| !i.mnemonic.is_branch())
-        .map(|(k, i)| (k, *i))
-        .collect();
-    let (recurrence, carrier) = {
-        let bodies: Vec<&Inst> = no_branch.iter().map(|&(_, i)| i).collect();
-        recurrence_detail(&bodies)
-    };
+    let body =
+        LoopBody::lower(insts.iter().copied().enumerate().filter(|(_, i)| !i.mnemonic.is_branch()));
+    let chain = body.recurrence();
+    let recurrence = chain.bound;
 
     // Memory side.
     let residence = machine.residence(workload.working_set_bytes);
-    let streams = extract_streams(program);
+    let streams = extract_streams(&insts);
     let mem_streams: Vec<Stream> = streams
         .iter()
         .map(|s| Stream {
@@ -420,13 +413,13 @@ pub fn estimate_with_scope(
             key: "core_ghz".to_string(),
             value: format!("{}", env.core_ghz),
         });
-        if let Some(carrier) = &carrier {
+        if let Some(carrier) = chain.carrier() {
             sink.note(mc_scope::NoteScope {
                 key: "recurrence_carrier".to_string(),
-                value: carrier.clone(),
+                value: carrier,
             });
         }
-        deps::emit_scope(&no_branch, sink);
+        body.emit_scope(sink);
     }
 
     TimingReport {
@@ -467,7 +460,7 @@ mod tests {
     #[test]
     fn stream_extraction_figure8_style() {
         let p = load_program(Mnemonic::Movaps, 3);
-        let streams = extract_streams(&p);
+        let streams = extract_streams(&p.instructions().collect::<Vec<_>>());
         assert_eq!(streams.len(), 1);
         let s = &streams[0];
         assert_eq!(s.accesses, 3);
@@ -688,5 +681,77 @@ mod tests {
         assert_eq!(r.pressure.loads, 4.0);
         assert_eq!(r.pressure.bound_cycles(&env.machine), r.bounds.ports);
         assert_eq!(r.core_ghz, env.core_ghz);
+    }
+
+    /// One random operand of any kind the parser accepts: a GPR view of
+    /// any width, an XMM register, an immediate, or a register-based or
+    /// absolute memory reference — whether or not it suits the mnemonic.
+    fn any_operand(rng: &mut mc_report::rng::SplitMix64) -> String {
+        use mc_asm::inst::Width;
+        use mc_asm::reg::GprName;
+        use mc_report::prop::pick;
+        let gpr = |rng: &mut mc_report::rng::SplitMix64| {
+            let width = pick(rng, &[Width::Q, Width::L, Width::W, Width::B]);
+            pick(rng, &GprName::ALL).name_for_width(width)
+        };
+        match rng.gen_range(0..6) {
+            0 => format!("%{}", gpr(rng)),
+            1 => format!("%xmm{}", rng.gen_range(0..16u8)),
+            2 => format!("${}", rng.gen_range(-1024..1024i64)),
+            3 => format!("{}(%{})", rng.gen_range(-64..64i64), gpr(rng)),
+            4 => format!("(%{},%{},{})", gpr(rng), gpr(rng), pick(rng, &[1, 2, 4, 8])),
+            _ => format!("{}", rng.gen_range(1..4096i64)),
+        }
+    }
+
+    #[test]
+    fn estimate_never_panics_on_a_parsed_listing() {
+        use mc_report::prop::pick;
+        const MNEMONICS: &[&str] = &[
+            "movss", "movsd", "movaps", "movapd", "movups", "movupd", "movdqa", "movdqu",
+            "movntps", "movntpd", "addss", "addsd", "addps", "addpd", "subss", "subsd", "subps",
+            "subpd", "mulss", "mulsd", "mulps", "mulpd", "divss", "divsd", "divps", "divpd",
+            "xorps", "xorpd", "sqrtsd", "maxsd", "minsd", "addq", "subl", "imulw", "andb", "orq",
+            "xorl", "cmpq", "testl", "movq", "movb", "leaq", "shlq", "shrl",
+        ];
+        const UNARY: &[&str] = &["incq", "decl", "negq"];
+        const BRANCHES: &[&str] = &["jmp", "jge", "jne", "jl", "jae", "jns"];
+        let machines = MachineConfig::table1();
+        let mut parsed = 0;
+        mc_report::prop::check(300, |rng| {
+            let mut text = String::new();
+            for _ in 0..rng.gen_range(0..14) {
+                let line = match rng.gen_range(0..12) {
+                    0 => ".L0:".to_string(),
+                    1 => ".p2align 4".to_string(),
+                    2 => format!("{} .L0", pick(rng, BRANCHES)),
+                    3 => pick(rng, &["ret", "nop"]).to_string(),
+                    4 => format!("{} {}", pick(rng, UNARY), any_operand(rng)),
+                    _ => {
+                        format!(
+                            "{} {}, {}",
+                            pick(rng, MNEMONICS),
+                            any_operand(rng),
+                            any_operand(rng)
+                        )
+                    }
+                };
+                text.push_str(&line);
+                text.push('\n');
+            }
+            let Ok(program) = Program::from_asm_text("random", &text) else { return };
+            parsed += 1;
+            let machine = pick(rng, &machines);
+            let level = pick(rng, &Level::ALL);
+            let workload = Workload::resident_at(&machine, level)
+                .aligned((0..4).map(|_| rng.gen_range(0..64u64)).collect());
+            let env = ExecEnv::forked(machine, rng.gen_range(1..9u32));
+            let plain = estimate(&program, &workload, &env);
+            let mut collector = mc_scope::Collector::new("random");
+            let scoped = estimate_with_scope(&program, &workload, &env, &mut collector);
+            assert_eq!(plain, scoped, "{text}");
+            collector.finish();
+        });
+        assert!(parsed >= 250, "only {parsed} of 300 listings parsed");
     }
 }
