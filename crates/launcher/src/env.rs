@@ -161,15 +161,6 @@ impl KernelEnvironment {
         }
         key.finish()
     }
-
-    /// Heats the caches by executing the kernel once ("the system first
-    /// runs the benchmark program to load the caches", §4). Returns the
-    /// number of lines the warm-up touched.
-    pub fn heat_cache(&self, program: &Program, max_steps: u64) -> u64 {
-        let mut interp = self.interpreter(program);
-        let outcome = interp.run(program, max_steps);
-        outcome.unique_lines
-    }
 }
 
 #[cfg(test)]
@@ -254,13 +245,6 @@ mod tests {
         assert_eq!(outcome.loop_iterations, env.trip_count / p.elements_per_iteration);
         // Footprint equals the array size in lines.
         assert_eq!(outcome.unique_lines, env.working_set_bytes() / 64);
-    }
-
-    #[test]
-    fn heat_cache_touches_whole_array() {
-        let p = movaps_program();
-        let env = KernelEnvironment::prepare(&LauncherOptions::default(), &p).unwrap();
-        assert_eq!(env.heat_cache(&p, 10_000_000), env.working_set_bytes() / 64);
     }
 
     fn verify_key(options: &LauncherOptions, program: &Program) -> u64 {

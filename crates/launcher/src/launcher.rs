@@ -14,8 +14,12 @@ use mc_ompsim::team::ParallelTeam;
 use mc_report::stats::Summary;
 use mc_simarch::config::Level;
 use mc_simarch::exec::{estimate, ExecEnv};
-use mc_simarch::interp::StopReason;
+use mc_simarch::interp::{Interpreter, StopReason};
 use std::cell::RefCell;
+
+/// Most accesses a `--verify-cache` trace records. A kernel that makes
+/// more is reported unverified rather than judged on a prefix.
+const TRACE_CAP: usize = 16 << 20;
 
 /// Semantics-verification result (the interpreter pass, §4.4's contract).
 #[derive(Debug, Clone, PartialEq)]
@@ -427,7 +431,7 @@ impl MicroLauncher {
         // Deep verification: replay the trace through the cache simulator
         // and compare the observed residence with the analytic rule.
         let observed_residence = if self.options.verify_cache {
-            Some(self.verify_residence(program, env, &mut problems))
+            self.verify_residence(program, env, TRACE_CAP, &mut problems)
         } else {
             None
         };
@@ -442,27 +446,47 @@ impl MicroLauncher {
         })
     }
 
-    /// Runs the kernel twice over its full trip (heat + steady state),
-    /// replays the steady-state trace through the LRU hierarchy, and
-    /// checks the observed residence against the analytic model.
+    /// Runs the kernel over its full trip recording at most `cap`
+    /// accesses. The heating and the steady-state pass of the cache
+    /// protocol would both start from this same fresh environment, so
+    /// they would record this same trace: it is recorded once and
+    /// replayed twice.
+    fn full_trip_trace(
+        &self,
+        program: &Program,
+        env: &KernelEnvironment,
+        cap: usize,
+    ) -> Interpreter {
+        let mut interp = env.interpreter(program);
+        interp.record_trace(cap);
+        interp.run(program, self.options.max_interp_steps);
+        interp
+    }
+
+    /// Replays the kernel's full-trip trace through the LRU hierarchy
+    /// twice (heat, then steady state, with counters reset between) and
+    /// checks the observed residence against the analytic model. A trace
+    /// that outgrew `cap` is reported as a problem, not judged: its
+    /// prefix says nothing about the residence of the whole run.
     fn verify_residence(
         &self,
         program: &Program,
         env: &KernelEnvironment,
+        cap: usize,
         problems: &mut Vec<String>,
-    ) -> &'static str {
+    ) -> Option<&'static str> {
         use mc_simarch::cachesim::CacheHierarchy;
-        let mut hierarchy = CacheHierarchy::for_machine(&env.machine);
-        for pass in 0..2 {
-            let mut interp = env.interpreter(program);
-            interp.record_trace(16 << 20);
-            interp.run(program, self.options.max_interp_steps);
-            hierarchy.replay(interp.trace());
-            if pass == 0 {
-                // Reset counters after the heating pass.
-                hierarchy.reset_counters();
-            }
+        let interp = self.full_trip_trace(program, env, cap);
+        if interp.trace_truncated() {
+            problems.push(format!(
+                "cache simulation skipped: the kernel makes more than {cap} memory accesses"
+            ));
+            return None;
         }
+        let mut hierarchy = CacheHierarchy::for_machine(&env.machine);
+        hierarchy.replay(interp.trace());
+        hierarchy.reset_counters();
+        hierarchy.replay(interp.trace());
         let observed = hierarchy.observed_residence(0.9);
         let expected = env.machine.residence(env.working_set_bytes()).name();
         if observed != expected {
@@ -470,7 +494,7 @@ impl MicroLauncher {
                 "cache simulation observed {observed} residence, analytic model says {expected}"
             ));
         }
-        observed
+        Some(observed)
     }
 
     /// Feeds the profile collector a steady-state cache-access stream:
@@ -484,18 +508,11 @@ impl MicroLauncher {
         sink: &mut dyn mc_scope::ScopeSink,
     ) {
         use mc_simarch::cachesim::CacheHierarchy;
+        let interp = self.full_trip_trace(program, env, TRACE_CAP);
         let mut hierarchy = CacheHierarchy::for_machine(&env.machine);
-        for pass in 0..2 {
-            let mut interp = env.interpreter(program);
-            interp.record_trace(16 << 20);
-            interp.run(program, self.options.max_interp_steps);
-            if pass == 0 {
-                hierarchy.replay(interp.trace());
-                hierarchy.reset_counters();
-            } else {
-                hierarchy.replay_with_scope(interp.trace(), sink);
-            }
-        }
+        hierarchy.replay(interp.trace());
+        hierarchy.reset_counters();
+        hierarchy.replay_with_scope(interp.trace(), sink);
     }
 
     fn run_standalone(&self, program: &Program, iterations: u64) -> Result<RunReport, String> {
@@ -961,6 +978,23 @@ mod tests {
             assert!(v.passed, "{}: {}", level.name(), v.detail);
             assert_eq!(v.observed_residence, Some(level.name()));
         }
+    }
+
+    #[test]
+    fn truncated_cache_trace_is_a_problem_not_a_verdict() {
+        let desc = load_stream(mc_asm::Mnemonic::Movaps, 4, 4);
+        let p = MicroCreator::new().generate(&desc).unwrap().programs.remove(0);
+        let o = LauncherOptions { verify_cache: true, ..LauncherOptions::default() };
+        let env = KernelEnvironment::prepare(&o, &p).unwrap();
+        let launcher = MicroLauncher::new(o);
+        // The full L1 traversal makes 1024 loads: a cap of 1024 holds them.
+        let mut problems = Vec::new();
+        let observed = launcher.verify_residence(&p, &env, 1024, &mut problems);
+        assert_eq!((observed, problems.len()), (Some("L1"), 0), "{problems:?}");
+        let observed = launcher.verify_residence(&p, &env, 1023, &mut problems);
+        assert_eq!(observed, None, "a prefix is not judged");
+        assert_eq!(problems.len(), 1);
+        assert!(problems[0].contains("more than 1023 memory accesses"), "{}", problems[0]);
     }
 
     #[test]
