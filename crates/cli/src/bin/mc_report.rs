@@ -412,32 +412,32 @@ fn store_stats_json(
     budget: Option<u64>,
     gc: Option<&mc_store::GcReport>,
 ) -> String {
-    use mc_pulse::Json;
+    use mc_report::Json;
     use std::collections::BTreeMap;
     let mut o = BTreeMap::new();
     o.insert("root".to_owned(), Json::Str(dir.to_owned()));
-    o.insert("entries".to_owned(), Json::Num(scan.entries as f64));
-    o.insert("bytes".to_owned(), Json::Num(scan.bytes as f64));
+    o.insert("entries".to_owned(), Json::from(scan.entries));
+    o.insert("bytes".to_owned(), Json::from(scan.bytes));
     o.insert("bytes_human".to_owned(), Json::Str(mc_report::table::human_bytes(scan.bytes)));
-    o.insert("unreadable".to_owned(), Json::Num(scan.unreadable as f64));
+    o.insert("unreadable".to_owned(), Json::from(scan.unreadable));
     let kinds: BTreeMap<String, Json> =
-        scan.kinds.iter().map(|(k, n)| (k.clone(), Json::Num(*n as f64))).collect();
+        scan.kinds.iter().map(|(k, n)| (k.clone(), Json::from(*n))).collect();
     o.insert("kinds".to_owned(), Json::Obj(kinds));
     let versions: Vec<Json> = scan
         .versions
         .iter()
         .map(|((version, schema, calib), count)| {
             let mut v = BTreeMap::new();
-            v.insert("version".to_owned(), Json::Num(f64::from(*version)));
+            v.insert("version".to_owned(), Json::from(*version));
             v.insert("schema".to_owned(), Json::Str(format!("{schema:016x}")));
             v.insert("calibration".to_owned(), Json::Str(format!("{calib:016x}")));
-            v.insert("entries".to_owned(), Json::Num(*count as f64));
+            v.insert("entries".to_owned(), Json::from(*count));
             Json::Obj(v)
         })
         .collect();
     o.insert("versions".to_owned(), Json::Arr(versions));
     let mut l = BTreeMap::new();
-    l.insert("processes".to_owned(), Json::Num(ledger.processes as f64));
+    l.insert("processes".to_owned(), Json::from(ledger.processes));
     let c = &ledger.counters;
     for (key, n) in [
         ("hit_mem", c.hit_mem),
@@ -450,16 +450,16 @@ fn store_stats_json(
         ("file_bytes", ledger_bytes),
         ("compact_threshold_bytes", mc_store::LEDGER_COMPACT_BYTES),
     ] {
-        l.insert(key.to_owned(), Json::Num(n as f64));
+        l.insert(key.to_owned(), Json::from(n));
     }
     o.insert("ledger".to_owned(), Json::Obj(l));
     if let (Some(budget), Some(gc)) = (budget, gc) {
         let mut g = BTreeMap::new();
-        g.insert("budget_bytes".to_owned(), Json::Num(budget as f64));
-        g.insert("removed_entries".to_owned(), Json::Num(gc.removed_entries as f64));
-        g.insert("scanned_entries".to_owned(), Json::Num(gc.scanned_entries as f64));
-        g.insert("removed_bytes".to_owned(), Json::Num(gc.removed_bytes as f64));
-        g.insert("scanned_bytes".to_owned(), Json::Num(gc.scanned_bytes as f64));
+        g.insert("budget_bytes".to_owned(), Json::from(budget));
+        g.insert("removed_entries".to_owned(), Json::from(gc.removed_entries));
+        g.insert("scanned_entries".to_owned(), Json::from(gc.scanned_entries));
+        g.insert("removed_bytes".to_owned(), Json::from(gc.removed_bytes));
+        g.insert("scanned_bytes".to_owned(), Json::from(gc.scanned_bytes));
         o.insert("gc".to_owned(), Json::Obj(g));
     }
     Json::Obj(o).render()

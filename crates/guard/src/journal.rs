@@ -5,16 +5,17 @@
 //! payload fields), so the file is both the resume state and an ordinary
 //! JSONL document any trace consumer can read.
 //!
-//! Every record is one whole-line `O_APPEND` write followed by an
-//! fsync, so a checkpoint costs O(record) — not the O(file) rewrite it
-//! once did, which made long sweeps quadratic in journal size. A
-//! `SIGKILL` mid-write can leave at most one torn trailing line, and
-//! loading tolerates torn or foreign lines (skipped, not fatal), so a
-//! journal written by an older build or a crashed writer still resumes.
+//! Every record is one whole-line `O_APPEND` write
+//! ([`mc_trace::append_line`]) followed by an fsync, so a checkpoint
+//! costs O(record) — not the O(file) rewrite it once did, which made long
+//! sweeps quadratic in journal size. A `SIGKILL` mid-write can leave at
+//! most one torn trailing line; the next append starts a fresh line
+//! after it, and loading tolerates torn or foreign lines (skipped, not
+//! fatal), so a journal written by an older build or a crashed writer
+//! still resumes and loses no later record.
 
 use mc_trace::{EventKind, TraceEvent, Value};
 use std::collections::HashMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
@@ -41,7 +42,7 @@ pub struct Journal {
 
 fn open_append(path: &Path, truncate: bool) -> std::io::Result<std::fs::File> {
     let mut options = std::fs::OpenOptions::new();
-    options.create(true).append(true);
+    options.create(true).read(true).append(true);
     if truncate {
         // `truncate` conflicts with `append` on some platforms; explicit
         // create-then-reopen keeps the semantics unambiguous.
@@ -116,8 +117,7 @@ impl Journal {
     }
 
     fn record(&self, key: &str, entry: JournalEntry) {
-        let mut line = encode_line(key, &entry);
-        line.push('\n');
+        let line = encode_line(key, &entry);
         let mut state = self.state.lock().expect("journal lock poisoned");
         state.entries.insert(key.to_owned(), entry);
         // Checkpointing is best-effort durability: a full disk must not
@@ -125,8 +125,8 @@ impl Journal {
         // propagated. The whole line goes out in one append, so readers
         // of a live journal see only complete records (plus at most one
         // torn tail after a crash, which resume skips).
-        let appended = match state.file.as_mut() {
-            Some(file) => file.write_all(line.as_bytes()).and_then(|()| file.sync_data()),
+        let appended = match &state.file {
+            Some(file) => mc_trace::append_line(file, &line).and_then(|()| file.sync_data()),
             None => Err(std::io::Error::other("journal file unavailable")),
         };
         if let Err(e) = appended {
@@ -251,6 +251,14 @@ mod tests {
         let (resumed, ok) = Journal::resume(&path).unwrap();
         assert_eq!(ok, 1);
         assert!(resumed.lookup("good").is_some());
+        // A record appended after the tear must survive the next resume.
+        resumed.record_ok("after", vec![("v".into(), Value::UInt(8))]);
+        let (again, ok) = Journal::resume(&path).unwrap();
+        assert_eq!(ok, 2);
+        assert_eq!(
+            again.lookup("after"),
+            Some(JournalEntry::Ok(vec![("v".into(), Value::UInt(8))]))
+        );
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -8,9 +8,8 @@
 //! field (`sweep_ms`, `timed_kernel_calls`, …) — ratio fields like
 //! `speedup_vs_serial` are never the primary value.
 
-use crate::json::Json;
 use crate::registry::{RunRecord, SeriesPoint};
-use mc_report::RunManifest;
+use mc_report::{Json, RunManifest};
 use std::path::Path;
 
 /// Measurement fields tried in order for each result entry.

@@ -25,7 +25,6 @@
 
 pub mod http;
 pub mod import;
-pub mod json;
 pub mod monitor;
 pub mod openmetrics;
 pub mod registry;
@@ -33,7 +32,6 @@ pub mod trend;
 
 pub use http::{read_request, respond, HttpLimits, Request, RequestError};
 pub use import::import_bench;
-pub use json::Json;
 pub use monitor::{strip_heartbeats, JsonlProgress, TtyProgress};
 pub use openmetrics::MetricsServer;
 pub use registry::{IndexEntry, Registry, RunRecord, SeriesPoint, DEFAULT_ROOT, REGISTRY_ENV};

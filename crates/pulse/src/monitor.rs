@@ -288,7 +288,7 @@ mod tests {
         assert_eq!(stripped.lines().count(), 4, "{stripped}");
         // Every line (heartbeats included) is valid JSON.
         for line in raw.lines() {
-            crate::json::Json::parse(line).expect(line);
+            mc_report::Json::parse(line).expect(line);
         }
     }
 

@@ -29,7 +29,6 @@ use crate::openmetrics;
 use mc_report::{atomic_write, fnv1a64, CsvTable, CsvWriter, RunManifest};
 use std::fmt::Write as _;
 use std::fs::{self, OpenOptions};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Default registry root, relative to the working directory.
@@ -296,12 +295,11 @@ impl Registry {
             .with("points", record.points.len() as u64)
             .with("timestamp_unix", record.timestamp_unix)
             .with("label", label.as_str());
-        let mut line = event.to_json();
-        line.push('\n');
         // One O_APPEND write per registration: concurrent processes
         // interleave whole lines, never bytes within a line.
-        let mut file = OpenOptions::new().create(true).append(true).open(self.index_path())?;
-        file.write_all(line.as_bytes())?;
+        let file =
+            OpenOptions::new().create(true).read(true).append(true).open(self.index_path())?;
+        mc_trace::append_line(&file, &event.to_json())?;
         file.sync_all()
     }
 
@@ -320,20 +318,9 @@ impl Registry {
             if event.name != "pulse.run" {
                 continue;
             }
-            let str_field = |k: &str| -> Option<String> {
-                event.field(k).and_then(|v| match v {
-                    mc_trace::Value::Str(s) => Some(s.clone()),
-                    _ => None,
-                })
-            };
-            let num_field = |k: &str| -> Option<i64> {
-                event.field(k).and_then(|v| match v {
-                    mc_trace::Value::Int(i) => Some(*i),
-                    mc_trace::Value::UInt(u) => i64::try_from(*u).ok(),
-                    mc_trace::Value::Float(f) => Some(*f as i64),
-                    _ => None,
-                })
-            };
+            let str_field =
+                |k: &str| event.field(k).and_then(mc_trace::Value::as_str).map(str::to_owned);
+            let num_field = |k: &str| event.field(k).and_then(mc_trace::Value::as_i64);
             let (Some(run_id), Some(tool)) = (str_field("run_id"), str_field("tool")) else {
                 continue;
             };
@@ -476,6 +463,10 @@ mod tests {
         fs::write(reg.index_path(), text).unwrap();
         let index = reg.load_index().unwrap();
         assert_eq!(index.len(), 1, "only the intact pulse.run line survives");
+        // A registration after the tear is not glued onto it.
+        reg.register(&sample_record(5.0)).unwrap();
+        let index = reg.load_index().unwrap();
+        assert_eq!(index.len(), 2, "the registration after the tear survives");
         let _ = fs::remove_dir_all(&dir);
     }
 

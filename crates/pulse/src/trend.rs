@@ -320,19 +320,19 @@ pub fn render_trend(report: &TrendReport, opts: &TrendOptions) -> String {
 
 /// Renders the trend as a JSON document (compact, canonical key order).
 pub fn trend_to_json(report: &TrendReport) -> String {
-    use crate::json::Json;
+    use mc_report::Json;
     use std::collections::BTreeMap;
     let runs: Vec<Json> = report
         .runs
         .iter()
         .map(|r| {
             let mut o = BTreeMap::new();
-            o.insert("seq".to_owned(), Json::Num(r.seq as f64));
+            o.insert("seq".to_owned(), Json::from(r.seq));
             o.insert("run_id".to_owned(), Json::Str(r.run_id.clone()));
             o.insert("tool".to_owned(), Json::Str(r.tool.clone()));
-            o.insert("status".to_owned(), Json::Num(f64::from(r.status)));
-            o.insert("points".to_owned(), Json::Num(r.points as f64));
-            o.insert("timestamp_unix".to_owned(), Json::Num(r.timestamp_unix as f64));
+            o.insert("status".to_owned(), Json::from(i64::from(r.status)));
+            o.insert("points".to_owned(), Json::from(r.points));
+            o.insert("timestamp_unix".to_owned(), Json::from(r.timestamp_unix));
             o.insert("label".to_owned(), Json::Str(r.label.clone()));
             Json::Obj(o)
         })
@@ -346,14 +346,14 @@ pub fn trend_to_json(report: &TrendReport) -> String {
             o.insert("key".to_owned(), Json::Str(s.key.clone()));
             o.insert(
                 "values".to_owned(),
-                Json::Arr(s.observations.iter().map(|obs| Json::Num(obs.value)).collect()),
+                Json::Arr(s.observations.iter().map(|obs| Json::from(obs.value)).collect()),
             );
-            o.insert("baseline".to_owned(), Json::Num(s.baseline));
-            o.insert("latest".to_owned(), Json::Num(s.latest));
-            o.insert("delta_rel".to_owned(), Json::Num(s.delta_rel));
-            o.insert("band_rel".to_owned(), Json::Num(s.band_rel));
-            o.insert("slope_rel".to_owned(), Json::Num(s.slope_rel));
-            o.insert("streak".to_owned(), Json::Num(s.streak as f64));
+            o.insert("baseline".to_owned(), Json::from(s.baseline));
+            o.insert("latest".to_owned(), Json::from(s.latest));
+            o.insert("delta_rel".to_owned(), Json::from(s.delta_rel));
+            o.insert("band_rel".to_owned(), Json::from(s.band_rel));
+            o.insert("slope_rel".to_owned(), Json::from(s.slope_rel));
+            o.insert("streak".to_owned(), Json::from(s.streak));
             o.insert("regressed".to_owned(), Json::Bool(s.is_regression()));
             o.insert("improved".to_owned(), Json::Bool(s.is_improvement()));
             Json::Obj(o)
@@ -362,8 +362,8 @@ pub fn trend_to_json(report: &TrendReport) -> String {
     let mut doc = BTreeMap::new();
     doc.insert("runs".to_owned(), Json::Arr(runs));
     doc.insert("series".to_owned(), Json::Arr(series));
-    doc.insert("regressions".to_owned(), Json::Num(report.regressions().len() as f64));
-    doc.insert("improvements".to_owned(), Json::Num(report.improvements().len() as f64));
+    doc.insert("regressions".to_owned(), Json::from(report.regressions().len()));
+    doc.insert("improvements".to_owned(), Json::from(report.improvements().len()));
     Json::Obj(doc).render()
 }
 
@@ -578,10 +578,10 @@ mod tests {
         let runs = vec![run(0, &[("k1", 4.0, 0.01, true)]), run(1, &[("k1", 5.0, 0.01, true)])];
         let report = compute_trend(&runs, &TrendOptions::default());
         let text = trend_to_json(&report);
-        let doc = crate::json::Json::parse(&text).unwrap();
-        assert_eq!(doc.get("regressions").and_then(crate::json::Json::as_f64), Some(1.0));
+        let doc = mc_report::Json::parse(&text).unwrap();
+        assert_eq!(doc.get("regressions").and_then(mc_report::Json::as_u64), Some(1));
         let series = doc.get("series").unwrap().as_array().unwrap();
-        assert_eq!(series[0].get("regressed").and_then(crate::json::Json::as_bool), Some(true));
+        assert_eq!(series[0].get("regressed").and_then(mc_report::Json::as_bool), Some(true));
         assert_eq!(series[0].get("values").unwrap().as_array().unwrap().len(), 2);
     }
 

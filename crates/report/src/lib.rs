@@ -19,6 +19,8 @@
 //!   per-group minima, knob-impact ranking, Pareto fronts,
 //! * [`manifest`] — the [`RunManifest`] provenance header (`# key: value`
 //!   comment lines) embedded in every emitted CSV,
+//! * [`json`] — the workspace's one JSON codec: value type, writer and
+//!   parser for every trace, journal, index, profile and API document,
 //! * [`fsio`] — crash-safe artifact writes (temp file + fsync + rename),
 //!   so an interrupted run never leaves a torn CSV or manifest behind,
 //! * [`rng`] — the workspace's seeded PRNG (SplitMix64), and [`prop`] —
@@ -28,6 +30,7 @@ pub mod analysis;
 pub mod csv;
 pub mod experiments;
 pub mod fsio;
+pub mod json;
 pub mod manifest;
 pub mod prop;
 pub mod rng;
@@ -39,6 +42,7 @@ pub use analysis::Record;
 pub use csv::{CsvTable, CsvWriter};
 pub use experiments::{ExperimentId, ShapeCheck, ShapeOutcome};
 pub use fsio::{atomic_write, atomic_write_str};
+pub use json::Json;
 pub use manifest::{fnv1a64, Fnv64, RunManifest};
 pub use rng::SplitMix64;
 pub use series::{Scale, Series};

@@ -2,8 +2,9 @@
 //!
 //! Line 1 is the header object; every following line is one record with
 //! a `"t"` discriminator. Encoding is deterministic: fixed field order,
-//! floats rendered with Rust's shortest round-trip formatting, no
-//! timestamps — the same profile always produces the same bytes, so
+//! the workspace JSON codec's number rules ([`mc_report::json`]: counts
+//! and indices as integers, floats in Rust's shortest round-trip form),
+//! no timestamps — the same profile always produces the same bytes, so
 //! profiles are diffable and byte-identical across `--jobs` counts.
 //!
 //! ```text
@@ -23,246 +24,141 @@ use crate::profile::{
     NoteScope, PortBoundScope, PortWindowScope, Record, StallScope, TimelineScope, TopologyScope,
     UopScope, VerdictScope, FORMAT_VERSION,
 };
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use mc_report::json::{Json, Object};
 
 // ---------------------------------------------------------------- encode
 
-fn push_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 || c == '\u{7f}' || c == '\u{2028}' || c == '\u{2029}' => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+fn strings(items: &[String]) -> Json {
+    Json::Arr(items.iter().map(|s| Json::from(s.as_str())).collect())
 }
 
-fn push_num(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push('0');
-    }
+fn pair(name: &str, value: impl Into<Json>) -> Json {
+    Json::Arr(vec![name.into(), value.into()])
 }
 
-fn field_str(out: &mut String, key: &str, value: &str, first: &mut bool) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    push_str(out, key);
-    out.push(':');
-    push_str(out, value);
+fn pairs<V: Copy + Into<Json>>(items: &[(String, V)]) -> Json {
+    Json::Arr(items.iter().map(|(name, v)| pair(name, *v)).collect())
 }
 
-fn field_num(out: &mut String, key: &str, value: f64, first: &mut bool) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    push_str(out, key);
-    out.push(':');
-    push_num(out, value);
-}
-
-fn field_bool(out: &mut String, key: &str, value: bool, first: &mut bool) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    push_str(out, key);
-    out.push_str(if value { ":true" } else { ":false" });
-}
-
-fn field_raw(out: &mut String, key: &str, raw: &str, first: &mut bool) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    push_str(out, key);
-    out.push(':');
-    out.push_str(raw);
-}
-
-fn str_array(items: &[String]) -> String {
-    let mut out = String::from("[");
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_str(&mut out, item);
-    }
-    out.push(']');
-    out
-}
-
-fn pair_array<V: Copy + Into<f64>>(items: &[(String, V)]) -> String {
-    let mut out = String::from("[");
-    for (i, (name, v)) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        push_str(&mut out, name);
-        out.push(',');
-        push_num(&mut out, (*v).into());
-        out.push(']');
-    }
-    out.push(']');
-    out
-}
-
-fn encode_record(r: &Record) -> String {
-    let mut out = String::from("{");
-    let mut first = true;
-    let f = &mut first;
+fn encode_record(r: &Record, out: &mut String) {
+    let mut o = Object::open(out);
     match r {
         Record::Machine(m) => {
-            field_str(&mut out, "t", "machine", f);
-            field_str(&mut out, "name", &m.name, f);
-            field_num(&mut out, "frontend_width", m.frontend_width, f);
-            field_num(&mut out, "load_ports", m.load_ports, f);
-            field_num(&mut out, "store_ports", m.store_ports, f);
-            field_num(&mut out, "int_alu_ports", m.int_alu_ports, f);
-            field_num(&mut out, "fp_add_ports", m.fp_add_ports, f);
-            field_num(&mut out, "fp_mul_ports", m.fp_mul_ports, f);
-            field_num(&mut out, "div_block_cycles", m.div_block_cycles, f);
-            field_num(&mut out, "taken_branch_cycles", m.taken_branch_cycles, f);
-            field_num(&mut out, "nominal_ghz", m.nominal_ghz, f);
+            o.field("t", "machine")
+                .field("name", m.name.as_str())
+                .field("frontend_width", m.frontend_width)
+                .field("load_ports", m.load_ports)
+                .field("store_ports", m.store_ports)
+                .field("int_alu_ports", m.int_alu_ports)
+                .field("fp_add_ports", m.fp_add_ports)
+                .field("fp_mul_ports", m.fp_mul_ports)
+                .field("div_block_cycles", m.div_block_cycles)
+                .field("taken_branch_cycles", m.taken_branch_cycles)
+                .field("nominal_ghz", m.nominal_ghz);
         }
         Record::Topology(t) => {
-            field_str(&mut out, "t", "topo", f);
-            field_num(&mut out, "cores", f64::from(t.active_cores), f);
-            let sockets: Vec<String> =
-                t.sockets.iter().map(std::string::ToString::to_string).collect();
-            field_raw(&mut out, "sockets", &format!("[{}]", sockets.join(",")), f);
-            field_num(&mut out, "bw_gbs", t.socket_bandwidth_gbs, f);
-            field_num(&mut out, "bytes_per_iter", t.bytes_per_iteration, f);
+            o.field("t", "topo")
+                .field("cores", t.active_cores)
+                .field("sockets", Json::Arr(t.sockets.iter().map(|&n| n.into()).collect()))
+                .field("bw_gbs", t.socket_bandwidth_gbs)
+                .field("bytes_per_iter", t.bytes_per_iteration);
         }
         Record::Inst(i) => {
-            field_str(&mut out, "t", "inst", f);
-            field_num(&mut out, "i", i.index as f64, f);
-            field_str(&mut out, "text", &i.text, f);
-            field_raw(&mut out, "reads", &str_array(&i.reads), f);
-            field_raw(&mut out, "writes", &str_array(&i.writes), f);
-            field_num(&mut out, "fused", f64::from(i.fused_uops), f);
-            let mut uops = String::from("[");
-            for (k, u) in i.uops.iter().enumerate() {
-                if k > 0 {
-                    uops.push(',');
-                }
-                uops.push('[');
-                push_str(&mut uops, &u.port);
-                uops.push(',');
-                push_num(&mut uops, u.latency);
-                uops.push(']');
-            }
-            uops.push(']');
-            field_raw(&mut out, "uops", &uops, f);
+            let uops = i.uops.iter().map(|u| pair(&u.port, u.latency)).collect();
+            o.field("t", "inst")
+                .field("i", i.index)
+                .field("text", i.text.as_str())
+                .field("reads", strings(&i.reads))
+                .field("writes", strings(&i.writes))
+                .field("fused", i.fused_uops)
+                .field("uops", Json::Arr(uops));
         }
         Record::PortBound(b) => {
-            field_str(&mut out, "t", "port_bound", f);
-            field_str(&mut out, "class", &b.class, f);
-            field_num(&mut out, "uops", b.uops, f);
-            field_num(&mut out, "cycles", b.cycles, f);
+            o.field("t", "port_bound")
+                .field("class", b.class.as_str())
+                .field("uops", b.uops)
+                .field("cycles", b.cycles);
         }
         Record::Bound(b) => {
-            field_str(&mut out, "t", "bound", f);
-            field_str(&mut out, "name", &b.name, f);
-            field_num(&mut out, "cycles", b.cycles, f);
+            o.field("t", "bound").field("name", b.name.as_str()).field("cycles", b.cycles);
         }
         Record::Note(n) => {
-            field_str(&mut out, "t", "note", f);
-            field_str(&mut out, "key", &n.key, f);
-            field_str(&mut out, "value", &n.value, f);
+            o.field("t", "note").field("key", n.key.as_str()).field("value", n.value.as_str());
         }
         Record::DepEdge(e) => {
-            field_str(&mut out, "t", "dep", f);
-            field_num(&mut out, "from", e.from as f64, f);
-            field_num(&mut out, "to", e.to as f64, f);
-            field_str(&mut out, "reg", &e.reg, f);
-            field_num(&mut out, "lat", e.latency, f);
-            field_bool(&mut out, "carried", e.carried, f);
+            o.field("t", "dep")
+                .field("from", e.from)
+                .field("to", e.to)
+                .field("reg", e.reg.as_str())
+                .field("lat", e.latency)
+                .field("carried", e.carried);
         }
         Record::Crit(c) => {
-            field_str(&mut out, "t", "crit", f);
-            field_num(&mut out, "step", c.step as f64, f);
-            field_num(&mut out, "inst", c.inst as f64, f);
-            field_str(&mut out, "reg", &c.reg, f);
-            field_num(&mut out, "lat", c.latency, f);
-            field_bool(&mut out, "carried", c.carried, f);
+            o.field("t", "crit")
+                .field("step", c.step)
+                .field("inst", c.inst)
+                .field("reg", c.reg.as_str())
+                .field("lat", c.latency)
+                .field("carried", c.carried);
         }
         Record::Timeline(t) => {
-            field_str(&mut out, "t", "tl", f);
-            field_num(&mut out, "inst", t.inst as f64, f);
-            field_num(&mut out, "iter", f64::from(t.iteration), f);
-            field_num(&mut out, "issue", t.issue, f);
-            field_num(&mut out, "dispatch", t.dispatch, f);
-            field_num(&mut out, "retire", t.retire, f);
-            field_str(&mut out, "port", &t.port, f);
-            field_str(&mut out, "wait", &t.wait, f);
+            o.field("t", "tl")
+                .field("inst", t.inst)
+                .field("iter", t.iteration)
+                .field("issue", t.issue)
+                .field("dispatch", t.dispatch)
+                .field("retire", t.retire)
+                .field("port", t.port.as_str())
+                .field("wait", t.wait.as_str());
         }
         Record::PortWindow(w) => {
-            field_str(&mut out, "t", "pw", f);
-            field_num(&mut out, "start", w.start as f64, f);
-            field_num(&mut out, "width", f64::from(w.width), f);
-            field_raw(&mut out, "busy", &pair_array(&w.busy), f);
+            o.field("t", "pw")
+                .field("start", w.start)
+                .field("width", w.width)
+                .field("busy", pairs(&w.busy));
         }
         Record::Stall(s) => {
-            field_str(&mut out, "t", "stall", f);
-            field_num(&mut out, "start", s.start as f64, f);
-            field_num(&mut out, "end", s.end as f64, f);
-            field_str(&mut out, "reason", &s.reason, f);
+            o.field("t", "stall")
+                .field("start", s.start)
+                .field("end", s.end)
+                .field("reason", s.reason.as_str());
         }
         Record::Cache(c) => {
-            field_str(&mut out, "t", "cache", f);
-            let totals: Vec<(String, f64)> =
-                c.totals.iter().map(|(n, v)| (n.clone(), *v as f64)).collect();
-            field_raw(&mut out, "totals", &pair_array(&totals), f);
-            let runs: Vec<(String, f64)> =
-                c.runs.iter().map(|(n, v)| (n.clone(), f64::from(*v))).collect();
-            field_raw(&mut out, "runs", &pair_array(&runs), f);
-            field_num(&mut out, "truncated", c.truncated as f64, f);
+            o.field("t", "cache")
+                .field("totals", pairs(&c.totals))
+                .field("runs", pairs(&c.runs))
+                .field("truncated", c.truncated);
         }
         Record::Verdict(v) => {
-            field_str(&mut out, "t", "verdict", f);
-            field_str(&mut out, "class", &v.class, f);
-            field_num(&mut out, "bound_cycles", v.bound_cycles, f);
-            field_num(&mut out, "measured", v.measured_cycles, f);
-            field_num(&mut out, "share", v.share, f);
-            field_str(&mut out, "runner_up", &v.runner_up, f);
-            field_num(&mut out, "runner_up_cycles", v.runner_up_cycles, f);
+            o.field("t", "verdict")
+                .field("class", v.class.as_str())
+                .field("bound_cycles", v.bound_cycles)
+                .field("measured", v.measured_cycles)
+                .field("share", v.share)
+                .field("runner_up", v.runner_up.as_str())
+                .field("runner_up_cycles", v.runner_up_cycles);
         }
     }
-    out.push('}');
-    out
+    o.close();
 }
 
 /// Encodes a profile as versioned JSONL (header line + one record per
 /// line, trailing newline).
 pub fn encode(profile: &EvalProfile) -> String {
-    let mut out = String::from("{");
-    let mut first = true;
-    let f = &mut first;
-    field_str(&mut out, "format", "mc-scope", f);
-    field_num(&mut out, "version", f64::from(profile.format_version), f);
-    field_str(&mut out, "schema", &profile.schema, f);
-    field_str(&mut out, "kernel", &profile.kernel, f);
-    field_str(&mut out, "program_fp", &profile.program_fingerprint, f);
-    field_str(&mut out, "options_fp", &profile.options_fingerprint, f);
-    field_str(&mut out, "run_id", &profile.run_id, f);
-    out.push_str("}\n");
+    let mut out = String::new();
+    let mut header = Object::open(&mut out);
+    header
+        .field("format", "mc-scope")
+        .field("version", profile.format_version)
+        .field("schema", profile.schema.as_str())
+        .field("kernel", profile.kernel.as_str())
+        .field("program_fp", profile.program_fingerprint.as_str())
+        .field("options_fp", profile.options_fingerprint.as_str())
+        .field("run_id", profile.run_id.as_str());
+    header.close();
+    out.push('\n');
     for r in &profile.records {
-        out.push_str(&encode_record(r));
+        encode_record(r, &mut out);
         out.push('\n');
     }
     out
@@ -270,355 +166,149 @@ pub fn encode(profile: &EvalProfile) -> String {
 
 // ----------------------------------------------------------------- parse
 
-/// A parsed JSON value (the subset the format uses).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
+fn field<'a, T>(
+    v: &'a Json,
+    key: &str,
+    what: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<T, String> {
+    v.get(key).and_then(read).ok_or_else(|| format!("missing {what} field `{key}`"))
 }
 
-impl Json {
-    fn str_of(&self, key: &str) -> Result<String, String> {
-        match self.get(key) {
-            Some(Json::Str(s)) => Ok(s.clone()),
-            _ => Err(format!("missing string field `{key}`")),
-        }
-    }
-
-    fn num_of(&self, key: &str) -> Result<f64, String> {
-        match self.get(key) {
-            Some(Json::Num(n)) => Ok(*n),
-            _ => Err(format!("missing numeric field `{key}`")),
-        }
-    }
-
-    fn bool_of(&self, key: &str) -> Result<bool, String> {
-        match self.get(key) {
-            Some(Json::Bool(b)) => Ok(*b),
-            _ => Err(format!("missing boolean field `{key}`")),
-        }
-    }
-
-    fn arr_of(&self, key: &str) -> Result<&[Json], String> {
-        match self.get(key) {
-            Some(Json::Arr(a)) => Ok(a),
-            _ => Err(format!("missing array field `{key}`")),
-        }
-    }
-
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(map) => map.get(key),
-            _ => None,
-        }
-    }
+fn str_of(v: &Json, key: &str) -> Result<String, String> {
+    field(v, key, "string", Json::as_str).map(str::to_owned)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn num_of(v: &Json, key: &str) -> Result<f64, String> {
+    field(v, key, "numeric", Json::as_f64)
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser { bytes: text.as_bytes(), pos: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().ok_or("unexpected end of string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
+/// Counts and indices: an unsigned integer that fits `T`.
+fn int_of<T: TryFrom<u64>>(v: &Json, key: &str) -> Result<T, String> {
+    field(v, key, "integer", |n| n.as_u64().and_then(|n| T::try_from(n).ok()))
 }
 
-fn parse_line(line: &str) -> Result<Json, String> {
-    let mut p = Parser::new(line);
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes at {}", p.pos));
-    }
-    Ok(v)
+fn bool_of(v: &Json, key: &str) -> Result<bool, String> {
+    field(v, key, "boolean", Json::as_bool)
 }
 
-fn string_pairs(items: &[Json], what: &str) -> Result<Vec<(String, f64)>, String> {
-    items
+fn arr_of<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
+    field(v, key, "array", Json::as_array)
+}
+
+/// `[[name, number], …]` pairs, the number read by `read`.
+fn pairs_of<T>(
+    v: &Json,
+    key: &str,
+    read: impl Fn(&Json) -> Option<T>,
+) -> Result<Vec<(String, T)>, String> {
+    arr_of(v, key)?
         .iter()
-        .map(|item| match item {
-            Json::Arr(pair) => match (pair.first(), pair.get(1)) {
-                (Some(Json::Str(s)), Some(Json::Num(n))) => Ok((s.clone(), *n)),
-                _ => Err(format!("bad {what} pair")),
-            },
-            _ => Err(format!("bad {what} entry")),
+        .map(|item| match item.as_array() {
+            Some([name, n]) => name.as_str().zip(read(n)).map(|(s, n)| (s.to_owned(), n)),
+            _ => None,
         })
+        .map(|pair| pair.ok_or_else(|| format!("bad `{key}` pair")))
         .collect()
 }
 
-fn strings(items: &[Json], what: &str) -> Result<Vec<String>, String> {
-    items
+fn strings_of(v: &Json, key: &str) -> Result<Vec<String>, String> {
+    arr_of(v, key)?
         .iter()
-        .map(|item| match item {
-            Json::Str(s) => Ok(s.clone()),
-            _ => Err(format!("bad {what} entry")),
-        })
+        .map(|item| item.as_str().map(str::to_owned).ok_or_else(|| format!("bad `{key}` entry")))
         .collect()
 }
 
 fn decode_record(v: &Json) -> Result<Record, String> {
-    let t = v.str_of("t")?;
+    let t = str_of(v, "t")?;
     Ok(match t.as_str() {
         "machine" => Record::Machine(MachineScope {
-            name: v.str_of("name")?,
-            frontend_width: v.num_of("frontend_width")?,
-            load_ports: v.num_of("load_ports")?,
-            store_ports: v.num_of("store_ports")?,
-            int_alu_ports: v.num_of("int_alu_ports")?,
-            fp_add_ports: v.num_of("fp_add_ports")?,
-            fp_mul_ports: v.num_of("fp_mul_ports")?,
-            div_block_cycles: v.num_of("div_block_cycles")?,
-            taken_branch_cycles: v.num_of("taken_branch_cycles")?,
-            nominal_ghz: v.num_of("nominal_ghz")?,
+            name: str_of(v, "name")?,
+            frontend_width: num_of(v, "frontend_width")?,
+            load_ports: num_of(v, "load_ports")?,
+            store_ports: num_of(v, "store_ports")?,
+            int_alu_ports: num_of(v, "int_alu_ports")?,
+            fp_add_ports: num_of(v, "fp_add_ports")?,
+            fp_mul_ports: num_of(v, "fp_mul_ports")?,
+            div_block_cycles: num_of(v, "div_block_cycles")?,
+            taken_branch_cycles: num_of(v, "taken_branch_cycles")?,
+            nominal_ghz: num_of(v, "nominal_ghz")?,
         }),
         "topo" => Record::Topology(TopologyScope {
-            active_cores: v.num_of("cores")? as u32,
-            sockets: v
-                .arr_of("sockets")?
+            active_cores: int_of(v, "cores")?,
+            sockets: arr_of(v, "sockets")?
                 .iter()
-                .map(|s| match s {
-                    Json::Num(n) => Ok(*n as u32),
-                    _ => Err("bad socket count".to_string()),
-                })
-                .collect::<Result<_, _>>()?,
-            socket_bandwidth_gbs: v.num_of("bw_gbs")?,
-            bytes_per_iteration: v.num_of("bytes_per_iter")?,
+                .map(|s| s.as_u64().and_then(|n| u32::try_from(n).ok()))
+                .collect::<Option<_>>()
+                .ok_or("bad socket count")?,
+            socket_bandwidth_gbs: num_of(v, "bw_gbs")?,
+            bytes_per_iteration: num_of(v, "bytes_per_iter")?,
         }),
         "inst" => Record::Inst(InstScope {
-            index: v.num_of("i")? as usize,
-            text: v.str_of("text")?,
-            reads: strings(v.arr_of("reads")?, "reads")?,
-            writes: strings(v.arr_of("writes")?, "writes")?,
-            fused_uops: v.num_of("fused")? as u32,
-            uops: string_pairs(v.arr_of("uops")?, "uop")?
+            index: int_of(v, "i")?,
+            text: str_of(v, "text")?,
+            reads: strings_of(v, "reads")?,
+            writes: strings_of(v, "writes")?,
+            fused_uops: int_of(v, "fused")?,
+            uops: pairs_of(v, "uops", Json::as_f64)?
                 .into_iter()
                 .map(|(port, latency)| UopScope { port, latency })
                 .collect(),
         }),
         "port_bound" => Record::PortBound(PortBoundScope {
-            class: v.str_of("class")?,
-            uops: v.num_of("uops")?,
-            cycles: v.num_of("cycles")?,
+            class: str_of(v, "class")?,
+            uops: num_of(v, "uops")?,
+            cycles: num_of(v, "cycles")?,
         }),
         "bound" => {
-            Record::Bound(BoundScope { name: v.str_of("name")?, cycles: v.num_of("cycles")? })
+            Record::Bound(BoundScope { name: str_of(v, "name")?, cycles: num_of(v, "cycles")? })
         }
-        "note" => Record::Note(NoteScope { key: v.str_of("key")?, value: v.str_of("value")? }),
+        "note" => Record::Note(NoteScope { key: str_of(v, "key")?, value: str_of(v, "value")? }),
         "dep" => Record::DepEdge(DepEdgeScope {
-            from: v.num_of("from")? as usize,
-            to: v.num_of("to")? as usize,
-            reg: v.str_of("reg")?,
-            latency: v.num_of("lat")?,
-            carried: v.bool_of("carried")?,
+            from: int_of(v, "from")?,
+            to: int_of(v, "to")?,
+            reg: str_of(v, "reg")?,
+            latency: num_of(v, "lat")?,
+            carried: bool_of(v, "carried")?,
         }),
         "crit" => Record::Crit(CritScope {
-            step: v.num_of("step")? as usize,
-            inst: v.num_of("inst")? as usize,
-            reg: v.str_of("reg")?,
-            latency: v.num_of("lat")?,
-            carried: v.bool_of("carried")?,
+            step: int_of(v, "step")?,
+            inst: int_of(v, "inst")?,
+            reg: str_of(v, "reg")?,
+            latency: num_of(v, "lat")?,
+            carried: bool_of(v, "carried")?,
         }),
         "tl" => Record::Timeline(TimelineScope {
-            inst: v.num_of("inst")? as usize,
-            iteration: v.num_of("iter")? as u32,
-            issue: v.num_of("issue")?,
-            dispatch: v.num_of("dispatch")?,
-            retire: v.num_of("retire")?,
-            port: v.str_of("port")?,
-            wait: v.str_of("wait")?,
+            inst: int_of(v, "inst")?,
+            iteration: int_of(v, "iter")?,
+            issue: num_of(v, "issue")?,
+            dispatch: num_of(v, "dispatch")?,
+            retire: num_of(v, "retire")?,
+            port: str_of(v, "port")?,
+            wait: str_of(v, "wait")?,
         }),
         "pw" => Record::PortWindow(PortWindowScope {
-            start: v.num_of("start")? as u64,
-            width: v.num_of("width")? as u32,
-            busy: string_pairs(v.arr_of("busy")?, "busy")?,
+            start: int_of(v, "start")?,
+            width: int_of(v, "width")?,
+            busy: pairs_of(v, "busy", Json::as_f64)?,
         }),
         "stall" => Record::Stall(StallScope {
-            start: v.num_of("start")? as u64,
-            end: v.num_of("end")? as u64,
-            reason: v.str_of("reason")?,
+            start: int_of(v, "start")?,
+            end: int_of(v, "end")?,
+            reason: str_of(v, "reason")?,
         }),
         "cache" => Record::Cache(CacheStreamScope {
-            totals: string_pairs(v.arr_of("totals")?, "totals")?
-                .into_iter()
-                .map(|(n, c)| (n, c as u64))
-                .collect(),
-            runs: string_pairs(v.arr_of("runs")?, "runs")?
-                .into_iter()
-                .map(|(n, c)| (n, c as u32))
-                .collect(),
-            truncated: v.num_of("truncated")? as u64,
+            totals: pairs_of(v, "totals", Json::as_u64)?,
+            runs: pairs_of(v, "runs", |n| n.as_u64().and_then(|n| u32::try_from(n).ok()))?,
+            truncated: int_of(v, "truncated")?,
         }),
         "verdict" => Record::Verdict(VerdictScope {
-            class: v.str_of("class")?,
-            bound_cycles: v.num_of("bound_cycles")?,
-            measured_cycles: v.num_of("measured")?,
-            share: v.num_of("share")?,
-            runner_up: v.str_of("runner_up")?,
-            runner_up_cycles: v.num_of("runner_up_cycles")?,
+            class: str_of(v, "class")?,
+            bound_cycles: num_of(v, "bound_cycles")?,
+            measured_cycles: num_of(v, "measured")?,
+            share: num_of(v, "share")?,
+            runner_up: str_of(v, "runner_up")?,
+            runner_up_cycles: num_of(v, "runner_up_cycles")?,
         }),
         other => return Err(format!("unknown record type `{other}`")),
     })
@@ -628,11 +318,11 @@ fn decode_record(v: &Json) -> Result<Record, String> {
 pub fn decode(text: &str) -> Result<EvalProfile, String> {
     let mut lines = text.lines();
     let header_line = lines.next().ok_or("empty profile")?;
-    let header = parse_line(header_line).map_err(|e| format!("header: {e}"))?;
-    if header.str_of("format")? != "mc-scope" {
+    let header = Json::parse(header_line).map_err(|e| format!("header: {e}"))?;
+    if str_of(&header, "format")? != "mc-scope" {
         return Err("not an mc-scope profile (bad `format` field)".into());
     }
-    let version = header.num_of("version")? as u32;
+    let version: u32 = int_of(&header, "version")?;
     if version > FORMAT_VERSION {
         return Err(format!(
             "profile format version {version} is newer than this reader (v{FORMAT_VERSION})"
@@ -643,18 +333,18 @@ pub fn decode(text: &str) -> Result<EvalProfile, String> {
     }
     let mut profile = EvalProfile {
         format_version: version,
-        schema: header.str_of("schema")?,
-        kernel: header.str_of("kernel")?,
-        program_fingerprint: header.str_of("program_fp")?,
-        options_fingerprint: header.str_of("options_fp")?,
-        run_id: header.str_of("run_id")?,
+        schema: str_of(&header, "schema")?,
+        kernel: str_of(&header, "kernel")?,
+        program_fingerprint: str_of(&header, "program_fp")?,
+        options_fingerprint: str_of(&header, "options_fp")?,
+        run_id: str_of(&header, "run_id")?,
         records: Vec::new(),
     };
     for (i, line) in lines.enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let v = parse_line(line).map_err(|e| format!("line {}: {e}", i + 2))?;
+        let v = Json::parse(line).map_err(|e| format!("line {}: {e}", i + 2))?;
         profile.records.push(decode_record(&v).map_err(|e| format!("line {}: {e}", i + 2))?);
     }
     Ok(profile)

@@ -35,7 +35,8 @@
 //! ```
 
 use crate::daemon::{Daemon, JobState, Reject, Submission, Submitted};
-use mc_pulse::{read_request, respond, Json, Request, RequestError};
+use mc_pulse::{read_request, respond, Request, RequestError};
+use mc_report::Json;
 use mc_trace::diag;
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -163,21 +164,21 @@ fn route(
             let mut pairs = vec![
                 ("status", Json::Str("ok".into())),
                 ("draining", Json::Bool(health.draining)),
-                ("queued", Json::Num(health.queued as f64)),
-                ("running", Json::Num(health.running as f64)),
-                ("done", Json::Num(health.done as f64)),
-                ("failed", Json::Num(health.failed as f64)),
-                ("canceled", Json::Num(health.canceled as f64)),
+                ("queued", Json::from(health.queued)),
+                ("running", Json::from(health.running)),
+                ("done", Json::from(health.done)),
+                ("failed", Json::from(health.failed)),
+                ("canceled", Json::from(health.canceled)),
             ];
             if let Some(counters) = &health.store {
                 pairs.push((
                     "store",
                     obj(vec![
-                        ("hit_mem", Json::Num(counters.hit_mem as f64)),
-                        ("hit_disk", Json::Num(counters.hit_disk as f64)),
-                        ("miss", Json::Num(counters.miss as f64)),
-                        ("saved", Json::Num(counters.saved as f64)),
-                        ("write_failed", Json::Num(counters.write_failed as f64)),
+                        ("hit_mem", Json::from(counters.hit_mem)),
+                        ("hit_disk", Json::from(counters.hit_disk)),
+                        ("miss", Json::from(counters.miss)),
+                        ("saved", Json::from(counters.saved)),
+                        ("write_failed", Json::from(counters.write_failed)),
                     ]),
                 ));
             }
@@ -221,7 +222,7 @@ fn job_json(view: &crate::daemon::JobView) -> Json {
         ("state", Json::Str(view.state.name().into())),
     ];
     match &view.state {
-        JobState::Done { bytes } => pairs.push(("bytes", Json::Num(*bytes as f64))),
+        JobState::Done { bytes } => pairs.push(("bytes", Json::from(*bytes))),
         JobState::Failed { kind, message } => {
             pairs.push(("kind", Json::Str(kind.clone())));
             pairs.push(("message", Json::Str(message.clone())));
@@ -359,7 +360,7 @@ fn post_submit(
             &obj(vec![
                 ("job", Json::Str(job)),
                 ("state", Json::Str("queued".into())),
-                ("position", Json::Num(position as f64)),
+                ("position", Json::from(position)),
             ]),
         ),
         Submitted::Duplicate { job, state } => json_response(
@@ -385,7 +386,7 @@ fn post_submit(
                 &[retry_after_header(retry_after_ms)],
                 &obj(vec![
                     ("error", Json::Str("rate_limited".into())),
-                    ("retry_after_ms", Json::Num(retry_after_ms as f64)),
+                    ("retry_after_ms", Json::from(retry_after_ms)),
                 ]),
             ),
             Reject::QueueFull { retry_after_ms } => json_response(
@@ -394,7 +395,7 @@ fn post_submit(
                 &[retry_after_header(retry_after_ms)],
                 &obj(vec![
                     ("error", Json::Str("queue_full".into())),
-                    ("retry_after_ms", Json::Num(retry_after_ms as f64)),
+                    ("retry_after_ms", Json::from(retry_after_ms)),
                 ]),
             ),
             Reject::OverErrorBudget { failures, budget } => json_response(
@@ -403,8 +404,8 @@ fn post_submit(
                 &[],
                 &obj(vec![
                     ("error", Json::Str("over_error_budget".into())),
-                    ("failures", Json::Num(failures as f64)),
-                    ("budget", Json::Num(budget as f64)),
+                    ("failures", Json::from(failures)),
+                    ("budget", Json::from(budget)),
                 ]),
             ),
             Reject::Draining => {

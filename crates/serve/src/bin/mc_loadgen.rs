@@ -205,7 +205,7 @@ fn submit_worker(addr: &str, xml: &str, queue: &Mutex<VecDeque<Planned>>, tally:
                     break;
                 }
                 Ok((429, body)) if attempts < 50 => {
-                    let retry_ms = mc_pulse::Json::parse(&String::from_utf8_lossy(&body))
+                    let retry_ms = mc_report::Json::parse(&String::from_utf8_lossy(&body))
                         .ok()
                         .and_then(|j| j.get("retry_after_ms").and_then(|v| v.as_f64()))
                         .unwrap_or(500.0);
@@ -240,7 +240,7 @@ fn wait_for_quiesce(addr: &str, wait_secs: u64) -> std::io::Result<Vec<(String, 
         if status != 200 {
             return Err(std::io::Error::other(format!("/jobs answered {status}")));
         }
-        let json = mc_pulse::Json::parse(&String::from_utf8_lossy(&body))
+        let json = mc_report::Json::parse(&String::from_utf8_lossy(&body))
             .map_err(std::io::Error::other)?;
         let mut counts: Vec<(String, u64)> = Vec::new();
         let mut active = 0u64;

@@ -5,8 +5,9 @@
 //! (`done`, `failed`, `canceled`) append matching lines as they happen.
 //! The format is mc-trace's JSONL event encoding — the same
 //! torn-tail-tolerant, append-only shape mc-guard's checkpoint journal
-//! and mc-store's ledger use — written with `O_APPEND` + `sync_data` so
-//! a SIGKILL can at worst tear the final line.
+//! and mc-store's ledger use — written with [`mc_trace::append_line`]
+//! (`O_APPEND`) + `sync_data` so a SIGKILL can at worst tear the final
+//! line, and the next append starts a fresh line after it.
 //!
 //! On startup [`JobJournal::replay`] folds the journal: jobs with a
 //! terminal line are remembered (so `GET /jobs/<id>` answers across
@@ -22,7 +23,6 @@
 
 use mc_trace::{EventKind, TraceEvent};
 use std::fs::{self, OpenOptions};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Journal file name inside the daemon state directory.
@@ -86,10 +86,8 @@ impl JobJournal {
         if let Some(parent) = self.path.parent() {
             fs::create_dir_all(parent)?;
         }
-        let mut file = OpenOptions::new().create(true).append(true).open(&self.path)?;
-        let mut line = event.to_json();
-        line.push('\n');
-        file.write_all(line.as_bytes())?;
+        let file = OpenOptions::new().create(true).read(true).append(true).open(&self.path)?;
+        mc_trace::append_line(&file, &event.to_json())?;
         file.sync_data()
     }
 
@@ -183,6 +181,7 @@ impl JobJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write as _;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -236,6 +235,11 @@ mod tests {
         let replay = journal.replay();
         assert_eq!(replay.pending.len(), 1, "duplicate collapses, torn tail skipped");
         assert!(replay.finished.is_empty());
+        // An admission journaled after the tear is not lost with it.
+        journal.accepted(&job("bb-2")).unwrap();
+        let replay = journal.replay();
+        let pending: Vec<&str> = replay.pending.iter().map(|j| j.id.as_str()).collect();
+        assert_eq!(pending, ["aa-1", "bb-2"]);
         let _ = fs::remove_dir_all(&dir);
     }
 

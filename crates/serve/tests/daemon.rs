@@ -457,7 +457,7 @@ fn the_http_surface_round_trips_submission_to_result() {
         format!("client: alice\noptions: {}\n\n{}", options_args(900).join(" "), kernel_xml(""));
     let (status, _, body) = http(addr, "POST", "/submit", envelope.as_bytes());
     assert_eq!(status, 202, "{}", String::from_utf8_lossy(&body));
-    let json = mc_pulse::Json::parse(&String::from_utf8_lossy(&body)).unwrap();
+    let json = mc_report::Json::parse(&String::from_utf8_lossy(&body)).unwrap();
     let id = json.get("job").and_then(|j| j.as_str()).unwrap().to_owned();
     assert_eq!(wait_terminal(&daemon, &id, 120).name(), "done");
     // State, result, events, health.

@@ -23,7 +23,6 @@
 
 use crate::record::{self, Expect, RecordIssue};
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -258,16 +257,15 @@ impl DiskStore {
             .with("stale", c.stale)
             .with("saved", c.saved)
             .with("write_failed", c.write_failed);
-        let mut line = event.to_json();
-        line.push('\n');
         let append = mc_guard::fire_write(LEDGER)
             .and_then(|()| fs::create_dir_all(&self.root))
             .and_then(|()| {
-                let mut file = fs::OpenOptions::new()
+                let file = fs::OpenOptions::new()
                     .create(true)
+                    .read(true)
                     .append(true)
                     .open(self.root.join(LEDGER))?;
-                file.write_all(line.as_bytes())?;
+                mc_trace::append_line(&file, &event.to_json())?;
                 file.sync_all()
             });
         if let Err(e) = append {
@@ -586,6 +584,15 @@ mod tests {
         a.load("eval", "00000000000000aa");
         a.note_mem_hit();
         a.flush_ledger();
+        // A crash tore the next process's ledger line; later flushes must
+        // not be glued onto it.
+        let mut ledger = fs::OpenOptions::new().append(true).open(root.join(LEDGER)).unwrap();
+        std::io::Write::write_all(
+            &mut ledger,
+            b"{\"seq\":0,\"us\":0,\"kind\":\"event\",\"name\":\"store.led",
+        )
+        .unwrap();
+        drop(ledger);
         let b = DiskStore::open(&root, 1, 2);
         b.load("eval", "00000000000000aa");
         b.load("eval", "00000000000000ff"); // miss

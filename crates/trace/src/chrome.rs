@@ -18,8 +18,9 @@
 //! from a `--quick` reproduction are a few thousand events; that trade
 //! is fine.
 
-use crate::event::{encode_str, EventKind, TraceEvent};
+use crate::event::{EventKind, TraceEvent};
 use crate::sink::TraceSink;
+use mc_report::json;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -28,28 +29,6 @@ use std::sync::Mutex;
 pub struct ChromeTraceSink {
     entries: Mutex<Vec<String>>,
     path: Option<PathBuf>,
-}
-
-/// Crash-safe rewrite: temp file in the same directory, fsync, rename.
-/// A flush interrupted by a kill leaves the previous complete document,
-/// never a torn one. (Private copy — mc-trace sits below mc-report in
-/// the dependency graph, so it cannot use `mc_report::fsio`.)
-fn atomic_write(path: &Path, contents: &str) -> std::io::Result<()> {
-    use std::io::Write;
-    let name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| std::io::Error::other(format!("not a file path: {}", path.display())))?;
-    let tmp = path.with_file_name(format!(".{name}.tmp"));
-    let mut file = std::fs::File::create(&tmp)?;
-    file.write_all(contents.as_bytes())?;
-    file.sync_all()?;
-    drop(file);
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-    Ok(())
 }
 
 /// Small dense thread ordinals: Chrome's UI sorts rows by `tid`, and the
@@ -69,7 +48,7 @@ impl ChromeTraceSink {
     /// the end of the run.
     pub fn create(path: &Path) -> std::io::Result<Self> {
         let sink = ChromeTraceSink { entries: Mutex::new(Vec::new()), path: Some(path.into()) };
-        atomic_write(path, &sink.render())?;
+        mc_report::atomic_write(path, sink.render().as_bytes())?;
         Ok(sink)
     }
 
@@ -99,35 +78,31 @@ impl ChromeTraceSink {
 
     fn render_entry(event: &TraceEvent) -> String {
         let mut out = String::with_capacity(96 + event.fields.len() * 24);
-        out.push_str("{\"name\":");
-        encode_str(&event.name, &mut out);
+        let mut entry = json::Object::open(&mut out);
+        json::write_str(entry.key("name"), &event.name);
         // Category = first dotted segment (creator, launcher, insight…);
         // Perfetto can filter and color by it.
-        let category = event.name.split('.').next().unwrap_or("trace");
-        out.push_str(",\"cat\":");
-        encode_str(category, &mut out);
+        json::write_str(entry.key("cat"), event.name.split('.').next().unwrap_or("trace"));
         match event.kind {
             EventKind::Span => {
-                out.push_str(&format!(
-                    ",\"ph\":\"X\",\"ts\":{},\"dur\":{}",
-                    event.micros,
-                    event.duration_micros.unwrap_or(0)
-                ));
+                json::write_str(entry.key("ph"), "X");
+                entry.field("ts", event.micros).field("dur", event.duration_micros.unwrap_or(0));
             }
             EventKind::Event | EventKind::Diag => {
                 // Thread-scoped instant marker.
-                out.push_str(&format!(",\"ph\":\"i\",\"s\":\"t\",\"ts\":{}", event.micros));
+                json::write_str(entry.key("ph"), "i");
+                json::write_str(entry.key("s"), "t");
+                entry.field("ts", event.micros);
             }
         }
-        out.push_str(&format!(",\"pid\":{},\"tid\":{}", std::process::id(), thread_ordinal()));
-        out.push_str(&format!(",\"args\":{{\"seq\":{}", event.seq));
+        entry.field("pid", std::process::id()).field("tid", thread_ordinal());
+        let mut args = json::Object::open(entry.key("args"));
+        args.field("seq", event.seq);
         for (key, value) in &event.fields {
-            out.push(',');
-            encode_str(key, &mut out);
-            out.push(':');
-            value.encode(&mut out);
+            value.write(args.key(key));
         }
-        out.push_str("}}");
+        args.close();
+        entry.close();
         out
     }
 }
@@ -140,7 +115,7 @@ impl TraceSink for ChromeTraceSink {
 
     fn flush(&self) {
         if let Some(path) = &self.path {
-            let _ = atomic_write(path, &self.render());
+            let _ = mc_report::atomic_write(path, self.render().as_bytes());
         }
     }
 }
@@ -149,91 +124,14 @@ impl TraceSink for ChromeTraceSink {
 mod tests {
     use super::*;
     use crate::event::Value;
+    // The document must be *real* JSON for Perfetto to load it.
+    use mc_report::Json;
 
     fn span(name: &str, micros: u64, dur: u64) -> TraceEvent {
         let mut e = TraceEvent::new(EventKind::Span, name);
         e.micros = micros;
         e.duration_micros = Some(dur);
         e
-    }
-
-    /// Generic JSON validator (the subset is small, but the document must
-    /// be *real* JSON for Perfetto to load it — arrays, nesting, and all).
-    fn check_json(text: &str) -> Result<(), String> {
-        let rest = check_value(text.trim_start())?;
-        if rest.trim_start().is_empty() {
-            Ok(())
-        } else {
-            Err(format!("trailing input `{}`", &rest[..rest.len().min(24)]))
-        }
-    }
-
-    fn check_value(s: &str) -> Result<&str, String> {
-        let s = s.trim_start();
-        if let Some(rest) = s.strip_prefix('{') {
-            return check_sequence(rest, '}', |item| {
-                let after_key = check_string(item.trim_start())?;
-                let after_colon = after_key
-                    .trim_start()
-                    .strip_prefix(':')
-                    .ok_or_else(|| "missing `:`".to_string())?;
-                check_value(after_colon)
-            });
-        }
-        if let Some(rest) = s.strip_prefix('[') {
-            return check_sequence(rest, ']', check_value);
-        }
-        if s.starts_with('"') {
-            return check_string(s);
-        }
-        for literal in ["true", "false", "null"] {
-            if let Some(rest) = s.strip_prefix(literal) {
-                return Ok(rest);
-            }
-        }
-        let end = s
-            .char_indices()
-            .find(|(_, c)| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-            .map_or(s.len(), |(i, _)| i);
-        if end == 0 {
-            return Err(format!("expected value at `{}`", &s[..s.len().min(24)]));
-        }
-        s[..end].parse::<f64>().map_err(|_| format!("bad number `{}`", &s[..end]))?;
-        Ok(&s[end..])
-    }
-
-    fn check_sequence<'a>(
-        mut s: &'a str,
-        close: char,
-        item: impl Fn(&'a str) -> Result<&'a str, String>,
-    ) -> Result<&'a str, String> {
-        if let Some(rest) = s.trim_start().strip_prefix(close) {
-            return Ok(rest);
-        }
-        loop {
-            s = item(s)?.trim_start();
-            if let Some(rest) = s.strip_prefix(',') {
-                s = rest;
-            } else if let Some(rest) = s.strip_prefix(close) {
-                return Ok(rest);
-            } else {
-                return Err(format!("expected `,` or `{close}` at `{}`", &s[..s.len().min(24)]));
-            }
-        }
-    }
-
-    fn check_string(s: &str) -> Result<&str, String> {
-        let mut chars = s.strip_prefix('"').ok_or("expected string")?.char_indices();
-        loop {
-            match chars.next() {
-                Some((i, '"')) => return Ok(&s[i + 2..]),
-                Some((_, '\\')) => {
-                    chars.next();
-                }
-                Some(_) => {}
-                None => return Err("unterminated string".into()),
-            }
-        }
     }
 
     /// Pulls a numeric field out of a rendered entry line.
@@ -257,7 +155,7 @@ mod tests {
         );
         sink.record(&TraceEvent::new(EventKind::Diag, "diag").with("msg", "warn\tme"));
         let doc = sink.render();
-        check_json(&doc).unwrap_or_else(|e| panic!("{e}\nin {doc}"));
+        Json::parse(&doc).unwrap_or_else(|e| panic!("{e}\nin {doc}"));
         assert!(doc.contains("\"ph\":\"X\""), "{doc}");
         assert!(doc.contains("\"ph\":\"i\""), "{doc}");
         assert!(doc.contains("\"cat\":\"insight\""), "{doc}");
@@ -280,7 +178,7 @@ mod tests {
             sink.record(&span(name, i as u64 * 10, 5).with("arg", *name));
         }
         let doc = sink.render();
-        check_json(&doc).unwrap_or_else(|e| panic!("{e}\nin {doc}"));
+        Json::parse(&doc).unwrap_or_else(|e| panic!("{e}\nin {doc}"));
         for raw in ['\u{1}', '\u{1f}', '\u{7f}', '\u{2028}', '\u{2029}'] {
             assert!(!doc.contains(raw), "raw {raw:?} in {doc}");
         }
@@ -299,7 +197,7 @@ mod tests {
     #[test]
     fn empty_trace_is_still_a_valid_document() {
         let sink = ChromeTraceSink::in_memory();
-        check_json(&sink.render()).unwrap();
+        Json::parse(&sink.render()).unwrap();
     }
 
     #[test]
@@ -310,7 +208,7 @@ mod tests {
         sink.record(&span("launcher.measure", 120, 40));
         sink.record(&span("launcher.run", 100, 200));
         let doc = sink.render();
-        check_json(&doc).unwrap_or_else(|e| panic!("{e}\nin {doc}"));
+        Json::parse(&doc).unwrap_or_else(|e| panic!("{e}\nin {doc}"));
         let inner = doc.lines().find(|l| l.contains("launcher.measure")).unwrap();
         let outer = doc.lines().find(|l| l.contains("\"launcher.run\"")).unwrap();
         let (its, idur) = (grab(inner, "ts"), grab(inner, "dur"));
@@ -325,19 +223,25 @@ mod tests {
         let path = dir.join(format!("trace-{}.json", std::process::id()));
         let sink = ChromeTraceSink::create(&path).unwrap();
         // Eager create: valid (empty) document before any event.
-        check_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         sink.record(&span("a", 0, 5));
         sink.flush();
         let first = std::fs::read_to_string(&path).unwrap();
-        check_json(&first).unwrap();
+        Json::parse(&first).unwrap();
         sink.record(&span("b", 5, 5));
         sink.flush();
         let second = std::fs::read_to_string(&path).unwrap();
-        check_json(&second).unwrap();
+        Json::parse(&second).unwrap();
         assert!(second.contains("\"name\":\"a\"") && second.contains("\"name\":\"b\""));
-        // The atomic rewrite must not leave its temp file behind.
-        let tmp = path.with_file_name(format!(".trace-{}.json.tmp", std::process::id()));
-        assert!(!tmp.exists(), "temp file survived the rename");
+        // The atomic rewrite must not leave a `.trace-<pid>.json.*.tmp`
+        // temp file behind.
+        let prefix = format!(".trace-{}.json.", std::process::id());
+        let leftovers = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|n| n.starts_with(&prefix) && n.ends_with(".tmp"))
+            .count();
+        assert_eq!(leftovers, 0, "temp file survived the rename");
         std::fs::remove_file(&path).unwrap();
     }
 }

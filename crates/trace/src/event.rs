@@ -9,135 +9,18 @@
 //!  "fields":{"pass":"unrolling","variants_in":8,"variants_out":64}}
 //! ```
 //!
-//! The encoder/decoder is hand-rolled: the workspace has no JSON
-//! dependency, and the subset needed here (objects of scalars) is small —
-//! the same trade the sibling crates make for XML (`mc-xmlite`) and CSV
-//! (`mc-report`).
+//! Encoding and decoding go through the workspace's one JSON codec,
+//! [`mc_report::json`]: the event fields are [`Value`]s (its `Json`), written by
+//! its writer and read back by walking its byte cursor directly, so
+//! decoding a record builds no intermediate tree.
 
+use mc_report::json::{self, Cursor};
 use std::fmt;
 
-/// A scalar field value.
-///
-/// Constructors normalize non-negative integers to [`Value::UInt`], so a
-/// value survives an encode→parse round trip structurally, not just
-/// numerically.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// Boolean.
-    Bool(bool),
-    /// Negative integer (non-negative integers normalize to `UInt`).
-    Int(i64),
-    /// Non-negative integer.
-    UInt(u64),
-    /// Finite float (non-finite values encode as strings).
-    Float(f64),
-    /// String.
-    Str(String),
-}
-
-impl From<bool> for Value {
-    fn from(v: bool) -> Self {
-        Value::Bool(v)
-    }
-}
-
-impl From<i64> for Value {
-    fn from(v: i64) -> Self {
-        if v >= 0 {
-            Value::UInt(v as u64)
-        } else {
-            Value::Int(v)
-        }
-    }
-}
-
-impl From<u64> for Value {
-    fn from(v: u64) -> Self {
-        Value::UInt(v)
-    }
-}
-
-impl From<usize> for Value {
-    fn from(v: usize) -> Self {
-        Value::UInt(v as u64)
-    }
-}
-
-impl From<u32> for Value {
-    fn from(v: u32) -> Self {
-        Value::UInt(u64::from(v))
-    }
-}
-
-impl From<f64> for Value {
-    fn from(v: f64) -> Self {
-        Value::Float(v)
-    }
-}
-
-impl From<&str> for Value {
-    fn from(v: &str) -> Self {
-        Value::Str(v.to_owned())
-    }
-}
-
-impl From<String> for Value {
-    fn from(v: String) -> Self {
-        Value::Str(v)
-    }
-}
-
-impl Value {
-    /// The value as f64, when numeric.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(v) => Some(*v as f64),
-            Value::UInt(v) => Some(*v as f64),
-            Value::Float(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as u64, when a non-negative integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::UInt(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as &str, when a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as bool, when boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn encode(&self, out: &mut String) {
-        match self {
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(v) => out.push_str(&v.to_string()),
-            Value::UInt(v) => out.push_str(&v.to_string()),
-            Value::Float(v) if v.is_finite() => {
-                // `{:?}` is the shortest representation that parses back to
-                // the same f64.
-                out.push_str(&format!("{v:?}"));
-            }
-            // JSON has no NaN/Inf literals; encode as strings.
-            Value::Float(v) => encode_str(&v.to_string(), out),
-            Value::Str(s) => encode_str(s, out),
-        }
-    }
-}
+/// A field value is the workspace's JSON value. Constructors normalize
+/// non-negative integers to `UInt`, so a value survives an encode→parse
+/// round trip structurally, not just numerically.
+pub use mc_report::json::Json as Value;
 
 /// What a [`TraceEvent`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,41 +98,34 @@ impl TraceEvent {
     /// Encodes the event as one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(96 + self.fields.len() * 24);
-        out.push_str(&format!(
-            "{{\"seq\":{},\"us\":{},\"kind\":\"{}\",\"name\":",
-            self.seq,
-            self.micros,
-            self.kind.name()
-        ));
-        encode_str(&self.name, &mut out);
+        let mut object = json::Object::open(&mut out);
+        object.field("seq", self.seq).field("us", self.micros);
+        json::write_str(object.key("kind"), self.kind.name());
+        json::write_str(object.key("name"), &self.name);
         if let Some(d) = self.duration_micros {
-            out.push_str(&format!(",\"dur_us\":{d}"));
+            object.field("dur_us", d);
         }
         if !self.fields.is_empty() {
-            out.push_str(",\"fields\":{");
-            for (i, (k, v)) in self.fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                encode_str(k, &mut out);
-                out.push(':');
-                v.encode(&mut out);
+            let mut fields = json::Object::open(object.key("fields"));
+            for (k, v) in &self.fields {
+                v.write(fields.key(k));
             }
-            out.push('}');
+            fields.close();
         }
-        out.push('}');
+        object.close();
         out
     }
 
-    /// Parses one JSON line produced by [`TraceEvent::to_json`].
+    /// Parses one JSON line produced by [`TraceEvent::to_json`]. Unknown
+    /// keys and a missing `kind` are errors.
     pub fn from_json(line: &str) -> Result<TraceEvent, String> {
-        let mut p = Parser::new(line);
-        p.expect('{')?;
+        let mut p = Cursor::new(line);
+        p.expect(b'{')?;
         let mut event = TraceEvent::new(EventKind::Event, "");
         let mut seen_kind = false;
         loop {
             let key = p.string()?;
-            p.expect(':')?;
+            p.expect(b':')?;
             match key.as_str() {
                 "seq" => event.seq = p.u64()?,
                 "us" => event.micros = p.u64()?,
@@ -262,26 +138,26 @@ impl TraceEvent {
                 }
                 "name" => event.name = p.string()?,
                 "fields" => {
-                    p.expect('{')?;
-                    if !p.eat('}') {
+                    p.expect(b'{')?;
+                    if !p.eat(b'}') {
                         loop {
                             let k = p.string()?;
-                            p.expect(':')?;
+                            p.expect(b':')?;
                             event.fields.push((k, p.value()?));
-                            if !p.eat(',') {
+                            if !p.eat(b',') {
                                 break;
                             }
                         }
-                        p.expect('}')?;
+                        p.expect(b'}')?;
                     }
                 }
                 other => return Err(format!("unknown event key `{other}`")),
             }
-            if !p.eat(',') {
+            if !p.eat(b',') {
                 break;
             }
         }
-        p.expect('}')?;
+        p.expect(b'}')?;
         p.end()?;
         if !seen_kind {
             return Err("event missing `kind`".into());
@@ -296,167 +172,6 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-pub(crate) fn encode_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            // DEL and the Unicode line separators join the C0 range:
-            // U+2028/U+2029 are legal in JSON strings but terminate lines
-            // in JavaScript source and some JSONL consumers, and raw DEL
-            // trips terminal pagers. Escaped, the output stays one
-            // physical line per event everywhere.
-            c if (c as u32) < 0x20 || c == '\u{7f}' || c == '\u{2028}' || c == '\u{2029}' => {
-                out.push_str(&format!("\\u{:04x}", c as u32))
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Minimal JSON scanner for the event subset (objects of scalars).
-struct Parser<'a> {
-    rest: &'a str,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser { rest: text }
-    }
-
-    fn skip_ws(&mut self) {
-        self.rest = self.rest.trim_start();
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        self.skip_ws();
-        if let Some(stripped) = self.rest.strip_prefix(c) {
-            self.rest = stripped;
-            Ok(())
-        } else {
-            Err(format!("expected `{c}` at `{}`", truncate(self.rest)))
-        }
-    }
-
-    fn eat(&mut self, c: char) -> bool {
-        self.skip_ws();
-        if let Some(stripped) = self.rest.strip_prefix(c) {
-            self.rest = stripped;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn end(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("trailing input `{}`", truncate(self.rest)))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        let mut chars = self.rest.char_indices();
-        loop {
-            let Some((i, c)) = chars.next() else {
-                return Err("unterminated string".into());
-            };
-            match c {
-                '"' => {
-                    self.rest = &self.rest[i + 1..];
-                    return Ok(out);
-                }
-                '\\' => {
-                    let Some((_, esc)) = chars.next() else {
-                        return Err("dangling escape".into());
-                    };
-                    match esc {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        '/' => out.push('/'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'u' => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let Some((_, h)) = chars.next() else {
-                                    return Err("truncated \\u escape".into());
-                                };
-                                code = code * 16
-                                    + h.to_digit(16)
-                                        .ok_or_else(|| format!("bad hex digit `{h}`"))?;
-                            }
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("bad code point {code:#x}"))?,
-                            );
-                        }
-                        other => return Err(format!("unknown escape `\\{other}`")),
-                    }
-                }
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn number_literal(&mut self) -> Result<&'a str, String> {
-        self.skip_ws();
-        let end = self
-            .rest
-            .char_indices()
-            .find(|(_, c)| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-            .map_or(self.rest.len(), |(i, _)| i);
-        if end == 0 {
-            return Err(format!("expected number at `{}`", truncate(self.rest)));
-        }
-        let lit = &self.rest[..end];
-        self.rest = &self.rest[end..];
-        Ok(lit)
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let lit = self.number_literal()?;
-        lit.parse().map_err(|_| format!("invalid unsigned integer `{lit}`"))
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        if self.rest.starts_with('"') {
-            return Ok(Value::Str(self.string()?));
-        }
-        if let Some(stripped) = self.rest.strip_prefix("true") {
-            self.rest = stripped;
-            return Ok(Value::Bool(true));
-        }
-        if let Some(stripped) = self.rest.strip_prefix("false") {
-            self.rest = stripped;
-            return Ok(Value::Bool(false));
-        }
-        let lit = self.number_literal()?;
-        if lit.contains(['.', 'e', 'E']) {
-            lit.parse().map(Value::Float).map_err(|_| format!("invalid float `{lit}`"))
-        } else if lit.starts_with('-') {
-            lit.parse::<i64>().map(Value::Int).map_err(|_| format!("invalid integer `{lit}`"))
-        } else {
-            lit.parse().map(Value::UInt).map_err(|_| format!("invalid integer `{lit}`"))
-        }
-    }
-}
-
-fn truncate(s: &str) -> &str {
-    &s[..s.len().min(24)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,13 +183,46 @@ mod tests {
             .with("variants_in", 8u64)
             .with("delta", -3i64)
             .with("ratio", 0.125f64)
-            .with("ran", true);
+            .with("ran", true)
+            .with("whole", 4.0f64);
         event.seq = 42;
         event.micros = 1_000_001;
         event.duration_micros = Some(95);
         let line = event.to_json();
         let back = TraceEvent::from_json(&line).unwrap();
         assert_eq!(back, event);
+    }
+
+    /// The wire bytes are pinned: stores, journals and indexes written by
+    /// older builds must keep reading back, and newer ones must stay
+    /// byte-identical to them.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let mut event = TraceEvent::new(EventKind::Span, "creator.pass")
+            .with("pass", "unrolling")
+            .with("variants_in", 8u64)
+            .with("delta", -3i64)
+            .with("ratio", 0.125f64)
+            .with("ran", true)
+            .with("whole", 4.0f64);
+        event.seq = 42;
+        event.micros = 1_000_001;
+        event.duration_micros = Some(95);
+        assert_eq!(
+            event.to_json(),
+            r#"{"seq":42,"us":1000001,"kind":"span","name":"creator.pass","dur_us":95,"fields":{"pass":"unrolling","variants_in":8,"delta":-3,"ratio":0.125,"ran":true,"whole":4.0}}"#
+        );
+        let odd =
+            TraceEvent::new(EventKind::Event, "x").with("v", f64::NAN).with("i", f64::NEG_INFINITY);
+        assert_eq!(
+            odd.to_json(),
+            r#"{"seq":0,"us":0,"kind":"event","name":"x","fields":{"v":"NaN","i":"-inf"}}"#
+        );
+        let hostile = TraceEvent::new(EventKind::Diag, "d\u{7f}\u{2028}\u{1}\"\\\n");
+        assert_eq!(
+            hostile.to_json(),
+            r#"{"seq":0,"us":0,"kind":"diag","name":"d\u007f\u2028\u0001\"\\\n"}"#
+        );
     }
 
     #[test]
@@ -505,13 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn nonnegative_integers_normalize_to_uint() {
-        assert_eq!(Value::from(5i64), Value::UInt(5));
-        assert_eq!(Value::from(-5i64), Value::Int(-5));
-        assert_eq!(Value::from(0i64), Value::UInt(0));
-    }
-
-    #[test]
     fn nonfinite_floats_encode_as_strings() {
         let event = TraceEvent::new(EventKind::Event, "x").with("v", f64::NAN);
         let back = TraceEvent::from_json(&event.to_json()).unwrap();
@@ -528,9 +269,36 @@ mod tests {
             "{\"name\":\"x\"}",
             "{\"kind\":\"event\",\"name\":\"x\"} trailing",
             "{\"kind\":\"event\",\"name\":\"x\",\"fields\":{\"k\":}}",
+            "{\"kind\":\"event\",\"name\":\"x\",\"extra\":1}",
         ] {
             assert!(TraceEvent::from_json(bad).is_err(), "accepted `{bad}`");
         }
+    }
+
+    #[test]
+    fn prop_malformed_lines_err_without_panicking() {
+        use mc_report::prop::{check, coin, pick, printable};
+        // The reproducer: trailing multi-byte input after a complete event
+        // once panicked while slicing the error message.
+        let reproducer = format!("{{\"kind\":\"event\",\"name\":\"x\"}} a{}", "é".repeat(40));
+        assert!(TraceEvent::from_json(&reproducer).is_err());
+        let line = TraceEvent::new(EventKind::Span, "créateur.passe→")
+            .with("msg", "é😀\u{2028}\"")
+            .with("n", -3i64)
+            .with("r", 0.5f64)
+            .to_json();
+        for (cut, _) in line.char_indices() {
+            assert!(TraceEvent::from_json(&line[..cut]).is_err(), "accepted prefix {cut}");
+        }
+        let pieces = ["é", "😀", "→", "{", "}", "\"", "\\", ":", ",", "\"kind\"", "\"span\"", "1"];
+        check(512, |rng| {
+            let len = rng.gen_range(0..48usize);
+            let text: String = (0..len)
+                .map(|_| if coin(rng) { pick(rng, &pieces).to_owned() } else { printable(rng, 2) })
+                .collect();
+            let _ = TraceEvent::from_json(&text);
+            let _ = TraceEvent::from_json(&format!("{{\"kind\":\"event\",\"name\":\"x\"}}{text}"));
+        });
     }
 
     #[test]

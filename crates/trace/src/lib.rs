@@ -52,7 +52,7 @@ pub use progress::{
     progress_retry, progress_samples_saved, progress_snapshot, uninstall_progress, ProgressEvent,
     ProgressSink, ProgressSnapshot,
 };
-pub use sink::{FanoutSink, JsonlSink, MemorySink, TraceSink};
+pub use sink::{append_line, FanoutSink, JsonlSink, MemorySink, TraceSink};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};

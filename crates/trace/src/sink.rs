@@ -1,9 +1,33 @@
 //! Pluggable event sinks.
 
 use crate::event::TraceEvent;
-use std::io::Write;
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Mutex;
+
+/// Appends one record line to a JSONL file opened with read and append
+/// access: the record plus its `'\n'` go out in a single `O_APPEND`
+/// write, so concurrent appenders interleave whole lines. When the file
+/// does not end in `'\n'` — a crash tore its last line — the write
+/// starts with a `'\n'`, so the new record is not glued onto the torn
+/// one. That can leave a blank line, which readers skip; nothing is ever
+/// truncated. Durability (`sync_data`/`sync_all`) stays with the caller.
+pub fn append_line(mut file: &File, record: &str) -> std::io::Result<()> {
+    let len = file.metadata()?.len();
+    let mut last = [b'\n'];
+    if len > 0 {
+        file.seek(SeekFrom::Start(len - 1))?;
+        file.read_exact(&mut last)?;
+    }
+    let mut bytes = Vec::with_capacity(record.len() + 2);
+    if last[0] != b'\n' {
+        bytes.push(b'\n');
+    }
+    bytes.extend_from_slice(record.as_bytes());
+    bytes.push(b'\n');
+    file.write_all(&bytes)
+}
 
 /// Where emitted events go. Implementations must be cheap enough to sit
 /// on the generation hot path when tracing *is* enabled, and are never
@@ -118,6 +142,27 @@ mod tests {
     use super::*;
     use crate::event::EventKind;
     use std::sync::Arc;
+
+    #[test]
+    fn append_line_starts_a_fresh_line_after_a_torn_tail() {
+        let path =
+            std::env::temp_dir().join(format!("mc-trace-append-{}.jsonl", std::process::id()));
+        let open = || {
+            std::fs::OpenOptions::new().create(true).read(true).append(true).open(&path).unwrap()
+        };
+        std::fs::write(&path, "").unwrap();
+        append_line(&open(), "{\"a\":1}").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"a\":1}\n");
+        std::fs::write(&path, "{\"a\":1}\n{\"to").unwrap();
+        let file = open();
+        append_line(&file, "{\"b\":2}").unwrap();
+        append_line(&file, "{\"c\":3}").unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "{\"a\":1}\n{\"to\n{\"b\":2}\n{\"c\":3}\n"
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
 
     fn sample(name: &str) -> TraceEvent {
         TraceEvent::new(EventKind::Event, name).with("k", 1u64)
