@@ -24,11 +24,11 @@
 //! `[PASS]`/`[FAIL]` lines, and the measured-vs-paper notes that feed
 //! EXPERIMENTS.md. The shared observability flags (`--trace=PATH`,
 //! `--metrics`, `--quiet`) and supervision flags (`--deadline-ms`,
-//! `--retries`, `--max-failures`, `--keep-going`/`--fail-fast`,
-//! `--checkpoint=PATH [--resume]`) apply; each experiment runs under one
-//! `bench.experiment` span. Exit codes follow the shared convention:
-//! 0 ok, 2 usage, 3 evaluation failures over budget, 4 shape-check
-//! regression.
+//! `--retries`, `--max-failures`, `--keep-going`/`--fail-fast`) apply;
+//! each experiment runs under one `bench.experiment` span. A killed run
+//! resumes by rerunning it with the same `--store=DIR`. Exit codes
+//! follow the shared convention: 0 ok, 2 usage, 3 evaluation failures
+//! over budget, 4 shape-check regression.
 
 use mc_bench::figures::{quick_options, run_all, run_experiment, run_many, FigureResult};
 use mc_launcher::{set_adaptive_default, AdaptiveSampling, LauncherOptions};
@@ -36,7 +36,7 @@ use mc_report::experiments::ExperimentId;
 use mc_report::series::render_chart;
 use mc_report::{CsvWriter, RunManifest};
 use mc_tools::{
-    exitcode, take_guard_flags, take_jobs_flag, take_profile_flags, take_store_flags, GuardSession,
+    exitcode, take_guard_flags, take_jobs_flag, take_profile_flags, take_store_flags,
     ProfileSession, PulseSession, StoreSession, TraceSession,
 };
 use mc_trace::diag;
@@ -46,7 +46,7 @@ use std::process::ExitCode;
 /// One experiment's series as a CSV document (columns: series, x, y),
 /// preceded by a `# key: value` provenance header. The same text is
 /// written by `--csv-dir` and registered by `--register`.
-fn experiment_document(r: &FigureResult, guard: &GuardSession, store: &StoreSession) -> String {
+fn experiment_document(r: &FigureResult, store: &StoreSession) -> String {
     let mut manifest = RunManifest::new();
     manifest.set("tool", "reproduce");
     manifest.set("version", env!("CARGO_PKG_VERSION"));
@@ -58,10 +58,6 @@ fn experiment_document(r: &FigureResult, guard: &GuardSession, store: &StoreSess
     let sampling = quick_options();
     manifest.set("adaptive", if sampling.adaptive { "true" } else { "false" });
     manifest.set("sampling", sampling.sampling_policy());
-    if let Some(path) = &guard.checkpoint {
-        manifest.set("checkpoint", path.clone());
-        manifest.set("resumed_rows", guard.resumed.to_string());
-    }
     // The path only: hit counts differ between cold and warm runs and
     // would break byte-identical documents.
     if let Some(root) = store.root() {
@@ -127,13 +123,10 @@ fn main() -> ExitCode {
         eprintln!("{e}");
         return ExitCode::from(exitcode::USAGE);
     }
-    let guard = match take_guard_flags(&mut args) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(exitcode::USAGE);
-        }
-    };
+    if let Err(e) = take_guard_flags(&mut args) {
+        eprintln!("{e}");
+        return ExitCode::from(exitcode::USAGE);
+    }
     let mut pulse = match PulseSession::from_flags(&mut args) {
         Ok(p) => p,
         Err(e) => {
@@ -155,7 +148,7 @@ fn main() -> ExitCode {
             return ExitCode::from(exitcode::USAGE);
         }
     };
-    let code = run(args, &guard, &mut pulse, &store, &mut profile);
+    let code = run(args, &mut pulse, &store, &mut profile);
     store.finish();
     session.finish();
     code
@@ -177,7 +170,6 @@ fn parse_u32_flag(flag: &str, value: &str) -> Result<u32, String> {
 
 fn run(
     args: Vec<String>,
-    guard: &GuardSession,
     pulse: &mut PulseSession,
     store: &StoreSession,
     profile: &mut ProfileSession,
@@ -296,7 +288,7 @@ fn run(
     for r in &results {
         print_result(r, summary_only);
         if (csv_dir.is_some() || pulse.active()) && !r.series.is_empty() {
-            let document = experiment_document(r, guard, store);
+            let document = experiment_document(r, store);
             if let Some(dir) = &csv_dir {
                 if let Err(e) = write_csv(Path::new(dir), r, &document) {
                     diag!("could not write {}.csv: {e}", r.id.key());

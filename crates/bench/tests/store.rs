@@ -249,6 +249,19 @@ fn second_reproduce_process_runs_warm_from_the_shared_store() {
     );
 }
 
+/// Resuming is rerunning against the same store; the checkpoint journal
+/// flags that used to do it are unknown arguments now.
+#[test]
+fn retired_checkpoint_flags_are_usage_errors() {
+    for retired in ["--checkpoint=run.jsonl", "--resume"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_reproduce"))
+            .args(["--exp", "counts", "--summary", retired])
+            .output()
+            .expect("spawn reproduce");
+        assert_eq!(out.status.code(), Some(2), "{retired}");
+    }
+}
+
 /// The degradation guarantee: truncated records, garbage bytes, and
 /// future format versions are each skipped and counted — the sweep
 /// recomputes those points and its results never change.

@@ -33,7 +33,7 @@ options:
   --print=NAME     print one variant's assembly to stdout
   --jobs=N         worker threads for batch evaluation (MICROTOOLS_JOBS)
   --deadline-ms=N --retries=N --max-failures=N --keep-going | --fail-fast
-  --checkpoint=PATH [--resume]   supervised execution (see README)
+                   supervised execution (see README)
   --store=DIR      persistent evaluation store (MICROTOOLS_STORE)
   --profile[=DIR]  per-evaluation mc-scope profiles (MICROTOOLS_PROFILE)
   --trace=PATH     stream trace events as JSONL to PATH (or `stderr`);

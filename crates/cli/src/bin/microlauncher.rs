@@ -32,8 +32,8 @@ fn usage() -> String {
         "usage: microlauncher <kernel.s | description.xml> [options]\n\
          options (MicroLauncher's §4.2 surface):\n  {}\n  \
          --jobs=N (parallel batch evaluation; MICROTOOLS_JOBS)\n  \
-         --deadline-ms=N --retries=N --max-failures=N --keep-going | --fail-fast\n  \
-         --checkpoint=PATH [--resume] (supervised execution; see README)\n  \
+         --deadline-ms=N --retries=N --max-failures=N --keep-going | --fail-fast \
+         (supervised execution; see README)\n  \
          --store=DIR (persistent evaluation store; MICROTOOLS_STORE)\n  \
          --profile[=DIR] (per-evaluation mc-scope profiles; MICROTOOLS_PROFILE)\n  \
          --trace=PATH --metrics --quiet (observability; see README)\n  \
@@ -49,13 +49,11 @@ fn usage() -> String {
 /// rows. `stable` is the run-level verdict: every emitted row passed the
 /// stability protocol. Diff tooling reads it to decide whether the
 /// document is a trustworthy baseline. Supervised runs also record how
-/// many evaluations failed terminally and how many were replayed from a
-/// `--resume` checkpoint.
+/// many evaluations failed terminally.
 fn build_manifest(
     options: &LauncherOptions,
     input: &str,
     stable: bool,
-    guard: &mc_tools::GuardSession,
     store: &StoreSession,
     failures: usize,
 ) -> mc_report::RunManifest {
@@ -64,10 +62,6 @@ fn build_manifest(
     manifest.set("stable", if stable { "true" } else { "false" });
     if failures > 0 {
         manifest.set("failed_rows", failures.to_string());
-    }
-    if let Some(path) = &guard.checkpoint {
-        manifest.set("checkpoint", path.clone());
-        manifest.set("resumed_rows", guard.resumed.to_string());
     }
     // The path only: hit counts vary between cold and warm runs and
     // would break byte-identical documents.
@@ -138,13 +132,10 @@ fn run(
         diag!("{e}\n{}", usage());
         return ExitCode::from(exitcode::USAGE);
     }
-    let guard = match take_guard_flags(&mut args) {
-        Ok(g) => g,
-        Err(e) => {
-            diag!("{e}\n{}", usage());
-            return ExitCode::from(exitcode::USAGE);
-        }
-    };
+    if let Err(e) = take_guard_flags(&mut args) {
+        diag!("{e}\n{}", usage());
+        return ExitCode::from(exitcode::USAGE);
+    }
     let Some(input) = args.first().filter(|a| !a.starts_with("--")) else {
         diag!("{}", usage());
         return ExitCode::from(exitcode::USAGE);
@@ -183,7 +174,7 @@ fn run(
         let launcher = MicroLauncher::new(options.clone());
         return match launcher.run(&kernel_input) {
             Ok(report) => {
-                let manifest = build_manifest(&options, input, report.stable, &guard, store, 0);
+                let manifest = build_manifest(&options, input, report.stable, store, 0);
                 let document = format!(
                     "{}{}\n{}\n",
                     manifest.render(),
@@ -272,7 +263,7 @@ fn run(
             }
         }
     }
-    let manifest = build_manifest(&base, input, all_stable, &guard, store, failures);
+    let manifest = build_manifest(&base, input, all_stable, store, failures);
     let mut document = manifest.render();
     document.push_str(RunReport::csv_header());
     document.push('\n');

@@ -80,16 +80,6 @@ pub fn take_jobs_flag(flags: &mut Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// What [`take_guard_flags`] set up: the installed supervision policy
-/// plus checkpoint state the binary reports at the end of the run.
-#[derive(Debug, Default)]
-pub struct GuardSession {
-    /// Checkpoint journal path, when `--checkpoint` was given.
-    pub checkpoint: Option<String>,
-    /// Journaled completions found by `--resume` (0 on a fresh run).
-    pub resumed: usize,
-}
-
 /// The supervision flags every evaluating binary shares.
 ///
 /// * `--deadline-ms=N` — per-evaluation wall-clock deadline; a blown
@@ -102,17 +92,16 @@ pub struct GuardSession {
 ///   default; the flag exists to state it explicitly).
 /// * `--fail-fast` — once the budget is spent, skip the remaining
 ///   points instead of evaluating them.
-/// * `--checkpoint=PATH` — journal completed evaluations to `PATH`
-///   (JSONL, atomically rewritten) so a killed run can resume.
-/// * `--resume` — with `--checkpoint=PATH`, reload the journal and skip
-///   every point it already records as `ok`; failed and missing points
-///   re-evaluate.
+///
+/// A killed run resumes by rerunning it against the same persistent
+/// store (see [`take_store_flags`]): finished points load from disk, and
+/// failed and missing points evaluate.
 ///
 /// The `MICROTOOLS_FAULT` environment variable installs a deterministic
 /// fault plan (`panic@I`, `delay@I:MS`, `io@I`, `flaky@I:N`,
 /// comma-separated) — the recovery tests and the CI smoke use it to
 /// make evaluations fail on purpose.
-pub fn take_guard_flags(flags: &mut Vec<String>) -> Result<GuardSession, String> {
+pub fn take_guard_flags(flags: &mut Vec<String>) -> Result<(), String> {
     let mut policy = mc_guard::GuardPolicy::default();
     if let Some(v) = take_flag(flags, "--deadline-ms") {
         let ms: u64 = v.parse().map_err(|_| format!("--deadline-ms: not a number: `{v}`"))?;
@@ -136,35 +125,12 @@ pub fn take_guard_flags(flags: &mut Vec<String>) -> Result<GuardSession, String>
     policy.fail_fast = fail_fast;
     mc_guard::set_policy(policy);
 
-    let checkpoint = take_flag(flags, "--checkpoint");
-    let resume = take_flag(flags, "--resume").is_some();
-    let mut session = GuardSession::default();
-    match (checkpoint, resume) {
-        (Some(path), _) if path.is_empty() => {
-            return Err("--checkpoint requires a file path".into())
-        }
-        (Some(path), true) => {
-            let (journal, ok) = mc_guard::Journal::resume(std::path::Path::new(&path))
-                .map_err(|e| format!("--resume: cannot read {path}: {e}"))?;
-            session.resumed = ok;
-            mc_guard::install_journal(std::sync::Arc::new(journal));
-            session.checkpoint = Some(path);
-        }
-        (Some(path), false) => {
-            let journal = mc_guard::Journal::create(std::path::Path::new(&path))
-                .map_err(|e| format!("--checkpoint: cannot create {path}: {e}"))?;
-            mc_guard::install_journal(std::sync::Arc::new(journal));
-            session.checkpoint = Some(path);
-        }
-        (None, true) => return Err("--resume requires --checkpoint=PATH".into()),
-        (None, false) => {}
-    }
     if let Ok(spec) = std::env::var("MICROTOOLS_FAULT") {
         if !spec.is_empty() {
             mc_guard::install_fault_spec(&spec).map_err(|e| format!("MICROTOOLS_FAULT: {e}"))?;
         }
     }
-    Ok(session)
+    Ok(())
 }
 
 /// The exit code a supervised run ends with: [`exitcode::EVAL`] when
@@ -744,10 +710,8 @@ mod tests {
             "--fail-fast".into(),
             "--other=1".into(),
         ];
-        let session = take_guard_flags(&mut flags).unwrap();
+        take_guard_flags(&mut flags).unwrap();
         assert_eq!(flags, vec!["--other=1"]);
-        assert!(session.checkpoint.is_none());
-        assert_eq!(session.resumed, 0);
         let p = mc_guard::policy();
         assert_eq!(p.deadline, Some(std::time::Duration::from_millis(500)));
         assert_eq!(p.retries, 2);
@@ -758,10 +722,6 @@ mod tests {
 
     #[test]
     fn guard_flag_misuse_is_rejected() {
-        let mut orphan: Vec<String> = vec!["--resume".into()];
-        let err = take_guard_flags(&mut orphan).unwrap_err();
-        assert!(err.contains("--checkpoint"), "{err}");
-
         let mut both: Vec<String> = vec!["--keep-going".into(), "--fail-fast".into()];
         let err = take_guard_flags(&mut both).unwrap_err();
         assert!(err.contains("mutually exclusive"), "{err}");
@@ -769,10 +729,6 @@ mod tests {
         let mut zero: Vec<String> = vec!["--deadline-ms=0".into()];
         let err = take_guard_flags(&mut zero).unwrap_err();
         assert!(err.contains("positive"), "{err}");
-
-        let mut empty: Vec<String> = vec!["--checkpoint".into()];
-        let err = take_guard_flags(&mut empty).unwrap_err();
-        assert!(err.contains("file path"), "{err}");
         mc_guard::set_policy(mc_guard::GuardPolicy::default());
     }
 

@@ -469,51 +469,46 @@ fn injected_panic_yields_a_failed_row_and_a_budget_exit() {
 }
 
 #[test]
-fn resume_replays_the_journal_instead_of_re_evaluating() {
+fn resume_loads_finished_points_from_the_store() {
     let dir = scratch("resume");
     let kernel = hand_kernel(&dir);
-    let journal = dir.join("run.journal.jsonl");
-    let checkpoint_flag = format!("--checkpoint={}", journal.display());
-    let fresh = Command::new(env!("CARGO_BIN_EXE_microlauncher"))
-        .arg(&kernel)
-        .arg("--repetitions=2")
-        .arg("--meta-repetitions=2")
-        .arg(&checkpoint_flag)
-        .output()
-        .expect("binary runs");
+    let store_flag = format!("--store={}", dir.join("store").display());
+    let run = || {
+        Command::new(env!("CARGO_BIN_EXE_microlauncher"))
+            .arg(&kernel)
+            .arg("--repetitions=2")
+            .arg("--meta-repetitions=2")
+            .arg(&store_flag)
+            .output()
+            .expect("binary runs")
+    };
+    let fresh = run();
     assert!(fresh.status.success(), "{}", String::from_utf8_lossy(&fresh.stderr));
-    assert!(journal.exists(), "checkpoint journal written");
 
-    // Resume with a fault armed at eval index 0: if the point were
-    // re-evaluated it would panic, so a clean exit with an identical row
-    // proves the journal replay skipped the evaluation.
-    let resumed = Command::new(env!("CARGO_BIN_EXE_microlauncher"))
-        .arg(&kernel)
-        .arg("--repetitions=2")
-        .arg("--meta-repetitions=2")
-        .arg(&checkpoint_flag)
-        .arg("--resume")
-        .env("MICROTOOLS_FAULT", "panic@0")
-        .output()
-        .expect("binary runs");
-    assert!(resumed.status.success(), "{}", String::from_utf8_lossy(&resumed.stderr));
-    let fresh_out = String::from_utf8_lossy(&fresh.stdout);
-    let resumed_out = String::from_utf8_lossy(&resumed.stdout);
-    assert!(resumed_out.contains("# resumed_rows: 1"), "{resumed_out}");
-    let row = |text: &str| {
-        text.lines()
+    // A second process on the same store evaluates nothing: its one
+    // point loads from disk and nothing new is saved.
+    let resumed = run();
+    let resumed_err = String::from_utf8_lossy(&resumed.stderr);
+    assert!(resumed.status.success(), "{resumed_err}");
+    assert!(resumed_err.contains("1 disk hits, 0 misses, 0 saved"), "{resumed_err}");
+    let row = |out: &std::process::Output| {
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
             .find(|l| !l.starts_with('#') && !l.starts_with("kernel,"))
             .expect("a data row")
             .to_owned()
     };
-    assert_eq!(row(&fresh_out), row(&resumed_out), "replayed row is bit-identical");
-    // --resume without --checkpoint is a usage error.
-    let orphan = Command::new(env!("CARGO_BIN_EXE_microlauncher"))
-        .arg(&kernel)
-        .arg("--resume")
-        .output()
-        .expect("runs");
-    assert_eq!(orphan.status.code(), Some(2));
+    assert_eq!(row(&fresh), row(&resumed), "the stored row is bit-identical");
+
+    // The checkpoint journal flags are gone: unknown arguments.
+    for retired in ["--checkpoint=run.jsonl", "--resume"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_microlauncher"))
+            .arg(&kernel)
+            .arg(retired)
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{retired}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

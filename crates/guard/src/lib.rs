@@ -22,10 +22,6 @@
 //!   [`failure_count`] against [`GuardPolicy::max_failures`] to pick an
 //!   exit code, and [`GuardPolicy::fail_fast`] skips the remaining work
 //!   once the budget is spent.
-//! * **Checkpoint/resume** — a [`Journal`] records every completed point
-//!   to a sidecar JSONL file with atomic temp-file+rename writes, so a
-//!   killed sweep resumes (`--resume`) by re-evaluating only the failed
-//!   and missing points.
 //! * **Fault injection** — a deterministic, test-only [`FaultPlan`]
 //!   injects panics, delays, and I/O errors at chosen eval indices
 //!   (also reachable via the `MICROTOOLS_FAULT` environment variable),
@@ -33,13 +29,14 @@
 //!   exercise every path above.
 //!
 //! The crate is deliberately generic: it knows nothing about launcher
-//! reports or CSV rows. `mc-launcher` threads its batch evaluations
-//! through [`supervise`] and encodes its results into journal fields;
-//! the binaries surface the policy knobs as flags.
+//! reports or CSV rows, and it persists nothing. `mc-launcher` threads
+//! its batch evaluations through [`supervise`]; the binaries surface the
+//! policy knobs as flags. A killed sweep resumes from the launcher's
+//! persistent evaluation store (`--store`), which re-evaluates only the
+//! points it holds no record for.
 
 mod error;
 mod fault;
-mod journal;
 mod policy;
 mod supervisor;
 
@@ -48,7 +45,6 @@ pub use fault::{
     clear_faults, fire_write, install_fault_spec, install_faults, next_eval_index,
     next_write_index, reserve_indices, reset_indices, reset_write_indices, Fault, FaultPlan,
 };
-pub use journal::{clear_journal, install_journal, journal, Journal, JournalEntry};
 pub use policy::{backoff_delay, policy, set_policy, GuardPolicy};
 pub use supervisor::{
     clear_quarantine, failure_count, over_budget, quarantine_snapshot, supervise, QuarantineEntry,

@@ -28,7 +28,10 @@
 //! *new process* re-running a sweep warms up from records an earlier
 //! process paid for. Store records self-invalidate on schema or
 //! simulator-calibration changes, and a damaged store degrades to
-//! misses, never wrong results.
+//! misses, never wrong results. The store is also how a killed sweep
+//! resumes: each point is saved as it finishes, so a rerun against the
+//! same store evaluates only what the first process never finished.
+//! Failed points are never saved, so a rerun evaluates them again.
 //!
 //! ## Supervision
 //!
@@ -36,18 +39,15 @@
 //! generate→simulate→measure chain, a blown per-eval deadline, or an
 //! exhausted retry budget yields a structured [`mc_guard::EvalError`]
 //! for that point while the rest of the batch completes — one poisoned
-//! variant no longer kills the pool. When a checkpoint journal is
-//! installed ([`mc_guard::install_journal`]), completed points are
-//! recorded under the same key the memo cache uses, and journaled `ok`
-//! entries short-circuit evaluation on `--resume` — only failed and
-//! missing points are re-evaluated.
+//! variant no longer kills the pool. Memo hits, disk hits and
+//! evaluations all happen inside the supervised attempt, so an armed
+//! fault fires at its eval index however the point is then answered.
 
-use crate::checkpoint;
 use crate::input::KernelInput;
 use crate::launcher::{MicroLauncher, RunReport, VerifyReport};
 use crate::options::{LauncherOptions, OptionsDelta};
 use mc_exec::MemoCache;
-use mc_guard::{EvalError, JournalEntry};
+use mc_guard::EvalError;
 use mc_kernel::Program;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -130,8 +130,7 @@ pub fn program_fingerprint(program: &Program) -> u64 {
 
 /// Evaluates every point under guard supervision, keeping structured
 /// per-point failures: `results[i]` corresponds to `points[i]`.
-/// Failures are not cached (and journal as `failed`, so a resume
-/// retries them).
+/// Failures are neither cached nor persisted, so a rerun retries them.
 ///
 /// Eval indices for fault injection are reserved contiguously at
 /// submission time, so `results[i]` always carries global index
@@ -157,22 +156,9 @@ pub fn try_run_batch_supervised(points: Vec<EvalPoint>) -> Vec<Result<RunReport,
     mc_exec::engine().run(prepared, |(index, program_fp, point)| {
         let options = point.options();
         let key = (program_fp, options.fingerprint());
-        let journal = mc_guard::journal();
-        let journal_key = journal.is_some().then(|| format!("{:016x}-{:016x}", key.0, key.1));
-        // Resume: a journaled completion replays without re-evaluating.
-        if let (Some(journal), Some(journal_key)) = (&journal, &journal_key) {
-            if let Some(JournalEntry::Ok(fields)) = journal.lookup(journal_key) {
-                if let Some(report) = checkpoint::report_from_fields(&fields) {
-                    if mc_trace::metrics_enabled() {
-                        mc_trace::metrics().inc("guard.journal.hits", 1);
-                    }
-                    return Ok(report);
-                }
-            }
-        }
         let label = point.program.name.clone();
         let program = point.program.clone();
-        let result = mc_guard::supervise(index, &label, move || {
+        mc_guard::supervise(index, &label, move || {
             let store = crate::store::store();
             let mut computed = false;
             let report = eval_cache().get_or_try_compute(key, || {
@@ -210,14 +196,7 @@ pub fn try_run_batch_supervised(points: Vec<EvalPoint>) -> Vec<Result<RunReport,
                 mc_trace::progress_cache_miss();
             }
             report
-        });
-        if let (Some(journal), Some(journal_key)) = (&journal, &journal_key) {
-            match &result {
-                Ok(report) => journal.record_ok(journal_key, checkpoint::report_to_fields(report)),
-                Err(error) => journal.record_failed(journal_key, &error.to_string()),
-            }
-        }
-        result
+        })
     })
 }
 

@@ -22,11 +22,11 @@
 //!   OpenMP (§5.2.3) execution modes with CSV output (§4.3),
 //! * [`sweeps`] — the study drivers behind the paper's figures: alignment
 //!   sweeps, core-count sweeps, unroll sweeps, frequency sweeps,
-//! * [`checkpoint`] — the journal serialization of a [`RunReport`] used
-//!   by the mc-guard checkpoint/resume machinery.
+//! * [`store`] — the persistent evaluation store's fingerprints and
+//!   payload codecs; rerunning a killed sweep against the same store
+//!   resumes it.
 
 pub mod batch;
-pub mod checkpoint;
 pub mod clock;
 pub mod env;
 pub mod input;

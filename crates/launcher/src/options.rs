@@ -775,7 +775,7 @@ mod tests {
 
     #[test]
     fn fingerprint_distinguishes_sampling_policies() {
-        // The memo cache and checkpoint journal key on this fingerprint:
+        // The memo cache and the persistent store key on this fingerprint:
         // a cached fixed-mode result must never answer an adaptive query.
         let fixed = LauncherOptions::default();
         let adaptive = LauncherOptions { adaptive: true, ..LauncherOptions::default() };

@@ -12,7 +12,7 @@
 //! the same CSV bytes and the same store records whether or not a
 //! profile was collected. Profile files are named by that very key
 //! (`<program_fp>-<options_fp>.jsonl`), which both prevents duplicates
-//! and ties each profile to its memo/store/journal entries.
+//! and ties each profile to its memo and store entries.
 //!
 //! [`Profiler::finish`] stamps the registry run ID into every collected
 //! profile and writes an `index.jsonl` ledger beside them, linking

@@ -1,12 +1,11 @@
 //! Recovery tests: the mc-guard supervision layer driven through real
-//! launcher batches — panic isolation, deadlines, retries,
-//! checkpoint/resume, and worker-count determinism under injected
-//! faults.
+//! launcher batches — panic isolation, deadlines, retries, store-backed
+//! resume, and worker-count determinism under injected faults.
 //!
 //! Everything here touches process-global state (the fault plan, the
-//! eval-index sequence, the guard policy, the journal, the memo cache,
-//! the worker count, the metrics registry), so each test takes one
-//! shared lock and resets that state up front.
+//! eval-index sequence, the guard policy, the installed store, the memo
+//! cache, the worker count, the metrics registry), so each test takes
+//! one shared lock and resets that state up front.
 
 use mc_creator::MicroCreator;
 use mc_guard::{EvalErrorKind, FaultPlan, GuardPolicy};
@@ -26,7 +25,7 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 /// (or test ordering) could have left behind.
 fn reset() {
     mc_guard::clear_faults();
-    mc_guard::clear_journal();
+    mc_launcher::store::clear_store();
     mc_guard::clear_quarantine();
     mc_guard::reset_indices();
     mc_guard::set_policy(GuardPolicy::default());
@@ -55,10 +54,12 @@ fn distinct_points() -> Vec<EvalPoint> {
     (1..=8).map(|u| EvalPoint::new(program(u), base.clone())).collect()
 }
 
-fn journal_path(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("mc-launcher-recovery-tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{tag}-{}.jsonl", std::process::id()))
+fn store_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir()
+        .join("mc-launcher-recovery-tests")
+        .join(format!("{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 #[test]
@@ -125,45 +126,40 @@ fn transient_faults_are_retried_and_recover() {
 }
 
 #[test]
-fn resume_skips_exactly_the_journaled_set() {
+fn resume_skips_exactly_the_stored_set() {
     let _guard = lock();
     reset();
     mc_exec::set_jobs(2);
-    let path = journal_path("resume");
+    let dir = store_dir("resume");
     // Interrupted run: point 3 fails with an injected I/O error, the
-    // other seven land in the journal as ok.
-    mc_guard::install_journal(Arc::new(mc_guard::Journal::create(&path).unwrap()));
+    // other seven are saved to the store as they finish.
+    mc_launcher::store::install_store(&dir);
     mc_guard::install_faults(FaultPlan::new().io_error_at(3));
     let first = try_run_batch_supervised(distinct_points());
     mc_guard::clear_faults();
-    mc_guard::clear_journal();
     assert_eq!(first.iter().filter(|r| r.is_ok()).count(), 7);
     assert_eq!(first[3].as_ref().unwrap_err().kind, EvalErrorKind::Failed);
 
-    // Resume: seven entries replay from the journal, only the failed
-    // point re-executes. The cache is cleared so a memo hit cannot mask
-    // a journal miss.
-    let (journal, ok) = mc_guard::Journal::resume(&path).unwrap();
-    assert_eq!(ok, 7);
-    mc_guard::install_journal(Arc::new(journal));
+    // Resume as a new process would: a cold memo cache and a fresh store
+    // handle on the same directory. Seven points load from disk, only the
+    // failed one evaluates and is saved.
     mc_guard::clear_quarantine();
     clear_cache();
-    mc_trace::metrics().reset();
-    mc_trace::enable_metrics(true);
+    let store = mc_launcher::store::install_store(&dir);
     let second = try_run_batch_supervised(distinct_points());
-    mc_trace::enable_metrics(false);
-    mc_guard::clear_journal();
+    mc_launcher::store::clear_store();
     assert!(second.iter().all(Result::is_ok), "resume completes cleanly");
-    let snapshot = mc_trace::metrics().snapshot();
-    assert_eq!(snapshot.counter("guard.journal.hits"), Some(7), "seven replays");
-    assert_eq!(snapshot.counter("guard.eval.executed"), Some(1), "one re-evaluation");
-    // Replayed reports are bit-identical to freshly computed ones.
+    let counters = store.counters();
+    assert_eq!(counters.hit_disk, 7, "seven points served from the store");
+    assert_eq!(counters.miss, 1, "one re-evaluation");
+    assert_eq!(counters.saved, 1, "only the re-evaluated point is saved");
+    // Stored reports are bit-identical to freshly computed ones.
     for (a, b) in first.iter().zip(&second) {
         if let (Ok(a), Ok(b)) = (a, b) {
             assert_eq!(a, b);
         }
     }
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

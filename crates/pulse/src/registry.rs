@@ -19,11 +19,10 @@
 //! appends an index line, because the index is the time axis: trends walk
 //! registrations, not directories.
 //!
-//! Durability discipline mirrors mc-guard's checkpoint journal: record
-//! directories are staged under a temp name and atomically renamed into
-//! place, index lines are single `O_APPEND` writes (safe against
-//! concurrent registrars), and the reader skips torn or foreign lines
-//! instead of refusing the whole index.
+//! Durability discipline: record directories are staged under a temp
+//! name and atomically renamed into place, index lines are single
+//! `O_APPEND` writes (safe against concurrent registrars), and the reader
+//! skips torn or foreign lines instead of refusing the whole index.
 
 use crate::openmetrics;
 use mc_report::{atomic_write, fnv1a64, CsvTable, CsvWriter, RunManifest};
@@ -38,7 +37,10 @@ pub const DEFAULT_ROOT: &str = ".microtools";
 pub const REGISTRY_ENV: &str = "MICROTOOLS_REGISTRY";
 
 /// Manifest keys excluded from the run fingerprint: they vary between
-/// bit-identical runs (wall clock, scheduling width, resume bookkeeping).
+/// bit-identical runs (wall clock, scheduling width, store path).
+/// `checkpoint` and `resumed_rows` are only in documents written by
+/// older builds; they stay listed so those documents fingerprint the
+/// same.
 const VOLATILE_KEYS: &[&str] =
     &["timestamp_unix", "registered_unix", "jobs", "checkpoint", "resumed_rows", "store"];
 

@@ -5,8 +5,8 @@
 //! hidden sibling temp file, the file is fsynced, and only then renamed
 //! over the destination. A crash — or the SIGKILL the recovery smoke
 //! test delivers on purpose — leaves either the complete old file or the
-//! complete new file, never a torn half-write that a later `--resume` or
-//! diff would trip over.
+//! complete new file, never a torn half-write that a rerun or a diff
+//! would trip over.
 
 use std::io::Write;
 use std::path::Path;

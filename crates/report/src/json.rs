@@ -1,7 +1,7 @@
 //! The workspace's one JSON codec.
 //!
 //! Everything grown around the CSV pipeline speaks JSON: trace files,
-//! store records, the checkpoint and daemon journals, the run-registry
+//! store records, the daemon journal, the run-registry
 //! index, the store ledger, mc-scope profiles and the daemon's HTTP API.
 //! They all go through this module: one value type ([`Json`]), one writer
 //! ([`Json::write`], [`write_str`] and the key-ordered [`Object`]) and one

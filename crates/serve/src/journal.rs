@@ -4,10 +4,10 @@
 //! directory *before* the client sees `202 Accepted`; terminal outcomes
 //! (`done`, `failed`, `canceled`) append matching lines as they happen.
 //! The format is mc-trace's JSONL event encoding — the same
-//! torn-tail-tolerant, append-only shape mc-guard's checkpoint journal
-//! and mc-store's ledger use — written with [`mc_trace::append_line`]
-//! (`O_APPEND`) + `sync_data` so a SIGKILL can at worst tear the final
-//! line, and the next append starts a fresh line after it.
+//! torn-tail-tolerant, append-only shape mc-store's ledger uses —
+//! written with [`mc_trace::append_line`] (`O_APPEND`) + `sync_data` so a
+//! SIGKILL can at worst tear the final line, and the next append starts
+//! a fresh line after it.
 //!
 //! On startup [`JobJournal::replay`] folds the journal: jobs with a
 //! terminal line are remembered (so `GET /jobs/<id>` answers across

@@ -13,8 +13,8 @@
 //! FNV fingerprint — so records fan out over up to 256 directories per
 //! namespace instead of one unbounded directory.
 //!
-//! Every write is atomic (temp file + fsync + rename, the checkpoint
-//! journal's discipline), so concurrent processes sharing a store can
+//! Every write is atomic (temp file + fsync + rename through
+//! [`mc_report::atomic_write`]), so concurrent processes sharing a store can
 //! only ever observe complete records; two writers racing on one key
 //! write identical bytes, and either rename winning is correct. Reads
 //! validate the record header before trusting a byte of payload; any
