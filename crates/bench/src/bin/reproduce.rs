@@ -30,15 +30,12 @@
 //! follow the shared convention: 0 ok, 2 usage, 3 evaluation failures
 //! over budget, 4 shape-check regression.
 
-use mc_bench::figures::{quick_options, run_all, run_experiment, run_many, FigureResult};
-use mc_launcher::{set_adaptive_default, AdaptiveSampling, LauncherOptions};
+use mc_bench::figures::{quick_options, run_all, run_many, run_one, FigureResult};
+use mc_launcher::LauncherOptions;
 use mc_report::experiments::ExperimentId;
 use mc_report::series::render_chart;
 use mc_report::{CsvWriter, RunManifest};
-use mc_tools::{
-    exitcode, take_guard_flags, take_jobs_flag, take_profile_flags, take_store_flags,
-    ProfileSession, PulseSession, StoreSession, TraceSession,
-};
+use mc_tools::{exitcode, Run};
 use mc_trace::diag;
 use std::path::Path;
 use std::process::ExitCode;
@@ -46,7 +43,7 @@ use std::process::ExitCode;
 /// One experiment's series as a CSV document (columns: series, x, y),
 /// preceded by a `# key: value` provenance header. The same text is
 /// written by `--csv-dir` and registered by `--register`.
-fn experiment_document(r: &FigureResult, store: &StoreSession) -> String {
+fn experiment_document(r: &FigureResult, base: &LauncherOptions, run: &Run) -> String {
     let mut manifest = RunManifest::new();
     manifest.set("tool", "reproduce");
     manifest.set("version", env!("CARGO_PKG_VERSION"));
@@ -55,14 +52,9 @@ fn experiment_document(r: &FigureResult, store: &StoreSession) -> String {
     // Record the sampling policy the sweeps actually ran under, so
     // `mc-report diff` can warn before comparing a fixed-budget baseline
     // against an adaptive run (or vice versa).
-    let sampling = quick_options();
-    manifest.set("adaptive", if sampling.adaptive { "true" } else { "false" });
-    manifest.set("sampling", sampling.sampling_policy());
-    // The path only: hit counts differ between cold and warm runs and
-    // would break byte-identical documents.
-    if let Some(root) = store.root() {
-        manifest.set("store", root.display().to_string());
-    }
+    manifest.set("adaptive", if base.adaptive { "true" } else { "false" });
+    manifest.set("sampling", base.sampling_policy());
+    run.note_store(&mut manifest);
     let mut csv = CsvWriter::new(vec!["series", "x", "y"]);
     for s in &r.series {
         for (x, y) in &s.points {
@@ -112,46 +104,15 @@ const QUICK: &[ExperimentId] = &[
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let session = match TraceSession::from_flags(&mut args) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(exitcode::USAGE);
-        }
-    };
-    if let Err(e) = take_jobs_flag(&mut args) {
-        eprintln!("{e}");
-        return ExitCode::from(exitcode::USAGE);
-    }
-    if let Err(e) = take_guard_flags(&mut args) {
-        eprintln!("{e}");
-        return ExitCode::from(exitcode::USAGE);
-    }
-    let mut pulse = match PulseSession::from_flags(&mut args) {
-        Ok(p) => p,
+    let mut run = match Run::from_flags(&mut args) {
+        Ok(run) => run,
         Err(e) => {
             diag!("{e}");
             return ExitCode::from(exitcode::USAGE);
         }
     };
-    let mut store = match take_store_flags(&mut args, pulse.registry_root()) {
-        Ok(s) => s,
-        Err(e) => {
-            diag!("{e}");
-            return ExitCode::from(exitcode::USAGE);
-        }
-    };
-    let mut profile = match take_profile_flags(&mut args, pulse.registry_root()) {
-        Ok(p) => p,
-        Err(e) => {
-            diag!("{e}");
-            return ExitCode::from(exitcode::USAGE);
-        }
-    };
-    let code = run(args, &mut pulse, &store, &mut profile);
-    store.finish();
-    session.finish();
-    code
+    let (code, manifest) = reproduce(args, &mut run);
+    run.finish("reproduce", manifest, code)
 }
 
 fn parse_bool_flag(flag: &str, value: &str) -> Result<bool, String> {
@@ -168,12 +129,9 @@ fn parse_u32_flag(flag: &str, value: &str) -> Result<u32, String> {
         .map_err(|_| format!("{flag} expects a non-negative integer, got `{value}`"))
 }
 
-fn run(
-    args: Vec<String>,
-    pulse: &mut PulseSession,
-    store: &StoreSession,
-    profile: &mut ProfileSession,
-) -> ExitCode {
+/// Runs the selected experiments and prints their results. Returns the
+/// exit code and, once the results are out, the manifest to register.
+fn reproduce(args: Vec<String>, run: &mut Run) -> (u8, Option<RunManifest>) {
     let mut exp: Option<String> = None;
     let mut summary_only = false;
     let mut quick = false;
@@ -185,7 +143,7 @@ fn run(
         LauncherOptions { min_samples: 2, max_samples: 8, ..LauncherOptions::default() };
     if let Err(e) = sampling.apply_adaptive_env() {
         diag!("{e}");
-        return ExitCode::from(exitcode::USAGE);
+        return (exitcode::USAGE, None);
     }
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -194,7 +152,7 @@ fn run(
                 for id in ExperimentId::ALL {
                     println!("{:8} {}", id.key(), id.paper_claim());
                 }
-                return ExitCode::SUCCESS;
+                return (exitcode::OK, None);
             }
             "--summary" => summary_only = true,
             "--quick" => quick = true,
@@ -211,7 +169,7 @@ fn run(
                     Ok(v) => sampling.adaptive = v,
                     Err(e) => {
                         diag!("{e}");
-                        return ExitCode::from(exitcode::USAGE);
+                        return (exitcode::USAGE, None);
                     }
                 }
             }
@@ -220,7 +178,7 @@ fn run(
                     Ok(v) => sampling.min_samples = v,
                     Err(e) => {
                         diag!("{e}");
-                        return ExitCode::from(exitcode::USAGE);
+                        return (exitcode::USAGE, None);
                     }
                 }
             }
@@ -229,7 +187,7 @@ fn run(
                     Ok(v) => sampling.max_samples = v,
                     Err(e) => {
                         diag!("{e}");
-                        return ExitCode::from(exitcode::USAGE);
+                        return (exitcode::USAGE, None);
                     }
                 }
             }
@@ -238,48 +196,46 @@ fn run(
                     "unknown argument `{other}` (try --list, --summary, --quick, --adaptive, \
                      --exp <key>)"
                 );
-                return ExitCode::from(exitcode::USAGE);
+                return (exitcode::USAGE, None);
             }
         }
     }
     if sampling.adaptive && sampling.max_samples > 0 && sampling.max_samples < sampling.min_samples
     {
         diag!("--max-samples must be >= --min-samples");
-        return ExitCode::from(exitcode::USAGE);
+        return (exitcode::USAGE, None);
     }
-    // Install the policy process-wide; `quick_options()` folds it into
-    // every figure harness's sweep.
-    set_adaptive_default(if sampling.adaptive {
-        Some(AdaptiveSampling {
-            min_samples: sampling.min_samples.max(1),
-            max_samples: sampling.max_samples,
-        })
-    } else {
-        None
-    });
+    // Every figure harness starts its sweeps from `base`; a fixed run
+    // keeps the quick options' own sample bounds.
+    let mut base = quick_options();
+    if sampling.adaptive {
+        base.adaptive = true;
+        base.min_samples = sampling.min_samples.max(1);
+        base.max_samples = sampling.max_samples;
+    }
 
     let input_label = exp.clone().unwrap_or_else(|| if quick { "quick" } else { "all" }.to_owned());
     let results: Vec<FigureResult> = match exp {
         Some(key) => {
             let Some(id) = ExperimentId::from_key(&key) else {
                 diag!("unknown experiment `{key}`; --list shows the available keys");
-                return ExitCode::from(exitcode::USAGE);
+                return (exitcode::USAGE, None);
             };
-            match run_experiment(id) {
+            match run_one(id, &base) {
                 Ok(r) => vec![r],
                 Err(e) => {
                     diag!("experiment failed: {e}");
-                    return ExitCode::from(exitcode::EVAL);
+                    return (exitcode::EVAL, None);
                 }
             }
         }
         None => {
-            let run = if quick { run_many(QUICK) } else { run_all() };
-            match run {
+            let results = if quick { run_many(QUICK, &base) } else { run_all(&base) };
+            match results {
                 Ok(rs) => rs,
                 Err(e) => {
                     diag!("reproduction failed: {e}");
-                    return ExitCode::from(exitcode::EVAL);
+                    return (exitcode::EVAL, None);
                 }
             }
         }
@@ -287,14 +243,14 @@ fn run(
 
     for r in &results {
         print_result(r, summary_only);
-        if (csv_dir.is_some() || pulse.active()) && !r.series.is_empty() {
-            let document = experiment_document(r, store);
+        if (csv_dir.is_some() || run.registering()) && !r.series.is_empty() {
+            let document = experiment_document(r, &base, run);
             if let Some(dir) = &csv_dir {
                 if let Err(e) = write_csv(Path::new(dir), r, &document) {
                     diag!("could not write {}.csv: {e}", r.id.key());
                 }
             }
-            pulse.record_document(r.id.key(), &document);
+            run.record_document(r.id.key(), &document);
         }
     }
 
@@ -309,22 +265,13 @@ fn run(
     } else {
         exitcode::REGRESSION
     };
-    let run_id = if pulse.active() {
-        let mut manifest = RunManifest::new();
-        manifest.set("tool", "reproduce");
-        manifest.set("input", input_label.as_str());
-        manifest.set("experiments", results.len().to_string());
-        manifest.set("checks_passed", passed.to_string());
-        manifest.set("checks_total", total.to_string());
-        let sampling_ran = quick_options();
-        manifest.set("adaptive", if sampling_ran.adaptive { "true" } else { "false" });
-        if let Some(root) = store.root() {
-            manifest.set("store", root.display().to_string());
-        }
-        pulse.finish("reproduce", manifest, code)
-    } else {
-        None
-    };
-    profile.finish(run_id.as_deref());
-    ExitCode::from(code)
+    let mut manifest = RunManifest::new();
+    manifest.set("tool", "reproduce");
+    manifest.set("input", input_label.as_str());
+    manifest.set("experiments", results.len().to_string());
+    manifest.set("checks_passed", passed.to_string());
+    manifest.set("checks_total", total.to_string());
+    manifest.set("adaptive", if base.adaptive { "true" } else { "false" });
+    run.note_store(&mut manifest);
+    (code, Some(manifest))
 }

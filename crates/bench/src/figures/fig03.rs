@@ -10,10 +10,10 @@
 //! real kernel's partial reuse, which the analytic residence model does
 //! not track (see EXPERIMENTS.md).
 
-use super::{quick_options, FigureResult};
+use super::FigureResult;
 use mc_creator::MicroCreator;
 use mc_kernel::builder::matmul_inner;
-use mc_launcher::{KernelInput, MicroLauncher};
+use mc_launcher::{KernelInput, LauncherOptions, MicroLauncher};
 use mc_report::experiments::{knee_x, ExperimentId, ShapeCheck};
 use mc_report::series::Series;
 
@@ -21,12 +21,12 @@ use mc_report::series::Series;
 pub const SIZES: [u64; 12] = [50, 100, 150, 200, 300, 400, 500, 600, 700, 800, 1000, 1200];
 
 /// Cycles per inner-loop iteration for one matrix size.
-pub fn matmul_cycles(size: u64) -> Result<f64, String> {
+pub fn matmul_cycles(base: &LauncherOptions, size: u64) -> Result<f64, String> {
     let desc = matmul_inner(size);
     let result = MicroCreator::new().generate(&desc).map_err(|e| e.to_string())?;
     let program =
         result.programs.iter().find(|p| p.meta.unroll == 1).ok_or("no unroll-1 matmul variant")?;
-    let mut opts = quick_options();
+    let mut opts = base.clone();
     // Two kernel arrays stand for the three size² matrices' footprint.
     opts.vector_bytes = 3 * size * size * 8 / 2;
     opts.trip_count = size;
@@ -35,14 +35,14 @@ pub fn matmul_cycles(size: u64) -> Result<f64, String> {
 }
 
 /// Runs the sweep.
-pub fn run() -> Result<FigureResult, String> {
+pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
     let mut result = FigureResult::new(
         ExperimentId::Fig3,
         "Figure 3: matmul cycles/iteration vs matrix size (X5650)",
     );
     let mut points = Vec::with_capacity(SIZES.len());
     for &size in &SIZES {
-        points.push((size as f64, matmul_cycles(size)?));
+        points.push((size as f64, matmul_cycles(base, size)?));
     }
     let series = Series::new("matmul", points);
 
@@ -77,7 +77,7 @@ pub fn run() -> Result<FigureResult, String> {
 mod tests {
     #[test]
     fn fig3_passes() {
-        let r = super::run().unwrap();
+        let r = super::run(&crate::figures::quick_options()).unwrap();
         assert!(r.outcome.passed(), "{}", r.outcome.render());
         assert_eq!(r.series.len(), 1);
         assert_eq!(r.series[0].points.len(), super::SIZES.len());
@@ -86,8 +86,8 @@ mod tests {
     #[test]
     fn small_sizes_are_l1_cheap() {
         // 50×50×3 doubles = 60 KB → L2-resident; still cheap.
-        let small = super::matmul_cycles(50).unwrap();
-        let large = super::matmul_cycles(1200).unwrap();
+        let small = super::matmul_cycles(&crate::figures::quick_options(), 50).unwrap();
+        let large = super::matmul_cycles(&crate::figures::quick_options(), 1200).unwrap();
         assert!(small < large);
     }
 }

@@ -8,15 +8,16 @@
 //! reach the bottom line — in contrast to §5.2.2's bandwidth-bound
 //! traversals (Figures 15/16).
 
-use super::{quick_options, FigureResult};
+use super::FigureResult;
 use mc_creator::MicroCreator;
 use mc_kernel::builder::matmul_inner;
 use mc_launcher::sweeps::{alignment_series, alignment_sweep};
+use mc_launcher::LauncherOptions;
 use mc_report::experiments::{check_spread, ExperimentId};
 use mc_simarch::config::Level;
 
 /// Runs the alignment study at 200×200.
-pub fn run() -> Result<FigureResult, String> {
+pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
     let mut result = FigureResult::new(
         ExperimentId::Fig4,
         "Figure 4: matmul cycles/iteration across alignments (200², X5650)",
@@ -26,7 +27,7 @@ pub fn run() -> Result<FigureResult, String> {
     let program =
         gen.programs.iter().find(|p| p.meta.unroll == 1).ok_or("no unroll-1 matmul variant")?;
 
-    let mut opts = quick_options();
+    let mut opts = base.clone();
     // The 200² working set is reused across the j-loop: effectively
     // cache-resident ("The following studies consider 200 * 200 matrices,
     // which fit in the cache", §2).
@@ -61,7 +62,7 @@ fn spread_pct(series: &mc_report::series::Series) -> f64 {
 mod tests {
     #[test]
     fn fig4_passes() {
-        let r = super::run().unwrap();
+        let r = super::run(&crate::figures::quick_options()).unwrap();
         assert!(r.outcome.passed(), "{}", r.outcome.render());
         assert_eq!(r.series[0].points.len(), 64);
     }

@@ -8,11 +8,11 @@
 //! counter the compiler's code carries); the "MicroTools" line is the
 //! abstracted kernel description expanded by MicroCreator.
 
-use super::{quick_options, FigureResult};
+use super::FigureResult;
 use mc_kernel::builder::matmul_inner;
 use mc_kernel::Program;
 use mc_launcher::sweeps::generate_shared;
-use mc_launcher::MicroLauncher;
+use mc_launcher::{LauncherOptions, MicroLauncher};
 use mc_report::experiments::{check_improvement, ExperimentId, ShapeCheck};
 use mc_report::series::Series;
 use mc_simarch::config::Level;
@@ -45,7 +45,7 @@ pub fn actual_code(unroll: u32, matrix_size: u64) -> Result<Program, String> {
 }
 
 /// Runs the comparison.
-pub fn run() -> Result<FigureResult, String> {
+pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
     let mut result = FigureResult::new(
         ExperimentId::Fig5,
         "Figure 5: matmul unroll factors — actual code vs microbenchmark (200², X5650)",
@@ -63,7 +63,7 @@ pub fn run() -> Result<FigureResult, String> {
             .ok_or_else(|| format!("no microbenchmark at unroll {unroll}"))?;
         programs.push(micro.clone());
     }
-    let mut opts = quick_options();
+    let mut opts = base.clone();
     opts.residence = Some(Level::L2); // 200² tiles are cache-resident (§2)
     opts.trip_count = 200;
     let reports = MicroLauncher::new(opts).run_batch(&programs)?;
@@ -124,7 +124,7 @@ mod tests {
 
     #[test]
     fn fig5_passes() {
-        let r = run().unwrap();
+        let r = run(&crate::figures::quick_options()).unwrap();
         assert!(r.outcome.passed(), "{}", r.outcome.render());
     }
 

@@ -6,22 +6,22 @@
 //! `movaps`; at unroll 8 the vectorized L3 stream runs below two cycles
 //! per load.
 
-use super::{quick_options, FigureResult};
+use super::FigureResult;
 use mc_asm::inst::Mnemonic;
 use mc_kernel::builder::load_stream;
 use mc_launcher::sweeps::unroll_by_level_sweep;
+use mc_launcher::LauncherOptions;
 use mc_report::experiments::{check_ordered, ExperimentId, ShapeCheck};
 use mc_simarch::config::Level;
 
 /// Runs the movaps sweep.
-pub fn run() -> Result<FigureResult, String> {
+pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
     let mut result = FigureResult::new(
         ExperimentId::Fig11,
         "Figure 11: cycles per movaps load vs unroll factor and hierarchy level (X5650)",
     );
-    let opts = quick_options();
     let desc = load_stream(Mnemonic::Movaps, 1, 8);
-    let series = unroll_by_level_sweep(&opts, &desc, &Level::ALL, true)?;
+    let series = unroll_by_level_sweep(base, &desc, &Level::ALL, true)?;
 
     result.outcome.push(check_ordered(
         "hierarchy ordering L1 < L2 < L3 < RAM",
@@ -42,8 +42,7 @@ pub fn run() -> Result<FigureResult, String> {
     ));
     // movapd must be indistinguishable ("The movapd figures are the same
     // as their movaps counterparts").
-    let apd =
-        unroll_by_level_sweep(&opts, &load_stream(Mnemonic::Movapd, 1, 8), &Level::ALL, true)?;
+    let apd = unroll_by_level_sweep(base, &load_stream(Mnemonic::Movapd, 1, 8), &Level::ALL, true)?;
     let identical = series
         .iter()
         .zip(&apd)
@@ -66,7 +65,7 @@ pub fn run() -> Result<FigureResult, String> {
 mod tests {
     #[test]
     fn fig11_passes() {
-        let r = super::run().unwrap();
+        let r = super::run(&crate::figures::quick_options()).unwrap();
         assert!(r.outcome.passed(), "{}", r.outcome.render());
         assert_eq!(r.series.len(), 4);
     }

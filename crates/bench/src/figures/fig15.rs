@@ -7,16 +7,17 @@
 //! dependant of arrays." (§5.2.2) — the X axis enumerates alignment
 //! configurations ("upwards of 2500").
 
-use super::{quick_options, FigureResult};
+use super::FigureResult;
 use mc_asm::inst::Mnemonic;
 use mc_kernel::builder::multi_array_traversal;
 use mc_launcher::options::{MachinePreset, Mode};
 use mc_launcher::sweeps::{alignment_series, alignment_sweep_sampled, generate_shared};
+use mc_launcher::LauncherOptions;
 use mc_report::experiments::{check_spread, ExperimentId, ShapeCheck};
 use mc_simarch::config::Level;
 
 /// Runs the 8-array/8-core alignment study.
-pub fn run() -> Result<FigureResult, String> {
+pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
     let mut result = FigureResult::new(
         ExperimentId::Fig15,
         "Figure 15: cycles/iteration across alignments (8-array movss, 8 of 32 cores, X7550)",
@@ -27,7 +28,7 @@ pub fn run() -> Result<FigureResult, String> {
         .cloned()
         .ok_or_else(|| "multi_array_traversal produced no programs".to_owned())?;
 
-    let mut opts = quick_options();
+    let mut opts = base.clone();
     opts.machine = MachinePreset::NehalemX7550;
     opts.mode = Mode::Fork;
     opts.cores = 8;
@@ -64,7 +65,7 @@ pub fn run() -> Result<FigureResult, String> {
 mod tests {
     #[test]
     fn fig15_passes() {
-        let r = super::run().unwrap();
+        let r = super::run(&crate::figures::quick_options()).unwrap();
         assert!(r.outcome.passed(), "{}", r.outcome.render());
         assert!(r.series[0].points.len() > 2500);
     }

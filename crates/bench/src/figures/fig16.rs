@@ -6,16 +6,17 @@
 //! shows performance variations from 60 to 90 cycles per iteration with
 //! such a configuration." (§5.2.2)
 
-use super::{quick_options, FigureResult};
+use super::FigureResult;
 use mc_asm::inst::Mnemonic;
 use mc_kernel::builder::multi_array_traversal;
 use mc_launcher::options::{MachinePreset, Mode};
 use mc_launcher::sweeps::{alignment_series, alignment_sweep, generate_shared};
+use mc_launcher::LauncherOptions;
 use mc_report::experiments::{check_spread, ExperimentId, ShapeCheck};
 use mc_simarch::config::Level;
 
 /// Runs the 4-array/32-core alignment study.
-pub fn run() -> Result<FigureResult, String> {
+pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
     let mut result = FigureResult::new(
         ExperimentId::Fig16,
         "Figure 16: cycles/iteration across alignments (4-array movss, 32 cores, X7550)",
@@ -26,7 +27,7 @@ pub fn run() -> Result<FigureResult, String> {
         .cloned()
         .ok_or_else(|| "multi_array_traversal produced no programs".to_owned())?;
 
-    let mut opts = quick_options();
+    let mut opts = base.clone();
     opts.machine = MachinePreset::NehalemX7550;
     opts.mode = Mode::Fork;
     opts.cores = 32;
@@ -50,7 +51,7 @@ pub fn run() -> Result<FigureResult, String> {
             .first()
             .cloned()
             .ok_or_else(|| "multi_array_traversal produced no programs".to_owned())?;
-        let mut o = quick_options();
+        let mut o = base.clone();
         o.machine = MachinePreset::NehalemX7550;
         o.mode = Mode::Fork;
         o.cores = 8;
@@ -83,7 +84,7 @@ pub fn run() -> Result<FigureResult, String> {
 mod tests {
     #[test]
     fn fig16_passes() {
-        let r = super::run().unwrap();
+        let r = super::run(&crate::figures::quick_options()).unwrap();
         assert!(r.outcome.passed(), "{}", r.outcome.render());
     }
 }

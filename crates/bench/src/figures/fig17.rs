@@ -7,12 +7,12 @@
 //! OpenMP version wins clearly and stays flat across unroll factors while
 //! the sequential version improves.
 
-use super::{quick_options, FigureResult};
+use super::FigureResult;
 use mc_asm::inst::Mnemonic;
 use mc_kernel::builder::load_stream;
 use mc_launcher::options::{MachinePreset, Mode, OptionsDelta};
 use mc_launcher::sweeps::programs_by_unroll_shared;
-use mc_launcher::{run_batch, EvalPoint};
+use mc_launcher::{run_batch, EvalPoint, LauncherOptions};
 use mc_report::experiments::{ExperimentId, ShapeCheck, ShapeOutcome};
 use mc_report::series::{Scale, Series};
 
@@ -20,10 +20,10 @@ use mc_report::series::{Scale, Series};
 pub const ELEMENTS: u64 = 128 * 1024;
 
 /// Builds the four series (seq/omp × min/max over ten noisy runs).
-pub fn series_for(elements: u64) -> Result<Vec<Series>, String> {
+pub fn series_for(base: &LauncherOptions, elements: u64) -> Result<Vec<Series>, String> {
     let programs = programs_by_unroll_shared(&load_stream(Mnemonic::Movss, 1, 8))?;
     let base = std::sync::Arc::new({
-        let mut o = quick_options();
+        let mut o = base.clone();
         o.machine = MachinePreset::SandyBridgeE31240;
         o.vector_bytes = elements * 4;
         // Ten outer experiments with mild environmental noise: the min/max
@@ -116,13 +116,13 @@ pub fn common_checks(outcome: &mut ShapeOutcome, series: &[Series], omp_flat_tol
 }
 
 /// Runs the 128k study.
-pub fn run() -> Result<FigureResult, String> {
+pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
     let mut result = FigureResult::new(
         ExperimentId::Fig17,
         "Figure 17: sequential vs OpenMP movss loads, 128k elements (E31240, log scale)",
     );
     result.scale = Scale::Log10;
-    let series = series_for(ELEMENTS)?;
+    let series = series_for(base, ELEMENTS)?;
     common_checks(&mut result.outcome, &series, 0.15);
     let speedup = series[0].points[0].1 / series[2].points[0].1;
     result.notes.push(format!(
@@ -137,7 +137,7 @@ pub fn run() -> Result<FigureResult, String> {
 mod tests {
     #[test]
     fn fig17_passes() {
-        let r = super::run().unwrap();
+        let r = super::run(&crate::figures::quick_options()).unwrap();
         assert!(r.outcome.passed(), "{}", r.outcome.render());
         assert_eq!(r.series.len(), 4);
     }

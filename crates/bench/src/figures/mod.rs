@@ -53,51 +53,44 @@ impl FigureResult {
     }
 }
 
-/// The outer-experiment budget each figure harness runs with (0 = the
-/// quick default of 3). The adaptive-vs-fixed benchmark raises it to the
-/// paper's full stability budget so the comparison is honest: adaptive
-/// mode's savings only exist relative to the budget fixed mode pays.
-static META_BUDGET: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
-
-/// Overrides the outer-experiment budget for every subsequent
-/// [`quick_options`] caller. Pass 0 to restore the quick default.
-pub fn set_meta_budget(meta_repetitions: u32) {
-    META_BUDGET.store(meta_repetitions, std::sync::atomic::Ordering::SeqCst);
-}
-
 /// Launcher options tuned for harness throughput: the simulation is
-/// deterministic, so a handful of repetitions suffices. Applies the
-/// process-wide adaptive sampling default (`reproduce --adaptive`), so
-/// every figure's sweep inherits one sampling policy.
+/// deterministic, so a fixed budget of 3 outer experiments suffices.
+/// `reproduce` derives its sampling policy (`--adaptive`,
+/// `--min-samples`, `--max-samples`, `MICROTOOLS_ADAPTIVE`) on top of
+/// these and hands the result to [`run_many`] as every figure's base.
 pub fn quick_options() -> LauncherOptions {
-    let budget = META_BUDGET.load(std::sync::atomic::Ordering::SeqCst);
     LauncherOptions {
         repetitions: 4,
-        meta_repetitions: if budget > 0 { budget } else { 3 },
+        meta_repetitions: 3,
         verify: false,
         ..LauncherOptions::default()
     }
-    .with_adaptive_default()
 }
 
-/// Runs one experiment by id, under one `bench.experiment` span.
+/// Runs one experiment by id under [`quick_options`].
 pub fn run_experiment(id: ExperimentId) -> Result<FigureResult, String> {
+    run_one(id, &quick_options())
+}
+
+/// Runs one experiment by id on `base`, under one `bench.experiment`
+/// span.
+pub fn run_one(id: ExperimentId, base: &LauncherOptions) -> Result<FigureResult, String> {
     let mut span = mc_trace::span("bench.experiment");
     let result = match id {
         ExperimentId::Counts => counts::run(),
         ExperimentId::Table1 => table1::run(),
-        ExperimentId::Fig3 => fig03::run(),
-        ExperimentId::Fig4 => fig04::run(),
-        ExperimentId::Fig5 => fig05::run(),
-        ExperimentId::Fig11 => fig11::run(),
-        ExperimentId::Fig12 => fig12::run(),
-        ExperimentId::Fig13 => fig13::run(),
-        ExperimentId::Fig14 => fig14::run(),
-        ExperimentId::Fig15 => fig15::run(),
-        ExperimentId::Fig16 => fig16::run(),
-        ExperimentId::Fig17 => fig17::run(),
-        ExperimentId::Fig18 => fig18::run(),
-        ExperimentId::Table2 => table2::run(),
+        ExperimentId::Fig3 => fig03::run(base),
+        ExperimentId::Fig4 => fig04::run(base),
+        ExperimentId::Fig5 => fig05::run(base),
+        ExperimentId::Fig11 => fig11::run(base),
+        ExperimentId::Fig12 => fig12::run(base),
+        ExperimentId::Fig13 => fig13::run(base),
+        ExperimentId::Fig14 => fig14::run(base),
+        ExperimentId::Fig15 => fig15::run(base),
+        ExperimentId::Fig16 => fig16::run(base),
+        ExperimentId::Fig17 => fig17::run(base),
+        ExperimentId::Fig18 => fig18::run(base),
+        ExperimentId::Table2 => table2::run(base),
     };
     if span.is_active() {
         span.field("experiment", id.key());
@@ -121,12 +114,13 @@ pub fn run_experiment(id: ExperimentId) -> Result<FigureResult, String> {
 /// order. Figures run in parallel with each other *and* each figure's
 /// sweeps batch internally; the nested engines can oversubscribe the
 /// machine briefly, which is harmless for throughput and irrelevant for
-/// results (the simulation is deterministic).
-pub fn run_many(ids: &[ExperimentId]) -> Result<Vec<FigureResult>, String> {
-    mc_exec::engine().run(ids.to_vec(), run_experiment).into_iter().collect()
+/// results (the simulation is deterministic). `base` is every figure's
+/// starting point: its sampling policy reaches each sweep.
+pub fn run_many(ids: &[ExperimentId], base: &LauncherOptions) -> Result<Vec<FigureResult>, String> {
+    mc_exec::engine().run(ids.to_vec(), |id| run_one(id, base)).into_iter().collect()
 }
 
-/// Runs every experiment in paper order.
-pub fn run_all() -> Result<Vec<FigureResult>, String> {
-    run_many(&ExperimentId::ALL)
+/// Runs every experiment in paper order on `base`.
+pub fn run_all(base: &LauncherOptions) -> Result<Vec<FigureResult>, String> {
+    run_many(&ExperimentId::ALL, base)
 }

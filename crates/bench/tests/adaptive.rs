@@ -5,12 +5,13 @@
 //! reruns — sampling decisions depend only on the samples, never on the
 //! schedule.
 //!
-//! The adaptive default, the worker count, the evaluation cache, and the
-//! metrics registry are process-global, so every test serializes on one
-//! lock and restores the configuration it found.
+//! The sampling policy travels as each run's base options. The worker
+//! count, the evaluation cache and the metrics registry are
+//! process-global, so every test serializes on one lock and restores the
+//! configuration it found.
 
-use mc_bench::figures::{run_all, run_many, set_meta_budget, FigureResult};
-use mc_launcher::{set_adaptive_default, AdaptiveSampling};
+use mc_bench::figures::{quick_options, run_all, run_many, FigureResult};
+use mc_launcher::LauncherOptions;
 use mc_report::experiments::ExperimentId;
 use std::sync::Mutex;
 
@@ -22,15 +23,13 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 
 /// Restores every piece of process-global state a test here touches.
 fn restore_defaults() {
-    set_adaptive_default(None);
-    set_meta_budget(0);
     mc_launcher::batch::set_cache_enabled(true);
     mc_launcher::batch::clear_cache();
     mc_trace::enable_metrics(false);
     mc_trace::metrics().reset();
 }
 
-/// The figures whose shape claims the issue pins under adaptive mode.
+/// The figures whose shape claims stay pinned under adaptive mode.
 const SHAPE_FIGURES: &[ExperimentId] = &[
     ExperimentId::Fig5,
     ExperimentId::Fig13,
@@ -40,13 +39,18 @@ const SHAPE_FIGURES: &[ExperimentId] = &[
     ExperimentId::Fig17,
 ];
 
-/// Runs the full suite with the cache off and returns the number of
-/// timed kernel calls the measurement protocol issued.
-fn timed_calls_for_full_suite() -> (u64, Vec<FigureResult>) {
+/// `base` under adaptive control with the reproduce default bounds.
+fn adaptive(base: LauncherOptions) -> LauncherOptions {
+    LauncherOptions { adaptive: true, min_samples: 2, max_samples: 8, ..base }
+}
+
+/// Runs the full suite on `base` with the cache off and returns the
+/// number of timed kernel calls the measurement protocol issued.
+fn timed_calls_for_full_suite(base: &LauncherOptions) -> (u64, Vec<FigureResult>) {
     mc_launcher::batch::clear_cache();
     mc_trace::metrics().reset();
     mc_trace::enable_metrics(true);
-    let results = run_all().expect("full suite runs");
+    let results = run_all(base).expect("full suite runs");
     mc_trace::enable_metrics(false);
     let calls =
         mc_trace::metrics().snapshot().counter("launcher.timed_calls").expect("timed calls metric");
@@ -74,13 +78,10 @@ fn adaptive_mode_cuts_timed_calls_at_least_3x_over_the_full_suite() {
     let _guard = lock();
     mc_exec::set_jobs(4);
     mc_launcher::batch::set_cache_enabled(false);
-    set_meta_budget(8);
+    let full_budget = LauncherOptions { meta_repetitions: 8, ..quick_options() };
 
-    set_adaptive_default(None);
-    let (fixed_calls, fixed) = timed_calls_for_full_suite();
-
-    set_adaptive_default(Some(AdaptiveSampling { min_samples: 2, max_samples: 8 }));
-    let (adaptive_calls, adaptive) = timed_calls_for_full_suite();
+    let (fixed_calls, fixed) = timed_calls_for_full_suite(&full_budget);
+    let (adaptive_calls, adaptive) = timed_calls_for_full_suite(&adaptive(full_budget));
 
     restore_defaults();
 
@@ -101,15 +102,14 @@ fn adaptive_mode_cuts_timed_calls_at_least_3x_over_the_full_suite() {
     }
 }
 
-/// The issue's named figures keep their paper-shape claims under the
-/// adaptive default.
+/// The named figures keep their paper-shape claims under adaptive
+/// sampling.
 #[test]
 fn shape_claims_hold_under_adaptive_sampling() {
     let _guard = lock();
     mc_exec::set_jobs(4);
     mc_launcher::batch::clear_cache();
-    set_adaptive_default(Some(AdaptiveSampling { min_samples: 2, max_samples: 8 }));
-    let results = run_many(SHAPE_FIGURES).expect("figures run");
+    let results = run_many(SHAPE_FIGURES, &adaptive(quick_options())).expect("figures run");
     restore_defaults();
     for r in &results {
         for check in &r.outcome.checks {
@@ -129,11 +129,11 @@ fn shape_claims_hold_under_adaptive_sampling() {
 #[test]
 fn adaptive_runs_are_identical_across_jobs_and_reruns() {
     let _guard = lock();
-    set_adaptive_default(Some(AdaptiveSampling { min_samples: 2, max_samples: 8 }));
+    let base = adaptive(quick_options());
     let run_with_jobs = |jobs: usize| -> Vec<FigureResult> {
         mc_exec::set_jobs(jobs);
         mc_launcher::batch::clear_cache();
-        run_many(SHAPE_FIGURES).expect("experiments run")
+        run_many(SHAPE_FIGURES, &base).expect("experiments run")
     };
     let serial = run_with_jobs(1);
     let parallel = run_with_jobs(8);

@@ -7,7 +7,7 @@
 //! The worker count and the caches are process-global, so every test
 //! serializes on one lock and restores the configuration it found.
 
-use mc_bench::figures::{run_many, FigureResult};
+use mc_bench::figures::{quick_options, run_many, FigureResult};
 use mc_report::experiments::ExperimentId;
 use std::sync::Mutex;
 
@@ -22,7 +22,7 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 fn run_with_jobs(ids: &[ExperimentId], jobs: usize) -> Vec<FigureResult> {
     mc_exec::set_jobs(jobs);
     mc_launcher::batch::clear_cache();
-    run_many(ids).expect("experiments run")
+    run_many(ids, &quick_options()).expect("experiments run")
 }
 
 fn assert_identical(a: &FigureResult, b: &FigureResult, what: &str) {
@@ -54,10 +54,12 @@ fn cache_reuse_is_identical_to_cold_evaluation() {
     mc_exec::set_jobs(4);
     mc_launcher::batch::clear_cache();
     // Cold pass populates the cache; the warm pass must replay it exactly.
-    let cold = run_many(&[ExperimentId::Fig11, ExperimentId::Fig13]).expect("cold run");
+    let cold =
+        run_many(&[ExperimentId::Fig11, ExperimentId::Fig13], &quick_options()).expect("cold run");
     let (_, misses_cold) = mc_launcher::batch::cache_stats();
     assert!(misses_cold > 0, "cold pass must populate the cache");
-    let warm = run_many(&[ExperimentId::Fig11, ExperimentId::Fig13]).expect("warm run");
+    let warm =
+        run_many(&[ExperimentId::Fig11, ExperimentId::Fig13], &quick_options()).expect("warm run");
     let (hits_warm, _) = mc_launcher::batch::cache_stats();
     assert!(hits_warm > 0, "warm pass must hit the cache");
     for (a, b) in cold.iter().zip(&warm) {
@@ -65,7 +67,8 @@ fn cache_reuse_is_identical_to_cold_evaluation() {
     }
     // And a cache-off pass agrees with both.
     mc_launcher::batch::set_cache_enabled(false);
-    let uncached = run_many(&[ExperimentId::Fig11, ExperimentId::Fig13]).expect("uncached run");
+    let uncached = run_many(&[ExperimentId::Fig11, ExperimentId::Fig13], &quick_options())
+        .expect("uncached run");
     mc_launcher::batch::set_cache_enabled(true);
     for (a, b) in cold.iter().zip(&uncached) {
         assert_identical(a, b, a.id.key());
@@ -79,7 +82,7 @@ fn exec_metrics_cover_a_full_figure_run() {
     mc_launcher::batch::clear_cache();
     mc_trace::metrics().reset();
     mc_trace::enable_metrics(true);
-    let result = run_many(&[ExperimentId::Fig14]).expect("figure runs");
+    let result = run_many(&[ExperimentId::Fig14], &quick_options()).expect("figure runs");
     mc_trace::enable_metrics(false);
     assert_eq!(result.len(), 1);
     let snapshot = mc_trace::metrics().snapshot();

@@ -8,7 +8,7 @@
 //! profiler slot are all process-global, so every test serializes on one
 //! lock and clears what it installed.
 
-use mc_bench::figures::{run_many, FigureResult};
+use mc_bench::figures::{quick_options, run_many, FigureResult};
 use mc_launcher::profile::{clear_profiler, install_profiler};
 use mc_report::experiments::ExperimentId;
 use std::path::{Path, PathBuf};
@@ -38,7 +38,7 @@ fn run_figs(jobs: usize, profile_dir: Option<&Path>) -> Vec<FigureResult> {
     mc_launcher::batch::clear_cache();
     clear_profiler();
     let profiler = profile_dir.map(|dir| install_profiler(dir).expect("profiler installs"));
-    let results = run_many(FIGS).expect("experiments run");
+    let results = run_many(FIGS, &quick_options()).expect("experiments run");
     clear_profiler();
     if let Some(p) = profiler {
         p.finish(None);
@@ -139,13 +139,13 @@ fn store_keys_do_not_depend_on_profiling() {
     clear_profiler();
     mc_launcher::store::install_store(&store_off);
     mc_launcher::batch::clear_cache();
-    run_many(FIGS).expect("profile-off run");
+    run_many(FIGS, &quick_options()).expect("profile-off run");
     mc_launcher::store::clear_store();
 
     let profiler = install_profiler(&profiles).expect("profiler installs");
     mc_launcher::store::install_store(&store_on);
     mc_launcher::batch::clear_cache();
-    run_many(FIGS).expect("profile-on run");
+    run_many(FIGS, &quick_options()).expect("profile-on run");
     mc_launcher::store::clear_store();
     clear_profiler();
     assert!(!profiler.is_empty(), "profiled run collected nothing");

@@ -10,7 +10,7 @@
 //! and metrics registry are process-global, so every test serializes on
 //! one lock and restores the configuration it found.
 
-use mc_bench::figures::{run_many, FigureResult};
+use mc_bench::figures::{quick_options, run_many, FigureResult};
 use mc_report::experiments::ExperimentId;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -56,7 +56,7 @@ fn measurements() -> u64 {
 fn run_counted(figures: &[ExperimentId]) -> (u64, Vec<FigureResult>) {
     mc_trace::metrics().reset();
     mc_trace::enable_metrics(true);
-    let results = run_many(figures).expect("figures run");
+    let results = run_many(figures, &quick_options()).expect("figures run");
     mc_trace::enable_metrics(false);
     (measurements(), results)
 }
@@ -259,6 +259,20 @@ fn retired_checkpoint_flags_are_usage_errors() {
             .output()
             .expect("spawn reproduce");
         assert_eq!(out.status.code(), Some(2), "{retired}");
+    }
+}
+
+/// `reproduce` shares the evaluating binaries' flag parsing: the same
+/// misuse is a usage error before any experiment runs.
+#[test]
+fn shared_flag_misuse_is_a_usage_error() {
+    for bad in ["--jobs=0", "--store=", "--progress=bogus"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_reproduce"))
+            .args(["--exp", "counts", "--summary", bad])
+            .output()
+            .expect("spawn reproduce");
+        assert_eq!(out.status.code(), Some(2), "{bad}");
+        assert!(out.stdout.is_empty(), "{bad}: reproduce ran before failing");
     }
 }
 

@@ -43,7 +43,7 @@
 
 use mc_insight::{diff_documents, render_diff, DiffOptions};
 use mc_pulse::{import_bench, Registry, TrendOptions};
-use mc_tools::{exitcode, split_args, take_flag, TraceSession};
+use mc_tools::{exitcode, split_args, take_flag, Trace};
 use mc_trace::diag;
 use std::process::ExitCode;
 
@@ -60,15 +60,15 @@ common: [--trace=PATH] [--metrics] [--quiet]";
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (mut flags, positional) = split_args(&args);
-    let session = match TraceSession::from_flags(&mut flags) {
-        Ok(s) => s,
+    let mut trace = match Trace::from_flags(&mut flags) {
+        Ok(t) => t,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::from(exitcode::USAGE);
         }
     };
     let code = run(flags, positional);
-    session.finish();
+    trace.finish();
     code
 }
 

@@ -12,10 +12,7 @@
 
 use mc_creator::emit::{render_asm_unit, write_programs};
 use mc_creator::{CreatorConfig, MicroCreator};
-use mc_tools::{
-    exitcode, split_args, take_flag, take_guard_flags, take_jobs_flag, take_profile_flags,
-    take_store_flags, ProfileSession, PulseSession, StoreSession, TraceSession,
-};
+use mc_tools::{exitcode, split_args, take_flag, Run};
 use mc_trace::diag;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -47,58 +44,27 @@ options:
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (mut flags, positional) = split_args(&args);
-    let session = match TraceSession::from_flags(&mut flags) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(exitcode::USAGE);
-        }
-    };
-    let mut pulse = match PulseSession::from_flags(&mut flags) {
-        Ok(p) => p,
+    let run = match Run::from_flags(&mut flags) {
+        Ok(run) => run,
         Err(e) => {
             diag!("{e}");
             return ExitCode::from(exitcode::USAGE);
         }
     };
-    let mut store = match take_store_flags(&mut flags, pulse.registry_root()) {
-        Ok(s) => s,
-        Err(e) => {
-            diag!("{e}");
-            return ExitCode::from(exitcode::USAGE);
-        }
-    };
-    let mut profile = match take_profile_flags(&mut flags, pulse.registry_root()) {
-        Ok(p) => p,
-        Err(e) => {
-            diag!("{e}");
-            return ExitCode::from(exitcode::USAGE);
-        }
-    };
-    let code = run(flags, positional, &mut pulse, &store, &mut profile);
-    store.finish();
-    session.finish();
-    code
+    let (code, manifest) = create(flags, positional, &run);
+    run.finish("microcreator", manifest, code)
 }
 
-fn run(
+/// Generates and emits the programs. Returns the exit code and, once
+/// generation succeeded, the manifest to register.
+fn create(
     mut flags: Vec<String>,
     positional: Vec<String>,
-    pulse: &mut PulseSession,
-    store: &StoreSession,
-    profile: &mut ProfileSession,
-) -> ExitCode {
-    if let Err(e) = take_jobs_flag(&mut flags) {
-        diag!("{e}");
-        return ExitCode::from(exitcode::USAGE);
-    }
-    if let Err(e) = take_guard_flags(&mut flags) {
-        diag!("{e}");
-        return ExitCode::from(exitcode::USAGE);
-    }
+    run: &Run,
+) -> (u8, Option<mc_report::RunManifest>) {
     let Some(input) = positional.first() else {
         diag!("{USAGE}");
-        return ExitCode::from(exitcode::USAGE);
+        return (exitcode::USAGE, None);
     };
     let output_dir = positional.get(1).map(PathBuf::from);
 
@@ -115,7 +81,7 @@ fn run(
         Some("bin") => Format::Bin,
         Some(other) => {
             diag!("unknown --format `{other}` (asm, c or bin)");
-            return ExitCode::from(exitcode::USAGE);
+            return (exitcode::USAGE, None);
         }
     };
     if let Some(v) = take_flag(&mut flags, "--limit") {
@@ -123,7 +89,7 @@ fn run(
             Ok(n) => config.limit = Some(n),
             Err(_) => {
                 diag!("--limit: invalid integer `{v}`");
-                return ExitCode::from(exitcode::USAGE);
+                return (exitcode::USAGE, None);
             }
         }
     }
@@ -132,7 +98,7 @@ fn run(
             Ok(s) => config.seed = s,
             Err(_) => {
                 diag!("--seed: invalid integer `{v}`");
-                return ExitCode::from(exitcode::USAGE);
+                return (exitcode::USAGE, None);
             }
         }
     }
@@ -147,7 +113,7 @@ fn run(
             }
             _ => {
                 diag!("--random expects `variants,length` (e.g. --random=8,4)");
-                return ExitCode::from(exitcode::USAGE);
+                return (exitcode::USAGE, None);
             }
         }
     }
@@ -159,14 +125,14 @@ fn run(
     let print_one = take_flag(&mut flags, "--print");
     if let Some(unknown) = flags.first() {
         diag!("unknown option `{unknown}`\n{USAGE}");
-        return ExitCode::from(exitcode::USAGE);
+        return (exitcode::USAGE, None);
     }
 
     let xml = match std::fs::read_to_string(input) {
         Ok(x) => x,
         Err(e) => {
             diag!("cannot read {input}: {e}");
-            return ExitCode::from(exitcode::USAGE);
+            return (exitcode::USAGE, None);
         }
     };
     let creator = MicroCreator::with_config(config);
@@ -174,7 +140,7 @@ fn run(
         Ok(r) => r,
         Err(e) => {
             diag!("generation failed: {e}");
-            return ExitCode::from(exitcode::USAGE);
+            return (exitcode::USAGE, None);
         }
     };
 
@@ -195,7 +161,7 @@ fn run(
             Some(p) => print!("{}", render_asm_unit(p)),
             None => {
                 diag!("no variant named `{name}` (try --list)");
-                return ExitCode::from(exitcode::USAGE);
+                return (exitcode::USAGE, None);
             }
         }
     }
@@ -203,7 +169,7 @@ fn run(
         if format == Format::Bin {
             if let Err(e) = std::fs::create_dir_all(&dir) {
                 diag!("cannot create {}: {e}", dir.display());
-                return ExitCode::from(exitcode::EVAL);
+                return (exitcode::EVAL, None);
             }
             let mut written = 0usize;
             for p in &result.programs {
@@ -212,13 +178,13 @@ fn run(
                         let file = dir.join(format!("{}.bin", p.name.replace('-', "_")));
                         if let Err(e) = mc_report::atomic_write(&file, &bytes) {
                             diag!("cannot write {}: {e}", file.display());
-                            return ExitCode::from(exitcode::EVAL);
+                            return (exitcode::EVAL, None);
                         }
                         written += 1;
                     }
                     Err(e) => {
                         diag!("{}: {e}", p.name);
-                        return ExitCode::from(exitcode::EVAL);
+                        return (exitcode::EVAL, None);
                     }
                 }
             }
@@ -233,26 +199,18 @@ fn run(
                 ),
                 Err(e) => {
                     diag!("emit failed: {e}");
-                    return ExitCode::from(exitcode::EVAL);
+                    return (exitcode::EVAL, None);
                 }
             }
         }
     }
     // Generation produces no measurement CSV; the registered record is
     // the manifest alone, so trend listings still show the run happened.
-    let run_id = if pulse.active() {
-        let mut manifest = mc_report::RunManifest::new();
-        manifest.set("tool", "microcreator");
-        manifest.set("input", input.as_str());
-        manifest.set("programs", result.programs.len().to_string());
-        manifest.set("seed", creator.config().seed.to_string());
-        if let Some(root) = store.root() {
-            manifest.set("store", root.display().to_string());
-        }
-        pulse.finish("microcreator", manifest, exitcode::OK)
-    } else {
-        None
-    };
-    profile.finish(run_id.as_deref());
-    ExitCode::from(exitcode::OK)
+    let mut manifest = mc_report::RunManifest::new();
+    manifest.set("tool", "microcreator");
+    manifest.set("input", input.as_str());
+    manifest.set("programs", result.programs.len().to_string());
+    manifest.set("seed", creator.config().seed.to_string());
+    run.note_store(&mut manifest);
+    (exitcode::OK, Some(manifest))
 }

@@ -19,10 +19,7 @@
 use mc_creator::MicroCreator;
 use mc_launcher::launcher::RunReport;
 use mc_launcher::{KernelInput, LauncherOptions, MicroLauncher};
-use mc_tools::{
-    exitcode, guard_exit_code, take_guard_flags, take_jobs_flag, take_profile_flags,
-    take_store_flags, ProfileSession, PulseSession, StoreSession, TraceSession,
-};
+use mc_tools::{exitcode, guard_exit_code, Run};
 use mc_trace::diag;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -54,7 +51,7 @@ fn build_manifest(
     options: &LauncherOptions,
     input: &str,
     stable: bool,
-    store: &StoreSession,
+    run: &Run,
     failures: usize,
 ) -> mc_report::RunManifest {
     let mut manifest = options.manifest("microlauncher", env!("CARGO_PKG_VERSION"));
@@ -63,11 +60,7 @@ fn build_manifest(
     if failures > 0 {
         manifest.set("failed_rows", failures.to_string());
     }
-    // The path only: hit counts vary between cold and warm runs and
-    // would break byte-identical documents.
-    if let Some(root) = store.root() {
-        manifest.set("store", root.display().to_string());
-    }
+    run.note_store(&mut manifest);
     if let Ok(elapsed) = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH) {
         manifest.set("timestamp_unix", elapsed.as_secs().to_string());
     }
@@ -82,75 +75,39 @@ fn document_name(input: &str) -> String {
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let session = match TraceSession::from_flags(&mut args) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(exitcode::USAGE);
-        }
-    };
-    // After TraceSession: --quiet must already be in effect when the
-    // progress flags decide whether to install a sink.
-    let mut pulse = match PulseSession::from_flags(&mut args) {
-        Ok(p) => p,
+    let mut run = match Run::from_flags(&mut args) {
+        Ok(run) => run,
         Err(e) => {
             diag!("{e}");
             return ExitCode::from(exitcode::USAGE);
         }
     };
-    let mut store = match take_store_flags(&mut args, pulse.registry_root()) {
-        Ok(s) => s,
-        Err(e) => {
-            diag!("{e}");
-            return ExitCode::from(exitcode::USAGE);
-        }
-    };
-    let mut profile = match take_profile_flags(&mut args, pulse.registry_root()) {
-        Ok(p) => p,
-        Err(e) => {
-            diag!("{e}");
-            return ExitCode::from(exitcode::USAGE);
-        }
-    };
-    let code = run(args, &mut pulse, &store, &mut profile);
-    store.finish();
-    session.finish();
-    code
+    let (code, manifest) = launch(args, &mut run);
+    run.finish("microlauncher", manifest, code)
 }
 
-fn run(
-    mut args: Vec<String>,
-    pulse: &mut PulseSession,
-    store: &StoreSession,
-    profile: &mut ProfileSession,
-) -> ExitCode {
+/// Measures the input and prints its CSV document. Returns the exit code
+/// and, once the document is out, the manifest to register.
+fn launch(args: Vec<String>, run: &mut Run) -> (u8, Option<mc_report::RunManifest>) {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!("{}", usage());
-        return ExitCode::from(exitcode::OK);
-    }
-    if let Err(e) = take_jobs_flag(&mut args) {
-        diag!("{e}\n{}", usage());
-        return ExitCode::from(exitcode::USAGE);
-    }
-    if let Err(e) = take_guard_flags(&mut args) {
-        diag!("{e}\n{}", usage());
-        return ExitCode::from(exitcode::USAGE);
+        return (exitcode::OK, None);
     }
     let Some(input) = args.first().filter(|a| !a.starts_with("--")) else {
         diag!("{}", usage());
-        return ExitCode::from(exitcode::USAGE);
+        return (exitcode::USAGE, None);
     };
     // Environment-derived defaults first, explicit flags on top.
     let mut env_base = LauncherOptions::default();
     if let Err(e) = env_base.apply_adaptive_env() {
         diag!("{e}\n{}", usage());
-        return ExitCode::from(exitcode::USAGE);
+        return (exitcode::USAGE, None);
     }
     let options = match LauncherOptions::from_args_over(env_base, &args[1..]) {
         Ok(o) => o,
         Err(e) => {
             diag!("{e}\n{}", usage());
-            return ExitCode::from(exitcode::USAGE);
+            return (exitcode::USAGE, None);
         }
     };
 
@@ -160,7 +117,7 @@ fn run(
             Ok(b) => b,
             Err(e) => {
                 diag!("cannot read {input}: {e}");
-                return ExitCode::from(exitcode::USAGE);
+                return (exitcode::USAGE, None);
             }
         };
         let name = input.rsplit('/').next().unwrap_or(input).trim_end_matches(".bin");
@@ -168,13 +125,13 @@ fn run(
             Ok(k) => k,
             Err(e) => {
                 diag!("disassembly failed: {e}");
-                return ExitCode::from(exitcode::USAGE);
+                return (exitcode::USAGE, None);
             }
         };
         let launcher = MicroLauncher::new(options.clone());
         return match launcher.run(&kernel_input) {
             Ok(report) => {
-                let manifest = build_manifest(&options, input, report.stable, store, 0);
+                let manifest = build_manifest(&options, input, report.stable, run, 0);
                 let document = format!(
                     "{}{}\n{}\n",
                     manifest.render(),
@@ -182,14 +139,12 @@ fn run(
                     report.csv_row()
                 );
                 print!("{document}");
-                pulse.record_document(&document_name(input), &document);
-                let run_id = pulse.finish("microlauncher", manifest, exitcode::OK);
-                profile.finish(run_id.as_deref());
-                ExitCode::from(exitcode::OK)
+                run.record_document(&document_name(input), &document);
+                (exitcode::OK, Some(manifest))
             }
             Err(e) => {
                 diag!("run failed: {e}");
-                ExitCode::from(exitcode::EVAL)
+                (exitcode::EVAL, None)
             }
         };
     }
@@ -198,7 +153,7 @@ fn run(
         Ok(c) => c,
         Err(e) => {
             diag!("cannot read {input}: {e}");
-            return ExitCode::from(exitcode::USAGE);
+            return (exitcode::USAGE, None);
         }
     };
 
@@ -208,7 +163,7 @@ fn run(
             Ok(r) => r.programs,
             Err(e) => {
                 diag!("generation failed: {e}");
-                return ExitCode::from(exitcode::USAGE);
+                return (exitcode::USAGE, None);
             }
         }
     } else {
@@ -227,7 +182,7 @@ fn run(
             }
             Err(e) => {
                 diag!("assembly parse failed: {e}");
-                return ExitCode::from(exitcode::USAGE);
+                return (exitcode::USAGE, None);
             }
         }
     };
@@ -263,7 +218,7 @@ fn run(
             }
         }
     }
-    let manifest = build_manifest(&base, input, all_stable, store, failures);
+    let manifest = build_manifest(&base, input, all_stable, run, failures);
     let mut document = manifest.render();
     document.push_str(RunReport::csv_header());
     document.push('\n');
@@ -272,9 +227,6 @@ fn run(
         document.push('\n');
     }
     print!("{document}");
-    let code = guard_exit_code();
-    pulse.record_document(&document_name(input), &document);
-    let run_id = pulse.finish("microlauncher", manifest, code);
-    profile.finish(run_id.as_deref());
-    ExitCode::from(code)
+    run.record_document(&document_name(input), &document);
+    (guard_exit_code(), Some(manifest))
 }

@@ -26,102 +26,64 @@ use mc_report::table::{fmt_f, AsciiTable};
 use mc_simarch::config::Level;
 use mc_simarch::energy::{energy_frequency_sweep, energy_optimal_frequency};
 use mc_simarch::exec::{estimate, ExecEnv, Workload};
-use mc_tools::{
-    exitcode, split_args, take_flag, take_guard_flags, take_jobs_flag, take_profile_flags,
-    take_store_flags, ProfileSession, PulseSession, StoreSession, TraceSession,
-};
+use mc_tools::{exitcode, split_args, take_flag, Run};
 use mc_trace::diag;
 use std::process::ExitCode;
+
+const USAGE: &str = "usage: microprobe [x5650|x7550|e31240|sandybridge|nehalem2|nehalem4] \
+                     [--explain [--evidence]] [--jobs=N] [--store=DIR] [--profile[=DIR]] \
+                     [--trace=PATH] [--metrics] [--quiet] [--register] [--registry=DIR] \
+                     [--progress[=MODE]] [--metrics-listen=ADDR]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (mut flags, positional) = split_args(&args);
-    let session = match TraceSession::from_flags(&mut flags) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(exitcode::USAGE);
-        }
-    };
-    let mut pulse = match PulseSession::from_flags(&mut flags) {
-        Ok(p) => p,
+    let run = match Run::from_flags(&mut flags) {
+        Ok(run) => run,
         Err(e) => {
             diag!("{e}");
             return ExitCode::from(exitcode::USAGE);
         }
     };
-    let mut store = match take_store_flags(&mut flags, pulse.registry_root()) {
-        Ok(s) => s,
-        Err(e) => {
-            diag!("{e}");
-            return ExitCode::from(exitcode::USAGE);
-        }
-    };
-    let mut profile = match take_profile_flags(&mut flags, pulse.registry_root()) {
-        Ok(p) => p,
-        Err(e) => {
-            diag!("{e}");
-            return ExitCode::from(exitcode::USAGE);
-        }
-    };
-    let code = run(flags, positional, &mut pulse, &store, &mut profile);
-    store.finish();
-    session.finish();
-    code
+    let (code, manifest) = probe(flags, positional, &run);
+    run.finish("microprobe", manifest, code)
 }
 
-fn run(
+/// Runs the probe (or `--explain`) and prints its report. Returns the
+/// exit code and, once the report is out, the manifest to register.
+fn probe(
     mut flags: Vec<String>,
     positional: Vec<String>,
-    pulse: &mut PulseSession,
-    store: &StoreSession,
-    profile: &mut ProfileSession,
-) -> ExitCode {
-    const USAGE: &str = "usage: microprobe [x5650|x7550|e31240|sandybridge|nehalem2|nehalem4] \
-                         [--explain [--evidence]] [--jobs=N] [--store=DIR] [--profile[=DIR]] \
-                         [--trace=PATH] [--metrics] [--quiet] [--register] [--registry=DIR] \
-                         [--progress[=MODE]] [--metrics-listen=ADDR]";
-    if let Err(e) = take_jobs_flag(&mut flags) {
-        diag!("{e}\n{USAGE}");
-        return ExitCode::from(exitcode::USAGE);
-    }
-    if let Err(e) = take_guard_flags(&mut flags) {
-        diag!("{e}\n{USAGE}");
-        return ExitCode::from(exitcode::USAGE);
-    }
+    run: &Run,
+) -> (u8, Option<mc_report::RunManifest>) {
     let explain_mode = take_flag(&mut flags, "--explain").is_some();
     let evidence_mode = take_flag(&mut flags, "--evidence").is_some();
     if evidence_mode && !explain_mode {
         diag!("--evidence requires --explain\n{USAGE}");
-        return ExitCode::from(exitcode::USAGE);
+        return (exitcode::USAGE, None);
     }
     if let Some(unknown) = flags.first() {
         diag!("unknown option `{unknown}`\n{USAGE}");
-        return ExitCode::from(exitcode::USAGE);
+        return (exitcode::USAGE, None);
     }
     let arg = positional.first().cloned().unwrap_or_else(|| "x5650".to_owned());
     let Some(preset) = MachinePreset::from_name(&arg) else {
         diag!("{USAGE}");
-        return ExitCode::from(exitcode::USAGE);
+        return (exitcode::USAGE, None);
     };
+    // The probe's product is its stdout report; the registered record is
+    // the manifest alone, so the characterization run stays on the time
+    // axis alongside measured sweeps, and the collected profiles get
+    // stamped with a real run ID.
+    let mut manifest = mc_report::RunManifest::new();
+    manifest.set("tool", "microprobe");
+    manifest.set("machine", preset.name());
+    let mode = if explain_mode { "explain:" } else { "" };
+    manifest.set("input", format!("{mode}{}", preset.name()));
+    run.note_store(&mut manifest);
     if explain_mode {
-        let code = explain(preset, evidence_mode);
-        // An explain run registers like the probe: manifest only, so the
-        // collected profiles get stamped with a real run ID.
-        let run_id = if pulse.active() {
-            let mut manifest = mc_report::RunManifest::new();
-            manifest.set("tool", "microprobe");
-            manifest.set("machine", preset.name());
-            manifest.set("input", format!("explain:{}", preset.name()));
-            if let Some(root) = store.root() {
-                manifest.set("store", root.display().to_string());
-            }
-            pulse.finish("microprobe", manifest, exitcode::OK)
-        } else {
-            None
-        };
-        profile.finish(run_id.as_deref());
-        return code;
+        explain(preset, evidence_mode);
+        return (exitcode::OK, Some(manifest));
     }
     let mut probe_span = mc_trace::span("probe.machine");
     probe_span.field("machine", preset.name());
@@ -133,7 +95,7 @@ fn run(
     );
 
     // Hierarchy characterization: cycles/load for scalar & vector streams.
-    let run = |m: Mnemonic, unroll: u32, level: Level| -> f64 {
+    let cycles_per_load = |m: Mnemonic, unroll: u32, level: Level| -> f64 {
         let program = programs_by_unroll(&load_stream(m, unroll, unroll))
             .expect("generation succeeds")
             .remove(0);
@@ -153,8 +115,8 @@ fn run(
     let mut table =
         AsciiTable::new(vec!["level", "movss c/l (u8)", "movaps c/l (u8)", "movaps GB/s"]);
     for level in Level::ALL {
-        let ss = run(Mnemonic::Movss, 8, level);
-        let aps = run(Mnemonic::Movaps, 8, level);
+        let ss = cycles_per_load(Mnemonic::Movss, 8, level);
+        let aps = cycles_per_load(Mnemonic::Movaps, 8, level);
         let gbs = 16.0 / (aps / machine.nominal_ghz); // bytes per ns
         table.row(vec![level.name().to_owned(), fmt_f(ss, 2), fmt_f(aps, 2), fmt_f(gbs, 1)]);
     }
@@ -197,23 +159,7 @@ fn run(
         }
     }
     drop(probe_span);
-    // The probe's product is its stdout report; the registered record is
-    // the manifest alone so the characterization run stays on the time
-    // axis alongside measured sweeps.
-    let run_id = if pulse.active() {
-        let mut manifest = mc_report::RunManifest::new();
-        manifest.set("tool", "microprobe");
-        manifest.set("machine", preset.name());
-        manifest.set("input", preset.name());
-        if let Some(root) = store.root() {
-            manifest.set("store", root.display().to_string());
-        }
-        pulse.finish("microprobe", manifest, exitcode::OK)
-    } else {
-        None
-    };
-    profile.finish(run_id.as_deref());
-    ExitCode::from(exitcode::OK)
+    (exitcode::OK, Some(manifest))
 }
 
 /// `--explain`: run the canonical bottleneck kernels through the timing
@@ -221,7 +167,7 @@ fn run(
 /// installed `--profile` collector) every estimate also records an
 /// mc-scope profile; evidence mode then cites, per verdict, the profile
 /// lines that back it.
-fn explain(preset: MachinePreset, evidence_mode: bool) -> ExitCode {
+fn explain(preset: MachinePreset, evidence_mode: bool) {
     let machine = preset.config();
     println!("══ {} — bottleneck attribution ══", machine.name);
     let generated = |desc: &mc_kernel::KernelDesc| -> Program {
@@ -324,5 +270,4 @@ fn explain(preset: MachinePreset, evidence_mode: bool) -> ExitCode {
             }
         }
     }
-    ExitCode::from(exitcode::OK)
 }

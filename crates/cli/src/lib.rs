@@ -21,6 +21,10 @@
 //! (`mc-creator`, `mc-launcher`, `mc-simarch`), so scripted studies can
 //! skip the process boundary entirely.
 
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
+use std::sync::Arc;
+
 /// Shared exit-code convention for the binaries.
 ///
 /// Every binary in this crate (and the `reproduce` driver in mc-bench)
@@ -70,69 +74,6 @@ pub fn take_flag(flags: &mut Vec<String>, name: &str) -> Option<String> {
     }
 }
 
-/// Extracts `--jobs=N` and configures the process-wide worker count for
-/// batch evaluation. Without the flag the count comes from the
-/// `MICROTOOLS_JOBS` environment variable, then available parallelism.
-pub fn take_jobs_flag(flags: &mut Vec<String>) -> Result<(), String> {
-    if let Some(value) = take_flag(flags, "--jobs") {
-        mc_exec::set_jobs(mc_exec::parse_jobs(&value)?);
-    }
-    Ok(())
-}
-
-/// The supervision flags every evaluating binary shares.
-///
-/// * `--deadline-ms=N` — per-evaluation wall-clock deadline; a blown
-///   deadline counts as a failed attempt.
-/// * `--retries=N` — retries after a failed attempt, with deterministic
-///   exponential backoff (0 = single attempt, the default).
-/// * `--max-failures=N` — error budget: the run exits with code 3 only
-///   when more than N evaluations fail terminally (default 0).
-/// * `--keep-going` — evaluate every point regardless of failures (the
-///   default; the flag exists to state it explicitly).
-/// * `--fail-fast` — once the budget is spent, skip the remaining
-///   points instead of evaluating them.
-///
-/// A killed run resumes by rerunning it against the same persistent
-/// store (see [`take_store_flags`]): finished points load from disk, and
-/// failed and missing points evaluate.
-///
-/// The `MICROTOOLS_FAULT` environment variable installs a deterministic
-/// fault plan (`panic@I`, `delay@I:MS`, `io@I`, `flaky@I:N`,
-/// comma-separated) — the recovery tests and the CI smoke use it to
-/// make evaluations fail on purpose.
-pub fn take_guard_flags(flags: &mut Vec<String>) -> Result<(), String> {
-    let mut policy = mc_guard::GuardPolicy::default();
-    if let Some(v) = take_flag(flags, "--deadline-ms") {
-        let ms: u64 = v.parse().map_err(|_| format!("--deadline-ms: not a number: `{v}`"))?;
-        if ms == 0 {
-            return Err("--deadline-ms: deadline must be positive".into());
-        }
-        policy.deadline = Some(std::time::Duration::from_millis(ms));
-    }
-    if let Some(v) = take_flag(flags, "--retries") {
-        policy.retries = v.parse().map_err(|_| format!("--retries: not a number: `{v}`"))?;
-    }
-    if let Some(v) = take_flag(flags, "--max-failures") {
-        policy.max_failures =
-            v.parse().map_err(|_| format!("--max-failures: not a number: `{v}`"))?;
-    }
-    let keep_going = take_flag(flags, "--keep-going").is_some();
-    let fail_fast = take_flag(flags, "--fail-fast").is_some();
-    if keep_going && fail_fast {
-        return Err("--keep-going and --fail-fast are mutually exclusive".into());
-    }
-    policy.fail_fast = fail_fast;
-    mc_guard::set_policy(policy);
-
-    if let Ok(spec) = std::env::var("MICROTOOLS_FAULT") {
-        if !spec.is_empty() {
-            mc_guard::install_fault_spec(&spec).map_err(|e| format!("MICROTOOLS_FAULT: {e}"))?;
-        }
-    }
-    Ok(())
-}
-
 /// The exit code a supervised run ends with: [`exitcode::EVAL`] when
 /// terminal failures exceeded the error budget, [`exitcode::OK`]
 /// otherwise. Call after the sweep completes.
@@ -145,7 +86,8 @@ pub fn guard_exit_code() -> u8 {
 }
 
 /// The observability flags every binary shares, and the end-of-run
-/// reporting they imply.
+/// reporting they imply. `mc-report` uses this part alone; the
+/// evaluating binaries get it inside [`Run`].
 ///
 /// * `--trace=PATH` — stream every event as one JSON line to `PATH`
 ///   (`stderr` streams to standard error). Falls back to the
@@ -160,21 +102,20 @@ pub fn guard_exit_code() -> u8 {
 ///   pass-timing/span tables plus the metrics registry to stderr.
 /// * `--quiet` — suppress diagnostic output (`mc_trace::diag!` lines).
 ///
-/// The session flushes the installed sink on drop even when
-/// [`TraceSession::finish`] was never reached — a panic or early exit
-/// must not leave a truncated JSONL file or an empty Chrome trace.
+/// The installed sink is flushed on drop even when [`Trace::finish`] was
+/// never reached — a panic or early exit must not leave a truncated
+/// JSONL file or an empty Chrome trace.
 #[derive(Debug)]
-pub struct TraceSession {
-    buffer: Option<std::sync::Arc<mc_trace::MemorySink>>,
+pub struct Trace {
+    buffer: Option<Arc<mc_trace::MemorySink>>,
     metrics: bool,
-    finished: std::sync::atomic::AtomicBool,
+    finished: bool,
 }
 
-impl TraceSession {
-    /// Extracts the shared flags, installs the matching sinks, and
-    /// returns the session handle. Call [`TraceSession::finish`] at exit.
-    pub fn from_flags(flags: &mut Vec<String>) -> Result<TraceSession, String> {
-        use std::sync::Arc;
+impl Trace {
+    /// Extracts the observability flags, installs the matching sinks,
+    /// and returns the handle. Call [`Trace::finish`] at exit.
+    pub fn from_flags(flags: &mut Vec<String>) -> Result<Trace, String> {
         mc_trace::set_quiet(take_flag(flags, "--quiet").is_some());
         let metrics = take_flag(flags, "--metrics").is_some();
         let chrome = match take_flag(flags, "--trace-format").as_deref() {
@@ -208,13 +149,13 @@ impl TraceSession {
                 if target == "stderr" {
                     return Err("--trace-format=chrome requires a file path, not stderr".into());
                 }
-                let sink = mc_trace::ChromeTraceSink::create(std::path::Path::new(target))
+                let sink = mc_trace::ChromeTraceSink::create(Path::new(target))
                     .map_err(|e| format!("--trace: cannot create {target}: {e}"))?;
                 sinks.push(Arc::new(sink));
             } else if target == "stderr" {
                 sinks.push(Arc::new(mc_trace::JsonlSink::new(std::io::stderr())));
             } else {
-                let sink = mc_trace::JsonlSink::create(std::path::Path::new(target))
+                let sink = mc_trace::JsonlSink::create(Path::new(target))
                     .map_err(|e| format!("--trace: cannot create {target}: {e}"))?;
                 sinks.push(Arc::new(sink));
             }
@@ -230,15 +171,15 @@ impl TraceSession {
         if metrics {
             mc_trace::enable_metrics(true);
         }
-        Ok(TraceSession { buffer, metrics, finished: std::sync::atomic::AtomicBool::new(false) })
+        Ok(Trace { buffer, metrics, finished: false })
     }
 
     /// Flushes the trace and, under `--metrics`, prints the end-of-run
     /// tables to stderr (stdout stays machine-readable: CSV, listings).
     /// `--quiet` wins over `--metrics`: a quiet run prints no summary
     /// tables, matching the diagnostics it already suppresses.
-    pub fn finish(&self) {
-        self.finished.store(true, std::sync::atomic::Ordering::Release);
+    pub fn finish(&mut self) {
+        self.finished = true;
         mc_trace::flush();
         if !self.metrics || mc_trace::quiet() {
             return;
@@ -262,15 +203,84 @@ impl TraceSession {
     }
 }
 
-impl Drop for TraceSession {
+impl Drop for Trace {
     fn drop(&mut self) {
-        // Guard against panics and early `return`s between installing the
-        // sink and calling finish(): whatever was traced still lands on
+        // Whatever was traced before a panic or early exit still lands on
         // disk instead of dying in a BufWriter.
-        if !*self.finished.get_mut() {
+        if !self.finished {
             mc_trace::flush();
         }
     }
+}
+
+/// Environment variable selecting the persistent evaluation store root.
+pub const STORE_ENV: &str = "MICROTOOLS_STORE";
+
+/// Environment variable selecting the evaluation-profile directory.
+pub const PROFILE_ENV: &str = "MICROTOOLS_PROFILE";
+
+/// One run of an evaluating binary (`microcreator`, `microlauncher`,
+/// `microprobe`, `reproduce`): every shared flag parsed once, the
+/// process-wide sinks and slots it selects installed, and the end-of-run
+/// teardown in one place.
+///
+/// [`Run::from_flags`] consumes the shared flags in the order they
+/// depend on each other:
+///
+/// 1. **Observability** ([`Trace`]): `--trace`, `--trace-format`,
+///    `--metrics`, `--quiet`. First, so `--quiet` is in effect before
+///    the progress flags decide whether to install a sink.
+/// 2. **Evaluation engine**: `--jobs=N`, the batch worker count. Without
+///    the flag the count comes from `MICROTOOLS_JOBS`, then available
+///    parallelism.
+/// 3. **Supervision**: `--deadline-ms=N` (per-evaluation wall-clock
+///    deadline; a blown deadline is a failed attempt), `--retries=N`
+///    (retries with deterministic exponential backoff),
+///    `--max-failures=N` (the error budget: exit 3 only past N terminal
+///    failures), `--keep-going` (the default, stated explicitly) and
+///    `--fail-fast` (skip the remaining points once the budget is spent).
+///    `MICROTOOLS_FAULT` installs a deterministic fault plan (`panic@I`,
+///    `delay@I:MS`, `io@I`, `flaky@I:N`, comma-separated); the recovery
+///    tests and the CI smoke use it to make evaluations fail on purpose.
+/// 4. **Registry and live view** (mc-pulse): `--register` persists the
+///    run (manifest, extracted points, metrics snapshot) for
+///    `mc-report history/trend`; the root defaults to `.microtools`,
+///    overridden by `MICROTOOLS_REGISTRY` or `--registry=DIR` (which
+///    implies `--register`). `--progress[=tty|jsonl|jsonl:PATH]` shows
+///    live sweep progress: `tty` repaints one stderr line and
+///    auto-disables off a terminal, `jsonl` streams deterministic records
+///    plus time-gated heartbeats, and `--quiet` suppresses both.
+///    `--metrics-listen=ADDR` serves the live metrics as OpenMetrics text
+///    for the lifetime of the process (port 0 picks a free port).
+/// 5. **Persistent store**: `--store=DIR`, else `MICROTOOLS_STORE`, else
+///    `<registry root>/store` when the run registers, else none (memoized
+///    in-process only). Records persisted under another report schema or
+///    simulator calibration self-invalidate, and corrupt records are
+///    skipped with a counted warning. A killed run resumes by rerunning
+///    it against the same store: finished points load from disk.
+/// 6. **Profiles**: `--profile=DIR` writes one mc-scope `<key>.jsonl`
+///    profile per evaluated kernel; bare `--profile` defaults to
+///    `<registry root>/profiles` when the run registers, else
+///    `profiles/`; `MICROTOOLS_PROFILE` applies without the flag.
+///    Profiling is observation only: it never reaches the memo or store
+///    fingerprints, and memo or store hits record no profile.
+///
+/// [`Run::finish`] tears the run down in the order its artifacts depend
+/// on: progress display off and the run registered (which yields the run
+/// ID), profiles stamped with that ID, the store's hit ledger flushed,
+/// then the trace flushed and the `--metrics` tables printed. Dropping an
+/// unfinished run (a panic, or a flag error part-way through
+/// `from_flags`) does the same teardown except that it registers nothing
+/// and prints no tables.
+pub struct Run {
+    trace: Trace,
+    registry: Option<mc_pulse::Registry>,
+    tty: Option<Arc<mc_pulse::TtyProgress>>,
+    /// Held only to keep the endpoint serving until the process ends.
+    _server: Option<mc_pulse::MetricsServer>,
+    store: Option<Arc<mc_store::DiskStore>>,
+    profiler: Option<Arc<mc_launcher::profile::Profiler>>,
+    documents: Vec<(String, String)>,
 }
 
 /// How `--progress` renders, after validation.
@@ -281,40 +291,57 @@ enum ProgressMode {
     Jsonl(Option<String>),
 }
 
-/// The mc-pulse flags every measuring binary shares, and the end-of-run
-/// registration they imply.
-///
-/// * `--register` — persist this run (manifest, extracted points,
-///   metrics snapshot) into the run registry; `mc-report history/trend`
-///   read it back. The registry root defaults to `.microtools`,
-///   overridden by `MICROTOOLS_REGISTRY` or `--registry=DIR` (which
-///   implies `--register`).
-/// * `--progress[=tty|jsonl|jsonl:PATH]` — live sweep progress. The
-///   default `tty` mode repaints one stderr status line (throughput,
-///   ETA, cache hit rate, failures) and auto-disables when stderr is not
-///   a terminal; `jsonl` streams deterministic progress records plus
-///   time-gated heartbeats. `--quiet` suppresses every progress display.
-/// * `--metrics-listen=ADDR` — serve the live metrics registry and
-///   progress gauges as OpenMetrics text on `ADDR` (e.g.
-///   `127.0.0.1:9464`; port 0 picks a free port) for the lifetime of the
-///   process.
-///
-/// Call [`PulseSession::finish`] with the run's manifest and exit code
-/// once the product output is complete.
-pub struct PulseSession {
-    registry: Option<mc_pulse::Registry>,
-    tty: Option<std::sync::Arc<mc_pulse::TtyProgress>>,
-    server: Option<mc_pulse::MetricsServer>,
-    documents: Vec<(String, String)>,
-    finished: bool,
-}
+impl Run {
+    /// Extracts every shared flag, installs what it selects, and returns
+    /// the run. Call [`Run::finish`] once the product output is complete.
+    pub fn from_flags(flags: &mut Vec<String>) -> Result<Run, String> {
+        let mut run = Run {
+            trace: Trace::from_flags(flags)?,
+            registry: None,
+            tty: None,
+            _server: None,
+            store: None,
+            profiler: None,
+            documents: Vec::new(),
+        };
+        if let Some(value) = take_flag(flags, "--jobs") {
+            mc_exec::set_jobs(mc_exec::parse_jobs(&value)?);
+        }
+        set_guard_policy(flags)?;
+        run.start_pulse(flags)?;
 
-impl PulseSession {
-    /// Extracts the pulse flags, installs progress sinks and the metrics
-    /// endpoint, and returns the session handle.
-    pub fn from_flags(flags: &mut Vec<String>) -> Result<PulseSession, String> {
+        let root = run.registry.as_ref().map(|r| r.root().to_path_buf());
+        let store_dir = match take_flag(flags, "--store") {
+            Some(dir) if dir.is_empty() => return Err("--store requires a directory path".into()),
+            Some(dir) => Some(PathBuf::from(dir)),
+            None => match std::env::var(STORE_ENV).ok().filter(|v| !v.is_empty()) {
+                Some(dir) => Some(PathBuf::from(dir)),
+                None => root.as_ref().map(|root| root.join("store")),
+            },
+        };
+        run.store = store_dir.map(mc_launcher::store::install_store);
+
+        let profile_dir = match take_flag(flags, "--profile") {
+            Some(dir) if dir.is_empty() => {
+                Some(root.map_or_else(|| PathBuf::from("profiles"), |r| r.join("profiles")))
+            }
+            Some(dir) => Some(PathBuf::from(dir)),
+            None => std::env::var(PROFILE_ENV).ok().filter(|v| !v.is_empty()).map(PathBuf::from),
+        };
+        if let Some(dir) = profile_dir {
+            run.profiler = Some(
+                mc_launcher::profile::install_profiler(&dir)
+                    .map_err(|e| format!("--profile: {e}"))?,
+            );
+        }
+        Ok(run)
+    }
+
+    /// The mc-pulse part of [`Run::from_flags`]: registry, live progress
+    /// and the metrics endpoint. Every pulse flag is consumed before any
+    /// is validated.
+    fn start_pulse(&mut self, flags: &mut Vec<String>) -> Result<(), String> {
         use std::io::IsTerminal;
-        use std::sync::Arc;
         let register = match take_flag(flags, "--register") {
             None => false,
             Some(v) if v.is_empty() => true,
@@ -339,16 +366,13 @@ impl PulseSession {
             }
         };
 
-        let registry = if register || registry_flag.is_some() {
+        if register || registry_flag.is_some() {
             // Registered records carry a metrics snapshot, so turn the
             // registry on even without --metrics.
             mc_trace::enable_metrics(true);
-            Some(mc_pulse::Registry::resolve(registry_flag.as_deref()))
-        } else {
-            None
-        };
+            self.registry = Some(mc_pulse::Registry::resolve(registry_flag.as_deref()));
+        }
 
-        let mut server = None;
         match listen.as_deref() {
             None => {}
             Some("") => {
@@ -356,44 +380,43 @@ impl PulseSession {
             }
             Some(addr) => {
                 mc_trace::enable_metrics(true);
-                let s = mc_pulse::MetricsServer::start(addr)
+                let server = mc_pulse::MetricsServer::start(addr)
                     .map_err(|e| format!("--metrics-listen: cannot bind {addr}: {e}"))?;
-                mc_trace::diag!("serving OpenMetrics on http://{}/", s.local_addr());
-                server = Some(s);
+                mc_trace::diag!("serving OpenMetrics on http://{}/", server.local_addr());
+                self._server = Some(server);
             }
         }
 
-        let mut tty = None;
-        if !mc_trace::quiet() {
-            match mode {
-                None => {}
-                // Off-TTY (redirected stderr, CI logs) the repainting
-                // line would be noise; auto-disable instead of erroring.
-                Some(ProgressMode::Tty) if std::io::stderr().is_terminal() => {
-                    let sink = Arc::new(mc_pulse::TtyProgress::new());
-                    mc_trace::install_progress(sink.clone());
-                    tty = Some(sink);
-                }
-                Some(ProgressMode::Tty) => {}
-                Some(ProgressMode::Jsonl(None)) => {
-                    mc_trace::install_progress(Arc::new(mc_pulse::JsonlProgress::new(
-                        std::io::stderr(),
-                    )));
-                }
-                Some(ProgressMode::Jsonl(Some(path))) => {
-                    let file = std::fs::File::create(&path)
-                        .map_err(|e| format!("--progress: cannot create {path}: {e}"))?;
-                    mc_trace::install_progress(Arc::new(mc_pulse::JsonlProgress::new(file)));
-                }
+        if mc_trace::quiet() {
+            return Ok(());
+        }
+        match mode {
+            None => {}
+            // Off-TTY (redirected stderr, CI logs) the repainting line
+            // would be noise; auto-disable instead of erroring.
+            Some(ProgressMode::Tty) if std::io::stderr().is_terminal() => {
+                let sink = Arc::new(mc_pulse::TtyProgress::new());
+                mc_trace::install_progress(sink.clone());
+                self.tty = Some(sink);
+            }
+            Some(ProgressMode::Tty) => {}
+            Some(ProgressMode::Jsonl(None)) => {
+                mc_trace::install_progress(Arc::new(mc_pulse::JsonlProgress::new(
+                    std::io::stderr(),
+                )));
+            }
+            Some(ProgressMode::Jsonl(Some(path))) => {
+                let file = std::fs::File::create(&path)
+                    .map_err(|e| format!("--progress: cannot create {path}: {e}"))?;
+                mc_trace::install_progress(Arc::new(mc_pulse::JsonlProgress::new(file)));
             }
         }
-
-        Ok(PulseSession { registry, tty, server, documents: Vec::new(), finished: false })
+        Ok(())
     }
 
     /// True when this run will be registered — callers can skip
     /// assembling documents otherwise.
-    pub fn active(&self) -> bool {
+    pub fn registering(&self) -> bool {
         self.registry.is_some()
     }
 
@@ -405,337 +428,183 @@ impl PulseSession {
         }
     }
 
-    /// Tears down live monitoring and, under `--register`, writes the
-    /// run record. Call once, after the product output is complete, with
-    /// the exit code the process is about to return. Returns the
-    /// registered run ID so companion artifacts (evaluation profiles)
-    /// can link back to the run.
+    /// Adds the `# store:` line to a manifest when a persistent store is
+    /// installed. The path only: hit counts vary between cold and warm
+    /// runs and would break byte-identical documents and content-derived
+    /// run IDs.
+    pub fn note_store(&self, manifest: &mut mc_report::RunManifest) {
+        if let Some(store) = &self.store {
+            manifest.set("store", store.root().display().to_string());
+        }
+    }
+
+    /// Ends the run and returns the process exit code `code`. `manifest`
+    /// is the run's provenance when it produced its output; under
+    /// `--register` it is registered with the recorded documents and the
+    /// exit code. `None` (a usage error, a failed input) registers
+    /// nothing but tears down the same way.
     pub fn finish(
-        &mut self,
+        mut self,
         tool: &str,
-        manifest: mc_report::RunManifest,
-        status: u8,
-    ) -> Option<String> {
-        self.finished = true;
+        manifest: Option<mc_report::RunManifest>,
+        code: u8,
+    ) -> ExitCode {
+        self.close(manifest.map(|m| (tool, m, code)));
+        self.trace.finish();
+        ExitCode::from(code)
+    }
+
+    /// Everything [`Run::finish`] and `Drop` share, in dependency order;
+    /// each step runs at most once.
+    fn close(&mut self, registration: Option<(&str, mc_report::RunManifest, u8)>) {
         mc_trace::uninstall_progress();
-        if let Some(tty) = &self.tty {
+        if let Some(tty) = self.tty.take() {
             tty.clear();
         }
-        let registry = self.registry.as_ref()?;
-        let mut record =
-            mc_pulse::RunRecord::new(tool, env!("CARGO_PKG_VERSION"), i32::from(status), manifest);
-        for (name, text) in &self.documents {
-            if let Err(e) = record.add_document(name, text) {
-                mc_trace::diag!("pulse: cannot extract points from {name}: {e}");
+        let run_id = match (self.registry.take(), registration) {
+            (Some(registry), Some((tool, manifest, status))) => {
+                register(&registry, tool, manifest, status, &self.documents)
+            }
+            _ => None,
+        };
+        if let Some(profiler) = self.profiler.take() {
+            mc_launcher::profile::clear_profiler();
+            let count = profiler.finish(run_id.as_deref());
+            if count > 0 {
+                mc_trace::diag!(
+                    "profiles: {count} evaluation profile(s) in {}",
+                    profiler.dir().display()
+                );
             }
         }
-        record.metrics_text = mc_pulse::registry::snapshot_metrics();
-        match registry.register(&record) {
-            Ok(run_id) => {
-                mc_trace::diag!("registered run {run_id} in {}", registry.root().display());
-                Some(run_id)
+        if let Some(store) = self.store.take() {
+            store.flush_ledger();
+            let c = store.counters();
+            if !c.is_empty() {
+                mc_trace::diag!(
+                    "store: {} mem hits, {} disk hits, {} misses, {} saved{} ({})",
+                    c.hit_mem,
+                    c.hit_disk,
+                    c.miss,
+                    c.saved,
+                    if c.skipped_corrupt + c.stale > 0 {
+                        format!(", {} corrupt, {} stale skipped", c.skipped_corrupt, c.stale)
+                    } else {
+                        String::new()
+                    },
+                    store.root().display(),
+                );
             }
-            Err(e) => {
-                mc_trace::diag!("pulse: registration failed: {e}");
-                None
-            }
+            mc_launcher::store::clear_store();
         }
-    }
-
-    /// The OpenMetrics endpoint's bound address, when listening.
-    pub fn metrics_addr(&self) -> Option<std::net::SocketAddr> {
-        self.server.as_ref().map(mc_pulse::MetricsServer::local_addr)
-    }
-
-    /// The registry root, when this run registers — the persistent
-    /// store's default home (`<root>/store`).
-    pub fn registry_root(&self) -> Option<&std::path::Path> {
-        self.registry.as_ref().map(mc_pulse::Registry::root)
     }
 }
 
-impl Drop for PulseSession {
+impl Drop for Run {
     fn drop(&mut self) {
-        // A panic or early exit must not leave a progress sink installed
-        // or a half-painted status line on the terminal.
-        if !self.finished {
-            mc_trace::uninstall_progress();
-            if let Some(tty) = &self.tty {
-                tty.clear();
-            }
+        // A panic or early exit must not leave a progress sink installed,
+        // profiles unwritten, the ledger unflushed or the process-wide
+        // slots set; the `trace` field's own drop then flushes the sink.
+        self.close(None);
+    }
+}
+
+/// Writes the run record into the registry and returns its run ID, so
+/// companion artifacts (evaluation profiles) can link back to the run.
+fn register(
+    registry: &mc_pulse::Registry,
+    tool: &str,
+    manifest: mc_report::RunManifest,
+    status: u8,
+    documents: &[(String, String)],
+) -> Option<String> {
+    let mut record =
+        mc_pulse::RunRecord::new(tool, env!("CARGO_PKG_VERSION"), i32::from(status), manifest);
+    for (name, text) in documents {
+        if let Err(e) = record.add_document(name, text) {
+            mc_trace::diag!("pulse: cannot extract points from {name}: {e}");
+        }
+    }
+    record.metrics_text = mc_pulse::registry::snapshot_metrics();
+    match registry.register(&record) {
+        Ok(run_id) => {
+            mc_trace::diag!("registered run {run_id} in {}", registry.root().display());
+            Some(run_id)
+        }
+        Err(e) => {
+            mc_trace::diag!("pulse: registration failed: {e}");
+            None
         }
     }
 }
 
-/// Environment variable selecting the persistent evaluation store root.
-pub const STORE_ENV: &str = "MICROTOOLS_STORE";
-
-/// What [`take_store_flags`] set up: the installed persistent evaluation
-/// store, if any, plus the end-of-run bookkeeping it implies.
-#[derive(Default)]
-pub struct StoreSession {
-    store: Option<std::sync::Arc<mc_store::DiskStore>>,
-}
-
-/// Extracts `--store=DIR` and installs the persistent two-tier
-/// evaluation store for the run.
-///
-/// Resolution order: the `--store=DIR` flag, the `MICROTOOLS_STORE`
-/// environment variable, then — when the run registers (`--register` /
-/// `--registry`) — `<registry root>/store`, so registered sweeps warm
-/// up across processes by default. With none of the three, no store is
-/// installed and evaluation is memoized in-process only.
-///
-/// Records persisted under a different report schema or simulator
-/// calibration self-invalidate, and corrupt records are skipped with a
-/// counted warning — a damaged store can cost simulator time, never
-/// correctness.
-pub fn take_store_flags(
-    flags: &mut Vec<String>,
-    registry_root: Option<&std::path::Path>,
-) -> Result<StoreSession, String> {
-    let dir = match take_flag(flags, "--store") {
-        Some(dir) if dir.is_empty() => return Err("--store requires a directory path".into()),
-        Some(dir) => Some(std::path::PathBuf::from(dir)),
-        None => match std::env::var(STORE_ENV).ok().filter(|v| !v.is_empty()) {
-            Some(dir) => Some(std::path::PathBuf::from(dir)),
-            None => registry_root.map(|root| root.join("store")),
-        },
-    };
-    let Some(dir) = dir else { return Ok(StoreSession::default()) };
-    Ok(StoreSession { store: Some(mc_launcher::store::install_store(&dir)) })
-}
-
-impl StoreSession {
-    /// True when a persistent store is installed for this run.
-    pub fn active(&self) -> bool {
-        self.store.is_some()
-    }
-
-    /// The store root, for the `# store:` manifest line. Carries only
-    /// the path — counters vary between warm and cold runs and would
-    /// break byte-identical output and content-derived run IDs.
-    pub fn root(&self) -> Option<&std::path::Path> {
-        self.store.as_deref().map(mc_store::DiskStore::root)
-    }
-
-    /// Flushes this process's tallies to the store's hit ledger, prints
-    /// a diagnostic summary, and uninstalls the store. Call once, after
-    /// the product output is complete.
-    pub fn finish(&mut self) {
-        let Some(store) = self.store.take() else { return };
-        store.flush_ledger();
-        let c = store.counters();
-        if !c.is_empty() {
-            mc_trace::diag!(
-                "store: {} mem hits, {} disk hits, {} misses, {} saved{} ({})",
-                c.hit_mem,
-                c.hit_disk,
-                c.miss,
-                c.saved,
-                if c.skipped_corrupt + c.stale > 0 {
-                    format!(", {} corrupt, {} stale skipped", c.skipped_corrupt, c.stale)
-                } else {
-                    String::new()
-                },
-                store.root().display(),
-            );
+/// The supervision part of [`Run::from_flags`]: installs the guard
+/// policy and, from `MICROTOOLS_FAULT`, the fault plan.
+fn set_guard_policy(flags: &mut Vec<String>) -> Result<(), String> {
+    let mut policy = mc_guard::GuardPolicy::default();
+    if let Some(v) = take_flag(flags, "--deadline-ms") {
+        let ms: u64 = v.parse().map_err(|_| format!("--deadline-ms: not a number: `{v}`"))?;
+        if ms == 0 {
+            return Err("--deadline-ms: deadline must be positive".into());
         }
-        mc_launcher::store::clear_store();
+        policy.deadline = Some(std::time::Duration::from_millis(ms));
     }
-}
-
-impl Drop for StoreSession {
-    fn drop(&mut self) {
-        // A panic or early exit still flushes the ledger and clears the
-        // process-wide slot.
-        self.finish();
+    if let Some(v) = take_flag(flags, "--retries") {
+        policy.retries = v.parse().map_err(|_| format!("--retries: not a number: `{v}`"))?;
     }
-}
-
-/// Environment variable selecting the evaluation-profile directory.
-pub const PROFILE_ENV: &str = "MICROTOOLS_PROFILE";
-
-/// What [`take_profile_flags`] set up: the installed mc-scope evaluation
-/// profiler, if any, plus the end-of-run finalization it implies.
-#[derive(Default)]
-pub struct ProfileSession {
-    profiler: Option<std::sync::Arc<mc_launcher::profile::Profiler>>,
-}
-
-/// Extracts `--profile[=DIR]` and installs the per-evaluation profiler.
-///
-/// * `--profile=DIR` writes one `<key>.jsonl` profile per evaluated
-///   kernel into `DIR`.
-/// * Bare `--profile` defaults to `<registry root>/profiles` when the
-///   run registers (`--register` / `--registry`), else `profiles/`.
-/// * Without the flag, the `MICROTOOLS_PROFILE` environment variable
-///   supplies the directory.
-///
-/// Profiling is observation only: it is not a launcher option, never
-/// reaches the memo/store fingerprints, and a profiled run produces
-/// byte-identical CSV output and store records. Memo and store warm
-/// hits skip evaluation entirely and therefore record no profile — a
-/// profile documents an evaluation that actually ran.
-pub fn take_profile_flags(
-    flags: &mut Vec<String>,
-    registry_root: Option<&std::path::Path>,
-) -> Result<ProfileSession, String> {
-    let dir = match take_flag(flags, "--profile") {
-        Some(dir) if dir.is_empty() => Some(
-            registry_root
-                .map_or_else(|| std::path::PathBuf::from("profiles"), |r| r.join("profiles")),
-        ),
-        Some(dir) => Some(std::path::PathBuf::from(dir)),
-        None => {
-            std::env::var(PROFILE_ENV).ok().filter(|v| !v.is_empty()).map(std::path::PathBuf::from)
-        }
-    };
-    let Some(dir) = dir else { return Ok(ProfileSession::default()) };
-    let profiler =
-        mc_launcher::profile::install_profiler(&dir).map_err(|e| format!("--profile: {e}"))?;
-    Ok(ProfileSession { profiler: Some(profiler) })
-}
-
-impl ProfileSession {
-    /// True when profiling is on for this run.
-    pub fn active(&self) -> bool {
-        self.profiler.is_some()
+    if let Some(v) = take_flag(flags, "--max-failures") {
+        policy.max_failures =
+            v.parse().map_err(|_| format!("--max-failures: not a number: `{v}`"))?;
     }
-
-    /// The profile directory, when profiling.
-    pub fn dir(&self) -> Option<&std::path::Path> {
-        self.profiler.as_deref().map(mc_launcher::profile::Profiler::dir)
+    let keep_going = take_flag(flags, "--keep-going").is_some();
+    let fail_fast = take_flag(flags, "--fail-fast").is_some();
+    if keep_going && fail_fast {
+        return Err("--keep-going and --fail-fast are mutually exclusive".into());
     }
+    policy.fail_fast = fail_fast;
+    mc_guard::set_policy(policy);
 
-    /// Stamps the registered run ID into the collected profiles, writes
-    /// the `index.jsonl` ledger, prints a diagnostic summary, and
-    /// uninstalls the profiler. Call once, after [`PulseSession::finish`]
-    /// (whose return value is the `run_id`).
-    pub fn finish(&mut self, run_id: Option<&str>) {
-        let Some(profiler) = self.profiler.take() else { return };
-        mc_launcher::profile::clear_profiler();
-        let count = profiler.finish(run_id);
-        if count > 0 {
-            mc_trace::diag!(
-                "profiles: {count} evaluation profile(s) in {}",
-                profiler.dir().display()
-            );
+    if let Ok(spec) = std::env::var("MICROTOOLS_FAULT") {
+        if !spec.is_empty() {
+            mc_guard::install_fault_spec(&spec).map_err(|e| format!("MICROTOOLS_FAULT: {e}"))?;
         }
     }
-}
-
-impl Drop for ProfileSession {
-    fn drop(&mut self) {
-        // A panic or early exit still lands the collected profiles
-        // (without a run ID) and clears the process-wide slot.
-        self.finish(None);
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// A [`Run`] installs process-wide state (guard policy, trace and
+    /// progress sinks, the store and profiler slots), so the tests that
+    /// build one take turns.
+    static GLOBALS: Mutex<()> = Mutex::new(());
+
+    fn globals() -> MutexGuard<'static, ()> {
+        GLOBALS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn owned(flags: &[&str]) -> Vec<String> {
+        flags.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn scratch(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("mc-cli-{tag}-{}", std::process::id()))
+    }
 
     #[test]
     fn split_separates_flags_from_positionals() {
-        let args: Vec<String> =
-            ["input.xml", "--format=c", "out", "--limit=5"].iter().map(|s| s.to_string()).collect();
+        let args = owned(&["input.xml", "--format=c", "out", "--limit=5"]);
         let (flags, pos) = split_args(&args);
         assert_eq!(flags, vec!["--format=c", "--limit=5"]);
         assert_eq!(pos, vec!["input.xml", "out"]);
     }
 
     #[test]
-    fn trace_session_rejects_empty_path_and_consumes_flags() {
-        let mut flags: Vec<String> = vec!["--trace".into(), "--other=1".into()];
-        let err = TraceSession::from_flags(&mut flags).unwrap_err();
-        assert!(err.contains("--trace"), "{err}");
-        // The shared flags are consumed even on error paths; the caller's
-        // unknown-flag check must not see them.
-        assert_eq!(flags, vec!["--other=1"]);
-        mc_trace::set_quiet(false);
-    }
-
-    #[test]
-    fn jobs_flag_rejects_garbage_and_is_consumed() {
-        let mut flags: Vec<String> = vec!["--jobs=zero".into(), "--other".into()];
-        let err = take_jobs_flag(&mut flags).unwrap_err();
-        assert!(err.contains("--jobs"), "{err}");
-        assert_eq!(flags, vec!["--other"]);
-        let mut none: Vec<String> = vec!["--other".into()];
-        assert!(take_jobs_flag(&mut none).is_ok());
-    }
-
-    #[test]
-    fn trace_format_flag_is_validated() {
-        let mut bad: Vec<String> = vec!["--trace-format=xml".into()];
-        let err = TraceSession::from_flags(&mut bad).unwrap_err();
-        assert!(err.contains("--trace-format"), "{err}");
-        assert!(bad.is_empty(), "flag consumed even on error: {bad:?}");
-
-        let mut orphan: Vec<String> = vec!["--trace-format=chrome".into()];
-        let err = TraceSession::from_flags(&mut orphan).unwrap_err();
-        assert!(err.contains("requires --trace"), "{err}");
-
-        let mut to_stderr: Vec<String> =
-            vec!["--trace=stderr".into(), "--trace-format=chrome".into()];
-        let err = TraceSession::from_flags(&mut to_stderr).unwrap_err();
-        assert!(err.contains("file path"), "{err}");
-        mc_trace::set_quiet(false);
-    }
-
-    #[test]
-    fn dropped_session_flushes_the_chrome_trace() {
-        let path = std::env::temp_dir().join(format!("mc-cli-drop-{}.json", std::process::id()));
-        let mut flags: Vec<String> =
-            vec![format!("--trace={}", path.display()), "--trace-format=chrome".into()];
-        let session = TraceSession::from_flags(&mut flags).unwrap();
-        mc_trace::event("cli.test", vec![("n", mc_trace::Value::from(1u64))]);
-        // No finish(): the Drop guard alone must land the event on disk.
-        drop(session);
-        mc_trace::uninstall();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"traceEvents\""), "{text}");
-        assert!(text.contains("cli.test"), "{text}");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn guard_flags_configure_the_policy_and_are_consumed() {
-        let mut flags: Vec<String> = vec![
-            "--deadline-ms=500".into(),
-            "--retries=2".into(),
-            "--max-failures=3".into(),
-            "--fail-fast".into(),
-            "--other=1".into(),
-        ];
-        take_guard_flags(&mut flags).unwrap();
-        assert_eq!(flags, vec!["--other=1"]);
-        let p = mc_guard::policy();
-        assert_eq!(p.deadline, Some(std::time::Duration::from_millis(500)));
-        assert_eq!(p.retries, 2);
-        assert_eq!(p.max_failures, 3);
-        assert!(p.fail_fast);
-        mc_guard::set_policy(mc_guard::GuardPolicy::default());
-    }
-
-    #[test]
-    fn guard_flag_misuse_is_rejected() {
-        let mut both: Vec<String> = vec!["--keep-going".into(), "--fail-fast".into()];
-        let err = take_guard_flags(&mut both).unwrap_err();
-        assert!(err.contains("mutually exclusive"), "{err}");
-
-        let mut zero: Vec<String> = vec!["--deadline-ms=0".into()];
-        let err = take_guard_flags(&mut zero).unwrap_err();
-        assert!(err.contains("positive"), "{err}");
-        mc_guard::set_policy(mc_guard::GuardPolicy::default());
-    }
-
-    #[test]
     fn take_flag_removes_and_returns() {
-        let mut flags: Vec<String> =
-            ["--format=c", "--verbose"].iter().map(|s| s.to_string()).collect();
+        let mut flags = owned(&["--format=c", "--verbose"]);
         assert_eq!(take_flag(&mut flags, "--format"), Some("c".into()));
         assert_eq!(take_flag(&mut flags, "--verbose"), Some(String::new()));
         assert_eq!(take_flag(&mut flags, "--missing"), None);
@@ -743,83 +612,147 @@ mod tests {
     }
 
     #[test]
-    fn pulse_flag_misuse_is_rejected_and_flags_are_consumed() {
-        let mut valued: Vec<String> = vec!["--register=yes".into(), "--other".into()];
-        let err = PulseSession::from_flags(&mut valued).err().unwrap();
-        assert!(err.contains("--register"), "{err}");
-        assert_eq!(valued, vec!["--other"]);
-
-        let mut empty_dir: Vec<String> = vec!["--registry".into()];
-        let err = PulseSession::from_flags(&mut empty_dir).err().unwrap();
-        assert!(err.contains("directory"), "{err}");
-        assert!(empty_dir.is_empty());
-
-        let mut bad_mode: Vec<String> = vec!["--progress=csv".into()];
-        let err = PulseSession::from_flags(&mut bad_mode).err().unwrap();
-        assert!(err.contains("csv"), "{err}");
-
-        let mut no_addr: Vec<String> = vec!["--metrics-listen".into()];
-        let err = PulseSession::from_flags(&mut no_addr).err().unwrap();
-        assert!(err.contains("address"), "{err}");
+    fn shared_flag_misuse_is_rejected_and_consumed() {
+        let _guard = globals();
+        let cases: &[(&[&str], &str)] = &[
+            (&["--trace"], "--trace"),
+            (&["--trace-format=xml"], "--trace-format"),
+            (&["--trace-format=chrome"], "requires --trace"),
+            (&["--trace=stderr", "--trace-format=chrome"], "file path"),
+            (&["--jobs=zero"], "--jobs"),
+            (&["--keep-going", "--fail-fast"], "mutually exclusive"),
+            (&["--deadline-ms=0"], "positive"),
+            (&["--register=yes"], "--register"),
+            (&["--registry"], "directory"),
+            (&["--progress=csv"], "csv"),
+            (&["--metrics-listen"], "address"),
+            (&["--store="], "--store"),
+        ];
+        for (bad, expected) in cases {
+            let mut flags = owned(bad);
+            flags.push("--other=1".into());
+            let err = Run::from_flags(&mut flags).err().unwrap_or_else(|| panic!("{bad:?}"));
+            assert!(err.contains(expected), "{bad:?}: {err}");
+            // The shared flags are consumed even on error paths; the
+            // caller's unknown-flag check must not see them.
+            assert_eq!(flags, vec!["--other=1"], "{bad:?}");
+        }
+        mc_guard::set_policy(mc_guard::GuardPolicy::default());
     }
 
     #[test]
-    fn pulse_session_without_flags_is_inert() {
-        let mut flags: Vec<String> = vec!["--other=1".into()];
-        let mut session = PulseSession::from_flags(&mut flags).unwrap();
-        assert!(!session.active());
-        assert!(session.metrics_addr().is_none());
-        session.record_document("ignored", "key,value\n");
-        assert!(session.documents.is_empty(), "no registry, nothing buffered");
-        // finish() without a registry is a no-op, not a panic.
-        session.finish("test", mc_report::RunManifest::new(), 0);
+    fn a_run_without_flags_is_inert() {
+        let _guard = globals();
+        let mut flags = owned(&["--other=1"]);
+        let mut run = Run::from_flags(&mut flags).unwrap();
         assert_eq!(flags, vec!["--other=1"]);
+        assert!(!run.registering());
+        assert!(mc_launcher::store::store().is_none());
+        assert!(mc_launcher::profile::profiler().is_none());
+        assert!(!mc_trace::progress_enabled());
+        run.record_document("ignored", "key,value\n");
+        assert!(run.documents.is_empty(), "no registry, nothing buffered");
+        let mut manifest = mc_report::RunManifest::new();
+        run.note_store(&mut manifest);
+        assert_eq!(manifest.get("store"), None);
+        // Finishing a run that set nothing up is a no-op, not a panic.
+        assert_eq!(run.finish("test", Some(manifest), 3), ExitCode::from(3));
     }
 
     #[test]
-    fn profile_session_without_flags_is_inert() {
-        let mut flags: Vec<String> = vec!["--other=1".into()];
-        let mut session = take_profile_flags(&mut flags, None).unwrap();
-        assert!(!session.active());
-        assert!(session.dir().is_none());
-        session.finish(None);
+    fn guard_flags_configure_the_policy_and_are_consumed() {
+        let _guard = globals();
+        let mut flags = owned(&[
+            "--deadline-ms=500",
+            "--retries=2",
+            "--max-failures=3",
+            "--fail-fast",
+            "--other=1",
+        ]);
+        let run = Run::from_flags(&mut flags).unwrap();
         assert_eq!(flags, vec!["--other=1"]);
+        let p = mc_guard::policy();
+        assert_eq!(p.deadline, Some(std::time::Duration::from_millis(500)));
+        assert_eq!(p.retries, 2);
+        assert_eq!(p.max_failures, 3);
+        assert!(p.fail_fast);
+        run.finish("test", None, exitcode::OK);
+        mc_guard::set_policy(mc_guard::GuardPolicy::default());
     }
 
     #[test]
     fn profile_flag_resolves_directories() {
-        let base = std::env::temp_dir().join(format!("mc-cli-profile-{}", std::process::id()));
-        let mut explicit: Vec<String> = vec![format!("--profile={}", base.join("p").display())];
-        let mut session = take_profile_flags(&mut explicit, None).unwrap();
-        assert!(session.active());
+        let _guard = globals();
+        let base = scratch("profile");
+        let mut explicit = vec![format!("--profile={}", base.join("p").display())];
+        let run = Run::from_flags(&mut explicit).unwrap();
         assert!(explicit.is_empty());
-        assert_eq!(session.dir(), Some(base.join("p").as_path()));
-        session.finish(None);
-        assert!(!session.active(), "finish uninstalls");
+        let dir = |p: Arc<mc_launcher::profile::Profiler>| p.dir().to_path_buf();
+        assert_eq!(mc_launcher::profile::profiler().map(dir), Some(base.join("p")));
+        run.finish("test", None, exitcode::OK);
+        assert!(mc_launcher::profile::profiler().is_none(), "finish uninstalls");
 
         // Bare --profile lands beside the registry when the run registers.
-        let mut bare: Vec<String> = vec!["--profile".into()];
-        let mut session = take_profile_flags(&mut bare, Some(&base)).unwrap();
-        assert_eq!(session.dir(), Some(base.join("profiles").as_path()));
-        session.finish(None);
+        let mut bare = vec!["--profile".to_owned(), format!("--registry={}", base.display())];
+        let run = Run::from_flags(&mut bare).unwrap();
+        assert_eq!(mc_launcher::profile::profiler().map(dir), Some(base.join("profiles")));
+        run.finish("test", None, exitcode::OK);
         std::fs::remove_dir_all(&base).ok();
     }
 
     #[test]
-    fn registry_flag_implies_registration() {
-        let dir = std::env::temp_dir().join(format!("mc-cli-pulse-{}", std::process::id()));
-        let mut flags: Vec<String> = vec![format!("--registry={}", dir.display())];
-        let mut session = PulseSession::from_flags(&mut flags).unwrap();
-        assert!(session.active(), "--registry alone registers");
+    fn registry_flag_implies_registration_and_a_store_beside_it() {
+        let _guard = globals();
+        let dir = scratch("pulse");
+        let mut flags = vec![format!("--registry={}", dir.display())];
+        let mut run = Run::from_flags(&mut flags).unwrap();
+        assert!(run.registering(), "--registry alone registers");
         assert!(flags.is_empty());
-        session.record_document("doc", "not,a,launcher,csv\n");
+        let store_root = mc_launcher::store::store().map(|s| s.root().to_path_buf());
+        assert_eq!(store_root, Some(dir.join("store")));
+        run.record_document("doc", "not,a,launcher,csv\n");
         let mut manifest = mc_report::RunManifest::new();
         manifest.set("kernel", "t");
-        session.finish("test", manifest, 0);
-        let registry = mc_pulse::Registry::open(&dir);
-        let index = registry.load_index().unwrap();
+        run.note_store(&mut manifest);
+        assert_eq!(manifest.get("store"), Some(dir.join("store").display().to_string().as_str()));
+        run.finish("test", Some(manifest), exitcode::OK);
+        let index = mc_pulse::Registry::open(&dir).load_index().unwrap();
         assert_eq!(index.len(), 1, "run landed despite the unparseable document");
         assert_eq!(index[0].tool, "test");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn dropping_an_unfinished_run_tears_everything_down() {
+        let _guard = globals();
+        let dir = scratch("drop");
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("trace.json");
+        let store = dir.join("store");
+        let mut flags = vec![
+            format!("--trace={}", trace.display()),
+            "--trace-format=chrome".into(),
+            format!("--store={}", store.display()),
+            format!("--profile={}", dir.join("profiles").display()),
+            format!("--progress=jsonl:{}", dir.join("progress.jsonl").display()),
+        ];
+        let run = Run::from_flags(&mut flags).unwrap();
+        assert!(flags.is_empty());
+        assert!(mc_launcher::profile::profiler().is_some());
+        assert!(mc_trace::progress_enabled());
+        let installed = mc_launcher::store::store().expect("store installed");
+        assert_eq!(installed.load(mc_launcher::store::EVAL_KIND, "00000000000000ff"), None);
+        mc_trace::event("cli.test", vec![("n", mc_trace::Value::from(1u64))]);
+        // No finish(): the Drop alone must tear the run down.
+        drop(run);
+        assert!(mc_launcher::store::store().is_none(), "store slot cleared");
+        assert_eq!(mc_store::ledger_totals(&store).counters.miss, 1, "ledger flushed");
+        assert!(mc_launcher::profile::profiler().is_none(), "profiler slot cleared");
+        assert!(!mc_trace::progress_enabled(), "progress uninstalled");
+        mc_trace::uninstall();
+        let text = std::fs::read_to_string(&trace).unwrap();
+        assert!(text.contains("\"traceEvents\""), "{text}");
+        assert!(text.contains("cli.test"), "{text}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -254,6 +254,29 @@ fn quiet_silences_diagnostics() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every evaluating binary parses the shared flags through one `Run`, so
+/// each rejects the same misuse with the usage exit before doing any
+/// work. (`reproduce` gets the same check in mc-bench's store tests.)
+#[test]
+fn shared_flag_misuse_is_a_usage_error_in_every_binary() {
+    let dir = scratch("shared_flags");
+    let xml = figure6_xml_file(&dir);
+    let binaries: [(&str, Option<&Path>); 3] = [
+        (env!("CARGO_BIN_EXE_microcreator"), Some(&xml)),
+        (env!("CARGO_BIN_EXE_microlauncher"), Some(&xml)),
+        (env!("CARGO_BIN_EXE_microprobe"), None),
+    ];
+    for (binary, input) in binaries {
+        for bad in ["--jobs=0", "--store=", "--progress=bogus"] {
+            let out = Command::new(binary).args(input).arg(bad).output().expect("runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{binary} {bad}: {stderr}");
+            assert!(out.stdout.is_empty(), "{binary} {bad} did work before failing");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 fn hand_kernel(dir: &Path) -> PathBuf {
     let path = dir.join("hand.s");
     std::fs::write(&path, ".L0:\nmovss (%rsi), %xmm0\naddq $4, %rsi\nsubq $1, %rdi\njge .L0\n")

@@ -92,9 +92,6 @@ fn guarded_call<R>(
     f: &(dyn Fn() -> Result<R, String> + Sync),
 ) -> Result<R, (EvalErrorKind, String)> {
     install_panic_hook();
-    if mc_trace::metrics_enabled() {
-        mc_trace::metrics().inc("guard.eval.executed", 1);
-    }
     GUARDED.with(|g| g.set(true));
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         fault::fire(index)?;

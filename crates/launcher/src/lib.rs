@@ -42,7 +42,4 @@ pub use batch::{run_batch, try_run_batch, try_run_batch_supervised, EvalPoint};
 pub use clock::{Clock, RdtscClock, SimClock};
 pub use input::{KernelInput, NativeKernel};
 pub use launcher::{MicroLauncher, RunReport};
-pub use options::{
-    adaptive_default, set_adaptive_default, AdaptiveSampling, Aggregation, LauncherOptions,
-    MachinePreset, Mode, OptionsDelta,
-};
+pub use options::{Aggregation, LauncherOptions, MachinePreset, Mode, OptionsDelta};

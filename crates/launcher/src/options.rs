@@ -4,7 +4,6 @@
 
 use mc_simarch::config::{Level, MachineConfig};
 use mc_simarch::exec::EnvPlacement;
-use std::sync::{Mutex, PoisonError};
 
 /// Which Table 1 machine model to run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -480,19 +479,6 @@ impl LauncherOptions {
         Ok(())
     }
 
-    /// Applies the process-wide adaptive sampling default installed via
-    /// [`set_adaptive_default`], if any. Sweep drivers call this when
-    /// building their base options so one CLI flag (`reproduce
-    /// --adaptive`) reaches every figure's measurement loop.
-    pub fn with_adaptive_default(mut self) -> Self {
-        if let Some(policy) = adaptive_default() {
-            self.adaptive = true;
-            self.min_samples = policy.min_samples;
-            self.max_samples = policy.max_samples;
-        }
-        self
-    }
-
     /// The sampling policy as a manifest string: `fixed:N` or
     /// `adaptive:MIN..MAX` — what `mc-report diff` compares to warn when
     /// two runs were sampled differently.
@@ -551,31 +537,6 @@ impl LauncherOptions {
         m.set("sampling", self.sampling_policy());
         m
     }
-}
-
-/// A process-wide adaptive-sampling default: when installed, option sets
-/// built through [`LauncherOptions::with_adaptive_default`] run with
-/// adaptive repetition control using these bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveSampling {
-    /// Smallest outer experiment count adaptive mode may settle on.
-    pub min_samples: u32,
-    /// Ceiling on outer experiments (0 = each option set's
-    /// `meta_repetitions`).
-    pub max_samples: u32,
-}
-
-static ADAPTIVE_DEFAULT: Mutex<Option<AdaptiveSampling>> = Mutex::new(None);
-
-/// Installs (or clears, with `None`) the process-wide adaptive sampling
-/// default consulted by [`LauncherOptions::with_adaptive_default`].
-pub fn set_adaptive_default(policy: Option<AdaptiveSampling>) {
-    *ADAPTIVE_DEFAULT.lock().unwrap_or_else(PoisonError::into_inner) = policy;
-}
-
-/// The currently installed process-wide adaptive sampling default.
-pub fn adaptive_default() -> Option<AdaptiveSampling> {
-    *ADAPTIVE_DEFAULT.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A small set of per-point overrides applied to a shared base
@@ -835,20 +796,18 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_default_round_trips_through_options() {
-        // Process-global state: leave it as we found it.
-        let before = adaptive_default();
-        set_adaptive_default(Some(AdaptiveSampling { min_samples: 2, max_samples: 8 }));
-        let o = LauncherOptions::default().with_adaptive_default();
-        assert!(o.adaptive);
-        assert_eq!((o.min_samples, o.max_samples), (2, 8));
+    fn adaptive_options_reach_the_manifest() {
+        let o = LauncherOptions {
+            adaptive: true,
+            min_samples: 2,
+            max_samples: 8,
+            ..LauncherOptions::default()
+        };
         let m = o.manifest("t", "v");
         assert_eq!(m.get("adaptive"), Some("true"));
         assert_eq!(m.get("sampling"), Some("adaptive:2..8"));
-        set_adaptive_default(None);
-        let o = LauncherOptions::default().with_adaptive_default();
-        assert!(!o.adaptive, "cleared default leaves options fixed");
-        set_adaptive_default(before);
+        let m = LauncherOptions::default().manifest("t", "v");
+        assert_eq!(m.get("adaptive"), Some("false"));
     }
 
     #[test]

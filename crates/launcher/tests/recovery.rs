@@ -162,6 +162,39 @@ fn resume_skips_exactly_the_stored_set() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `launcher.measurements` is the one count of evaluations that ran: a
+/// batch answered entirely by a warm store adds none, and supervision
+/// counts no evaluations of its own.
+#[test]
+fn a_warm_store_batch_counts_no_evaluations() {
+    let _guard = lock();
+    reset();
+    mc_exec::set_jobs(2);
+    let dir = store_dir("warm-count");
+    mc_launcher::store::install_store(&dir);
+    mc_trace::metrics().reset();
+    mc_trace::enable_metrics(true);
+    let measurements = || mc_trace::metrics().snapshot().counter("launcher.measurements");
+    let cold = try_run_batch_supervised(distinct_points());
+    let after_cold = measurements();
+
+    // A new process on the same store: cold memo, fresh handle.
+    clear_cache();
+    let store = mc_launcher::store::install_store(&dir);
+    let warm = try_run_batch_supervised(distinct_points());
+    let after_warm = measurements();
+    let snapshot = mc_trace::metrics().snapshot();
+    mc_trace::enable_metrics(false);
+    mc_launcher::store::clear_store();
+
+    assert!(cold.iter().chain(&warm).all(Result::is_ok));
+    assert_eq!(after_cold, Some(8), "the cold batch measures every point");
+    assert_eq!(store.counters().hit_disk, 8, "the warm batch loads every point");
+    assert_eq!(after_warm, after_cold, "a warm batch measures nothing");
+    assert_eq!(snapshot.counter("guard.eval.executed"), None);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn worker_count_does_not_change_the_csv_under_faults() {
     let _guard = lock();

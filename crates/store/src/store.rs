@@ -40,7 +40,8 @@ pub struct StoreCounters {
     pub hit_mem: u64,
     /// Records served from disk.
     pub hit_disk: u64,
-    /// Lookups with no record on disk.
+    /// Lookups not served from disk: no record, or a record skipped as
+    /// corrupt or stale (those are also counted below).
     pub miss: u64,
     /// Records skipped as torn, checksum-failed, or unparseable.
     pub skipped_corrupt: u64,
@@ -172,6 +173,8 @@ impl DiskStore {
                 None
             }
             Lookup::Skipped(issue) => {
+                self.miss.fetch_add(1, Ordering::Relaxed);
+                self.tick("store.miss");
                 match &issue {
                     RecordIssue::Corrupt(why) => {
                         self.corrupt.fetch_add(1, Ordering::Relaxed);
@@ -570,9 +573,31 @@ mod tests {
         let recalibrated = DiskStore::open(&root, 1, 3);
         assert_eq!(recalibrated.load("eval", "00000000000000aa"), None);
         assert_eq!(recalibrated.counters().stale, 1);
+        assert_eq!(recalibrated.counters().miss, 1, "a stale record is a miss");
         // Saving under the new calibration replaces the record.
         recalibrated.save("eval", "00000000000000aa", "new");
         assert_eq!(recalibrated.load("eval", "00000000000000aa").as_deref(), Some("new"));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn every_lookup_a_recalibrated_store_cannot_serve_is_a_miss() {
+        let root = scratch("recalibrated");
+        let old = DiskStore::open(&root, 1, 2);
+        let keys: Vec<String> = (0..6u64).map(|i| format!("{i:016x}")).collect();
+        for key in &keys[..4] {
+            old.save("eval", key, "old");
+        }
+        let recalibrated = DiskStore::open(&root, 1, 3);
+        let torn = recalibrated.record_path("eval", &keys[4]);
+        fs::create_dir_all(torn.parent().unwrap()).unwrap();
+        fs::write(&torn, b"torn").unwrap();
+        for key in &keys {
+            assert_eq!(recalibrated.load("eval", key), None);
+        }
+        let c = recalibrated.counters();
+        assert_eq!(c.miss, keys.len() as u64, "every lookup missed: {c:?}");
+        assert_eq!((c.hit_disk, c.stale, c.skipped_corrupt), (0, 4, 1), "{c:?}");
         let _ = fs::remove_dir_all(&root);
     }
 
