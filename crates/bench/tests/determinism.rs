@@ -7,8 +7,10 @@
 //! The worker count and the caches are process-global, so every test
 //! serializes on one lock and restores the configuration it found.
 
-use mc_bench::figures::{quick_options, run_many, FigureResult};
+use mc_bench::figures::{quick_options, run_all, run_many, FigureResult};
 use mc_report::experiments::ExperimentId;
+use std::collections::HashSet;
+use std::path::Path;
 use std::sync::Mutex;
 
 static EXEC_LOCK: Mutex<()> = Mutex::new(());
@@ -65,14 +67,63 @@ fn cache_reuse_is_identical_to_cold_evaluation() {
     for (a, b) in cold.iter().zip(&warm) {
         assert_identical(a, b, a.id.key());
     }
-    // And a cache-off pass agrees with both.
+    // The cold pass finished most of its points from a shared model.
+    let models = mc_launcher::batch::model_cache_stats();
+    assert!(models.0 > models.1, "model memo hits {} <= misses {}", models.0, models.1);
+    // And a pass with every memo off, the model memo included, agrees
+    // with both.
     mc_launcher::batch::set_cache_enabled(false);
     let uncached = run_many(&[ExperimentId::Fig11, ExperimentId::Fig13], &quick_options())
         .expect("uncached run");
     mc_launcher::batch::set_cache_enabled(true);
+    assert_eq!(mc_launcher::batch::model_cache_stats(), models, "a disabled memo was consulted");
     for (a, b) in cold.iter().zip(&uncached) {
         assert_identical(a, b, a.id.key());
     }
+}
+
+/// The record keys under one store namespace directory.
+fn record_keys(dir: &Path) -> Vec<String> {
+    let mut keys = Vec::new();
+    for shard in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        for file in std::fs::read_dir(shard.path()).into_iter().flatten().flatten() {
+            let name = file.file_name().to_string_lossy().into_owned();
+            if let Some(key) = name.strip_suffix(".rec") {
+                keys.push(key.to_owned());
+            }
+        }
+    }
+    keys
+}
+
+#[test]
+fn a_cold_pass_analyzes_each_program_once_per_machine() {
+    use mc_launcher::store::{clear_store, decode_report, install_store, EVAL_KIND};
+    let _guard = lock();
+    // One worker: two workers racing on one key may both compute it.
+    mc_exec::set_jobs(1);
+    mc_launcher::batch::clear_cache();
+    let dir = std::env::temp_dir().join(format!("mc-determinism-models-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = install_store(&dir);
+    let result = run_all(&quick_options());
+    clear_store();
+    assert_eq!(result.expect("experiments run").len(), ExperimentId::ALL.len());
+    let (hits, misses) = mc_launcher::batch::model_cache_stats();
+    // Every batch evaluation is saved under `<program_fp>-<options_fp>`
+    // with a report that names its machine, so the saved records give the
+    // distinct (program, machine) pairs the pass estimated.
+    let mut pairs = HashSet::new();
+    for key in record_keys(&dir.join(EVAL_KIND)) {
+        let payload = store.load(EVAL_KIND, &key).expect("a record the pass saved");
+        let report = decode_report(&payload).expect("a decodable report");
+        let program_fp = key.split('-').next().expect("program half").to_owned();
+        pairs.insert((program_fp, report.machine));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(pairs.len() > 1, "{} pairs", pairs.len());
+    assert_eq!(misses, pairs.len() as u64, "one model per distinct (program, machine)");
+    assert!(hits > 10 * misses, "{hits} model hits over {misses} models");
 }
 
 #[test]

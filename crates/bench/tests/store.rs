@@ -100,6 +100,15 @@ fn record_files(root: &Path) -> Vec<PathBuf> {
 /// program set replays from the persistent tier. The printed counts are
 /// the source for BENCH_pr8.json.
 #[test]
+fn quick_options_key_is_pinned() {
+    // The options half of every key the figure suite memoizes and stores
+    // its points under (each point's delta applied on top). A change here
+    // cold-misses every such record in existing stores; make it on
+    // purpose.
+    assert_eq!(quick_options().fingerprint(), 0xda93_438a_d97d_9e7f);
+}
+
+#[test]
 fn warm_process_runs_at_least_5x_fewer_simulator_evaluations() {
     let _guard = lock();
     mc_exec::set_jobs(4);

@@ -147,13 +147,13 @@ fn probe(
     // Energy optima per residence level.
     println!("─ energy-optimal core frequency (movaps ×8) ─");
     for level in Level::ALL {
-        let w = Workload::resident_at(&machine, level);
+        let w = Workload::resident_at(machine, level);
         let p = MicroCreator::new()
             .generate(&load_stream(Mnemonic::Movaps, 8, 8))
             .expect("generation succeeds")
             .programs
             .remove(0);
-        let points = energy_frequency_sweep(&p, &w, &machine);
+        let points = energy_frequency_sweep(&p, &w, machine);
         if let Some(ghz) = energy_optimal_frequency(&points) {
             println!("  {:4}: {ghz:.2} GHz", level.name());
         }
@@ -203,7 +203,7 @@ fn explain(preset: MachinePreset, evidence_mode: bool) {
     let profiler = mc_launcher::profile::profiler();
     let mut cited: Vec<(String, String, String, Vec<mc_insight::EvidenceLine>)> = Vec::new();
     for (program, level) in &cases {
-        let env = ExecEnv::single_core(preset.config());
+        let env = ExecEnv::single_core(preset.config().clone());
         let workload = Workload::resident_at(&env.machine, *level);
         let profiling = evidence_mode || profiler.is_some();
         let mut collector = profiling.then(|| mc_scope::Collector::new(program.name.clone()));

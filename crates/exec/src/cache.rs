@@ -122,6 +122,15 @@ impl<K: Eq + Hash + ShardKey, V: Clone> MemoCache<K, V> {
         Ok(value)
     }
 
+    /// [`MemoCache::get_or_try_compute`] for a computation that cannot
+    /// fail.
+    pub fn get_or_compute(&self, key: K, f: impl FnOnce() -> V) -> V {
+        match self.get_or_try_compute(key, || Ok::<V, std::convert::Infallible>(f())) {
+            Ok(value) => value,
+            Err(never) => match never {},
+        }
+    }
+
     fn tick(&self, name: &str) {
         if mc_trace::metrics_enabled() {
             mc_trace::metrics().inc(name, 1);

@@ -9,18 +9,27 @@
 //!
 //! ## Cache key derivation
 //!
-//! The memo key is `(program fingerprint, options fingerprint)`: both are
-//! FNV-1a hashes over the value's `Debug` rendering, which covers every
-//! field (any new option or program change alters the key). Program
-//! fingerprints are computed once per distinct `Arc` in the batch, not
-//! per point. Only `Ok` reports are cached; errors always re-evaluate.
+//! Three process-wide memos share one program fingerprint (FNV-1a over
+//! the program's `Debug` rendering), computed once per distinct `Arc` in
+//! the batch, not per point:
 //!
-//! A second memo holds interpreter verdicts, keyed by `(program
-//! fingerprint, KernelEnvironment::verify_fingerprint)`: the batch hands
-//! its program fingerprint to the launcher, and the verify-input half
-//! hashes only what verification reads, so the points of a frequency or
-//! core sweep share one verification per program. [`clear_cache`] and
-//! [`set_cache_enabled`] govern both memos.
+//! * **evaluation** — `(program fingerprint, options fingerprint)` → the
+//!   finished [`RunReport`]. The options half is
+//!   [`LauncherOptions::fingerprint`] of the point's effective options:
+//!   every field, explicitly, in declaration order, so a delta that
+//!   restates a base value shares the base's entry. Only `Ok` reports
+//!   are cached; errors always re-evaluate.
+//! * **verification** — `(program fingerprint,
+//!   KernelEnvironment::verify_fingerprint)` → the interpreter's verdict.
+//!   The verify-input half hashes only what verification reads, so the
+//!   points of a frequency or core sweep share one verification per
+//!   program.
+//! * **estimate model** — `(program fingerprint, machine preset)` → the
+//!   program-and-machine half of the estimate
+//!   ([`mc_simarch::ProgramModel`]); each point only finishes it with its
+//!   own workload, frequency and cores.
+//!
+//! [`clear_cache`] and [`set_cache_enabled`] govern all three.
 //!
 //! When a persistent store is installed ([`crate::store::install_store`])
 //! the memo cache gains a disk tier: a miss consults the store under the
@@ -49,6 +58,7 @@ use crate::options::{LauncherOptions, OptionsDelta};
 use mc_exec::MemoCache;
 use mc_guard::EvalError;
 use mc_kernel::Program;
+use mc_simarch::ProgramModel;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -100,17 +110,28 @@ pub(crate) fn verify_memo() -> &'static MemoCache<(u64, u64), VerifyReport> {
     CACHE.get_or_init(|| MemoCache::new("simarch.verify"))
 }
 
-/// Enables or disables evaluation and verification memoization
-/// process-wide (off = always compute).
+/// The process-wide estimate-model memo: `(program fingerprint, machine
+/// preset)` → the program-and-machine half of the estimate. Every option
+/// point of a sweep that shares a program and a machine finishes the same
+/// model.
+pub(crate) fn model_memo() -> &'static MemoCache<(u64, u64), Arc<ProgramModel<'static>>> {
+    static CACHE: OnceLock<MemoCache<(u64, u64), Arc<ProgramModel<'static>>>> = OnceLock::new();
+    CACHE.get_or_init(|| MemoCache::new("simarch.model"))
+}
+
+/// Enables or disables evaluation, verification and estimate-model
+/// memoization process-wide (off = always compute).
 pub fn set_cache_enabled(on: bool) {
     eval_cache().set_enabled(on);
     verify_memo().set_enabled(on);
+    model_memo().set_enabled(on);
 }
 
-/// Drops every memoized evaluation and verification.
+/// Drops every memoized evaluation, verification and estimate model.
 pub fn clear_cache() {
     eval_cache().clear();
     verify_memo().clear();
+    model_memo().clear();
 }
 
 /// Lifetime `(hits, misses)` of the evaluation cache.
@@ -121,6 +142,11 @@ pub fn cache_stats() -> (u64, u64) {
 /// Lifetime `(hits, misses)` of the verification memo.
 pub fn verify_cache_stats() -> (u64, u64) {
     verify_memo().stats()
+}
+
+/// Lifetime `(hits, misses)` of the estimate-model memo.
+pub fn model_cache_stats() -> (u64, u64) {
+    model_memo().stats()
 }
 
 /// A stable fingerprint of a program (FNV-1a over its `Debug` form).

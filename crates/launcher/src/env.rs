@@ -32,8 +32,8 @@ impl ArrayAllocation {
 /// The prepared environment for one run.
 #[derive(Debug, Clone)]
 pub struct KernelEnvironment {
-    /// The machine model.
-    pub machine: MachineConfig,
+    /// The machine model (a static preset, borrowed).
+    pub machine: &'static MachineConfig,
     /// Allocated arrays, in kernel argument order.
     pub arrays: Vec<ArrayAllocation>,
     /// Trip count `n` (elements).

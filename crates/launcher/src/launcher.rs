@@ -12,10 +12,13 @@ use mc_kernel::Program;
 use mc_ompsim::model::OmpCostModel;
 use mc_ompsim::team::ParallelTeam;
 use mc_report::stats::Summary;
+use mc_scope::NoopSink;
 use mc_simarch::config::Level;
-use mc_simarch::exec::{estimate, ExecEnv};
+use mc_simarch::exec::{estimate, ExecEnv, ProgramModel};
 use mc_simarch::interp::{Interpreter, StopReason};
-use std::cell::RefCell;
+use std::borrow::Cow;
+use std::cell::{OnceCell, RefCell};
+use std::sync::Arc;
 
 /// Most accesses a `--verify-cache` trace records. A kernel that makes
 /// more is reported unverified rather than judged on a prefix.
@@ -222,12 +225,8 @@ impl MicroLauncher {
         let env = KernelEnvironment::prepare(o, program)?;
         // Hashed at most once, and only when verification or a profile
         // needs it and the caller did not hand it in.
-        let fp_cell = std::cell::OnceCell::new();
-        let program_fp = || {
-            *fp_cell.get_or_init(|| {
-                program_fp.unwrap_or_else(|| crate::batch::program_fingerprint(program))
-            })
-        };
+        let fp_cell = program_fp.map_or_else(OnceCell::new, OnceCell::from);
+        let program_fp = || *fp_cell.get_or_init(|| crate::batch::program_fingerprint(program));
         let verify = if o.verify {
             // Verification reads only the program and the verify inputs,
             // so every point of a frequency or core sweep shares one run.
@@ -246,23 +245,34 @@ impl MicroLauncher {
             _ => 1,
         };
         let exec_env = ExecEnv {
-            machine: env.machine.clone(),
+            machine: Cow::Borrowed(env.machine),
             core_ghz: o.effective_frequency(),
             active_cores: workers,
             placement: o.placement,
         };
         let workload = env.workload();
+        // The program-and-machine half of the estimate is shared by every
+        // point of a sweep. It is memoized once the program's fingerprint
+        // is known (handed in, or hashed for verification); a lone run
+        // analyzes directly rather than hash the program for one lookup.
+        let analyze = || Arc::new(ProgramModel::analyze(program, env.machine));
+        let model = match fp_cell.get() {
+            Some(&fp) => crate::batch::model_memo().get_or_compute((fp, o.machine as u64), analyze),
+            None => analyze(),
+        };
         let profiler = crate::profile::profiler();
         let mut collector =
             profiler.as_ref().map(|_| mc_scope::Collector::new(program.name.clone()));
         let timing = match collector.as_mut() {
-            Some(c) => mc_simarch::estimate_with_scope(program, &workload, &exec_env, c),
-            None => estimate(program, &workload, &exec_env),
+            Some(c) => {
+                let timing = model.finish(&workload, &exec_env, c);
+                model.emit_scope(program, c);
+                self.profile_cache_stream(program, &env, c);
+                timing
+            }
+            None => model.finish(&workload, &exec_env, &mut NoopSink),
         };
-        if let Some(c) = collector.as_mut() {
-            self.profile_cache_stream(program, &env, c);
-        }
-        let bottleneck = attribute(&timing, &env.machine);
+        let bottleneck = attribute(&timing, env.machine);
         if let (Some(profiler), Some(collector)) = (profiler, collector) {
             let mut profile = collector.finish();
             profile.program_fingerprint = format!("{:016x}", program_fp());
@@ -329,9 +339,9 @@ impl MicroLauncher {
         };
 
         let energy = {
-            let model = mc_simarch::energy::EnergyModel::for_machine(&env.machine);
+            let model = mc_simarch::energy::EnergyModel::for_machine(env.machine);
             model.iteration_nanojoules(
-                &env.machine,
+                env.machine,
                 o.effective_frequency(),
                 &timing,
                 program.bytes_per_iteration() as f64,
@@ -483,7 +493,7 @@ impl MicroLauncher {
             ));
             return None;
         }
-        let mut hierarchy = CacheHierarchy::for_machine(&env.machine);
+        let mut hierarchy = CacheHierarchy::for_machine(env.machine);
         hierarchy.replay(interp.trace());
         hierarchy.reset_counters();
         hierarchy.replay(interp.trace());
@@ -509,7 +519,7 @@ impl MicroLauncher {
     ) {
         use mc_simarch::cachesim::CacheHierarchy;
         let interp = self.full_trip_trace(program, env, TRACE_CAP);
-        let mut hierarchy = CacheHierarchy::for_machine(&env.machine);
+        let mut hierarchy = CacheHierarchy::for_machine(env.machine);
         hierarchy.replay(interp.trace());
         hierarchy.reset_counters();
         hierarchy.replay_with_scope(interp.trace(), sink);
@@ -520,13 +530,13 @@ impl MicroLauncher {
         let env = KernelEnvironment::prepare(o, program)?;
         let workers = if o.mode == Mode::Fork { o.cores.max(1) } else { 1 };
         let exec_env = ExecEnv {
-            machine: env.machine.clone(),
+            machine: Cow::Borrowed(env.machine),
             core_ghz: o.effective_frequency(),
             active_cores: workers,
             placement: o.placement,
         };
         let timing = estimate(program, &env.workload(), &exec_env);
-        let bottleneck = attribute(&timing, &env.machine);
+        let bottleneck = attribute(&timing, env.machine);
         let seconds = timing.seconds_per_iteration * iterations as f64;
         let summary = Summary::of(&[timing.cycles_per_iteration]).ok_or("empty")?;
         Ok(RunReport {
@@ -544,8 +554,8 @@ impl MicroLauncher {
             verify: None,
             region_seconds: None,
             energy_nj_per_iteration: Some(
-                mc_simarch::energy::EnergyModel::for_machine(&env.machine).iteration_nanojoules(
-                    &env.machine,
+                mc_simarch::energy::EnergyModel::for_machine(env.machine).iteration_nanojoules(
+                    env.machine,
                     o.effective_frequency(),
                     &timing,
                     program.bytes_per_iteration() as f64,

@@ -4,6 +4,10 @@
 
 use mc_simarch::config::{Level, MachineConfig};
 use mc_simarch::exec::EnvPlacement;
+use std::sync::OnceLock;
+
+/// Version tag leading every [`LauncherOptions::fingerprint`].
+const OPTIONS_KEY_VERSION: u64 = 1;
 
 /// Which Table 1 machine model to run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,13 +21,18 @@ pub enum MachinePreset {
 }
 
 impl MachinePreset {
-    /// Instantiates the machine model.
-    pub fn config(self) -> MachineConfig {
-        match self {
-            MachinePreset::SandyBridgeE31240 => MachineConfig::sandy_bridge_e31240(),
-            MachinePreset::NehalemX5650 => MachineConfig::nehalem_x5650_dual(),
-            MachinePreset::NehalemX7550 => MachineConfig::nehalem_x7550_quad(),
-        }
+    /// The machine model. Built once per process; every evaluation
+    /// borrows it.
+    pub fn config(self) -> &'static MachineConfig {
+        static PRESETS: OnceLock<[MachineConfig; 3]> = OnceLock::new();
+        let presets = PRESETS.get_or_init(|| {
+            [
+                MachineConfig::sandy_bridge_e31240(),
+                MachineConfig::nehalem_x5650_dual(),
+                MachineConfig::nehalem_x7550_quad(),
+            ]
+        });
+        &presets[self as usize]
     }
 
     /// Parses the command-line name.
@@ -506,17 +515,112 @@ impl LauncherOptions {
         }
     }
 
-    /// A stable 64-bit fingerprint of the full option surface, recorded
-    /// in the [`mc_report::RunManifest`] so two CSVs can be compared for
-    /// configuration equality without storing every flag.
+    /// The identity key of the full option surface: the options half of
+    /// the evaluation memo key, the persistent store key and a profile's
+    /// key.
+    ///
+    /// FNV-1a over every field in declaration order after a version tag:
+    /// integers and booleans as little-endian `u64`, `f64` as its bits
+    /// (so `-0.0` and `0.0` differ), enums as their discriminant, strings
+    /// and vectors length-prefixed. The destructuring names every field,
+    /// so a new option does not compile until it is hashed here. Bump
+    /// `OPTIONS_KEY_VERSION` when the encoding changes.
     pub fn fingerprint(&self) -> u64 {
-        // The Debug rendering covers every field; a new option changes
-        // the fingerprint, which is exactly the provenance we want.
+        let LauncherOptions {
+            function,
+            nb_vectors,
+            label,
+            trip_count,
+            vector_bytes,
+            element_bytes,
+            residence,
+            alignments,
+            align_step,
+            align_max,
+            repetitions,
+            meta_repetitions,
+            adaptive,
+            min_samples,
+            max_samples,
+            warmup_runs,
+            heat_cache,
+            disable_interrupts,
+            aggregation,
+            stability_threshold,
+            noise_amplitude,
+            seed,
+            machine,
+            pin_core,
+            cores,
+            placement,
+            frequency_ghz,
+            omp_threads,
+            omp_overhead_ns,
+            mode,
+            sim_clock,
+            verify,
+            verify_cache,
+            max_interp_steps,
+            csv,
+            full_function,
+            verbose,
+        } = self;
+        let text = |key: mc_report::Fnv64, s: &str| key.u64(s.len() as u64).bytes(s.as_bytes());
+        let mut key = mc_report::Fnv64::new().u64(OPTIONS_KEY_VERSION);
+        key = text(key, function).u64(u64::from(*nb_vectors));
+        key = text(key, label)
+            .u64(*trip_count)
+            .u64(*vector_bytes)
+            .u64(u64::from(*element_bytes))
+            .u64(residence.map_or(0, |level| 1 + level as u64))
+            .u64(alignments.len() as u64);
+        for &offset in alignments {
+            key = key.u64(offset);
+        }
+        key.u64(*align_step)
+            .u64(*align_max)
+            .u64(u64::from(*repetitions))
+            .u64(u64::from(*meta_repetitions))
+            .u64(u64::from(*adaptive))
+            .u64(u64::from(*min_samples))
+            .u64(u64::from(*max_samples))
+            .u64(u64::from(*warmup_runs))
+            .u64(u64::from(*heat_cache))
+            .u64(u64::from(*disable_interrupts))
+            .u64(*aggregation as u64)
+            .u64(stability_threshold.to_bits())
+            .u64(noise_amplitude.to_bits())
+            .u64(*seed)
+            .u64(*machine as u64)
+            .u64(u64::from(*pin_core))
+            .u64(u64::from(*cores))
+            .u64(*placement as u64)
+            .u64(frequency_ghz.to_bits())
+            .u64(u64::from(*omp_threads))
+            .u64(omp_overhead_ns.to_bits())
+            .u64(*mode as u64)
+            .u64(u64::from(*sim_clock))
+            .u64(u64::from(*verify))
+            .u64(u64::from(*verify_cache))
+            .u64(*max_interp_steps)
+            .u64(u64::from(*csv))
+            .u64(u64::from(*full_function))
+            .u64(u64::from(*verbose))
+            .finish()
+    }
+
+    /// The provenance hash: FNV-1a over the `Debug` rendering, as the
+    /// `options_hash` of every run manifest and the options half of every
+    /// daemon job ID have always carried it. Computed once per run or job,
+    /// never per point; identity keys use [`LauncherOptions::fingerprint`].
+    /// Result documents pinned by `perfbench/digests.txt` (serve-sweep)
+    /// and registry records written so far carry these values.
+    pub fn provenance_hash(&self) -> u64 {
         mc_report::fnv1a64(format!("{self:?}").as_bytes())
     }
 
     /// The provenance manifest for a run under these options:
-    /// tool/version, machine preset, options fingerprint, seed, mode, and
+    /// tool/version, machine preset, options provenance hash, seed, mode, and
     /// the evaluation-engine worker count. Callers add timestamps or
     /// extra keys before rendering.
     pub fn manifest(&self, tool: &str, version: &str) -> mc_report::RunManifest {
@@ -524,7 +628,7 @@ impl LauncherOptions {
             tool,
             version,
             self.machine.name(),
-            self.fingerprint(),
+            self.provenance_hash(),
             self.seed,
         );
         m.set("mode", self.mode.name());
@@ -818,7 +922,7 @@ mod tests {
         assert_eq!(m.get("machine"), Some("x5650"));
         assert_eq!(m.get("mode"), Some("seq"));
         assert_eq!(m.get("seed"), Some(o.seed.to_string().as_str()));
-        assert_eq!(m.get("options_hash"), Some(format!("{:016x}", o.fingerprint()).as_str()));
+        assert_eq!(m.get("options_hash"), Some(format!("{:016x}", o.provenance_hash()).as_str()));
         let jobs: usize = m.get("jobs").expect("worker count recorded").parse().unwrap();
         assert!(jobs >= 1);
         assert_eq!(m.get("aggregation"), Some(o.aggregation.name()));
@@ -850,6 +954,97 @@ mod tests {
     }
 
     #[test]
+    fn fingerprint_is_pinned() {
+        // Golden value: FNV-1a over the version tag and the default
+        // options' fields. A change here re-keys every memo entry and
+        // store record; make it on purpose, and bump
+        // OPTIONS_KEY_VERSION when the encoding itself changes.
+        assert_eq!(LauncherOptions::default().fingerprint(), 0xa2b1_e9c6_8827_0275);
+    }
+
+    #[test]
+    fn every_field_reaches_the_fingerprint() {
+        let base = LauncherOptions { alignments: vec![0, 64, 128], ..LauncherOptions::default() };
+        let b = || base.clone();
+        let variants: Vec<(&str, LauncherOptions)> = vec![
+            ("function", LauncherOptions { function: "other".into(), ..b() }),
+            ("nb_vectors", LauncherOptions { nb_vectors: 2, ..b() }),
+            ("label", LauncherOptions { label: "x".into(), ..b() }),
+            ("trip_count", LauncherOptions { trip_count: 160, ..b() }),
+            ("vector_bytes", LauncherOptions { vector_bytes: 1 << 20, ..b() }),
+            ("element_bytes", LauncherOptions { element_bytes: 8, ..b() }),
+            ("residence", LauncherOptions { residence: Some(Level::L1), ..b() }),
+            ("alignments: one element", LauncherOptions { alignments: vec![0, 64, 192], ..b() }),
+            ("alignments: one fewer", LauncherOptions { alignments: vec![0, 64], ..b() }),
+            ("align_step", LauncherOptions { align_step: 64, ..b() }),
+            ("align_max", LauncherOptions { align_max: 4096, ..b() }),
+            ("repetitions", LauncherOptions { repetitions: 33, ..b() }),
+            ("meta_repetitions", LauncherOptions { meta_repetitions: 9, ..b() }),
+            ("adaptive", LauncherOptions { adaptive: true, ..b() }),
+            ("min_samples", LauncherOptions { min_samples: 2, ..b() }),
+            ("max_samples", LauncherOptions { max_samples: 16, ..b() }),
+            ("warmup_runs", LauncherOptions { warmup_runs: 2, ..b() }),
+            ("heat_cache", LauncherOptions { heat_cache: false, ..b() }),
+            ("disable_interrupts", LauncherOptions { disable_interrupts: false, ..b() }),
+            ("aggregation", LauncherOptions { aggregation: Aggregation::Median, ..b() }),
+            ("stability_threshold", LauncherOptions { stability_threshold: 0.1, ..b() }),
+            ("noise_amplitude", LauncherOptions { noise_amplitude: 0.2, ..b() }),
+            ("noise_amplitude: -0.0", LauncherOptions { noise_amplitude: -0.0, ..b() }),
+            ("seed", LauncherOptions { seed: 7, ..b() }),
+            ("machine", LauncherOptions { machine: MachinePreset::NehalemX7550, ..b() }),
+            ("pin_core", LauncherOptions { pin_core: 3, ..b() }),
+            ("cores", LauncherOptions { cores: 4, ..b() }),
+            ("placement", LauncherOptions { placement: EnvPlacement::FillFirstSocket, ..b() }),
+            ("frequency_ghz", LauncherOptions { frequency_ghz: 1.6, ..b() }),
+            ("frequency_ghz: -0.0", LauncherOptions { frequency_ghz: -0.0, ..b() }),
+            ("omp_threads", LauncherOptions { omp_threads: 8, ..b() }),
+            ("omp_overhead_ns", LauncherOptions { omp_overhead_ns: 100.0, ..b() }),
+            ("omp_overhead_ns: -0.0", LauncherOptions { omp_overhead_ns: -0.0, ..b() }),
+            ("mode", LauncherOptions { mode: Mode::Fork, ..b() }),
+            ("sim_clock", LauncherOptions { sim_clock: false, ..b() }),
+            ("verify", LauncherOptions { verify: false, ..b() }),
+            ("verify_cache", LauncherOptions { verify_cache: true, ..b() }),
+            ("max_interp_steps", LauncherOptions { max_interp_steps: 10_000, ..b() }),
+            ("csv", LauncherOptions { csv: false, ..b() }),
+            ("full_function", LauncherOptions { full_function: true, ..b() }),
+            ("verbose", LauncherOptions { verbose: true, ..b() }),
+        ];
+        let mut keys = std::collections::HashMap::new();
+        keys.insert(base.fingerprint(), "base");
+        for (name, options) in &variants {
+            // `Debug` tells -0.0 from 0.0, where `==` does not.
+            assert_ne!(format!("{options:?}"), format!("{base:?}"), "{name} perturbs nothing");
+            if let Some(other) = keys.insert(options.fingerprint(), name) {
+                panic!("{name} shares a key with {other}");
+            }
+        }
+        // Strings are length-prefixed: moving a byte across a boundary
+        // changes the key.
+        let split = |function: &str, label: &str| {
+            LauncherOptions { function: function.into(), label: label.into(), ..b() }.fingerprint()
+        };
+        assert_ne!(split("kernel", ""), split("kerne", "l"));
+    }
+
+    #[test]
+    fn a_delta_that_restates_the_base_keeps_its_key() {
+        let base = LauncherOptions { alignments: vec![0, 64], ..LauncherOptions::default() };
+        let restated = OptionsDelta {
+            residence: base.residence,
+            alignments: Some(base.alignments.clone()),
+            frequency_ghz: Some(base.frequency_ghz),
+            mode: Some(base.mode),
+            cores: Some(base.cores),
+            omp_threads: Some(base.omp_threads),
+            trip_count: Some(base.trip_count),
+            vector_bytes: Some(base.vector_bytes),
+            verify: Some(base.verify),
+        };
+        assert!(!restated.is_none());
+        assert_eq!(restated.apply(&base).fingerprint(), base.fingerprint());
+    }
+
+    #[test]
     fn delta_changes_the_fingerprint() {
         let base = LauncherOptions::default();
         let delta = OptionsDelta { frequency_ghz: Some(1.6), ..OptionsDelta::default() };
@@ -866,6 +1061,23 @@ mod tests {
             assert_eq!(MachinePreset::from_name(preset.name()), Some(preset));
         }
         assert_eq!(Mode::Fork.name(), "fork");
+    }
+
+    #[test]
+    fn machine_presets_are_built_once() {
+        for preset in [
+            MachinePreset::SandyBridgeE31240,
+            MachinePreset::NehalemX5650,
+            MachinePreset::NehalemX7550,
+        ] {
+            assert!(std::ptr::eq(preset.config(), preset.config()), "{preset:?} rebuilt");
+        }
+        assert_eq!(
+            *MachinePreset::SandyBridgeE31240.config(),
+            MachineConfig::sandy_bridge_e31240()
+        );
+        assert_eq!(*MachinePreset::NehalemX5650.config(), MachineConfig::nehalem_x5650_dual());
+        assert_eq!(*MachinePreset::NehalemX7550.config(), MachineConfig::nehalem_x7550_quad());
     }
 
     #[test]

@@ -711,10 +711,11 @@ impl Daemon {
     }
 }
 
-/// Content-derived job ID: kernel-XML fingerprint plus options
-/// fingerprint, rendered exactly like the evaluation store's keys.
+/// Content-derived job ID: kernel-XML fingerprint plus the options'
+/// [`LauncherOptions::provenance_hash`] (the manifest's `options_hash`),
+/// rendered like the evaluation store's keys.
 pub fn job_id(xml: &str, options: &LauncherOptions) -> String {
-    format!("{:016x}-{:016x}", mc_report::fnv1a64(xml.trim().as_bytes()), options.fingerprint())
+    format!("{:016x}-{:016x}", mc_report::fnv1a64(xml.trim().as_bytes()), options.provenance_hash())
 }
 
 /// The deterministic result document: provenance manifest (minus every

@@ -13,10 +13,10 @@
 //! terminal line are remembered (so `GET /jobs/<id>` answers across
 //! restarts), jobs accepted but never finished are re-queued in their
 //! original admission order. Because job IDs are content-derived
-//! (kernel-XML fingerprint + options fingerprint — the exact key the
-//! evaluation store uses), a re-run of a half-finished job warm-hits
-//! every evaluation the previous process already paid for: restart
-//! recovery costs only the work that was genuinely lost.
+//! (kernel-XML fingerprint + options hash), a re-run of a half-finished
+//! job regenerates the same programs under the same options, so it
+//! warm-hits every evaluation the previous process already stored:
+//! restart recovery costs only the work that was genuinely lost.
 //!
 //! Journal appends run through [`mc_guard::fire_write`], so `enospc@I`
 //! chaos plans cover the daemon's own persistence too.

@@ -3,7 +3,8 @@
 //!
 //! Guards two things an in-process `Daemon` cannot: the binary enables
 //! the metrics registry (so `/metrics` is not an empty `# EOF`), and the
-//! second job's verifications replay from the verification memo.
+//! second job's verifications and estimate models replay from their
+//! memos.
 
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::process::{Child, Command, Stdio};
@@ -76,4 +77,8 @@ fn metrics_endpoint_reports_verification_memo_hits_across_frequencies() {
     // Same kernel and trip count at two frequencies: the second job
     // replays every verification the first one ran.
     assert!(hits > 0 && hits >= misses, "hits {hits}, misses {misses}\n{metrics}");
+    // And each program's estimate model, analyzed once per machine.
+    let hits = counter(&metrics, "simarch_model_hit_total").unwrap_or(0);
+    let misses = counter(&metrics, "simarch_model_miss_total").unwrap_or(0);
+    assert!(hits > 0 && hits >= misses, "model hits {hits}, misses {misses}\n{metrics}");
 }

@@ -1,6 +1,11 @@
 //! The timing engine: combines the port, dependency, memory, alignment,
 //! contention and frequency models into a cycles-per-iteration estimate
 //! for a generated program.
+//!
+//! The estimate is staged. [`ProgramModel::analyze`] computes what depends
+//! only on the program and the machine; [`ProgramModel::finish`] applies a
+//! workload and an environment. Callers that evaluate one program at many
+//! option points analyze once and finish per point.
 
 use crate::align::{alignment_effect, ArrayPlacement};
 use crate::config::{Level, MachineConfig};
@@ -13,6 +18,7 @@ use mc_asm::inst::Inst;
 use mc_asm::reg::Reg;
 use mc_kernel::Program;
 use mc_scope::{NoopSink, ScopeSink};
+use std::borrow::Cow;
 
 /// Re-export of the placement policy for launcher convenience.
 pub type EnvPlacement = Placement;
@@ -49,8 +55,9 @@ impl Workload {
 /// Execution environment: machine, DVFS state and core population.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecEnv {
-    /// The machine model.
-    pub machine: MachineConfig,
+    /// The machine model: owned, or borrowed from a static preset so a
+    /// per-evaluation environment never copies it.
+    pub machine: Cow<'static, MachineConfig>,
     /// Current core frequency in GHz (defaults to nominal).
     pub core_ghz: f64,
     /// Number of cores running a copy of the kernel (fork mode).
@@ -64,7 +71,7 @@ impl ExecEnv {
     pub fn single_core(machine: MachineConfig) -> Self {
         ExecEnv {
             core_ghz: machine.nominal_ghz,
-            machine,
+            machine: Cow::Owned(machine),
             active_cores: 1,
             placement: Placement::RoundRobinSockets,
         }
@@ -74,7 +81,7 @@ impl ExecEnv {
     pub fn forked(machine: MachineConfig, n: u32) -> Self {
         ExecEnv {
             core_ghz: machine.nominal_ghz,
-            machine,
+            machine: Cow::Owned(machine),
             active_cores: n,
             placement: Placement::RoundRobinSockets,
         }
@@ -221,144 +228,82 @@ pub fn extract_streams(insts: &[&Inst]) -> Vec<StreamInfo> {
     streams
 }
 
-/// Estimates the steady-state cost of one loop iteration.
-pub fn estimate(program: &Program, workload: &Workload, env: &ExecEnv) -> TimingReport {
-    estimate_with_scope(program, workload, env, &mut NoopSink)
+/// The half of an estimate that depends only on the program and the
+/// machine: the port pressure with its frontend and port bounds, the
+/// recurrence bound of the lowered loop body, and the per-array streams.
+///
+/// A sweep evaluates one program at many option points. Analysis runs
+/// once per (program, machine) and [`ProgramModel::finish`] applies each
+/// point's workload and environment — uops.info's split: characterise
+/// the static per-instruction port usage once, apply the part that varies
+/// per configuration. [`estimate`] is exactly `analyze` then `finish`.
+///
+/// The model keeps only the numbers `finish` reads, so a memo of one
+/// model per program stays small; [`ProgramModel::emit_scope`] derives a
+/// profile's per-instruction detail from the program again.
+#[derive(Debug)]
+pub struct ProgramModel<'m> {
+    machine: &'m MachineConfig,
+    pressure: PortPressure,
+    frontend: f64,
+    ports: f64,
+    recurrence: f64,
+    /// Per-array streams, in binding order.
+    streams: Vec<Stream>,
+    /// Loop control partially serializes with the body (amortized away by
+    /// unrolling — the mechanism behind Figure 5's matmul gain).
+    loop_control: f64,
 }
 
-/// [`estimate`], additionally emitting the estimate's internals to a
-/// profile sink.
-///
-/// Every emit site is guarded by [`ScopeSink::enabled`] and feeds the
-/// sink values the estimate computes anyway, so with the [`NoopSink`]
-/// this *is* `estimate` — same arithmetic, bit-identical report.
-pub fn estimate_with_scope(
-    program: &Program,
-    workload: &Workload,
-    env: &ExecEnv,
-    sink: &mut dyn ScopeSink,
-) -> TimingReport {
-    let machine = &env.machine;
-    let insts: Vec<&Inst> = program.instructions().collect();
+/// The loop body for dependency analysis: the branch ends the iteration,
+/// so recurrence flows through everything else.
+fn loop_body(insts: &[&Inst]) -> LoopBody {
+    LoopBody::lower(insts.iter().copied().enumerate().filter(|(_, i)| !i.mnemonic.is_branch()))
+}
 
-    // Core-side bounds over the whole loop (body + updates + branch).
-    let pressure = PortPressure::of(&insts);
-    let frontend = pressure.frontend_cycles(machine);
-    let ports = pressure.bound_cycles(machine);
-    // The branch ends the iteration; recurrence flows through the rest.
-    let body =
-        LoopBody::lower(insts.iter().copied().enumerate().filter(|(_, i)| !i.mnemonic.is_branch()));
-    let chain = body.recurrence();
-    let recurrence = chain.bound;
-
-    // Memory side.
-    let residence = machine.residence(workload.working_set_bytes);
-    let streams = extract_streams(&insts);
-    let mem_streams: Vec<Stream> = streams
-        .iter()
-        .map(|s| Stream {
-            load_bytes_per_iteration: s.load_bytes,
-            store_bytes_per_iteration: s.store_bytes,
-            streaming_store: s.streaming_store,
-            access_bytes: s.access_bytes,
-            stride_bytes: s.stride_bytes(),
-            dependent: false,
-        })
-        .collect();
-    let mem = memory_cost(machine, residence, &mem_streams);
-
-    // Alignment.
-    let placements: Vec<ArrayPlacement> = streams
-        .iter()
-        .enumerate()
-        .map(|(i, s)| ArrayPlacement {
-            offset: workload.alignments.get(i).copied().unwrap_or(0),
-            stored: s.store_bytes > 0.0,
-            access_bytes: s.access_bytes as u64,
-        })
-        .collect();
-    let align = alignment_effect(machine, &placements);
-
-    // Loop control partially serializes with the body (amortized away by
-    // unrolling — the mechanism behind Figure 5's matmul gain). The
-    // alignment penalty degrades only the memory path: a dependency- or
-    // port-bound kernel shrugs it off (Figure 4) while a bandwidth-bound
-    // one eats it whole (Figures 15/16).
-    let loop_control = machine.loop_control_overhead_cycles * pressure.branches;
-    let core_cycles_base =
-        frontend.max(ports).max(recurrence).max(mem.core_cycles * align.memory_factor.max(1.0))
-            + align.extra_core_cycles
-            + loop_control;
-    let core_secs = core_cycles_base / (env.core_ghz * 1e9);
-    let uncore_base_secs = mem.uncore_ns * 1e-9;
-
-    // Contention: traffic through socket-shared resources (L3, RAM). The
-    // worst socket's aggregate demand is capped by its bandwidth, giving
-    // the closed form: per-core uncore time cannot drop below
-    // `bytes × cores_on_socket / socket_bandwidth`. Below the cap the
-    // single-core time stands (Figure 14's flat region); past it every
-    // core slows in proportion (the saturated region).
-    let mut topology = None;
-    let contention = if env.active_cores > 1 && !residence.is_core_domain() {
-        let bytes_per_iter: f64 = mem_streams
+impl<'m> ProgramModel<'m> {
+    /// Analyzes `program` for `machine`: everything of the estimate that
+    /// no workload, frequency or core count can change.
+    pub fn analyze(program: &Program, machine: &'m MachineConfig) -> Self {
+        let insts: Vec<&Inst> = program.instructions().collect();
+        // Core-side bounds over the whole loop (body + updates + branch).
+        let pressure = PortPressure::of(&insts);
+        let frontend = pressure.frontend_cycles(machine);
+        let ports = pressure.bound_cycles(machine);
+        let recurrence = loop_body(&insts).recurrence().bound;
+        let streams = extract_streams(&insts)
             .iter()
-            .map(|s| {
-                let store_factor = if s.streaming_store { 1.0 } else { 2.0 };
-                s.load_bytes_per_iteration
-                    + s.store_bytes_per_iteration
-                        * if residence == Level::Ram { store_factor } else { 1.0 }
+            .map(|s| Stream {
+                load_bytes_per_iteration: s.load_bytes,
+                store_bytes_per_iteration: s.store_bytes,
+                streaming_store: s.streaming_store,
+                access_bytes: s.access_bytes,
+                stride_bytes: s.stride_bytes(),
+                dependent: false,
             })
-            .sum();
-        let socket_bw = match residence {
-            Level::Ram => machine.ram_socket_bandwidth_gbs,
-            Level::L3 => machine.l3_socket_bandwidth_gbs,
-            _ => unreachable!("core-domain levels filtered above"),
-        };
-        let per_socket =
-            crate::multicore::cores_per_socket(machine, env.active_cores, env.placement);
-        let worst_socket_cores = per_socket.iter().copied().max().unwrap_or(1);
-        if sink.enabled() {
-            topology = Some(mc_scope::TopologyScope {
-                active_cores: env.active_cores,
-                sockets: per_socket,
-                socket_bandwidth_gbs: socket_bw,
-                bytes_per_iteration: bytes_per_iter,
-            });
+            .collect();
+        ProgramModel {
+            machine,
+            loop_control: machine.loop_control_overhead_cycles * pressure.branches,
+            pressure,
+            frontend,
+            ports,
+            recurrence,
+            streams,
         }
-        let capped_ns = bytes_per_iter * f64::from(worst_socket_cores) / socket_bw;
-        if uncore_base_secs > 0.0 {
-            (capped_ns * 1e-9 / uncore_base_secs).max(1.0)
-        } else {
-            1.0
-        }
-    } else {
-        1.0
-    };
-    // Alignment conflicts waste bandwidth even at saturation, so the
-    // penalty applies on top of the contention cap.
-    let uncore_secs = uncore_base_secs * contention * align.memory_factor.max(1.0);
-    let total_secs = core_secs.max(uncore_secs);
-    let cycles = total_secs * machine.nominal_ghz * 1e9;
-
-    if mc_trace::metrics_enabled() {
-        // Expose the already-computed port pressure and bounds; gauges
-        // hold the latest estimate, histograms the distribution across a
-        // sweep.
-        let metrics = mc_trace::metrics();
-        metrics.inc("simarch.estimates", 1);
-        metrics.gauge_set("simarch.pressure.loads", pressure.loads);
-        metrics.gauge_set("simarch.pressure.stores", pressure.stores);
-        metrics.gauge_set("simarch.pressure.fp_add", pressure.fp_add);
-        metrics.gauge_set("simarch.pressure.fp_mul", pressure.fp_mul);
-        metrics.gauge_set("simarch.pressure.fused_uops", pressure.fused_uops);
-        metrics.gauge_set("simarch.bound.frontend", frontend);
-        metrics.gauge_set("simarch.bound.ports", ports);
-        metrics.gauge_set("simarch.bound.recurrence", recurrence);
-        metrics.gauge_set("simarch.bound.contention", contention);
-        metrics.observe("simarch.cycles_per_iteration", cycles);
     }
 
-    if sink.enabled() {
+    /// Emits the program-and-machine half of a profile: the machine, the
+    /// instructions of `program` (the one this model was analyzed from)
+    /// with their µops, the port-pressure decomposition, and the
+    /// dependency structure and carrier register behind the recurrence
+    /// bound, lowered as [`ProgramModel::analyze`] lowers it.
+    pub fn emit_scope(&self, program: &Program, sink: &mut dyn ScopeSink) {
+        if !sink.enabled() {
+            return;
+        }
+        let machine = self.machine;
+        let insts: Vec<&Inst> = program.instructions().collect();
         sink.machine(mc_scope::MachineScope {
             name: machine.name.to_string(),
             frontend_width: machine.frontend_width,
@@ -371,9 +316,6 @@ pub fn estimate_with_scope(
             taken_branch_cycles: machine.taken_branch_cycles,
             nominal_ghz: machine.nominal_ghz,
         });
-        if let Some(t) = topology {
-            sink.topology(t);
-        }
         for (index, inst) in insts.iter().enumerate() {
             sink.instruction(mc_scope::InstScope {
                 index,
@@ -390,29 +332,10 @@ pub fn estimate_with_scope(
                     .collect(),
             });
         }
-        pressure.emit_scope(machine, sink);
-        for (name, value) in [
-            ("frontend", frontend),
-            ("ports", ports),
-            ("recurrence", recurrence),
-            ("memory_core", mem.core_cycles),
-            ("memory_uncore_ns", mem.uncore_ns),
-            ("loop_control", loop_control),
-            ("alignment_factor", align.memory_factor),
-            ("contention_factor", contention),
-            ("core_cycles_per_iteration", core_cycles_base),
-            ("total_cycles_per_iteration", cycles),
-        ] {
-            sink.bound(mc_scope::BoundScope { name: name.to_string(), cycles: value });
-        }
-        sink.note(mc_scope::NoteScope {
-            key: "residence".to_string(),
-            value: residence.name().to_string(),
-        });
-        sink.note(mc_scope::NoteScope {
-            key: "core_ghz".to_string(),
-            value: format!("{}", env.core_ghz),
-        });
+        self.pressure.emit_scope(machine, sink);
+        let body = loop_body(&insts);
+        let chain = body.recurrence();
+        debug_assert_eq!(chain.bound.to_bits(), self.recurrence.to_bits(), "another program");
         if let Some(carrier) = chain.carrier() {
             sink.note(mc_scope::NoteScope {
                 key: "recurrence_carrier".to_string(),
@@ -422,22 +345,181 @@ pub fn estimate_with_scope(
         body.emit_scope(sink);
     }
 
-    TimingReport {
-        cycles_per_iteration: cycles,
-        seconds_per_iteration: total_secs,
-        residence,
-        bounds: TimingBounds {
-            frontend,
-            ports,
-            recurrence,
-            memory_core: mem.core_cycles,
-            memory_uncore_ns: mem.uncore_ns,
-            contention,
-            alignment: align.memory_factor,
-        },
-        pressure,
-        core_ghz: env.core_ghz,
+    /// Applies one workload and environment to the model: residence,
+    /// memory cost, alignment, contention and frequency. `env` must run
+    /// on the machine the model was analyzed for. A profile sink receives
+    /// the contention topology, the contributing bounds and the residence
+    /// and frequency notes; it only observes values the estimate computed
+    /// anyway.
+    pub fn finish(
+        &self,
+        workload: &Workload,
+        env: &ExecEnv,
+        sink: &mut dyn ScopeSink,
+    ) -> TimingReport {
+        let machine = self.machine;
+        debug_assert_eq!(machine.name, env.machine.name, "model analyzed for another machine");
+        let (frontend, ports, recurrence) = (self.frontend, self.ports, self.recurrence);
+
+        // Memory side.
+        let residence = machine.residence(workload.working_set_bytes);
+        let mem = memory_cost(machine, residence, &self.streams);
+
+        // Alignment.
+        let placements: Vec<ArrayPlacement> = self
+            .streams
+            .iter()
+            .enumerate()
+            .map(|(i, s)| ArrayPlacement {
+                offset: workload.alignments.get(i).copied().unwrap_or(0),
+                stored: s.store_bytes_per_iteration > 0.0,
+                access_bytes: s.access_bytes as u64,
+            })
+            .collect();
+        let align = alignment_effect(machine, &placements);
+
+        // The alignment penalty degrades only the memory path: a
+        // dependency- or port-bound kernel shrugs it off (Figure 4) while
+        // a bandwidth-bound one eats it whole (Figures 15/16).
+        let core_cycles_base =
+            frontend.max(ports).max(recurrence).max(mem.core_cycles * align.memory_factor.max(1.0))
+                + align.extra_core_cycles
+                + self.loop_control;
+        let core_secs = core_cycles_base / (env.core_ghz * 1e9);
+        let uncore_base_secs = mem.uncore_ns * 1e-9;
+
+        // Contention: traffic through socket-shared resources (L3, RAM). The
+        // worst socket's aggregate demand is capped by its bandwidth, giving
+        // the closed form: per-core uncore time cannot drop below
+        // `bytes × cores_on_socket / socket_bandwidth`. Below the cap the
+        // single-core time stands (Figure 14's flat region); past it every
+        // core slows in proportion (the saturated region).
+        let mut topology = None;
+        let contention = if env.active_cores > 1 && !residence.is_core_domain() {
+            let bytes_per_iter: f64 = self
+                .streams
+                .iter()
+                .map(|s| {
+                    let store_factor = if s.streaming_store { 1.0 } else { 2.0 };
+                    s.load_bytes_per_iteration
+                        + s.store_bytes_per_iteration
+                            * if residence == Level::Ram { store_factor } else { 1.0 }
+                })
+                .sum();
+            let socket_bw = match residence {
+                Level::Ram => machine.ram_socket_bandwidth_gbs,
+                Level::L3 => machine.l3_socket_bandwidth_gbs,
+                _ => unreachable!("core-domain levels filtered above"),
+            };
+            let per_socket =
+                crate::multicore::cores_per_socket(machine, env.active_cores, env.placement);
+            let worst_socket_cores = per_socket.iter().copied().max().unwrap_or(1);
+            topology = Some(mc_scope::TopologyScope {
+                active_cores: env.active_cores,
+                sockets: per_socket,
+                socket_bandwidth_gbs: socket_bw,
+                bytes_per_iteration: bytes_per_iter,
+            });
+            let capped_ns = bytes_per_iter * f64::from(worst_socket_cores) / socket_bw;
+            if uncore_base_secs > 0.0 {
+                (capped_ns * 1e-9 / uncore_base_secs).max(1.0)
+            } else {
+                1.0
+            }
+        } else {
+            1.0
+        };
+        // Alignment conflicts waste bandwidth even at saturation, so the
+        // penalty applies on top of the contention cap.
+        let uncore_secs = uncore_base_secs * contention * align.memory_factor.max(1.0);
+        let total_secs = core_secs.max(uncore_secs);
+        let cycles = total_secs * machine.nominal_ghz * 1e9;
+
+        if mc_trace::metrics_enabled() {
+            // Expose the already-computed port pressure and bounds; gauges
+            // hold the latest estimate, histograms the distribution across a
+            // sweep.
+            let metrics = mc_trace::metrics();
+            let pressure = &self.pressure;
+            metrics.inc("simarch.estimates", 1);
+            metrics.gauge_set("simarch.pressure.loads", pressure.loads);
+            metrics.gauge_set("simarch.pressure.stores", pressure.stores);
+            metrics.gauge_set("simarch.pressure.fp_add", pressure.fp_add);
+            metrics.gauge_set("simarch.pressure.fp_mul", pressure.fp_mul);
+            metrics.gauge_set("simarch.pressure.fused_uops", pressure.fused_uops);
+            metrics.gauge_set("simarch.bound.frontend", frontend);
+            metrics.gauge_set("simarch.bound.ports", ports);
+            metrics.gauge_set("simarch.bound.recurrence", recurrence);
+            metrics.gauge_set("simarch.bound.contention", contention);
+            metrics.observe("simarch.cycles_per_iteration", cycles);
+        }
+
+        if sink.enabled() {
+            if let Some(t) = topology {
+                sink.topology(t);
+            }
+            for (name, value) in [
+                ("frontend", frontend),
+                ("ports", ports),
+                ("recurrence", recurrence),
+                ("memory_core", mem.core_cycles),
+                ("memory_uncore_ns", mem.uncore_ns),
+                ("loop_control", self.loop_control),
+                ("alignment_factor", align.memory_factor),
+                ("contention_factor", contention),
+                ("core_cycles_per_iteration", core_cycles_base),
+                ("total_cycles_per_iteration", cycles),
+            ] {
+                sink.bound(mc_scope::BoundScope { name: name.to_string(), cycles: value });
+            }
+            sink.note(mc_scope::NoteScope {
+                key: "residence".to_string(),
+                value: residence.name().to_string(),
+            });
+            sink.note(mc_scope::NoteScope {
+                key: "core_ghz".to_string(),
+                value: format!("{}", env.core_ghz),
+            });
+        }
+
+        TimingReport {
+            cycles_per_iteration: cycles,
+            seconds_per_iteration: total_secs,
+            residence,
+            bounds: TimingBounds {
+                frontend,
+                ports,
+                recurrence,
+                memory_core: mem.core_cycles,
+                memory_uncore_ns: mem.uncore_ns,
+                contention,
+                alignment: align.memory_factor,
+            },
+            pressure: self.pressure,
+            core_ghz: env.core_ghz,
+        }
     }
+}
+
+/// Estimates the steady-state cost of one loop iteration.
+pub fn estimate(program: &Program, workload: &Workload, env: &ExecEnv) -> TimingReport {
+    estimate_with_scope(program, workload, env, &mut NoopSink)
+}
+
+/// [`estimate`], additionally emitting the estimate's internals to a
+/// profile sink: [`ProgramModel::finish`] then
+/// [`ProgramModel::emit_scope`] on one fresh analysis. The sink only
+/// observes, so with or without it the report is the same bits.
+pub fn estimate_with_scope(
+    program: &Program,
+    workload: &Workload,
+    env: &ExecEnv,
+    sink: &mut dyn ScopeSink,
+) -> TimingReport {
+    let model = ProgramModel::analyze(program, &env.machine);
+    let report = model.finish(workload, env, sink);
+    model.emit_scope(program, sink);
+    report
 }
 
 #[cfg(test)]
@@ -446,6 +528,224 @@ mod tests {
     use mc_asm::inst::Mnemonic;
     use mc_creator::MicroCreator;
     use mc_kernel::builder::load_stream;
+
+    /// The estimate as it was before staging: one straight-line function
+    /// with the profile emits inline. Kept as the differential oracle for
+    /// [`ProgramModel`]; every report must match it bit for bit.
+    mod oracle {
+        use super::super::*;
+
+        pub fn estimate_with_scope(
+            program: &Program,
+            workload: &Workload,
+            env: &ExecEnv,
+            sink: &mut dyn ScopeSink,
+        ) -> TimingReport {
+            let machine: &MachineConfig = &env.machine;
+            let insts: Vec<&Inst> = program.instructions().collect();
+
+            // Core-side bounds over the whole loop (body + updates + branch).
+            let pressure = PortPressure::of(&insts);
+            let frontend = pressure.frontend_cycles(machine);
+            let ports = pressure.bound_cycles(machine);
+            // The branch ends the iteration; recurrence flows through the rest.
+            let body = LoopBody::lower(
+                insts.iter().copied().enumerate().filter(|(_, i)| !i.mnemonic.is_branch()),
+            );
+            let chain = body.recurrence();
+            let recurrence = chain.bound;
+
+            // Memory side.
+            let residence = machine.residence(workload.working_set_bytes);
+            let streams = extract_streams(&insts);
+            let mem_streams: Vec<Stream> = streams
+                .iter()
+                .map(|s| Stream {
+                    load_bytes_per_iteration: s.load_bytes,
+                    store_bytes_per_iteration: s.store_bytes,
+                    streaming_store: s.streaming_store,
+                    access_bytes: s.access_bytes,
+                    stride_bytes: s.stride_bytes(),
+                    dependent: false,
+                })
+                .collect();
+            let mem = memory_cost(machine, residence, &mem_streams);
+
+            // Alignment.
+            let placements: Vec<ArrayPlacement> = streams
+                .iter()
+                .enumerate()
+                .map(|(i, s)| ArrayPlacement {
+                    offset: workload.alignments.get(i).copied().unwrap_or(0),
+                    stored: s.store_bytes > 0.0,
+                    access_bytes: s.access_bytes as u64,
+                })
+                .collect();
+            let align = alignment_effect(machine, &placements);
+
+            // Loop control partially serializes with the body (amortized away by
+            // unrolling — the mechanism behind Figure 5's matmul gain). The
+            // alignment penalty degrades only the memory path: a dependency- or
+            // port-bound kernel shrugs it off (Figure 4) while a bandwidth-bound
+            // one eats it whole (Figures 15/16).
+            let loop_control = machine.loop_control_overhead_cycles * pressure.branches;
+            let core_cycles_base = frontend
+                .max(ports)
+                .max(recurrence)
+                .max(mem.core_cycles * align.memory_factor.max(1.0))
+                + align.extra_core_cycles
+                + loop_control;
+            let core_secs = core_cycles_base / (env.core_ghz * 1e9);
+            let uncore_base_secs = mem.uncore_ns * 1e-9;
+
+            // Contention: traffic through socket-shared resources (L3, RAM). The
+            // worst socket's aggregate demand is capped by its bandwidth, giving
+            // the closed form: per-core uncore time cannot drop below
+            // `bytes × cores_on_socket / socket_bandwidth`. Below the cap the
+            // single-core time stands (Figure 14's flat region); past it every
+            // core slows in proportion (the saturated region).
+            let mut topology = None;
+            let contention = if env.active_cores > 1 && !residence.is_core_domain() {
+                let bytes_per_iter: f64 = mem_streams
+                    .iter()
+                    .map(|s| {
+                        let store_factor = if s.streaming_store { 1.0 } else { 2.0 };
+                        s.load_bytes_per_iteration
+                            + s.store_bytes_per_iteration
+                                * if residence == Level::Ram { store_factor } else { 1.0 }
+                    })
+                    .sum();
+                let socket_bw = match residence {
+                    Level::Ram => machine.ram_socket_bandwidth_gbs,
+                    Level::L3 => machine.l3_socket_bandwidth_gbs,
+                    _ => unreachable!("core-domain levels filtered above"),
+                };
+                let per_socket =
+                    crate::multicore::cores_per_socket(machine, env.active_cores, env.placement);
+                let worst_socket_cores = per_socket.iter().copied().max().unwrap_or(1);
+                if sink.enabled() {
+                    topology = Some(mc_scope::TopologyScope {
+                        active_cores: env.active_cores,
+                        sockets: per_socket,
+                        socket_bandwidth_gbs: socket_bw,
+                        bytes_per_iteration: bytes_per_iter,
+                    });
+                }
+                let capped_ns = bytes_per_iter * f64::from(worst_socket_cores) / socket_bw;
+                if uncore_base_secs > 0.0 {
+                    (capped_ns * 1e-9 / uncore_base_secs).max(1.0)
+                } else {
+                    1.0
+                }
+            } else {
+                1.0
+            };
+            // Alignment conflicts waste bandwidth even at saturation, so the
+            // penalty applies on top of the contention cap.
+            let uncore_secs = uncore_base_secs * contention * align.memory_factor.max(1.0);
+            let total_secs = core_secs.max(uncore_secs);
+            let cycles = total_secs * machine.nominal_ghz * 1e9;
+
+            if mc_trace::metrics_enabled() {
+                // Expose the already-computed port pressure and bounds; gauges
+                // hold the latest estimate, histograms the distribution across a
+                // sweep.
+                let metrics = mc_trace::metrics();
+                metrics.inc("simarch.estimates", 1);
+                metrics.gauge_set("simarch.pressure.loads", pressure.loads);
+                metrics.gauge_set("simarch.pressure.stores", pressure.stores);
+                metrics.gauge_set("simarch.pressure.fp_add", pressure.fp_add);
+                metrics.gauge_set("simarch.pressure.fp_mul", pressure.fp_mul);
+                metrics.gauge_set("simarch.pressure.fused_uops", pressure.fused_uops);
+                metrics.gauge_set("simarch.bound.frontend", frontend);
+                metrics.gauge_set("simarch.bound.ports", ports);
+                metrics.gauge_set("simarch.bound.recurrence", recurrence);
+                metrics.gauge_set("simarch.bound.contention", contention);
+                metrics.observe("simarch.cycles_per_iteration", cycles);
+            }
+
+            if sink.enabled() {
+                sink.machine(mc_scope::MachineScope {
+                    name: machine.name.to_string(),
+                    frontend_width: machine.frontend_width,
+                    load_ports: machine.load_ports,
+                    store_ports: machine.store_ports,
+                    int_alu_ports: machine.int_alu_ports,
+                    fp_add_ports: machine.fp_add_ports,
+                    fp_mul_ports: machine.fp_mul_ports,
+                    div_block_cycles: crate::uops::compute_latency(mc_asm::Mnemonic::Divsd),
+                    taken_branch_cycles: machine.taken_branch_cycles,
+                    nominal_ghz: machine.nominal_ghz,
+                });
+                if let Some(t) = topology {
+                    sink.topology(t);
+                }
+                for (index, inst) in insts.iter().enumerate() {
+                    sink.instruction(mc_scope::InstScope {
+                        index,
+                        text: inst.to_string(),
+                        reads: inst.regs_read().into_iter().map(deps::reg_name).collect(),
+                        writes: inst.regs_written().into_iter().map(deps::reg_name).collect(),
+                        fused_uops: u32::from(inst.fused_uops()),
+                        uops: decompose(inst)
+                            .into_iter()
+                            .map(|u| mc_scope::UopScope {
+                                port: u.port.name().to_string(),
+                                latency: u.latency,
+                            })
+                            .collect(),
+                    });
+                }
+                pressure.emit_scope(machine, sink);
+                for (name, value) in [
+                    ("frontend", frontend),
+                    ("ports", ports),
+                    ("recurrence", recurrence),
+                    ("memory_core", mem.core_cycles),
+                    ("memory_uncore_ns", mem.uncore_ns),
+                    ("loop_control", loop_control),
+                    ("alignment_factor", align.memory_factor),
+                    ("contention_factor", contention),
+                    ("core_cycles_per_iteration", core_cycles_base),
+                    ("total_cycles_per_iteration", cycles),
+                ] {
+                    sink.bound(mc_scope::BoundScope { name: name.to_string(), cycles: value });
+                }
+                sink.note(mc_scope::NoteScope {
+                    key: "residence".to_string(),
+                    value: residence.name().to_string(),
+                });
+                sink.note(mc_scope::NoteScope {
+                    key: "core_ghz".to_string(),
+                    value: format!("{}", env.core_ghz),
+                });
+                if let Some(carrier) = chain.carrier() {
+                    sink.note(mc_scope::NoteScope {
+                        key: "recurrence_carrier".to_string(),
+                        value: carrier,
+                    });
+                }
+                body.emit_scope(sink);
+            }
+
+            TimingReport {
+                cycles_per_iteration: cycles,
+                seconds_per_iteration: total_secs,
+                residence,
+                bounds: TimingBounds {
+                    frontend,
+                    ports,
+                    recurrence,
+                    memory_core: mem.core_cycles,
+                    memory_uncore_ns: mem.uncore_ns,
+                    contention,
+                    alignment: align.memory_factor,
+                },
+                pressure,
+                core_ghz: env.core_ghz,
+            }
+        }
+    }
 
     /// Generates the pure-load kernel with the given mnemonic and unroll.
     fn load_program(m: Mnemonic, unroll: u32) -> Program {
@@ -751,7 +1051,150 @@ mod tests {
             let scoped = estimate_with_scope(&program, &workload, &env, &mut collector);
             assert_eq!(plain, scoped, "{text}");
             collector.finish();
+            assert_matches_oracle(&program, &workload, &env, &text);
         });
         assert!(parsed >= 250, "only {parsed} of 300 listings parsed");
+    }
+
+    /// Every scope event as its `Debug` text, grouped by record kind. The
+    /// profile collector lays records out by kind, so the interleaving of
+    /// kinds is not observable; the order within each kind is, and that
+    /// is what two logs compare.
+    #[derive(Debug, Default, PartialEq)]
+    struct EventLog(std::collections::BTreeMap<&'static str, Vec<String>>);
+
+    impl EventLog {
+        fn push(&mut self, kind: &'static str, event: impl std::fmt::Debug) {
+            self.0.entry(kind).or_default().push(format!("{event:?}"));
+        }
+    }
+
+    impl ScopeSink for EventLog {
+        fn machine(&mut self, m: mc_scope::MachineScope) {
+            self.push("machine", m);
+        }
+        fn instruction(&mut self, i: mc_scope::InstScope) {
+            self.push("instruction", i);
+        }
+        fn port_bound(&mut self, b: mc_scope::PortBoundScope) {
+            self.push("port_bound", b);
+        }
+        fn dep_edge(&mut self, e: mc_scope::DepEdgeScope) {
+            self.push("dep_edge", e);
+        }
+        fn crit_hop(&mut self, h: mc_scope::CritScope) {
+            self.push("crit_hop", h);
+        }
+        fn cache_access(&mut self, served_by: u8) {
+            self.push("cache_access", served_by);
+        }
+        fn topology(&mut self, t: mc_scope::TopologyScope) {
+            self.push("topology", t);
+        }
+        fn bound(&mut self, b: mc_scope::BoundScope) {
+            self.push("bound", b);
+        }
+        fn note(&mut self, n: mc_scope::NoteScope) {
+            self.push("note", n);
+        }
+    }
+
+    /// `Debug` prints every `f64` in its shortest round-trip form, so equal
+    /// renderings of two reports mean equal bits in every field.
+    fn same_bits(a: &TimingReport, b: &TimingReport) -> bool {
+        format!("{a:?}") == format!("{b:?}")
+    }
+
+    /// The staged estimate, unscoped and scoped, against the oracle.
+    fn assert_matches_oracle(program: &Program, workload: &Workload, env: &ExecEnv, what: &str) {
+        let expected = oracle::estimate_with_scope(program, workload, env, &mut NoopSink);
+        let plain = estimate(program, workload, env);
+        assert!(same_bits(&plain, &expected), "{what}: {plain:?} != oracle {expected:?}");
+        let mut oracle_log = EventLog::default();
+        oracle::estimate_with_scope(program, workload, env, &mut oracle_log);
+        let mut log = EventLog::default();
+        let scoped = estimate_with_scope(program, workload, env, &mut log);
+        assert!(same_bits(&scoped, &expected), "{what}: scoped {scoped:?} != oracle");
+        assert_eq!(log, oracle_log, "{what}: scope events differ from the oracle");
+    }
+
+    /// Every builder kernel's generated variants (Figure 6 thinned to
+    /// every 17th of its 510).
+    fn builder_programs() -> Vec<Program> {
+        use mc_kernel::builder::*;
+        let descs = [
+            load_stream(Mnemonic::Movaps, 1, 8),
+            load_stream(Mnemonic::Movss, 1, 4),
+            load_stream(Mnemonic::Movntps, 2, 2),
+            multi_array_traversal(Mnemonic::Movss, 4),
+            multi_array_traversal(Mnemonic::Movaps, 8),
+            matmul_inner(200),
+            stencil_1d(1, 4),
+            arithmetic_hiding(Mnemonic::Movaps, 6),
+            strided_stream(Mnemonic::Movsd, &[1, 2, 8]),
+        ];
+        let mut programs: Vec<Program> =
+            descs.iter().flat_map(|d| MicroCreator::new().generate(d).unwrap().programs).collect();
+        let fig6 = MicroCreator::new().generate(&figure6()).unwrap().programs;
+        programs.extend(fig6.into_iter().step_by(17));
+        programs
+    }
+
+    #[test]
+    fn one_model_finishes_every_point_like_the_oracle() {
+        let programs = builder_programs();
+        assert!(programs.len() > 60, "{} programs", programs.len());
+        for machine in MachineConfig::table1() {
+            for program in &programs {
+                // One analysis serves the whole grid, as the launcher's
+                // model memo serves a sweep.
+                let model = ProgramModel::analyze(program, &machine);
+                let check = |workload: &Workload, env: &ExecEnv| {
+                    let expected =
+                        oracle::estimate_with_scope(program, workload, env, &mut NoopSink);
+                    let staged = model.finish(workload, env, &mut NoopSink);
+                    assert!(
+                        same_bits(&staged, &expected),
+                        "{} on {}: {staged:?} != oracle {expected:?}",
+                        program.name,
+                        machine.name
+                    );
+                };
+                for level in Level::ALL {
+                    for offset in [0, 4, 8, 64] {
+                        let workload = Workload::resident_at(&machine, level)
+                            .aligned((0..8).map(|i| i * offset).collect());
+                        for cores in [1, 2, 8, 32] {
+                            for placement in
+                                [Placement::RoundRobinSockets, Placement::FillFirstSocket]
+                            {
+                                let env = ExecEnv {
+                                    placement,
+                                    ..ExecEnv::forked(machine.clone(), cores)
+                                };
+                                check(&workload, &env);
+                            }
+                        }
+                    }
+                    let workload = Workload::resident_at(&machine, level);
+                    for &ghz in &machine.frequency_steps_ghz {
+                        check(&workload, &ExecEnv::single_core(machine.clone()).at_frequency(ghz));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn profiles_of_the_staged_estimate_match_the_oracle() {
+        for machine in MachineConfig::table1() {
+            for program in builder_programs().iter().step_by(3) {
+                for (level, cores) in [(Level::L1, 1), (Level::L3, 8), (Level::Ram, 32)] {
+                    let workload = Workload::resident_at(&machine, level).aligned(vec![0, 64]);
+                    let env = ExecEnv::forked(machine.clone(), cores);
+                    assert_matches_oracle(program, &workload, &env, &program.name);
+                }
+            }
+        }
     }
 }

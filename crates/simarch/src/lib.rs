@@ -54,5 +54,7 @@ pub mod uops;
 pub use cachesim::CacheHierarchy;
 pub use config::{CacheLevel, Level, MachineConfig};
 pub use energy::EnergyModel;
-pub use exec::{estimate_with_scope, EnvPlacement, ExecEnv, TimingBounds, TimingReport, Workload};
+pub use exec::{
+    estimate_with_scope, EnvPlacement, ExecEnv, ProgramModel, TimingBounds, TimingReport, Workload,
+};
 pub use interp::{ExecOutcome, Interpreter, MemAccess, SimMemory};
