@@ -41,8 +41,9 @@
 //! `--format=chrome:OUT` exports the instruction timeline as a
 //! Chrome-trace document for `chrome://tracing` / Perfetto.
 
-use mc_insight::{diff_documents, render_diff, DiffOptions};
-use mc_pulse::{import_bench, Registry, TrendOptions};
+use mc_insight::{diff_documents, render_diff};
+use mc_pulse::{import_bench, Registry};
+use mc_report::gate::{GateOptions, DEFAULT_FLOOR};
 use mc_tools::{exitcode, split_args, take_flag, Trace};
 use mc_trace::diag;
 use std::process::ExitCode;
@@ -90,31 +91,27 @@ fn run(flags: Vec<String>, positional: Vec<String>) -> ExitCode {
     }
 }
 
-/// Parses `--threshold`, `--top`, and `--last` into their slots; every
-/// command shares the same validation.
-struct NumFlags {
-    threshold: Option<f64>,
-    top: Option<usize>,
-    last: Option<usize>,
+/// `--threshold=FRACTION` (the regression floor, default 1%) and
+/// `--top=N` (table rows, default `top`): the options `diff` and `trend`
+/// share.
+fn take_gate_options(flags: &mut Vec<String>, top: usize) -> Result<GateOptions, String> {
+    let floor = match take_flag(flags, "--threshold") {
+        None => DEFAULT_FLOOR,
+        Some(v) => match v.parse::<f64>() {
+            Ok(t) if t.is_finite() && t >= 0.0 => t,
+            _ => return Err(format!("--threshold: expected a non-negative fraction, got `{v}`")),
+        },
+    };
+    Ok(GateOptions { floor, top: take_count(flags, "--top")?.unwrap_or(top) })
 }
 
-fn take_num_flags(flags: &mut Vec<String>) -> Result<NumFlags, String> {
-    let mut out = NumFlags { threshold: None, top: None, last: None };
-    if let Some(v) = take_flag(flags, "--threshold") {
-        match v.parse::<f64>() {
-            Ok(t) if t.is_finite() && t >= 0.0 => out.threshold = Some(t),
-            _ => return Err(format!("--threshold: expected a non-negative fraction, got `{v}`")),
-        }
+/// A positive count flag (`--top`, `--last`).
+fn take_count(flags: &mut Vec<String>, name: &str) -> Result<Option<usize>, String> {
+    let Some(v) = take_flag(flags, name) else { return Ok(None) };
+    match v.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(Some(n)),
+        _ => Err(format!("{name}: expected a positive count, got `{v}`")),
     }
-    for (name, slot) in [("--top", &mut out.top), ("--last", &mut out.last)] {
-        if let Some(v) = take_flag(flags, name) {
-            match v.parse::<usize>() {
-                Ok(n) if n > 0 => *slot = Some(n),
-                _ => return Err(format!("{name}: expected a positive count, got `{v}`")),
-            }
-        }
-    }
-    Ok(out)
 }
 
 /// The registry the subcommand reads or writes: `--registry=DIR` flag,
@@ -135,15 +132,10 @@ fn reject_unknown(flags: &[String]) -> Result<(), String> {
 }
 
 fn diff(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
-    let mut opts = DiffOptions::default();
-    let nums = match take_num_flags(&mut flags) {
-        Ok(n) => n,
+    let opts = match take_gate_options(&mut flags, 10) {
+        Ok(opts) => opts,
         Err(e) => return usage_error(&e),
     };
-    opts.threshold = nums.threshold;
-    if let Some(top) = nums.top {
-        opts.top = top;
-    }
     if let Err(e) = reject_unknown(&flags) {
         return usage_error(&e);
     }
@@ -189,8 +181,10 @@ fn diff(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
 }
 
 fn history(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
-    let nums = match take_num_flags(&mut flags) {
-        Ok(n) => n,
+    let (top, last) = match take_count(&mut flags, "--top")
+        .and_then(|top| Ok((top, take_count(&mut flags, "--last")?)))
+    {
+        Ok(counts) => counts,
         Err(e) => return usage_error(&e),
     };
     let registry = match take_registry(&mut flags) {
@@ -203,7 +197,7 @@ fn history(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
     let [series] = positional else {
         return usage_error("history takes exactly one series filter (substring of doc:key)");
     };
-    let runs = match mc_pulse::load_runs(&registry, nums.last) {
+    let runs = match mc_pulse::load_runs(&registry, last) {
         Ok(runs) => runs,
         Err(e) => {
             diag!("{}: {e}", registry.root().display());
@@ -214,13 +208,15 @@ fn history(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
         diag!("no registered runs under {} (run with --register first)", registry.root().display());
         return ExitCode::from(exitcode::USAGE);
     }
-    print!("{}", mc_pulse::render_history(&runs, series, nums.top.unwrap_or(20)));
+    print!("{}", mc_pulse::render_history(&runs, series, top.unwrap_or(20)));
     ExitCode::from(exitcode::OK)
 }
 
 fn trend(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
-    let nums = match take_num_flags(&mut flags) {
-        Ok(n) => n,
+    let (opts, last) = match take_gate_options(&mut flags, 20)
+        .and_then(|opts| Ok((opts, take_count(&mut flags, "--last")?)))
+    {
+        Ok(parsed) => parsed,
         Err(e) => return usage_error(&e),
     };
     let json = take_flag(&mut flags, "--json");
@@ -234,15 +230,8 @@ fn trend(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
     if !positional.is_empty() {
         return usage_error("trend takes no positional arguments");
     }
-    let mut opts = TrendOptions { last: nums.last, ..TrendOptions::default() };
-    if let Some(floor) = nums.threshold {
-        opts.floor = floor;
-    }
-    if let Some(top) = nums.top {
-        opts.top = top;
-    }
     let mut span = mc_trace::span("report.trend");
-    let runs = match mc_pulse::load_runs(&registry, opts.last) {
+    let runs = match mc_pulse::load_runs(&registry, last) {
         Ok(runs) => runs,
         Err(e) => {
             diag!("{}: {e}", registry.root().display());

@@ -403,9 +403,20 @@ fn mc_report_diff_accepts_reruns_and_flags_perturbations() {
     assert!(stderr.contains("warning: manifest `options_hash` differs"), "{stderr}");
     assert!(!stdout.contains("warning:"), "warnings must not pollute stdout: {stdout}");
 
-    // Usage errors exit 2.
+    // Usage errors exit 2, and so does a flag diff does not take.
     let usage = Command::new(env!("CARGO_BIN_EXE_mc-report")).output().expect("runs");
     assert_eq!(usage.status.code(), Some(2));
+    let stray = Command::new(env!("CARGO_BIN_EXE_mc-report"))
+        .arg("diff")
+        .arg(&base)
+        .arg(&same)
+        .arg("--last=3")
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&stray.stderr);
+    assert_eq!(stray.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown option `--last=3`"), "{stderr}");
+    assert!(stray.stdout.is_empty(), "{}", String::from_utf8_lossy(&stray.stdout));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -653,6 +664,17 @@ fn registered_runs_feed_history_and_trend() {
     let stdout = String::from_utf8_lossy(&hist.stdout);
     assert_eq!(hist.status.code(), Some(0), "{stdout}\n{}", String::from_utf8_lossy(&hist.stderr));
     assert!(stdout.contains("hand"), "{stdout}");
+    // history has no regression floor: `--threshold` is a usage error.
+    let stray = Command::new(env!("CARGO_BIN_EXE_mc-report"))
+        .arg("history")
+        .arg("hand")
+        .arg(&registry_flag)
+        .arg("--threshold=0.5")
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&stray.stderr);
+    assert_eq!(stray.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown option `--threshold=0.5`"), "{stderr}");
 
     // An empty registry is a usage error, not an empty success.
     let empty = Command::new(env!("CARGO_BIN_EXE_mc-report"))

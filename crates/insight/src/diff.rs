@@ -15,70 +15,25 @@
 //!   `series|x`, valued by `y`; no per-point samples, so only the global
 //!   floor applies.
 //!
-//! A point regresses when its relative delta exceeds
-//! `max(floor, 2 × own spread, noise floor)`, where the noise floor is
-//! twice the 95th percentile of the baseline's per-row spreads — runs
-//! whose own replication is noisy get proportionally wider bands.
+//! Each matched key is a two-observation series judged by
+//! [`mc_report::gate`] under its [`Band::Pair`] rule: a point regresses
+//! when its relative delta exceeds `max(floor, 2 × own spread, noise
+//! floor)`, where the noise floor is twice the 95th percentile of the
+//! baseline's per-row spreads — runs whose own replication is noisy get
+//! proportionally wider bands.
 
 use crate::attribution::BottleneckClass;
-use mc_report::stats::percentile;
-use mc_report::table::{fmt_f, AsciiTable};
+use mc_report::gate::{self, Band, GateOptions, Point, Verdict};
+use mc_report::table::AsciiTable;
 use mc_report::{CsvTable, RunManifest};
-
-/// Relative-delta floor below which movement is never flagged.
-const DEFAULT_FLOOR: f64 = 0.01;
-
-/// Knobs for a diff.
-#[derive(Debug, Clone)]
-pub struct DiffOptions {
-    /// Override for the relative-delta floor (default 1%).
-    pub threshold: Option<f64>,
-    /// Maximum rows in the rendered table.
-    pub top: usize,
-}
-
-impl Default for DiffOptions {
-    fn default() -> Self {
-        DiffOptions { threshold: None, top: 10 }
-    }
-}
-
-/// One matched point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiffEntry {
-    /// Join key (`kernel|label|mode|workers` or `series|x`).
-    pub key: String,
-    /// Baseline value.
-    pub base: f64,
-    /// New value.
-    pub new: f64,
-    /// Relative delta `(new − base) / base`.
-    pub delta_rel: f64,
-    /// The noise threshold this point had to clear.
-    pub threshold: f64,
-    /// What the baseline row is bound on (`-` when unknown).
-    pub bottleneck_base: String,
-    /// What the new row is bound on (`-` when unknown).
-    pub bottleneck_new: String,
-}
-
-impl DiffEntry {
-    /// True when the point slowed beyond its noise threshold.
-    pub fn is_regression(&self) -> bool {
-        self.delta_rel > self.threshold
-    }
-
-    /// True when the point sped up beyond its noise threshold.
-    pub fn is_improvement(&self) -> bool {
-        self.delta_rel < -self.threshold
-    }
-}
 
 /// The outcome of diffing two documents.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffReport {
-    /// All matched points, worst movers first.
-    pub entries: Vec<DiffEntry>,
+    /// All matched points, worst movers first: two-observation series
+    /// (baseline row, new row) whose band is the threshold they had to
+    /// clear.
+    pub entries: Vec<Verdict>,
     /// Keys present in the baseline only.
     pub missing_in_new: Vec<String>,
     /// Keys present in the new document only.
@@ -91,34 +46,14 @@ pub struct DiffReport {
 
 impl DiffReport {
     /// Matched points that slowed beyond threshold, worst first.
-    pub fn regressions(&self) -> Vec<&DiffEntry> {
-        self.entries.iter().filter(|e| e.is_regression()).collect()
+    pub fn regressions(&self) -> Vec<&Verdict> {
+        self.entries.iter().filter(|v| v.regressed()).collect()
     }
 
     /// Matched points that sped up beyond threshold.
-    pub fn improvements(&self) -> Vec<&DiffEntry> {
-        self.entries.iter().filter(|e| e.is_improvement()).collect()
+    pub fn improvements(&self) -> Vec<&Verdict> {
+        self.entries.iter().filter(|v| v.improved()).collect()
     }
-}
-
-/// One extracted measurement point.
-///
-/// The `key` is the diff join key (`kernel|label|mode|workers` for
-/// launcher CSVs, `series|x` for reproduce CSVs); the same keys index
-/// mc-pulse's cross-run registry so history joins line up with diffs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepPoint {
-    /// Join key.
-    pub key: String,
-    /// The measured value (`cycles_per_iteration` or `y`).
-    pub value: f64,
-    /// Own relative replication spread (`(max − min) / median`; zero
-    /// when the schema carries no per-row samples).
-    pub spread: f64,
-    /// Whether the row's replication met the stability criterion.
-    pub stable: bool,
-    /// Bottleneck class name (`-` when unknown).
-    pub bottleneck: String,
 }
 
 /// One parsed CSV document after schema detection.
@@ -126,7 +61,7 @@ pub struct SweepDoc {
     /// Provenance read back from the `# key: value` comment block.
     pub manifest: RunManifest,
     /// Every successfully measured point.
-    pub points: Vec<SweepPoint>,
+    pub points: Vec<Point>,
     /// Rows whose `stable` column reads `false`.
     pub unstable_rows: usize,
     /// Rows whose `status` column marks a failed evaluation — excluded
@@ -143,9 +78,10 @@ fn numeric_cell(table: &CsvTable, row: &[String], name: &str) -> Option<f64> {
 }
 
 /// Parses a sweep CSV (launcher or reproduce schema) into its manifest
-/// and measurement points. `label` names the document in error messages.
-pub fn load_document(text: &str, label: &str) -> Result<SweepDoc, String> {
-    let table = CsvTable::parse(text).map_err(|e| format!("{label}: {e}"))?;
+/// and measurement points. `document` names the points' source and the
+/// document in error messages.
+pub fn load_document(text: &str, document: &str) -> Result<SweepDoc, String> {
+    let table = CsvTable::parse(text).map_err(|e| format!("{document}: {e}"))?;
     let manifest = RunManifest::from_comments(&table.comments);
     let mut points = Vec::new();
     let mut unstable_rows = 0usize;
@@ -182,7 +118,8 @@ pub fn load_document(text: &str, label: &str) -> Result<SweepDoc, String> {
             let bottleneck = cell(&table, row, "bottleneck")
                 .filter(|b| BottleneckClass::from_name(b).is_some())
                 .unwrap_or_else(|| "-".to_owned());
-            points.push(SweepPoint { key, value, spread, stable, bottleneck });
+            let document = document.to_owned();
+            points.push(Point { document, key, value, spread, stable, bottleneck });
         }
     } else if table.column("y").is_some() {
         for row in &table.rows {
@@ -192,7 +129,8 @@ pub fn load_document(text: &str, label: &str) -> Result<SweepDoc, String> {
                 .collect::<Vec<_>>()
                 .join("|");
             let Some(value) = numeric_cell(&table, row, "y") else { continue };
-            points.push(SweepPoint {
+            points.push(Point {
+                document: document.to_owned(),
                 key,
                 value,
                 spread: 0.0,
@@ -202,7 +140,7 @@ pub fn load_document(text: &str, label: &str) -> Result<SweepDoc, String> {
         }
     } else {
         return Err(format!(
-            "{label}: unrecognized schema (want a `cycles_per_iteration` or `y` column)"
+            "{document}: unrecognized schema (want a `cycles_per_iteration` or `y` column)"
         ));
     }
     Ok(SweepDoc { manifest, points, unstable_rows, failed_rows })
@@ -212,7 +150,7 @@ pub fn load_document(text: &str, label: &str) -> Result<SweepDoc, String> {
 pub fn diff_documents(
     base_text: &str,
     new_text: &str,
-    opts: &DiffOptions,
+    opts: &GateOptions,
 ) -> Result<DiffReport, String> {
     let base = load_document(base_text, "baseline")?;
     let new = load_document(new_text, "new")?;
@@ -244,12 +182,8 @@ pub fn diff_documents(
         }
     }
 
-    // The global noise floor: twice the p95 of the baseline's own
-    // replication spreads (zero when no row carries samples).
     let spreads: Vec<f64> = base.points.iter().map(|p| p.spread).collect();
-    let noise_floor = 2.0 * percentile(&spreads, 95.0).unwrap_or(0.0);
-    let floor = opts.threshold.unwrap_or(DEFAULT_FLOOR);
-
+    let noise_floor = gate::noise_floor(&spreads);
     let mut entries = Vec::new();
     let mut missing_in_new = Vec::new();
     for bp in &base.points {
@@ -257,19 +191,8 @@ pub fn diff_documents(
             missing_in_new.push(bp.key.clone());
             continue;
         };
-        if bp.value <= 0.0 {
-            continue;
-        }
-        let threshold = floor.max(2.0 * bp.spread.max(np.spread)).max(noise_floor);
-        entries.push(DiffEntry {
-            key: bp.key.clone(),
-            base: bp.value,
-            new: np.value,
-            delta_rel: (np.value - bp.value) / bp.value,
-            threshold,
-            bottleneck_base: bp.bottleneck.clone(),
-            bottleneck_new: np.bottleneck.clone(),
-        });
+        let pair = vec![bp.clone(), np.clone()];
+        entries.extend(gate::judge(pair, Band::Pair { noise_floor }, opts.floor));
     }
     let added_in_new = new
         .points
@@ -277,13 +200,7 @@ pub fn diff_documents(
         .filter(|p| !base.points.iter().any(|bp| bp.key == p.key))
         .map(|p| p.key.clone())
         .collect();
-    entries.sort_by(|a, b| {
-        b.delta_rel
-            .abs()
-            .partial_cmp(&a.delta_rel.abs())
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.key.cmp(&b.key))
-    });
+    entries.sort_by(gate::worst_first);
 
     Ok(DiffReport { entries, missing_in_new, added_in_new, warnings, noise_floor })
 }
@@ -293,30 +210,20 @@ pub fn diff_documents(
 /// Warnings are *not* part of the rendering: they are diagnostics, and
 /// callers route them to stderr (see `mc-report diff`) so stdout stays a
 /// clean, machine-readable report.
-pub fn render_diff(report: &DiffReport, opts: &DiffOptions) -> String {
+pub fn render_diff(report: &DiffReport, opts: &GateOptions) -> String {
     let mut out = String::new();
     let mut table = AsciiTable::new(vec!["point", "base", "new", "delta", "threshold", "bound on"]);
-    for entry in report.entries.iter().take(opts.top) {
-        let verdict = if entry.is_regression() {
-            " REGRESSED"
-        } else if entry.is_improvement() {
-            " improved"
+    for v in report.entries.iter().take(opts.top) {
+        let (base, new) = (v.first(), v.latest());
+        let bound = if base.bottleneck == new.bottleneck {
+            base.bottleneck.clone()
         } else {
-            ""
+            format!("{} -> {}", base.bottleneck, new.bottleneck)
         };
-        let bound = if entry.bottleneck_base == entry.bottleneck_new {
-            entry.bottleneck_base.clone()
-        } else {
-            format!("{} -> {}", entry.bottleneck_base, entry.bottleneck_new)
-        };
-        table.row(vec![
-            entry.key.clone(),
-            fmt_f(entry.base, 4),
-            fmt_f(entry.new, 4),
-            format!("{:+.2}%{verdict}", entry.delta_rel * 100.0),
-            format!("{:.2}%", entry.threshold * 100.0),
-            bound,
-        ]);
+        let mut row = vec![base.key.clone()];
+        row.extend(v.cells());
+        row.push(bound);
+        table.row(row);
     }
     out.push_str(&table.render());
     let regressions = report.regressions();
@@ -338,9 +245,9 @@ pub fn render_diff(report: &DiffReport, opts: &DiffOptions) -> String {
     if let Some(worst) = regressions.first() {
         out.push_str(&format!(
             "worst regression: {} ({:+.2}%, bound on {})\n",
-            worst.key,
+            worst.first().key,
             worst.delta_rel * 100.0,
-            worst.bottleneck_new
+            worst.latest().bottleneck
         ));
     }
     out
@@ -349,6 +256,9 @@ pub fn render_diff(report: &DiffReport, opts: &DiffOptions) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mc_report::gate::DEFAULT_FLOOR;
+
+    const OPTS: GateOptions = GateOptions { floor: DEFAULT_FLOOR, top: 10 };
 
     const HEADER: &str = "kernel,label,machine,mode,workers,cycles_per_iteration,energy_nj,\
                           seconds_full,min,median,max,stable,residence,verified,bottleneck,\
@@ -372,7 +282,7 @@ mod tests {
     #[test]
     fn identical_documents_have_no_regressions() {
         let doc = launcher_csv(&[("k1", 4.0, 0.01, "load-port"), ("k2", 8.0, 0.01, "dep-chain")]);
-        let report = diff_documents(&doc, &doc, &DiffOptions::default()).unwrap();
+        let report = diff_documents(&doc, &doc, &OPTS).unwrap();
         assert_eq!(report.entries.len(), 2);
         assert!(report.regressions().is_empty());
         assert!(report.improvements().is_empty());
@@ -383,17 +293,17 @@ mod tests {
     fn a_real_slowdown_regresses_with_its_bottleneck_named() {
         let base = launcher_csv(&[("k1", 4.0, 0.01, "load-port"), ("k2", 8.0, 0.01, "dep-chain")]);
         let new = launcher_csv(&[("k1", 6.0, 0.01, "ram-bound"), ("k2", 8.0, 0.01, "dep-chain")]);
-        let report = diff_documents(&base, &new, &DiffOptions::default()).unwrap();
+        let report = diff_documents(&base, &new, &OPTS).unwrap();
         let regressions = report.regressions();
         assert_eq!(regressions.len(), 1);
         let r = regressions[0];
-        assert!(r.key.starts_with("k1|"));
+        assert!(r.first().key.starts_with("k1|"));
         assert!((r.delta_rel - 0.5).abs() < 1e-9);
-        assert_eq!(r.bottleneck_base, "load-port");
-        assert_eq!(r.bottleneck_new, "ram-bound");
+        assert_eq!(r.first().bottleneck, "load-port");
+        assert_eq!(r.latest().bottleneck, "ram-bound");
         // Worst mover sorts first and the rendering names the bottleneck.
-        assert_eq!(report.entries[0].key, r.key);
-        let rendered = render_diff(&report, &DiffOptions::default());
+        assert_eq!(report.entries[0].first().key, r.first().key);
+        let rendered = render_diff(&report, &OPTS);
         assert!(rendered.contains("load-port -> ram-bound"), "{rendered}");
         assert!(rendered.contains("1 regression(s)"), "{rendered}");
     }
@@ -403,16 +313,17 @@ mod tests {
         // A 10% move under a 30% replication spread is not a regression.
         let base = launcher_csv(&[("k1", 4.0, 0.3, "load-port")]);
         let new = launcher_csv(&[("k1", 4.4, 0.3, "load-port")]);
-        let report = diff_documents(&base, &new, &DiffOptions::default()).unwrap();
+        let report = diff_documents(&base, &new, &OPTS).unwrap();
         assert!(report.regressions().is_empty());
-        assert!(report.entries[0].threshold >= 0.59, "{}", report.entries[0].threshold);
+        let band = report.entries[0].band_rel;
+        assert!(band >= 0.59, "{band}");
     }
 
     #[test]
     fn provenance_mismatches_warn() {
         let base = launcher_csv(&[("k1", 4.0, 0.01, "load-port")]);
         let new = base.replace("# seed: 42", "# seed: 43");
-        let report = diff_documents(&base, &new, &DiffOptions::default()).unwrap();
+        let report = diff_documents(&base, &new, &OPTS).unwrap();
         assert!(report.warnings.iter().any(|w| w.contains("seed")), "{:?}", report.warnings);
     }
 
@@ -428,11 +339,11 @@ mod tests {
         };
         let base = with_sampling("fixed:8", "false");
         let new = with_sampling("adaptive:2..8", "true");
-        let report = diff_documents(&base, &new, &DiffOptions::default()).unwrap();
+        let report = diff_documents(&base, &new, &OPTS).unwrap();
         assert!(report.warnings.iter().any(|w| w.contains("sampling")), "{:?}", report.warnings);
         assert!(report.warnings.iter().any(|w| w.contains("`adaptive`")), "{:?}", report.warnings);
         // Same policy on both sides stays quiet.
-        let same = diff_documents(&base, &base, &DiffOptions::default()).unwrap();
+        let same = diff_documents(&base, &base, &OPTS).unwrap();
         assert!(same.warnings.is_empty(), "{:?}", same.warnings);
     }
 
@@ -440,7 +351,7 @@ mod tests {
     fn unstable_baseline_rows_warn() {
         let base = launcher_csv(&[("k1", 4.0, 0.01, "load-port")]).replace(",true,L1", ",false,L1");
         let new = launcher_csv(&[("k1", 4.0, 0.01, "load-port")]);
-        let report = diff_documents(&base, &new, &DiffOptions::default()).unwrap();
+        let report = diff_documents(&base, &new, &OPTS).unwrap();
         assert!(report.warnings.iter().any(|w| w.contains("unstable")), "{:?}", report.warnings);
     }
 
@@ -449,7 +360,7 @@ mod tests {
         let base = launcher_csv(&[("k1", 4.0, 0.01, "load-port"), ("k2", 8.0, 0.01, "dep-chain")]);
         let mut new = launcher_csv(&[("k1", 4.0, 0.01, "load-port")]);
         new.push_str("k2,L1,x5650,simulated,1,-,-,-,-,-,-,-,L1,-,-,-,-,panic\n");
-        let report = diff_documents(&base, &new, &DiffOptions::default()).unwrap();
+        let report = diff_documents(&base, &new, &OPTS).unwrap();
         // The failed row never becomes a point: k2 shows up as missing,
         // not as a bogus comparison, and a warning names the count.
         assert_eq!(report.entries.len(), 1);
@@ -466,11 +377,11 @@ mod tests {
     fn series_schema_diffs_by_series_and_x() {
         let base = "# experiment: fig11\nseries,x,y\nL1,1,10.0\nL1,2,6.0\n";
         let new = "# experiment: fig11\nseries,x,y\nL1,1,10.0\nL1,2,9.0\nL1,3,5.0\n";
-        let report = diff_documents(base, new, &DiffOptions::default()).unwrap();
+        let report = diff_documents(base, new, &OPTS).unwrap();
         assert_eq!(report.entries.len(), 2);
         let regressions = report.regressions();
         assert_eq!(regressions.len(), 1);
-        assert_eq!(regressions[0].key, "L1|2");
+        assert_eq!(regressions[0].first().key, "L1|2");
         assert_eq!(report.added_in_new, vec!["L1|3"]);
     }
 
@@ -478,7 +389,7 @@ mod tests {
     fn disjoint_points_land_in_missing_and_added() {
         let base = "series,x,y\na,1,1.0\n";
         let new = "series,x,y\nb,1,1.0\n";
-        let report = diff_documents(base, new, &DiffOptions::default()).unwrap();
+        let report = diff_documents(base, new, &OPTS).unwrap();
         assert!(report.entries.is_empty());
         assert_eq!(report.missing_in_new, vec!["a|1"]);
         assert_eq!(report.added_in_new, vec!["b|1"]);
@@ -486,7 +397,7 @@ mod tests {
 
     #[test]
     fn unknown_schema_errors() {
-        let err = diff_documents("a,b\n1,2\n", "a,b\n1,2\n", &DiffOptions::default()).unwrap_err();
+        let err = diff_documents("a,b\n1,2\n", "a,b\n1,2\n", &OPTS).unwrap_err();
         assert!(err.contains("schema"), "{err}");
     }
 
@@ -494,9 +405,9 @@ mod tests {
     fn custom_threshold_overrides_the_floor() {
         let base = "series,x,y\na,1,100.0\n";
         let new = "series,x,y\na,1,103.0\n";
-        let loose = DiffOptions { threshold: Some(0.05), top: 10 };
+        let loose = GateOptions { floor: 0.05, top: 10 };
         assert!(diff_documents(base, new, &loose).unwrap().regressions().is_empty());
-        let tight = DiffOptions { threshold: Some(0.02), top: 10 };
+        let tight = GateOptions { floor: 0.02, top: 10 };
         assert_eq!(diff_documents(base, new, &tight).unwrap().regressions().len(), 1);
     }
 }

@@ -14,19 +14,18 @@
 //! * [`evidence`] — grounds an attribution verdict in the evaluation's
 //!   mc-scope profile: each claim is paired with the JSONL line of the
 //!   profile record that backs it (`microprobe --explain --evidence`).
-//! * [`diff`] — compares two run CSVs by manifest provenance, derives a
-//!   per-point noise threshold from the stability samples (min/median/max
-//!   spread per row, plus a p95-of-spreads floor across the baseline) and
-//!   flags the points whose cycles moved beyond it — each regression
-//!   named with the bottleneck it was (and now is) bound on.
+//! * [`diff`] — compares two run CSVs by manifest provenance and judges
+//!   each matched point as a two-observation series with
+//!   [`mc_report::gate`], the regression gate `mc-report trend` shares;
+//!   its band rule widens the floor by the stability samples (twice the
+//!   larger min/median/max spread of the pair, and twice the p95 of the
+//!   baseline's spreads). Each regression is named with the bottleneck it
+//!   was (and now is) bound on.
 
 pub mod attribution;
 pub mod diff;
 pub mod evidence;
 
 pub use attribution::{attribute, Attribution, BottleneckClass};
-pub use diff::{
-    diff_documents, load_document, render_diff, DiffEntry, DiffOptions, DiffReport, SweepDoc,
-    SweepPoint,
-};
+pub use diff::{diff_documents, load_document, render_diff, DiffReport, SweepDoc};
 pub use evidence::{evidence, verdict_of, EvidenceLine};

@@ -8,7 +8,8 @@
 //! field (`sweep_ms`, `timed_kernel_calls`, …) — ratio fields like
 //! `speedup_vs_serial` are never the primary value.
 
-use crate::registry::{RunRecord, SeriesPoint};
+use crate::registry::RunRecord;
+use mc_report::gate::Point;
 use mc_report::{Json, RunManifest};
 use std::path::Path;
 
@@ -49,12 +50,13 @@ pub fn import_bench(path: &Path) -> Result<RunRecord, String> {
             .map(str::to_owned)
             .unwrap_or_else(|| format!("result[{i}]"));
         let Some(value) = pick_value(entry) else { continue };
-        points.push(SeriesPoint {
+        points.push(Point {
             document: document.clone(),
             key,
             value,
             spread: 0.0,
             stable: true,
+            bottleneck: "-".to_owned(),
         });
     }
     if points.is_empty() {

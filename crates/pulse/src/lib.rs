@@ -10,8 +10,9 @@
 //!   are content-derived, so identical runs collapse to one record while
 //!   every registration extends the time axis;
 //! * [`trend`] — `mc-report history`/`trend` join N registered runs by
-//!   mc-insight's diff keys and flag latest-run movement beyond a noise
-//!   band built from each run's *recorded* stability spreads;
+//!   `diff`'s keys and judge each series with [`mc_report::gate`], the
+//!   regression gate `diff` shares, flagging latest-run movement beyond a
+//!   noise band built from each run's *recorded* stability spreads;
 //! * [`monitor`] — [`TtyProgress`] (single repainted stderr line) and
 //!   [`JsonlProgress`] (deterministic machine stream plus time-gated
 //!   heartbeats) consume [`mc_trace::ProgressSink`] events;
@@ -34,8 +35,7 @@ pub use http::{read_request, respond, HttpLimits, Request, RequestError};
 pub use import::import_bench;
 pub use monitor::{strip_heartbeats, JsonlProgress, TtyProgress};
 pub use openmetrics::MetricsServer;
-pub use registry::{IndexEntry, Registry, RunRecord, SeriesPoint, DEFAULT_ROOT, REGISTRY_ENV};
+pub use registry::{IndexEntry, Registry, RunRecord, DEFAULT_ROOT, REGISTRY_ENV};
 pub use trend::{
-    compute_trend, load_runs, render_history, render_trend, trend_to_json, LoadedRun, TrendOptions,
-    TrendReport, TrendSeries,
+    compute_trend, load_runs, render_history, render_trend, trend_to_json, LoadedRun, TrendReport,
 };

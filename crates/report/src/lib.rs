@@ -17,6 +17,9 @@
 //!   must satisfy,
 //! * [`analysis`] — the §7 "data-mining" helpers: optimal-variant search,
 //!   per-group minima, knob-impact ranking, Pareto fronts,
+//! * [`gate`] — the regression gate `mc-report diff` and `trend` share:
+//!   one point type, the baseline/band/streak verdict over a series of
+//!   observations, and the two band rules,
 //! * [`manifest`] — the [`RunManifest`] provenance header (`# key: value`
 //!   comment lines) embedded in every emitted CSV,
 //! * [`json`] — the workspace's one JSON codec: value type, writer and
@@ -30,6 +33,7 @@ pub mod analysis;
 pub mod csv;
 pub mod experiments;
 pub mod fsio;
+pub mod gate;
 pub mod json;
 pub mod manifest;
 pub mod prop;
