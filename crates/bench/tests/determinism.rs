@@ -10,7 +10,6 @@
 use mc_bench::figures::{quick_options, run_all, run_many, FigureResult};
 use mc_report::experiments::ExperimentId;
 use std::collections::HashSet;
-use std::path::Path;
 use std::sync::Mutex;
 
 static EXEC_LOCK: Mutex<()> = Mutex::new(());
@@ -82,20 +81,6 @@ fn cache_reuse_is_identical_to_cold_evaluation() {
     }
 }
 
-/// The record keys under one store namespace directory.
-fn record_keys(dir: &Path) -> Vec<String> {
-    let mut keys = Vec::new();
-    for shard in std::fs::read_dir(dir).into_iter().flatten().flatten() {
-        for file in std::fs::read_dir(shard.path()).into_iter().flatten().flatten() {
-            let name = file.file_name().to_string_lossy().into_owned();
-            if let Some(key) = name.strip_suffix(".rec") {
-                keys.push(key.to_owned());
-            }
-        }
-    }
-    keys
-}
-
 #[test]
 fn a_cold_pass_analyzes_each_program_once_per_machine() {
     use mc_launcher::store::{clear_store, decode_report, install_store, EVAL_KIND};
@@ -114,7 +99,7 @@ fn a_cold_pass_analyzes_each_program_once_per_machine() {
     // with a report that names its machine, so the saved records give the
     // distinct (program, machine) pairs the pass estimated.
     let mut pairs = HashSet::new();
-    for key in record_keys(&dir.join(EVAL_KIND)) {
+    for key in store.keys(EVAL_KIND) {
         let payload = store.load(EVAL_KIND, &key).expect("a record the pass saved");
         let report = decode_report(&payload).expect("a decodable report");
         let program_fp = key.split('-').next().expect("program half").to_owned();

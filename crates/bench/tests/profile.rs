@@ -133,7 +133,7 @@ fn store_keys_do_not_depend_on_profiling() {
     let (store_off, store_on, profiles) =
         (scratch("store-off"), scratch("store-on"), scratch("store-profiles"));
     // Same evaluations, one store cold-filled with profiling off and one
-    // with profiling on: the persisted keys (file names) must match, or
+    // with profiling on: the persisted keys must match, or
     // profiling has leaked into the fingerprint.
     mc_exec::set_jobs(2);
     clear_profiler();
@@ -150,10 +150,14 @@ fn store_keys_do_not_depend_on_profiling() {
     clear_profiler();
     assert!(!profiler.is_empty(), "profiled run collected nothing");
 
-    let skip = ["ledger"];
-    let off = file_names(&store_off, &skip);
-    assert!(!off.is_empty(), "store stayed empty");
-    assert_eq!(off, file_names(&store_on, &skip), "store keys differ under profiling");
+    let keys = |dir: &Path| {
+        use mc_launcher::store::{calib_fingerprint, schema_fingerprint, EVAL_KIND, GEN_KIND};
+        let store = mc_store::DiskStore::open(dir, schema_fingerprint(), calib_fingerprint());
+        [store.keys(EVAL_KIND), store.keys(GEN_KIND)]
+    };
+    let off = keys(&store_off);
+    assert!(!off[0].is_empty(), "store stayed empty");
+    assert_eq!(off, keys(&store_on), "store keys differ under profiling");
     for dir in [&store_off, &store_on, &profiles] {
         let _ = std::fs::remove_dir_all(dir);
     }

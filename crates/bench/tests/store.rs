@@ -12,7 +12,7 @@
 
 use mc_bench::figures::{quick_options, run_many, FigureResult};
 use mc_report::experiments::ExperimentId;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Mutex;
 
 static EXEC_LOCK: Mutex<()> = Mutex::new(());
@@ -75,23 +75,19 @@ fn assert_identical(a: &FigureResult, b: &FigureResult, what: &str) {
 /// core sweeps, and frequency sweeps.
 const FIGURES: &[ExperimentId] = &[ExperimentId::Fig11, ExperimentId::Fig13, ExperimentId::Fig14];
 
-/// Every record file under a store directory's data tree.
-fn record_files(root: &Path) -> Vec<PathBuf> {
-    fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
-        let Ok(entries) = std::fs::read_dir(dir) else { return };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.is_dir() {
-                walk(&path, out);
-            } else if path.extension().is_some_and(|e| e == "rec") {
-                out.push(path);
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(root, &mut out);
-    out.sort();
-    out
+/// Offsets of the frames in a namespace log: every position of the
+/// frame magic, whose first byte never occurs in a UTF-8 payload.
+fn frame_starts(log: &[u8]) -> Vec<usize> {
+    let magic = mc_store::MAGIC;
+    (0..log.len().saturating_sub(magic.len()))
+        .filter(|&i| log[i..i + magic.len()] == magic)
+        .collect()
+}
+
+/// Offset of the payload of the frame starting at `start`.
+fn payload_start(log: &[u8], start: usize) -> usize {
+    let header = mc_store::Header::parse(&log[start..]).expect("a frame header");
+    start + mc_store::HEADER_LEN + header.key_len as usize
 }
 
 /// The headline claim: a second process sharing the store directory
@@ -168,8 +164,8 @@ fn store_written_under_jobs_8_warms_jobs_1_bit_identically() {
 
 /// Two handles over one directory — the in-process stand-in for two
 /// concurrent processes. Writers save while readers load the same keys;
-/// every successful load returns the exact payload (atomic rename means
-/// a reader sees a complete record or nothing).
+/// every successful load returns the exact payload (one append per record
+/// means a reader sees a complete frame or nothing).
 #[test]
 fn concurrent_handles_over_one_directory_never_tear_records() {
     let dir = fresh_dir("threads");
@@ -297,16 +293,21 @@ fn damaged_records_degrade_to_recomputation_never_failure() {
 
     simulate_fresh_process();
     let (cold_evals, cold) = run_counted(&[ExperimentId::Fig13]);
-    let records = record_files(&dir);
-    assert!(records.len() >= 3, "expected at least 3 records, found {}", records.len());
+    let log_path = dir.join("eval.log");
+    let mut log = std::fs::read(&log_path).expect("read the eval log");
+    let starts = frame_starts(&log);
+    assert!(starts.len() >= 3, "expected at least 3 records, found {}", starts.len());
 
-    // Three distinct failure modes across three real records.
-    let bytes = std::fs::read(&records[0]).expect("read record");
-    std::fs::write(&records[0], &bytes[..bytes.len() / 2]).expect("truncate record");
-    std::fs::write(&records[1], b"not a record at all\n").expect("garbage record");
-    let future = String::from_utf8_lossy(&std::fs::read(&records[2]).expect("read record"))
-        .replacen("microtools-store 1 ", "microtools-store 99 ", 1);
-    std::fs::write(&records[2], future).expect("future-version record");
+    // Three distinct failure modes across three real records, applied
+    // back to front so earlier offsets stay put: garbage over a payload,
+    // a future format version, and a payload truncated with the next
+    // frame glued onto it.
+    let garbage = payload_start(&log, starts[2])..starts.get(3).copied().unwrap_or(log.len());
+    log[garbage].fill(b'#');
+    log[starts[1] + 4..starts[1] + 8].copy_from_slice(&99u32.to_le_bytes());
+    let torn = payload_start(&log, starts[0]);
+    log.drain(torn + (starts[1] - torn) / 2..starts[1]);
+    std::fs::write(&log_path, &log).expect("write the damaged log");
 
     // A fresh handle, as a new process would open: damaged entries are
     // misses, the rest still hit, and the figure's shape is unchanged.

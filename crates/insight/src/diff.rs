@@ -184,10 +184,18 @@ pub fn diff_documents(
 
     let spreads: Vec<f64> = base.points.iter().map(|p| p.spread).collect();
     let noise_floor = gate::noise_floor(&spreads);
+    // Key indexes built once: the join is linear in the point count. A
+    // key repeated in the new document joins on its first row.
+    let mut new_by_key = std::collections::HashMap::new();
+    for np in &new.points {
+        new_by_key.entry(np.key.as_str()).or_insert(np);
+    }
+    let base_keys: std::collections::HashSet<&str> =
+        base.points.iter().map(|p| p.key.as_str()).collect();
     let mut entries = Vec::new();
     let mut missing_in_new = Vec::new();
     for bp in &base.points {
-        let Some(np) = new.points.iter().find(|p| p.key == bp.key) else {
+        let Some(&np) = new_by_key.get(bp.key.as_str()) else {
             missing_in_new.push(bp.key.clone());
             continue;
         };
@@ -197,7 +205,7 @@ pub fn diff_documents(
     let added_in_new = new
         .points
         .iter()
-        .filter(|p| !base.points.iter().any(|bp| bp.key == p.key))
+        .filter(|p| !base_keys.contains(p.key.as_str()))
         .map(|p| p.key.clone())
         .collect();
     entries.sort_by(gate::worst_first);
@@ -306,6 +314,28 @@ mod tests {
         let rendered = render_diff(&report, &OPTS);
         assert!(rendered.contains("load-port -> ram-bound"), "{rendered}");
         assert!(rendered.contains("1 regression(s)"), "{rendered}");
+    }
+
+    #[test]
+    fn a_repeated_key_joins_on_the_first_new_row() {
+        let base = launcher_csv(&[("k1", 4.0, 0.01, "load-port"), ("k1", 6.0, 0.01, "load-port")]);
+        let new = launcher_csv(&[
+            ("k1", 4.0, 0.01, "load-port"),
+            ("k1", 9.0, 0.01, "ram-bound"),
+            ("k2", 1.0, 0.01, "dep-chain"),
+        ]);
+        let report = diff_documents(&base, &new, &OPTS).unwrap();
+        // Both baseline rows pair with the first `k1` row of the new run.
+        assert_eq!(report.entries.len(), 2);
+        assert!(report
+            .entries
+            .iter()
+            .all(|v| v.latest().value == 4.0 && v.first().key.starts_with("k1|")));
+        assert!(report.regressions().is_empty());
+        assert_eq!(report.improvements().len(), 1);
+        assert!(report.missing_in_new.is_empty());
+        assert_eq!(report.added_in_new.len(), 1);
+        assert!(report.added_in_new[0].starts_with("k2|"));
     }
 
     #[test]

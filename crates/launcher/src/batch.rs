@@ -38,8 +38,9 @@
 //! process paid for. Store records self-invalidate on schema or
 //! simulator-calibration changes, and a damaged store degrades to
 //! misses, never wrong results. The store is also how a killed sweep
-//! resumes: each point is saved as it finishes, so a rerun against the
-//! same store evaluates only what the first process never finished.
+//! resumes: each point is appended to the store's log as it finishes
+//! (one fsync per batch makes the batch durable), so a rerun against
+//! the same store evaluates only what the first process never finished.
 //! Failed points are never saved, so a rerun evaluates them again.
 //!
 //! ## Supervision
@@ -179,7 +180,7 @@ pub fn try_run_batch_supervised(points: Vec<EvalPoint>) -> Vec<Result<RunReport,
             (base_index + i as u64, fp, point)
         })
         .collect();
-    mc_exec::engine().run(prepared, |(index, program_fp, point)| {
+    let results = mc_exec::engine().run(prepared, |(index, program_fp, point)| {
         let options = point.options();
         let key = (program_fp, options.fingerprint());
         let label = point.program.name.clone();
@@ -223,7 +224,12 @@ pub fn try_run_batch_supervised(points: Vec<EvalPoint>) -> Vec<Result<RunReport,
             }
             report
         })
-    })
+    });
+    // One fsync per batch makes every record it saved durable.
+    if let Some(store) = crate::store::store() {
+        store.sync();
+    }
+    results
 }
 
 /// Evaluates every point, keeping per-point failures as strings:

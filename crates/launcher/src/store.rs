@@ -12,13 +12,13 @@
 //!   configuration tables ([`mc_simarch::config::MachineConfig::table1`]),
 //!   so recalibrating the simulator invalidates results computed under
 //!   the old model;
-//! * **eval payloads** — one trace-event JSON line of flat report
-//!   fields. Nested structures use dotted prefixes (`summary.min`,
-//!   `verify.passed`, `bottleneck.class`) and optional sections are
-//!   simply absent. Floats travel in their shortest round-trip form, so
-//!   a decoded report is bit-identical to the computed one, and a
-//!   record missing a required field (or carrying one of the wrong
-//!   shape) decodes to `None`: the point is re-evaluated;
+//! * **eval payloads** — the report's fields tab-separated in one fixed
+//!   order, with no field names and no JSON parse. Floats travel as the
+//!   hex of their bits, so a decoded report is bit-identical to the
+//!   computed one; text fields escape backslash, tab and newline; an
+//!   absent optional section is one `-` field. A record missing a field,
+//!   carrying an extra one, or one of the wrong shape decodes to `None`:
+//!   the point is re-evaluated;
 //! * **gen payloads** — one JSON line per generated program (assembly
 //!   text plus variant metadata), persisted only after an in-memory
 //!   decode verifies the exact round trip, because evaluation keys hash
@@ -37,6 +37,7 @@ use mc_report::stats::Summary;
 use mc_simarch::config::Level;
 use mc_store::DiskStore;
 use mc_trace::{EventKind, TraceEvent, Value};
+use std::fmt::Write;
 use std::path::Path;
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -47,7 +48,7 @@ pub const EVAL_KIND: &str = "eval";
 pub const GEN_KIND: &str = "gen";
 
 /// Bumped when either payload codec changes shape.
-const PAYLOAD_CODEC: &str = "store-payload-v1";
+const PAYLOAD_CODEC: &str = "store-payload-v2";
 
 /// Fingerprint scoping record validity to this build's payload shapes.
 pub fn schema_fingerprint() -> u64 {
@@ -99,135 +100,192 @@ pub fn clear_store() {
     *store_slot().write().expect("store slot poisoned") = None;
 }
 
-/// Renders a report as a store payload: one trace-event JSON line over
-/// the flat report fields.
+/// Renders a report as a store payload: its fields tab-separated in one
+/// fixed order. Floats travel as the hex of their bits, so a decoded
+/// report is bit-identical to the computed one; text fields escape `\\`,
+/// tab and newline; an absent optional field or section is one `-`.
 pub fn encode_report(report: &RunReport) -> String {
-    let mut fields: Vec<(String, Value)> = vec![
-        ("name".into(), report.name.as_str().into()),
-        ("label".into(), report.label.as_str().into()),
-        ("machine".into(), report.machine.as_str().into()),
-        ("mode".into(), report.mode.name().into()),
-        ("workers".into(), report.workers.into()),
-        ("cycles_per_iteration".into(), report.cycles_per_iteration.into()),
-        ("seconds_full_function".into(), report.seconds_full_function.into()),
-        ("summary.count".into(), report.summary.count.into()),
-        ("summary.min".into(), report.summary.min.into()),
-        ("summary.max".into(), report.summary.max.into()),
-        ("summary.mean".into(), report.summary.mean.into()),
-        ("summary.median".into(), report.summary.median.into()),
-        ("summary.stddev".into(), report.summary.stddev.into()),
-        ("stable".into(), report.stable.into()),
-        ("samples_used".into(), report.samples_used.into()),
-        ("adaptive".into(), report.adaptive.into()),
-        ("pin_cores".into(), join(&report.pin_cores).into()),
-    ];
-    if let Some(residence) = report.residence {
-        fields.push(("residence".into(), residence.name().into()));
-    }
-    if let Some(verify) = &report.verify {
-        fields.push(("verify.passed".into(), verify.passed.into()));
-        fields.push(("verify.loop_iterations".into(), verify.loop_iterations.into()));
-        fields.push(("verify.expected_iterations".into(), verify.expected_iterations.into()));
-        fields.push((
-            "verify.memory_ops_per_iteration".into(),
-            verify.memory_ops_per_iteration.into(),
-        ));
-        fields.push(("verify.footprint_lines".into(), verify.footprint_lines.into()));
-        if let Some(observed) = verify.observed_residence {
-            fields.push(("verify.observed_residence".into(), observed.into()));
+    let mut out = Fields::default();
+    out.text(&report.name).text(&report.label).text(&report.machine);
+    out.word(report.mode.name()).uint(report.workers.into());
+    out.float(report.cycles_per_iteration).float(report.seconds_full_function);
+    let s = &report.summary;
+    out.uint(s.count as u64).float(s.min).float(s.max).float(s.mean).float(s.median);
+    out.float(s.stddev).flag(report.stable);
+    out.word(report.residence.map_or("-", Level::name)).word(&join(&report.pin_cores));
+    out.uint(report.samples_used.into()).flag(report.adaptive);
+    out.optional_float(report.region_seconds).optional_float(report.energy_nj_per_iteration);
+    match &report.verify {
+        Some(v) => {
+            out.flag(v.passed).uint(v.loop_iterations).uint(v.expected_iterations);
+            out.float(v.memory_ops_per_iteration).uint(v.footprint_lines);
+            out.word(v.observed_residence.unwrap_or("-")).text(&v.detail)
         }
-        fields.push(("verify.detail".into(), verify.detail.as_str().into()));
-    }
-    if let Some(region) = report.region_seconds {
-        fields.push(("region_seconds".into(), region.into()));
-    }
-    if let Some(energy) = report.energy_nj_per_iteration {
-        fields.push(("energy_nj_per_iteration".into(), energy.into()));
-    }
-    if let Some(b) = &report.bottleneck {
-        fields.push(("bottleneck.class".into(), b.class.name().into()));
-        fields.push(("bottleneck.bound_cycles".into(), b.bound_cycles.into()));
-        fields.push(("bottleneck.measured_cycles".into(), b.measured_cycles.into()));
-        if let Some(runner_up) = b.runner_up {
-            fields.push(("bottleneck.runner_up".into(), runner_up.name().into()));
+        None => out.word("-"),
+    };
+    match &report.bottleneck {
+        Some(b) => {
+            out.word(b.class.name()).float(b.bound_cycles).float(b.measured_cycles);
+            out.word(b.runner_up.map_or("-", BottleneckClass::name)).float(b.runner_up_cycles)
         }
-        fields.push(("bottleneck.runner_up_cycles".into(), b.runner_up_cycles.into()));
-    }
-    let mut event = TraceEvent::new(EventKind::Event, "report");
-    event.fields = fields;
-    event.to_json()
+        None => out.word("-"),
+    };
+    let mut payload = out.0;
+    payload.pop();
+    payload
 }
 
 /// Reconstructs a report from a store payload. `None` on any mismatch —
-/// the caller re-evaluates.
+/// a missing, extra or malformed field — and the caller re-evaluates.
 pub fn decode_report(payload: &str) -> Option<RunReport> {
-    let event = TraceEvent::from_json(payload.trim()).ok()?;
-    if event.name != "report" {
+    let mut f = payload.split('\t');
+    let mut next = || f.next();
+    let text = |field: Option<&str>| unescape(field?);
+    let float = |field: Option<&str>| Some(f64::from_bits(u64::from_str_radix(field?, 16).ok()?));
+    let uint = |field: Option<&str>| field?.parse::<u64>().ok();
+    let flag = |field: Option<&str>| match field? {
+        "0" => Some(false),
+        "1" => Some(true),
+        _ => None,
+    };
+    let (name, label, machine) = (text(next())?, text(next())?, text(next())?);
+    let mode = Mode::from_name(next()?)?;
+    let workers = u32::try_from(uint(next())?).ok()?;
+    let (cycles_per_iteration, seconds_full_function) = (float(next())?, float(next())?);
+    let summary = Summary {
+        count: usize::try_from(uint(next())?).ok()?,
+        min: float(next())?,
+        max: float(next())?,
+        mean: float(next())?,
+        median: float(next())?,
+        stddev: float(next())?,
+    };
+    let stable = flag(next())?;
+    let residence = match next()? {
+        "-" => None,
+        name => Some(Level::from_name(name)?),
+    };
+    let pin_cores = parsed_list(next()?)?;
+    let samples_used = u32::try_from(uint(next())?).ok()?;
+    let adaptive = flag(next())?;
+    let optional_float = |field: Option<&str>| match field? {
+        "-" => Some(None),
+        bits => float(Some(bits)).map(Some),
+    };
+    let region_seconds = optional_float(next())?;
+    let energy_nj_per_iteration = optional_float(next())?;
+    let verify = match next()? {
+        "-" => None,
+        passed => Some(VerifyReport {
+            passed: flag(Some(passed))?,
+            loop_iterations: uint(next())?,
+            expected_iterations: uint(next())?,
+            memory_ops_per_iteration: float(next())?,
+            footprint_lines: uint(next())?,
+            // Map through `Level` to recover the `&'static str` name.
+            observed_residence: match next()? {
+                "-" => None,
+                name => Some(Level::from_name(name)?.name()),
+            },
+            detail: text(next())?,
+        }),
+    };
+    let bottleneck = match next()? {
+        "-" => None,
+        class => Some(Attribution {
+            class: BottleneckClass::from_name(class)?,
+            bound_cycles: float(next())?,
+            measured_cycles: float(next())?,
+            runner_up: match next()? {
+                "-" => None,
+                name => Some(BottleneckClass::from_name(name)?),
+            },
+            runner_up_cycles: float(next())?,
+        }),
+    };
+    if next().is_some() {
         return None;
     }
-    let text = |key: &str| event.field(key).and_then(Value::as_str).map(str::to_owned);
-    let float = |key: &str| event.field(key).and_then(Value::as_f64);
-    let uint = |key: &str| event.field(key).and_then(Value::as_u64);
-    let flag = |key: &str| event.field(key).and_then(Value::as_bool);
-    let verify = match event.field("verify.passed") {
-        Some(_) => Some(VerifyReport {
-            passed: flag("verify.passed")?,
-            loop_iterations: uint("verify.loop_iterations")?,
-            expected_iterations: uint("verify.expected_iterations")?,
-            memory_ops_per_iteration: float("verify.memory_ops_per_iteration")?,
-            footprint_lines: uint("verify.footprint_lines")?,
-            // Map through `Level` to recover the `&'static str` name.
-            observed_residence: match text("verify.observed_residence") {
-                Some(name) => Some(Level::from_name(&name)?.name()),
-                None => None,
-            },
-            detail: text("verify.detail")?,
-        }),
-        None => None,
-    };
-    let bottleneck = match event.field("bottleneck.class") {
-        Some(_) => Some(Attribution {
-            class: BottleneckClass::from_name(&text("bottleneck.class")?)?,
-            bound_cycles: float("bottleneck.bound_cycles")?,
-            measured_cycles: float("bottleneck.measured_cycles")?,
-            runner_up: match text("bottleneck.runner_up") {
-                Some(name) => Some(BottleneckClass::from_name(&name)?),
-                None => None,
-            },
-            runner_up_cycles: float("bottleneck.runner_up_cycles")?,
-        }),
-        None => None,
-    };
-    let residence = match text("residence") {
-        Some(name) => Some(Level::from_name(&name)?),
-        None => None,
-    };
     Some(RunReport {
-        name: text("name")?,
-        label: text("label")?,
-        machine: text("machine")?,
-        mode: Mode::from_name(&text("mode")?)?,
-        workers: uint("workers")? as u32,
-        cycles_per_iteration: float("cycles_per_iteration")?,
-        seconds_full_function: float("seconds_full_function")?,
-        summary: Summary {
-            count: uint("summary.count")? as usize,
-            min: float("summary.min")?,
-            max: float("summary.max")?,
-            mean: float("summary.mean")?,
-            median: float("summary.median")?,
-            stddev: float("summary.stddev")?,
-        },
-        stable: flag("stable")?,
+        name,
+        label,
+        machine,
+        mode,
+        workers,
+        cycles_per_iteration,
+        seconds_full_function,
+        summary,
+        stable,
         residence,
-        pin_cores: parsed_list(&text("pin_cores")?)?,
+        pin_cores,
         verify,
-        region_seconds: float("region_seconds"),
-        energy_nj_per_iteration: float("energy_nj_per_iteration"),
+        region_seconds,
+        energy_nj_per_iteration,
         bottleneck,
-        samples_used: uint("samples_used")? as u32,
-        adaptive: flag("adaptive")?,
+        samples_used,
+        adaptive,
     })
+}
+
+/// The tab-separated field writer of [`encode_report`].
+#[derive(Default)]
+struct Fields(String);
+
+impl Fields {
+    /// Appends one field verbatim, and its separator: the caller
+    /// guarantees it holds no tab.
+    fn word(&mut self, field: &str) -> &mut Self {
+        self.0.push_str(field);
+        self.0.push('\t');
+        self
+    }
+
+    fn text(&mut self, field: &str) -> &mut Self {
+        let escaped = field.replace('\\', "\\\\").replace('\t', "\\t").replace('\n', "\\n");
+        self.word(&escaped)
+    }
+
+    fn uint(&mut self, field: u64) -> &mut Self {
+        let _ = write!(self.0, "{field}\t");
+        self
+    }
+
+    fn float(&mut self, field: f64) -> &mut Self {
+        let _ = write!(self.0, "{:x}\t", field.to_bits());
+        self
+    }
+
+    fn flag(&mut self, field: bool) -> &mut Self {
+        self.word(if field { "1" } else { "0" })
+    }
+
+    fn optional_float(&mut self, field: Option<f64>) -> &mut Self {
+        match field {
+            Some(value) => self.float(value),
+            None => self.word("-"),
+        }
+    }
+}
+
+/// Reverses [`Fields::text`]: `None` on a dangling or unknown escape.
+fn unescape(field: &str) -> Option<String> {
+    if !field.contains('\\') {
+        return Some(field.to_owned());
+    }
+    let mut out = String::with_capacity(field.len());
+    let mut chars = field.chars();
+    while let Some(c) = chars.next() {
+        out.push(match c {
+            '\\' => match chars.next()? {
+                '\\' => '\\',
+                't' => '\t',
+                'n' => '\n',
+                _ => return None,
+            },
+            c => c,
+        });
+    }
+    Some(out)
 }
 
 fn join<T: ToString>(values: &[T]) -> String {
@@ -342,6 +400,146 @@ mod tests {
     use mc_creator::MicroCreator;
     use mc_kernel::builder::{load_stream, multi_array_traversal};
 
+    /// The v1 payload codec (`store-payload-v1`): one trace-event JSON
+    /// line of flat report fields with dotted section prefixes. Kept as
+    /// the oracle the field-order codec is checked against.
+    mod v1 {
+        use super::super::*;
+        use mc_trace::{EventKind, TraceEvent, Value};
+
+        /// Renders a report as a store payload: one trace-event JSON line over
+        /// the flat report fields.
+        pub(super) fn encode_report(report: &RunReport) -> String {
+            let mut fields: Vec<(String, Value)> = vec![
+                ("name".into(), report.name.as_str().into()),
+                ("label".into(), report.label.as_str().into()),
+                ("machine".into(), report.machine.as_str().into()),
+                ("mode".into(), report.mode.name().into()),
+                ("workers".into(), report.workers.into()),
+                ("cycles_per_iteration".into(), report.cycles_per_iteration.into()),
+                ("seconds_full_function".into(), report.seconds_full_function.into()),
+                ("summary.count".into(), report.summary.count.into()),
+                ("summary.min".into(), report.summary.min.into()),
+                ("summary.max".into(), report.summary.max.into()),
+                ("summary.mean".into(), report.summary.mean.into()),
+                ("summary.median".into(), report.summary.median.into()),
+                ("summary.stddev".into(), report.summary.stddev.into()),
+                ("stable".into(), report.stable.into()),
+                ("samples_used".into(), report.samples_used.into()),
+                ("adaptive".into(), report.adaptive.into()),
+                ("pin_cores".into(), join(&report.pin_cores).into()),
+            ];
+            if let Some(residence) = report.residence {
+                fields.push(("residence".into(), residence.name().into()));
+            }
+            if let Some(verify) = &report.verify {
+                fields.push(("verify.passed".into(), verify.passed.into()));
+                fields.push(("verify.loop_iterations".into(), verify.loop_iterations.into()));
+                fields
+                    .push(("verify.expected_iterations".into(), verify.expected_iterations.into()));
+                fields.push((
+                    "verify.memory_ops_per_iteration".into(),
+                    verify.memory_ops_per_iteration.into(),
+                ));
+                fields.push(("verify.footprint_lines".into(), verify.footprint_lines.into()));
+                if let Some(observed) = verify.observed_residence {
+                    fields.push(("verify.observed_residence".into(), observed.into()));
+                }
+                fields.push(("verify.detail".into(), verify.detail.as_str().into()));
+            }
+            if let Some(region) = report.region_seconds {
+                fields.push(("region_seconds".into(), region.into()));
+            }
+            if let Some(energy) = report.energy_nj_per_iteration {
+                fields.push(("energy_nj_per_iteration".into(), energy.into()));
+            }
+            if let Some(b) = &report.bottleneck {
+                fields.push(("bottleneck.class".into(), b.class.name().into()));
+                fields.push(("bottleneck.bound_cycles".into(), b.bound_cycles.into()));
+                fields.push(("bottleneck.measured_cycles".into(), b.measured_cycles.into()));
+                if let Some(runner_up) = b.runner_up {
+                    fields.push(("bottleneck.runner_up".into(), runner_up.name().into()));
+                }
+                fields.push(("bottleneck.runner_up_cycles".into(), b.runner_up_cycles.into()));
+            }
+            let mut event = TraceEvent::new(EventKind::Event, "report");
+            event.fields = fields;
+            event.to_json()
+        }
+
+        /// Reconstructs a report from a store payload. `None` on any mismatch —
+        /// the caller re-evaluates.
+        pub(super) fn decode_report(payload: &str) -> Option<RunReport> {
+            let event = TraceEvent::from_json(payload.trim()).ok()?;
+            if event.name != "report" {
+                return None;
+            }
+            let text = |key: &str| event.field(key).and_then(Value::as_str).map(str::to_owned);
+            let float = |key: &str| event.field(key).and_then(Value::as_f64);
+            let uint = |key: &str| event.field(key).and_then(Value::as_u64);
+            let flag = |key: &str| event.field(key).and_then(Value::as_bool);
+            let verify = match event.field("verify.passed") {
+                Some(_) => Some(VerifyReport {
+                    passed: flag("verify.passed")?,
+                    loop_iterations: uint("verify.loop_iterations")?,
+                    expected_iterations: uint("verify.expected_iterations")?,
+                    memory_ops_per_iteration: float("verify.memory_ops_per_iteration")?,
+                    footprint_lines: uint("verify.footprint_lines")?,
+                    // Map through `Level` to recover the `&'static str` name.
+                    observed_residence: match text("verify.observed_residence") {
+                        Some(name) => Some(Level::from_name(&name)?.name()),
+                        None => None,
+                    },
+                    detail: text("verify.detail")?,
+                }),
+                None => None,
+            };
+            let bottleneck = match event.field("bottleneck.class") {
+                Some(_) => Some(Attribution {
+                    class: BottleneckClass::from_name(&text("bottleneck.class")?)?,
+                    bound_cycles: float("bottleneck.bound_cycles")?,
+                    measured_cycles: float("bottleneck.measured_cycles")?,
+                    runner_up: match text("bottleneck.runner_up") {
+                        Some(name) => Some(BottleneckClass::from_name(&name)?),
+                        None => None,
+                    },
+                    runner_up_cycles: float("bottleneck.runner_up_cycles")?,
+                }),
+                None => None,
+            };
+            let residence = match text("residence") {
+                Some(name) => Some(Level::from_name(&name)?),
+                None => None,
+            };
+            Some(RunReport {
+                name: text("name")?,
+                label: text("label")?,
+                machine: text("machine")?,
+                mode: Mode::from_name(&text("mode")?)?,
+                workers: uint("workers")? as u32,
+                cycles_per_iteration: float("cycles_per_iteration")?,
+                seconds_full_function: float("seconds_full_function")?,
+                summary: Summary {
+                    count: uint("summary.count")? as usize,
+                    min: float("summary.min")?,
+                    max: float("summary.max")?,
+                    mean: float("summary.mean")?,
+                    median: float("summary.median")?,
+                    stddev: float("summary.stddev")?,
+                },
+                stable: flag("stable")?,
+                residence,
+                pin_cores: parsed_list(&text("pin_cores")?)?,
+                verify,
+                region_seconds: float("region_seconds"),
+                energy_nj_per_iteration: float("energy_nj_per_iteration"),
+                bottleneck,
+                samples_used: uint("samples_used")? as u32,
+                adaptive: flag("adaptive")?,
+            })
+        }
+    }
+
     fn real_report() -> RunReport {
         let desc = load_stream(mc_asm::Mnemonic::Movaps, 4, 4);
         let p = MicroCreator::new().generate(&desc).unwrap().programs.remove(0);
@@ -395,10 +593,8 @@ mod tests {
         }
     }
 
-    /// The payload bytes of [`fixed_report`], as written by builds since
-    /// the store was introduced: records persisted by older builds must
-    /// stay readable, so this encoding may only change together with
-    /// `PAYLOAD_CODEC`.
+    /// The payload bytes of [`fixed_report`] under `store-payload-v1`, as
+    /// written by builds before the field-order codec: pins the oracle.
     const GOLDEN_REPORT: &str = concat!(
         r#"{"seq":0,"us":0,"kind":"event","name":"report","fields":{"name":"movaps_u4","#,
         r#""label":"golden","machine":"Xeon X5650, 2.67 GHz","mode":"fork","workers":4,"#,
@@ -417,8 +613,55 @@ mod tests {
 
     #[test]
     fn report_payload_bytes_are_pinned() {
-        assert_eq!(encode_report(&fixed_report()), GOLDEN_REPORT);
-        assert_eq!(decode_report(GOLDEN_REPORT), Some(fixed_report()));
+        assert_eq!(v1::encode_report(&fixed_report()), GOLDEN_REPORT);
+        assert_eq!(v1::decode_report(GOLDEN_REPORT), Some(fixed_report()));
+        assert_eq!(decode_report(GOLDEN_REPORT), None, "a v1 payload is no v2 record");
+    }
+
+    /// The payload bytes of [`fixed_report`] under `store-payload-v2`:
+    /// this encoding may only change together with `PAYLOAD_CODEC`.
+    const GOLDEN_REPORT_V2: &str = concat!(
+        "movaps_u4\tgolden\tXeon X5650, 2.67 GHz\tfork\t4\t4003000000000000\t",
+        "3eb4f8b588e368f1\t3\t4002000000000000\t4004000000000000\t4003000000000000\t",
+        "4003000000000000\t3fba20bd700c2c3e\t1\tL2\t0 2 4 6\t3\t0\t",
+        "3f02599ed7c6fbd2\t3fd3333333333334\t",
+        "0\t31\t32\t4010000000000000\t128\tL2\tloop ran 31 of 32 iterations\t",
+        "l2-bound\t4000000000000000\t4003000000000000\tload-port\t3ff0000000000000",
+    );
+
+    #[test]
+    fn field_order_payload_bytes_are_pinned() {
+        assert_eq!(encode_report(&fixed_report()), GOLDEN_REPORT_V2);
+        assert_eq!(decode_report(GOLDEN_REPORT_V2), Some(fixed_report()));
+    }
+
+    /// Reports covering every optional section both present and absent,
+    /// and text that needs escaping.
+    fn report_panel() -> Vec<RunReport> {
+        let mut bare = fixed_report();
+        bare.name = "tab\there, newline\nthere, backslash \\t".into();
+        bare.label = String::new();
+        (bare.residence, bare.verify, bare.region_seconds) = (None, None, None);
+        (bare.energy_nj_per_iteration, bare.bottleneck, bare.pin_cores) = (None, None, vec![]);
+        let mut partial = fixed_report();
+        partial.cycles_per_iteration = -0.0;
+        partial.summary.stddev = f64::MIN_POSITIVE / 3.0;
+        partial.verify.as_mut().unwrap().observed_residence = None;
+        partial.verify.as_mut().unwrap().detail = "a\\b\tc".into();
+        partial.bottleneck.as_mut().unwrap().runner_up = None;
+        vec![real_report(), fixed_report(), bare, partial]
+    }
+
+    #[test]
+    fn field_order_codec_agrees_with_the_v1_oracle_bit_for_bit() {
+        for report in report_panel() {
+            let back = decode_report(&encode_report(&report)).expect("v2 round trip");
+            let oracle = v1::decode_report(&v1::encode_report(&report)).expect("v1 round trip");
+            assert_eq!(back, report);
+            assert_eq!(back, oracle);
+            // `==` equates 0.0 with -0.0; the Debug renderings tell them apart.
+            assert_eq!(format!("{back:?}"), format!("{report:?}"));
+        }
     }
 
     #[test]
@@ -446,24 +689,29 @@ mod tests {
     }
 
     #[test]
-    fn missing_or_mistyped_fields_fail_the_decode() {
-        let event = TraceEvent::from_json(&encode_report(&real_report())).unwrap();
-        let rewritten = |fields: Vec<(String, Value)>| {
-            let mut e = event.clone();
-            e.fields = fields;
-            e.to_json()
-        };
-        for victim in ["name", "mode", "summary.min", "stable", "pin_cores", "samples_used"] {
-            let pruned = event.fields.iter().filter(|(k, _)| k != victim).cloned().collect();
-            assert!(decode_report(&rewritten(pruned)).is_none(), "decoded without `{victim}`");
-        }
-        let mut mistyped = event.fields.clone();
-        for (k, v) in &mut mistyped {
-            if k == "mode" {
-                *v = Value::Str("warp".into());
+    fn missing_extra_or_mistyped_fields_fail_the_decode() {
+        for report in report_panel() {
+            let payload = encode_report(&report);
+            let fields: Vec<&str> = payload.split('\t').collect();
+            for victim in 0..fields.len() {
+                let mut pruned = fields.clone();
+                pruned.remove(victim);
+                assert_eq!(
+                    decode_report(&pruned.join("\t")),
+                    None,
+                    "decoded without field {victim}"
+                );
             }
+            assert_eq!(decode_report(&format!("{payload}\t1")), None, "decoded an extra field");
         }
-        assert!(decode_report(&rewritten(mistyped)).is_none(), "decoded an unknown mode");
+        let payload = encode_report(&real_report());
+        let fields: Vec<&str> = payload.split('\t').collect();
+        for (at, bad) in [(3, "warp"), (4, "-1"), (5, "2.5"), (13, "true"), (14, "L9")] {
+            let mut mistyped = fields.clone();
+            mistyped[at] = bad;
+            assert_eq!(decode_report(&mistyped.join("\t")), None, "decoded `{bad}` as field {at}");
+        }
+        assert_eq!(decode_report("dangling\\"), None);
     }
 
     #[test]
@@ -540,8 +788,13 @@ mod tests {
             std::env::temp_dir().join(format!("mc_launcher_store_slot_{}", std::process::id()));
         let handle = install_store(&dir);
         assert_eq!(store().map(|s| s.root().to_owned()), Some(dir.clone()));
-        assert_eq!(handle.schema(), schema_fingerprint());
-        assert_eq!(handle.calib(), calib_fingerprint());
+        // The installed handle writes under this build's fingerprints.
+        let _ = std::fs::remove_dir_all(&dir);
+        handle.save(EVAL_KIND, "00000000000000aa", "payload");
+        let reader = DiskStore::open(&dir, schema_fingerprint(), calib_fingerprint());
+        assert_eq!(reader.load(EVAL_KIND, "00000000000000aa").as_deref(), Some("payload"));
+        let other = DiskStore::open(&dir, schema_fingerprint() ^ 1, calib_fingerprint());
+        assert_eq!((other.load(EVAL_KIND, "00000000000000aa"), other.counters().stale), (None, 1));
         match before {
             Some(prev) => {
                 *store_slot().write().unwrap() = Some(prev);

@@ -1,28 +1,16 @@
-//! mc-store: persistent two-tier content-addressed evaluation store.
-//!
-//! The sweep engine memoizes evaluations process-wide in the sharded
-//! in-memory [`MemoCache`](../mc_exec/index.html) — but every process
-//! starts cold. This crate is the second tier: a disk-backed
-//! content-addressed store keyed by the same FNV fingerprints, so a
-//! rerun, a trend refresh, or a crash-resume in a *new process* warms
-//! up from records an earlier process already paid simulator time for.
-//!
-//! * [`record`] — the on-disk format: one self-validating file per
-//!   entry, versioned header with schema + calibration fingerprints,
-//!   length and checksum, so stale or torn records degrade to misses.
-//! * [`store`] — the [`DiskStore`] handle: prefix-sharded record files,
-//!   atomic writes, an append-only hit ledger, [`scan`] and size-bounded
-//!   [`gc`] compaction.
-//!
-//! The crate is deliberately payload-agnostic: payloads are opaque
-//! strings, and the launcher layer owns encoding results and programs
-//! into them. A damaged or mismatched store can cost simulator time,
-//! never correctness.
+//! mc-store: the persistent disk tier behind the in-memory memo cache,
+//! keyed by the same FNV fingerprints, so a rerun or a crash-resume in a
+//! *new process* warms up from records an earlier process already paid
+//! simulator time for. [`record`] is the self-validating on-disk frame;
+//! [`store`] is the [`DiskStore`] handle over one append-only log per
+//! namespace, the hit ledger, [`scan`] and size-bounded [`gc`]. Payloads
+//! are opaque strings the launcher encodes. A damaged or mismatched store
+//! can cost simulator time, never correctness.
 
 pub mod record;
 pub mod store;
 
-pub use record::{decode, encode, peek_header, Expect, RecordIssue, FORMAT_VERSION, MAGIC};
+pub use record::{decode, encode, Expect, Header, RecordIssue, FORMAT_VERSION, HEADER_LEN, MAGIC};
 pub use store::{
     gc, ledger_size, ledger_totals, scan, DiskStore, GcReport, LedgerTotals, StoreCounters,
     StoreScan, LEDGER_COMPACT_BYTES,

@@ -1,160 +1,145 @@
-//! The on-disk record format: one self-validating file per entry.
-//!
-//! A record is a single header line followed by an exact-length payload:
+//! The record frame: one self-validating entry in a namespace log.
 //!
 //! ```text
-//! microtools-store 1 schema=<16x> calib=<16x> key=<kind>:<key> len=<n> sum=<16x>
-//! <payload: exactly n bytes>
+//! offset  size  field (little-endian)
+//!      0     4  magic    ff 4d 43 52: 0xff never occurs in UTF-8, so no
+//!                        payload can fake a frame start
+//!      4     4  version  outside the checksum: an unknown version is
+//!                        reported and skipped, never parsed
+//!      8     8  sum      FNV-1a over every byte from offset 16 on
+//!     16     4  len      payload bytes
+//!     20     4  key_len  key echo bytes
+//!     24     8  schema   payload schema fingerprint
+//!     32     8  calib    simulator calibration fingerprint
+//!     40        key echo `<kind>:<key>`, then the payload
 //! ```
 //!
-//! The header carries everything needed to decide whether the payload is
-//! trustworthy *before* interpreting a byte of it:
-//!
-//! * **format version** — an unknown version is skipped, never parsed,
-//!   so an old build reading a newer store (or vice versa) degrades to a
-//!   cache miss;
-//! * **schema fingerprint** — hashes the shape of the payload the writer
-//!   produced; when the result type grows a field, every old entry
-//!   self-invalidates;
-//! * **calibration fingerprint** — hashes the simulated-machine
-//!   configuration tables; recalibrating the simulator invalidates every
-//!   result computed under the old model;
-//! * **key echo** — the content address the record claims to answer; a
-//!   mis-filed record is treated as corrupt rather than served;
-//! * **payload length + FNV-1a checksum** — a truncated (torn) or
-//!   bit-flipped payload is detected without a parse attempt.
-//!
-//! Decoding never panics and never returns a wrong payload: every
-//! failure mode collapses into [`RecordIssue`], which callers count and
-//! treat as a miss.
+//! A torn or bit-flipped frame fails the checksum, a mis-filed one its key
+//! echo, and one written under another payload schema or simulator
+//! calibration is stale. Decoding never panics and never returns a wrong
+//! payload: every failure is a [`RecordIssue`], counted as a miss.
 
 use mc_report::fnv1a64;
 
-/// Leading magic token of every record header.
-pub const MAGIC: &str = "microtools-store";
+/// Leading bytes of every frame.
+pub const MAGIC: [u8; 4] = [0xff, b'M', b'C', b'R'];
 
 /// Current record format version.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
+
+/// Bytes of the fixed-width frame header.
+pub const HEADER_LEN: usize = 40;
 
 /// Why a record on disk was not served.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecordIssue {
-    /// Torn, truncated, checksum-mismatched, mis-keyed, or otherwise
-    /// unparseable — the bytes cannot be trusted.
+    /// Torn, checksum-failed, mis-keyed, or otherwise untrustworthy bytes.
     Corrupt(String),
-    /// A well-formed record in a format version this build does not
-    /// speak.
+    /// A frame in a format version this build does not speak.
     Version(u32),
-    /// A well-formed record written under a different schema or
-    /// simulator calibration — valid bytes, stale meaning.
+    /// A frame written under another schema or calibration.
     Stale { schema: u64, calib: u64 },
 }
 
-impl RecordIssue {
-    /// Short classification label for counters and diagnostics.
-    pub fn label(&self) -> &'static str {
-        match self {
-            RecordIssue::Corrupt(_) => "corrupt",
-            RecordIssue::Version(_) => "version",
-            RecordIssue::Stale { .. } => "stale",
-        }
-    }
-}
-
-/// What the reader expects a record to match.
+/// What the reader expects a record to match: the current build's
+/// payload schema and simulator calibration fingerprints, and the
+/// namespace (`eval`, `gen`) and key it looked up.
 #[derive(Debug, Clone, Copy)]
 pub struct Expect<'a> {
-    /// Payload schema fingerprint of the current build.
     pub schema: u64,
-    /// Simulator calibration fingerprint of the current build.
     pub calib: u64,
-    /// Namespace the record was looked up in (`eval`, `gen`).
     pub kind: &'a str,
-    /// Content address the caller asked for.
     pub key: &'a str,
 }
 
-/// Encodes a record: header line plus payload, ready for an atomic write.
+/// A frame header, field for field as in the module table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
+    pub version: u32,
+    pub sum: u64,
+    pub len: u32,
+    pub key_len: u32,
+    pub schema: u64,
+    pub calib: u64,
+}
+
+impl Header {
+    /// The header at the front of `bytes`, if they start with a whole one.
+    pub fn parse(bytes: &[u8]) -> Option<Header> {
+        let field = |at: usize, n: usize| {
+            bytes[at..at + n].iter().rev().fold(0u64, |v, &b| v << 8 | u64::from(b))
+        };
+        (bytes.len() >= HEADER_LEN && bytes[..4] == MAGIC).then(|| Header {
+            version: field(4, 4) as u32,
+            sum: field(8, 8),
+            len: field(16, 4) as u32,
+            key_len: field(20, 4) as u32,
+            schema: field(24, 8),
+            calib: field(32, 8),
+        })
+    }
+
+    /// Bytes of the whole frame: header, key echo and payload.
+    pub fn frame_len(&self) -> u64 {
+        HEADER_LEN as u64 + u64::from(self.key_len) + u64::from(self.len)
+    }
+
+    /// True when `frame` is exactly this header's frame and sums right.
+    pub fn sums(&self, frame: &[u8]) -> bool {
+        frame.len() as u64 == self.frame_len() && fnv1a64(&frame[16..]) == self.sum
+    }
+
+    /// The key echo of a frame this header [`sums`](Header::sums).
+    pub fn echo<'f>(&self, frame: &'f [u8]) -> &'f [u8] {
+        &frame[HEADER_LEN..HEADER_LEN + self.key_len as usize]
+    }
+}
+
+/// Encodes a record as one frame, ready for a single append.
 pub fn encode(schema: u64, calib: u64, kind: &str, key: &str, payload: &str) -> Vec<u8> {
-    let header = format!(
-        "{MAGIC} {FORMAT_VERSION} schema={schema:016x} calib={calib:016x} key={kind}:{key} \
-         len={} sum={:016x}\n",
-        payload.len(),
-        fnv1a64(payload.as_bytes()),
-    );
-    let mut bytes = Vec::with_capacity(header.len() + payload.len());
-    bytes.extend_from_slice(header.as_bytes());
-    bytes.extend_from_slice(payload.as_bytes());
-    bytes
+    let key_len = (kind.len() + 1 + key.len()) as u32;
+    let parts: [&[u8]; 11] = [
+        &MAGIC,
+        &FORMAT_VERSION.to_le_bytes(),
+        &[0; 8],
+        &(payload.len() as u32).to_le_bytes(),
+        &key_len.to_le_bytes(),
+        &schema.to_le_bytes(),
+        &calib.to_le_bytes(),
+        kind.as_bytes(),
+        b":",
+        key.as_bytes(),
+        payload.as_bytes(),
+    ];
+    let mut frame = parts.concat();
+    let sum = fnv1a64(&frame[16..]);
+    frame[8..16].copy_from_slice(&sum.to_le_bytes());
+    frame
 }
 
-fn corrupt(why: impl Into<String>) -> RecordIssue {
-    RecordIssue::Corrupt(why.into())
-}
-
-fn header_field(tokens: &[&str], name: &str) -> Result<String, RecordIssue> {
-    let prefix = format!("{name}=");
-    tokens
-        .iter()
-        .find_map(|t| t.strip_prefix(&prefix))
-        .map(str::to_owned)
-        .ok_or_else(|| corrupt(format!("header missing `{name}`")))
-}
-
-fn hex_field(tokens: &[&str], name: &str) -> Result<u64, RecordIssue> {
-    let raw = header_field(tokens, name)?;
-    u64::from_str_radix(&raw, 16).map_err(|_| corrupt(format!("bad hex in `{name}`")))
-}
-
-/// Parses only the prefix of a header: `(version, schema, calib)`.
-/// Best-effort — used by the stats scanner to build histograms without
-/// requiring full validity.
-pub fn peek_header(bytes: &[u8]) -> Option<(u32, u64, u64)> {
-    let newline = bytes.iter().position(|&b| b == b'\n')?;
-    let header = std::str::from_utf8(&bytes[..newline]).ok()?;
-    let tokens: Vec<&str> = header.split_whitespace().collect();
-    if tokens.first() != Some(&MAGIC) {
-        return None;
+/// Validates a frame against `expect` and returns its payload.
+pub fn decode(frame: &[u8], expect: &Expect<'_>) -> Result<String, RecordIssue> {
+    let corrupt = |why: String| Err(RecordIssue::Corrupt(why));
+    let Some(header) = Header::parse(frame) else { return corrupt("no frame header".into()) };
+    if header.version != FORMAT_VERSION {
+        return Err(RecordIssue::Version(header.version));
     }
-    let version = tokens.get(1)?.parse().ok()?;
-    let schema = u64::from_str_radix(&header_field(&tokens, "schema").ok()?, 16).ok()?;
-    let calib = u64::from_str_radix(&header_field(&tokens, "calib").ok()?, 16).ok()?;
-    Some((version, schema, calib))
-}
-
-/// Validates a record against `expect` and returns its payload.
-pub fn decode(bytes: &[u8], expect: &Expect<'_>) -> Result<String, RecordIssue> {
-    let newline =
-        bytes.iter().position(|&b| b == b'\n').ok_or_else(|| corrupt("no header line"))?;
-    let header = std::str::from_utf8(&bytes[..newline]).map_err(|_| corrupt("header not UTF-8"))?;
-    let tokens: Vec<&str> = header.split_whitespace().collect();
-    if tokens.first() != Some(&MAGIC) {
-        return Err(corrupt("bad magic"));
+    if !header.sums(frame) {
+        return corrupt(format!("torn or checksum-failed frame ({} bytes)", frame.len()));
     }
-    let version: u32 =
-        tokens.get(1).and_then(|t| t.parse().ok()).ok_or_else(|| corrupt("bad version token"))?;
-    if version != FORMAT_VERSION {
-        return Err(RecordIssue::Version(version));
+    let echo = header.echo(frame);
+    if echo.strip_prefix(expect.kind.as_bytes()).and_then(|rest| rest.strip_prefix(b":"))
+        != Some(expect.key.as_bytes())
+    {
+        return corrupt(format!("key mismatch: record says `{}`", String::from_utf8_lossy(echo)));
     }
-    let schema = hex_field(&tokens, "schema")?;
-    let calib = hex_field(&tokens, "calib")?;
-    let key = header_field(&tokens, "key")?;
-    let len: usize = header_field(&tokens, "len")?.parse().map_err(|_| corrupt("bad `len`"))?;
-    let sum = hex_field(&tokens, "sum")?;
-    if key != format!("{}:{}", expect.kind, expect.key) {
-        return Err(corrupt(format!("key mismatch: record says `{key}`")));
+    if (header.schema, header.calib) != (expect.schema, expect.calib) {
+        return Err(RecordIssue::Stale { schema: header.schema, calib: header.calib });
     }
-    if schema != expect.schema || calib != expect.calib {
-        return Err(RecordIssue::Stale { schema, calib });
+    match std::str::from_utf8(&frame[HEADER_LEN + echo.len()..]) {
+        Ok(payload) => Ok(payload.to_owned()),
+        Err(_) => corrupt("payload not UTF-8".into()),
     }
-    let payload = &bytes[newline + 1..];
-    if payload.len() != len {
-        return Err(corrupt(format!("torn payload: {} of {len} bytes", payload.len())));
-    }
-    if fnv1a64(payload) != sum {
-        return Err(corrupt("payload checksum mismatch"));
-    }
-    String::from_utf8(payload.to_vec()).map_err(|_| corrupt("payload not UTF-8"))
 }
 
 #[cfg(test)]
@@ -176,27 +161,42 @@ mod tests {
     }
 
     #[test]
-    fn truncation_anywhere_is_corrupt_or_unversioned_never_a_hit() {
+    fn frame_bytes_are_pinned() {
+        let frame = encode(0xabc, 0xdef, "eval", "k1", "p");
+        assert_eq!(frame.len(), HEADER_LEN + "eval:k1".len() + 1);
+        assert_eq!(&frame[..8], &[0xff, b'M', b'C', b'R', 2, 0, 0, 0]);
+        assert_eq!(&frame[16..24], &[1, 0, 0, 0, 7, 0, 0, 0]);
+        assert_eq!(&frame[HEADER_LEN..], b"eval:k1p");
+        let header = Header::parse(&frame).unwrap();
+        assert_eq!(
+            (header.schema, header.calib, header.sum),
+            (0xabc, 0xdef, fnv1a64(&frame[16..]))
+        );
+    }
+
+    #[test]
+    fn truncation_anywhere_is_corrupt_never_a_hit() {
         let bytes = sample();
         for cut in 0..bytes.len() {
             let r = decode(&bytes[..cut], &expect("k1"));
-            assert!(r.is_err(), "served a truncated record at {cut} bytes");
+            assert!(matches!(r, Err(RecordIssue::Corrupt(_))), "cut at {cut}: {r:?}");
         }
     }
 
     #[test]
-    fn bit_flips_in_the_payload_fail_the_checksum() {
-        let mut bytes = sample();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x20;
-        assert!(matches!(decode(&bytes, &expect("k1")), Err(RecordIssue::Corrupt(_))));
+    fn every_byte_flip_is_refused() {
+        let bytes = sample();
+        for at in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0x20;
+            assert!(decode(&flipped, &expect("k1")).is_err(), "served a flip at byte {at}");
+        }
     }
 
     #[test]
     fn future_versions_are_reported_not_parsed() {
         let mut bytes = encode(0xabc, 0xdef, "eval", "k1", "p");
-        let text = String::from_utf8(bytes.clone()).unwrap();
-        bytes = text.replacen("microtools-store 1 ", "microtools-store 9 ", 1).into_bytes();
+        bytes[4] = 9;
         assert_eq!(decode(&bytes, &expect("k1")), Err(RecordIssue::Version(9)));
     }
 
@@ -213,22 +213,18 @@ mod tests {
     fn misfiled_records_are_corrupt_not_served() {
         let bytes = sample();
         assert!(matches!(decode(&bytes, &expect("other")), Err(RecordIssue::Corrupt(_))));
+        assert!(matches!(decode(&bytes, &expect("k")), Err(RecordIssue::Corrupt(_))));
         let wrong_kind = Expect { kind: "gen", ..expect("k1") };
         assert!(matches!(decode(&bytes, &wrong_kind), Err(RecordIssue::Corrupt(_))));
     }
 
     #[test]
     fn garbage_is_corrupt_not_a_panic() {
-        for garbage in
-            [&b""[..], b"\n", b"not a record\npayload", b"microtools-store\n", b"\xff\xfe\n\xff"]
+        let mut huge = encode(0xabc, 0xdef, "eval", "k1", "p");
+        huge[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
+        for garbage in [&b""[..], b"\n", b"not a record\npayload", &MAGIC, b"\xff\xfe\n\xff", &huge]
         {
             assert!(decode(garbage, &expect("k1")).is_err());
         }
-    }
-
-    #[test]
-    fn peek_reads_version_and_fingerprints() {
-        assert_eq!(peek_header(&sample()), Some((1, 0xabc, 0xdef)));
-        assert_eq!(peek_header(b"junk\n"), None);
     }
 }

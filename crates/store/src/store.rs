@@ -1,56 +1,48 @@
-//! The disk tier: fanned-out record files, a hit ledger, and GC.
+//! The disk tier: one append-only log per namespace (`<root>/eval.log`,
+//! `<root>/gen.log`), a hit ledger (`<root>/ledger.jsonl`), and GC.
 //!
-//! Layout under one store root:
-//!
-//! ```text
-//! <root>/
-//!   ledger.jsonl          append-only per-process hit/miss tallies
-//!   eval/<xx>/<key>.rec   one record per evaluation fingerprint pair
-//!   gen/<xx>/<key>.rec    one record per generation fingerprint
-//! ```
-//!
-//! `<xx>` is the last two hex digits of the key — the low byte of an
-//! FNV fingerprint — so records fan out over up to 256 directories per
-//! namespace instead of one unbounded directory.
-//!
-//! Every write is atomic (temp file + fsync + rename through
-//! [`mc_report::atomic_write`]), so concurrent processes sharing a store can
-//! only ever observe complete records; two writers racing on one key
-//! write identical bytes, and either rename winning is correct. Reads
-//! validate the record header before trusting a byte of payload; any
-//! failure is counted and treated as a miss — a damaged store can cost
-//! simulator time, never correctness.
+//! A save is one `O_APPEND` `write(2)` of a whole frame ([`crate::record`]):
+//! a killed process keeps every record it finished, and concurrent writers
+//! never interleave bytes. [`DiskStore::sync`] fsyncs once per batch.
+//! [`DiskStore::open`] indexes key → (offset, length) with one sequential
+//! walk per log; a load is one positioned read plus validation, and a
+//! lookup the index cannot serve first catches it up to the log's end. A
+//! walk stops before a torn tail (the next catch-up resumes there) and
+//! resyncs on the next whole frame past damaged bytes; a key appended
+//! twice is served from its later frame. Damaged or mismatched records
+//! count as misses — they can cost simulator time, never correctness.
 
-use crate::record::{self, Expect, RecordIssue};
-use std::fs;
+use crate::record::{self, Expect, Header, RecordIssue, HEADER_LEN, MAGIC};
+use std::collections::{BTreeMap, HashMap};
+use std::fs::{self, File};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError, RwLock};
 
-/// File extension of record files.
-const RECORD_EXT: &str = "rec";
-
-/// Name of the append-only hit ledger.
+/// File extension of namespace logs, and the name of the hit ledger.
+const LOG_EXT: &str = "log";
 const LEDGER: &str = "ledger.jsonl";
+
+/// Bytes a log walk reads at a time.
+const CHUNK: usize = 64 * 1024;
 
 /// Per-process activity tallies of one store handle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreCounters {
-    /// Front-tier (in-memory memo cache) hits while this store was
-    /// installed.
+    /// Front-tier (in-memory memo cache) hits while this store was installed.
     pub hit_mem: u64,
     /// Records served from disk.
     pub hit_disk: u64,
-    /// Lookups not served from disk: no record, or a record skipped as
-    /// corrupt or stale (those are also counted below).
+    /// Lookups not served from disk: no record, or one skipped below.
     pub miss: u64,
-    /// Records skipped as torn, checksum-failed, or unparseable.
+    /// Damaged log spans walked past, and indexed frames that failed validation.
     pub skipped_corrupt: u64,
     /// Records skipped as version/schema/calibration mismatches.
     pub stale: u64,
     /// Records written this process.
     pub saved: u64,
-    /// Record writes that failed (full disk, permissions) and were
-    /// skipped — the result stayed unpersisted, the cache uncorrupted.
+    /// Writes that failed (full disk, permissions) and were skipped.
     pub write_failed: u64,
 }
 
@@ -59,50 +51,172 @@ impl StoreCounters {
     pub fn is_empty(&self) -> bool {
         *self == StoreCounters::default()
     }
+
+    /// Every tally under its ledger field name.
+    fn fields(&mut self) -> [(&'static str, &mut u64); 7] {
+        [
+            ("hit_mem", &mut self.hit_mem),
+            ("hit_disk", &mut self.hit_disk),
+            ("miss", &mut self.miss),
+            ("skipped_corrupt", &mut self.skipped_corrupt),
+            ("stale", &mut self.stale),
+            ("saved", &mut self.saved),
+            ("write_failed", &mut self.write_failed),
+        ]
+    }
 }
 
-/// What a disk lookup produced.
-enum Lookup {
-    Hit(String),
-    Miss,
-    Skipped(RecordIssue),
+/// A read-through window over `[.., end)` of a log.
+struct Window<'a> {
+    file: &'a File,
+    end: u64,
+    start: u64,
+    buf: Vec<u8>,
 }
 
-/// One content-addressed disk store rooted at a directory.
-///
-/// The handle is cheap and does no I/O until the first lookup or write;
-/// a store pointed at a directory that never materializes behaves as an
-/// always-miss cache.
+impl Window<'_> {
+    /// The `len` bytes at `at`, or `None` past the end.
+    fn get(&mut self, at: u64, len: usize) -> std::io::Result<Option<&[u8]>> {
+        if at + len as u64 > self.end {
+            return Ok(None);
+        }
+        if at < self.start || at + len as u64 > self.start + self.buf.len() as u64 {
+            self.buf.resize((self.end - at).min(len.max(CHUNK) as u64) as usize, 0);
+            self.file.read_exact_at(&mut self.buf, at)?;
+            self.start = at;
+        }
+        let from = (at - self.start) as usize;
+        Ok(Some(&self.buf[from..from + len]))
+    }
+}
+
+/// Walks `[from, to)` of a log, calling `visit(offset, bytes, frame)` for
+/// every whole frame (header and key echo) and, with `None`, every damaged
+/// span between them. Returns `to`, or the first frame after the last whole
+/// one that runs past `to` — a torn tail or a write still landing.
+fn walk(
+    file: &File,
+    from: u64,
+    to: u64,
+    mut visit: impl FnMut(u64, u64, Option<(Header, String)>),
+) -> std::io::Result<u64> {
+    let mut window = Window { file, end: to, start: 0, buf: Vec::new() };
+    let (mut at, mut damaged, mut torn) = (from, None, None);
+    while at < to {
+        let mut whole = None;
+        let head = window.get(at, HEADER_LEN.min((to - at) as usize))?.unwrap_or_default();
+        if head.len() < HEADER_LEN && MAGIC.starts_with(&head[..head.len().min(MAGIC.len())]) {
+            torn.get_or_insert(at);
+        } else if let Some(h) = Header::parse(head) {
+            match window.get(at, h.frame_len() as usize)? {
+                Some(frame) if h.sums(frame) => {
+                    whole = Some((h, String::from_utf8_lossy(h.echo(frame)).into_owned()));
+                }
+                Some(_) => {}
+                None => _ = torn.get_or_insert(at),
+            }
+        }
+        let Some((h, echo)) = whole else {
+            damaged.get_or_insert(at);
+            at += 1;
+            continue;
+        };
+        if let Some(start) = damaged.take() {
+            visit(start, at - start, None);
+        }
+        torn = None;
+        visit(at, h.frame_len(), Some((h, echo)));
+        at += h.frame_len();
+    }
+    let end = torn.unwrap_or(to);
+    if let Some(start) = damaged.filter(|&start| start < end) {
+        visit(start, end - start, None);
+    }
+    Ok(end)
+}
+
+/// Every namespace log under `root` as `(kind, path)`, sorted.
+fn logs(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
+    let mut out = Vec::new();
+    let entries = match fs::read_dir(root) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
+        entries => entries?,
+    };
+    for path in entries.flatten().map(|entry| entry.path()) {
+        if path.extension().is_some_and(|e| e == LOG_EXT) && path.is_file() {
+            out.push((path.file_stem().unwrap_or_default().to_string_lossy().into(), path));
+        }
+    }
+    out.sort();
+    Ok(out)
+}
+
+/// One namespace's log handles and the index of everything walked.
+#[derive(Debug, Default)]
+struct Log {
+    read: Option<File>,
+    append: Option<File>,
+    end: u64,
+    /// Key → (offset, bytes) of the key's last whole frame.
+    index: BTreeMap<String, (u64, u64)>,
+}
+
+impl Log {
+    /// Indexes what was appended since the last walk; returns its damaged spans.
+    fn catch_up(&mut self, path: &Path, kind: &str) -> u64 {
+        self.read = self.read.take().or_else(|| File::open(path).ok());
+        let Some(file) = &self.read else { return 0 };
+        let to = file.metadata().map_or(self.end, |m| m.len().max(self.end));
+        let (index, mut damaged) = (&mut self.index, 0);
+        let walked = walk(file, self.end, to, |at, len, frame| match frame {
+            Some((_, echo)) => {
+                if let Some(key) = echo.strip_prefix(kind).and_then(|k| k.strip_prefix(':')) {
+                    index.insert(key.to_owned(), (at, len));
+                }
+            }
+            None => damaged += 1,
+        });
+        match walked {
+            Ok(end) => self.end = end,
+            Err(e) => mc_trace::diag!("store: cannot read {}: {e}", path.display()),
+        }
+        damaged
+    }
+
+    /// One positioned read of the indexed frame, validated (`Err(None)`: no record).
+    fn read(&self, expect: &Expect<'_>) -> Result<String, Option<RecordIssue>> {
+        let (Some(file), Some(&(at, len))) = (&self.read, self.index.get(expect.key)) else {
+            return Err(None);
+        };
+        let mut frame = vec![0; len as usize];
+        file.read_exact_at(&mut frame, at)
+            .map_err(|e| RecordIssue::Corrupt(format!("unreadable at {at}: {e}")))
+            .and_then(|()| record::decode(&frame, expect))
+            .map_err(Some)
+    }
+}
+
+/// One content-addressed disk store rooted at a directory. A store
+/// pointed at a directory that never materializes is an always-miss cache.
 #[derive(Debug)]
 pub struct DiskStore {
     root: PathBuf,
     schema: u64,
     calib: u64,
-    hit_mem: AtomicU64,
-    hit_disk: AtomicU64,
-    miss: AtomicU64,
-    corrupt: AtomicU64,
-    stale: AtomicU64,
-    saved: AtomicU64,
-    write_failed: AtomicU64,
+    logs: RwLock<HashMap<String, Log>>,
+    counters: Mutex<StoreCounters>,
 }
 
 impl DiskStore {
-    /// A store rooted at `root`, validating records against the given
-    /// schema and calibration fingerprints.
+    /// A store rooted at `root`, validating records against the given schema
+    /// and calibration fingerprints; indexes every log with one walk each.
     pub fn open(root: impl Into<PathBuf>, schema: u64, calib: u64) -> DiskStore {
-        DiskStore {
-            root: root.into(),
-            schema,
-            calib,
-            hit_mem: AtomicU64::new(0),
-            hit_disk: AtomicU64::new(0),
-            miss: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
-            stale: AtomicU64::new(0),
-            saved: AtomicU64::new(0),
-            write_failed: AtomicU64::new(0),
+        let (root, logs, counters) = (root.into(), RwLock::default(), Mutex::default());
+        let store = DiskStore { root, schema, calib, logs, counters };
+        for (kind, _) in self::logs(&store.root).unwrap_or_default() {
+            store.caught_up(&kind, |_| ());
         }
+        store
     }
 
     /// The store root directory.
@@ -110,178 +224,153 @@ impl DiskStore {
         &self.root
     }
 
-    /// The schema fingerprint this handle validates against.
-    pub fn schema(&self) -> u64 {
-        self.schema
+    fn log_path(&self, kind: &str) -> PathBuf {
+        self.root.join(format!("{kind}.{LOG_EXT}"))
     }
 
-    /// The calibration fingerprint this handle validates against.
-    pub fn calib(&self) -> u64 {
-        self.calib
-    }
-
-    /// `<root>/<kind>/<xx>/<key>.rec`, sharded on the key's low byte.
-    fn record_path(&self, kind: &str, key: &str) -> PathBuf {
-        let tail: String = key.chars().rev().take(2).collect();
-        self.root.join(kind).join(tail).join(format!("{key}.{RECORD_EXT}"))
-    }
-
-    fn tick(&self, outcome: &str) {
+    /// Adds `n` to one tally and to its `store.*` metric.
+    fn count(&self, metric: &str, n: u64, tally: impl FnOnce(&mut StoreCounters) -> &mut u64) {
+        *tally(&mut self.counters.lock().unwrap_or_else(PoisonError::into_inner)) += n;
         if mc_trace::metrics_enabled() {
-            mc_trace::metrics().inc(outcome, 1);
+            mc_trace::metrics().inc(metric, n);
         }
     }
 
-    /// Counts a front-tier hit (the in-memory memo cache answered while
-    /// this store was installed).
+    /// Counts a front-tier hit (the in-memory memo cache answered).
     pub fn note_mem_hit(&self) {
-        self.hit_mem.fetch_add(1, Ordering::Relaxed);
-        self.tick("store.hit_mem");
+        self.count("store.hit_mem", 1, |c| &mut c.hit_mem);
     }
 
-    fn lookup(&self, kind: &str, key: &str) -> Lookup {
-        let path = self.record_path(kind, key);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Lookup::Miss,
-            Err(e) => {
-                return Lookup::Skipped(RecordIssue::Corrupt(format!(
-                    "unreadable: {e} ({})",
-                    path.display()
-                )))
-            }
-        };
-        let expect = Expect { schema: self.schema, calib: self.calib, kind, key };
-        match record::decode(&bytes, &expect) {
-            Ok(payload) => Lookup::Hit(payload),
-            Err(issue) => Lookup::Skipped(issue),
+    /// Runs `then` on the log of `kind`, caught up to its end.
+    fn caught_up<T>(&self, kind: &str, then: impl FnOnce(&mut Log) -> T) -> T {
+        let mut logs = self.logs.write().unwrap_or_else(PoisonError::into_inner);
+        let log = logs.entry(kind.to_owned()).or_default();
+        let damaged = log.catch_up(&self.log_path(kind), kind);
+        if damaged > 0 {
+            self.count("store.skipped_corrupt", damaged, |c| &mut c.skipped_corrupt);
+            mc_trace::diag!("store: skipped {damaged} damaged span(s) in {kind}.{LOG_EXT}");
         }
+        then(log)
+    }
+
+    /// Every key the index holds for `kind`, sorted, caught up to the log's end.
+    pub fn keys(&self, kind: &str) -> Vec<String> {
+        self.caught_up(kind, |log| log.index.keys().cloned().collect())
     }
 
     /// Loads the payload stored under `kind`/`key`, counting the outcome.
     /// Anything other than a fully validated record is `None`.
     pub fn load(&self, kind: &str, key: &str) -> Option<String> {
-        match self.lookup(kind, key) {
-            Lookup::Hit(payload) => {
-                self.hit_disk.fetch_add(1, Ordering::Relaxed);
-                self.tick("store.hit_disk");
-                Some(payload)
+        let expect = Expect { schema: self.schema, calib: self.calib, kind, key };
+        let logs = self.logs.read().unwrap_or_else(PoisonError::into_inner);
+        let mut found = logs.get(kind).map_or(Err(None), |log| log.read(&expect));
+        drop(logs);
+        if found.is_err() {
+            found = self.caught_up(kind, |log| log.read(&expect));
+        }
+        match found {
+            Ok(payload) => {
+                self.count("store.hit_disk", 1, |c| &mut c.hit_disk);
+                return Some(payload);
             }
-            Lookup::Miss => {
-                self.miss.fetch_add(1, Ordering::Relaxed);
-                self.tick("store.miss");
-                None
+            Err(Some(RecordIssue::Corrupt(why))) => {
+                self.count("store.skipped_corrupt", 1, |c| &mut c.skipped_corrupt);
+                mc_trace::diag!("store: skipping corrupt record {kind}:{key}: {why}");
             }
-            Lookup::Skipped(issue) => {
-                self.miss.fetch_add(1, Ordering::Relaxed);
-                self.tick("store.miss");
-                match &issue {
-                    RecordIssue::Corrupt(why) => {
-                        self.corrupt.fetch_add(1, Ordering::Relaxed);
-                        self.tick("store.skipped_corrupt");
-                        mc_trace::diag!("store: skipping corrupt record {kind}:{key}: {why}");
-                    }
-                    RecordIssue::Version(v) => {
-                        self.stale.fetch_add(1, Ordering::Relaxed);
-                        self.tick("store.stale");
-                        mc_trace::diag!("store: skipping v{v} record {kind}:{key}");
-                    }
-                    RecordIssue::Stale { .. } => {
-                        self.stale.fetch_add(1, Ordering::Relaxed);
-                        self.tick("store.stale");
-                    }
-                }
-                None
+            Err(Some(RecordIssue::Version(v))) => {
+                self.count("store.stale", 1, |c| &mut c.stale);
+                mc_trace::diag!("store: skipping v{v} record {kind}:{key}");
+            }
+            Err(Some(RecordIssue::Stale { .. })) => self.count("store.stale", 1, |c| &mut c.stale),
+            Err(None) => {}
+        }
+        self.count("store.miss", 1, |c| &mut c.miss);
+        None
+    }
+
+    /// Appends `payload` under `kind`/`key` as one `write(2)`, durable at the
+    /// next [`sync`](DiskStore::sync). Best-effort: a full disk or permission
+    /// error is diagnosed and counted, and the result stays unpersisted.
+    pub fn save(&self, kind: &str, key: &str, payload: &str) {
+        let frame = record::encode(self.schema, self.calib, kind, key, payload);
+        // Deterministic disk-full injection (`enospc@I`): a failed record
+        // write must surface to the skip-and-count path below before any
+        // bytes land, never as a torn frame.
+        let written = mc_guard::fire_write(kind).and_then(|()| {
+            let mut logs = self.logs.write().unwrap_or_else(PoisonError::into_inner);
+            let log = logs.entry(kind.to_owned()).or_default();
+            if log.append.is_none() {
+                fs::create_dir_all(&self.root)?;
+                let path = self.log_path(kind);
+                log.append = Some(fs::OpenOptions::new().create(true).append(true).open(path)?);
+                File::open(&self.root)?.sync_all()?;
+            }
+            log.append.as_ref().expect("opened above").write_all(&frame)
+        });
+        match written {
+            Ok(()) => self.count("store.saved", 1, |c| &mut c.saved),
+            Err(e) => {
+                self.count("store.write_failed", 1, |c| &mut c.write_failed);
+                mc_trace::diag!("store: cannot append to {}: {e}", self.log_path(kind).display());
             }
         }
     }
 
-    /// Writes `payload` under `kind`/`key`. Persistence is best-effort
-    /// durability, never a failure mode of the sweep itself: a full disk
-    /// or permission error is diagnosed and the result simply stays
-    /// unpersisted.
-    pub fn save(&self, kind: &str, key: &str, payload: &str) {
-        let path = self.record_path(kind, key);
-        let bytes = record::encode(self.schema, self.calib, kind, key, payload);
-        let written = path
-            .parent()
-            .map(fs::create_dir_all)
-            .unwrap_or(Ok(()))
-            // Deterministic disk-full injection (`enospc@I`): a failed
-            // record write must surface to the skip-and-count path below
-            // before any bytes land, never as a half-written file.
-            .and_then(|()| mc_guard::fire_write(&format!("{key}.{RECORD_EXT}")))
-            .and_then(|()| mc_report::atomic_write(&path, &bytes));
-        match written {
-            Ok(()) => {
-                self.saved.fetch_add(1, Ordering::Relaxed);
-                self.tick("store.saved");
-            }
-            Err(e) => {
-                self.write_failed.fetch_add(1, Ordering::Relaxed);
-                self.tick("store.write_failed");
-                mc_trace::diag!("store: cannot write {}: {e}", path.display());
+    /// Makes this handle's appends durable: one fsync per log, once per batch.
+    pub fn sync(&self) {
+        let logs = self.logs.read().unwrap_or_else(PoisonError::into_inner);
+        for (kind, file) in logs.iter().filter_map(|(k, log)| Some((k, log.append.as_ref()?))) {
+            if let Err(e) = file.sync_data() {
+                mc_trace::diag!("store: cannot sync {}: {e}", self.log_path(kind).display());
             }
         }
     }
 
     /// This handle's process-local tallies.
     pub fn counters(&self) -> StoreCounters {
-        StoreCounters {
-            hit_mem: self.hit_mem.load(Ordering::Relaxed),
-            hit_disk: self.hit_disk.load(Ordering::Relaxed),
-            miss: self.miss.load(Ordering::Relaxed),
-            skipped_corrupt: self.corrupt.load(Ordering::Relaxed),
-            stale: self.stale.load(Ordering::Relaxed),
-            saved: self.saved.load(Ordering::Relaxed),
-            write_failed: self.write_failed.load(Ordering::Relaxed),
-        }
+        *self.counters.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Appends this process's tallies as one ledger line (a single
-    /// `O_APPEND` write, safe against concurrent processes). A handle
-    /// with no activity appends nothing. Call once, at end of run.
-    ///
-    /// The ledger is append-only and would grow without bound across a
-    /// long-lived daemon's uptime, so a flush that leaves the file past
-    /// [`LEDGER_COMPACT_BYTES`] folds it into one rollup line
-    /// ([`compact_ledger`]).
+    /// Syncs this handle's records, then appends its tallies as one ledger
+    /// line (one `O_APPEND` write; nothing for an idle handle). Call once, at
+    /// end of run. A ledger past [`LEDGER_COMPACT_BYTES`] is then folded into
+    /// one rollup line, so a long-lived daemon's ledger stays bounded.
     pub fn flush_ledger(&self) {
+        self.sync();
         let c = self.counters();
         if c.is_empty() {
             return;
         }
-        let event = mc_trace::TraceEvent::new(mc_trace::EventKind::Event, "store.ledger")
-            .with("pid", u64::from(std::process::id()))
-            .with("hit_mem", c.hit_mem)
-            .with("hit_disk", c.hit_disk)
-            .with("miss", c.miss)
-            .with("skipped_corrupt", c.skipped_corrupt)
-            .with("stale", c.stale)
-            .with("saved", c.saved)
-            .with("write_failed", c.write_failed);
+        let event = ledger_event("store.ledger", ("pid", u64::from(std::process::id())), c);
         let append = mc_guard::fire_write(LEDGER)
             .and_then(|()| fs::create_dir_all(&self.root))
             .and_then(|()| {
-                let file = fs::OpenOptions::new()
-                    .create(true)
-                    .read(true)
-                    .append(true)
-                    .open(self.root.join(LEDGER))?;
+                let mut options = fs::OpenOptions::new();
+                let file =
+                    options.create(true).read(true).append(true).open(self.root.join(LEDGER))?;
                 mc_trace::append_line(&file, &event.to_json())?;
                 file.sync_all()
             });
         if let Err(e) = append {
-            self.tick("store.write_failed");
+            self.count("store.write_failed", 1, |c| &mut c.write_failed);
             mc_trace::diag!("store: cannot append ledger in {}: {e}", self.root.display());
-            return;
-        }
-        if ledger_size(&self.root) > LEDGER_COMPACT_BYTES {
+        } else if ledger_size(&self.root) > LEDGER_COMPACT_BYTES {
             if let Err(e) = compact_ledger(&self.root) {
                 mc_trace::diag!("store: cannot compact ledger in {}: {e}", self.root.display());
             }
         }
     }
+}
+
+/// A ledger line: `lead` (the writer's pid, or a rollup's process count),
+/// then every tally.
+fn ledger_event(name: &str, lead: (&str, u64), mut c: StoreCounters) -> mc_trace::TraceEvent {
+    let mut event =
+        mc_trace::TraceEvent::new(mc_trace::EventKind::Event, name).with(lead.0, lead.1);
+    for (field, n) in c.fields() {
+        event = event.with(field, *n);
+    }
+    event
 }
 
 /// Cumulative ledger totals across every process that used a store.
@@ -297,13 +386,7 @@ pub struct LedgerTotals {
 /// Rollup lines written by [`compact_ledger`] carry the process count
 /// they folded, so totals survive any number of compactions.
 pub fn ledger_totals(root: &Path) -> LedgerTotals {
-    let Ok(text) = fs::read_to_string(root.join(LEDGER)) else {
-        return LedgerTotals::default();
-    };
-    sum_ledger_text(&text)
-}
-
-fn sum_ledger_text(text: &str) -> LedgerTotals {
+    let text = fs::read_to_string(root.join(LEDGER)).unwrap_or_default();
     let mut totals = LedgerTotals::default();
     for line in text.lines() {
         let Ok(event) = mc_trace::TraceEvent::from_json(line) else { continue };
@@ -313,13 +396,9 @@ fn sum_ledger_text(text: &str) -> LedgerTotals {
             "store.rollup" => totals.processes += get("processes"),
             _ => continue,
         }
-        totals.counters.hit_mem += get("hit_mem");
-        totals.counters.hit_disk += get("hit_disk");
-        totals.counters.miss += get("miss");
-        totals.counters.skipped_corrupt += get("skipped_corrupt");
-        totals.counters.stale += get("stale");
-        totals.counters.saved += get("saved");
-        totals.counters.write_failed += get("write_failed");
+        for (field, n) in totals.counters.fields() {
+            *n += get(field);
+        }
     }
     totals
 }
@@ -333,138 +412,56 @@ pub fn ledger_size(root: &Path) -> u64 {
 /// bytes per line this is thousands of flushes between compactions.
 pub const LEDGER_COMPACT_BYTES: u64 = 64 * 1024;
 
-/// What one ledger compaction did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompactReport {
-    /// Ledger lines folded (including earlier rollups).
-    pub lines_before: u64,
-    /// Ledger bytes before.
-    pub bytes_before: u64,
-    /// Ledger bytes after (one rollup line, or 0 for an empty ledger).
-    pub bytes_after: u64,
-}
-
-/// Folds the ledger into a single `store.rollup` line carrying the
-/// summed counters and the process count, via the atomic temp+rename
-/// discipline. Totals read back identically before and after.
-///
-/// The tallies are advisory: a process appending concurrently with the
-/// rename may land its line on the unlinked file and lose it — an
-/// accepted trade for a bounded file, and why compaction only runs from
-/// ledger owners (end-of-run flushes past the size threshold, daemon
-/// maintenance), never on the read path.
-pub fn compact_ledger(root: &Path) -> std::io::Result<CompactReport> {
-    let text = match fs::read_to_string(root.join(LEDGER)) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(CompactReport::default()),
-        Err(e) => return Err(e),
-    };
-    let report = CompactReport {
-        lines_before: text.lines().count() as u64,
-        bytes_before: text.len() as u64,
-        ..CompactReport::default()
-    };
-    if report.lines_before <= 1 {
-        return Ok(CompactReport { bytes_after: report.bytes_before, ..report });
+/// Folds a ledger of several lines into one `store.rollup` line (temp file +
+/// rename; totals read back identically). The tallies are advisory: a line
+/// appended concurrently with the rename is lost — the price of a bounded
+/// file, and why only end-of-run flushes compact.
+fn compact_ledger(root: &Path) -> std::io::Result<()> {
+    let lines = fs::read_to_string(root.join(LEDGER)).map_or(0, |text| text.lines().count());
+    if lines <= 1 {
+        return Ok(());
     }
-    let totals = sum_ledger_text(&text);
-    let c = totals.counters;
-    let event = mc_trace::TraceEvent::new(mc_trace::EventKind::Event, "store.rollup")
-        .with("processes", totals.processes)
-        .with("hit_mem", c.hit_mem)
-        .with("hit_disk", c.hit_disk)
-        .with("miss", c.miss)
-        .with("skipped_corrupt", c.skipped_corrupt)
-        .with("stale", c.stale)
-        .with("saved", c.saved)
-        .with("write_failed", c.write_failed);
-    let mut line = event.to_json();
-    line.push('\n');
+    let totals = ledger_totals(root);
+    let event = ledger_event("store.rollup", ("processes", totals.processes), totals.counters);
     mc_guard::fire_write(LEDGER)?;
-    mc_report::atomic_write(&root.join(LEDGER), line.as_bytes())?;
-    Ok(CompactReport { bytes_after: line.len() as u64, ..report })
-}
-
-/// One record file found by a scan.
-#[derive(Debug, Clone)]
-struct ScannedRecord {
-    path: PathBuf,
-    bytes: u64,
-    modified: Option<std::time::SystemTime>,
-    version: Option<(u32, u64, u64)>,
+    mc_report::atomic_write(&root.join(LEDGER), format!("{}\n", event.to_json()).as_bytes())
 }
 
 /// Aggregate shape of a store directory.
 #[derive(Debug, Clone, Default)]
 pub struct StoreScan {
-    /// Total record files.
+    /// Record frames, superseded ones included.
     pub entries: u64,
-    /// Total record bytes.
+    /// Log bytes.
     pub bytes: u64,
     /// Entries per namespace (`eval`, `gen`), sorted by name.
     pub kinds: Vec<(String, u64)>,
     /// Entries per `(format version, schema, calib)` triple, sorted.
     pub versions: Vec<((u32, u64, u64), u64)>,
-    /// Record files whose header would not even peek-parse.
+    /// Damaged spans and torn tails: log bytes that are no whole frame.
     pub unreadable: u64,
 }
 
-fn scan_records(root: &Path) -> std::io::Result<Vec<(String, ScannedRecord)>> {
-    let mut out = Vec::new();
-    let kinds = match fs::read_dir(root) {
-        Ok(it) => it,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(e),
-    };
-    for kind_entry in kinds.flatten() {
-        let kind_path = kind_entry.path();
-        if !kind_path.is_dir() {
-            continue;
-        }
-        let kind = kind_entry.file_name().to_string_lossy().into_owned();
-        for shard in fs::read_dir(&kind_path)?.flatten() {
-            let shard_path = shard.path();
-            if !shard_path.is_dir() {
-                continue;
-            }
-            for file in fs::read_dir(&shard_path)?.flatten() {
-                let path = file.path();
-                if path.extension().and_then(|e| e.to_str()) != Some(RECORD_EXT) {
-                    continue;
-                }
-                let meta = file.metadata()?;
-                let version = fs::read(&path).ok().as_deref().and_then(crate::record::peek_header);
-                out.push((
-                    kind.clone(),
-                    ScannedRecord {
-                        path,
-                        bytes: meta.len(),
-                        modified: meta.modified().ok(),
-                        version,
-                    },
-                ));
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Walks a store directory and aggregates its shape.
+/// Walks every namespace log once, sequentially, and aggregates its shape.
 pub fn scan(root: &Path) -> std::io::Result<StoreScan> {
-    let records = scan_records(root)?;
     let mut result = StoreScan::default();
-    let mut kinds: std::collections::BTreeMap<String, u64> = Default::default();
-    let mut versions: std::collections::BTreeMap<(u32, u64, u64), u64> = Default::default();
-    for (kind, r) in &records {
-        result.entries += 1;
-        result.bytes += r.bytes;
-        *kinds.entry(kind.clone()).or_default() += 1;
-        match r.version {
-            Some(v) => *versions.entry(v).or_default() += 1,
+    let mut versions: BTreeMap<(u32, u64, u64), u64> = BTreeMap::new();
+    for (kind, path) in logs(root)? {
+        let file = File::open(&path)?;
+        let len = file.metadata()?.len();
+        let mut entries = 0;
+        let end = walk(&file, 0, len, |_, _, frame| match frame {
+            Some((h, _)) => {
+                entries += 1;
+                *versions.entry((h.version, h.schema, h.calib)).or_default() += 1;
+            }
             None => result.unreadable += 1,
-        }
+        })?;
+        result.unreadable += u64::from(end < len);
+        result.entries += entries;
+        result.bytes += len;
+        result.kinds.push((kind, entries));
     }
-    result.kinds = kinds.into_iter().collect();
     result.versions = versions.into_iter().collect();
     Ok(result)
 }
@@ -472,49 +469,79 @@ pub fn scan(root: &Path) -> std::io::Result<StoreScan> {
 /// What one GC pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcReport {
-    /// Records found before the pass.
+    /// Frames, damaged spans and torn tails found before the pass.
     pub scanned_entries: u64,
-    /// Bytes found before the pass.
+    /// Log bytes found before the pass.
     pub scanned_bytes: u64,
-    /// Records removed.
+    /// Entries removed.
     pub removed_entries: u64,
     /// Bytes reclaimed.
     pub removed_bytes: u64,
 }
 
-/// Size-bounded compaction: removes unreadable records first, then the
-/// oldest records (by modification time, path as a deterministic
-/// tiebreak) until total record bytes fit under `max_bytes`. Record
-/// removal is safe against concurrent readers — a reader either sees a
-/// complete record or a miss.
+/// Size-bounded compaction, one walk and at most one rewrite per log: drops
+/// damaged spans, torn tails and superseded frames, then the oldest live
+/// frames (lowest log offset first, across logs) until the logs fit under
+/// `max_bytes`. A rewrite is a temp file renamed over the log; a handle
+/// opened before keeps the old log, and what it appends there is lost —
+/// recomputation later, never corruption.
 pub fn gc(root: &Path, max_bytes: u64) -> std::io::Result<GcReport> {
-    let mut records: Vec<(String, ScannedRecord)> = scan_records(root)?;
-    let mut report = GcReport {
-        scanned_entries: records.len() as u64,
-        scanned_bytes: records.iter().map(|(_, r)| r.bytes).sum(),
-        ..GcReport::default()
-    };
-    let mut live = report.scanned_bytes;
-    // Unreadable records are pure waste: reclaim them regardless of size.
-    records.sort_by(|a, b| {
-        let unreadable = |r: &ScannedRecord| r.version.is_some(); // false (unreadable) sorts first
-        (unreadable(&a.1), a.1.modified, a.1.path.clone()).cmp(&(
-            unreadable(&b.1),
-            b.1.modified,
-            b.1.path.clone(),
-        ))
-    });
-    for (_, r) in &records {
-        let unreadable = r.version.is_none();
-        if !unreadable && live <= max_bytes {
-            break;
-        }
-        fs::remove_file(&r.path)?;
-        live -= r.bytes;
-        report.removed_entries += 1;
-        report.removed_bytes += r.bytes;
+    let logs = logs(root)?;
+    let mut report = GcReport::default();
+    // (offset, bytes, log) of every live frame.
+    let mut live: Vec<(u64, u64, usize)> = Vec::new();
+    for (i, (_, path)) in logs.iter().enumerate() {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        let mut latest: HashMap<String, (u64, u64)> = HashMap::new();
+        let end = walk(&file, 0, len, |at, bytes, frame| {
+            report.scanned_entries += 1;
+            if let Some((_, echo)) = frame {
+                latest.insert(echo, (at, bytes));
+            }
+        })?;
+        report.scanned_entries += u64::from(end < len);
+        report.scanned_bytes += len;
+        live.extend(latest.into_values().map(|(at, bytes)| (at, bytes, i)));
     }
+    live.sort_unstable();
+    let mut kept_bytes: u64 = live.iter().map(|f| f.1).sum();
+    let mut evicted = 0;
+    while kept_bytes > max_bytes {
+        kept_bytes -= live[evicted].1;
+        evicted += 1;
+    }
+    for (i, (_, path)) in logs.iter().enumerate() {
+        let frames: Vec<(u64, u64)> =
+            live[evicted..].iter().filter(|f| f.2 == i).map(|&(at, n, _)| (at, n)).collect();
+        rewrite(path, &frames)?;
+    }
+    report.removed_entries = report.scanned_entries - (live.len() - evicted) as u64;
+    report.removed_bytes = report.scanned_bytes - kept_bytes;
     Ok(report)
+}
+
+/// Rewrites the log at `path` to hold only `frames` (offset, bytes), in
+/// order: untouched when they are the whole log, removed when empty.
+fn rewrite(path: &Path, frames: &[(u64, u64)]) -> std::io::Result<()> {
+    let src = File::open(path)?;
+    if frames.iter().map(|f| f.1).sum::<u64>() == src.metadata()?.len() {
+        return Ok(());
+    } else if frames.is_empty() {
+        return fs::remove_file(path);
+    }
+    let tmp = path.with_extension(format!("{LOG_EXT}.{}.tmp", std::process::id()));
+    let copied = File::create(&tmp).and_then(|file| {
+        let (mut out, mut frame) = (std::io::BufWriter::new(file), Vec::new());
+        for &(at, bytes) in frames {
+            frame.resize(bytes as usize, 0);
+            src.read_exact_at(&mut frame, at)?;
+            out.write_all(&frame)?;
+        }
+        out.into_inner().map_err(|e| e.into_error())?.sync_all()
+    });
+    copied.and_then(|()| fs::rename(&tmp, path)).inspect_err(|_| _ = fs::remove_file(&tmp))?;
+    File::open(path.parent().expect("a log sits in its store root"))?.sync_all()
 }
 
 #[cfg(test)]
@@ -525,6 +552,17 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mc_store_{tag}_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Appends raw bytes to a namespace log, as a crash or a foreign
+    /// writer would leave them.
+    fn append_raw(root: &Path, kind: &str, bytes: &[u8]) {
+        let mut log = fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(root.join(format!("{kind}.{LOG_EXT}")))
+            .unwrap();
+        log.write_all(bytes).unwrap();
     }
 
     #[test]
@@ -555,14 +593,44 @@ mod tests {
     }
 
     #[test]
-    fn records_fan_out_over_prefix_shards() {
-        let root = scratch("shards");
+    fn records_append_to_one_log_per_namespace() {
+        let root = scratch("logs");
         let store = DiskStore::open(&root, 1, 2);
-        for i in 0..64u64 {
-            store.save("eval", &format!("{i:016x}-{i:016x}"), "p");
+        let keys: Vec<String> = (0..64u64).rev().map(|i| format!("{i:016x}-{i:016x}")).collect();
+        for key in &keys {
+            store.save("eval", key, "p");
         }
-        let shards = fs::read_dir(root.join("eval")).unwrap().count();
-        assert!(shards > 16, "expected fan-out, got {shards} shard dirs");
+        store.save("gen", "00000000000000aa", "g");
+        store.sync();
+        let mut files: Vec<String> = fs::read_dir(&root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["eval.log", "gen.log"]);
+        let mut sorted = keys.clone();
+        sorted.sort();
+        assert_eq!(store.keys("eval"), sorted);
+        assert_eq!(DiskStore::open(&root, 1, 2).keys("gen"), ["00000000000000aa"]);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_handle_serves_records_appended_after_it_opened() {
+        let root = scratch("catch_up");
+        let reader = DiskStore::open(&root, 1, 2);
+        let writer = DiskStore::open(&root, 1, 2);
+        assert_eq!(reader.load("eval", "00000000000000aa"), None);
+        writer.save("eval", "00000000000000aa", "first");
+        writer.save("eval", "00000000000000bb", "second");
+        assert_eq!(reader.load("eval", "00000000000000bb").as_deref(), Some("second"));
+        assert_eq!(reader.load("eval", "00000000000000aa").as_deref(), Some("first"));
+        // A key appended again is served from its latest frame.
+        writer.save("eval", "00000000000000aa", "again");
+        assert_eq!(
+            DiskStore::open(&root, 1, 2).load("eval", "00000000000000aa").as_deref(),
+            Some("again")
+        );
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -574,7 +642,7 @@ mod tests {
         assert_eq!(recalibrated.load("eval", "00000000000000aa"), None);
         assert_eq!(recalibrated.counters().stale, 1);
         assert_eq!(recalibrated.counters().miss, 1, "a stale record is a miss");
-        // Saving under the new calibration replaces the record.
+        // Saving under the new calibration supersedes the record.
         recalibrated.save("eval", "00000000000000aa", "new");
         assert_eq!(recalibrated.load("eval", "00000000000000aa").as_deref(), Some("new"));
         let _ = fs::remove_dir_all(&root);
@@ -588,10 +656,10 @@ mod tests {
         for key in &keys[..4] {
             old.save("eval", key, "old");
         }
+        let mut torn = record::encode(1, 3, "eval", &keys[4], "torn");
+        *torn.last_mut().unwrap() ^= 0x20;
+        append_raw(&root, "eval", &torn);
         let recalibrated = DiskStore::open(&root, 1, 3);
-        let torn = recalibrated.record_path("eval", &keys[4]);
-        fs::create_dir_all(torn.parent().unwrap()).unwrap();
-        fs::write(&torn, b"torn").unwrap();
         for key in &keys {
             assert_eq!(recalibrated.load("eval", key), None);
         }
@@ -645,10 +713,12 @@ mod tests {
         }
         let before = ledger_totals(&root);
         assert_eq!(before.processes, 5);
-        let report = compact_ledger(&root).unwrap();
-        assert_eq!(report.lines_before, 5);
-        assert!(report.bytes_after < report.bytes_before, "{report:?}");
-        assert_eq!(ledger_size(&root), report.bytes_after);
+        let lines = || fs::read_to_string(root.join(LEDGER)).unwrap().lines().count();
+        let bytes_before = ledger_size(&root);
+        assert_eq!(lines(), 5);
+        compact_ledger(&root).unwrap();
+        assert_eq!(lines(), 1, "folded into one rollup line");
+        assert!(ledger_size(&root) < bytes_before, "{} >= {bytes_before}", ledger_size(&root));
         assert_eq!(ledger_totals(&root), before, "totals survive compaction");
         // A rollup folds with later lines — and with further rollups.
         let late = DiskStore::open(&root, 1, 2);
@@ -665,13 +735,14 @@ mod tests {
     #[test]
     fn compacting_an_empty_or_single_line_ledger_is_a_no_op() {
         let root = scratch("compact_noop");
-        assert_eq!(compact_ledger(&root).unwrap(), CompactReport::default());
+        compact_ledger(&root).unwrap();
+        assert_eq!(ledger_size(&root), 0, "no ledger appears");
         let store = DiskStore::open(&root, 1, 2);
         store.save("eval", "00000000000000aa", "p");
         store.flush_ledger();
-        let size = ledger_size(&root);
-        let report = compact_ledger(&root).unwrap();
-        assert_eq!((report.lines_before, report.bytes_after), (1, size));
+        let before = fs::read(root.join(LEDGER)).unwrap();
+        compact_ledger(&root).unwrap();
+        assert_eq!(fs::read(root.join(LEDGER)).unwrap(), before, "a single line stays as it is");
         assert_eq!(ledger_totals(&root).processes, 1);
         let _ = fs::remove_dir_all(&root);
     }
@@ -715,12 +786,13 @@ mod tests {
         let store = DiskStore::open(&root, 7, 9);
         store.save("eval", "00000000000000aa", "payload");
         store.save("gen", "00000000000000bb", "other");
-        fs::write(root.join("eval").join("aa").join("junk.rec"), b"garbage\n").unwrap();
+        append_raw(&root, "eval", b"garbage\n");
         let scan = scan(&root).unwrap();
-        assert_eq!(scan.entries, 3);
-        assert!(scan.bytes > 0);
-        assert_eq!(scan.kinds, vec![("eval".to_owned(), 2), ("gen".to_owned(), 1)]);
-        assert_eq!(scan.versions, vec![((1, 7, 9), 2)]);
+        assert_eq!(scan.entries, 2);
+        let size = |kind: &str| fs::metadata(root.join(format!("{kind}.log"))).unwrap().len();
+        assert_eq!(scan.bytes, size("eval") + size("gen"));
+        assert_eq!(scan.kinds, vec![("eval".to_owned(), 1), ("gen".to_owned(), 1)]);
+        assert_eq!(scan.versions, vec![((record::FORMAT_VERSION, 7, 9), 2)]);
         assert_eq!(scan.unreadable, 1);
         let _ = fs::remove_dir_all(&root);
     }
@@ -732,7 +804,7 @@ mod tests {
         for i in 0..8u64 {
             store.save("eval", &format!("{i:016x}"), &format!("payload {i}"));
         }
-        fs::write(root.join("eval").join("00").join("junk.rec"), b"garbage\n").unwrap();
+        append_raw(&root, "eval", b"garbage\n");
         let before = scan(&root).unwrap();
         let budget = before.bytes / 2;
         let report = gc(&root, budget).unwrap();
@@ -741,10 +813,31 @@ mod tests {
         let after = scan(&root).unwrap();
         assert!(after.bytes <= budget, "{} > {budget}", after.bytes);
         assert_eq!(after.unreadable, 0, "unreadable records reclaimed first");
-        // Survivors still serve.
-        let survivors =
-            (0..8u64).filter(|i| store.load("eval", &format!("{i:016x}")).is_some()).count();
+        assert_eq!(report.removed_bytes, before.bytes - after.bytes);
+        // A handle opened after the rewrite serves exactly the survivors:
+        // the newest records.
+        let reopened = DiskStore::open(&root, 1, 2);
+        let served: Vec<bool> =
+            (0..8u64).map(|i| reopened.load("eval", &format!("{i:016x}")).is_some()).collect();
+        let survivors = served.iter().filter(|&&s| s).count();
         assert_eq!(survivors as u64, after.entries);
+        assert!(served.ends_with(&vec![true; survivors]), "oldest evicted first: {served:?}");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn gc_drops_superseded_frames_and_keeps_the_latest() {
+        let root = scratch("gc_superseded");
+        let store = DiskStore::open(&root, 1, 2);
+        store.save("eval", "00000000000000aa", "first");
+        store.save("eval", "00000000000000bb", "other");
+        store.save("eval", "00000000000000aa", "latest");
+        let report = gc(&root, u64::MAX).unwrap();
+        assert_eq!((report.scanned_entries, report.removed_entries), (3, 1));
+        assert_eq!(scan(&root).unwrap().entries, 2);
+        let reopened = DiskStore::open(&root, 1, 2);
+        assert_eq!(reopened.load("eval", "00000000000000aa").as_deref(), Some("latest"));
+        assert_eq!(reopened.load("eval", "00000000000000bb").as_deref(), Some("other"));
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -753,9 +846,14 @@ mod tests {
         let root = scratch("gc_noop");
         let store = DiskStore::open(&root, 1, 2);
         store.save("eval", "00000000000000aa", "p");
+        let before = fs::metadata(root.join("eval.log")).unwrap().modified().unwrap();
         let report = gc(&root, u64::MAX).unwrap();
         assert_eq!(report.removed_entries, 0);
         assert_eq!(scan(&root).unwrap().entries, 1);
+        assert_eq!(fs::metadata(root.join("eval.log")).unwrap().modified().unwrap(), before);
+        // A zero budget empties the store.
+        assert_eq!(gc(&root, 0).unwrap().removed_entries, 1);
+        assert_eq!(scan(&root).unwrap().entries, 0);
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -765,6 +863,9 @@ mod tests {
         let store = DiskStore::open(root.join("never"), 1, 2);
         assert_eq!(store.load("eval", "00000000000000aa"), None);
         assert_eq!(store.counters().miss, 1);
+        assert!(store.keys("eval").is_empty());
+        store.sync();
+        assert!(!root.exists(), "lookups create nothing");
         assert_eq!(scan(&root).unwrap().entries, 0);
         assert_eq!(gc(&root, 0).unwrap().scanned_entries, 0);
     }
