@@ -15,6 +15,7 @@ use mc_launcher::sweeps::{alignment_series, alignment_sweep};
 use mc_launcher::LauncherOptions;
 use mc_report::experiments::{check_spread, ExperimentId};
 use mc_simarch::config::Level;
+use std::sync::Arc;
 
 /// Runs the alignment study at 200×200.
 pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
@@ -24,8 +25,12 @@ pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
     );
     let desc = matmul_inner(200);
     let gen = MicroCreator::new().generate(&desc).map_err(|e| e.to_string())?;
-    let program =
-        gen.programs.iter().find(|p| p.meta.unroll == 1).ok_or("no unroll-1 matmul variant")?;
+    let program = gen
+        .programs
+        .into_iter()
+        .find(|p| p.meta.unroll == 1)
+        .map(Arc::new)
+        .ok_or("no unroll-1 matmul variant")?;
 
     let mut opts = base.clone();
     // The 200² working set is reused across the j-loop: effectively
@@ -34,7 +39,7 @@ pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
     opts.residence = Some(Level::L2);
     opts.trip_count = 200;
     // 8 offsets per array × 2 arrays = 64 configurations.
-    let points = alignment_sweep(&opts, program, 512, 3584)?;
+    let points = alignment_sweep(&opts, &program, 512, 3584)?;
     let series = alignment_series("matmul 200²", &points);
 
     result.outcome.push(check_spread(

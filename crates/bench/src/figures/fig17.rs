@@ -10,11 +10,12 @@
 use super::FigureResult;
 use mc_asm::inst::Mnemonic;
 use mc_kernel::builder::load_stream;
-use mc_launcher::options::{MachinePreset, Mode, OptionsDelta};
+use mc_launcher::options::{MachinePreset, Mode};
 use mc_launcher::sweeps::programs_by_unroll_shared;
 use mc_launcher::{run_batch, EvalPoint, LauncherOptions};
 use mc_report::experiments::{ExperimentId, ShapeCheck, ShapeOutcome};
 use mc_report::series::{Scale, Series};
+use std::sync::Arc;
 
 /// Elements in the traversed array.
 pub const ELEMENTS: u64 = 128 * 1024;
@@ -22,30 +23,23 @@ pub const ELEMENTS: u64 = 128 * 1024;
 /// Builds the four series (seq/omp × min/max over ten noisy runs).
 pub fn series_for(base: &LauncherOptions, elements: u64) -> Result<Vec<Series>, String> {
     let programs = programs_by_unroll_shared(&load_stream(Mnemonic::Movss, 1, 8))?;
-    let base = std::sync::Arc::new({
-        let mut o = base.clone();
-        o.machine = MachinePreset::SandyBridgeE31240;
-        o.vector_bytes = elements * 4;
+    let base = LauncherOptions {
+        machine: MachinePreset::SandyBridgeE31240,
+        vector_bytes: elements * 4,
         // Ten outer experiments with mild environmental noise: the min/max
         // band demonstrates the stability the paper reports.
-        o.meta_repetitions = 10;
-        o.noise_amplitude = 0.04;
-        o
-    });
+        meta_repetitions: 10,
+        noise_amplitude: 0.04,
+        ..base.clone()
+    };
     // Two points per program, interleaved [seq, omp, seq, omp, …].
     let mut eval_points = Vec::with_capacity(programs.len() * 2);
     for p in &programs {
         let epi = p.elements_per_iteration.max(1);
-        let trip = OptionsDelta {
-            trip_count: Some((elements / epi).max(1) * epi),
-            ..OptionsDelta::default()
-        };
-        eval_points.push(EvalPoint::with_delta(p.clone(), base.clone(), trip.clone()));
-        eval_points.push(EvalPoint::with_delta(
-            p.clone(),
-            base.clone(),
-            OptionsDelta { mode: Some(Mode::OpenMp), omp_threads: Some(4), ..trip },
-        ));
+        let seq = LauncherOptions { trip_count: (elements / epi).max(1) * epi, ..base.clone() };
+        let omp = LauncherOptions { mode: Mode::OpenMp, omp_threads: 4, ..seq.clone() };
+        eval_points.push(EvalPoint::new(p.clone(), Arc::new(seq)));
+        eval_points.push(EvalPoint::new(p.clone(), Arc::new(omp)));
     }
     let reports = run_batch(eval_points)?;
     let mut seq_min = Vec::new();

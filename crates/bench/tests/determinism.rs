@@ -98,14 +98,24 @@ fn a_cold_pass_analyzes_each_program_once_per_machine() {
     // Every batch evaluation is saved under `<program_fp>-<options_fp>`
     // with a report that names its machine, so the saved records give the
     // distinct (program, machine) pairs the pass estimated.
+    let keys = store.keys(EVAL_KIND);
     let mut pairs = HashSet::new();
-    for key in store.keys(EVAL_KIND) {
-        let payload = store.load(EVAL_KIND, &key).expect("a record the pass saved");
+    for key in &keys {
+        let payload = store.load(EVAL_KIND, key).expect("a record the pass saved");
         let report = decode_report(&payload).expect("a decodable report");
         let program_fp = key.split('-').next().expect("program half").to_owned();
         pairs.insert((program_fp, report.machine));
     }
     let _ = std::fs::remove_dir_all(&dir);
+    // The keys also pin the set of points the suite evaluates: a sweep
+    // point whose effective options move changes its key's options half.
+    // Golden values; a change here changes what the figures measure.
+    let digest = mc_report::fnv1a64(keys.join("\n").as_bytes());
+    assert_eq!(
+        (keys.len(), format!("{digest:016x}")),
+        (7384, "6aa066cca1a49160".to_owned()),
+        "the set of evaluated points moved"
+    );
     assert!(pairs.len() > 1, "{} pairs", pairs.len());
     assert_eq!(misses, pairs.len() as u64, "one model per distinct (program, machine)");
     assert!(hits > 10 * misses, "{hits} model hits over {misses} models");

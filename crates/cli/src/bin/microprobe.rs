@@ -20,7 +20,7 @@ use mc_insight::attribute;
 use mc_kernel::builder::{load_stream, strided_stream};
 use mc_kernel::Program;
 use mc_launcher::options::MachinePreset;
-use mc_launcher::sweeps::{core_sweep, programs_by_unroll};
+use mc_launcher::sweeps::{core_sweep, programs_by_unroll, programs_by_unroll_shared};
 use mc_launcher::{KernelInput, LauncherOptions, MicroLauncher};
 use mc_report::table::{fmt_f, AsciiTable};
 use mc_simarch::config::Level;
@@ -123,7 +123,7 @@ fn probe(
     println!("─ memory hierarchy (streaming loads) ─\n{}", table.render());
 
     // Saturation knee.
-    let program = programs_by_unroll(&load_stream(Mnemonic::Movaps, 8, 8))
+    let program = programs_by_unroll_shared(&load_stream(Mnemonic::Movaps, 8, 8))
         .expect("generation succeeds")
         .remove(0);
     let o = LauncherOptions {

@@ -11,7 +11,7 @@
 //!   [`RunReport`](../mc_launcher/launcher/struct.RunReport.html) and CSV
 //!   row, so downstream tooling can answer "what is this variant bound
 //!   on?" without re-running the model.
-//! * [`evidence`] — grounds an attribution verdict in the evaluation's
+//! * [`evidence`](mod@evidence) — grounds an attribution verdict in the evaluation's
 //!   mc-scope profile: each claim is paired with the JSONL line of the
 //!   profile record that backs it (`microprobe --explain --evidence`).
 //! * [`diff`] — compares two run CSVs by manifest provenance and judges

@@ -1,11 +1,12 @@
 //! Batch evaluation: many `(Program, LauncherOptions)` points through the
 //! mc-exec engine, with process-wide memoization.
 //!
-//! An [`EvalPoint`] shares its program and base options via `Arc` and
-//! carries only an [`OptionsDelta`] — the sweep drivers submit hundreds of
-//! points without a single deep clone. Results come back in submission
-//! order, so a parallel batch is bit-identical to the serial loop it
-//! replaces.
+//! An [`EvalPoint`] is a program and the options it runs under, each
+//! behind an `Arc`: a sweep driver builds every distinct option set once
+//! and shares it across the programs at that setting. A point's options
+//! are cloned only when it actually evaluates; memo and disk hits read
+//! nothing but its key. Results come back in submission order, so a
+//! parallel batch is bit-identical to the serial loop it replaces.
 //!
 //! ## Cache key derivation
 //!
@@ -15,10 +16,10 @@
 //!
 //! * **evaluation** — `(program fingerprint, options fingerprint)` → the
 //!   finished [`RunReport`]. The options half is
-//!   [`LauncherOptions::fingerprint`] of the point's effective options:
-//!   every field, explicitly, in declaration order, so a delta that
-//!   restates a base value shares the base's entry. Only `Ok` reports
-//!   are cached; errors always re-evaluate.
+//!   [`LauncherOptions::fingerprint`] of the point's options: every
+//!   field, explicitly, in declaration order, so two separately built but
+//!   equal option sets share one entry. Only `Ok` reports are cached;
+//!   errors always re-evaluate.
 //! * **verification** — `(program fingerprint,
 //!   KernelEnvironment::verify_fingerprint)` → the interpreter's verdict.
 //!   The verify-input half hashes only what verification reads, so the
@@ -55,7 +56,7 @@
 
 use crate::input::KernelInput;
 use crate::launcher::{MicroLauncher, RunReport, VerifyReport};
-use crate::options::{LauncherOptions, OptionsDelta};
+use crate::options::LauncherOptions;
 use mc_exec::MemoCache;
 use mc_guard::EvalError;
 use mc_kernel::Program;
@@ -63,36 +64,20 @@ use mc_simarch::ProgramModel;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-/// One evaluation point of a sweep: a shared program, shared base
-/// options, and the per-point overrides.
+/// One evaluation point of a sweep: a program and the options it runs
+/// under, both shared by every point that uses them.
 #[derive(Debug, Clone)]
 pub struct EvalPoint {
     /// The kernel to evaluate.
     pub program: Arc<Program>,
-    /// The sweep-wide base options.
-    pub base: Arc<LauncherOptions>,
-    /// Per-point overrides applied at evaluation time.
-    pub delta: OptionsDelta,
+    /// The options this point runs under.
+    pub options: Arc<LauncherOptions>,
 }
 
 impl EvalPoint {
-    /// A point evaluated under the base options as-is.
-    pub fn new(program: Arc<Program>, base: Arc<LauncherOptions>) -> Self {
-        EvalPoint { program, base, delta: OptionsDelta::none() }
-    }
-
-    /// A point with per-point overrides.
-    pub fn with_delta(
-        program: Arc<Program>,
-        base: Arc<LauncherOptions>,
-        delta: OptionsDelta,
-    ) -> Self {
-        EvalPoint { program, base, delta }
-    }
-
-    /// The effective options for this point.
-    pub fn options(&self) -> LauncherOptions {
-        self.delta.apply(&self.base)
+    /// A point evaluating `program` under `options`.
+    pub fn new(program: Arc<Program>, options: Arc<LauncherOptions>) -> Self {
+        EvalPoint { program, options }
     }
 }
 
@@ -181,10 +166,9 @@ pub fn try_run_batch_supervised(points: Vec<EvalPoint>) -> Vec<Result<RunReport,
         })
         .collect();
     let results = mc_exec::engine().run(prepared, |(index, program_fp, point)| {
-        let options = point.options();
+        let EvalPoint { program, options } = point;
         let key = (program_fp, options.fingerprint());
-        let label = point.program.name.clone();
-        let program = point.program.clone();
+        let label = program.name.clone();
         mc_guard::supervise(index, &label, move || {
             let store = crate::store::store();
             let mut computed = false;
@@ -192,25 +176,22 @@ pub fn try_run_batch_supervised(points: Vec<EvalPoint>) -> Vec<Result<RunReport,
                 computed = true;
                 // Second tier: a record persisted by an earlier process
                 // answers without touching the simulator.
-                if let Some(store) = &store {
-                    let store_key = crate::store::eval_key(key);
-                    if let Some(report) = store
-                        .load(crate::store::EVAL_KIND, &store_key)
-                        .and_then(|payload| crate::store::decode_report(&payload))
-                    {
-                        return Ok(report);
-                    }
-                    let report = MicroLauncher::new(options.clone())
-                        .run_fingerprinted(&KernelInput::program(program.clone()), program_fp)?;
-                    store.save(
-                        crate::store::EVAL_KIND,
-                        &store_key,
-                        &crate::store::encode_report(&report),
-                    );
+                let stored = store.as_ref().map(|store| (store, crate::store::eval_key(key)));
+                if let Some(report) = stored
+                    .as_ref()
+                    .and_then(|(store, store_key)| store.load(crate::store::EVAL_KIND, store_key))
+                    .and_then(|payload| crate::store::decode_report(&payload))
+                {
                     return Ok(report);
                 }
-                MicroLauncher::new(options.clone())
-                    .run_fingerprinted(&KernelInput::program(program.clone()), program_fp)
+                // Only an evaluation clones the options.
+                let report = MicroLauncher::new(LauncherOptions::clone(&options))
+                    .run_fingerprinted(&KernelInput::program(program.clone()), program_fp)?;
+                if let Some((store, store_key)) = &stored {
+                    let payload = crate::store::encode_report(&report);
+                    store.save(crate::store::EVAL_KIND, store_key, &payload);
+                }
+                Ok(report)
             });
             // Progress counts evaluation-memo lookups only; a disabled
             // memo computes without a lookup, so it counts neither.
@@ -285,21 +266,13 @@ mod tests {
     }
 
     #[test]
-    fn deltas_take_effect_per_point() {
+    fn options_take_effect_per_point() {
         use mc_simarch::config::Level;
         let program = movaps_program(8);
-        let base = Arc::new(opts());
+        let at = |level| Arc::new(LauncherOptions { residence: Some(level), ..opts() });
         let points = vec![
-            EvalPoint::with_delta(
-                program.clone(),
-                base.clone(),
-                OptionsDelta { residence: Some(Level::L1), ..OptionsDelta::default() },
-            ),
-            EvalPoint::with_delta(
-                program.clone(),
-                base.clone(),
-                OptionsDelta { residence: Some(Level::Ram), ..OptionsDelta::default() },
-            ),
+            EvalPoint::new(program.clone(), at(Level::L1)),
+            EvalPoint::new(program.clone(), at(Level::Ram)),
         ];
         let reports = run_batch(points).unwrap();
         assert_eq!(reports[0].residence, Some(Level::L1));
@@ -355,11 +328,7 @@ mod tests {
         let base = Arc::new(opts());
         let results = try_run_batch(vec![
             EvalPoint::new(good.clone(), base.clone()),
-            EvalPoint::with_delta(
-                good,
-                base,
-                OptionsDelta { trip_count: Some(3), ..OptionsDelta::default() },
-            ),
+            EvalPoint::new(good, Arc::new(LauncherOptions { trip_count: 3, ..opts() })),
         ]);
         assert!(results[0].is_ok());
         // The second point either errors or reports a failed verification;

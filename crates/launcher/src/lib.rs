@@ -42,4 +42,4 @@ pub use batch::{run_batch, try_run_batch, try_run_batch_supervised, EvalPoint};
 pub use clock::{Clock, RdtscClock, SimClock};
 pub use input::{KernelInput, NativeKernel};
 pub use launcher::{MicroLauncher, RunReport};
-pub use options::{Aggregation, LauncherOptions, MachinePreset, Mode, OptionsDelta};
+pub use options::{Aggregation, LauncherOptions, MachinePreset, Mode};

@@ -643,80 +643,6 @@ impl LauncherOptions {
     }
 }
 
-/// A small set of per-point overrides applied to a shared base
-/// [`LauncherOptions`] at evaluation time.
-///
-/// Sweeps vary one or two options across hundreds of grid points; cloning
-/// the full 34-option struct (with its heap-allocated strings and offset
-/// vectors) per point is the allocation churn this delta removes: batch
-/// submission shares the base via `Arc` and carries only the overrides.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OptionsDelta {
-    /// Override the target residence level.
-    pub residence: Option<Level>,
-    /// Override the per-array alignment offsets.
-    pub alignments: Option<Vec<u64>>,
-    /// Override the core frequency in GHz.
-    pub frequency_ghz: Option<f64>,
-    /// Override the execution mode.
-    pub mode: Option<Mode>,
-    /// Override the fork-mode core count.
-    pub cores: Option<u32>,
-    /// Override the OpenMP team size.
-    pub omp_threads: Option<u32>,
-    /// Override the trip count.
-    pub trip_count: Option<u64>,
-    /// Override the per-array size in bytes.
-    pub vector_bytes: Option<u64>,
-    /// Override interpreter verification.
-    pub verify: Option<bool>,
-}
-
-impl OptionsDelta {
-    /// No overrides: evaluation uses the base options as-is.
-    pub fn none() -> Self {
-        OptionsDelta::default()
-    }
-
-    /// True when no field overrides the base.
-    pub fn is_none(&self) -> bool {
-        *self == OptionsDelta::default()
-    }
-
-    /// Materializes the effective options for one evaluation point.
-    pub fn apply(&self, base: &LauncherOptions) -> LauncherOptions {
-        let mut o = base.clone();
-        if let Some(level) = self.residence {
-            o.residence = Some(level);
-        }
-        if let Some(alignments) = &self.alignments {
-            o.alignments = alignments.clone();
-        }
-        if let Some(ghz) = self.frequency_ghz {
-            o.frequency_ghz = ghz;
-        }
-        if let Some(mode) = self.mode {
-            o.mode = mode;
-        }
-        if let Some(cores) = self.cores {
-            o.cores = cores;
-        }
-        if let Some(threads) = self.omp_threads {
-            o.omp_threads = threads;
-        }
-        if let Some(trip) = self.trip_count {
-            o.trip_count = trip;
-        }
-        if let Some(bytes) = self.vector_bytes {
-            o.vector_bytes = bytes;
-        }
-        if let Some(verify) = self.verify {
-            o.verify = verify;
-        }
-        o
-    }
-}
-
 fn parse_bool(value: Option<&str>) -> Result<bool, String> {
     match value {
         None | Some("true") | Some("1") | Some("yes") => Ok(true),
@@ -930,30 +856,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_applies_only_set_fields() {
-        let base = LauncherOptions::default();
-        assert_eq!(OptionsDelta::none().apply(&base), base);
-        assert!(OptionsDelta::none().is_none());
-        let delta = OptionsDelta {
-            residence: Some(Level::Ram),
-            cores: Some(8),
-            mode: Some(Mode::Fork),
-            verify: Some(false),
-            ..OptionsDelta::default()
-        };
-        assert!(!delta.is_none());
-        let o = delta.apply(&base);
-        assert_eq!(o.residence, Some(Level::Ram));
-        assert_eq!(o.cores, 8);
-        assert_eq!(o.mode, Mode::Fork);
-        assert!(!o.verify);
-        // Untouched fields ride through unchanged.
-        assert_eq!(o.repetitions, base.repetitions);
-        assert_eq!(o.machine, base.machine);
-        assert_eq!(o.alignments, base.alignments);
-    }
-
-    #[test]
     fn fingerprint_is_pinned() {
         // Golden value: FNV-1a over the version tag and the default
         // options' fields. A change here re-keys every memo entry and
@@ -1027,28 +929,23 @@ mod tests {
     }
 
     #[test]
-    fn a_delta_that_restates_the_base_keeps_its_key() {
+    fn a_restated_value_keeps_its_key() {
+        // Two option sets built apart, one by restating every field a
+        // sweep varies, share one memo entry and one store record.
         let base = LauncherOptions { alignments: vec![0, 64], ..LauncherOptions::default() };
-        let restated = OptionsDelta {
+        let restated = LauncherOptions {
             residence: base.residence,
-            alignments: Some(base.alignments.clone()),
-            frequency_ghz: Some(base.frequency_ghz),
-            mode: Some(base.mode),
-            cores: Some(base.cores),
-            omp_threads: Some(base.omp_threads),
-            trip_count: Some(base.trip_count),
-            vector_bytes: Some(base.vector_bytes),
-            verify: Some(base.verify),
+            alignments: vec![0, 64],
+            frequency_ghz: base.frequency_ghz,
+            mode: base.mode,
+            cores: base.cores,
+            omp_threads: base.omp_threads,
+            trip_count: base.trip_count,
+            vector_bytes: base.vector_bytes,
+            verify: base.verify,
+            ..LauncherOptions::default()
         };
-        assert!(!restated.is_none());
-        assert_eq!(restated.apply(&base).fingerprint(), base.fingerprint());
-    }
-
-    #[test]
-    fn delta_changes_the_fingerprint() {
-        let base = LauncherOptions::default();
-        let delta = OptionsDelta { frequency_ghz: Some(1.6), ..OptionsDelta::default() };
-        assert_ne!(delta.apply(&base).fingerprint(), base.fingerprint());
+        assert_eq!(restated.fingerprint(), base.fingerprint());
     }
 
     #[test]

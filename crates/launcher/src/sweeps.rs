@@ -6,7 +6,7 @@
 //! figures.
 
 use crate::batch::{run_batch, EvalPoint};
-use crate::options::{LauncherOptions, Mode, OptionsDelta};
+use crate::options::{LauncherOptions, Mode};
 use mc_creator::MicroCreator;
 use mc_exec::MemoCache;
 use mc_kernel::{KernelDesc, Program};
@@ -109,16 +109,10 @@ pub fn unroll_by_level_sweep(
     sweep_span.field("levels", levels.len() as u64);
     let programs = programs_by_unroll_shared(desc)?;
     sweep_span.field("programs", programs.len() as u64);
-    let shared_base = Arc::new(base.clone());
     let mut points = Vec::with_capacity(levels.len() * programs.len());
     for &level in levels {
-        for p in &programs {
-            points.push(EvalPoint::with_delta(
-                p.clone(),
-                shared_base.clone(),
-                OptionsDelta { residence: Some(level), ..OptionsDelta::default() },
-            ));
-        }
+        let options = Arc::new(LauncherOptions { residence: Some(level), ..base.clone() });
+        points.extend(programs.iter().map(|p| EvalPoint::new(p.clone(), options.clone())));
     }
     let reports = run_batch(points)?;
     let mut series = Vec::with_capacity(levels.len());
@@ -145,29 +139,20 @@ pub fn unroll_by_level_sweep(
 /// series per hierarchy level (Figure 13).
 pub fn frequency_sweep(
     base: &LauncherOptions,
-    program: &Program,
+    program: &Arc<Program>,
     levels: &[Level],
 ) -> Result<Vec<Series>, String> {
     let mut sweep_span = mc_trace::span("launcher.sweep");
     sweep_span.field("sweep", "frequency");
     sweep_span.field("levels", levels.len() as u64);
-    let steps = base.machine.config().frequency_steps_ghz.clone();
+    let steps = &base.machine.config().frequency_steps_ghz;
     sweep_span.field("steps", steps.len() as u64);
     let denom = (program.load_count() + program.store_count()).max(1) as f64;
-    let shared_program = Arc::new(program.clone());
-    let shared_base = Arc::new(base.clone());
     let mut eval_points = Vec::with_capacity(levels.len() * steps.len());
     for &level in levels {
-        for &ghz in &steps {
-            eval_points.push(EvalPoint::with_delta(
-                shared_program.clone(),
-                shared_base.clone(),
-                OptionsDelta {
-                    residence: Some(level),
-                    frequency_ghz: Some(ghz),
-                    ..OptionsDelta::default()
-                },
-            ));
+        for &frequency_ghz in steps {
+            let options = LauncherOptions { residence: Some(level), frequency_ghz, ..base.clone() };
+            eval_points.push(EvalPoint::new(program.clone(), Arc::new(options)));
         }
     }
     let reports = run_batch(eval_points)?;
@@ -186,25 +171,16 @@ pub fn frequency_sweep(
 /// Cycles per iteration as the fork-mode core count grows (Figure 14).
 pub fn core_sweep(
     base: &LauncherOptions,
-    program: &Program,
+    program: &Arc<Program>,
     max_cores: u32,
 ) -> Result<Series, String> {
     let mut sweep_span = mc_trace::span("launcher.sweep");
     sweep_span.field("sweep", "cores");
     sweep_span.field("max_cores", u64::from(max_cores));
-    let shared_program = Arc::new(program.clone());
-    let shared_base = Arc::new(base.clone());
     let eval_points = (1..=max_cores)
         .map(|cores| {
-            EvalPoint::with_delta(
-                shared_program.clone(),
-                shared_base.clone(),
-                OptionsDelta {
-                    mode: Some(Mode::Fork),
-                    cores: Some(cores),
-                    ..OptionsDelta::default()
-                },
-            )
+            let options = LauncherOptions { mode: Mode::Fork, cores, ..base.clone() };
+            EvalPoint::new(program.clone(), Arc::new(options))
         })
         .collect();
     let reports = run_batch(eval_points)?;
@@ -229,7 +205,7 @@ pub struct AlignmentPoint {
 /// of per-array offsets `0..=max_offset` step `step`.
 pub fn alignment_sweep(
     base: &LauncherOptions,
-    program: &Program,
+    program: &Arc<Program>,
     step: u64,
     max_offset: u64,
 ) -> Result<Vec<AlignmentPoint>, String> {
@@ -240,28 +216,20 @@ pub fn alignment_sweep(
     alignment_batch(base, program, grid)
 }
 
-/// Shared tail of the alignment sweeps: one shared program and base, one
-/// small delta per grid configuration. Verification is O(configs) here;
-/// one pass outside suffices, so every point disables it.
+/// Shared tail of the alignment sweeps: one shared program, one option
+/// set per grid configuration. Verification is O(configs) here; one pass
+/// outside suffices, so every point disables it.
 fn alignment_batch(
     base: &LauncherOptions,
-    program: &Program,
+    program: &Arc<Program>,
     configs: Vec<Vec<u64>>,
 ) -> Result<Vec<AlignmentPoint>, String> {
-    let shared_program = Arc::new(program.clone());
-    let shared_base = Arc::new(base.clone());
     let eval_points = configs
         .iter()
         .map(|offsets| {
-            EvalPoint::with_delta(
-                shared_program.clone(),
-                shared_base.clone(),
-                OptionsDelta {
-                    alignments: Some(offsets.clone()),
-                    verify: Some(false),
-                    ..OptionsDelta::default()
-                },
-            )
+            let options =
+                LauncherOptions { alignments: offsets.clone(), verify: false, ..base.clone() };
+            EvalPoint::new(program.clone(), Arc::new(options))
         })
         .collect();
     let reports = run_batch(eval_points)?;
@@ -282,7 +250,7 @@ fn alignment_batch(
 /// includes the all-zero (worst) and evenly-spread (best) corners.
 pub fn alignment_sweep_sampled(
     base: &LauncherOptions,
-    program: &Program,
+    program: &Arc<Program>,
     step: u64,
     max_offset: u64,
     samples: usize,
@@ -329,24 +297,16 @@ pub fn openmp_comparison(
     sweep_span.field("threads", u64::from(threads));
     let programs = programs_by_unroll_shared(desc)?;
     sweep_span.field("programs", programs.len() as u64);
-    let element_bytes = u64::from(desc.element_bytes.max(1));
-    let shared_base = Arc::new(base.clone());
+    let vector_bytes = elements * u64::from(desc.element_bytes.max(1));
     // Two points per program, interleaved [seq, omp, seq, omp, …].
     let mut eval_points = Vec::with_capacity(programs.len() * 2);
     for p in &programs {
         let epi = p.elements_per_iteration.max(1);
-        let trip = (elements / epi).max(1) * epi;
-        let workload = OptionsDelta {
-            vector_bytes: Some(elements * element_bytes),
-            trip_count: Some(trip),
-            ..OptionsDelta::default()
-        };
-        eval_points.push(EvalPoint::with_delta(p.clone(), shared_base.clone(), workload.clone()));
-        eval_points.push(EvalPoint::with_delta(
-            p.clone(),
-            shared_base.clone(),
-            OptionsDelta { mode: Some(Mode::OpenMp), omp_threads: Some(threads), ..workload },
-        ));
+        let trip_count = (elements / epi).max(1) * epi;
+        let seq = LauncherOptions { vector_bytes, trip_count, ..base.clone() };
+        let omp = LauncherOptions { mode: Mode::OpenMp, omp_threads: threads, ..seq.clone() };
+        eval_points.push(EvalPoint::new(p.clone(), Arc::new(seq)));
+        eval_points.push(EvalPoint::new(p.clone(), Arc::new(omp)));
     }
     let reports = run_batch(eval_points)?;
     let mut seq_points = Vec::new();
@@ -406,8 +366,7 @@ pub fn arithmetic_hiding_sweep(
     let mut sweep_span = mc_trace::span("launcher.sweep");
     sweep_span.field("sweep", "arithmetic_hiding");
     sweep_span.field("configs", u64::from(max_arith) + 1);
-    let shared_base = Arc::new(base.clone());
-    let delta = OptionsDelta { residence: Some(level), ..OptionsDelta::default() };
+    let options = Arc::new(LauncherOptions { residence: Some(level), ..base.clone() });
     let mut eval_points = Vec::with_capacity(max_arith as usize + 1);
     for k in 0..=max_arith {
         let desc = mc_kernel::builder::try_arithmetic_hiding(mem_mnemonic, k)
@@ -416,7 +375,7 @@ pub fn arithmetic_hiding_sweep(
             .first()
             .cloned()
             .ok_or_else(|| "arithmetic_hiding produced no programs".to_owned())?;
-        eval_points.push(EvalPoint::with_delta(program, shared_base.clone(), delta.clone()));
+        eval_points.push(EvalPoint::new(program, options.clone()));
     }
     let reports = run_batch(eval_points)?;
     let points: Vec<(f64, f64)> = reports
@@ -450,12 +409,8 @@ pub fn stride_sweep(
     let desc = mc_kernel::builder::try_strided_stream(mnemonic, element_strides)
         .map_err(|e| e.to_string())?;
     let programs = generate_shared(&desc)?;
-    let shared_base = Arc::new(base.clone());
-    let delta = OptionsDelta { residence: Some(level), ..OptionsDelta::default() };
-    let eval_points = programs
-        .iter()
-        .map(|p| EvalPoint::with_delta(p.clone(), shared_base.clone(), delta.clone()))
-        .collect();
+    let options = Arc::new(LauncherOptions { residence: Some(level), ..base.clone() });
+    let eval_points = programs.iter().map(|p| EvalPoint::new(p.clone(), options.clone())).collect();
     let reports = run_batch(eval_points)?;
     let mut points: Vec<(f64, f64)> = programs
         .iter()
@@ -510,7 +465,7 @@ mod tests {
     #[test]
     fn frequency_sweep_scales_l1_not_ram() {
         let desc = load_stream(Mnemonic::Movaps, 8, 8);
-        let p = programs_by_unroll(&desc).unwrap().remove(0);
+        let p = programs_by_unroll_shared(&desc).unwrap().remove(0);
         let series = frequency_sweep(&opts(), &p, &[Level::L1, Level::Ram]).unwrap();
         let l1 = &series[0];
         let ram = &series[1];
@@ -521,7 +476,7 @@ mod tests {
     #[test]
     fn core_sweep_has_knee() {
         let desc = load_stream(Mnemonic::Movaps, 8, 8);
-        let p = programs_by_unroll(&desc).unwrap().remove(0);
+        let p = programs_by_unroll_shared(&desc).unwrap().remove(0);
         let mut o = opts();
         o.residence = Some(Level::Ram);
         let series = core_sweep(&o, &p, 12).unwrap();
@@ -533,7 +488,7 @@ mod tests {
     #[test]
     fn alignment_sweep_produces_spread_on_multi_arrays() {
         let desc = multi_array_traversal(Mnemonic::Movss, 4);
-        let p = MicroCreator::new().generate(&desc).unwrap().programs.remove(0);
+        let p = Arc::new(MicroCreator::new().generate(&desc).unwrap().programs.remove(0));
         let mut o = opts();
         o.machine = MachinePreset::NehalemX7550;
         o.mode = Mode::Fork;

@@ -11,7 +11,7 @@ use mc_kernel::builder::load_stream;
 use mc_kernel::Program;
 use mc_launcher::batch::{cache_stats, clear_cache, set_cache_enabled, verify_cache_stats};
 use mc_launcher::sweeps::unroll_by_level_sweep;
-use mc_launcher::{EvalPoint, LauncherOptions, OptionsDelta, RunReport};
+use mc_launcher::{EvalPoint, LauncherOptions, RunReport};
 use mc_simarch::config::Level;
 use std::sync::{Arc, Mutex};
 
@@ -104,15 +104,14 @@ fn frequency_sweep_verifies_each_program_once() {
     let _guard = lock();
     mc_exec::set_jobs(1);
     let program = program(4);
-    let base = Arc::new(options());
     let points = || -> Vec<EvalPoint> {
         (0..8)
             .map(|i| {
-                let delta = OptionsDelta {
-                    frequency_ghz: Some(1.6 + 0.2 * f64::from(i)),
-                    ..OptionsDelta::default()
-                };
-                EvalPoint::with_delta(program.clone(), base.clone(), delta)
+                let frequency_ghz = 1.6 + 0.2 * f64::from(i);
+                EvalPoint::new(
+                    program.clone(),
+                    Arc::new(LauncherOptions { frequency_ghz, ..options() }),
+                )
             })
             .collect()
     };

@@ -10,7 +10,7 @@ use mc_creator::MicroCreator;
 use mc_kernel::builder::load_stream;
 use mc_kernel::Program;
 use mc_launcher::batch::{clear_cache, set_cache_enabled};
-use mc_launcher::{EvalPoint, KernelInput, LauncherOptions, MicroLauncher, OptionsDelta};
+use mc_launcher::{EvalPoint, KernelInput, LauncherOptions, MicroLauncher};
 use mc_report::prop::check;
 use mc_simarch::config::Level;
 use std::sync::{Arc, Mutex};
@@ -49,12 +49,10 @@ fn cache_on_and_off_agree() {
         let seed = rng.gen_range(0..1024u64);
         let level_index = rng.gen_range(0..4u8);
         let _guard = lock();
-        let base = Arc::new(options(repetitions, seed));
-        let delta = OptionsDelta { residence: Some(level(level_index)), ..OptionsDelta::default() };
+        let residence = Some(level(level_index));
+        let opts = Arc::new(LauncherOptions { residence, ..options(repetitions, seed) });
         let points = || -> Vec<EvalPoint> {
-            (0..4)
-                .map(|_| EvalPoint::with_delta(program(unroll), base.clone(), delta.clone()))
-                .collect()
+            (0..4).map(|_| EvalPoint::new(program(unroll), opts.clone())).collect()
         };
         set_cache_enabled(false);
         let uncached = mc_launcher::run_batch(points()).expect("uncached batch");

@@ -22,6 +22,7 @@
 //! chaos plans cover the daemon's own persistence too.
 
 use mc_trace::{EventKind, TraceEvent};
+use std::collections::{HashMap, HashSet};
 use std::fs::{self, OpenOptions};
 use std::path::{Path, PathBuf};
 
@@ -57,7 +58,8 @@ pub enum Outcome {
 /// What a replay recovered.
 #[derive(Debug, Default)]
 pub struct Replay {
-    /// Jobs with a terminal outcome, in last-outcome order.
+    /// Jobs with a terminal outcome, in admission order, each with its
+    /// last outcome.
     pub finished: Vec<(AcceptedJob, Outcome)>,
     /// Jobs accepted but not finished, in admission order — the restart
     /// work queue.
@@ -125,23 +127,27 @@ impl JobJournal {
         self.append(&TraceEvent::new(EventKind::Event, "serve.canceled").with("job", id))
     }
 
-    /// Folds the journal into finished and still-pending jobs. Unparseable
-    /// lines (the torn tail of a crash) and outcome lines for unknown
-    /// jobs are skipped, never fatal.
+    /// Folds the journal into finished and still-pending jobs, in one pass
+    /// over its lines and one over its jobs. A job's first admission and
+    /// last outcome win. Unparseable lines (the torn tail of a crash) and
+    /// outcome lines for unknown jobs are skipped, never fatal.
     pub fn replay(&self) -> Replay {
         let text = match fs::read_to_string(&self.path) {
             Ok(t) => t,
             Err(_) => return Replay::default(),
         };
+        // Duplicates collapse: the same content-derived ID is only one job
+        // however many times it was submitted.
+        let mut admitted: HashSet<String> = HashSet::new();
         let mut accepted: Vec<AcceptedJob> = Vec::new();
-        let mut outcomes: Vec<(String, Outcome)> = Vec::new();
+        let mut outcomes: HashMap<String, Outcome> = HashMap::new();
         for line in text.lines() {
             let Ok(event) = TraceEvent::from_json(line) else { continue };
             let field = |key: &str| {
                 event.field(key).and_then(|v| v.as_str()).map(str::to_owned).unwrap_or_default()
             };
             match event.name.as_str() {
-                "serve.accepted" => accepted.push(AcceptedJob {
+                "serve.accepted" if admitted.insert(field("job")) => accepted.push(AcceptedJob {
                     id: field("job"),
                     client: field("client"),
                     name: field("name"),
@@ -150,27 +156,23 @@ impl JobJournal {
                 }),
                 "serve.done" => {
                     let bytes = event.field("bytes").and_then(|v| v.as_u64()).unwrap_or(0);
-                    outcomes.push((field("job"), Outcome::Done { bytes }));
+                    outcomes.insert(field("job"), Outcome::Done { bytes });
                 }
-                "serve.failed" => outcomes.push((
-                    field("job"),
-                    Outcome::Failed { kind: field("kind"), message: field("message") },
-                )),
-                "serve.canceled" => outcomes.push((field("job"), Outcome::Canceled)),
+                "serve.failed" => {
+                    let outcome =
+                        Outcome::Failed { kind: field("kind"), message: field("message") };
+                    outcomes.insert(field("job"), outcome);
+                }
+                "serve.canceled" => {
+                    outcomes.insert(field("job"), Outcome::Canceled);
+                }
                 _ => {}
             }
         }
         let mut replay = Replay::default();
         for job in accepted {
-            // Duplicates collapse: the same content-derived ID is only
-            // one job however many times it was submitted.
-            let known = replay.pending.iter().any(|j| j.id == job.id)
-                || replay.finished.iter().any(|(j, _)| j.id == job.id);
-            if known {
-                continue;
-            }
-            match outcomes.iter().rev().find(|(id, _)| *id == job.id) {
-                Some((_, outcome)) => replay.finished.push((job, outcome.clone())),
+            match outcomes.remove(&job.id) {
+                Some(outcome) => replay.finished.push((job, outcome)),
                 None => replay.pending.push(job),
             }
         }
@@ -248,6 +250,67 @@ mod tests {
         let dir = temp_dir("missing");
         let replay = JobJournal::open(&dir.join("nope")).replay();
         assert!(replay.pending.is_empty() && replay.finished.is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn duplicate_admissions_and_repeated_outcomes_fold_per_job() {
+        let dir = temp_dir("fold");
+        let journal = JobJournal::open(&dir);
+        let resubmitted = AcceptedJob { client: "bob".to_owned(), ..job("aa-1") };
+        journal.accepted(&job("aa-1")).unwrap();
+        journal.accepted(&job("bb-2")).unwrap();
+        journal.failed("aa-1", "timeout", "slow").unwrap();
+        journal.accepted(&resubmitted).unwrap();
+        journal.done("aa-1", 5).unwrap();
+        journal.accepted(&job("cc-3")).unwrap();
+        journal.canceled("bb-2").unwrap();
+        journal.accepted(&job("dd-4")).unwrap();
+        journal.done("bb-2", 9).unwrap();
+        journal.accepted(&job("bb-2")).unwrap();
+        journal.accepted(&job("cc-3")).unwrap();
+        journal.done("zz-9", 1).unwrap(); // an outcome for no admitted job
+        let replay = journal.replay();
+        // The first admission's fields and the last outcome win.
+        assert_eq!(
+            replay.finished,
+            [(job("aa-1"), Outcome::Done { bytes: 5 }), (job("bb-2"), Outcome::Done { bytes: 9 })]
+        );
+        let pending: Vec<&str> = replay.pending.iter().map(|j| j.id.as_str()).collect();
+        assert_eq!(pending, ["cc-3", "dd-4"], "admission order");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replay_costs_about_what_parsing_the_journal_costs() {
+        // A restart replays the whole, never compacted, history: folding
+        // it must stay linear, within a small factor of parsing its lines.
+        let dir = temp_dir("scale");
+        let journal = JobJournal::open(&dir);
+        journal.accepted(&job("JOB")).unwrap();
+        journal.done("JOB", 1).unwrap();
+        let pair = fs::read_to_string(journal.path()).unwrap();
+        let jobs = 8000;
+        let text: String =
+            (0..jobs).map(|i| pair.replace("JOB", &format!("{i:016x}-{i:016x}"))).collect();
+        fs::write(journal.path(), &text).unwrap();
+        let fastest = |f: &dyn Fn()| {
+            let runs = (0..3).map(|_| {
+                let start = std::time::Instant::now();
+                f();
+                start.elapsed()
+            });
+            runs.min().expect("three runs")
+        };
+        let parse = fastest(&|| {
+            for line in text.lines() {
+                std::hint::black_box(TraceEvent::from_json(line).ok());
+            }
+        });
+        let replay = fastest(&|| assert_eq!(journal.replay().finished.len(), jobs));
+        // A linear fold reads ~2.5x in a debug build; a scan per job reads
+        // ~19x at this size and grows with it.
+        assert!(replay < parse * 6, "replay {replay:?} vs parsing its lines {parse:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,6 +1,6 @@
 //! Per-client admission quotas: token buckets plus an error budget.
 //!
-//! Every submitting client gets a [`TokenBucket`] — `capacity` tokens,
+//! Every submitting client gets a token bucket — `capacity` tokens,
 //! refilled continuously at `refill_per_sec` — and a failure tally.
 //! Admission takes one token per accepted job; an empty bucket yields a
 //! typed rejection carrying the exact time until the next token, which

@@ -16,7 +16,7 @@ use crate::record::{self, Expect, Header, RecordIssue, HEADER_LEN, MAGIC};
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File};
 use std::io::Write;
-use std::os::unix::fs::FileExt;
+use std::os::unix::fs::{FileExt, MetadataExt};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError, RwLock};
 
@@ -317,11 +317,26 @@ impl DiskStore {
     }
 
     /// Makes this handle's appends durable: one fsync per log, once per batch.
+    /// A log that a [`gc`] has since replaced under its path is then dropped,
+    /// so the next access reopens and re-walks it instead of appending to
+    /// the unlinked file.
     pub fn sync(&self) {
         let logs = self.logs.read().unwrap_or_else(PoisonError::into_inner);
-        for (kind, file) in logs.iter().filter_map(|(k, log)| Some((k, log.append.as_ref()?))) {
-            if let Err(e) = file.sync_data() {
-                mc_trace::diag!("store: cannot sync {}: {e}", self.log_path(kind).display());
+        let mut replaced = Vec::new();
+        for (kind, log) in logs.iter() {
+            let path = self.log_path(kind);
+            if let Some(Err(e)) = log.append.as_ref().map(File::sync_data) {
+                mc_trace::diag!("store: cannot sync {}: {e}", path.display());
+            }
+            if ![&log.append, &log.read].into_iter().flatten().all(|file| is_file_at(file, &path)) {
+                replaced.push(kind.clone());
+            }
+        }
+        drop(logs);
+        if !replaced.is_empty() {
+            let mut logs = self.logs.write().unwrap_or_else(PoisonError::into_inner);
+            for kind in replaced {
+                logs.remove(&kind);
             }
         }
     }
@@ -362,6 +377,14 @@ impl DiskStore {
     }
 }
 
+/// True when `file` is the file `path` names now (same device and inode).
+fn is_file_at(file: &File, path: &Path) -> bool {
+    match (file.metadata(), fs::metadata(path)) {
+        (Ok(open), Ok(named)) => (open.dev(), open.ino()) == (named.dev(), named.ino()),
+        _ => false,
+    }
+}
+
 /// A ledger line: `lead` (the writer's pid, or a rollup's process count),
 /// then every tally.
 fn ledger_event(name: &str, lead: (&str, u64), mut c: StoreCounters) -> mc_trace::TraceEvent {
@@ -383,7 +406,7 @@ pub struct LedgerTotals {
 }
 
 /// Sums the hit ledger under `root`, skipping torn or foreign lines.
-/// Rollup lines written by [`compact_ledger`] carry the process count
+/// Rollup lines written by ledger compaction carry the process count
 /// they folded, so totals survive any number of compactions.
 pub fn ledger_totals(root: &Path) -> LedgerTotals {
     let text = fs::read_to_string(root.join(LEDGER)).unwrap_or_default();
@@ -483,7 +506,8 @@ pub struct GcReport {
 /// damaged spans, torn tails and superseded frames, then the oldest live
 /// frames (lowest log offset first, across logs) until the logs fit under
 /// `max_bytes`. A rewrite is a temp file renamed over the log; a handle
-/// opened before keeps the old log, and what it appends there is lost —
+/// opened before notices at its next [`DiskStore::sync`] and reopens the
+/// log. What it appended between the rename and that sync is lost —
 /// recomputation later, never corruption.
 pub fn gc(root: &Path, max_bytes: u64) -> std::io::Result<GcReport> {
     let logs = logs(root)?;
@@ -838,6 +862,24 @@ mod tests {
         let reopened = DiskStore::open(&root, 1, 2);
         assert_eq!(reopened.load("eval", "00000000000000aa").as_deref(), Some("latest"));
         assert_eq!(reopened.load("eval", "00000000000000bb").as_deref(), Some("other"));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_handle_open_across_a_gc_appends_to_the_rewritten_log() {
+        let root = scratch("gc_live");
+        let live = DiskStore::open(&root, 1, 2);
+        live.save("eval", "00000000000000aa", "first");
+        live.save("eval", "00000000000000aa", "latest");
+        let report = gc(&root, u64::MAX).unwrap();
+        assert_eq!(report.removed_entries, 1, "the superseded frame is gone");
+        live.sync();
+        live.save("eval", "00000000000000bb", "after gc");
+        live.sync();
+        let fresh = DiskStore::open(&root, 1, 2);
+        assert_eq!(fresh.load("eval", "00000000000000bb").as_deref(), Some("after gc"));
+        assert_eq!(live.load("eval", "00000000000000aa").as_deref(), Some("latest"));
+        assert_eq!(live.load("eval", "00000000000000bb").as_deref(), Some("after gc"));
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -9,17 +9,17 @@
 //!
 //! Four layers, all std-only (no external dependencies):
 //!
-//! * [`event`] — [`TraceEvent`]: spans, point events, and routed
+//! * [`event`](mod@event) — [`TraceEvent`]: spans, point events, and routed
 //!   diagnostics with a flat JSONL wire format,
 //! * [`sink`] — pluggable [`TraceSink`]s: JSONL writer, in-memory buffer,
 //!   fan-out — plus [`chrome`]'s Perfetto/Chrome-trace timeline exporter,
-//! * [`metrics`] — a thread-safe [`MetricsRegistry`] of counters, gauges,
+//! * [`metrics`](mod@metrics) — a thread-safe [`MetricsRegistry`] of counters, gauges,
 //!   and histograms (p50/p95/max), rendered by [`summary`],
 //! * [`progress`] — live batch-progress counters and the [`ProgressSink`]
 //!   surface mc-pulse's displays consume.
 //!
 //! The tracer is a process-global dispatcher in the style of the `log`
-//! crate: libraries call [`span`]/[`event`]/[`diag!`] unconditionally, and
+//! crate: libraries call [`span`]/[`event()`]/[`diag!`] unconditionally, and
 //! the calls are a single relaxed atomic load — no clock read, no
 //! allocation — until a binary installs a sink with [`install`]. The
 //! same pattern guards metrics behind [`enable_metrics`].
@@ -154,7 +154,7 @@ fn passes_filter(name: &str) -> bool {
 }
 
 /// Stamps and emits one event through the installed sink. Most callers
-/// want the higher-level [`span`]/[`event`]/[`diag!`] entry points.
+/// want the higher-level [`span`]/[`event()`]/[`diag!`] entry points.
 pub fn emit(mut event: TraceEvent) {
     if !enabled() || !passes_filter(&event.name) {
         return;

@@ -47,6 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .programs
         .into_iter()
         .find(|p| p.meta.unroll == 1)
+        .map(std::sync::Arc::new)
         .expect("unroll-1 variant");
     let opts = LauncherOptions {
         residence: Some(Level::L2), // 200² tiles fit in the cache (§2)

@@ -4,7 +4,9 @@
 //!
 //! Run with: `cargo run --example memory_hierarchy`
 
-use microtools::launcher::sweeps::{frequency_sweep, programs_by_unroll, unroll_by_level_sweep};
+use microtools::launcher::sweeps::{
+    frequency_sweep, programs_by_unroll_shared, unroll_by_level_sweep,
+};
 use microtools::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -23,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("── Figure 13: frequency sweep (movaps ×8) ──");
-    let program = programs_by_unroll(&load_stream(Mnemonic::Movaps, 8, 8))?.remove(0);
+    let program = programs_by_unroll_shared(&load_stream(Mnemonic::Movaps, 8, 8))?.remove(0);
     let series = frequency_sweep(&opts, &program, &Level::ALL)?;
     println!("{}", render_chart(&series, 64, 14, Scale::Linear));
     for s in &series {

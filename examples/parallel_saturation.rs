@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example parallel_saturation`
 
-use microtools::launcher::sweeps::{core_sweep, openmp_comparison, programs_by_unroll};
+use microtools::launcher::sweeps::{core_sweep, openmp_comparison, programs_by_unroll_shared};
 use microtools::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         verify: false,
         ..LauncherOptions::default()
     };
-    let program = programs_by_unroll(&load_stream(Mnemonic::Movaps, 8, 8))?.remove(0);
+    let program = programs_by_unroll_shared(&load_stream(Mnemonic::Movaps, 8, 8))?.remove(0);
     let series = core_sweep(&opts, &program, 12)?;
     println!("{}", render_chart(std::slice::from_ref(&series), 64, 14, Scale::Log10));
     let base = series.points[0].1;
