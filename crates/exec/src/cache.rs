@@ -73,8 +73,8 @@ fn lock<T>(shard: &Mutex<T>) -> MutexGuard<'_, T> {
 ///
 /// `prefix` names the cache in the metrics registry: hits and misses tick
 /// `<prefix>.hit` / `<prefix>.miss` counters whenever metrics are enabled.
-/// Live progress is not ticked here: its cache counts are evaluation-memo
-/// lookups, which the evaluation path reports itself.
+/// Live progress reads its cache counts from the evaluation memo's
+/// `exec.cache.hit` / `exec.cache.miss`, so no other memo moves them.
 pub struct MemoCache<K, V> {
     shards: Vec<Mutex<HashMap<K, V>>>,
     hit_name: String,
@@ -142,11 +142,6 @@ impl<K: Eq + Hash + ShardKey, V: Clone> MemoCache<K, V> {
         self.enabled.store(on, Ordering::SeqCst);
     }
 
-    /// Whether memoization is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::SeqCst)
-    }
-
     /// Drops every cached entry and zeroes the hit/miss tallies.
     pub fn clear(&self) {
         for shard in &self.shards {
@@ -210,7 +205,6 @@ mod tests {
     fn disabled_cache_always_computes() {
         let cache: MemoCache<u64, u64> = MemoCache::new("test.cache");
         cache.set_enabled(false);
-        assert!(!cache.is_enabled());
         let computed = AtomicU64::new(0);
         for _ in 0..3 {
             let _ = cache.get_or_try_compute(9, || {
@@ -237,6 +231,7 @@ mod tests {
 
     #[test]
     fn concurrent_lookups_agree() {
+        let _guard = crate::tests::metrics_lock();
         let cache: MemoCache<u64, u64> = MemoCache::new("test.cache");
         let results = crate::ExecEngine::new(8).run((0..256u64).collect(), |i| {
             cache.get_or_try_compute(i % 16, || ok((i % 16) * 3)).unwrap()
@@ -267,6 +262,7 @@ mod tests {
         impl mc_trace::ProgressSink for Quiet {
             fn on_progress(&self, _: mc_trace::ProgressEvent, _: &mc_trace::ProgressSnapshot) {}
         }
+        let _guard = crate::tests::metrics_lock();
         mc_trace::install_progress(std::sync::Arc::new(Quiet));
         let cache: MemoCache<u64, u64> = MemoCache::new("test.cache");
         for k in [1, 2, 1, 1] {

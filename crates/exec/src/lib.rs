@@ -73,6 +73,16 @@ pub fn parse_jobs(value: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// The metrics registry, its switch and live progress are
+    /// process-global; every test that runs an engine or toggles them
+    /// serializes on this lock, so an enabled-metrics window never
+    /// observes a sibling test's batches.
+    pub(crate) fn metrics_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn parse_jobs_accepts_positive_integers() {

@@ -8,6 +8,7 @@
 //! order — scheduling nondeterminism never reaches the result: parallel
 //! output is bit-identical to serial.
 
+use mc_trace::Counter;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
@@ -45,8 +46,8 @@ impl ExecEngine {
         let mut span = mc_trace::span("exec.batch");
         span.field("points", points as u64);
         span.field("workers", workers as u64);
+        let completed = record_batch_admitted(points, workers);
         mc_trace::progress_batch_started(points as u64);
-        record_batch_admitted(points, workers);
         let start = Instant::now();
         let busy_nanos = AtomicU64::new(0);
 
@@ -57,14 +58,14 @@ impl ExecEngine {
                     let t0 = Instant::now();
                     let r = f(item);
                     busy_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    mc_trace::progress_point_done();
+                    point_done(completed.as_ref());
                     r
                 })
                 .collect();
             out
         } else {
             let queue = Mutex::new(items.into_iter().enumerate());
-            let (queue, f, busy_nanos) = (&queue, &f, &busy_nanos);
+            let (queue, f, busy_nanos, completed) = (&queue, &f, &busy_nanos, completed.as_ref());
             let mut slots: Vec<Option<R>> = (0..points).map(|_| None).collect();
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
@@ -82,7 +83,7 @@ impl ExecEngine {
                                 busy_nanos
                                     .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                                 done.push((index, r));
-                                mc_trace::progress_point_done();
+                                point_done(completed);
                             }
                             done
                         })
@@ -108,15 +109,26 @@ impl ExecEngine {
 }
 
 /// Batch admission telemetry, recorded when the batch *starts* so a live
-/// metrics scrape mid-sweep already sees the submitted point count.
-fn record_batch_admitted(points: usize, workers: usize) {
+/// metrics scrape mid-sweep (and live progress) already sees the
+/// submitted point count. Returns the `exec.batch.done` counter the
+/// batch's completed points tick, when metrics are on.
+fn record_batch_admitted(points: usize, workers: usize) -> Option<Counter> {
     if !mc_trace::metrics_enabled() {
-        return;
+        return None;
     }
     let m = mc_trace::metrics();
     m.inc("exec.batch.count", 1);
     m.inc("exec.batch.points", points as u64);
     m.gauge_set("exec.pool.workers", workers as f64);
+    Some(m.counter("exec.batch.done"))
+}
+
+/// Counts one completed item, then tells progress (whose snapshot sees it).
+fn point_done(completed: Option<&Counter>) {
+    if let Some(completed) = completed {
+        completed.inc();
+    }
+    mc_trace::progress_point_done();
 }
 
 /// End-of-batch telemetry: utilization (busy time over `workers × wall`)
@@ -136,15 +148,7 @@ fn record_batch(workers: usize, wall_seconds: f64, busy_nanos: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
-
-    /// The metrics registry is process-global; every test that runs an
-    /// engine serializes on this lock so enabled-metrics windows never
-    /// observe a sibling test's batches.
-    fn metrics_lock() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+    use crate::tests::metrics_lock;
 
     #[test]
     fn results_come_back_in_submission_order() {
@@ -203,5 +207,51 @@ mod tests {
         let utilization = snapshot.gauge("exec.pool.utilization").expect("utilization gauge");
         assert!((0.0..=1.0).contains(&utilization), "utilization {utilization}");
         assert_eq!(snapshot.histogram("exec.batch.wall_ms").map(|h| h.count), Some(1));
+    }
+
+    struct Quiet;
+
+    impl mc_trace::ProgressSink for Quiet {
+        fn on_progress(&self, _: mc_trace::ProgressEvent, _: &mc_trace::ProgressSnapshot) {}
+    }
+
+    #[test]
+    fn progress_counts_only_the_work_after_install() {
+        let _guard = metrics_lock();
+        let m = mc_trace::metrics();
+        m.reset();
+        for name in ["exec.batch.points", "exec.batch.done", "exec.cache.hit", "exec.cache.miss"] {
+            m.inc(name, 50);
+        }
+        let memo: crate::MemoCache<u64, u64> = crate::MemoCache::new("exec.cache");
+        mc_trace::install_progress(std::sync::Arc::new(Quiet));
+        for workers in [1, 2] {
+            // Keys 0..4 repeat: the first batch misses four and hits two,
+            // the second hits all six.
+            ExecEngine::new(workers)
+                .run((0..6u64).collect(), |k| memo.get_or_compute(k % 4, || k % 4));
+        }
+        let snapshot = mc_trace::progress_snapshot();
+        mc_trace::uninstall_progress();
+        assert!(!mc_trace::metrics_enabled());
+        m.reset();
+        assert_eq!((snapshot.total, snapshot.done), (12, 12));
+        assert_eq!((snapshot.cache_hits, snapshot.cache_misses), (8, 4));
+    }
+
+    #[test]
+    fn progress_and_metrics_off_record_nothing() {
+        let _guard = metrics_lock();
+        let m = mc_trace::metrics();
+        m.reset();
+        for workers in [1, 2] {
+            ExecEngine::new(workers).run((0..6u64).collect(), |x| x + 1);
+        }
+        let snapshot = m.snapshot();
+        let names =
+            snapshot.counters.iter().map(|(n, _)| n).chain(snapshot.gauges.iter().map(|(n, _)| n));
+        assert_eq!(names.filter(|n| n.starts_with("exec.")).count(), 0, "{snapshot:?}");
+        assert_eq!(snapshot.histogram("exec.batch.wall_ms"), None);
+        assert_eq!(mc_trace::progress_snapshot(), mc_trace::ProgressSnapshot::default());
     }
 }

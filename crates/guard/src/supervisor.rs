@@ -199,7 +199,6 @@ where
                     if mc_trace::metrics_enabled() {
                         mc_trace::metrics().inc("guard.retries", 1);
                     }
-                    mc_trace::progress_retry();
                     mc_trace::event(
                         "guard.retry",
                         vec![
@@ -219,7 +218,6 @@ where
                     label: label.to_owned(),
                     error: error.clone(),
                 });
-                mc_trace::progress_point_failed();
                 if mc_trace::metrics_enabled() {
                     mc_trace::metrics().inc("guard.failures", 1);
                     if kind == EvalErrorKind::Panic {

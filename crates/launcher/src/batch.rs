@@ -193,15 +193,8 @@ pub fn try_run_batch_supervised(points: Vec<EvalPoint>) -> Vec<Result<RunReport,
                 }
                 Ok(report)
             });
-            // Progress counts evaluation-memo lookups only; a disabled
-            // memo computes without a lookup, so it counts neither.
-            if !computed {
-                mc_trace::progress_cache_hit();
-                if let Some(store) = &store {
-                    store.note_mem_hit();
-                }
-            } else if report.is_ok() && eval_cache().is_enabled() {
-                mc_trace::progress_cache_miss();
+            if let (false, Some(store)) = (computed, &store) {
+                store.note_mem_hit();
             }
             report
         })

@@ -317,9 +317,6 @@ where
             metrics.inc("launcher.samples_saved", u64::from(budget.saturating_sub(executed)));
         }
     }
-    if cfg.adaptive {
-        mc_trace::progress_samples_saved(u64::from(budget.saturating_sub(executed)));
-    }
     Ok(Measurement {
         stable,
         samples,

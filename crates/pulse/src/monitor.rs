@@ -1,7 +1,7 @@
 //! Live sweep monitoring: the TTY status line and the JSONL stream.
 //!
-//! Both are [`mc_trace::ProgressSink`]s fed by the instrumentation hooks
-//! in mc-exec, mc-guard, and mc-launcher. The TTY sink repaints one
+//! Both are [`mc_trace::ProgressSink`]s notified by mc-exec's pool, with
+//! snapshots read from the metrics registry. The TTY sink repaints one
 //! stderr line (throttled, erased on completion) with throughput, ETA,
 //! cache hit rate, and failure counts. The JSONL sink writes a stream a
 //! machine can tail:

@@ -28,7 +28,7 @@ use crate::openmetrics;
 use mc_report::gate::Point;
 use mc_report::{atomic_write, fnv1a64, CsvTable, CsvWriter, RunManifest};
 use std::fmt::Write as _;
-use std::fs::{self, OpenOptions};
+use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Default registry root, relative to the working directory.
@@ -278,24 +278,15 @@ impl Registry {
             .with("label", label.as_str());
         // One O_APPEND write per registration: concurrent processes
         // interleave whole lines, never bytes within a line.
-        let file =
-            OpenOptions::new().create(true).read(true).append(true).open(self.index_path())?;
-        mc_trace::append_line(&file, &event.to_json())?;
-        file.sync_all()
+        mc_trace::append_event(&self.index_path(), &event)?.sync_all()
     }
 
     /// Reads the registration log in order, skipping torn or foreign
     /// lines (the journal-reload discipline: a crash mid-append must not
     /// poison every later read).
     pub fn load_index(&self) -> std::io::Result<Vec<IndexEntry>> {
-        let text = match fs::read_to_string(self.index_path()) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
         let mut entries = Vec::new();
-        for line in text.lines() {
-            let Ok(event) = mc_trace::TraceEvent::from_json(line) else { continue };
+        for event in mc_trace::read_events(&self.index_path())? {
             if event.name != "pulse.run" {
                 continue;
             }

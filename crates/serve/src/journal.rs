@@ -5,7 +5,7 @@
 //! (`done`, `failed`, `canceled`) append matching lines as they happen.
 //! The format is mc-trace's JSONL event encoding — the same
 //! torn-tail-tolerant, append-only shape mc-store's ledger uses —
-//! written with [`mc_trace::append_line`] (`O_APPEND`) + `sync_data` so a
+//! written with [`mc_trace::append_event`] (`O_APPEND`) + `sync_data` so a
 //! SIGKILL can at worst tear the final line, and the next append starts
 //! a fresh line after it.
 //!
@@ -23,7 +23,7 @@
 
 use mc_trace::{EventKind, TraceEvent};
 use std::collections::{HashMap, HashSet};
-use std::fs::{self, OpenOptions};
+use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Journal file name inside the daemon state directory.
@@ -88,9 +88,7 @@ impl JobJournal {
         if let Some(parent) = self.path.parent() {
             fs::create_dir_all(parent)?;
         }
-        let file = OpenOptions::new().create(true).read(true).append(true).open(&self.path)?;
-        mc_trace::append_line(&file, &event.to_json())?;
-        file.sync_data()
+        mc_trace::append_event(&self.path, event)?.sync_data()
     }
 
     /// Journals an admission. Must succeed before the job is queued.
@@ -132,17 +130,13 @@ impl JobJournal {
     /// last outcome win. Unparseable lines (the torn tail of a crash) and
     /// outcome lines for unknown jobs are skipped, never fatal.
     pub fn replay(&self) -> Replay {
-        let text = match fs::read_to_string(&self.path) {
-            Ok(t) => t,
-            Err(_) => return Replay::default(),
-        };
+        let Ok(events) = mc_trace::read_events(&self.path) else { return Replay::default() };
         // Duplicates collapse: the same content-derived ID is only one job
         // however many times it was submitted.
         let mut admitted: HashSet<String> = HashSet::new();
         let mut accepted: Vec<AcceptedJob> = Vec::new();
         let mut outcomes: HashMap<String, Outcome> = HashMap::new();
-        for line in text.lines() {
-            let Ok(event) = TraceEvent::from_json(line) else { continue };
+        for event in &events {
             let field = |key: &str| {
                 event.field(key).and_then(|v| v.as_str()).map(str::to_owned).unwrap_or_default()
             };
@@ -231,7 +225,7 @@ mod tests {
         journal.accepted(&job("aa-1")).unwrap();
         journal.accepted(&job("aa-1")).unwrap(); // duplicate submission
                                                  // Simulate a crash mid-append: garbage trailing bytes.
-        let mut file = OpenOptions::new().append(true).open(journal.path()).unwrap();
+        let mut file = fs::OpenOptions::new().append(true).open(journal.path()).unwrap();
         file.write_all(b"{\"seq\":9,\"us\":1,\"kind\":\"ev").unwrap();
         drop(file);
         let replay = journal.replay();

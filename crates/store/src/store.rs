@@ -359,13 +359,7 @@ impl DiskStore {
         let event = ledger_event("store.ledger", ("pid", u64::from(std::process::id())), c);
         let append = mc_guard::fire_write(LEDGER)
             .and_then(|()| fs::create_dir_all(&self.root))
-            .and_then(|()| {
-                let mut options = fs::OpenOptions::new();
-                let file =
-                    options.create(true).read(true).append(true).open(self.root.join(LEDGER))?;
-                mc_trace::append_line(&file, &event.to_json())?;
-                file.sync_all()
-            });
+            .and_then(|()| mc_trace::append_event(&self.root.join(LEDGER), &event)?.sync_all());
         if let Err(e) = append {
             self.count("store.write_failed", 1, |c| &mut c.write_failed);
             mc_trace::diag!("store: cannot append ledger in {}: {e}", self.root.display());
@@ -409,10 +403,12 @@ pub struct LedgerTotals {
 /// Rollup lines written by ledger compaction carry the process count
 /// they folded, so totals survive any number of compactions.
 pub fn ledger_totals(root: &Path) -> LedgerTotals {
-    let text = fs::read_to_string(root.join(LEDGER)).unwrap_or_default();
+    fold_ledger(&mc_trace::read_events(&root.join(LEDGER)).unwrap_or_default())
+}
+
+fn fold_ledger(events: &[mc_trace::TraceEvent]) -> LedgerTotals {
     let mut totals = LedgerTotals::default();
-    for line in text.lines() {
-        let Ok(event) = mc_trace::TraceEvent::from_json(line) else { continue };
+    for event in events {
         let get = |k: &str| event.field(k).and_then(mc_trace::Value::as_u64).unwrap_or(0);
         match event.name.as_str() {
             "store.ledger" => totals.processes += 1,
@@ -440,11 +436,11 @@ pub const LEDGER_COMPACT_BYTES: u64 = 64 * 1024;
 /// appended concurrently with the rename is lost — the price of a bounded
 /// file, and why only end-of-run flushes compact.
 fn compact_ledger(root: &Path) -> std::io::Result<()> {
-    let lines = fs::read_to_string(root.join(LEDGER)).map_or(0, |text| text.lines().count());
-    if lines <= 1 {
+    let events = mc_trace::read_events(&root.join(LEDGER)).unwrap_or_default();
+    if events.len() <= 1 {
         return Ok(());
     }
-    let totals = ledger_totals(root);
+    let totals = fold_ledger(&events);
     let event = ledger_event("store.rollup", ("processes", totals.processes), totals.counters);
     mc_guard::fire_write(LEDGER)?;
     mc_report::atomic_write(&root.join(LEDGER), format!("{}\n", event.to_json()).as_bytes())

@@ -15,8 +15,8 @@
 //!   fan-out — plus [`chrome`]'s Perfetto/Chrome-trace timeline exporter,
 //! * [`metrics`](mod@metrics) — a thread-safe [`MetricsRegistry`] of counters, gauges,
 //!   and histograms (p50/p95/max), rendered by [`summary`],
-//! * [`progress`] — live batch-progress counters and the [`ProgressSink`]
-//!   surface mc-pulse's displays consume.
+//! * [`progress`] — live batch progress read from the metrics registry, and
+//!   the [`ProgressSink`] surface mc-pulse's displays consume.
 //!
 //! The tracer is a process-global dispatcher in the style of the `log`
 //! crate: libraries call [`span`]/[`event()`]/[`diag!`] unconditionally, and
@@ -47,12 +47,13 @@ pub use chrome::ChromeTraceSink;
 pub use event::{EventKind, TraceEvent, Value};
 pub use metrics::{Counter, HistogramStats, MetricsRegistry, MetricsSnapshot};
 pub use progress::{
-    install_progress, progress_batch_finished, progress_batch_started, progress_cache_hit,
-    progress_cache_miss, progress_enabled, progress_point_done, progress_point_failed,
-    progress_retry, progress_samples_saved, progress_snapshot, uninstall_progress, ProgressEvent,
-    ProgressSink, ProgressSnapshot,
+    install_progress, progress_batch_finished, progress_batch_started, progress_enabled,
+    progress_point_done, progress_snapshot, uninstall_progress, ProgressEvent, ProgressSink,
+    ProgressSnapshot,
 };
-pub use sink::{append_line, FanoutSink, JsonlSink, MemorySink, TraceSink};
+pub use sink::{
+    append_event, append_line, read_events, FanoutSink, JsonlSink, MemorySink, TraceSink,
+};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -288,8 +289,9 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    /// The tracer is process-global; tests touching it take this lock.
-    fn guard() -> std::sync::MutexGuard<'static, ()> {
+    /// The tracer, the metrics switch and progress are process-global;
+    /// tests touching any of them take this lock.
+    pub(crate) fn guard() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }

@@ -155,7 +155,14 @@ impl MetricsRegistry {
     /// lock-free; hold on to it on hot paths.
     pub fn counter(&self, name: &str) -> Counter {
         let mut counters = self.counters.lock().expect("metrics poisoned");
-        Counter(counters.entry(name.to_owned()).or_default().clone())
+        with_entry(&mut counters, name, Arc::default, |c| Counter(Arc::clone(c)))
+    }
+
+    /// The current values of the named counters (0 for one never ticked),
+    /// read under one lock without copying the rest of the registry.
+    pub fn counts<const N: usize>(&self, names: [&str; N]) -> [u64; N] {
+        let counters = self.counters.lock().expect("metrics poisoned");
+        names.map(|name| counters.get(name).map_or(0, |c| c.load(Ordering::Relaxed)))
     }
 
     /// Adds `n` to the named counter (convenience for cold paths).
@@ -165,17 +172,14 @@ impl MetricsRegistry {
 
     /// Sets the named gauge to its latest value.
     pub fn gauge_set(&self, name: &str, value: f64) {
-        self.gauges.lock().expect("metrics poisoned").insert(name.to_owned(), value);
+        let mut gauges = self.gauges.lock().expect("metrics poisoned");
+        with_entry(&mut gauges, name, || value, |g| *g = value);
     }
 
     /// Records one observation into the named histogram.
     pub fn observe(&self, name: &str, value: f64) {
-        self.histograms
-            .lock()
-            .expect("metrics poisoned")
-            .entry(name.to_owned())
-            .or_insert_with(Histogram::new)
-            .observe(value);
+        let mut histograms = self.histograms.lock().expect("metrics poisoned");
+        with_entry(&mut histograms, name, Histogram::new, |h| h.observe(value));
     }
 
     /// Copies the current state, sorted by metric name.
@@ -213,6 +217,20 @@ impl MetricsRegistry {
     }
 }
 
+/// Applies `f` to the entry for `name`, created with `make` on first use.
+/// The lookup is by `&str`, so only a new name allocates its key.
+fn with_entry<V, R>(
+    map: &mut BTreeMap<String, V>,
+    name: &str,
+    make: impl FnOnce() -> V,
+    f: impl FnOnce(&mut V) -> R,
+) -> R {
+    if let Some(value) = map.get_mut(name) {
+        return f(value);
+    }
+    f(map.entry(name.to_owned()).or_insert_with(make))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,6 +263,16 @@ mod tests {
         b.inc();
         assert_eq!(a.get(), 4);
         assert_eq!(registry.snapshot().counter("n"), Some(4));
+    }
+
+    #[test]
+    fn counts_read_named_counters_without_creating_any() {
+        let registry = MetricsRegistry::new();
+        registry.inc("a", 2);
+        registry.inc("b", 5);
+        registry.inc("b", 1);
+        assert_eq!(registry.counts(["b", "missing", "a"]), [6, 0, 2]);
+        assert_eq!(registry.snapshot().counter("missing"), None);
     }
 
     #[test]

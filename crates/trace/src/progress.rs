@@ -1,13 +1,16 @@
-//! Live progress accounting for batch evaluation.
+//! Live progress for batch evaluation: a view of the metrics registry.
 //!
-//! The evaluation pipeline is instrumented with cheap counter hooks —
-//! batch submission and per-point completion in mc-exec's pool, retries
-//! and terminal failures in mc-guard's supervisor, memo-cache hits and
-//! adaptive samples saved in the launcher — all guarded by one relaxed
-//! atomic load, exactly like the tracer and the metrics registry. A
-//! binary that wants live output installs a [`ProgressSink`]
-//! (mc-pulse ships a TTY renderer and a JSONL streamer); libraries never
-//! format anything themselves.
+//! The evaluation pipeline already counts what a progress display needs
+//! in the registry: `exec.batch.points` and `exec.batch.done` in mc-exec's
+//! pool, `guard.retries` and `guard.failures` in mc-guard's supervisor,
+//! `exec.cache.hit`/`exec.cache.miss` in the evaluation memo and
+//! `launcher.samples_saved` in the adaptive protocol. [`install_progress`]
+//! turns metrics on and records each of those counters as a baseline; a
+//! [`ProgressSnapshot`] is their growth since. The pool's three notify
+//! hooks (batch started, point done, batch finished) are one relaxed
+//! atomic load until a binary installs a [`ProgressSink`] (mc-pulse ships
+//! a TTY renderer and a JSONL streamer); libraries never format anything
+//! themselves.
 //!
 //! Determinism note: completion *order* under a parallel pool is
 //! scheduling-dependent, so sinks that need a byte-stable stream must do
@@ -15,7 +18,7 @@
 //! JSONL sink does); the [`ProgressSnapshot`] passed alongside is a racy
 //! convenience for human-facing displays.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
@@ -34,7 +37,7 @@ pub enum ProgressEvent {
     BatchFinished,
 }
 
-/// Cumulative counters since [`install_progress`].
+/// Registry counter growth since [`install_progress`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ProgressSnapshot {
     /// Points submitted across all batches.
@@ -52,8 +55,6 @@ pub struct ProgressSnapshot {
     /// Timed samples the adaptive protocol skipped versus the fixed
     /// budget.
     pub samples_saved: u64,
-    /// Batches started.
-    pub batches: u64,
     /// Wall microseconds since progress tracking was installed.
     pub elapsed_micros: u64,
 }
@@ -92,43 +93,76 @@ pub trait ProgressSink: Send + Sync {
     fn on_progress(&self, event: ProgressEvent, snapshot: &ProgressSnapshot);
 }
 
+/// The registry counters behind a snapshot, in [`ProgressSnapshot`]
+/// field order.
+const COUNTERS: [&str; 7] = [
+    "exec.batch.points",
+    "exec.batch.done",
+    "guard.failures",
+    "guard.retries",
+    "exec.cache.hit",
+    "exec.cache.miss",
+    "launcher.samples_saved",
+];
+
 static PROGRESS_ENABLED: AtomicBool = AtomicBool::new(false);
-static TOTAL: AtomicU64 = AtomicU64::new(0);
-static DONE: AtomicU64 = AtomicU64::new(0);
-static FAILED: AtomicU64 = AtomicU64::new(0);
-static RETRIES: AtomicU64 = AtomicU64::new(0);
-static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-static SAMPLES_SAVED: AtomicU64 = AtomicU64::new(0);
-static BATCHES: AtomicU64 = AtomicU64::new(0);
 
-fn progress_slot() -> &'static RwLock<Option<Arc<dyn ProgressSink>>> {
-    static SINK: OnceLock<RwLock<Option<Arc<dyn ProgressSink>>>> = OnceLock::new();
-    SINK.get_or_init(|| RwLock::new(None))
+/// What [`install_progress`] set up.
+struct Installed {
+    sink: Arc<dyn ProgressSink>,
+    epoch: Instant,
+    baseline: [u64; COUNTERS.len()],
+    /// The metrics switch as install found it, restored by uninstall.
+    metrics_were_on: bool,
 }
 
-fn progress_epoch() -> &'static RwLock<Option<Instant>> {
-    static EPOCH: OnceLock<RwLock<Option<Instant>>> = OnceLock::new();
-    EPOCH.get_or_init(|| RwLock::new(None))
-}
-
-/// Installs the progress sink, zeroes every counter, and pins the
-/// elapsed-time epoch. Replaces any previous sink.
-pub fn install_progress(sink: Arc<dyn ProgressSink>) {
-    for counter in
-        [&TOTAL, &DONE, &FAILED, &RETRIES, &CACHE_HITS, &CACHE_MISSES, &SAMPLES_SAVED, &BATCHES]
-    {
-        counter.store(0, Ordering::SeqCst);
+impl Installed {
+    fn snapshot(&self) -> ProgressSnapshot {
+        let now = crate::metrics().counts(COUNTERS);
+        let [total, done, failed, retries, cache_hits, cache_misses, samples_saved] =
+            std::array::from_fn(|i| now[i].saturating_sub(self.baseline[i]));
+        ProgressSnapshot {
+            total,
+            done,
+            failed,
+            retries,
+            cache_hits,
+            cache_misses,
+            samples_saved,
+            elapsed_micros: self.epoch.elapsed().as_micros() as u64,
+        }
     }
-    *progress_epoch().write().expect("progress epoch lock poisoned") = Some(Instant::now());
-    *progress_slot().write().expect("progress sink lock poisoned") = Some(sink);
+}
+
+fn installed() -> &'static RwLock<Option<Installed>> {
+    static INSTALLED: OnceLock<RwLock<Option<Installed>>> = OnceLock::new();
+    INSTALLED.get_or_init(|| RwLock::new(None))
+}
+
+/// Installs the progress sink, turns metrics on, and counts from now:
+/// the registry counters' current values become the baseline and the
+/// elapsed-time epoch is pinned. Replaces any previous sink.
+pub fn install_progress(sink: Arc<dyn ProgressSink>) {
+    let mut slot = installed().write().expect("progress lock poisoned");
+    // A reinstall keeps the switch the first install found.
+    let metrics_were_on = slot.as_ref().map_or_else(crate::metrics_enabled, |p| p.metrics_were_on);
+    crate::enable_metrics(true);
+    *slot = Some(Installed {
+        sink,
+        epoch: Instant::now(),
+        baseline: crate::metrics().counts(COUNTERS),
+        metrics_were_on,
+    });
     PROGRESS_ENABLED.store(true, Ordering::Release);
 }
 
-/// Disables progress tracking and drops the sink.
+/// Disables progress tracking, drops the sink, and puts back the metrics
+/// switch [`install_progress`] found.
 pub fn uninstall_progress() {
     PROGRESS_ENABLED.store(false, Ordering::Release);
-    progress_slot().write().expect("progress sink lock poisoned").take();
+    if let Some(installed) = installed().write().expect("progress lock poisoned").take() {
+        crate::enable_metrics(installed.metrics_were_on);
+    }
 }
 
 /// True when a progress sink is installed — the hot-path guard.
@@ -139,103 +173,39 @@ pub fn progress_enabled() -> bool {
 
 /// The counters as of now (all zero when tracking is off).
 pub fn progress_snapshot() -> ProgressSnapshot {
-    let elapsed_micros = progress_epoch()
-        .read()
-        .expect("progress epoch lock poisoned")
-        .map(|epoch| epoch.elapsed().as_micros() as u64)
-        .unwrap_or(0);
-    ProgressSnapshot {
-        total: TOTAL.load(Ordering::Relaxed),
-        done: DONE.load(Ordering::Relaxed),
-        failed: FAILED.load(Ordering::Relaxed),
-        retries: RETRIES.load(Ordering::Relaxed),
-        cache_hits: CACHE_HITS.load(Ordering::Relaxed),
-        cache_misses: CACHE_MISSES.load(Ordering::Relaxed),
-        samples_saved: SAMPLES_SAVED.load(Ordering::Relaxed),
-        batches: BATCHES.load(Ordering::Relaxed),
-        elapsed_micros,
-    }
+    let installed = installed().read().expect("progress lock poisoned");
+    installed.as_ref().map_or_else(ProgressSnapshot::default, Installed::snapshot)
 }
 
 fn notify(event: ProgressEvent) {
-    if let Some(sink) = progress_slot().read().expect("progress sink lock poisoned").as_ref() {
-        sink.on_progress(event, &progress_snapshot());
+    if !progress_enabled() {
+        return;
+    }
+    if let Some(installed) = installed().read().expect("progress lock poisoned").as_ref() {
+        installed.sink.on_progress(event, &installed.snapshot());
     }
 }
 
 /// A batch of `points` items entered the evaluation pool.
 pub fn progress_batch_started(points: u64) {
-    if !progress_enabled() {
-        return;
-    }
-    TOTAL.fetch_add(points, Ordering::Relaxed);
-    BATCHES.fetch_add(1, Ordering::Relaxed);
     notify(ProgressEvent::BatchStarted { points });
 }
 
 /// One item completed (ok or failed).
 pub fn progress_point_done() {
-    if !progress_enabled() {
-        return;
-    }
-    DONE.fetch_add(1, Ordering::Relaxed);
     notify(ProgressEvent::PointDone);
 }
 
 /// A batch drained.
 pub fn progress_batch_finished() {
-    if !progress_enabled() {
-        return;
-    }
     notify(ProgressEvent::BatchFinished);
-}
-
-/// One evaluation failed terminally (no notification — the failure's
-/// `PointDone` still arrives from the pool).
-pub fn progress_point_failed() {
-    if progress_enabled() {
-        FAILED.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// One retry attempt was consumed.
-pub fn progress_retry() {
-    if progress_enabled() {
-        RETRIES.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// One evaluation-memo hit.
-pub fn progress_cache_hit() {
-    if progress_enabled() {
-        CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// One evaluation-memo miss.
-pub fn progress_cache_miss() {
-    if progress_enabled() {
-        CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// The adaptive protocol skipped `n` timed samples versus its budget.
-pub fn progress_samples_saved(n: u64) {
-    if progress_enabled() && n > 0 {
-        SAMPLES_SAVED.fetch_add(n, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::guard;
     use std::sync::Mutex;
-
-    /// Progress state is process-global; tests serialize on this lock.
-    fn guard() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     #[derive(Default)]
     struct RecordingSink {
@@ -252,49 +222,76 @@ mod tests {
     fn hooks_are_inert_until_installed() {
         let _g = guard();
         uninstall_progress();
+        crate::metrics().inc("exec.batch.points", 5);
         progress_batch_started(5);
         progress_point_done();
-        progress_point_failed();
         assert_eq!(progress_snapshot(), ProgressSnapshot::default());
+        crate::metrics().reset();
     }
 
     #[test]
-    fn install_resets_and_counts_flow_through() {
+    fn snapshots_count_registry_growth_since_install() {
         let _g = guard();
+        let m = crate::metrics();
+        // Counts from before install are not this run's progress.
+        for name in COUNTERS {
+            m.inc(name, 100);
+        }
         let sink = Arc::new(RecordingSink::default());
         install_progress(sink.clone());
+        assert!(crate::metrics_enabled(), "progress reads the registry");
+        m.inc("exec.batch.points", 3);
         progress_batch_started(3);
-        progress_cache_hit();
-        progress_cache_miss();
-        progress_retry();
-        progress_samples_saved(4);
-        progress_point_done();
-        progress_point_failed();
-        progress_point_done();
-        progress_point_done();
+        m.inc("exec.cache.hit", 1);
+        m.inc("exec.cache.miss", 1);
+        m.inc("guard.retries", 1);
+        m.inc("launcher.samples_saved", 4);
+        m.inc("guard.failures", 1);
+        for _ in 0..3 {
+            m.inc("exec.batch.done", 1);
+            progress_point_done();
+        }
         progress_batch_finished();
         let snap = progress_snapshot();
         uninstall_progress();
-        assert_eq!(snap.total, 3);
-        assert_eq!(snap.done, 3);
-        assert_eq!(snap.failed, 1);
-        assert_eq!(snap.retries, 1);
-        assert_eq!(snap.cache_hits, 1);
-        assert_eq!(snap.cache_misses, 1);
-        assert_eq!(snap.samples_saved, 4);
-        assert_eq!(snap.batches, 1);
+        assert!(!crate::metrics_enabled(), "uninstall restores the switch");
+        assert_eq!(progress_snapshot(), ProgressSnapshot::default());
+        m.reset();
+        let counts = (snap.total, snap.done, snap.failed, snap.retries);
+        assert_eq!(counts, (3, 3, 1, 1));
+        assert_eq!((snap.cache_hits, snap.cache_misses, snap.samples_saved), (1, 1, 4));
         assert_eq!(snap.cache_hit_rate(), Some(0.5));
         let events = sink.events.lock().unwrap();
         assert_eq!(
-            events.first().map(|(e, _)| *e),
-            Some(ProgressEvent::BatchStarted { points: 3 })
+            events.first().map(|(e, s)| (*e, s.total)),
+            Some((ProgressEvent::BatchStarted { points: 3 }, 3))
         );
-        assert_eq!(events.last().map(|(e, _)| *e), Some(ProgressEvent::BatchFinished));
         assert_eq!(
-            events.iter().filter(|(e, _)| *e == ProgressEvent::PointDone).count(),
-            3,
-            "{events:?}"
+            events.last().map(|(e, s)| (*e, s.done)),
+            Some((ProgressEvent::BatchFinished, 3))
         );
+        let done: Vec<u64> = events
+            .iter()
+            .filter(|(e, _)| *e == ProgressEvent::PointDone)
+            .map(|(_, s)| s.done)
+            .collect();
+        assert_eq!(done, [1, 2, 3], "each point's count lands before its event");
+    }
+
+    #[test]
+    fn uninstall_leaves_metrics_on_when_they_were_on() {
+        let _g = guard();
+        crate::enable_metrics(true);
+        install_progress(Arc::new(RecordingSink::default()));
+        install_progress(Arc::new(RecordingSink::default()));
+        uninstall_progress();
+        assert!(crate::metrics_enabled());
+        crate::enable_metrics(false);
+        install_progress(Arc::new(RecordingSink::default()));
+        install_progress(Arc::new(RecordingSink::default()));
+        uninstall_progress();
+        assert!(!crate::metrics_enabled(), "a reinstall keeps the first install's switch");
+        crate::metrics().reset();
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Pluggable event sinks.
 
 use crate::event::TraceEvent;
-use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::fs::{self, File, OpenOptions};
+use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -27,6 +27,27 @@ pub fn append_line(mut file: &File, record: &str) -> std::io::Result<()> {
     bytes.extend_from_slice(record.as_bytes());
     bytes.push(b'\n');
     file.write_all(&bytes)
+}
+
+/// Appends `event` to the JSONL event file at `path` (created if missing)
+/// as one [`append_line`] record. Returns the open file so the caller
+/// picks its durability (`sync_data`/`sync_all`).
+pub fn append_event(path: &Path, event: &TraceEvent) -> std::io::Result<File> {
+    let file = OpenOptions::new().create(true).read(true).append(true).open(path)?;
+    append_line(&file, &event.to_json())?;
+    Ok(file)
+}
+
+/// Reads the JSONL event file at `path` in order: empty when it does not
+/// exist, and torn or unparseable lines (a crash mid-append, a foreign
+/// writer) skipped, never fatal.
+pub fn read_events(path: &Path) -> std::io::Result<Vec<TraceEvent>> {
+    let text = match fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e),
+    };
+    Ok(text.lines().filter_map(|line| TraceEvent::from_json(line).ok()).collect())
 }
 
 /// Where emitted events go. Implementations must be cheap enough to sit
@@ -162,6 +183,21 @@ mod tests {
             "{\"a\":1}\n{\"to\n{\"b\":2}\n{\"c\":3}\n"
         );
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn event_files_append_and_read_back_past_torn_lines() {
+        let path =
+            std::env::temp_dir().join(format!("mc-trace-events-{}.jsonl", std::process::id()));
+        let _ = fs::remove_file(&path);
+        assert!(read_events(&path).unwrap().is_empty(), "a missing file is empty");
+        append_event(&path, &sample("a")).unwrap();
+        fs::OpenOptions::new().append(true).open(&path).unwrap().write_all(b"{\"torn").unwrap();
+        append_event(&path, &sample("b")).unwrap().sync_data().unwrap();
+        let names: Vec<String> = read_events(&path).unwrap().into_iter().map(|e| e.name).collect();
+        assert_eq!(names, ["a", "b"]);
+        fs::remove_file(&path).unwrap();
+        assert!(read_events(&std::env::temp_dir()).is_err(), "other errors surface");
     }
 
     fn sample(name: &str) -> TraceEvent {
