@@ -26,7 +26,7 @@ pub fn instruction_to_string(inst: &Inst) -> String {
 }
 
 /// A line of assembly text: label, instruction, directive or comment.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AsmLine {
     /// A label definition, e.g. `.L6:` (stored without the colon).
     Label(String),

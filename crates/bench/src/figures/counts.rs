@@ -6,8 +6,7 @@
 use super::FigureResult;
 use mc_asm::inst::Mnemonic;
 use mc_creator::MicroCreator;
-use mc_kernel::builder::figure6;
-use mc_kernel::OperationDesc;
+use mc_kernel::builder::{figure6, four_mnemonic};
 use mc_report::experiments::{ExperimentId, ShapeCheck};
 use mc_report::table::AsciiTable;
 
@@ -23,14 +22,7 @@ pub fn run() -> Result<FigureResult, String> {
         format!("generated {}", single.programs.len()),
     ));
 
-    let mut four_way = figure6();
-    four_way.instructions[0].operation = OperationDesc::Choice(vec![
-        Mnemonic::Movss,
-        Mnemonic::Movsd,
-        Mnemonic::Movaps,
-        Mnemonic::Movapd,
-    ]);
-    let multi = creator.generate(&four_way).map_err(|e| e.to_string())?;
+    let multi = creator.generate(&four_mnemonic()).map_err(|e| e.to_string())?;
     result.outcome.push(ShapeCheck::new(
         ">2000 variants from the four-mnemonic file",
         multi.programs.len() > 2000,
@@ -73,5 +65,12 @@ mod tests {
         let r = super::run().unwrap();
         assert!(r.outcome.passed(), "{}", r.outcome.render());
         assert!(r.table.is_some());
+    }
+
+    #[test]
+    fn four_mnemonic_file_is_the_kernel_counts_generates() {
+        let xml = include_str!("../../../../descriptions/four_mnemonic.xml");
+        let parsed = mc_kernel::xml::parse_kernel(xml).unwrap();
+        assert_eq!(parsed, super::four_mnemonic());
     }
 }

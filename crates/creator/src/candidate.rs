@@ -5,14 +5,18 @@ use mc_asm::inst::Inst;
 use mc_asm::reg::Reg;
 use mc_kernel::{InstructionDesc, KernelDesc, VariantMeta};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One in-flight program variant. Passes progressively concretize it:
 /// description-level fields first, then the unrolled copy list, then bound
 /// registers and concrete instructions, and finally the rendered lines.
 #[derive(Debug, Clone)]
 pub struct Candidate {
-    /// The (progressively specialized) kernel description.
-    pub desc: KernelDesc,
+    /// The (progressively specialized) kernel description. The candidates
+    /// an expansion makes from one parent share it until one of them
+    /// specializes it: change it through `Arc::make_mut`, which copies a
+    /// shared description first.
+    pub desc: Arc<KernelDesc>,
     /// Choices made so far.
     pub meta: VariantMeta,
     /// Chosen unroll factor; 0 until `unroll-selection` runs.
@@ -42,7 +46,7 @@ impl Candidate {
     pub fn seed(desc: KernelDesc) -> Self {
         let meta = VariantMeta { kernel: desc.name.clone(), ..VariantMeta::default() };
         Candidate {
-            desc,
+            desc: Arc::new(desc),
             meta,
             unroll: 0,
             chosen_increments: Vec::new(),

@@ -11,7 +11,8 @@ use mc_report::SplitMix64;
 pub struct GenContext {
     /// Run configuration.
     pub config: CreatorConfig,
-    /// In-flight candidates; expansion passes grow this set.
+    /// In-flight candidates; expansion passes grow this set, and `codegen`
+    /// drains it into `programs`.
     pub candidates: Vec<Candidate>,
     /// Finished programs (filled by the `codegen` pass).
     pub programs: Vec<Program>,
@@ -24,6 +25,26 @@ impl GenContext {
     pub fn new(desc: mc_kernel::KernelDesc, config: CreatorConfig) -> Self {
         let rng = SplitMix64::seed_from_u64(config.seed);
         GenContext { config, candidates: vec![Candidate::seed(desc)], programs: Vec::new(), rng }
+    }
+
+    /// Fails with [`CreatorError::TooManyCandidates`] unless an expansion
+    /// that turns each candidate `c` into `fanout(c)` candidates stays
+    /// under the cap. `fanout` returns `None` when its count overflows.
+    /// Expansion passes call this before [`GenContext::expand`], so no
+    /// closure reserves or builds an expansion the cap would reject.
+    pub fn check_fanout<F>(&self, pass: &str, mut fanout: F) -> CreatorResult<()>
+    where
+        F: FnMut(&Candidate) -> Option<usize>,
+    {
+        let cap = self.config.max_candidates;
+        let mut total = 0usize;
+        for cand in &self.candidates {
+            total = fanout(cand)
+                .and_then(|n| total.checked_add(n))
+                .filter(|&t| t <= cap)
+                .ok_or_else(|| CreatorError::TooManyCandidates { cap, pass: pass.to_owned() })?;
+        }
+        Ok(())
     }
 
     /// Replaces every candidate with the expansion `f` produces for it,
@@ -60,6 +81,17 @@ impl GenContext {
     }
 }
 
+/// The number of combinations of choice lists with these lengths, or
+/// `None` on overflow: the fan-out of a cartesian expansion.
+pub(crate) fn product(lens: impl IntoIterator<Item = usize>) -> Option<usize> {
+    lens.into_iter().try_fold(1usize, usize::checked_mul)
+}
+
+/// `2^k`, or `None` on overflow: the fan-out of `k` independent swaps.
+pub(crate) fn power_of_two(k: usize) -> Option<usize> {
+    u32::try_from(k).ok().and_then(|k| 1usize.checked_shl(k))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,6 +123,30 @@ mod tests {
         c.config.max_candidates = 5;
         let err = c.expand("exploder", |cand| Ok(vec![cand.clone(); 10])).unwrap_err();
         assert!(matches!(err, CreatorError::TooManyCandidates { cap: 5, .. }));
+    }
+
+    #[test]
+    fn check_fanout_rejects_before_expanding() {
+        let mut c = ctx();
+        c.config.max_candidates = 5;
+        assert!(c.check_fanout("fits", |_| Some(5)).is_ok());
+        let err = c.check_fanout("wide", |_| Some(6)).unwrap_err();
+        assert!(
+            matches!(err, CreatorError::TooManyCandidates { cap: 5, ref pass } if pass == "wide")
+        );
+        assert!(c.check_fanout("overflow", |_| None).is_err());
+        c.candidates.push(c.candidates[0].clone());
+        assert!(c.check_fanout("summed", |_| Some(3)).is_err(), "3 + 3 > 5");
+    }
+
+    #[test]
+    fn fanout_arithmetic_is_checked() {
+        assert_eq!(product([2, 3, 4]), Some(24));
+        assert_eq!(product([]), Some(1));
+        assert_eq!(product([usize::MAX, 2]), None);
+        assert_eq!(power_of_two(3), Some(8));
+        assert_eq!(power_of_two(usize::BITS as usize - 1), Some(1 << (usize::BITS - 1)));
+        assert_eq!(power_of_two(usize::BITS as usize), None);
     }
 
     #[test]

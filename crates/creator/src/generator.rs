@@ -88,9 +88,9 @@ impl MicroCreator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_asm::inst::Mnemonic;
-    use mc_kernel::builder::figure6;
-    use mc_kernel::{OperationDesc, UnrollRange};
+    use crate::error::CreatorError;
+    use mc_kernel::builder::{figure6, four_mnemonic};
+    use mc_kernel::UnrollRange;
 
     #[test]
     fn figure6_generates_510_programs() {
@@ -105,14 +105,7 @@ mod tests {
         // §3: "MicroCreator automatically generates more than two thousand
         // benchmark programs from a single input file" — the four-mnemonic
         // variant of Figure 6: 4 × 510 = 2040.
-        let mut desc = figure6();
-        desc.instructions[0].operation = OperationDesc::Choice(vec![
-            Mnemonic::Movss,
-            Mnemonic::Movsd,
-            Mnemonic::Movaps,
-            Mnemonic::Movapd,
-        ]);
-        let result = MicroCreator::new().generate(&desc).unwrap();
+        let result = MicroCreator::new().generate(&four_mnemonic()).unwrap();
         assert_eq!(result.programs.len(), 2040);
         assert!(result.programs.len() > 2000);
     }
@@ -123,6 +116,8 @@ mod tests {
         assert_eq!(result.stats.len(), 19);
         assert_eq!(result.stats[0].pass, "validate-input");
         assert_eq!(result.stats[18].pass, "codegen");
+        // Codegen moves every candidate into its program.
+        assert_eq!((result.stats[18].candidates, result.stats[18].programs), (0, 510));
         // Gated-off passes are recorded as not-run.
         let random = result.stats.iter().find(|s| s.pass == "random-selection").unwrap();
         assert!(!random.ran);
@@ -178,6 +173,40 @@ mod tests {
             result.programs.iter().any(|p| p.to_asm_string() == expected),
             "Figure 8 kernel not found among generated programs"
         );
+    }
+
+    /// Generates from the XML of Figure 6 with another unroll range.
+    fn generate_figure6_xml(unrolling: UnrollRange) -> CreatorResult<GenerationResult> {
+        let mut desc = figure6();
+        desc.unrolling = unrolling;
+        MicroCreator::new().generate_from_xml(&mc_kernel::xml::kernel_to_xml(&desc))
+    }
+
+    fn refused_at(result: CreatorResult<GenerationResult>) -> String {
+        match result {
+            Err(CreatorError::TooManyCandidates { cap, pass }) => {
+                assert_eq!(cap, CreatorConfig::default().max_candidates);
+                pass
+            }
+            Err(other) => panic!("expected the candidate cap, got {other}"),
+            Ok(r) => panic!("expected the candidate cap, got {} programs", r.programs.len()),
+        }
+    }
+
+    #[test]
+    fn huge_unroll_range_is_refused_before_expanding() {
+        // Four billion unroll factors: refused by counting, not by
+        // reserving a candidate per factor first.
+        let result = generate_figure6_xml(UnrollRange { min: 1, max: 4_000_000_000 });
+        assert_eq!(refused_at(result), "unroll-selection");
+    }
+
+    #[test]
+    fn forty_swap_sites_are_refused_before_expanding() {
+        // Unroll 40 with <swap_after_unroll/> asks for 2^40 direction
+        // patterns.
+        let result = generate_figure6_xml(UnrollRange::fixed(40));
+        assert_eq!(refused_at(result), "operand-swap-after");
     }
 
     #[test]

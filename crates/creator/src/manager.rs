@@ -135,15 +135,19 @@ impl PassManager {
         for entry in &self.entries {
             let ran = entry.gate(ctx);
             let variants_in = ctx.candidates.len();
+            let programs_in = ctx.programs.len();
             if ran {
                 let mut span = mc_trace::span("creator.pass");
                 entry.pass.run(ctx)?;
                 if span.is_active() {
                     let variants_out = ctx.candidates.len();
+                    // Candidates `codegen` turns into programs are not pruned.
+                    let finished = ctx.programs.len().saturating_sub(programs_in);
+                    let pruned = variants_in.saturating_sub(variants_out + finished);
                     span.field("pass", entry.pass.name());
                     span.field("variants_in", variants_in as u64);
                     span.field("variants_out", variants_out as u64);
-                    span.field("pruned", variants_in.saturating_sub(variants_out) as u64);
+                    span.field("pruned", pruned as u64);
                     span.field("programs", ctx.programs.len() as u64);
                 }
             } else if mc_trace::enabled() {

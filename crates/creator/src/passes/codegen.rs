@@ -7,7 +7,8 @@ use crate::pass::Pass;
 use mc_kernel::{MemDir, Program};
 use std::collections::HashMap;
 
-/// Converts every surviving candidate into a named program.
+/// Converts every surviving candidate into a named program, leaving the
+/// candidate set empty.
 pub struct Codegen;
 
 impl Pass for Codegen {
@@ -18,8 +19,8 @@ impl Pass for Codegen {
     fn run(&self, ctx: &mut GenContext) -> CreatorResult<()> {
         let mut name_counts: HashMap<String, u32> = HashMap::new();
         let mut programs = Vec::with_capacity(ctx.candidates.len());
-        for cand in &ctx.candidates {
-            let mut meta = cand.meta.clone();
+        for cand in ctx.candidates.drain(..) {
+            let mut meta = cand.meta;
             // The (Load|Store)+ direction pattern, read off the body.
             meta.directions = cand
                 .body
@@ -35,16 +36,23 @@ impl Pass for Codegen {
                 })
                 .collect();
             let base_name = meta.variant_name();
-            let count = name_counts.entry(base_name.clone()).or_insert(0);
-            let name =
-                if *count == 0 { base_name.clone() } else { format!("{base_name}_v{count}") };
-            *count += 1;
+            let name = match name_counts.get_mut(&base_name) {
+                Some(count) => {
+                    let name = format!("{base_name}_v{count}");
+                    *count += 1;
+                    name
+                }
+                None => {
+                    name_counts.insert(base_name.clone(), 1);
+                    base_name
+                }
+            };
             programs.push(Program {
                 name,
                 nb_arrays: cand.desc.array_registers().len() as u32,
                 element_bytes: cand.desc.element_bytes,
                 elements_per_iteration: cand.elements_per_iter,
-                lines: cand.lines.clone(),
+                lines: cand.lines,
                 meta,
             });
         }

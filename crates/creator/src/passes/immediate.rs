@@ -4,10 +4,11 @@
 //! each element, if there are multiple choices, a separate version of the
 //! kernel is created."
 
-use crate::context::GenContext;
+use crate::context::{product, GenContext};
 use crate::error::CreatorResult;
 use crate::pass::Pass;
 use mc_kernel::{ImmediateDesc, OperandDesc};
+use std::sync::Arc;
 
 /// Fixes every immediate operand's value, one candidate per combination.
 pub struct ImmediateSelection;
@@ -18,6 +19,14 @@ impl Pass for ImmediateSelection {
     }
 
     fn run(&self, ctx: &mut GenContext) -> CreatorResult<()> {
+        ctx.check_fanout(self.name(), |cand| {
+            product(cand.desc.instructions.iter().flat_map(|inst| &inst.operands).filter_map(
+                |op| match op {
+                    OperandDesc::Immediate(imm) => Some(imm.choices.len()),
+                    _ => None,
+                },
+            ))
+        })?;
         ctx.expand(self.name(), |cand| {
             // Locate every immediate operand: (instruction, operand) paths.
             let mut paths = Vec::new();
@@ -40,7 +49,7 @@ impl Pass for ImmediateSelection {
                 let mut next = cand.clone();
                 let chosen: Vec<i64> = idx.iter().zip(&axes).map(|(&i, a)| a[i]).collect();
                 for (&(ii, oi), &v) in paths.iter().zip(&chosen) {
-                    next.desc.instructions[ii].operands[oi] =
+                    Arc::make_mut(&mut next.desc).instructions[ii].operands[oi] =
                         OperandDesc::Immediate(ImmediateDesc::fixed(v));
                 }
                 if had_choice {

@@ -10,6 +10,7 @@
 use crate::context::GenContext;
 use crate::error::CreatorResult;
 use crate::pass::Pass;
+use std::sync::Arc;
 
 /// Seeded random body construction.
 pub struct RandomInstructionSelection;
@@ -27,6 +28,7 @@ impl Pass for RandomInstructionSelection {
         let Some(sel) = ctx.config.random_selection else {
             return Ok(());
         };
+        ctx.check_fanout(self.name(), |_| Some(sel.variants as usize))?;
         // Draw all indices up front so `expand`'s closure stays `FnMut`
         // without borrowing the RNG from the context it mutates.
         let pool_sizes: Vec<usize> =
@@ -48,7 +50,7 @@ impl Pass for RandomInstructionSelection {
             let mut out = Vec::with_capacity(per_candidate.len());
             for (v, indices) in per_candidate.iter().enumerate() {
                 let mut next = cand.clone();
-                next.desc.instructions =
+                Arc::make_mut(&mut next.desc).instructions =
                     indices.iter().map(|&i| cand.desc.instructions[i].clone()).collect();
                 // The drawn body supersedes any earlier mnemonic grouping.
                 next.meta.mnemonic = next

@@ -56,10 +56,10 @@ impl Pass for RegisterAllocation {
             }
             let mut next_array = 0usize;
             for name in arrays {
-                if cand.binding.contains_key(&name) {
+                if cand.binding.contains_key(name) {
                     continue; // the counter doubling as a base (unusual)
                 }
-                cand.binding.insert(name, Reg::gpr(ARRAY_REGS[next_array]));
+                cand.binding.insert(name.to_owned(), Reg::gpr(ARRAY_REGS[next_array]));
                 next_array += 1;
             }
             // 3. Any remaining logical registers (data/index registers) →

@@ -5,10 +5,12 @@
 //! `repeat = (min, max)` is replicated `k` times for every `k` in the
 //! range, each count yielding a separate kernel version.
 
-use crate::context::GenContext;
+use crate::context::{product, GenContext};
 use crate::error::CreatorResult;
 use crate::pass::Pass;
 use mc_kernel::InstructionDesc;
+use std::ops::RangeInclusive;
+use std::sync::Arc;
 
 /// Expands repetition ranges into concrete instruction counts.
 pub struct InstructionRepetition;
@@ -19,23 +21,20 @@ impl Pass for InstructionRepetition {
     }
 
     fn run(&self, ctx: &mut GenContext) -> CreatorResult<()> {
+        ctx.check_fanout(self.name(), |cand| {
+            product(cand.desc.instructions.iter().map(|inst| {
+                let counts = repeat_counts(inst);
+                (counts.end() - counts.start()) as usize + 1
+            }))
+        })?;
         ctx.expand(self.name(), |cand| {
-            // Per-instruction count choices: [1] for plain instructions,
-            // min..=max for repeated ones.
-            let choices: Vec<Vec<u32>> = cand
-                .desc
-                .instructions
-                .iter()
-                .map(|inst| match inst.repeat {
-                    Some((min, max)) if min <= max => (min.max(1)..=max.max(1)).collect(),
-                    Some(_) => vec![1],
-                    None => vec![1],
-                })
-                .collect();
+            let choices: Vec<Vec<u32>> =
+                cand.desc.instructions.iter().map(|inst| repeat_counts(inst).collect()).collect();
             let mut out = Vec::new();
             for combo in cartesian(&choices) {
                 let mut next = cand.clone();
-                next.desc.instructions = rebuild(&cand.desc.instructions, &combo);
+                Arc::make_mut(&mut next.desc).instructions =
+                    rebuild(&cand.desc.instructions, &combo);
                 if let Some(&count) = combo
                     .iter()
                     .zip(&cand.desc.instructions)
@@ -47,6 +46,15 @@ impl Pass for InstructionRepetition {
             }
             Ok(out)
         })
+    }
+}
+
+/// Per-instruction count choices: `min..=max` (at least 1) for a repeated
+/// instruction, just 1 for a plain one.
+fn repeat_counts(inst: &InstructionDesc) -> RangeInclusive<u32> {
+    match inst.repeat {
+        Some((min, max)) if min <= max => min.max(1)..=max.max(1),
+        _ => 1..=1,
     }
 }
 
@@ -128,6 +136,15 @@ mod tests {
         let mut ctx = GenContext::new(desc, CreatorConfig::default());
         InstructionRepetition.run(&mut ctx).unwrap();
         assert_eq!(ctx.candidates.len(), 6);
+    }
+
+    #[test]
+    fn huge_repeat_range_is_refused_before_expanding() {
+        let mut desc = figure6();
+        desc.instructions[0].repeat = Some((1, 4_000_000_000));
+        let mut ctx = GenContext::new(desc, CreatorConfig::default());
+        let err = InstructionRepetition.run(&mut ctx).unwrap_err();
+        assert!(matches!(err, crate::error::CreatorError::TooManyCandidates { .. }), "{err}");
     }
 
     #[test]

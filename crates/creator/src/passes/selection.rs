@@ -5,10 +5,11 @@
 //! the number of bytes to be moved, without specifying exactly which
 //! instruction to use", §3.1) into one candidate per combination.
 
-use crate::context::GenContext;
+use crate::context::{product, GenContext};
 use crate::error::CreatorResult;
 use crate::pass::Pass;
 use mc_kernel::OperationDesc;
+use std::sync::Arc;
 
 /// Fixes every instruction's mnemonic, one candidate per combination.
 pub struct InstructionSelection;
@@ -20,6 +21,9 @@ impl Pass for InstructionSelection {
 
     fn run(&self, ctx: &mut GenContext) -> CreatorResult<()> {
         let name = self.name().to_owned();
+        ctx.check_fanout(&name, |cand| {
+            product(cand.desc.instructions.iter().map(|i| i.operation.candidates().len()))
+        })?;
         ctx.expand(&name, |cand| {
             let axes: Vec<Vec<mc_asm::Mnemonic>> =
                 cand.desc.instructions.iter().map(|i| i.operation.candidates()).collect();
@@ -33,8 +37,10 @@ impl Pass for InstructionSelection {
             let mut combo_indices = vec![0usize; axes.len()];
             loop {
                 let mut next = cand.clone();
-                for (inst, (axis, &idx)) in
-                    next.desc.instructions.iter_mut().zip(axes.iter().zip(&combo_indices))
+                for (inst, (axis, &idx)) in Arc::make_mut(&mut next.desc)
+                    .instructions
+                    .iter_mut()
+                    .zip(axes.iter().zip(&combo_indices))
                 {
                     inst.operation = OperationDesc::Fixed(axis[idx]);
                 }

@@ -4,9 +4,10 @@
 //! … For each element, if there are multiple choices, a separate version of
 //! the kernel is created."
 
-use crate::context::GenContext;
+use crate::context::{product, GenContext};
 use crate::error::CreatorResult;
 use crate::pass::Pass;
+use std::sync::Arc;
 
 /// Fixes each induction's increment, one candidate per combination.
 pub struct StrideSelection;
@@ -17,6 +18,9 @@ impl Pass for StrideSelection {
     }
 
     fn run(&self, ctx: &mut GenContext) -> CreatorResult<()> {
+        ctx.check_fanout(self.name(), |cand| {
+            product(cand.desc.inductions.iter().map(|i| i.increment_choices.len()))
+        })?;
         ctx.expand(self.name(), |cand| {
             let axes: Vec<Vec<i64>> =
                 cand.desc.inductions.iter().map(|i| i.increment_choices.clone()).collect();
@@ -26,7 +30,7 @@ impl Pass for StrideSelection {
             loop {
                 let mut next = cand.clone();
                 next.chosen_increments = idx.iter().zip(&axes).map(|(&i, axis)| axis[i]).collect();
-                for (k, ind) in next.desc.inductions.iter_mut().enumerate() {
+                for (k, ind) in Arc::make_mut(&mut next.desc).inductions.iter_mut().enumerate() {
                     let chosen = next.chosen_increments[k];
                     // Keep the Figure 6 coupling: when the offset step was
                     // implicitly the increment, a new stride moves the

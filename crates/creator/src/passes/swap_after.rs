@@ -9,7 +9,7 @@
 //! the pass that turns the Figure 6 input into 510 programs
 //! (Σ_{u=1..8} 2^u = 510).
 
-use crate::context::GenContext;
+use crate::context::{power_of_two, GenContext};
 use crate::error::CreatorResult;
 use crate::pass::Pass;
 
@@ -22,6 +22,9 @@ impl Pass for OperandSwapAfter {
     }
 
     fn run(&self, ctx: &mut GenContext) -> CreatorResult<()> {
+        ctx.check_fanout(self.name(), |cand| {
+            power_of_two(cand.copies.iter().filter(|(inst, _)| inst.swap_after_unroll).count())
+        })?;
         ctx.expand(self.name(), |cand| {
             let marked: Vec<usize> = cand
                 .copies
@@ -30,12 +33,6 @@ impl Pass for OperandSwapAfter {
                 .filter(|(_, (inst, _))| inst.swap_after_unroll)
                 .map(|(i, _)| i)
                 .collect();
-            if marked.len() >= usize::BITS as usize {
-                return Err(crate::error::CreatorError::Pass {
-                    pass: "operand-swap-after".into(),
-                    message: format!("{} swap sites would overflow the mask", marked.len()),
-                });
-            }
             let mut out = Vec::with_capacity(1usize << marked.len());
             for mask in 0usize..(1 << marked.len()) {
                 let mut next = cand.clone();

@@ -5,9 +5,10 @@
 //! stores." Swapping before unrolling flips the *whole* instruction, so all
 //! its unrolled copies share a direction.
 
-use crate::context::GenContext;
+use crate::context::{power_of_two, GenContext};
 use crate::error::CreatorResult;
 use crate::pass::Pass;
+use std::sync::Arc;
 
 /// Expands `swap_before_unroll` markers: original + swapped per marked
 /// instruction (cartesian across marked instructions).
@@ -19,6 +20,9 @@ impl Pass for OperandSwapBefore {
     }
 
     fn run(&self, ctx: &mut GenContext) -> CreatorResult<()> {
+        ctx.check_fanout(self.name(), |cand| {
+            power_of_two(cand.desc.instructions.iter().filter(|i| i.swap_before_unroll).count())
+        })?;
         ctx.expand(self.name(), |cand| {
             let marked: Vec<usize> = cand
                 .desc
@@ -28,14 +32,15 @@ impl Pass for OperandSwapBefore {
                 .filter(|(_, i)| i.swap_before_unroll)
                 .map(|(idx, _)| idx)
                 .collect();
-            let mut out = Vec::with_capacity(1 << marked.len());
-            for mask in 0u32..(1 << marked.len()) {
+            let mut out = Vec::with_capacity(1usize << marked.len());
+            for mask in 0usize..(1 << marked.len()) {
                 let mut next = cand.clone();
+                let desc = Arc::make_mut(&mut next.desc);
                 for (bit, &idx) in marked.iter().enumerate() {
                     if mask & (1 << bit) != 0 {
-                        next.desc.instructions[idx] = next.desc.instructions[idx].swapped();
+                        desc.instructions[idx] = desc.instructions[idx].swapped();
                     }
-                    next.desc.instructions[idx].swap_before_unroll = false;
+                    desc.instructions[idx].swap_before_unroll = false;
                 }
                 out.push(next);
             }
@@ -56,6 +61,18 @@ mod tests {
         let mut ctx = GenContext::new(figure6(), CreatorConfig::default());
         OperandSwapBefore.run(&mut ctx).unwrap();
         assert_eq!(ctx.candidates.len(), 1, "figure6 uses swap_after, not swap_before");
+    }
+
+    #[test]
+    fn forty_marked_instructions_are_refused_before_expanding() {
+        let mut desc = figure6();
+        desc.instructions[0].swap_after_unroll = false;
+        desc.instructions[0].swap_before_unroll = true;
+        desc.instructions = vec![desc.instructions[0].clone(); 40];
+        let mut ctx = GenContext::new(desc, CreatorConfig::default());
+        let err = OperandSwapBefore.run(&mut ctx).unwrap_err();
+        assert!(matches!(err, crate::error::CreatorError::TooManyCandidates { .. }), "{err}");
+        assert_eq!(ctx.candidates.len(), 1, "nothing expanded");
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::context::GenContext;
 use crate::error::CreatorResult;
 use crate::pass::Pass;
 use mc_kernel::UnrollRange;
+use std::sync::Arc;
 
 /// Fixes the unroll factor, one candidate per factor.
 pub struct UnrollSelection;
@@ -15,13 +16,14 @@ impl Pass for UnrollSelection {
     }
 
     fn run(&self, ctx: &mut GenContext) -> CreatorResult<()> {
+        ctx.check_fanout(self.name(), |cand| Some(cand.desc.unrolling.len()))?;
         ctx.expand(self.name(), |cand| {
             let mut out = Vec::with_capacity(cand.desc.unrolling.len());
             for factor in cand.desc.unrolling.factors() {
                 let mut next = cand.clone();
                 next.unroll = factor;
                 next.meta.unroll = factor;
-                next.desc.unrolling = UnrollRange::fixed(factor);
+                Arc::make_mut(&mut next.desc).unrolling = UnrollRange::fixed(factor);
                 out.push(next);
             }
             Ok(out)

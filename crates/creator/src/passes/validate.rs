@@ -40,7 +40,7 @@ mod tests {
         desc.instructions.clear();
         // Bypass the builder's validation by constructing the context raw.
         let mut ctx = GenContext::new(figure6(), CreatorConfig::default());
-        ctx.candidates[0].desc = desc;
+        ctx.candidates[0].desc = desc.into();
         assert!(ValidateInput.run(&mut ctx).is_err());
     }
 

@@ -87,7 +87,7 @@ mod tests {
                     for c in &mut ctx.candidates {
                         c.unroll = 4;
                         c.meta.unroll = 4;
-                        c.desc.unrolling = UnrollRange::fixed(4);
+                        std::sync::Arc::make_mut(&mut c.desc).unrolling = UnrollRange::fixed(4);
                     }
                     Ok(())
                 })),

@@ -76,13 +76,22 @@ fn standard_run_over_figure6_emits_one_span_per_gated_in_pass() {
     }
 
     // The spans' final state agrees with the stats rows and the pruned
-    // field is consistent.
+    // field is consistent: candidates that became programs (`codegen`
+    // consumes them all) are not pruned.
+    let mut programs_before = 0;
     for span in &spans {
         let vin = field_u64(span, "variants_in");
         let vout = field_u64(span, "variants_out");
-        assert_eq!(field_u64(span, "pruned"), vin.saturating_sub(vout));
+        let programs = field_u64(span, "programs");
+        let finished = programs - programs_before;
+        assert_eq!(field_u64(span, "pruned"), vin.saturating_sub(vout + finished));
+        programs_before = programs;
         assert!(span.duration_micros.is_some(), "spans carry wall time");
     }
+    let codegen = spans.last().unwrap();
+    assert_eq!(field_str(codegen, "pass"), "codegen");
+    assert_eq!(field_u64(codegen, "variants_out"), 0, "codegen consumes the candidates");
+    assert_eq!(field_u64(codegen, "pruned"), 0);
     let last = spans.last().unwrap();
     assert_eq!(field_u64(last, "programs") as usize, ctx.programs.len());
 

@@ -138,9 +138,9 @@ impl KernelBuilder {
         }
         if !self.counter_added && self.desc.last_induction().is_none() {
             let first_array =
-                self.desc.array_registers().into_iter().next().ok_or_else(|| {
-                    crate::error::KernelError::Invalid("no arrays to count".into())
-                })?;
+                self.desc.array_registers().first().map(|name| name.to_string()).ok_or_else(
+                    || crate::error::KernelError::Invalid("no arrays to count".into()),
+                )?;
             self.desc.inductions.push(InductionDesc::linked_counter(
                 RegisterRef::logical("r0"),
                 -1,
@@ -160,6 +160,21 @@ pub fn figure6() -> KernelDesc {
         .unroll(1, 8)
         .build()
         .expect("figure6 kernel is valid")
+}
+
+/// The four-mnemonic study of §5.1: Figure 6 with a choice of `movss`,
+/// `movsd`, `movaps` and `movapd` — "more than two thousand benchmark
+/// programs from a single input file" (4 × 510 = 2040). Checked in as
+/// `descriptions/four_mnemonic.xml`.
+pub fn four_mnemonic() -> KernelDesc {
+    let mut desc = figure6();
+    desc.instructions[0].operation = OperationDesc::Choice(vec![
+        Mnemonic::Movss,
+        Mnemonic::Movsd,
+        Mnemonic::Movaps,
+        Mnemonic::Movapd,
+    ]);
+    desc
 }
 
 /// A pure load stream with the given move instruction and unroll range —

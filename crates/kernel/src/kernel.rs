@@ -111,14 +111,14 @@ impl KernelDesc {
     /// Distinct logical register names used as memory bases, in first-use
     /// order. Each corresponds to one data array passed by MicroLauncher
     /// (`--nbvectors`).
-    pub fn array_registers(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
+    pub fn array_registers(&self) -> Vec<&str> {
+        let mut out: Vec<&str> = Vec::new();
         for inst in &self.instructions {
             for op in &inst.operands {
                 if let Some(mem) = op.as_memory() {
                     if let Some(name) = mem.base.logical_name() {
-                        if !out.iter().any(|n| n == name) {
-                            out.push(name.to_owned());
+                        if !out.contains(&name) {
+                            out.push(name);
                         }
                     }
                 }

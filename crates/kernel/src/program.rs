@@ -3,6 +3,7 @@
 
 use mc_asm::format::{write_lines, AsmLine};
 use mc_asm::inst::{Inst, Mnemonic};
+use std::fmt::Write as _;
 
 /// Direction of one memory instruction in a generated kernel body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,18 +67,18 @@ impl VariantMeta {
             name.push('_');
             name.push_str(&m.name());
         }
-        name.push_str(&format!("_u{}", self.unroll));
+        let _ = write!(name, "_u{}", self.unroll);
         if !self.directions.is_empty() {
             name.push('_');
             name.extend(self.directions.iter().map(|d| d.code()));
         }
         if self.strides.len() > 1 || self.strides.first().is_some_and(|s| *s != 1) {
             for s in &self.strides {
-                name.push_str(&format!("_s{s}"));
+                let _ = write!(name, "_s{s}");
             }
         }
         if let Some(r) = self.repeat {
-            name.push_str(&format!("_r{r}"));
+            let _ = write!(name, "_r{r}");
         }
         name
     }

@@ -29,7 +29,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         let mut next = cand.clone();
                         next.unroll = factor;
                         next.meta.unroll = factor;
-                        next.desc.unrolling = microtools::kernel::UnrollRange::fixed(factor);
+                        // Candidates share their description until one
+                        // changes it; `make_mut` copies it first.
+                        std::sync::Arc::make_mut(&mut next.desc).unrolling =
+                            microtools::kernel::UnrollRange::fixed(factor);
                         out.push(next);
                     }
                     Ok(out)

@@ -185,3 +185,33 @@ fn generation_snapshot_is_stable() {
         "generated output changed; if intentional, update the snapshot constant"
     );
 }
+
+#[test]
+fn four_mnemonic_snapshot_is_stable() {
+    // Pins the 2040-program four-mnemonic expansion (§5.1): FNV-1a over
+    // each program's name, assembly text, array count, elements per
+    // iteration and direction codes, in generation order.
+    const SNAPSHOT: u64 = 0x02a893b352e3422d;
+    let result =
+        MicroCreator::new().generate(&microtools::kernel::builder::four_mnemonic()).unwrap();
+    assert_eq!(result.programs.len(), 2040);
+    let mut h = 0xcbf29ce484222325u64;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    };
+    for p in &result.programs {
+        feed(p.name.as_bytes());
+        feed(p.to_asm_string().as_bytes());
+        feed(&p.nb_arrays.to_le_bytes());
+        feed(&p.elements_per_iteration.to_le_bytes());
+        let codes: String = p.meta.directions.iter().map(|d| d.code()).collect();
+        feed(codes.as_bytes());
+    }
+    assert_eq!(
+        h, SNAPSHOT,
+        "generated output changed; if intentional, update the snapshot constant"
+    );
+}
