@@ -144,7 +144,9 @@ fn create(
         }
     };
 
-    println!("generated {} benchmark programs from {input}", result.programs.len());
+    // Status lines go to stderr: stdout carries only what was asked for
+    // (`--stats`, `--list`, `--print`), so `--list | wc -l` counts variants.
+    diag!("generated {} benchmark programs from {input}", result.programs.len());
     if want_stats {
         println!("{:28} {:>4} {:>10}", "pass", "ran", "candidates");
         for s in &result.stats {
@@ -188,10 +190,10 @@ fn create(
                     }
                 }
             }
-            println!("wrote {written} .bin files to {}", dir.display());
+            diag!("wrote {written} .bin files to {}", dir.display());
         } else {
             match write_programs(&result.programs, &dir, format == Format::C) {
-                Ok(files) => println!(
+                Ok(files) => diag!(
                     "wrote {} {} files to {}",
                     files.len(),
                     if format == Format::C { ".c" } else { ".s" },

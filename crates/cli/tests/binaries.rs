@@ -28,8 +28,10 @@ fn microcreator_generates_510_files() {
         .output()
         .expect("binary runs");
     let stdout = String::from_utf8_lossy(&result.stdout);
-    assert!(result.status.success(), "{stdout}\n{}", String::from_utf8_lossy(&result.stderr));
-    assert!(stdout.contains("generated 510 benchmark programs"), "{stdout}");
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert!(result.status.success(), "{stdout}\n{stderr}");
+    assert!(stderr.contains("generated 510 benchmark programs"), "{stderr}");
+    assert!(stderr.contains("wrote 510 .s files"), "{stderr}");
     assert!(stdout.contains("operand-swap-after"), "--stats lists the passes: {stdout}");
     let files: Vec<_> = std::fs::read_dir(&out).expect("outdir").collect();
     assert_eq!(files.len(), 510);
@@ -47,7 +49,10 @@ fn microcreator_limit_and_print() {
         .output()
         .expect("binary runs");
     let stdout = String::from_utf8_lossy(&result.stdout);
-    assert!(stdout.contains("generated 5 benchmark programs"), "{stdout}");
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert!(stderr.contains("generated 5 benchmark programs"), "{stderr}");
+    // stdout is the variant names alone.
+    assert_eq!(stdout.lines().count(), 5, "{stdout}");
     let name = stdout.lines().last().expect("a variant name").to_owned();
     let result = Command::new(env!("CARGO_BIN_EXE_microcreator"))
         .arg(&xml)

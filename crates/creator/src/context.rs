@@ -6,6 +6,13 @@ use crate::error::{CreatorError, CreatorResult};
 use mc_kernel::Program;
 use mc_report::SplitMix64;
 
+/// Bound on the instruction copies one pass may build across the
+/// candidate set. The candidate cap bounds how many variants a
+/// description expands into; this bounds the bodies they carry, so an
+/// `<unrolling>` or `<repeat>` of four billion (fan-out 1) is refused
+/// before a single copy is made.
+pub const MAX_COPIES: usize = 1 << 20;
+
 /// The generation context: configuration, the in-flight candidate set, the
 /// finished programs, and the seeded RNG every stochastic pass must use.
 pub struct GenContext {
@@ -32,19 +39,53 @@ impl GenContext {
     /// under the cap. `fanout` returns `None` when its count overflows.
     /// Expansion passes call this before [`GenContext::expand`], so no
     /// closure reserves or builds an expansion the cap would reject.
-    pub fn check_fanout<F>(&self, pass: &str, mut fanout: F) -> CreatorResult<()>
+    pub fn check_fanout<F>(&self, pass: &str, fanout: F) -> CreatorResult<()>
     where
         F: FnMut(&Candidate) -> Option<usize>,
     {
         let cap = self.config.max_candidates;
-        let mut total = 0usize;
-        for cand in &self.candidates {
-            total = fanout(cand)
-                .and_then(|n| total.checked_add(n))
-                .filter(|&t| t <= cap)
-                .ok_or_else(|| CreatorError::TooManyCandidates { cap, pass: pass.to_owned() })?;
+        if self.total_within(cap, fanout) {
+            Ok(())
+        } else {
+            Err(CreatorError::TooManyCandidates { cap, pass: pass.to_owned() })
         }
-        Ok(())
+    }
+
+    /// Fails with a [`CreatorError::Pass`] unless a pass that builds
+    /// `copies(c)` instruction copies for each candidate `c` stays within
+    /// [`MAX_COPIES`] in total. `copies` returns `None` when its count
+    /// overflows. Passes that replicate instructions call this before
+    /// building anything.
+    pub fn check_copies<F>(&self, pass: &str, copies: F) -> CreatorResult<()>
+    where
+        F: FnMut(&Candidate) -> Option<usize>,
+    {
+        if self.total_within(MAX_COPIES, copies) {
+            Ok(())
+        } else {
+            Err(CreatorError::Pass {
+                pass: pass.to_owned(),
+                message: format!(
+                    "the description expands to more than {MAX_COPIES} instruction copies"
+                ),
+            })
+        }
+    }
+
+    /// Whether `count` summed over the candidates, with checked
+    /// arithmetic, stays within `bound`.
+    fn total_within<F>(&self, bound: usize, mut count: F) -> bool
+    where
+        F: FnMut(&Candidate) -> Option<usize>,
+    {
+        let mut total = 0usize;
+        self.candidates.iter().all(|cand| match count(cand).and_then(|n| total.checked_add(n)) {
+            Some(t) if t <= bound => {
+                total = t;
+                true
+            }
+            _ => false,
+        })
     }
 
     /// Replaces every candidate with the expansion `f` produces for it,

@@ -209,6 +209,52 @@ mod tests {
         assert_eq!(refused_at(result), "operand-swap-after");
     }
 
+    /// The pass that refused a description for the copies it would build.
+    fn refused_copies_at(result: CreatorResult<GenerationResult>) -> String {
+        match result {
+            Err(CreatorError::Pass { pass, message }) => {
+                assert!(message.contains("instruction copies"), "{message}");
+                pass
+            }
+            Err(other) => panic!("expected the copy bound, got {other}"),
+            Ok(r) => panic!("expected the copy bound, got {} programs", r.programs.len()),
+        }
+    }
+
+    #[test]
+    fn four_billion_unrolled_copies_are_refused_before_copying() {
+        // One unroll factor, so a fan-out of 1, but four billion copies
+        // of the body.
+        let result = generate_figure6_xml(UnrollRange::fixed(4_000_000_000));
+        assert_eq!(refused_copies_at(result), "unrolling");
+    }
+
+    #[test]
+    fn swap_patterns_of_a_wide_body_are_refused_before_copying() {
+        // Unroll 16 of one marked and one plain instruction: 2^16
+        // patterns fit the candidate cap, but each carries 32 copies.
+        let mut desc = figure6();
+        let mut plain = desc.instructions[0].clone();
+        plain.swap_after_unroll = false;
+        desc.instructions.push(plain);
+        desc.unrolling = UnrollRange::fixed(16);
+        let xml = mc_kernel::xml::kernel_to_xml(&desc);
+        let result = MicroCreator::new().generate_from_xml(&xml);
+        assert_eq!(refused_copies_at(result), "operand-swap-after");
+    }
+
+    #[test]
+    fn four_billion_repeated_copies_are_refused_before_copying() {
+        // One repetition count, so a fan-out of 1, but four billion
+        // copies of the instruction.
+        let mut desc = figure6();
+        desc.instructions[0].repeat = Some((4_000_000_000, 4_000_000_000));
+        let xml = mc_kernel::xml::kernel_to_xml(&desc);
+        assert!(xml.contains("<repeat>"), "{xml}");
+        let result = MicroCreator::new().generate_from_xml(&xml);
+        assert_eq!(refused_copies_at(result), "instruction-repetition");
+    }
+
     #[test]
     fn invalid_description_fails_at_validate() {
         let mut desc = figure6();

@@ -27,6 +27,7 @@ impl Pass for InstructionRepetition {
                 (counts.end() - counts.start()) as usize + 1
             }))
         })?;
+        ctx.check_copies(self.name(), |cand| copies(&cand.desc.instructions))?;
         ctx.expand(self.name(), |cand| {
             let choices: Vec<Vec<u32>> =
                 cand.desc.instructions.iter().map(|inst| repeat_counts(inst).collect()).collect();
@@ -56,6 +57,27 @@ fn repeat_counts(inst: &InstructionDesc) -> RangeInclusive<u32> {
         Some((min, max)) if min <= max => min.max(1)..=max.max(1),
         _ => 1..=1,
     }
+}
+
+/// The instruction copies [`rebuild`] makes over every count combination
+/// of `instructions`, or `None` on overflow. Instruction `i` is copied
+/// once per count in its range, once per combination of the others'
+/// counts.
+fn copies(instructions: &[InstructionDesc]) -> Option<usize> {
+    let ranges: Vec<RangeInclusive<u32>> = instructions.iter().map(repeat_counts).collect();
+    let len = |r: &RangeInclusive<u32>| (r.end() - r.start()) as usize + 1;
+    let mut total = 0usize;
+    for (i, range) in ranges.iter().enumerate() {
+        // Σ k over `range`, as (first + last) · len / 2.
+        let sum = (*range.start() as usize)
+            .checked_add(*range.end() as usize)?
+            .checked_mul(len(range))?
+            / 2;
+        let others =
+            product(ranges.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, r)| len(r)))?;
+        total = total.checked_add(sum.checked_mul(others)?)?;
+    }
+    Some(total)
 }
 
 fn rebuild(instructions: &[InstructionDesc], counts: &[u32]) -> Vec<InstructionDesc> {
@@ -145,6 +167,27 @@ mod tests {
         let mut ctx = GenContext::new(desc, CreatorConfig::default());
         let err = InstructionRepetition.run(&mut ctx).unwrap_err();
         assert!(matches!(err, crate::error::CreatorError::TooManyCandidates { .. }), "{err}");
+    }
+
+    #[test]
+    fn copies_count_every_combination() {
+        let mut desc = KernelBuilder::new("rep2")
+            .stream_instruction(Mnemonic::Movss, "r1", false)
+            .stream_instruction(Mnemonic::Movsd, "r2", false)
+            .build()
+            .unwrap();
+        assert_eq!(copies(&desc.instructions), Some(2));
+        desc.instructions[0].repeat = Some((1, 2));
+        desc.instructions[1].repeat = Some((2, 4));
+        let built: usize = cartesian(&[vec![1, 2], vec![2, 3, 4]])
+            .iter()
+            .map(|combo| rebuild(&desc.instructions, combo).len())
+            .sum();
+        assert_eq!(copies(&desc.instructions), Some(built));
+        assert_eq!(built, 3 * 3 + 2 * 9);
+        desc.instructions[0].repeat = Some((u32::MAX, u32::MAX));
+        desc.instructions[1].repeat = Some((1, u32::MAX));
+        assert_eq!(copies(&desc.instructions), None, "overflow is a refusal, not a wrap");
     }
 
     #[test]

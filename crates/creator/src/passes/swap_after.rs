@@ -9,6 +9,7 @@
 //! the pass that turns the Figure 6 input into 510 programs
 //! (Σ_{u=1..8} 2^u = 510).
 
+use crate::candidate::Candidate;
 use crate::context::{power_of_two, GenContext};
 use crate::error::CreatorResult;
 use crate::pass::Pass;
@@ -22,9 +23,12 @@ impl Pass for OperandSwapAfter {
     }
 
     fn run(&self, ctx: &mut GenContext) -> CreatorResult<()> {
-        ctx.check_fanout(self.name(), |cand| {
+        let fanout = |cand: &Candidate| {
             power_of_two(cand.copies.iter().filter(|(inst, _)| inst.swap_after_unroll).count())
-        })?;
+        };
+        ctx.check_fanout(self.name(), fanout)?;
+        // Every pattern carries its own copy of the unrolled body.
+        ctx.check_copies(self.name(), |cand| fanout(cand)?.checked_mul(cand.copies.len()))?;
         ctx.expand(self.name(), |cand| {
             let marked: Vec<usize> = cand
                 .copies

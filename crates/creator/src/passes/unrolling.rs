@@ -3,6 +3,7 @@
 //! Copy `i` of the body (0-based) is tagged with its copy index; later
 //! passes use the index for XMM rotation and displacement assignment.
 
+use crate::candidate::Candidate;
 use crate::context::GenContext;
 use crate::error::CreatorResult;
 use crate::pass::Pass;
@@ -17,11 +18,12 @@ impl Pass for Unrolling {
     }
 
     fn run(&self, ctx: &mut GenContext) -> CreatorResult<()> {
+        ctx.check_copies(self.name(), |cand| {
+            (factor(cand) as usize).checked_mul(cand.desc.instructions.len())
+        })?;
         ctx.for_each(self.name(), |cand| {
             if cand.unroll == 0 {
-                // A plugin removed unroll-selection: fall back to the
-                // range's minimum so the pipeline still completes.
-                cand.unroll = cand.desc.unrolling.min.max(1);
+                cand.unroll = factor(cand);
                 cand.meta.unroll = cand.unroll;
             }
             cand.copies = (0..cand.unroll)
@@ -29,6 +31,17 @@ impl Pass for Unrolling {
                 .collect();
             Ok(())
         })
+    }
+}
+
+/// The unroll factor the pass builds for `cand`. A plugin that removed
+/// unroll-selection leaves it 0: fall back to the range's minimum so the
+/// pipeline still completes.
+fn factor(cand: &Candidate) -> u32 {
+    if cand.unroll == 0 {
+        cand.desc.unrolling.min.max(1)
+    } else {
+        cand.unroll
     }
 }
 
@@ -63,6 +76,30 @@ mod tests {
         assert_eq!(copies.len(), 4);
         // copy 0 of both instructions, then copy 1 of both.
         assert_eq!(copies.iter().map(|(_, i)| *i).collect::<Vec<_>>(), vec![0, 0, 1, 1]);
+    }
+
+    #[test]
+    fn copies_past_the_bound_are_refused_before_building() {
+        use crate::context::MAX_COPIES;
+        let two = KernelBuilder::new("two")
+            .stream_instruction(Mnemonic::Movss, "r1", false)
+            .stream_instruction(Mnemonic::Movsd, "r2", false)
+            .build()
+            .unwrap();
+        // The bound counts unroll × body, summed over the candidates.
+        for (desc, unroll, candidates) in [
+            (figure6(), MAX_COPIES + 1, 1),
+            (two.clone(), MAX_COPIES / 2 + 1, 1),
+            (two, MAX_COPIES / 4 + 1, 2),
+        ] {
+            let mut ctx = GenContext::new(desc, CreatorConfig::default());
+            ctx.candidates[0].unroll = unroll as u32;
+            let seed = ctx.candidates[0].clone();
+            ctx.candidates.resize(candidates, seed);
+            let err = Unrolling.run(&mut ctx).unwrap_err();
+            assert!(err.to_string().contains("instruction copies"), "{err}");
+            assert!(ctx.candidates.iter().all(|c| c.copies.is_empty()), "nothing is built");
+        }
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl BranchInfo {
 
 /// A complete kernel description: the unit MicroCreator expands into a set
 /// of benchmark programs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct KernelDesc {
     /// Kernel family name (used to derive generated program names).
     pub name: String,

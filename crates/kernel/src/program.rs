@@ -27,7 +27,7 @@ impl MemDir {
 /// The generation choices that produced one program variant. MicroLauncher
 /// copies this into its CSV output so results can be grouped by unroll
 /// factor, instruction, or direction pattern, as the paper's figures do.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct VariantMeta {
     /// Name of the source kernel description.
     pub kernel: String,
@@ -86,7 +86,7 @@ impl VariantMeta {
 
 /// One concrete benchmark program: assembly lines (label, body, induction
 /// updates, branch) plus the metadata needed to run and report it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Program {
     /// Unique variant name (see [`VariantMeta::variant_name`]).
     pub name: String,

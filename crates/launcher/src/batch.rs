@@ -10,9 +10,10 @@
 //!
 //! ## Cache key derivation
 //!
-//! Three process-wide memos share one program fingerprint (FNV-1a over
-//! the program's `Debug` rendering), computed once per distinct `Arc` in
-//! the batch, not per point:
+//! Three process-wide memos share one program fingerprint
+//! ([`program_fingerprint`]: FNV-1a over the program's derived `Hash`,
+//! behind a version tag), computed once per distinct `Arc` in the batch,
+//! not per point:
 //!
 //! * **evaluation** — `(program fingerprint, options fingerprint)` → the
 //!   finished [`RunReport`]. The options half is
@@ -135,9 +136,17 @@ pub fn model_cache_stats() -> (u64, u64) {
     model_memo().stats()
 }
 
-/// A stable fingerprint of a program (FNV-1a over its `Debug` form).
+/// Bumped whenever the bytes [`program_fingerprint`] hashes change shape,
+/// so keys of the old scheme can never collide with the new.
+const PROGRAM_KEY_VERSION: u64 = 2;
+
+/// A stable fingerprint of a program: FNV-1a over what its derived `Hash`
+/// writes (every field of the program and its [`mc_kernel::VariantMeta`],
+/// in declaration order), after a version tag. A pure function of the
+/// program's value: `Program`'s fields are public, so a cached copy could
+/// go stale.
 pub fn program_fingerprint(program: &Program) -> u64 {
-    mc_report::fnv1a64(format!("{program:?}").as_bytes())
+    mc_report::Fnv64::new().u64(PROGRAM_KEY_VERSION).hashed(program).finish()
 }
 
 /// Evaluates every point under guard supervision, keeping structured
@@ -234,8 +243,10 @@ impl MicroLauncher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mc_asm::format::AsmLine;
     use mc_creator::MicroCreator;
-    use mc_kernel::builder::load_stream;
+    use mc_kernel::builder::{figure6, load_stream};
+    use mc_kernel::{MemDir, VariantMeta};
 
     fn movaps_program(unroll: u32) -> Arc<Program> {
         let desc = load_stream(mc_asm::Mnemonic::Movaps, unroll, unroll);
@@ -313,6 +324,127 @@ mod tests {
             reports[0].cycles_per_iteration, reports[1].cycles_per_iteration,
             "policies disagree only in sampling, not in the reported cycles"
         );
+    }
+
+    /// A Figure 6 program with every optional field of its metadata set.
+    fn full_program() -> Program {
+        let mut program = MicroCreator::new().generate(&figure6()).unwrap().programs.remove(5);
+        program.meta.strides = vec![1, 4];
+        program.meta.immediates = vec![7];
+        program.meta.repeat = Some(2);
+        program.meta.extra = vec![("stamped".into(), "yes".into())];
+        program
+    }
+
+    #[test]
+    fn every_field_reaches_the_program_fingerprint() {
+        let base = full_program();
+        // A new field must join the perturbations below: this binding
+        // stops compiling when one is added.
+        let Program {
+            name: _,
+            meta:
+                VariantMeta {
+                    kernel: _,
+                    unroll: _,
+                    mnemonic: _,
+                    directions: _,
+                    strides: _,
+                    immediates: _,
+                    repeat: _,
+                    extra: _,
+                },
+            lines: _,
+            nb_arrays: _,
+            element_bytes: _,
+            elements_per_iteration: _,
+        } = &base;
+        let with = |change: &dyn Fn(&mut Program)| {
+            let mut p = base.clone();
+            change(&mut p);
+            p
+        };
+        let variants: Vec<(&str, Program)> = vec![
+            ("name", with(&|p| p.name.push('x'))),
+            ("meta.kernel", with(&|p| p.meta.kernel.push('x'))),
+            ("meta.unroll", with(&|p| p.meta.unroll += 1)),
+            ("meta.mnemonic", with(&|p| p.meta.mnemonic = None)),
+            (
+                "meta.directions: one element",
+                with(&|p| {
+                    p.meta.directions[0] = match p.meta.directions[0] {
+                        MemDir::Load => MemDir::Store,
+                        MemDir::Store => MemDir::Load,
+                    }
+                }),
+            ),
+            ("meta.directions: one fewer", with(&|p| p.meta.directions.truncate(1))),
+            ("meta.strides: one element", with(&|p| p.meta.strides[1] = 8)),
+            ("meta.strides: one fewer", with(&|p| p.meta.strides.truncate(1))),
+            ("meta.immediates", with(&|p| p.meta.immediates[0] = -7)),
+            ("meta.repeat", with(&|p| p.meta.repeat = None)),
+            ("meta.extra: key", with(&|p| p.meta.extra[0].0.push('x'))),
+            ("meta.extra: value", with(&|p| p.meta.extra[0].1.push('x'))),
+            ("meta.extra: one more", with(&|p| p.meta.extra.push(("k".into(), "v".into())))),
+            ("lines: a label", with(&|p| p.lines[0] = AsmLine::Label(".L7".into()))),
+            (
+                "lines: a mnemonic",
+                with(&|p| {
+                    let inst = p.lines.iter_mut().find_map(|l| match l {
+                        AsmLine::Inst(inst) => Some(inst),
+                        _ => None,
+                    });
+                    inst.expect("an instruction").mnemonic = mc_asm::Mnemonic::Movups;
+                }),
+            ),
+            ("lines: one fewer", with(&|p| p.lines.truncate(p.lines.len() - 1))),
+            ("nb_arrays", with(&|p| p.nb_arrays += 1)),
+            ("element_bytes", with(&|p| p.element_bytes = 8)),
+            ("elements_per_iteration", with(&|p| p.elements_per_iteration += 1)),
+        ];
+        let mut keys = HashMap::new();
+        keys.insert(program_fingerprint(&base), "base");
+        for (name, program) in &variants {
+            assert_ne!(program, &base, "{name} perturbs nothing");
+            if let Some(other) = keys.insert(program_fingerprint(program), name) {
+                panic!("{name} shares a key with {other}");
+            }
+        }
+        // Strings are terminated: moving a byte across a boundary changes
+        // the key.
+        let split = |name: &str, kernel: &str| {
+            with(&|p| (p.name, p.meta.kernel) = (name.into(), kernel.into()))
+        };
+        assert_ne!(program_fingerprint(&split("ab", "c")), program_fingerprint(&split("a", "bc")));
+        // A pure function of the value: clones and re-derivations agree.
+        assert_eq!(program_fingerprint(&base.clone()), program_fingerprint(&full_program()));
+    }
+
+    #[test]
+    fn figure6_program_keys_are_pinned() {
+        let programs = MicroCreator::new().generate(&figure6()).unwrap().programs;
+        let mut keys: Vec<u64> = programs.iter().map(program_fingerprint).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), 510, "every variant has its own key");
+        let digest = keys.iter().fold(mc_report::Fnv64::new(), |fnv, &key| fnv.u64(key)).finish();
+        // Golden value; a change here moves every store and memo key.
+        assert_eq!(format!("{digest:016x}"), "875c62cdc58543f9");
+    }
+
+    #[test]
+    fn xml_and_builder_programs_share_their_keys() {
+        let xml = include_str!("../../../descriptions/figure6.xml");
+        let parsed = mc_kernel::xml::parse_kernel(xml).unwrap();
+        let from_xml = MicroCreator::new().generate(&parsed).unwrap().programs;
+        let built = MicroCreator::new().generate(&figure6()).unwrap().programs;
+        assert_eq!(from_xml.len(), 510);
+        let keys =
+            |programs: &[Program]| programs.iter().map(program_fingerprint).collect::<Vec<_>>();
+        assert_eq!(keys(&from_xml), keys(&built));
+        // The description key too: both spellings share one generated set.
+        let shared = crate::sweeps::generate_shared(&parsed).unwrap();
+        assert!(Arc::ptr_eq(&shared, &crate::sweeps::generate_shared(&figure6()).unwrap()));
     }
 
     #[test]

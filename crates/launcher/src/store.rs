@@ -22,8 +22,8 @@
 //! * **gen payloads** — one JSON line per generated program (assembly
 //!   text plus variant metadata), persisted only after an in-memory
 //!   decode verifies the exact round trip, because evaluation keys hash
-//!   the program's `Debug` rendering and a lossy decode would silently
-//!   kill every downstream warm hit.
+//!   every field of the program and a lossy decode would silently kill
+//!   every downstream warm hit.
 //!
 //! The installed store is a process-wide slot: binaries install it once
 //! at startup and the batch/sweep hot paths consult it on memo-cache
@@ -369,7 +369,7 @@ fn decode_program(line: &str) -> Option<Program> {
 
 /// Renders a generated program set as a store payload (one JSON line per
 /// program) — but only when every program provably round-trips: the
-/// evaluation key hashes the program's `Debug` rendering, so an encode
+/// evaluation key hashes every field of the program, so an encode
 /// the decoder cannot reproduce exactly must not be persisted at all.
 /// `None` means "do not persist"; generation simply stays per-process.
 pub fn encode_programs(programs: &[Arc<Program>]) -> Option<String> {
@@ -730,7 +730,7 @@ mod tests {
             let payload = encode_programs(&programs).expect("generator output must round-trip");
             let back = decode_programs(&payload).expect("decode");
             assert_eq!(back, programs);
-            // The eval key hashes the Debug rendering; it must survive too.
+            // The eval key hashes every field; it must survive too.
             for (a, b) in programs.iter().zip(&back) {
                 assert_eq!(
                     crate::batch::program_fingerprint(a),

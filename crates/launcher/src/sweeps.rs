@@ -19,11 +19,16 @@ use std::sync::{Arc, OnceLock};
 /// `KernelDesc` several times (e.g. a frequency sweep and a core sweep on
 /// one kernel); generating once and sharing the programs by `Arc` keeps
 /// MicroCreator off the sweep hot path. Keyed by the description's
-/// fingerprint; all entries use MicroCreator's default configuration.
+/// structural fingerprint (FNV-1a over its derived `Hash`), so two
+/// spellings of one kernel share an entry; all entries use
+/// MicroCreator's default configuration.
 fn generation_cache() -> &'static MemoCache<u64, Arc<Vec<Arc<Program>>>> {
     static CACHE: OnceLock<MemoCache<u64, Arc<Vec<Arc<Program>>>>> = OnceLock::new();
     CACHE.get_or_init(|| MemoCache::new("exec.gen"))
 }
+
+/// Bumped whenever the bytes a description key hashes change shape.
+const DESC_KEY_VERSION: u64 = 2;
 
 /// Drops every memoized generation (the in-memory tier only; persisted
 /// store records survive). Tests use this to simulate a fresh process.
@@ -38,7 +43,7 @@ pub fn clear_generation_cache() {
 /// are written back (only when they provably round-trip, because the
 /// evaluation keys hash the programs themselves).
 pub fn generate_shared(desc: &KernelDesc) -> Result<Arc<Vec<Arc<Program>>>, String> {
-    let key = mc_report::fnv1a64(format!("{desc:?}").as_bytes());
+    let key = mc_report::Fnv64::new().u64(DESC_KEY_VERSION).hashed(desc).finish();
     let store = crate::store::store();
     let mut computed = false;
     let programs = generation_cache().get_or_try_compute(key, || {

@@ -129,8 +129,70 @@ impl Fnv64 {
         self.bytes(&value.to_le_bytes())
     }
 
+    /// Folds in what `value`'s `Hash` implementation writes (see the
+    /// [`Hasher`](std::hash::Hasher) impl): a structural key with no
+    /// intermediate string.
+    pub fn hashed<T: std::hash::Hash + ?Sized>(mut self, value: &T) -> Self {
+        value.hash(&mut self);
+        self
+    }
+
     /// The hash of everything fed so far.
     pub fn finish(self) -> u64 {
+        self.0
+    }
+
+    /// Folds in `value` as an unsigned LEB128 varint: seven bits per
+    /// byte, low bits first, the high bit set on every byte but the last.
+    fn varint(&mut self, mut value: u64) {
+        let mut buf = [0u8; 10];
+        let mut len = 0;
+        while value >= 0x80 {
+            buf[len] = value as u8 | 0x80;
+            value >>= 7;
+            len += 1;
+        }
+        buf[len] = value as u8;
+        *self = self.bytes(&buf[..=len]);
+    }
+}
+
+/// FNV-1a behind `Hash`: every byte a `Hash` implementation writes is
+/// folded in. Fixed-width integers travel as little-endian bytes.
+/// `usize` and `isize` (collection lengths and enum discriminants, most
+/// of what a derived `Hash` writes) travel as LEB128 varints of their
+/// 64-bit value: the same bytes on every pointer width, and one byte for
+/// a small discriminant rather than eight.
+impl std::hash::Hasher for Fnv64 {
+    fn write(&mut self, bytes: &[u8]) {
+        *self = self.bytes(bytes);
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.write(&i.to_le_bytes());
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.write(&i.to_le_bytes());
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.write(&i.to_le_bytes());
+    }
+
+    fn write_u128(&mut self, i: u128) {
+        self.write(&i.to_le_bytes());
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.varint(i as u64);
+    }
+
+    fn write_isize(&mut self, i: isize) {
+        self.varint(i as i64 as u64);
+    }
+
+    fn finish(&self) -> u64 {
         self.0
     }
 }
@@ -189,5 +251,27 @@ mod tests {
     fn incremental_fnv_matches_one_shot() {
         assert_eq!(Fnv64::new().bytes(b"conf").bytes(b"ig-a").finish(), fnv1a64(b"config-a"));
         assert_eq!(Fnv64::new().u64(7).finish(), fnv1a64(&7u64.to_le_bytes()));
+    }
+
+    #[test]
+    fn hasher_bytes_are_platform_independent() {
+        use std::hash::{Hash, Hasher};
+        // Fixed-width integers are little-endian.
+        assert_eq!(Fnv64::new().hashed(&0x0102u16).finish(), fnv1a64(&[2, 1]));
+        assert_eq!(Fnv64::new().hashed(&-2i64).finish(), fnv1a64(&(-2i64).to_le_bytes()));
+        // `usize` lengths and `isize` discriminants are LEB128 varints of
+        // their 64-bit value, whatever the pointer width.
+        assert_eq!(Fnv64::new().hashed(&7usize).finish(), fnv1a64(&[7]));
+        assert_eq!(Fnv64::new().hashed(&300usize).finish(), fnv1a64(&[0xac, 0x02]));
+        let minus_two = [0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+        assert_eq!(Fnv64::new().hashed(&-2isize).finish(), fnv1a64(&minus_two));
+        // A string is its bytes and a terminator; a `Vec` is its length
+        // and its elements.
+        assert_eq!(Fnv64::new().hashed("ab").finish(), fnv1a64(b"ab\xff"));
+        assert_eq!(Fnv64::new().hashed(&vec![1u8, 2]).finish(), fnv1a64(&[2, 1, 2]));
+        // Through the trait and through the builder alike.
+        let mut fnv = Fnv64::new();
+        "ab".hash(&mut fnv);
+        assert_eq!(Hasher::finish(&fnv), Fnv64::new().hashed("ab").finish());
     }
 }

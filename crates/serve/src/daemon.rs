@@ -12,6 +12,10 @@
 //!
 //! ## Life of a job
 //!
+//! Each job parses its kernel XML and takes its programs from the
+//! launcher's generation cache (`mc_launcher::sweeps::generate_shared`),
+//! keyed by the parsed description: the jobs of a frequency sweep over
+//! one kernel, or two spellings of it, share one generated set.
 //! One scheduler thread owns job execution; within a job, evaluation
 //! points fan out across the process-wide `mc-exec` pool, so `--jobs`
 //! controls intra-job parallelism while jobs themselves serialize —
@@ -609,17 +613,17 @@ impl Daemon {
         // Generation runs outside guard supervision (it is per job, not
         // per point), so catch panics here.
         let generated = catch_unwind(AssertUnwindSafe(|| {
-            mc_creator::MicroCreator::new().generate_from_xml(&job.xml)
+            let desc = mc_kernel::xml::parse_kernel(&job.xml).map_err(|e| e.to_string())?;
+            mc_launcher::sweeps::generate_shared(&desc)
         }));
         let programs = match generated {
-            Ok(Ok(result)) => result.programs,
-            Ok(Err(e)) => return self.fail_job(id, "generation", &e.to_string()),
+            Ok(Ok(programs)) => programs,
+            Ok(Err(message)) => return self.fail_job(id, "generation", &message),
             Err(panic) => return self.fail_job(id, "panic", &panic_message(&panic)),
         };
         if programs.is_empty() {
             return self.fail_job(id, "generation", "kernel generated no programs");
         }
-        let programs: Vec<Arc<mc_kernel::Program>> = programs.into_iter().map(Arc::new).collect();
         let base = Arc::new(options);
         let deadline = (self.config.job_deadline_ms > 0)
             .then(|| Instant::now() + Duration::from_millis(self.config.job_deadline_ms));

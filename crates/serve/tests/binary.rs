@@ -81,4 +81,8 @@ fn metrics_endpoint_reports_verification_memo_hits_across_frequencies() {
     let hits = counter(&metrics, "simarch_model_hit_total").unwrap_or(0);
     let misses = counter(&metrics, "simarch_model_miss_total").unwrap_or(0);
     assert!(hits > 0 && hits >= misses, "model hits {hits}, misses {misses}\n{metrics}");
+    // And the kernel itself, generated once for both jobs.
+    let generation =
+        (counter(&metrics, "exec_gen_miss_total"), counter(&metrics, "exec_gen_hit_total"));
+    assert_eq!(generation, (Some(1), Some(1)), "{metrics}");
 }

@@ -2,8 +2,9 @@
 //! isolation, and crash recovery.
 //!
 //! The daemon leans on process-global machinery (the evaluation memo
-//! cache, the store slot, fault plans, eval-index counters, the exec
-//! worker count), so every test here serializes on one local lock —
+//! cache, the generation cache, the store slot, fault plans, eval-index
+//! counters, the exec worker count), so every test here serializes on
+//! one local lock —
 //! cargo runs separate test binaries sequentially, so only these tests
 //! contend.
 
@@ -26,6 +27,7 @@ fn serialized() -> MutexGuard<'static, ()> {
     mc_guard::reset_write_indices();
     mc_guard::set_policy(mc_guard::GuardPolicy::default());
     mc_launcher::batch::clear_cache();
+    mc_launcher::sweeps::clear_generation_cache();
     mc_launcher::store::clear_store();
     guard
 }
@@ -325,8 +327,10 @@ fn a_killed_daemon_resumes_from_the_journal_with_warm_store_hits() {
             xml,
         })
         .unwrap();
-    // Second life: a fresh process (memo cache cold) replays the journal.
+    // Second life: a fresh process (memo and generation caches cold)
+    // replays the journal.
     mc_launcher::batch::clear_cache();
+    mc_launcher::sweeps::clear_generation_cache();
     let daemon = Daemon::open(config).unwrap();
     let health = daemon.health();
     assert_eq!(health.done, 1, "finished history survives the restart");
@@ -335,8 +339,9 @@ fn a_killed_daemon_resumes_from_the_journal_with_warm_store_hits() {
     assert_eq!(wait_terminal(&daemon, &second, 120).name(), "done");
     let counters = daemon.health().store.expect("store attached");
     assert_eq!(
-        counters.hit_disk, EVALS_PER_JOB,
-        "every evaluation warm-hits the store: {counters:?}"
+        counters.hit_disk,
+        EVALS_PER_JOB + 1,
+        "every evaluation and the generated set warm-hit the store: {counters:?}"
     );
     assert_eq!(counters.saved, 0, "nothing is re-evaluated: {counters:?}");
     // The recovered job's document matches the first life's modulo its ID.
@@ -417,6 +422,105 @@ fn a_queued_job_cancels_immediately() {
     let replay = JobJournal::open(&daemon.config().state_dir).replay();
     assert!(replay.pending.is_empty());
     assert_eq!(replay.finished.len(), 1);
+}
+
+/// Submits every submission, each after the previous job finished, and
+/// returns each job's result document. `between` runs after each job.
+fn run_in_turn(tag: &str, mix: &[Submission], between: impl Fn()) -> Vec<Vec<u8>> {
+    let mut config = ServeConfig::new(fresh_dir(tag));
+    config.quota = QuotaConfig { capacity: 64.0, ..QuotaConfig::default() };
+    let daemon = Daemon::open(config).unwrap();
+    let scheduler = daemon.start();
+    let mut documents = Vec::new();
+    for submission in mix {
+        let id = accepted(daemon.submit(submission, Instant::now()));
+        assert_eq!(wait_terminal(&daemon, &id, 120).name(), "done");
+        documents.push(daemon.result_bytes(&id).expect("result document"));
+        between();
+    }
+    daemon.halt();
+    scheduler.join().unwrap();
+    documents
+}
+
+#[test]
+fn jobs_over_one_kernel_share_one_generated_set() {
+    let _guard = serialized();
+    // Two kernels at four frequencies each, then the first kernel again
+    // in other whitespace: a new job ID, but the same description.
+    let at = |xml: &str, ghz: &str| {
+        let mut options_args = options_args(300);
+        options_args.push(format!("--frequency={ghz}"));
+        Submission { client: "sweep".to_owned(), name: None, options_args, xml: xml.to_owned() }
+    };
+    let kernels = [kernel_xml(""), kernel_xml("").replace("movaps", "movapd")];
+    let mut mix: Vec<Submission> = kernels
+        .iter()
+        .flat_map(|xml| ["1.60", "1.87", "2.13", "2.40"].map(|ghz| at(xml, ghz)))
+        .collect();
+    mix.push(at(&kernel_xml("\n\n    "), "2.67"));
+    let generated_sets = || mc_trace::metrics().snapshot().counter("exec.gen.miss").unwrap_or(0);
+    mc_trace::metrics().reset();
+    mc_trace::enable_metrics(true);
+    let shared = run_in_turn("gen-shared", &mix, || {});
+    let shared_sets = generated_sets();
+    mc_trace::metrics().reset();
+    mc_launcher::batch::clear_cache();
+    mc_launcher::sweeps::clear_generation_cache();
+    let fresh = run_in_turn("gen-fresh", &mix, mc_launcher::sweeps::clear_generation_cache);
+    let fresh_sets = generated_sets();
+    mc_trace::enable_metrics(false);
+    assert_eq!(shared_sets, 2, "one generation per distinct description");
+    assert_eq!(fresh_sets, mix.len() as u64, "the control run regenerates per job");
+    assert_eq!(shared, fresh, "sharing generated sets must not change a result byte");
+}
+
+#[test]
+fn a_description_too_large_to_build_fails_its_job_and_the_next_job_runs() {
+    let _guard = serialized();
+    // Each expands to one variant (fan-out 1) of four billion copies.
+    let unrolled = kernel_xml("").replace(
+        "<min>1</min>\n        <max>2</max>",
+        "<min>4000000000</min>\n        <max>4000000000</max>",
+    );
+    let repeated = kernel_xml("").replace(
+        "<swap_after_unroll/>",
+        "<swap_after_unroll/>\n        <repeat><min>4000000000</min><max>4000000000</max></repeat>",
+    );
+    assert_ne!(unrolled, kernel_xml(""));
+    assert_ne!(repeated, kernel_xml(""));
+    let mut config = ServeConfig::new(fresh_dir("too-large"));
+    config.quota = QuotaConfig { capacity: 64.0, ..QuotaConfig::default() };
+    let daemon = Daemon::open(config).unwrap();
+    let ids: Vec<String> = [unrolled, repeated, kernel_xml("")]
+        .into_iter()
+        .enumerate()
+        .map(|(k, xml)| {
+            let submission = Submission {
+                client: format!("client{k}"),
+                name: None,
+                options_args: options_args(1000),
+                xml,
+            };
+            accepted(daemon.submit(&submission, Instant::now()))
+        })
+        .collect();
+    let scheduler = daemon.start();
+    for (id, pass) in ids.iter().zip(["unrolling", "instruction-repetition"]) {
+        match wait_terminal(&daemon, id, 120) {
+            JobState::Failed { kind, message } => {
+                assert_eq!(kind, "generation", "{message}");
+                assert!(
+                    message.contains(pass) && message.contains("instruction copies"),
+                    "{message}"
+                );
+            }
+            other => panic!("expected a generation failure, got {other:?}"),
+        }
+    }
+    assert_eq!(wait_terminal(&daemon, &ids[2], 120).name(), "done");
+    daemon.halt();
+    scheduler.join().unwrap();
 }
 
 /// One plain HTTP/1.1 exchange against the API server.
