@@ -221,7 +221,7 @@ fn reproduce(args: Vec<String>, run: &mut Run) -> (u8, Option<RunManifest>) {
                 diag!("unknown experiment `{key}`; --list shows the available keys");
                 return (exitcode::USAGE, None);
             };
-            match run_one(id, &base) {
+            match run_one(run.ctx(), id, &base) {
                 Ok(r) => vec![r],
                 Err(e) => {
                     diag!("experiment failed: {e}");
@@ -230,7 +230,8 @@ fn reproduce(args: Vec<String>, run: &mut Run) -> (u8, Option<RunManifest>) {
             }
         }
         None => {
-            let results = if quick { run_many(QUICK, &base) } else { run_all(&base) };
+            let ctx = run.ctx();
+            let results = if quick { run_many(ctx, QUICK, &base) } else { run_all(ctx, &base) };
             match results {
                 Ok(rs) => rs,
                 Err(e) => {

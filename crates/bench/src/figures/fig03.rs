@@ -13,7 +13,7 @@
 use super::FigureResult;
 use mc_creator::MicroCreator;
 use mc_kernel::builder::matmul_inner;
-use mc_launcher::{KernelInput, LauncherOptions, MicroLauncher};
+use mc_launcher::{Ctx, KernelInput, LauncherOptions, MicroLauncher};
 use mc_report::experiments::{knee_x, ExperimentId, ShapeCheck};
 use mc_report::series::Series;
 
@@ -21,7 +21,7 @@ use mc_report::series::Series;
 pub const SIZES: [u64; 12] = [50, 100, 150, 200, 300, 400, 500, 600, 700, 800, 1000, 1200];
 
 /// Cycles per inner-loop iteration for one matrix size.
-pub fn matmul_cycles(base: &LauncherOptions, size: u64) -> Result<f64, String> {
+pub fn matmul_cycles(ctx: &Ctx, base: &LauncherOptions, size: u64) -> Result<f64, String> {
     let desc = matmul_inner(size);
     let result = MicroCreator::new().generate(&desc).map_err(|e| e.to_string())?;
     let program =
@@ -30,19 +30,19 @@ pub fn matmul_cycles(base: &LauncherOptions, size: u64) -> Result<f64, String> {
     // Two kernel arrays stand for the three size² matrices' footprint.
     opts.vector_bytes = 3 * size * size * 8 / 2;
     opts.trip_count = size;
-    let report = MicroLauncher::new(opts).run(&KernelInput::program(program.clone()))?;
+    let report = MicroLauncher::new(opts).run_in(ctx, &KernelInput::program(program.clone()))?;
     Ok(report.cycles_per_iteration)
 }
 
 /// Runs the sweep.
-pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
+pub fn run(ctx: &Ctx, base: &LauncherOptions) -> Result<FigureResult, String> {
     let mut result = FigureResult::new(
         ExperimentId::Fig3,
         "Figure 3: matmul cycles/iteration vs matrix size (X5650)",
     );
     let mut points = Vec::with_capacity(SIZES.len());
     for &size in &SIZES {
-        points.push((size as f64, matmul_cycles(base, size)?));
+        points.push((size as f64, matmul_cycles(ctx, base, size)?));
     }
     let series = Series::new("matmul", points);
 
@@ -77,7 +77,7 @@ pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
 mod tests {
     #[test]
     fn fig3_passes() {
-        let r = super::run(&crate::figures::quick_options()).unwrap();
+        let r = super::run(&mc_launcher::Ctx::default(), &crate::figures::quick_options()).unwrap();
         assert!(r.outcome.passed(), "{}", r.outcome.render());
         assert_eq!(r.series.len(), 1);
         assert_eq!(r.series[0].points.len(), super::SIZES.len());
@@ -86,8 +86,18 @@ mod tests {
     #[test]
     fn small_sizes_are_l1_cheap() {
         // 50×50×3 doubles = 60 KB → L2-resident; still cheap.
-        let small = super::matmul_cycles(&crate::figures::quick_options(), 50).unwrap();
-        let large = super::matmul_cycles(&crate::figures::quick_options(), 1200).unwrap();
+        let small = super::matmul_cycles(
+            &mc_launcher::Ctx::default(),
+            &crate::figures::quick_options(),
+            50,
+        )
+        .unwrap();
+        let large = super::matmul_cycles(
+            &mc_launcher::Ctx::default(),
+            &crate::figures::quick_options(),
+            1200,
+        )
+        .unwrap();
         assert!(small < large);
     }
 }

@@ -12,13 +12,13 @@ use super::FigureResult;
 use mc_creator::MicroCreator;
 use mc_kernel::builder::matmul_inner;
 use mc_launcher::sweeps::{alignment_series, alignment_sweep};
-use mc_launcher::LauncherOptions;
+use mc_launcher::{Ctx, LauncherOptions};
 use mc_report::experiments::{check_spread, ExperimentId};
 use mc_simarch::config::Level;
 use std::sync::Arc;
 
 /// Runs the alignment study at 200×200.
-pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
+pub fn run(ctx: &Ctx, base: &LauncherOptions) -> Result<FigureResult, String> {
     let mut result = FigureResult::new(
         ExperimentId::Fig4,
         "Figure 4: matmul cycles/iteration across alignments (200², X5650)",
@@ -39,7 +39,7 @@ pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
     opts.residence = Some(Level::L2);
     opts.trip_count = 200;
     // 8 offsets per array × 2 arrays = 64 configurations.
-    let points = alignment_sweep(&opts, &program, 512, 3584)?;
+    let points = alignment_sweep(ctx, &opts, &program, 512, 3584)?;
     let series = alignment_series("matmul 200²", &points);
 
     result.outcome.push(check_spread(
@@ -67,7 +67,7 @@ fn spread_pct(series: &mc_report::series::Series) -> f64 {
 mod tests {
     #[test]
     fn fig4_passes() {
-        let r = super::run(&crate::figures::quick_options()).unwrap();
+        let r = super::run(&mc_launcher::Ctx::default(), &crate::figures::quick_options()).unwrap();
         assert!(r.outcome.passed(), "{}", r.outcome.render());
         assert_eq!(r.series[0].points.len(), 64);
     }

@@ -11,8 +11,7 @@
 use super::FigureResult;
 use mc_kernel::builder::matmul_inner;
 use mc_kernel::Program;
-use mc_launcher::sweeps::generate_shared;
-use mc_launcher::{LauncherOptions, MicroLauncher};
+use mc_launcher::{Ctx, EvalPoint, LauncherOptions};
 use mc_report::experiments::{check_improvement, ExperimentId, ShapeCheck};
 use mc_report::series::Series;
 use mc_simarch::config::Level;
@@ -45,13 +44,13 @@ pub fn actual_code(unroll: u32, matrix_size: u64) -> Result<Program, String> {
 }
 
 /// Runs the comparison.
-pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
+pub fn run(ctx: &Ctx, base: &LauncherOptions) -> Result<FigureResult, String> {
     let mut result = FigureResult::new(
         ExperimentId::Fig5,
         "Figure 5: matmul unroll factors — actual code vs microbenchmark (200², X5650)",
     );
     let desc = matmul_inner(200);
-    let generated = generate_shared(&desc)?;
+    let generated = ctx.generate_shared(&desc)?;
 
     // Interleave [actual, micro] per unroll factor into one batch.
     let mut programs = Vec::with_capacity(16);
@@ -66,7 +65,9 @@ pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
     let mut opts = base.clone();
     opts.residence = Some(Level::L2); // 200² tiles are cache-resident (§2)
     opts.trip_count = 200;
-    let reports = MicroLauncher::new(opts).run_batch(&programs)?;
+    let opts = std::sync::Arc::new(opts);
+    let points = programs.iter().map(|p| EvalPoint::new(p.clone(), opts.clone())).collect();
+    let reports = ctx.run_batch(points)?;
     let per_element = |i: usize| {
         reports[i].cycles_per_iteration / programs[i].elements_per_iteration.max(1) as f64
     };
@@ -124,7 +125,7 @@ mod tests {
 
     #[test]
     fn fig5_passes() {
-        let r = run(&crate::figures::quick_options()).unwrap();
+        let r = run(&mc_launcher::Ctx::default(), &crate::figures::quick_options()).unwrap();
         assert!(r.outcome.passed(), "{}", r.outcome.render());
     }
 

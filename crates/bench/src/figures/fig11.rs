@@ -10,18 +10,18 @@ use super::FigureResult;
 use mc_asm::inst::Mnemonic;
 use mc_kernel::builder::load_stream;
 use mc_launcher::sweeps::unroll_by_level_sweep;
-use mc_launcher::LauncherOptions;
+use mc_launcher::{Ctx, LauncherOptions};
 use mc_report::experiments::{check_ordered, ExperimentId, ShapeCheck};
 use mc_simarch::config::Level;
 
 /// Runs the movaps sweep.
-pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
+pub fn run(ctx: &Ctx, base: &LauncherOptions) -> Result<FigureResult, String> {
     let mut result = FigureResult::new(
         ExperimentId::Fig11,
         "Figure 11: cycles per movaps load vs unroll factor and hierarchy level (X5650)",
     );
     let desc = load_stream(Mnemonic::Movaps, 1, 8);
-    let series = unroll_by_level_sweep(base, &desc, &Level::ALL, true)?;
+    let series = unroll_by_level_sweep(ctx, base, &desc, &Level::ALL, true)?;
 
     result.outcome.push(check_ordered(
         "hierarchy ordering L1 < L2 < L3 < RAM",
@@ -42,7 +42,8 @@ pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
     ));
     // movapd must be indistinguishable ("The movapd figures are the same
     // as their movaps counterparts").
-    let apd = unroll_by_level_sweep(base, &load_stream(Mnemonic::Movapd, 1, 8), &Level::ALL, true)?;
+    let apd =
+        unroll_by_level_sweep(ctx, base, &load_stream(Mnemonic::Movapd, 1, 8), &Level::ALL, true)?;
     let identical = series
         .iter()
         .zip(&apd)
@@ -65,7 +66,7 @@ pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
 mod tests {
     #[test]
     fn fig11_passes() {
-        let r = super::run(&crate::figures::quick_options()).unwrap();
+        let r = super::run(&mc_launcher::Ctx::default(), &crate::figures::quick_options()).unwrap();
         assert!(r.outcome.passed(), "{}", r.outcome.render());
         assert_eq!(r.series.len(), 4);
     }

@@ -11,22 +11,22 @@ use super::FigureResult;
 use mc_asm::inst::Mnemonic;
 use mc_kernel::builder::load_stream;
 use mc_launcher::sweeps::unroll_by_level_sweep;
-use mc_launcher::LauncherOptions;
+use mc_launcher::{Ctx, LauncherOptions};
 use mc_report::experiments::{ExperimentId, ShapeCheck};
 use mc_simarch::config::Level;
 
 /// Runs the movss sweep.
-pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
+pub fn run(ctx: &Ctx, base: &LauncherOptions) -> Result<FigureResult, String> {
     let mut result = FigureResult::new(
         ExperimentId::Fig12,
         "Figure 12: cycles per movss load vs unroll factor and hierarchy level (X5650)",
     );
     let movss =
-        unroll_by_level_sweep(base, &load_stream(Mnemonic::Movss, 1, 8), &Level::ALL, true)?;
+        unroll_by_level_sweep(ctx, base, &load_stream(Mnemonic::Movss, 1, 8), &Level::ALL, true)?;
     let movsd =
-        unroll_by_level_sweep(base, &load_stream(Mnemonic::Movsd, 1, 8), &Level::ALL, true)?;
+        unroll_by_level_sweep(ctx, base, &load_stream(Mnemonic::Movsd, 1, 8), &Level::ALL, true)?;
     let movaps =
-        unroll_by_level_sweep(base, &load_stream(Mnemonic::Movaps, 1, 8), &Level::ALL, true)?;
+        unroll_by_level_sweep(ctx, base, &load_stream(Mnemonic::Movaps, 1, 8), &Level::ALL, true)?;
 
     // Scalar 4-byte loads saturate the load port before any cache level's
     // bandwidth, so L1/L2/L3 converge (the paper itself reports 1 c/l in
@@ -82,7 +82,7 @@ pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
 mod tests {
     #[test]
     fn fig12_passes() {
-        let r = super::run(&crate::figures::quick_options()).unwrap();
+        let r = super::run(&mc_launcher::Ctx::default(), &crate::figures::quick_options()).unwrap();
         assert!(r.outcome.passed(), "{}", r.outcome.render());
     }
 }

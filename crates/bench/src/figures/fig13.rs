@@ -9,19 +9,19 @@ use super::FigureResult;
 use mc_asm::inst::Mnemonic;
 use mc_kernel::builder::load_stream;
 use mc_launcher::sweeps::{frequency_sweep, programs_by_unroll_shared};
-use mc_launcher::LauncherOptions;
+use mc_launcher::{Ctx, LauncherOptions};
 use mc_report::experiments::{ExperimentId, ShapeCheck};
 use mc_simarch::config::Level;
 
 /// Runs the frequency sweep.
-pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
+pub fn run(ctx: &Ctx, base: &LauncherOptions) -> Result<FigureResult, String> {
     let mut result = FigureResult::new(
         ExperimentId::Fig13,
         "Figure 13: cycles per movaps load vs core frequency (X5650, unroll 8)",
     );
     // The same movaps program set feeds Figure 14; generation is shared.
-    let program = programs_by_unroll_shared(&load_stream(Mnemonic::Movaps, 8, 8))?.remove(0);
-    let series = frequency_sweep(base, &program, &Level::ALL)?;
+    let program = programs_by_unroll_shared(ctx, &load_stream(Mnemonic::Movaps, 8, 8))?.remove(0);
+    let series = frequency_sweep(ctx, base, &program, &Level::ALL)?;
 
     for s in &series {
         let first = s.points.first().expect("non-empty").1; // slowest clock
@@ -59,7 +59,7 @@ pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
 mod tests {
     #[test]
     fn fig13_passes() {
-        let r = super::run(&crate::figures::quick_options()).unwrap();
+        let r = super::run(&mc_launcher::Ctx::default(), &crate::figures::quick_options()).unwrap();
         assert!(r.outcome.passed(), "{}", r.outcome.render());
         assert_eq!(r.series.len(), 4);
         // Five frequency steps on the X5650.

@@ -10,13 +10,13 @@ use super::FigureResult;
 use mc_asm::inst::Mnemonic;
 use mc_kernel::builder::load_stream;
 use mc_launcher::sweeps::{core_sweep, programs_by_unroll_shared};
-use mc_launcher::LauncherOptions;
+use mc_launcher::{Ctx, LauncherOptions};
 use mc_report::experiments::{check_knee, ExperimentId, ShapeCheck};
 use mc_report::series::Scale;
 use mc_simarch::config::Level;
 
 /// Runs the core sweep.
-pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
+pub fn run(ctx: &Ctx, base: &LauncherOptions) -> Result<FigureResult, String> {
     let mut result = FigureResult::new(
         ExperimentId::Fig14,
         "Figure 14: cycles/iteration vs forked core count (movaps ×8, RAM, X5650)",
@@ -25,8 +25,8 @@ pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
     let mut opts = base.clone();
     opts.residence = Some(Level::Ram);
     // Shares the generated program set with Figure 13.
-    let program = programs_by_unroll_shared(&load_stream(Mnemonic::Movaps, 8, 8))?.remove(0);
-    let series = core_sweep(&opts, &program, 12)?;
+    let program = programs_by_unroll_shared(ctx, &load_stream(Mnemonic::Movaps, 8, 8))?.remove(0);
+    let series = core_sweep(ctx, &opts, &program, 12)?;
 
     result.outcome.push(check_knee(
         "breaking point at six cores (paper: 6)",
@@ -65,7 +65,7 @@ pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
 mod tests {
     #[test]
     fn fig14_passes() {
-        let r = super::run(&crate::figures::quick_options()).unwrap();
+        let r = super::run(&mc_launcher::Ctx::default(), &crate::figures::quick_options()).unwrap();
         assert!(r.outcome.passed(), "{}", r.outcome.render());
         assert_eq!(r.scale, mc_report::series::Scale::Log10);
     }

@@ -11,19 +11,20 @@ use super::FigureResult;
 use mc_asm::inst::Mnemonic;
 use mc_kernel::builder::multi_array_traversal;
 use mc_launcher::options::{MachinePreset, Mode};
-use mc_launcher::sweeps::{alignment_series, alignment_sweep_sampled, generate_shared};
-use mc_launcher::LauncherOptions;
+use mc_launcher::sweeps::{alignment_series, alignment_sweep_sampled};
+use mc_launcher::{Ctx, LauncherOptions};
 use mc_report::experiments::{check_spread, ExperimentId, ShapeCheck};
 use mc_simarch::config::Level;
 
 /// Runs the 8-array/8-core alignment study.
-pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
+pub fn run(ctx: &Ctx, base: &LauncherOptions) -> Result<FigureResult, String> {
     let mut result = FigureResult::new(
         ExperimentId::Fig15,
         "Figure 15: cycles/iteration across alignments (8-array movss, 8 of 32 cores, X7550)",
     );
     let desc = multi_array_traversal(Mnemonic::Movss, 8);
-    let program = generate_shared(&desc)?
+    let program = ctx
+        .generate_shared(&desc)?
         .first()
         .cloned()
         .ok_or_else(|| "multi_array_traversal produced no programs".to_owned())?;
@@ -35,7 +36,7 @@ pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
     opts.residence = Some(Level::Ram);
     // 8 arrays × 8 offsets would be 16.7M grid points; the study samples
     // ~3000 configurations ("upwards of 2500"), corners included.
-    let points = alignment_sweep_sampled(&opts, &program, 512, 3584, 3000, 0x15)?;
+    let points = alignment_sweep_sampled(ctx, &opts, &program, 512, 3584, 3000, 0x15)?;
     let series = alignment_series("8-array movss, 8 cores", &points);
 
     result.outcome.push(ShapeCheck::new(
@@ -65,7 +66,7 @@ pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
 mod tests {
     #[test]
     fn fig15_passes() {
-        let r = super::run(&crate::figures::quick_options()).unwrap();
+        let r = super::run(&mc_launcher::Ctx::default(), &crate::figures::quick_options()).unwrap();
         assert!(r.outcome.passed(), "{}", r.outcome.render());
         assert!(r.series[0].points.len() > 2500);
     }

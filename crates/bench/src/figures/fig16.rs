@@ -10,19 +10,20 @@ use super::FigureResult;
 use mc_asm::inst::Mnemonic;
 use mc_kernel::builder::multi_array_traversal;
 use mc_launcher::options::{MachinePreset, Mode};
-use mc_launcher::sweeps::{alignment_series, alignment_sweep, generate_shared};
-use mc_launcher::LauncherOptions;
+use mc_launcher::sweeps::{alignment_series, alignment_sweep};
+use mc_launcher::{Ctx, LauncherOptions};
 use mc_report::experiments::{check_spread, ExperimentId, ShapeCheck};
 use mc_simarch::config::Level;
 
 /// Runs the 4-array/32-core alignment study.
-pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
+pub fn run(ctx: &Ctx, base: &LauncherOptions) -> Result<FigureResult, String> {
     let mut result = FigureResult::new(
         ExperimentId::Fig16,
         "Figure 16: cycles/iteration across alignments (4-array movss, 32 cores, X7550)",
     );
     let desc = multi_array_traversal(Mnemonic::Movss, 4);
-    let program = generate_shared(&desc)?
+    let program = ctx
+        .generate_shared(&desc)?
         .first()
         .cloned()
         .ok_or_else(|| "multi_array_traversal produced no programs".to_owned())?;
@@ -33,7 +34,7 @@ pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
     opts.cores = 32;
     opts.residence = Some(Level::Ram);
     // 4 arrays × 8 offsets = 4096 configurations.
-    let points = alignment_sweep(&opts, &program, 512, 3584)?;
+    let points = alignment_sweep(ctx, &opts, &program, 512, 3584)?;
     let series = alignment_series("4-array movss, 32 cores", &points);
 
     result.outcome.push(check_spread(
@@ -47,7 +48,8 @@ pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
     let fig15_floor = {
         let desc8 = multi_array_traversal(Mnemonic::Movss, 8);
         // Shares Figure 15's generated program.
-        let p8 = generate_shared(&desc8)?
+        let p8 = ctx
+            .generate_shared(&desc8)?
             .first()
             .cloned()
             .ok_or_else(|| "multi_array_traversal produced no programs".to_owned())?;
@@ -59,7 +61,7 @@ pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
         // Best-case (well-separated) alignments: the Figure 15 floor.
         o.alignments = (0..8u64).map(|i| i * 512).collect();
         mc_launcher::MicroLauncher::new(o)
-            .run(&mc_launcher::KernelInput::program(p8))?
+            .run_in(ctx, &mc_launcher::KernelInput::program(p8))?
             .cycles_per_iteration
     };
     let floor = series.ys().iter().copied().fold(f64::MAX, f64::min);
@@ -84,7 +86,7 @@ pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
 mod tests {
     #[test]
     fn fig16_passes() {
-        let r = super::run(&crate::figures::quick_options()).unwrap();
+        let r = super::run(&mc_launcher::Ctx::default(), &crate::figures::quick_options()).unwrap();
         assert!(r.outcome.passed(), "{}", r.outcome.render());
     }
 }

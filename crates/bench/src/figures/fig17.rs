@@ -12,7 +12,7 @@ use mc_asm::inst::Mnemonic;
 use mc_kernel::builder::load_stream;
 use mc_launcher::options::{MachinePreset, Mode};
 use mc_launcher::sweeps::programs_by_unroll_shared;
-use mc_launcher::{run_batch, EvalPoint, LauncherOptions};
+use mc_launcher::{Ctx, EvalPoint, LauncherOptions};
 use mc_report::experiments::{ExperimentId, ShapeCheck, ShapeOutcome};
 use mc_report::series::{Scale, Series};
 use std::sync::Arc;
@@ -21,8 +21,8 @@ use std::sync::Arc;
 pub const ELEMENTS: u64 = 128 * 1024;
 
 /// Builds the four series (seq/omp × min/max over ten noisy runs).
-pub fn series_for(base: &LauncherOptions, elements: u64) -> Result<Vec<Series>, String> {
-    let programs = programs_by_unroll_shared(&load_stream(Mnemonic::Movss, 1, 8))?;
+pub fn series_for(ctx: &Ctx, base: &LauncherOptions, elements: u64) -> Result<Vec<Series>, String> {
+    let programs = programs_by_unroll_shared(ctx, &load_stream(Mnemonic::Movss, 1, 8))?;
     let base = LauncherOptions {
         machine: MachinePreset::SandyBridgeE31240,
         vector_bytes: elements * 4,
@@ -41,7 +41,7 @@ pub fn series_for(base: &LauncherOptions, elements: u64) -> Result<Vec<Series>, 
         eval_points.push(EvalPoint::new(p.clone(), Arc::new(seq)));
         eval_points.push(EvalPoint::new(p.clone(), Arc::new(omp)));
     }
-    let reports = run_batch(eval_points)?;
+    let reports = ctx.run_batch(eval_points)?;
     let mut seq_min = Vec::new();
     let mut seq_max = Vec::new();
     let mut omp_min = Vec::new();
@@ -110,13 +110,13 @@ pub fn common_checks(outcome: &mut ShapeOutcome, series: &[Series], omp_flat_tol
 }
 
 /// Runs the 128k study.
-pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
+pub fn run(ctx: &Ctx, base: &LauncherOptions) -> Result<FigureResult, String> {
     let mut result = FigureResult::new(
         ExperimentId::Fig17,
         "Figure 17: sequential vs OpenMP movss loads, 128k elements (E31240, log scale)",
     );
     result.scale = Scale::Log10;
-    let series = series_for(base, ELEMENTS)?;
+    let series = series_for(ctx, base, ELEMENTS)?;
     common_checks(&mut result.outcome, &series, 0.15);
     let speedup = series[0].points[0].1 / series[2].points[0].1;
     result.notes.push(format!(
@@ -131,7 +131,7 @@ pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
 mod tests {
     #[test]
     fn fig17_passes() {
-        let r = super::run(&crate::figures::quick_options()).unwrap();
+        let r = super::run(&mc_launcher::Ctx::default(), &crate::figures::quick_options()).unwrap();
         assert!(r.outcome.passed(), "{}", r.outcome.render());
         assert_eq!(r.series.len(), 4);
     }

@@ -7,7 +7,7 @@
 
 use super::fig17;
 use super::FigureResult;
-use mc_launcher::LauncherOptions;
+use mc_launcher::{Ctx, LauncherOptions};
 use mc_report::experiments::{ExperimentId, ShapeCheck};
 use mc_report::series::Scale;
 
@@ -15,19 +15,19 @@ use mc_report::series::Scale;
 pub const ELEMENTS: u64 = 6_000_000;
 
 /// Runs the 6M study.
-pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
+pub fn run(ctx: &Ctx, base: &LauncherOptions) -> Result<FigureResult, String> {
     let mut result = FigureResult::new(
         ExperimentId::Fig18,
         "Figure 18: sequential vs OpenMP movss loads, 6M elements (E31240, log scale)",
     );
     result.scale = Scale::Log10;
-    let series = fig17::series_for(base, ELEMENTS)?;
+    let series = fig17::series_for(ctx, base, ELEMENTS)?;
     // RAM-bound: both the sequential and OpenMP curves flatten earlier, so
     // allow the OpenMP flatness check slightly more slack than at 128k.
     fig17::common_checks(&mut result.outcome, &series, 0.12);
 
     // The headline claim: the OpenMP speedup shrinks versus 128k.
-    let small = fig17::series_for(base, fig17::ELEMENTS)?;
+    let small = fig17::series_for(ctx, base, fig17::ELEMENTS)?;
     let speedup_small = small[0].points[0].1 / small[2].points[0].1;
     let speedup_large = series[0].points[0].1 / series[2].points[0].1;
     result.outcome.push(ShapeCheck::new(
@@ -47,7 +47,7 @@ pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
 mod tests {
     #[test]
     fn fig18_passes() {
-        let r = super::run(&crate::figures::quick_options()).unwrap();
+        let r = super::run(&mc_launcher::Ctx::default(), &crate::figures::quick_options()).unwrap();
         assert!(r.outcome.passed(), "{}", r.outcome.render());
     }
 }

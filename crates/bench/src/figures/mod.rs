@@ -15,7 +15,7 @@ pub mod fig18;
 pub mod table1;
 pub mod table2;
 
-use mc_launcher::options::LauncherOptions;
+use mc_launcher::{Ctx, LauncherOptions};
 use mc_report::experiments::{ExperimentId, ShapeOutcome};
 use mc_report::series::{Scale, Series};
 
@@ -67,30 +67,35 @@ pub fn quick_options() -> LauncherOptions {
     }
 }
 
-/// Runs one experiment by id under [`quick_options`].
+/// Runs one experiment by id under [`quick_options`] on the process
+/// context ([`Ctx::process`]); goes with ROADMAP item 6.
 pub fn run_experiment(id: ExperimentId) -> Result<FigureResult, String> {
-    run_one(id, &quick_options())
+    run_one(Ctx::process(), id, &quick_options())
 }
 
-/// Runs one experiment by id on `base`, under one `bench.experiment`
-/// span.
-pub fn run_one(id: ExperimentId, base: &LauncherOptions) -> Result<FigureResult, String> {
+/// Runs one experiment by id on `base` through `ctx`, under one
+/// `bench.experiment` span.
+pub fn run_one(
+    ctx: &Ctx,
+    id: ExperimentId,
+    base: &LauncherOptions,
+) -> Result<FigureResult, String> {
     let mut span = mc_trace::span("bench.experiment");
     let result = match id {
         ExperimentId::Counts => counts::run(),
         ExperimentId::Table1 => table1::run(),
-        ExperimentId::Fig3 => fig03::run(base),
-        ExperimentId::Fig4 => fig04::run(base),
-        ExperimentId::Fig5 => fig05::run(base),
-        ExperimentId::Fig11 => fig11::run(base),
-        ExperimentId::Fig12 => fig12::run(base),
-        ExperimentId::Fig13 => fig13::run(base),
-        ExperimentId::Fig14 => fig14::run(base),
-        ExperimentId::Fig15 => fig15::run(base),
-        ExperimentId::Fig16 => fig16::run(base),
-        ExperimentId::Fig17 => fig17::run(base),
-        ExperimentId::Fig18 => fig18::run(base),
-        ExperimentId::Table2 => table2::run(base),
+        ExperimentId::Fig3 => fig03::run(ctx, base),
+        ExperimentId::Fig4 => fig04::run(ctx, base),
+        ExperimentId::Fig5 => fig05::run(ctx, base),
+        ExperimentId::Fig11 => fig11::run(ctx, base),
+        ExperimentId::Fig12 => fig12::run(ctx, base),
+        ExperimentId::Fig13 => fig13::run(ctx, base),
+        ExperimentId::Fig14 => fig14::run(ctx, base),
+        ExperimentId::Fig15 => fig15::run(ctx, base),
+        ExperimentId::Fig16 => fig16::run(ctx, base),
+        ExperimentId::Fig17 => fig17::run(ctx, base),
+        ExperimentId::Fig18 => fig18::run(ctx, base),
+        ExperimentId::Table2 => table2::run(ctx, base),
     };
     if span.is_active() {
         span.field("experiment", id.key());
@@ -115,12 +120,17 @@ pub fn run_one(id: ExperimentId, base: &LauncherOptions) -> Result<FigureResult,
 /// sweeps batch internally; the nested engines can oversubscribe the
 /// machine briefly, which is harmless for throughput and irrelevant for
 /// results (the simulation is deterministic). `base` is every figure's
-/// starting point: its sampling policy reaches each sweep.
-pub fn run_many(ids: &[ExperimentId], base: &LauncherOptions) -> Result<Vec<FigureResult>, String> {
-    mc_exec::engine().run(ids.to_vec(), |id| run_one(id, base)).into_iter().collect()
+/// starting point: its sampling policy reaches each sweep. Every figure
+/// shares `ctx`, so a kernel two figures sweep is evaluated once.
+pub fn run_many(
+    ctx: &Ctx,
+    ids: &[ExperimentId],
+    base: &LauncherOptions,
+) -> Result<Vec<FigureResult>, String> {
+    mc_exec::engine().run(ids.to_vec(), |id| run_one(ctx, id, base)).into_iter().collect()
 }
 
-/// Runs every experiment in paper order on `base`.
-pub fn run_all(base: &LauncherOptions) -> Result<Vec<FigureResult>, String> {
-    run_many(&ExperimentId::ALL, base)
+/// Runs every experiment in paper order on `base` through `ctx`.
+pub fn run_all(ctx: &Ctx, base: &LauncherOptions) -> Result<Vec<FigureResult>, String> {
+    run_many(ctx, &ExperimentId::ALL, base)
 }

@@ -14,7 +14,7 @@ use mc_asm::inst::Mnemonic;
 use mc_kernel::builder::load_stream;
 use mc_launcher::options::MachinePreset;
 use mc_launcher::sweeps::openmp_comparison;
-use mc_launcher::LauncherOptions;
+use mc_launcher::{Ctx, LauncherOptions};
 use mc_report::experiments::{check_improvement, ExperimentId, ShapeCheck};
 use mc_report::table::{fmt_f, AsciiTable};
 
@@ -25,15 +25,21 @@ pub const ELEMENTS: u64 = 6_000_000;
 pub const INVOCATIONS: u64 = 5_400;
 
 /// Runs the Table 2 reproduction.
-pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
+pub fn run(ctx: &Ctx, base: &LauncherOptions) -> Result<FigureResult, String> {
     let mut result = FigureResult::new(
         ExperimentId::Table2,
         "Table 2: OpenMP vs sequential execution time across unroll factors (E31240)",
     );
     let mut opts = base.clone();
     opts.machine = MachinePreset::SandyBridgeE31240;
-    let cmp =
-        openmp_comparison(&opts, &load_stream(Mnemonic::Movss, 1, 8), ELEMENTS, 4, INVOCATIONS)?;
+    let cmp = openmp_comparison(
+        ctx,
+        &opts,
+        &load_stream(Mnemonic::Movss, 1, 8),
+        ELEMENTS,
+        4,
+        INVOCATIONS,
+    )?;
 
     let mut table =
         AsciiTable::new(vec!["Unroll factor", "OpenMP time (in s)", "Seq. time (in s)"]);
@@ -80,7 +86,7 @@ pub fn run(base: &LauncherOptions) -> Result<FigureResult, String> {
 mod tests {
     #[test]
     fn table2_passes() {
-        let r = super::run(&crate::figures::quick_options()).unwrap();
+        let r = super::run(&mc_launcher::Ctx::default(), &crate::figures::quick_options()).unwrap();
         assert!(r.outcome.passed(), "{}", r.outcome.render());
         let t = r.table.as_ref().unwrap();
         assert!(t.contains("Unroll factor"), "{t}");

@@ -5,13 +5,13 @@
 //! reruns — sampling decisions depend only on the samples, never on the
 //! schedule.
 //!
-//! The sampling policy travels as each run's base options. The worker
-//! count, the evaluation cache and the metrics registry are
-//! process-global, so every test serializes on one lock and restores the
-//! configuration it found.
+//! The sampling policy travels as each run's base options, and every run
+//! evaluates cold on its own context. The worker count and the metrics
+//! registry are process-global, so every test serializes on one lock and
+//! restores the configuration it found.
 
 use mc_bench::figures::{quick_options, run_all, run_many, FigureResult};
-use mc_launcher::LauncherOptions;
+use mc_launcher::{Ctx, LauncherOptions};
 use mc_report::experiments::ExperimentId;
 use std::sync::Mutex;
 
@@ -23,8 +23,6 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 
 /// Restores every piece of process-global state a test here touches.
 fn restore_defaults() {
-    mc_launcher::batch::set_cache_enabled(true);
-    mc_launcher::batch::clear_cache();
     mc_trace::enable_metrics(false);
     mc_trace::metrics().reset();
 }
@@ -44,13 +42,12 @@ fn adaptive(base: LauncherOptions) -> LauncherOptions {
     LauncherOptions { adaptive: true, min_samples: 2, max_samples: 8, ..base }
 }
 
-/// Runs the full suite on `base` with the cache off and returns the
-/// number of timed kernel calls the measurement protocol issued.
+/// Runs the full suite cold on `base` and returns the number of timed
+/// kernel calls the measurement protocol issued.
 fn timed_calls_for_full_suite(base: &LauncherOptions) -> (u64, Vec<FigureResult>) {
-    mc_launcher::batch::clear_cache();
     mc_trace::metrics().reset();
     mc_trace::enable_metrics(true);
-    let results = run_all(base).expect("full suite runs");
+    let results = run_all(&Ctx::default(), base).expect("full suite runs");
     mc_trace::enable_metrics(false);
     let calls =
         mc_trace::metrics().snapshot().counter("launcher.timed_calls").expect("timed calls metric");
@@ -77,7 +74,6 @@ fn assert_identical(a: &FigureResult, b: &FigureResult, what: &str) {
 fn adaptive_mode_cuts_timed_calls_at_least_3x_over_the_full_suite() {
     let _guard = lock();
     mc_exec::set_jobs(4);
-    mc_launcher::batch::set_cache_enabled(false);
     let full_budget = LauncherOptions { meta_repetitions: 8, ..quick_options() };
 
     let (fixed_calls, fixed) = timed_calls_for_full_suite(&full_budget);
@@ -108,8 +104,8 @@ fn adaptive_mode_cuts_timed_calls_at_least_3x_over_the_full_suite() {
 fn shape_claims_hold_under_adaptive_sampling() {
     let _guard = lock();
     mc_exec::set_jobs(4);
-    mc_launcher::batch::clear_cache();
-    let results = run_many(SHAPE_FIGURES, &adaptive(quick_options())).expect("figures run");
+    let results =
+        run_many(&Ctx::default(), SHAPE_FIGURES, &adaptive(quick_options())).expect("figures run");
     restore_defaults();
     for r in &results {
         for check in &r.outcome.checks {
@@ -132,8 +128,7 @@ fn adaptive_runs_are_identical_across_jobs_and_reruns() {
     let base = adaptive(quick_options());
     let run_with_jobs = |jobs: usize| -> Vec<FigureResult> {
         mc_exec::set_jobs(jobs);
-        mc_launcher::batch::clear_cache();
-        run_many(SHAPE_FIGURES, &base).expect("experiments run")
+        run_many(&Ctx::default(), SHAPE_FIGURES, &base).expect("experiments run")
     };
     let serial = run_with_jobs(1);
     let parallel = run_with_jobs(8);

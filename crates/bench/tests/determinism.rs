@@ -4,10 +4,12 @@
 //! guarantees this by construction (index-ordered collection over a pure
 //! simulation); these tests enforce it per figure.
 //!
-//! The worker count and the caches are process-global, so every test
-//! serializes on one lock and restores the configuration it found.
+//! Every run evaluates on its own context, but the worker count and the
+//! metrics registry are process-global, so every test serializes on one
+//! lock.
 
 use mc_bench::figures::{quick_options, run_all, run_many, FigureResult};
+use mc_launcher::Ctx;
 use mc_report::experiments::ExperimentId;
 use std::collections::HashSet;
 use std::sync::Mutex;
@@ -18,12 +20,11 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     EXEC_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Runs a set of experiments under a fixed worker count, with the
-/// evaluation cache dropped first so no run feeds the next.
+/// Runs a set of experiments under a fixed worker count, on a fresh
+/// context so no run feeds the next.
 fn run_with_jobs(ids: &[ExperimentId], jobs: usize) -> Vec<FigureResult> {
     mc_exec::set_jobs(jobs);
-    mc_launcher::batch::clear_cache();
-    run_many(ids, &quick_options()).expect("experiments run")
+    run_many(&Ctx::default(), ids, &quick_options()).expect("experiments run")
 }
 
 fn assert_identical(a: &FigureResult, b: &FigureResult, what: &str) {
@@ -53,48 +54,36 @@ fn every_experiment_is_identical_serial_vs_parallel() {
 fn cache_reuse_is_identical_to_cold_evaluation() {
     let _guard = lock();
     mc_exec::set_jobs(4);
-    mc_launcher::batch::clear_cache();
+    let ctx = Ctx::default();
+    let figures = [ExperimentId::Fig11, ExperimentId::Fig13];
     // Cold pass populates the cache; the warm pass must replay it exactly.
-    let cold =
-        run_many(&[ExperimentId::Fig11, ExperimentId::Fig13], &quick_options()).expect("cold run");
-    let (_, misses_cold) = mc_launcher::batch::cache_stats();
+    let cold = run_many(&ctx, &figures, &quick_options()).expect("cold run");
+    let (_, misses_cold) = ctx.cache_stats();
     assert!(misses_cold > 0, "cold pass must populate the cache");
-    let warm =
-        run_many(&[ExperimentId::Fig11, ExperimentId::Fig13], &quick_options()).expect("warm run");
-    let (hits_warm, _) = mc_launcher::batch::cache_stats();
+    let models = ctx.model_cache_stats();
+    let warm = run_many(&ctx, &figures, &quick_options()).expect("warm run");
+    let (hits_warm, _) = ctx.cache_stats();
     assert!(hits_warm > 0, "warm pass must hit the cache");
     for (a, b) in cold.iter().zip(&warm) {
         assert_identical(a, b, a.id.key());
     }
     // The cold pass finished most of its points from a shared model.
-    let models = mc_launcher::batch::model_cache_stats();
     assert!(models.0 > models.1, "model memo hits {} <= misses {}", models.0, models.1);
-    // And a pass with every memo off, the model memo included, agrees
-    // with both.
-    mc_launcher::batch::set_cache_enabled(false);
-    let uncached = run_many(&[ExperimentId::Fig11, ExperimentId::Fig13], &quick_options())
-        .expect("uncached run");
-    mc_launcher::batch::set_cache_enabled(true);
-    assert_eq!(mc_launcher::batch::model_cache_stats(), models, "a disabled memo was consulted");
-    for (a, b) in cold.iter().zip(&uncached) {
-        assert_identical(a, b, a.id.key());
-    }
 }
 
 #[test]
 fn a_cold_pass_analyzes_each_program_once_per_machine() {
-    use mc_launcher::store::{clear_store, decode_report, install_store, EVAL_KIND};
+    use mc_launcher::store::{decode_report, EVAL_KIND};
     let _guard = lock();
     // One worker: two workers racing on one key may both compute it.
     mc_exec::set_jobs(1);
-    mc_launcher::batch::clear_cache();
+    let ctx = Ctx::default();
     let dir = std::env::temp_dir().join(format!("mc-determinism-models-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let store = install_store(&dir);
-    let result = run_all(&quick_options());
-    clear_store();
+    let store = ctx.set_store(Some(&dir)).expect("store attached");
+    let result = run_all(&ctx, &quick_options());
     assert_eq!(result.expect("experiments run").len(), ExperimentId::ALL.len());
-    let (hits, misses) = mc_launcher::batch::model_cache_stats();
+    let (hits, misses) = ctx.model_cache_stats();
     // Every batch evaluation is saved under `<program_fp>-<options_fp>`
     // with a report that names its machine, so the saved records give the
     // distinct (program, machine) pairs the pass estimated.
@@ -121,14 +110,44 @@ fn a_cold_pass_analyzes_each_program_once_per_machine() {
     assert!(hits > 10 * misses, "{hits} model hits over {misses} models");
 }
 
+/// The memo picks a key's shard from its top bits, so the keys of a full
+/// run fill every shard evenly: within ±25% of the mean. (Low-bit shards
+/// filled half of them, since FNV-1a's low bit is its input's parity.)
+#[test]
+fn a_full_runs_eval_keys_spread_evenly_across_memo_shards() {
+    use mc_exec::cache::{shard_of, SHARDS};
+    let _guard = lock();
+    mc_exec::set_jobs(4);
+    let ctx = Ctx::default();
+    let dir = std::env::temp_dir().join(format!("mc-determinism-shards-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ctx.set_store(Some(&dir)).expect("store attached");
+    run_all(&ctx, &quick_options()).expect("experiments run");
+    let keys = store.keys(mc_launcher::store::EVAL_KIND);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(keys.len(), 7384, "the full suite's evaluation keys");
+    let mut per_shard = [0usize; SHARDS];
+    for key in &keys {
+        let (program, options) = key.split_once('-').expect("<program>-<options>");
+        let half = |hex| u64::from_str_radix(hex, 16).expect("hex key half");
+        per_shard[shard_of(&(half(program), half(options)))] += 1;
+    }
+    let mean = keys.len() / SHARDS;
+    let (low, high) = (mean * 3 / 4, mean * 5 / 4);
+    assert!(
+        per_shard.iter().all(|&n| (low..=high).contains(&n)),
+        "shard loads {per_shard:?} stray outside {low}..={high}"
+    );
+}
+
 #[test]
 fn exec_metrics_cover_a_full_figure_run() {
     let _guard = lock();
     mc_exec::set_jobs(4);
-    mc_launcher::batch::clear_cache();
     mc_trace::metrics().reset();
     mc_trace::enable_metrics(true);
-    let result = run_many(&[ExperimentId::Fig14], &quick_options()).expect("figure runs");
+    let result =
+        run_many(&Ctx::default(), &[ExperimentId::Fig14], &quick_options()).expect("figure runs");
     mc_trace::enable_metrics(false);
     assert_eq!(result.len(), 1);
     let snapshot = mc_trace::metrics().snapshot();

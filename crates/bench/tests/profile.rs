@@ -4,15 +4,15 @@
 //! count — and the profile files themselves must not depend on the
 //! parallel schedule.
 //!
-//! The worker count, the evaluation caches, the store slot, and the
-//! profiler slot are all process-global, so every test serializes on one
-//! lock and clears what it installed.
+//! Every run evaluates through its own context, but the worker count is
+//! process-global, so every test serializes on one lock.
 
 use mc_bench::figures::{quick_options, run_many, FigureResult};
-use mc_launcher::profile::{clear_profiler, install_profiler};
+use mc_launcher::profile::Profiler;
+use mc_launcher::Ctx;
 use mc_report::experiments::ExperimentId;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 static EXEC_LOCK: Mutex<()> = Mutex::new(());
 
@@ -31,15 +31,22 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// Runs the subset cold under `jobs` workers, optionally with a profiler
-/// installed for the duration.
+/// A fresh context, profiling into `dir` when given.
+fn context(dir: Option<&Path>) -> (Ctx, Option<Arc<Profiler>>) {
+    match dir {
+        Some(dir) => {
+            let profiler = Arc::new(Profiler::new(dir).expect("profiler opens"));
+            (Ctx::with_profiler(profiler.clone()), Some(profiler))
+        }
+        None => (Ctx::default(), None),
+    }
+}
+
+/// Runs the subset cold under `jobs` workers, optionally profiling.
 fn run_figs(jobs: usize, profile_dir: Option<&Path>) -> Vec<FigureResult> {
     mc_exec::set_jobs(jobs);
-    mc_launcher::batch::clear_cache();
-    clear_profiler();
-    let profiler = profile_dir.map(|dir| install_profiler(dir).expect("profiler installs"));
-    let results = run_many(FIGS, &quick_options()).expect("experiments run");
-    clear_profiler();
+    let (ctx, profiler) = context(profile_dir);
+    let results = run_many(&ctx, FIGS, &quick_options()).expect("experiments run");
     if let Some(p) = profiler {
         p.finish(None);
     }
@@ -136,19 +143,14 @@ fn store_keys_do_not_depend_on_profiling() {
     // with profiling on: the persisted keys must match, or
     // profiling has leaked into the fingerprint.
     mc_exec::set_jobs(2);
-    clear_profiler();
-    mc_launcher::store::install_store(&store_off);
-    mc_launcher::batch::clear_cache();
-    run_many(FIGS, &quick_options()).expect("profile-off run");
-    mc_launcher::store::clear_store();
+    let (off_ctx, _) = context(None);
+    off_ctx.set_store(Some(&store_off));
+    run_many(&off_ctx, FIGS, &quick_options()).expect("profile-off run");
 
-    let profiler = install_profiler(&profiles).expect("profiler installs");
-    mc_launcher::store::install_store(&store_on);
-    mc_launcher::batch::clear_cache();
-    run_many(FIGS, &quick_options()).expect("profile-on run");
-    mc_launcher::store::clear_store();
-    clear_profiler();
-    assert!(!profiler.is_empty(), "profiled run collected nothing");
+    let (on_ctx, profiler) = context(Some(&profiles));
+    on_ctx.set_store(Some(&store_on));
+    run_many(&on_ctx, FIGS, &quick_options()).expect("profile-on run");
+    assert!(!profiler.expect("profiling").is_empty(), "profiled run collected nothing");
 
     let keys = |dir: &Path| {
         use mc_launcher::store::{calib_fingerprint, schema_fingerprint, EVAL_KIND, GEN_KIND};

@@ -6,14 +6,17 @@
 //! binary, run twice with `--store`) must hit the disk tier, and a
 //! damaged store must degrade to recomputation — never fail a sweep.
 //!
-//! The evaluation cache, generation cache, worker count, installed store,
-//! and metrics registry are process-global, so every test serializes on
-//! one lock and restores the configuration it found.
+//! Each simulated process is a fresh run context over the shared store
+//! directory. The worker count and the metrics registry are
+//! process-global, so every test that runs figures serializes on one
+//! lock and restores the configuration it found.
 
 use mc_bench::figures::{quick_options, run_many, FigureResult};
+use mc_launcher::Ctx;
 use mc_report::experiments::ExperimentId;
-use std::path::PathBuf;
-use std::sync::Mutex;
+use mc_store::DiskStore;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 static EXEC_LOCK: Mutex<()> = Mutex::new(());
 
@@ -23,10 +26,6 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 
 /// Restores every piece of process-global state a test here touches.
 fn restore_defaults() {
-    mc_launcher::store::clear_store();
-    mc_launcher::batch::set_cache_enabled(true);
-    mc_launcher::batch::clear_cache();
-    mc_launcher::sweeps::clear_generation_cache();
     mc_trace::enable_metrics(false);
     mc_trace::metrics().reset();
 }
@@ -40,11 +39,12 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Empties both in-memory memo tiers — the next sweep sees exactly what
-/// a freshly started process sharing the store directory would see.
-fn simulate_fresh_process() {
-    mc_launcher::batch::clear_cache();
-    mc_launcher::sweeps::clear_generation_cache();
+/// What a freshly started process sharing the store directory sees: a
+/// new context with empty memos, and its own handle on the store.
+fn fresh_process(dir: &Path) -> (Ctx, Arc<DiskStore>) {
+    let ctx = Ctx::default();
+    let store = ctx.set_store(Some(dir)).expect("store attached");
+    (ctx, store)
 }
 
 /// Simulator evaluations the measurement protocol actually ran (one per
@@ -53,10 +53,10 @@ fn measurements() -> u64 {
     mc_trace::metrics().snapshot().counter("launcher.measurements").unwrap_or(0)
 }
 
-fn run_counted(figures: &[ExperimentId]) -> (u64, Vec<FigureResult>) {
+fn run_counted(ctx: &Ctx, figures: &[ExperimentId]) -> (u64, Vec<FigureResult>) {
     mc_trace::metrics().reset();
     mc_trace::enable_metrics(true);
-    let results = run_many(figures, &quick_options()).expect("figures run");
+    let results = run_many(ctx, figures, &quick_options()).expect("figures run");
     mc_trace::enable_metrics(false);
     (measurements(), results)
 }
@@ -109,20 +109,22 @@ fn warm_process_runs_at_least_5x_fewer_simulator_evaluations() {
     let _guard = lock();
     mc_exec::set_jobs(4);
     let dir = fresh_dir("warm");
-    let store = mc_launcher::store::install_store(&dir);
 
-    simulate_fresh_process();
-    let (cold_evals, cold) = run_counted(FIGURES);
+    let (ctx, cold_store) = fresh_process(&dir);
+    let (cold_evals, cold) = run_counted(&ctx, FIGURES);
 
-    simulate_fresh_process();
-    let (warm_evals, warm) = run_counted(FIGURES);
+    let (ctx, store) = fresh_process(&dir);
+    let (warm_evals, warm) = run_counted(&ctx, FIGURES);
     let counters = store.counters();
     restore_defaults();
 
     println!(
         "simulator evaluations: cold {cold_evals}, warm {warm_evals}; \
-         store hit_disk={} miss={} saved={}",
-        counters.hit_disk, counters.miss, counters.saved
+         cold store saved={}; warm store hit_disk={} miss={} saved={}",
+        cold_store.counters().saved,
+        counters.hit_disk,
+        counters.miss,
+        counters.saved
     );
     assert!(cold_evals > 0, "cold run must evaluate");
     assert!(
@@ -144,15 +146,12 @@ fn warm_process_runs_at_least_5x_fewer_simulator_evaluations() {
 fn store_written_under_jobs_8_warms_jobs_1_bit_identically() {
     let _guard = lock();
     let dir = fresh_dir("jobs");
-    mc_launcher::store::install_store(&dir);
 
     mc_exec::set_jobs(8);
-    simulate_fresh_process();
-    let (cold_evals, parallel) = run_counted(FIGURES);
+    let (cold_evals, parallel) = run_counted(&fresh_process(&dir).0, FIGURES);
 
     mc_exec::set_jobs(1);
-    simulate_fresh_process();
-    let (warm_evals, serial) = run_counted(FIGURES);
+    let (warm_evals, serial) = run_counted(&fresh_process(&dir).0, FIGURES);
     restore_defaults();
 
     assert!(cold_evals > 0, "cold jobs=8 run must evaluate");
@@ -289,10 +288,8 @@ fn damaged_records_degrade_to_recomputation_never_failure() {
     let _guard = lock();
     mc_exec::set_jobs(4);
     let dir = fresh_dir("damage");
-    mc_launcher::store::install_store(&dir);
 
-    simulate_fresh_process();
-    let (cold_evals, cold) = run_counted(&[ExperimentId::Fig13]);
+    let (cold_evals, cold) = run_counted(&fresh_process(&dir).0, &[ExperimentId::Fig13]);
     let log_path = dir.join("eval.log");
     let mut log = std::fs::read(&log_path).expect("read the eval log");
     let starts = frame_starts(&log);
@@ -311,9 +308,8 @@ fn damaged_records_degrade_to_recomputation_never_failure() {
 
     // A fresh handle, as a new process would open: damaged entries are
     // misses, the rest still hit, and the figure's shape is unchanged.
-    let store = mc_launcher::store::install_store(&dir);
-    simulate_fresh_process();
-    let (damaged_evals, damaged) = run_counted(&[ExperimentId::Fig13]);
+    let (ctx, store) = fresh_process(&dir);
+    let (damaged_evals, damaged) = run_counted(&ctx, &[ExperimentId::Fig13]);
     let counters = store.counters();
     restore_defaults();
 

@@ -129,7 +129,7 @@ fn launch(args: Vec<String>, run: &mut Run) -> (u8, Option<mc_report::RunManifes
             }
         };
         let launcher = MicroLauncher::new(options.clone());
-        return match launcher.run(&kernel_input) {
+        return match launcher.run_in(run.ctx(), &kernel_input) {
             Ok(report) => {
                 let manifest = build_manifest(&options, input, report.stable, run, 0);
                 let document = format!(
@@ -199,7 +199,7 @@ fn launch(args: Vec<String>, run: &mut Run) -> (u8, Option<mc_report::RunManifes
     let mut all_stable = true;
     let mut rows = Vec::with_capacity(programs.len());
     for (program, result) in
-        programs.iter().zip(mc_launcher::try_run_batch_supervised(points.collect()))
+        programs.iter().zip(run.ctx().try_run_batch_supervised(points.collect()))
     {
         match result {
             Ok(report) => {

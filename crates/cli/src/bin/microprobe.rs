@@ -20,8 +20,8 @@ use mc_insight::attribute;
 use mc_kernel::builder::{load_stream, strided_stream};
 use mc_kernel::Program;
 use mc_launcher::options::MachinePreset;
-use mc_launcher::sweeps::{core_sweep, programs_by_unroll, programs_by_unroll_shared};
-use mc_launcher::{KernelInput, LauncherOptions, MicroLauncher};
+use mc_launcher::sweeps::{core_sweep, programs_by_unroll_shared};
+use mc_launcher::{Ctx, KernelInput, LauncherOptions, MicroLauncher};
 use mc_report::table::{fmt_f, AsciiTable};
 use mc_simarch::config::Level;
 use mc_simarch::energy::{energy_frequency_sweep, energy_optimal_frequency};
@@ -82,7 +82,7 @@ fn probe(
     manifest.set("input", format!("{mode}{}", preset.name()));
     run.note_store(&mut manifest);
     if explain_mode {
-        explain(preset, evidence_mode);
+        explain(run.ctx(), preset, evidence_mode);
         return (exitcode::OK, Some(manifest));
     }
     let mut probe_span = mc_trace::span("probe.machine");
@@ -96,7 +96,7 @@ fn probe(
 
     // Hierarchy characterization: cycles/load for scalar & vector streams.
     let cycles_per_load = |m: Mnemonic, unroll: u32, level: Level| -> f64 {
-        let program = programs_by_unroll(&load_stream(m, unroll, unroll))
+        let program = programs_by_unroll_shared(run.ctx(), &load_stream(m, unroll, unroll))
             .expect("generation succeeds")
             .remove(0);
         let o = LauncherOptions {
@@ -107,7 +107,7 @@ fn probe(
         };
         let loads = program.load_count().max(1) as f64;
         MicroLauncher::new(o)
-            .run(&KernelInput::program(program))
+            .run_in(run.ctx(), &KernelInput::program(program))
             .expect("run succeeds")
             .cycles_per_iteration
             / loads
@@ -123,7 +123,7 @@ fn probe(
     println!("─ memory hierarchy (streaming loads) ─\n{}", table.render());
 
     // Saturation knee.
-    let program = programs_by_unroll_shared(&load_stream(Mnemonic::Movaps, 8, 8))
+    let program = programs_by_unroll_shared(run.ctx(), &load_stream(Mnemonic::Movaps, 8, 8))
         .expect("generation succeeds")
         .remove(0);
     let o = LauncherOptions {
@@ -133,7 +133,7 @@ fn probe(
         ..LauncherOptions::default()
     };
     let total = machine.sockets * machine.cores_per_socket;
-    let series = core_sweep(&o, &program, total).expect("sweep succeeds");
+    let series = core_sweep(run.ctx(), &o, &program, total).expect("sweep succeeds");
     let knee = mc_report::experiments::knee_x(&series, 1.1);
     println!("─ fork-mode RAM saturation ─");
     println!(
@@ -167,7 +167,7 @@ fn probe(
 /// installed `--profile` collector) every estimate also records an
 /// mc-scope profile; evidence mode then cites, per verdict, the profile
 /// lines that back it.
-fn explain(preset: MachinePreset, evidence_mode: bool) {
+fn explain(ctx: &Ctx, preset: MachinePreset, evidence_mode: bool) {
     let machine = preset.config();
     println!("══ {} — bottleneck attribution ══", machine.name);
     let generated = |desc: &mc_kernel::KernelDesc| -> Program {
@@ -200,7 +200,7 @@ fn explain(preset: MachinePreset, evidence_mode: bool) {
         "share",
         "runner-up",
     ]);
-    let profiler = mc_launcher::profile::profiler();
+    let profiler = ctx.profiling();
     let mut cited: Vec<(String, String, String, Vec<mc_insight::EvidenceLine>)> = Vec::new();
     for (program, level) in &cases {
         let env = ExecEnv::single_core(preset.config().clone());

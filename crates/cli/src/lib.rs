@@ -221,7 +221,8 @@ pub const PROFILE_ENV: &str = "MICROTOOLS_PROFILE";
 
 /// One run of an evaluating binary (`microcreator`, `microlauncher`,
 /// `microprobe`, `reproduce`): every shared flag parsed once, the
-/// process-wide sinks and slots it selects installed, and the end-of-run
+/// process-wide sinks it selects installed, the run context
+/// ([`Run::ctx`]) the binary evaluates through built, and the end-of-run
 /// teardown in one place.
 ///
 /// [`Run::from_flags`] consumes the shared flags in the order they
@@ -254,7 +255,7 @@ pub const PROFILE_ENV: &str = "MICROTOOLS_PROFILE";
 ///    for the lifetime of the process (port 0 picks a free port).
 /// 5. **Persistent store**: `--store=DIR`, else `MICROTOOLS_STORE`, else
 ///    `<registry root>/store` when the run registers, else none (memoized
-///    in-process only). Records persisted under another report schema or
+///    in the run context only). Records persisted under another report schema or
 ///    simulator calibration self-invalidate, and corrupt records are
 ///    skipped with a counted warning. A killed run resumes by rerunning
 ///    it against the same store: finished points load from disk.
@@ -271,15 +272,14 @@ pub const PROFILE_ENV: &str = "MICROTOOLS_PROFILE";
 /// then the trace flushed and the `--metrics` tables printed. Dropping an
 /// unfinished run (a panic, or a flag error part-way through
 /// `from_flags`) does the same teardown except that it registers nothing
-/// and prints no tables.
+/// and prints no tables. The run context goes with the run.
 pub struct Run {
     trace: Trace,
     registry: Option<mc_pulse::Registry>,
     tty: Option<Arc<mc_pulse::TtyProgress>>,
     /// Held only to keep the endpoint serving until the process ends.
     _server: Option<mc_pulse::MetricsServer>,
-    store: Option<Arc<mc_store::DiskStore>>,
-    profiler: Option<Arc<mc_launcher::profile::Profiler>>,
+    ctx: mc_launcher::Ctx,
     documents: Vec<(String, String)>,
 }
 
@@ -300,8 +300,7 @@ impl Run {
             registry: None,
             tty: None,
             _server: None,
-            store: None,
-            profiler: None,
+            ctx: mc_launcher::Ctx::default(),
             documents: Vec::new(),
         };
         if let Some(value) = take_flag(flags, "--jobs") {
@@ -319,8 +318,6 @@ impl Run {
                 None => root.as_ref().map(|root| root.join("store")),
             },
         };
-        run.store = store_dir.map(mc_launcher::store::install_store);
-
         let profile_dir = match take_flag(flags, "--profile") {
             Some(dir) if dir.is_empty() => {
                 Some(root.map_or_else(|| PathBuf::from("profiles"), |r| r.join("profiles")))
@@ -329,12 +326,17 @@ impl Run {
             None => std::env::var(PROFILE_ENV).ok().filter(|v| !v.is_empty()).map(PathBuf::from),
         };
         if let Some(dir) = profile_dir {
-            run.profiler = Some(
-                mc_launcher::profile::install_profiler(&dir)
-                    .map_err(|e| format!("--profile: {e}"))?,
-            );
+            let profiler =
+                mc_launcher::profile::Profiler::new(dir).map_err(|e| format!("--profile: {e}"))?;
+            run.ctx = mc_launcher::Ctx::with_profiler(Arc::new(profiler));
         }
+        run.ctx.set_store(store_dir.as_deref());
         Ok(run)
+    }
+
+    /// The run context (memos, `--store`, `--profile`) this run evaluates in.
+    pub fn ctx(&self) -> &mc_launcher::Ctx {
+        &self.ctx
     }
 
     /// The mc-pulse part of [`Run::from_flags`]: registry, live progress
@@ -433,7 +435,7 @@ impl Run {
     /// runs and would break byte-identical documents and content-derived
     /// run IDs.
     pub fn note_store(&self, manifest: &mut mc_report::RunManifest) {
-        if let Some(store) = &self.store {
+        if let Some(store) = self.ctx.disk_store() {
             manifest.set("store", store.root().display().to_string());
         }
     }
@@ -467,8 +469,9 @@ impl Run {
             }
             _ => None,
         };
-        if let Some(profiler) = self.profiler.take() {
-            mc_launcher::profile::clear_profiler();
+        // Taken, so a second close finds nothing; dropping it is its teardown.
+        let ctx = std::mem::take(&mut self.ctx);
+        if let Some(profiler) = ctx.profiling() {
             let count = profiler.finish(run_id.as_deref());
             if count > 0 {
                 mc_trace::diag!(
@@ -477,7 +480,7 @@ impl Run {
                 );
             }
         }
-        if let Some(store) = self.store.take() {
+        if let Some(store) = ctx.disk_store() {
             store.flush_ledger();
             let c = store.counters();
             if !c.is_empty() {
@@ -495,7 +498,6 @@ impl Run {
                     store.root().display(),
                 );
             }
-            mc_launcher::store::clear_store();
         }
     }
 }
@@ -503,8 +505,8 @@ impl Run {
 impl Drop for Run {
     fn drop(&mut self) {
         // A panic or early exit must not leave a progress sink installed,
-        // profiles unwritten, the ledger unflushed or the process-wide
-        // slots set; the `trace` field's own drop then flushes the sink.
+        // profiles unwritten or the ledger unflushed; the `trace` field's
+        // own drop then flushes the sink.
         self.close(None);
     }
 }
@@ -578,8 +580,7 @@ mod tests {
     use std::sync::{Mutex, MutexGuard, PoisonError};
 
     /// A [`Run`] installs process-wide state (guard policy, trace and
-    /// progress sinks, the store and profiler slots), so the tests that
-    /// build one take turns.
+    /// progress sinks), so the tests that build one take turns.
     static GLOBALS: Mutex<()> = Mutex::new(());
 
     fn globals() -> MutexGuard<'static, ()> {
@@ -647,8 +648,8 @@ mod tests {
         let mut run = Run::from_flags(&mut flags).unwrap();
         assert_eq!(flags, vec!["--other=1"]);
         assert!(!run.registering());
-        assert!(mc_launcher::store::store().is_none());
-        assert!(mc_launcher::profile::profiler().is_none());
+        assert!(run.ctx().disk_store().is_none());
+        assert!(run.ctx().profiling().is_none());
         assert!(!mc_trace::progress_enabled());
         run.record_document("ignored", "key,value\n");
         assert!(run.documents.is_empty(), "no registry, nothing buffered");
@@ -687,15 +688,14 @@ mod tests {
         let mut explicit = vec![format!("--profile={}", base.join("p").display())];
         let run = Run::from_flags(&mut explicit).unwrap();
         assert!(explicit.is_empty());
-        let dir = |p: Arc<mc_launcher::profile::Profiler>| p.dir().to_path_buf();
-        assert_eq!(mc_launcher::profile::profiler().map(dir), Some(base.join("p")));
+        let dir = |run: &Run| run.ctx().profiling().map(|p| p.dir().to_path_buf());
+        assert_eq!(dir(&run), Some(base.join("p")));
         run.finish("test", None, exitcode::OK);
-        assert!(mc_launcher::profile::profiler().is_none(), "finish uninstalls");
 
         // Bare --profile lands beside the registry when the run registers.
         let mut bare = vec!["--profile".to_owned(), format!("--registry={}", base.display())];
         let run = Run::from_flags(&mut bare).unwrap();
-        assert_eq!(mc_launcher::profile::profiler().map(dir), Some(base.join("profiles")));
+        assert_eq!(dir(&run), Some(base.join("profiles")));
         run.finish("test", None, exitcode::OK);
         std::fs::remove_dir_all(&base).ok();
     }
@@ -708,7 +708,7 @@ mod tests {
         let mut run = Run::from_flags(&mut flags).unwrap();
         assert!(run.registering(), "--registry alone registers");
         assert!(flags.is_empty());
-        let store_root = mc_launcher::store::store().map(|s| s.root().to_path_buf());
+        let store_root = run.ctx().disk_store().map(|s| s.root().to_path_buf());
         assert_eq!(store_root, Some(dir.join("store")));
         run.record_document("doc", "not,a,launcher,csv\n");
         let mut manifest = mc_report::RunManifest::new();
@@ -738,16 +738,14 @@ mod tests {
         ];
         let run = Run::from_flags(&mut flags).unwrap();
         assert!(flags.is_empty());
-        assert!(mc_launcher::profile::profiler().is_some());
+        assert!(run.ctx().profiling().is_some());
         assert!(mc_trace::progress_enabled());
-        let installed = mc_launcher::store::store().expect("store installed");
+        let installed = run.ctx().disk_store().expect("store attached");
         assert_eq!(installed.load(mc_launcher::store::EVAL_KIND, "00000000000000ff"), None);
         mc_trace::event("cli.test", vec![("n", mc_trace::Value::from(1u64))]);
         // No finish(): the Drop alone must tear the run down.
-        drop(run);
-        assert!(mc_launcher::store::store().is_none(), "store slot cleared");
+        drop((run, installed));
         assert_eq!(mc_store::ledger_totals(&store).counters.miss, 1, "ledger flushed");
-        assert!(mc_launcher::profile::profiler().is_none(), "profiler slot cleared");
         assert!(!mc_trace::progress_enabled(), "progress uninstalled");
         mc_trace::uninstall();
         let text = std::fs::read_to_string(&trace).unwrap();

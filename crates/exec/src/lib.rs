@@ -10,9 +10,8 @@
 //! * [`ExecEngine`] — a scoped thread pool whose workers claim items from
 //!   one shared queue and fan a batch across the machine and collects results **in submission order**,
 //!   so parallel sweeps are bit-identical to serial ones,
-//! * [`MemoCache`] — a sharded memoization cache shared process-wide, so
-//!   identical evaluations are computed once and reused across sweeps and
-//!   figures.
+//! * [`MemoCache`] — a sharded memoization cache, so identical
+//!   evaluations are computed once and reused across sweeps and figures.
 //!
 //! Worker count resolution (highest priority first): an explicit
 //! [`set_jobs`] call (the binaries' `--jobs=N` flag), the
@@ -23,7 +22,7 @@
 pub mod cache;
 pub mod pool;
 
-pub use cache::{HashedKey, MemoCache, ShardKey};
+pub use cache::{MemoCache, ShardKey};
 pub use pool::ExecEngine;
 
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -1,5 +1,5 @@
 //! Batch evaluation: many `(Program, LauncherOptions)` points through the
-//! mc-exec engine, with process-wide memoization.
+//! mc-exec engine, memoized in a run context ([`Ctx`]).
 //!
 //! An [`EvalPoint`] is a program and the options it runs under, each
 //! behind an `Arc`: a sweep driver builds every distinct option set once
@@ -10,60 +10,45 @@
 //!
 //! ## Cache key derivation
 //!
-//! Three process-wide memos share one program fingerprint
-//! ([`program_fingerprint`]: FNV-1a over the program's derived `Hash`,
-//! behind a version tag), computed once per distinct `Arc` in the batch,
-//! not per point:
+//! A context's three evaluation memos share one program fingerprint
+//! ([`program_fingerprint`]), computed once per distinct `Arc` in the
+//! batch, not per point (DESIGN.md §10 has the full derivation):
 //!
-//! * **evaluation** — `(program fingerprint, options fingerprint)` → the
-//!   finished [`RunReport`]. The options half is
-//!   [`LauncherOptions::fingerprint`] of the point's options: every
-//!   field, explicitly, in declaration order, so two separately built but
-//!   equal option sets share one entry. Only `Ok` reports are cached;
-//!   errors always re-evaluate.
+//! * **evaluation** — `(program fingerprint,`
+//!   [`LauncherOptions::fingerprint`]`)` → the finished [`RunReport`].
+//!   Only `Ok` reports are cached; errors always re-evaluate.
 //! * **verification** — `(program fingerprint,
-//!   KernelEnvironment::verify_fingerprint)` → the interpreter's verdict.
-//!   The verify-input half hashes only what verification reads, so the
-//!   points of a frequency or core sweep share one verification per
-//!   program.
+//!   KernelEnvironment::verify_fingerprint)` → the interpreter's verdict,
+//!   shared by the points of a frequency or core sweep.
 //! * **estimate model** — `(program fingerprint, machine preset)` → the
 //!   program-and-machine half of the estimate
-//!   ([`mc_simarch::ProgramModel`]); each point only finishes it with its
-//!   own workload, frequency and cores.
+//!   ([`mc_simarch::ProgramModel`]).
 //!
-//! [`clear_cache`] and [`set_cache_enabled`] govern all three.
-//!
-//! When a persistent store is installed ([`crate::store::install_store`])
-//! the memo cache gains a disk tier: a miss consults the store under the
-//! same key before evaluating, and fresh results are written back — so a
-//! *new process* re-running a sweep warms up from records an earlier
-//! process paid for. Store records self-invalidate on schema or
-//! simulator-calibration changes, and a damaged store degrades to
-//! misses, never wrong results. The store is also how a killed sweep
-//! resumes: each point is appended to the store's log as it finishes
-//! (one fsync per batch makes the batch durable), so a rerun against
-//! the same store evaluates only what the first process never finished.
-//! Failed points are never saved, so a rerun evaluates them again.
+//! With a store attached ([`Ctx::set_store`]) a memo miss first consults
+//! the store under the same key, and fresh results are appended to it as
+//! they finish (one fsync per batch), so a new process — or the rerun of
+//! a killed sweep — evaluates only what no earlier process finished.
+//! Failed points are never saved. Records self-invalidate on schema or
+//! calibration changes, and a damaged store degrades to misses, never to
+//! wrong results.
 //!
 //! ## Supervision
 //!
-//! Every point runs through [`mc_guard::supervise`]: a panic inside the
-//! generate→simulate→measure chain, a blown per-eval deadline, or an
-//! exhausted retry budget yields a structured [`mc_guard::EvalError`]
-//! for that point while the rest of the batch completes — one poisoned
-//! variant no longer kills the pool. Memo hits, disk hits and
-//! evaluations all happen inside the supervised attempt, so an armed
-//! fault fires at its eval index however the point is then answered.
+//! Every point runs through [`mc_guard::supervise`]: a panic, a blown
+//! per-eval deadline or an exhausted retry budget yields a structured
+//! [`mc_guard::EvalError`] for that point while the rest of the batch
+//! completes. Memo hits, disk hits and evaluations all happen inside the
+//! supervised attempt, so an armed fault fires at its eval index however
+//! the point is then answered.
 
+use crate::ctx::Ctx;
 use crate::input::KernelInput;
-use crate::launcher::{MicroLauncher, RunReport, VerifyReport};
+use crate::launcher::{MicroLauncher, RunReport};
 use crate::options::LauncherOptions;
-use mc_exec::MemoCache;
 use mc_guard::EvalError;
 use mc_kernel::Program;
-use mc_simarch::ProgramModel;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// One evaluation point of a sweep: a program and the options it runs
 /// under, both shared by every point that uses them.
@@ -82,58 +67,14 @@ impl EvalPoint {
     }
 }
 
-/// The process-wide evaluation cache, shared across sweeps and figures.
-fn eval_cache() -> &'static MemoCache<(u64, u64), RunReport> {
-    static CACHE: OnceLock<MemoCache<(u64, u64), RunReport>> = OnceLock::new();
-    CACHE.get_or_init(|| MemoCache::new("exec.cache"))
-}
-
-/// The process-wide verification memo: `(program fingerprint,
-/// verify-input fingerprint)` → the interpreter's verdict. Verification
-/// never reads frequency, cores, seed, noise or the sampling policy, so
-/// evaluations that differ only there share one interpreter run.
-pub(crate) fn verify_memo() -> &'static MemoCache<(u64, u64), VerifyReport> {
-    static CACHE: OnceLock<MemoCache<(u64, u64), VerifyReport>> = OnceLock::new();
-    CACHE.get_or_init(|| MemoCache::new("simarch.verify"))
-}
-
-/// The process-wide estimate-model memo: `(program fingerprint, machine
-/// preset)` → the program-and-machine half of the estimate. Every option
-/// point of a sweep that shares a program and a machine finishes the same
-/// model.
-pub(crate) fn model_memo() -> &'static MemoCache<(u64, u64), Arc<ProgramModel<'static>>> {
-    static CACHE: OnceLock<MemoCache<(u64, u64), Arc<ProgramModel<'static>>>> = OnceLock::new();
-    CACHE.get_or_init(|| MemoCache::new("simarch.model"))
-}
-
-/// Enables or disables evaluation, verification and estimate-model
-/// memoization process-wide (off = always compute).
-pub fn set_cache_enabled(on: bool) {
-    eval_cache().set_enabled(on);
-    verify_memo().set_enabled(on);
-    model_memo().set_enabled(on);
-}
-
-/// Drops every memoized evaluation, verification and estimate model.
+/// [`Ctx::clear_cache`] on the process context; goes with ROADMAP item 6.
 pub fn clear_cache() {
-    eval_cache().clear();
-    verify_memo().clear();
-    model_memo().clear();
+    Ctx::process().clear_cache();
 }
 
-/// Lifetime `(hits, misses)` of the evaluation cache.
+/// [`Ctx::cache_stats`] of the process context; goes with ROADMAP item 6.
 pub fn cache_stats() -> (u64, u64) {
-    eval_cache().stats()
-}
-
-/// Lifetime `(hits, misses)` of the verification memo.
-pub fn verify_cache_stats() -> (u64, u64) {
-    verify_memo().stats()
-}
-
-/// Lifetime `(hits, misses)` of the estimate-model memo.
-pub fn model_cache_stats() -> (u64, u64) {
-    model_memo().stats()
+    Ctx::process().cache_stats()
 }
 
 /// Bumped whenever the bytes [`program_fingerprint`] hashes change shape,
@@ -149,94 +90,98 @@ pub fn program_fingerprint(program: &Program) -> u64 {
     mc_report::Fnv64::new().u64(PROGRAM_KEY_VERSION).hashed(program).finish()
 }
 
-/// Evaluates every point under guard supervision, keeping structured
-/// per-point failures: `results[i]` corresponds to `points[i]`.
-/// Failures are neither cached nor persisted, so a rerun retries them.
-///
-/// Eval indices for fault injection are reserved contiguously at
-/// submission time, so `results[i]` always carries global index
-/// `base + i` regardless of worker count — the foundation of the
-/// "jobs=1 and jobs=8 agree under injected faults" guarantee.
+/// [`Ctx::try_run_batch_supervised`] on the process context; goes with
+/// ROADMAP item 6.
 pub fn try_run_batch_supervised(points: Vec<EvalPoint>) -> Vec<Result<RunReport, EvalError>> {
-    let mut span = mc_trace::span("launcher.batch");
-    span.field("points", points.len() as u64);
-    span.field("jobs", mc_exec::jobs() as u64);
-    let base_index = mc_guard::reserve_indices(points.len());
-    // One fingerprint per distinct program allocation, not per point.
-    let mut fingerprints: HashMap<*const Program, u64> = HashMap::new();
-    let prepared: Vec<(u64, u64, EvalPoint)> = points
-        .into_iter()
-        .enumerate()
-        .map(|(i, point)| {
-            let fp = *fingerprints
-                .entry(Arc::as_ptr(&point.program))
-                .or_insert_with(|| program_fingerprint(&point.program));
-            (base_index + i as u64, fp, point)
-        })
-        .collect();
-    let results = mc_exec::engine().run(prepared, |(index, program_fp, point)| {
-        let EvalPoint { program, options } = point;
-        let key = (program_fp, options.fingerprint());
-        let label = program.name.clone();
-        mc_guard::supervise(index, &label, move || {
-            let store = crate::store::store();
-            let mut computed = false;
-            let report = eval_cache().get_or_try_compute(key, || {
-                computed = true;
-                // Second tier: a record persisted by an earlier process
-                // answers without touching the simulator.
-                let stored = store.as_ref().map(|store| (store, crate::store::eval_key(key)));
-                if let Some(report) = stored
-                    .as_ref()
-                    .and_then(|(store, store_key)| store.load(crate::store::EVAL_KIND, store_key))
-                    .and_then(|payload| crate::store::decode_report(&payload))
-                {
-                    return Ok(report);
+    Ctx::process().try_run_batch_supervised(points)
+}
+
+impl Ctx {
+    /// Evaluates every point under guard supervision through this
+    /// context's memos and store, keeping structured per-point failures:
+    /// `results[i]` corresponds to `points[i]`. Failures are neither
+    /// cached nor persisted, so a rerun retries them.
+    ///
+    /// Eval indices for fault injection are reserved contiguously at
+    /// submission time, so `results[i]` always carries global index
+    /// `base + i` regardless of worker count — the foundation of the
+    /// "jobs=1 and jobs=8 agree under injected faults" guarantee.
+    pub fn try_run_batch_supervised(
+        &self,
+        points: Vec<EvalPoint>,
+    ) -> Vec<Result<RunReport, EvalError>> {
+        let mut span = mc_trace::span("launcher.batch");
+        span.field("points", points.len() as u64);
+        span.field("jobs", mc_exec::jobs() as u64);
+        let base_index = mc_guard::reserve_indices(points.len());
+        // One fingerprint per distinct program allocation, not per point.
+        let mut fingerprints: HashMap<*const Program, u64> = HashMap::new();
+        let prepared: Vec<(u64, u64, EvalPoint)> = points
+            .into_iter()
+            .enumerate()
+            .map(|(i, point)| {
+                let fp = *fingerprints
+                    .entry(Arc::as_ptr(&point.program))
+                    .or_insert_with(|| program_fingerprint(&point.program));
+                (base_index + i as u64, fp, point)
+            })
+            .collect();
+        let results = mc_exec::engine().run(prepared, |(index, program_fp, point)| {
+            let EvalPoint { program, options } = point;
+            let key = (program_fp, options.fingerprint());
+            let label = program.name.clone();
+            // A supervised attempt may outlive this call on a deadline
+            // thread, so it holds its own handle on the context.
+            let ctx = self.clone();
+            mc_guard::supervise(index, &label, move || {
+                let store = ctx.disk_store();
+                let mut computed = false;
+                let report = ctx.0.evals.get_or_try_compute(key, || {
+                    computed = true;
+                    // Second tier: a record persisted by an earlier process
+                    // answers without touching the simulator.
+                    let stored = store.as_ref().map(|store| (store, crate::store::eval_key(key)));
+                    if let Some(report) = stored
+                        .as_ref()
+                        .and_then(|(store, store_key)| {
+                            store.load(crate::store::EVAL_KIND, store_key)
+                        })
+                        .and_then(|payload| crate::store::decode_report(&payload))
+                    {
+                        return Ok(report);
+                    }
+                    // Only an evaluation clones the options.
+                    let report = MicroLauncher::new(LauncherOptions::clone(&options)).run_input(
+                        Some(&ctx),
+                        &KernelInput::program(program.clone()),
+                        Some(program_fp),
+                    )?;
+                    if let Some((store, store_key)) = &stored {
+                        let payload = crate::store::encode_report(&report);
+                        store.save(crate::store::EVAL_KIND, store_key, &payload);
+                    }
+                    Ok(report)
+                });
+                if let (false, Some(store)) = (computed, &store) {
+                    store.note_mem_hit();
                 }
-                // Only an evaluation clones the options.
-                let report = MicroLauncher::new(LauncherOptions::clone(&options))
-                    .run_fingerprinted(&KernelInput::program(program.clone()), program_fp)?;
-                if let Some((store, store_key)) = &stored {
-                    let payload = crate::store::encode_report(&report);
-                    store.save(crate::store::EVAL_KIND, store_key, &payload);
-                }
-                Ok(report)
-            });
-            if let (false, Some(store)) = (computed, &store) {
-                store.note_mem_hit();
-            }
-            report
-        })
-    });
-    // One fsync per batch makes every record it saved durable.
-    if let Some(store) = crate::store::store() {
-        store.sync();
+                report
+            })
+        });
+        // One fsync per batch makes every record it saved durable.
+        if let Some(store) = self.disk_store() {
+            store.sync();
+        }
+        results
     }
-    results
-}
 
-/// Evaluates every point, keeping per-point failures as strings:
-/// `results[i]` corresponds to `points[i]`. Failures are not cached.
-pub fn try_run_batch(points: Vec<EvalPoint>) -> Vec<Result<RunReport, String>> {
-    try_run_batch_supervised(points)
-        .into_iter()
-        .map(|result| result.map_err(|error| error.to_string()))
-        .collect()
-}
-
-/// Evaluates every point, failing on the first error (in submission
-/// order, so the reported error is deterministic too).
-pub fn run_batch(points: Vec<EvalPoint>) -> Result<Vec<RunReport>, String> {
-    try_run_batch(points).into_iter().collect()
-}
-
-impl MicroLauncher {
-    /// Evaluates a batch of programs under this launcher's options,
-    /// fanned across the process-wide evaluation engine. `results[i]`
-    /// corresponds to `programs[i]`.
-    pub fn run_batch(&self, programs: &[Arc<Program>]) -> Result<Vec<RunReport>, String> {
-        let base = Arc::new(self.options().clone());
-        run_batch(programs.iter().map(|p| EvalPoint::new(p.clone(), base.clone())).collect())
+    /// Evaluates every point, failing on the first error (in submission
+    /// order, so the reported error is deterministic too).
+    pub fn run_batch(&self, points: Vec<EvalPoint>) -> Result<Vec<RunReport>, String> {
+        self.try_run_batch_supervised(points)
+            .into_iter()
+            .map(|result| result.map_err(|error| error.to_string()))
+            .collect()
     }
 }
 
@@ -265,8 +210,9 @@ mod tests {
             .iter()
             .map(|p| launcher.run(&KernelInput::program(p.clone())).unwrap())
             .collect();
-        let batched = launcher.run_batch(&programs).unwrap();
-        assert_eq!(serial, batched);
+        let base = Arc::new(opts());
+        let points = programs.iter().map(|p| EvalPoint::new(p.clone(), base.clone())).collect();
+        assert_eq!(serial, Ctx::default().run_batch(points).unwrap());
     }
 
     #[test]
@@ -278,7 +224,7 @@ mod tests {
             EvalPoint::new(program.clone(), at(Level::L1)),
             EvalPoint::new(program.clone(), at(Level::Ram)),
         ];
-        let reports = run_batch(points).unwrap();
+        let reports = Ctx::default().run_batch(points).unwrap();
         assert_eq!(reports[0].residence, Some(Level::L1));
         assert_eq!(reports[1].residence, Some(Level::Ram));
         assert!(reports[1].cycles_per_iteration > reports[0].cycles_per_iteration);
@@ -286,17 +232,19 @@ mod tests {
 
     #[test]
     fn identical_points_agree_through_the_cache() {
-        // The cache and its stats are process-global and other tests run
-        // concurrently, so this asserts result equality only; hit/miss
-        // accounting is covered by the serialized integration tests.
+        // A private context: its memo sees only these batches, so the
+        // exact hit/miss accounting is this test's alone. The first point
+        // runs alone, so no two workers race on the missing entry.
+        let ctx = Ctx::default();
         let program = movaps_program(4);
         let base = Arc::new(opts());
-        let points: Vec<EvalPoint> =
-            (0..6).map(|_| EvalPoint::new(program.clone(), base.clone())).collect();
-        let reports = run_batch(points).unwrap();
+        let point = || EvalPoint::new(program.clone(), base.clone());
+        let mut reports = ctx.run_batch(vec![point()]).unwrap();
+        reports.extend(ctx.run_batch((0..5).map(|_| point()).collect()).unwrap());
         for r in &reports[1..] {
             assert_eq!(r, &reports[0]);
         }
+        assert_eq!(ctx.cache_stats(), (5, 1), "one evaluation, five replays");
     }
 
     #[test]
@@ -309,12 +257,13 @@ mod tests {
         let fixed_base = Arc::new(opts());
         let adaptive_base =
             Arc::new(LauncherOptions { adaptive: true, min_samples: 2, max_samples: 8, ..opts() });
-        let reports = run_batch(vec![
-            EvalPoint::new(program.clone(), fixed_base.clone()),
-            EvalPoint::new(program.clone(), adaptive_base.clone()),
-            EvalPoint::new(program.clone(), fixed_base.clone()),
-        ])
-        .unwrap();
+        let reports = Ctx::default()
+            .run_batch(vec![
+                EvalPoint::new(program.clone(), fixed_base.clone()),
+                EvalPoint::new(program.clone(), adaptive_base.clone()),
+                EvalPoint::new(program.clone(), fixed_base.clone()),
+            ])
+            .unwrap();
         assert_eq!(reports[0].samples_used, 3, "fixed mode pays the full budget");
         assert!(!reports[0].adaptive);
         assert_eq!(reports[1].samples_used, 2, "adaptive answer came from a fixed entry");
@@ -443,15 +392,16 @@ mod tests {
             |programs: &[Program]| programs.iter().map(program_fingerprint).collect::<Vec<_>>();
         assert_eq!(keys(&from_xml), keys(&built));
         // The description key too: both spellings share one generated set.
-        let shared = crate::sweeps::generate_shared(&parsed).unwrap();
-        assert!(Arc::ptr_eq(&shared, &crate::sweeps::generate_shared(&figure6()).unwrap()));
+        let ctx = Ctx::default();
+        let shared = ctx.generate_shared(&parsed).unwrap();
+        assert!(Arc::ptr_eq(&shared, &ctx.generate_shared(&figure6()).unwrap()));
     }
 
     #[test]
     fn per_point_errors_stay_per_point() {
         let good = movaps_program(2);
         let base = Arc::new(opts());
-        let results = try_run_batch(vec![
+        let results = Ctx::default().try_run_batch_supervised(vec![
             EvalPoint::new(good.clone(), base.clone()),
             EvalPoint::new(good, Arc::new(LauncherOptions { trip_count: 3, ..opts() })),
         ]);

@@ -2,6 +2,7 @@
 //! modes and input kinds, producing a [`RunReport`] and its CSV row.
 
 use crate::clock::{Clock, RdtscClock, SimClock};
+use crate::ctx::Ctx;
 use crate::env::KernelEnvironment;
 use crate::input::KernelInput;
 use crate::measure::{measure, MeasureConfig, Measurement};
@@ -161,29 +162,26 @@ impl MicroLauncher {
         MicroLauncher { options: LauncherOptions::default() }
     }
 
-    /// The active options.
-    pub fn options(&self) -> &LauncherOptions {
-        &self.options
-    }
-
-    /// Runs one kernel input. Traced as one `launcher.run` span carrying
-    /// the kernel name, mode, and the reported result.
+    /// Runs one kernel input with no context (no memo, no profile). Traced
+    /// as one `launcher.run` span carrying the kernel name, mode, and the
+    /// reported result.
     pub fn run(&self, input: &KernelInput) -> Result<RunReport, String> {
-        self.run_input(input, None)
+        self.run_input(None, input, None)
     }
 
-    /// [`Self::run`] for a caller that already holds the program's
-    /// [`crate::batch::program_fingerprint`] (the batch path), so the
-    /// verification memo does not hash the program a second time.
-    pub(crate) fn run_fingerprinted(
+    /// [`Self::run`] under `ctx`: verification and the estimate model go
+    /// through its memos, and its profiler records the evaluation.
+    pub fn run_in(&self, ctx: &Ctx, input: &KernelInput) -> Result<RunReport, String> {
+        self.run_input(Some(ctx), input, None)
+    }
+
+    /// The batch hands in the program's fingerprint it already holds.
+    pub(crate) fn run_input(
         &self,
+        ctx: Option<&Ctx>,
         input: &KernelInput,
-        program_fp: u64,
+        program_fp: Option<u64>,
     ) -> Result<RunReport, String> {
-        self.run_input(input, Some(program_fp))
-    }
-
-    fn run_input(&self, input: &KernelInput, program_fp: Option<u64>) -> Result<RunReport, String> {
         let mut span = mc_trace::span("launcher.run");
         let result = match input {
             KernelInput::Native(kernel) => self.run_native(kernel.as_ref()),
@@ -192,7 +190,7 @@ impl MicroLauncher {
             }
             _ => {
                 let program = input.as_program().expect("program-backed input");
-                self.run_simulated(program, program_fp)
+                self.run_simulated(ctx, program, program_fp)
             }
         };
         if span.is_active() {
@@ -218,6 +216,7 @@ impl MicroLauncher {
 
     fn run_simulated(
         &self,
+        ctx: Option<&Ctx>,
         program: &Program,
         program_fp: Option<u64>,
     ) -> Result<RunReport, String> {
@@ -228,13 +227,17 @@ impl MicroLauncher {
         let fp_cell = program_fp.map_or_else(OnceCell::new, OnceCell::from);
         let program_fp = || *fp_cell.get_or_init(|| crate::batch::program_fingerprint(program));
         let verify = if o.verify {
-            // Verification reads only the program and the verify inputs,
-            // so every point of a frequency or core sweep shares one run.
-            let key = (program_fp(), env.verify_fingerprint(o));
-            Some(crate::batch::verify_memo().get_or_try_compute(key, || {
+            let verify = || {
                 let _span = mc_trace::span("simarch.verify");
                 self.verify_program(program, &env)
-            })?)
+            };
+            // Verification reads only the program and the verify inputs,
+            // so every point of a frequency or core sweep shares one run.
+            let key = || (program_fp(), env.verify_fingerprint(o));
+            Some(match ctx {
+                Some(ctx) => ctx.0.verdicts.get_or_try_compute(key(), verify)?,
+                None => verify()?,
+            })
         } else {
             None
         };
@@ -253,14 +256,14 @@ impl MicroLauncher {
         let workload = env.workload();
         // The program-and-machine half of the estimate is shared by every
         // point of a sweep. It is memoized once the program's fingerprint
-        // is known (handed in, or hashed for verification); a lone run
+        // is known (handed in, or hashed for verification); a single run
         // analyzes directly rather than hash the program for one lookup.
         let analyze = || Arc::new(ProgramModel::analyze(program, env.machine));
-        let model = match fp_cell.get() {
-            Some(&fp) => crate::batch::model_memo().get_or_compute((fp, o.machine as u64), analyze),
-            None => analyze(),
+        let model = match (ctx, fp_cell.get()) {
+            (Some(ctx), Some(&fp)) => ctx.0.models.get_or_compute((fp, o.machine as u64), analyze),
+            _ => analyze(),
         };
-        let profiler = crate::profile::profiler();
+        let profiler = ctx.and_then(Ctx::profiling);
         let mut collector =
             profiler.as_ref().map(|_| mc_scope::Collector::new(program.name.clone()));
         let timing = match collector.as_mut() {
@@ -704,28 +707,23 @@ mod tests {
 
     #[test]
     fn profiled_run_records_a_complete_eval_profile() {
-        let _guard = crate::profile::test_slot_lock().lock().unwrap();
         let dir = std::env::temp_dir().join(format!("mc_profiled_run_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        // Tests run concurrently and any evaluation made while the
-        // process-wide profiler is installed records into it, so this
-        // test evaluates a kernel name no other test uses and counts only
-        // its own profiles.
-        let kernel = "profiled_run_kernel";
         let desc = load_stream(mc_asm::Mnemonic::Movaps, 8, 8);
-        let mut program = MicroCreator::new().generate(&desc).unwrap().programs.remove(0);
-        program.name = kernel.to_string();
-        let profiler = crate::profile::install_profiler(&dir).unwrap();
-        let report = MicroLauncher::with_defaults().run(&KernelInput::program(program)).unwrap();
-        crate::profile::clear_profiler();
-        let ours = profiler.kernels().iter().filter(|k| *k == kernel).count();
-        assert_eq!(ours, 1, "one evaluation, one profile");
-        assert!(profiler.finish(Some("run-under-test")) >= 1);
+        let program = MicroCreator::new().generate(&desc).unwrap().programs.remove(0);
+        let profiler = Arc::new(crate::profile::Profiler::new(&dir).unwrap());
+        let ctx = Ctx::with_profiler(profiler.clone());
+        let input = KernelInput::program(program);
+        let report = MicroLauncher::with_defaults().run_in(&ctx, &input).unwrap();
+        assert_eq!(profiler.kernels(), vec![report.name.clone()], "one evaluation, one profile");
+        MicroLauncher::with_defaults().run(&input).unwrap();
+        assert_eq!(profiler.len(), 1, "a run without the context records nothing");
+        assert_eq!(profiler.finish(Some("run-under-test")), 1);
 
         let index = std::fs::read_to_string(dir.join("index.jsonl")).unwrap();
-        let mut lines = index.lines().filter(|l| l.contains(&format!("\"kernel\":\"{kernel}\"")));
-        let line = lines.next().expect("index lists the profile");
-        assert!(lines.next().is_none(), "one index entry per profile");
+        let [line] = index.lines().collect::<Vec<_>>()[..] else {
+            panic!("one index entry per profile: {index}");
+        };
         let file = line.split("\"file\":\"").nth(1).unwrap().split('"').next().unwrap();
         let profile =
             mc_scope::jsonl::decode(&std::fs::read_to_string(dir.join(file)).unwrap()).unwrap();

@@ -24,10 +24,12 @@
 //!   sweeps, core-count sweeps, unroll sweeps, frequency sweeps,
 //! * [`store`] — the persistent evaluation store's fingerprints and
 //!   payload codecs; rerunning a killed sweep against the same store
-//!   resumes it.
+//!   resumes it,
+//! * [`Ctx`] — the run context: memos, store and profiler.
 
 pub mod batch;
 pub mod clock;
+mod ctx;
 pub mod env;
 pub mod input;
 pub mod launcher;
@@ -38,8 +40,9 @@ pub mod stability;
 pub mod store;
 pub mod sweeps;
 
-pub use batch::{run_batch, try_run_batch, try_run_batch_supervised, EvalPoint};
+pub use batch::{try_run_batch_supervised, EvalPoint};
 pub use clock::{Clock, RdtscClock, SimClock};
+pub use ctx::Ctx;
 pub use input::{KernelInput, NativeKernel};
 pub use launcher::{MicroLauncher, RunReport};
 pub use options::{Aggregation, LauncherOptions, MachinePreset, Mode};

@@ -1,10 +1,10 @@
 //! The launcher's side of evaluation profiling (mc-scope).
 //!
-//! A [`Profiler`] is installed process-wide, like the evaluation store:
-//! binaries install it when `--profile` is passed, and the simulated run
-//! path collects an [`EvalProfile`] per *evaluated* kernel (memo/store
-//! warm hits produce no profile — a profile documents an evaluation that
-//! actually happened).
+//! A [`Profiler`] belongs to a run context ([`crate::Ctx::with_profiler`]):
+//! binaries build one when `--profile` is passed, and the simulated run
+//! path collects an [`EvalProfile`] per kernel it *evaluates* under that
+//! context (memo/store warm hits produce no profile — a profile documents
+//! an evaluation that actually happened).
 //!
 //! Profiling is pure observation. It is deliberately **not** part of
 //! [`crate::options::LauncherOptions`], so it can never reach the
@@ -20,7 +20,7 @@
 
 use mc_scope::{jsonl, EvalProfile};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::Mutex;
 
 /// Collects evaluation profiles into a directory.
 #[derive(Debug)]
@@ -115,35 +115,6 @@ impl Profiler {
     }
 }
 
-fn profiler_slot() -> &'static RwLock<Option<Arc<Profiler>>> {
-    static SLOT: OnceLock<RwLock<Option<Arc<Profiler>>>> = OnceLock::new();
-    SLOT.get_or_init(|| RwLock::new(None))
-}
-
-/// Installs a profiler process-wide; evaluations start collecting.
-pub fn install_profiler(dir: impl Into<PathBuf>) -> Result<Arc<Profiler>, String> {
-    let profiler = Arc::new(Profiler::new(dir)?);
-    *profiler_slot().write().expect("profiler slot poisoned") = Some(profiler.clone());
-    Ok(profiler)
-}
-
-/// The installed profiler, if any.
-pub fn profiler() -> Option<Arc<Profiler>> {
-    profiler_slot().read().expect("profiler slot poisoned").clone()
-}
-
-/// Removes the installed profiler.
-pub fn clear_profiler() {
-    *profiler_slot().write().expect("profiler slot poisoned") = None;
-}
-
-/// Serializes tests that touch the process-wide profiler slot.
-#[cfg(test)]
-pub(crate) fn test_slot_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,21 +162,6 @@ mod tests {
         assert!(profiler.is_empty());
         assert_eq!(profiler.finish(None), 0);
         assert!(!dir.join("index.jsonl").exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn slot_installs_and_clears() {
-        let _guard = test_slot_lock().lock().unwrap();
-        let before = profiler();
-        let dir = std::env::temp_dir().join(format!("mc_profiler_slot_{}", std::process::id()));
-        let handle = install_profiler(&dir).unwrap();
-        assert_eq!(profiler().map(|p| p.dir().to_owned()), Some(handle.dir().to_owned()));
-        clear_profiler();
-        assert!(profiler().is_none());
-        if let Some(prev) = before {
-            *profiler_slot().write().unwrap() = Some(prev);
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -25,10 +25,11 @@
 //!   every field of the program and a lossy decode would silently kill
 //!   every downstream warm hit.
 //!
-//! The installed store is a process-wide slot: binaries install it once
-//! at startup and the batch/sweep hot paths consult it on memo-cache
-//! misses.
+//! A store belongs to a run context ([`Ctx::set_store`]): binaries
+//! attach it once at startup, and the batch and generation paths of that
+//! context consult it on memo misses.
 
+use crate::ctx::Ctx;
 use crate::launcher::{RunReport, VerifyReport};
 use crate::options::Mode;
 use mc_insight::{Attribution, BottleneckClass};
@@ -39,7 +40,7 @@ use mc_store::DiskStore;
 use mc_trace::{EventKind, TraceEvent, Value};
 use std::fmt::Write;
 use std::path::Path;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 
 /// Store namespace of evaluation results.
 pub const EVAL_KIND: &str = "eval";
@@ -76,28 +77,10 @@ pub fn gen_key(key: u64) -> String {
     format!("{key:016x}")
 }
 
-fn store_slot() -> &'static RwLock<Option<Arc<DiskStore>>> {
-    static STORE: OnceLock<RwLock<Option<Arc<DiskStore>>>> = OnceLock::new();
-    STORE.get_or_init(|| RwLock::new(None))
-}
-
-/// Opens a disk store rooted at `dir` under this build's fingerprints
-/// and installs it process-wide. Returns the handle (for end-of-run
-/// counter reporting and ledger flushing).
+/// Attaches a store rooted at `dir` to the process context
+/// ([`Ctx::set_store`]); goes with ROADMAP item 6.
 pub fn install_store(dir: impl AsRef<Path>) -> Arc<DiskStore> {
-    let store = Arc::new(DiskStore::open(dir.as_ref(), schema_fingerprint(), calib_fingerprint()));
-    *store_slot().write().expect("store slot poisoned") = Some(store.clone());
-    store
-}
-
-/// The installed store, if any.
-pub fn store() -> Option<Arc<DiskStore>> {
-    store_slot().read().expect("store slot poisoned").clone()
-}
-
-/// Removes the installed store.
-pub fn clear_store() {
-    *store_slot().write().expect("store slot poisoned") = None;
+    Ctx::process().set_store(Some(dir.as_ref())).expect("a directory opens a store")
 }
 
 /// Renders a report as a store payload: its fields tab-separated in one
@@ -781,26 +764,19 @@ mod tests {
     }
 
     #[test]
-    fn install_store_round_trips_through_the_slot() {
-        // Other tests share the process-wide slot; restore it on exit.
-        let before = store();
-        let dir =
-            std::env::temp_dir().join(format!("mc_launcher_store_slot_{}", std::process::id()));
-        let handle = install_store(&dir);
-        assert_eq!(store().map(|s| s.root().to_owned()), Some(dir.clone()));
-        // The installed handle writes under this build's fingerprints.
+    fn a_context_store_writes_under_this_builds_fingerprints() {
+        let ctx = Ctx::default();
+        let dir = std::env::temp_dir().join(format!("mc_launcher_store_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        let handle = ctx.set_store(Some(&dir)).expect("a store is attached");
+        assert_eq!(ctx.disk_store().map(|s| s.root().to_owned()), Some(dir.clone()));
         handle.save(EVAL_KIND, "00000000000000aa", "payload");
         let reader = DiskStore::open(&dir, schema_fingerprint(), calib_fingerprint());
         assert_eq!(reader.load(EVAL_KIND, "00000000000000aa").as_deref(), Some("payload"));
         let other = DiskStore::open(&dir, schema_fingerprint() ^ 1, calib_fingerprint());
         assert_eq!((other.load(EVAL_KIND, "00000000000000aa"), other.counters().stale), (None, 1));
-        match before {
-            Some(prev) => {
-                *store_slot().write().unwrap() = Some(prev);
-            }
-            None => clear_store(),
-        }
+        assert!(ctx.set_store(None).is_none());
+        assert!(ctx.disk_store().is_none(), "None detaches");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -3,55 +3,44 @@
 //! Each driver wraps [`crate::MicroLauncher`] runs over one swept
 //! parameter and returns [`mc_report::Series`] data ready for plotting and
 //! shape checking. The `mc-bench` harness composes these into the exact
-//! figures.
+//! figures. Every driver evaluates through the run context it is handed,
+//! and [`Ctx::generate_shared`] generates each description once per
+//! context.
 
-use crate::batch::{run_batch, EvalPoint};
+use crate::batch::EvalPoint;
+use crate::ctx::Ctx;
 use crate::options::{LauncherOptions, Mode};
 use mc_creator::MicroCreator;
-use mc_exec::MemoCache;
 use mc_kernel::{KernelDesc, Program};
 use mc_report::series::Series;
 use mc_simarch::align::alignment_grid;
 use mc_simarch::config::Level;
-use std::sync::{Arc, OnceLock};
-
-/// The process-wide generation cache: figure drivers sweep the same
-/// `KernelDesc` several times (e.g. a frequency sweep and a core sweep on
-/// one kernel); generating once and sharing the programs by `Arc` keeps
-/// MicroCreator off the sweep hot path. Keyed by the description's
-/// structural fingerprint (FNV-1a over its derived `Hash`), so two
-/// spellings of one kernel share an entry; all entries use
-/// MicroCreator's default configuration.
-fn generation_cache() -> &'static MemoCache<u64, Arc<Vec<Arc<Program>>>> {
-    static CACHE: OnceLock<MemoCache<u64, Arc<Vec<Arc<Program>>>>> = OnceLock::new();
-    CACHE.get_or_init(|| MemoCache::new("exec.gen"))
-}
+use std::sync::Arc;
 
 /// Bumped whenever the bytes a description key hashes change shape.
 const DESC_KEY_VERSION: u64 = 2;
 
-/// Drops every memoized generation (the in-memory tier only; persisted
-/// store records survive). Tests use this to simulate a fresh process.
+/// Drops the process context's memoized generations (store records
+/// survive); goes with ROADMAP item 6.
 pub fn clear_generation_cache() {
-    generation_cache().clear();
+    Ctx::process().0.generated.clear();
 }
 
-/// Generates all programs for a description once per process, shared via
-/// `Arc` (default MicroCreator configuration). With a persistent store
-/// installed, generation also checks the disk tier — a set persisted by
-/// an earlier process is reparsed instead of regenerated, and fresh sets
-/// are written back (only when they provably round-trip, because the
-/// evaluation keys hash the programs themselves).
-pub fn generate_shared(desc: &KernelDesc) -> Result<Arc<Vec<Arc<Program>>>, String> {
-    let key = mc_report::Fnv64::new().u64(DESC_KEY_VERSION).hashed(desc).finish();
-    let store = crate::store::store();
-    let mut computed = false;
-    let programs = generation_cache().get_or_try_compute(key, || {
-        computed = true;
-        if let Some(store) = &store {
-            let store_key = crate::store::gen_key(key);
-            if let Some(programs) = store
-                .load(crate::store::GEN_KIND, &store_key)
+impl Ctx {
+    /// Generates a description's programs once per context (default
+    /// MicroCreator configuration), keyed by its structural fingerprint so
+    /// two spellings share an entry. An attached store serves sets earlier
+    /// processes persisted and keeps fresh ones that provably round-trip.
+    pub fn generate_shared(&self, desc: &KernelDesc) -> Result<Arc<Vec<Arc<Program>>>, String> {
+        let key = mc_report::Fnv64::new().u64(DESC_KEY_VERSION).hashed(desc).finish();
+        let store = self.disk_store();
+        let mut computed = false;
+        let programs = self.0.generated.get_or_try_compute(key, || {
+            computed = true;
+            let stored = store.as_ref().map(|store| (store, crate::store::gen_key(key)));
+            if let Some(programs) = stored
+                .as_ref()
+                .and_then(|(store, store_key)| store.load(crate::store::GEN_KIND, store_key))
                 .and_then(|payload| crate::store::decode_programs(&payload))
             {
                 return Ok(Arc::new(programs));
@@ -60,28 +49,27 @@ pub fn generate_shared(desc: &KernelDesc) -> Result<Arc<Vec<Arc<Program>>>, Stri
                 .generate(desc)
                 .map(|r| r.programs.into_iter().map(Arc::new).collect())
                 .map_err(|e| e.to_string())?;
-            if let Some(payload) = crate::store::encode_programs(&programs) {
-                store.save(crate::store::GEN_KIND, &store_key, &payload);
+            if let Some((store, store_key)) = &stored {
+                if let Some(payload) = crate::store::encode_programs(&programs) {
+                    store.save(crate::store::GEN_KIND, store_key, &payload);
+                }
             }
-            return Ok(Arc::new(programs));
-        }
-        MicroCreator::new()
-            .generate(desc)
-            .map(|r| Arc::new(r.programs.into_iter().map(Arc::new).collect::<Vec<_>>()))
-            .map_err(|e| e.to_string())
-    });
-    if !computed {
-        if let Some(store) = &store {
+            Ok(Arc::new(programs))
+        });
+        if let (false, Some(store)) = (computed, &store) {
             store.note_mem_hit();
         }
+        programs
     }
-    programs
 }
 
 /// One shared program per unroll factor (taking the pure-load variant
 /// when operand swaps produce several).
-pub fn programs_by_unroll_shared(desc: &KernelDesc) -> Result<Vec<Arc<Program>>, String> {
-    let all = generate_shared(desc)?;
+pub fn programs_by_unroll_shared(
+    ctx: &Ctx,
+    desc: &KernelDesc,
+) -> Result<Vec<Arc<Program>>, String> {
+    let all = ctx.generate_shared(desc)?;
     let mut out: Vec<Arc<Program>> = Vec::new();
     for unroll in desc.unrolling.factors() {
         let p = all
@@ -94,16 +82,10 @@ pub fn programs_by_unroll_shared(desc: &KernelDesc) -> Result<Vec<Arc<Program>>,
     Ok(out)
 }
 
-/// Generates one program per unroll factor from a description (taking the
-/// pure-load variant when operand swaps produce several). Owned-value
-/// compatibility wrapper over [`programs_by_unroll_shared`].
-pub fn programs_by_unroll(desc: &KernelDesc) -> Result<Vec<Program>, String> {
-    Ok(programs_by_unroll_shared(desc)?.into_iter().map(|p| (*p).clone()).collect())
-}
-
 /// Cycles-per-iteration across unroll factors, one series per memory
 /// hierarchy level (Figures 11/12 when divided by the instruction count).
 pub fn unroll_by_level_sweep(
+    ctx: &Ctx,
     base: &LauncherOptions,
     desc: &KernelDesc,
     levels: &[Level],
@@ -112,14 +94,14 @@ pub fn unroll_by_level_sweep(
     let mut sweep_span = mc_trace::span("launcher.sweep");
     sweep_span.field("sweep", "unroll_by_level");
     sweep_span.field("levels", levels.len() as u64);
-    let programs = programs_by_unroll_shared(desc)?;
+    let programs = programs_by_unroll_shared(ctx, desc)?;
     sweep_span.field("programs", programs.len() as u64);
     let mut points = Vec::with_capacity(levels.len() * programs.len());
     for &level in levels {
         let options = Arc::new(LauncherOptions { residence: Some(level), ..base.clone() });
         points.extend(programs.iter().map(|p| EvalPoint::new(p.clone(), options.clone())));
     }
-    let reports = run_batch(points)?;
+    let reports = ctx.run_batch(points)?;
     let mut series = Vec::with_capacity(levels.len());
     for (li, &level) in levels.iter().enumerate() {
         let points = programs
@@ -143,6 +125,7 @@ pub fn unroll_by_level_sweep(
 /// Reference cycles per memory instruction across core frequencies, one
 /// series per hierarchy level (Figure 13).
 pub fn frequency_sweep(
+    ctx: &Ctx,
     base: &LauncherOptions,
     program: &Arc<Program>,
     levels: &[Level],
@@ -160,7 +143,7 @@ pub fn frequency_sweep(
             eval_points.push(EvalPoint::new(program.clone(), Arc::new(options)));
         }
     }
-    let reports = run_batch(eval_points)?;
+    let reports = ctx.run_batch(eval_points)?;
     let mut series = Vec::with_capacity(levels.len());
     for (li, &level) in levels.iter().enumerate() {
         let points = steps
@@ -175,6 +158,7 @@ pub fn frequency_sweep(
 
 /// Cycles per iteration as the fork-mode core count grows (Figure 14).
 pub fn core_sweep(
+    ctx: &Ctx,
     base: &LauncherOptions,
     program: &Arc<Program>,
     max_cores: u32,
@@ -188,7 +172,7 @@ pub fn core_sweep(
             EvalPoint::new(program.clone(), Arc::new(options))
         })
         .collect();
-    let reports = run_batch(eval_points)?;
+    let reports = ctx.run_batch(eval_points)?;
     let points = reports
         .iter()
         .zip(1..=max_cores)
@@ -209,6 +193,7 @@ pub struct AlignmentPoint {
 /// Sweeps alignment configurations (Figures 4, 15, 16): every combination
 /// of per-array offsets `0..=max_offset` step `step`.
 pub fn alignment_sweep(
+    ctx: &Ctx,
     base: &LauncherOptions,
     program: &Arc<Program>,
     step: u64,
@@ -218,13 +203,14 @@ pub fn alignment_sweep(
     sweep_span.field("sweep", "alignment");
     let grid = alignment_grid(program.nb_arrays as usize, step, max_offset);
     sweep_span.field("configs", grid.len() as u64);
-    alignment_batch(base, program, grid)
+    alignment_batch(ctx, base, program, grid)
 }
 
 /// Shared tail of the alignment sweeps: one shared program, one option
 /// set per grid configuration. Verification is O(configs) here; one pass
 /// outside suffices, so every point disables it.
 fn alignment_batch(
+    ctx: &Ctx,
     base: &LauncherOptions,
     program: &Arc<Program>,
     configs: Vec<Vec<u64>>,
@@ -237,7 +223,7 @@ fn alignment_batch(
             EvalPoint::new(program.clone(), Arc::new(options))
         })
         .collect();
-    let reports = run_batch(eval_points)?;
+    let reports = ctx.run_batch(eval_points)?;
     Ok(configs
         .into_iter()
         .zip(reports)
@@ -254,6 +240,7 @@ fn alignment_batch(
 /// configurations). Sampling is seeded and deterministic, and always
 /// includes the all-zero (worst) and evenly-spread (best) corners.
 pub fn alignment_sweep_sampled(
+    ctx: &Ctx,
     base: &LauncherOptions,
     program: &Arc<Program>,
     step: u64,
@@ -275,7 +262,7 @@ pub fn alignment_sweep_sampled(
     }
     // The sampled configurations are fixed (seeded) before batch
     // submission, so the worker count never changes which points run.
-    alignment_batch(base, program, configs)
+    alignment_batch(ctx, base, program, configs)
 }
 
 /// Converts alignment points to a Series over the configuration index.
@@ -291,6 +278,7 @@ pub fn alignment_series(label: &str, points: &[AlignmentPoint]) -> Series {
 /// wall-clock seconds for `invocations` repeated calls (Table 2's
 /// "execution time of the benchmark program").
 pub fn openmp_comparison(
+    ctx: &Ctx,
     base: &LauncherOptions,
     desc: &KernelDesc,
     elements: u64,
@@ -300,7 +288,7 @@ pub fn openmp_comparison(
     let mut sweep_span = mc_trace::span("launcher.sweep");
     sweep_span.field("sweep", "openmp_comparison");
     sweep_span.field("threads", u64::from(threads));
-    let programs = programs_by_unroll_shared(desc)?;
+    let programs = programs_by_unroll_shared(ctx, desc)?;
     sweep_span.field("programs", programs.len() as u64);
     let vector_bytes = elements * u64::from(desc.element_bytes.max(1));
     // Two points per program, interleaved [seq, omp, seq, omp, …].
@@ -313,7 +301,7 @@ pub fn openmp_comparison(
         eval_points.push(EvalPoint::new(p.clone(), Arc::new(seq)));
         eval_points.push(EvalPoint::new(p.clone(), Arc::new(omp)));
     }
-    let reports = run_batch(eval_points)?;
+    let reports = ctx.run_batch(eval_points)?;
     let mut seq_points = Vec::new();
     let mut omp_points = Vec::new();
     let mut seq_seconds = Vec::new();
@@ -362,6 +350,7 @@ pub struct OmpComparison {
 /// largest arithmetic count that stays within `tolerance` of the bare
 /// stream — the "hidden" instruction budget.
 pub fn arithmetic_hiding_sweep(
+    ctx: &Ctx,
     base: &LauncherOptions,
     mem_mnemonic: mc_asm::Mnemonic,
     max_arith: u32,
@@ -376,13 +365,14 @@ pub fn arithmetic_hiding_sweep(
     for k in 0..=max_arith {
         let desc = mc_kernel::builder::try_arithmetic_hiding(mem_mnemonic, k)
             .map_err(|e| e.to_string())?;
-        let program = generate_shared(&desc)?
+        let program = ctx
+            .generate_shared(&desc)?
             .first()
             .cloned()
             .ok_or_else(|| "arithmetic_hiding produced no programs".to_owned())?;
         eval_points.push(EvalPoint::new(program, options.clone()));
     }
-    let reports = run_batch(eval_points)?;
+    let reports = ctx.run_batch(eval_points)?;
     let points: Vec<(f64, f64)> = reports
         .iter()
         .enumerate()
@@ -403,6 +393,7 @@ pub fn arithmetic_hiding_sweep(
 /// Stride study (§3.5): cycles per access as the stream stride grows —
 /// the prefetcher cliff. Returns `(stride_bytes, cycles_per_access)`.
 pub fn stride_sweep(
+    ctx: &Ctx,
     base: &LauncherOptions,
     mnemonic: mc_asm::Mnemonic,
     element_strides: &[i64],
@@ -413,10 +404,10 @@ pub fn stride_sweep(
     sweep_span.field("configs", element_strides.len() as u64);
     let desc = mc_kernel::builder::try_strided_stream(mnemonic, element_strides)
         .map_err(|e| e.to_string())?;
-    let programs = generate_shared(&desc)?;
+    let programs = ctx.generate_shared(&desc)?;
     let options = Arc::new(LauncherOptions { residence: Some(level), ..base.clone() });
     let eval_points = programs.iter().map(|p| EvalPoint::new(p.clone(), options.clone())).collect();
-    let reports = run_batch(eval_points)?;
+    let reports = ctx.run_batch(eval_points)?;
     let mut points: Vec<(f64, f64)> = programs
         .iter()
         .zip(&reports)
@@ -443,7 +434,7 @@ mod tests {
     #[test]
     fn programs_by_unroll_covers_range() {
         let desc = load_stream(Mnemonic::Movaps, 1, 8);
-        let ps = programs_by_unroll(&desc).unwrap();
+        let ps = programs_by_unroll_shared(&Ctx::default(), &desc).unwrap();
         assert_eq!(ps.len(), 8);
         for (i, p) in ps.iter().enumerate() {
             assert_eq!(p.meta.unroll, i as u32 + 1);
@@ -454,7 +445,8 @@ mod tests {
     #[test]
     fn unroll_sweep_orders_hierarchy() {
         let desc = load_stream(Mnemonic::Movaps, 1, 8);
-        let series = unroll_by_level_sweep(&opts(), &desc, &Level::ALL, true).unwrap();
+        let series =
+            unroll_by_level_sweep(&Ctx::default(), &opts(), &desc, &Level::ALL, true).unwrap();
         assert_eq!(series.len(), 4);
         // At unroll 8 the levels are strictly ordered.
         let at_u8: Vec<f64> = series.iter().map(|s| s.points[7].1).collect();
@@ -470,8 +462,9 @@ mod tests {
     #[test]
     fn frequency_sweep_scales_l1_not_ram() {
         let desc = load_stream(Mnemonic::Movaps, 8, 8);
-        let p = programs_by_unroll_shared(&desc).unwrap().remove(0);
-        let series = frequency_sweep(&opts(), &p, &[Level::L1, Level::Ram]).unwrap();
+        let p = programs_by_unroll_shared(&Ctx::default(), &desc).unwrap().remove(0);
+        let series =
+            frequency_sweep(&Ctx::default(), &opts(), &p, &[Level::L1, Level::Ram]).unwrap();
         let l1 = &series[0];
         let ram = &series[1];
         assert!(l1.points.first().unwrap().1 > l1.points.last().unwrap().1 * 1.4);
@@ -481,10 +474,10 @@ mod tests {
     #[test]
     fn core_sweep_has_knee() {
         let desc = load_stream(Mnemonic::Movaps, 8, 8);
-        let p = programs_by_unroll_shared(&desc).unwrap().remove(0);
+        let p = programs_by_unroll_shared(&Ctx::default(), &desc).unwrap().remove(0);
         let mut o = opts();
         o.residence = Some(Level::Ram);
-        let series = core_sweep(&o, &p, 12).unwrap();
+        let series = core_sweep(&Ctx::default(), &o, &p, 12).unwrap();
         assert_eq!(series.points.len(), 12);
         let knee = mc_report::experiments::knee_x(&series, 1.1);
         assert!(matches!(knee, Some(x) if (5.0..=9.0).contains(&x)), "knee at {knee:?}");
@@ -499,7 +492,7 @@ mod tests {
         o.mode = Mode::Fork;
         o.cores = 8;
         o.residence = Some(Level::Ram);
-        let points = alignment_sweep(&o, &p, 1024, 3072).unwrap();
+        let points = alignment_sweep(&Ctx::default(), &o, &p, 1024, 3072).unwrap();
         assert_eq!(points.len(), 256, "4 arrays × 4 offsets");
         let series = alignment_series("fig15", &points);
         let ys = series.ys();
@@ -512,10 +505,24 @@ mod tests {
     fn ram_streams_hide_arithmetic_l1_streams_do_not() {
         // From RAM, several additions ride free under the memory latency;
         // from L1 the port pressure shows immediately.
-        let (ram_series, ram_hidden) =
-            arithmetic_hiding_sweep(&opts(), Mnemonic::Movaps, 10, Level::Ram, 0.02).unwrap();
-        let (_, l1_hidden) =
-            arithmetic_hiding_sweep(&opts(), Mnemonic::Movaps, 10, Level::L1, 0.02).unwrap();
+        let (ram_series, ram_hidden) = arithmetic_hiding_sweep(
+            &Ctx::default(),
+            &opts(),
+            Mnemonic::Movaps,
+            10,
+            Level::Ram,
+            0.02,
+        )
+        .unwrap();
+        let (_, l1_hidden) = arithmetic_hiding_sweep(
+            &Ctx::default(),
+            &opts(),
+            Mnemonic::Movaps,
+            10,
+            Level::L1,
+            0.02,
+        )
+        .unwrap();
         assert!(ram_hidden >= 4, "RAM should hide ≥4 addps, hid {ram_hidden}");
         assert!(ram_hidden > l1_hidden, "RAM hides more than L1: {ram_hidden} vs {l1_hidden}");
         // Past the hidden budget the cost grows.
@@ -528,8 +535,14 @@ mod tests {
     fn stride_sweep_shows_prefetch_cliff() {
         // Unit-stride streaming is bandwidth-bound; page-stride accesses
         // defeat the prefetcher and pay latency per access.
-        let series =
-            stride_sweep(&opts(), Mnemonic::Movss, &[1, 2, 4, 16, 64, 1024], Level::Ram).unwrap();
+        let series = stride_sweep(
+            &Ctx::default(),
+            &opts(),
+            Mnemonic::Movss,
+            &[1, 2, 4, 16, 64, 1024],
+            Level::Ram,
+        )
+        .unwrap();
         assert_eq!(series.points.len(), 6);
         let unit = series.points[0].1;
         let page = series.points.last().unwrap().1;
@@ -542,7 +555,7 @@ mod tests {
         let desc = load_stream(Mnemonic::Movss, 1, 8);
         let mut o = opts();
         o.machine = MachinePreset::SandyBridgeE31240;
-        let cmp = openmp_comparison(&o, &desc, 128 * 1024, 4, 1000).unwrap();
+        let cmp = openmp_comparison(&Ctx::default(), &o, &desc, 128 * 1024, 4, 1000).unwrap();
         // Sequential improves with unrolling…
         let seq_gain = cmp.sequential.points[0].1 / cmp.sequential.points[7].1;
         assert!(seq_gain > 1.15, "sequential unroll gain {seq_gain}");

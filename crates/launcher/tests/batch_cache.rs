@@ -1,17 +1,18 @@
-//! Serialized accounting tests for the evaluation cache and the exec
-//! metrics: exact hit/miss tallies under `jobs=1` (where no benign
-//! duplicate compute can occur) and the `exec.*` counters and gauges a
-//! sweep must publish under `--metrics`.
+//! Accounting tests for the evaluation cache and the exec metrics: exact
+//! hit/miss tallies under `jobs=1` (where no benign duplicate compute can
+//! occur), the `exec.*` counters and gauges a sweep must publish under
+//! `--metrics`, and the isolation of two run contexts.
 //!
-//! Everything here touches process-global state (the cache, the worker
-//! count, the metrics registry), so each test takes one shared lock.
+//! Each test evaluates on its own context, but the worker count and the
+//! metrics registry are process-global, so the tests that set or read
+//! them take one shared lock.
 
 use mc_creator::MicroCreator;
 use mc_kernel::builder::load_stream;
 use mc_kernel::Program;
-use mc_launcher::batch::{cache_stats, clear_cache, set_cache_enabled, verify_cache_stats};
+use mc_launcher::store::EVAL_KIND;
 use mc_launcher::sweeps::unroll_by_level_sweep;
-use mc_launcher::{EvalPoint, LauncherOptions, RunReport};
+use mc_launcher::{Ctx, EvalPoint, KernelInput, LauncherOptions, MicroLauncher, RunReport};
 use mc_simarch::config::Level;
 use std::sync::{Arc, Mutex};
 
@@ -34,41 +35,36 @@ fn options() -> LauncherOptions {
 fn serial_hit_miss_accounting_is_exact() {
     let _guard = lock();
     mc_exec::set_jobs(1);
-    clear_cache();
+    let ctx = Ctx::default();
     let base = Arc::new(options());
     let points: Vec<EvalPoint> = (0..6).map(|_| EvalPoint::new(program(4), base.clone())).collect();
-    let (h0, m0) = cache_stats();
-    mc_launcher::run_batch(points).expect("batch runs");
-    let (hits, misses) = cache_stats();
+    ctx.run_batch(points).expect("batch runs");
     // Six identical points under one worker: the first computes, the
     // other five replay it. No race can double-count in serial mode.
-    assert_eq!(misses - m0, 1, "one compute");
-    assert_eq!(hits - h0, 5, "five replays");
+    assert_eq!(ctx.cache_stats(), (5, 1), "five replays of one compute");
 }
 
 #[test]
 fn distinct_points_never_hit() {
     let _guard = lock();
     mc_exec::set_jobs(1);
-    clear_cache();
+    let ctx = Ctx::default();
     let base = Arc::new(options());
     let points: Vec<EvalPoint> =
         (1..=4).map(|u| EvalPoint::new(program(u), base.clone())).collect();
-    mc_launcher::run_batch(points).expect("batch runs");
-    let (hits, misses) = cache_stats();
-    assert_eq!(hits, 0);
-    assert_eq!(misses, 4);
+    ctx.run_batch(points).expect("batch runs");
+    assert_eq!(ctx.cache_stats(), (0, 4));
 }
 
 #[test]
 fn sweep_publishes_exec_metrics() {
     let _guard = lock();
     mc_exec::set_jobs(4);
-    clear_cache();
+    let ctx = Ctx::default();
     mc_trace::metrics().reset();
     mc_trace::enable_metrics(true);
     let desc = load_stream(mc_asm::Mnemonic::Movaps, 1, 8);
-    let series = unroll_by_level_sweep(&options(), &desc, &[Level::L1, Level::Ram], false)
+    let series = unroll_by_level_sweep(&ctx, &options(), &desc, &[Level::L1, Level::Ram], false)
         .expect("sweep runs");
     mc_trace::enable_metrics(false);
     assert_eq!(series.len(), 2);
@@ -86,7 +82,8 @@ fn sweep_publishes_exec_metrics() {
 
     // The warm re-run hits for every point.
     mc_trace::enable_metrics(true);
-    unroll_by_level_sweep(&options(), &desc, &[Level::L1, Level::Ram], false).expect("warm sweep");
+    unroll_by_level_sweep(&ctx, &options(), &desc, &[Level::L1, Level::Ram], false)
+        .expect("warm sweep");
     mc_trace::enable_metrics(false);
     let snapshot = mc_trace::metrics().snapshot();
     assert_eq!(snapshot.counter("exec.cache.hit"), Some(16));
@@ -116,23 +113,69 @@ fn frequency_sweep_verifies_each_program_once() {
             .collect()
     };
 
-    clear_cache();
+    let ctx = Ctx::default();
     mc_trace::install_progress(Arc::new(QuietSink));
-    let memoized: Vec<RunReport> = mc_launcher::run_batch(points()).expect("memo-on batch");
+    let memoized: Vec<RunReport> = ctx.run_batch(points()).expect("memo-on batch");
     let progress = mc_trace::progress_snapshot();
     mc_trace::uninstall_progress();
     // Eight frequencies are eight evaluations but one verification.
-    assert_eq!(verify_cache_stats(), (7, 1), "one interpreter run, seven replays");
-    assert_eq!(cache_stats(), (0, 8));
+    assert_eq!(ctx.verify_cache_stats(), (7, 1), "one interpreter run, seven replays");
+    assert_eq!(ctx.cache_stats(), (0, 8));
     // Progress cache counts are evaluation lookups only, not the
     // verification memo's.
     assert_eq!((progress.cache_hits, progress.cache_misses), (0, 8));
 
-    clear_cache();
-    set_cache_enabled(false);
-    let computed = mc_launcher::run_batch(points());
-    set_cache_enabled(true);
-    assert_eq!(verify_cache_stats(), (0, 0), "a disabled memo is never consulted");
-    assert_eq!(computed.expect("memo-off batch"), memoized, "memo on and off agree");
+    // Runs without a context verify afresh and agree with the memo.
+    let computed: Vec<RunReport> = points()
+        .iter()
+        .map(|p| {
+            let launcher = MicroLauncher::new(LauncherOptions::clone(&p.options));
+            launcher.run(&KernelInput::program(p.program.clone())).expect("memo-free run")
+        })
+        .collect();
+    assert_eq!(ctx.verify_cache_stats(), (7, 1), "a context-free run consults no memo");
+    assert_eq!(computed, memoized, "memo on and off agree");
     assert!(memoized.iter().all(|r| r.verify.as_ref().is_some_and(|v| v.passed)));
+}
+
+/// A fresh store directory per test.
+fn fresh_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("mc_batch_cache_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+#[test]
+fn two_contexts_share_neither_memos_nor_store_records() {
+    // Its lookups tick the process-wide metrics the sweep test counts.
+    let _guard = lock();
+    let (dir_a, dir_b) = (fresh_dir("a"), fresh_dir("b"));
+    let (a, b) = (Ctx::default(), Ctx::default());
+    let store_a = a.set_store(Some(&dir_a)).expect("store a");
+    let store_b = b.set_store(Some(&dir_b)).expect("store b");
+    let base = Arc::new(options());
+    let point = |unroll| vec![EvalPoint::new(program(unroll), base.clone())];
+
+    let from_a = a.run_batch(point(2)).expect("a evaluates");
+    // The same point on `b` misses both of its tiers: `a`'s memo entry
+    // and `a`'s store record are not `b`'s.
+    let from_b = b.run_batch(point(2)).expect("b evaluates");
+    assert_eq!(from_a, from_b);
+    assert_eq!((a.cache_stats(), b.cache_stats()), ((0, 1), (0, 1)));
+    for store in [&store_a, &store_b] {
+        let counters = store.counters();
+        assert_eq!((counters.hit_disk, counters.miss, counters.saved), (0, 1, 1));
+    }
+    // A point only `b` evaluates lands in `b`'s store alone.
+    b.run_batch(point(3)).expect("b evaluates again");
+    assert_eq!((store_a.keys(EVAL_KIND).len(), store_b.keys(EVAL_KIND).len()), (1, 2));
+    // Generation memos are per context too.
+    let desc = load_stream(mc_asm::Mnemonic::Movaps, 1, 2);
+    let (gen_a, gen_b) = (a.generate_shared(&desc).unwrap(), b.generate_shared(&desc).unwrap());
+    assert!(!Arc::ptr_eq(&gen_a, &gen_b), "each context generates its own set");
+    assert_eq!(gen_a, gen_b);
+    assert!(Arc::ptr_eq(&gen_a, &a.generate_shared(&desc).unwrap()));
+    drop((a, b, store_a, store_b));
+    let _ = std::fs::remove_dir_all(&dir_a);
+    let _ = std::fs::remove_dir_all(&dir_b);
 }

@@ -1,25 +1,17 @@
 //! Property tests for the batch evaluation path: over arbitrary kernel
 //! shapes and option settings, the memoization cache must be invisible —
-//! cache-on and cache-off evaluations return identical `RunReport`s, and
-//! batch evaluation matches the serial launcher run for run.
+//! a cached batch returns the `RunReport`s of the uncached oracle (one
+//! context-free `MicroLauncher::run` per point), cold and warm.
 //!
-//! The cache and the worker count are process-global; every property
-//! serializes on one lock so the cases cannot interleave.
+//! Every case runs on its own context, so the cases run in parallel.
 
 use mc_creator::MicroCreator;
 use mc_kernel::builder::load_stream;
 use mc_kernel::Program;
-use mc_launcher::batch::{clear_cache, set_cache_enabled};
-use mc_launcher::{EvalPoint, KernelInput, LauncherOptions, MicroLauncher};
+use mc_launcher::{Ctx, EvalPoint, KernelInput, LauncherOptions, MicroLauncher, RunReport};
 use mc_report::prop::check;
 use mc_simarch::config::Level;
-use std::sync::{Arc, Mutex};
-
-static EXEC_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    EXEC_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use std::sync::Arc;
 
 fn program(unroll: u32) -> Arc<Program> {
     let desc = load_stream(mc_asm::Mnemonic::Movaps, unroll, unroll);
@@ -28,6 +20,17 @@ fn program(unroll: u32) -> Arc<Program> {
 
 fn options(repetitions: u32, seed: u64) -> LauncherOptions {
     LauncherOptions { repetitions, meta_repetitions: 3, seed, ..LauncherOptions::default() }
+}
+
+/// The uncached oracle: each point run alone, with no context.
+fn oracle(points: &[EvalPoint]) -> Vec<RunReport> {
+    points
+        .iter()
+        .map(|p| {
+            let launcher = MicroLauncher::new(LauncherOptions::clone(&p.options));
+            launcher.run(&KernelInput::program(p.program.clone())).expect("oracle run")
+        })
+        .collect()
 }
 
 fn level(index: u8) -> Level {
@@ -39,8 +42,8 @@ fn level(index: u8) -> Level {
     }
 }
 
-/// Memoization never changes an answer: the same batch evaluated with
-/// the cache off, cold, and warm yields identical reports.
+/// Memoization never changes an answer: the same batch evaluated by the
+/// oracle, cold, and warm yields identical reports.
 #[test]
 fn cache_on_and_off_agree() {
     check(16, |rng| {
@@ -48,18 +51,15 @@ fn cache_on_and_off_agree() {
         let repetitions = rng.gen_range(2..=6u32);
         let seed = rng.gen_range(0..1024u64);
         let level_index = rng.gen_range(0..4u8);
-        let _guard = lock();
         let residence = Some(level(level_index));
         let opts = Arc::new(LauncherOptions { residence, ..options(repetitions, seed) });
         let points = || -> Vec<EvalPoint> {
             (0..4).map(|_| EvalPoint::new(program(unroll), opts.clone())).collect()
         };
-        set_cache_enabled(false);
-        let uncached = mc_launcher::run_batch(points()).expect("uncached batch");
-        set_cache_enabled(true);
-        clear_cache();
-        let cold = mc_launcher::run_batch(points()).expect("cold batch");
-        let warm = mc_launcher::run_batch(points()).expect("warm batch");
+        let uncached = oracle(&points());
+        let ctx = Ctx::default();
+        let cold = ctx.run_batch(points()).expect("cold batch");
+        let warm = ctx.run_batch(points()).expect("warm batch");
         assert_eq!(&uncached, &cold);
         assert_eq!(&cold, &warm);
     });
@@ -71,17 +71,10 @@ fn batch_matches_serial() {
     check(16, |rng| {
         let max_unroll = rng.gen_range(2..=6u32);
         let seed = rng.gen_range(0..1024u64);
-        let _guard = lock();
-        set_cache_enabled(false);
-        let programs: Vec<Arc<Program>> = (1..=max_unroll).map(program).collect();
-        let opts = options(4, seed);
-        let launcher = MicroLauncher::new(opts);
-        let serial: Vec<_> = programs
-            .iter()
-            .map(|p| launcher.run(&KernelInput::program(p.clone())).expect("serial run"))
-            .collect();
-        let batched = launcher.run_batch(&programs).expect("batched run");
-        set_cache_enabled(true);
-        assert_eq!(serial, batched);
+        let opts = Arc::new(options(4, seed));
+        let points: Vec<EvalPoint> =
+            (1..=max_unroll).map(|u| EvalPoint::new(program(u), opts.clone())).collect();
+        let serial = oracle(&points);
+        assert_eq!(serial, Ctx::default().run_batch(points).expect("batched run"));
     });
 }

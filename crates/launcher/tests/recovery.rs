@@ -2,17 +2,16 @@
 //! launcher batches — panic isolation, deadlines, retries, store-backed
 //! resume, and worker-count determinism under injected faults.
 //!
-//! Everything here touches process-global state (the fault plan, the
-//! eval-index sequence, the guard policy, the installed store, the memo
-//! cache, the worker count, the metrics registry), so each test takes
-//! one shared lock and resets that state up front.
+//! Each test evaluates on its own run context, but the fault plan, the
+//! eval-index sequence, the guard policy, the worker count and the
+//! metrics registry are process-global, so each test takes one shared
+//! lock and resets that state up front.
 
 use mc_creator::MicroCreator;
 use mc_guard::{EvalErrorKind, FaultPlan, GuardPolicy};
 use mc_kernel::builder::load_stream;
 use mc_kernel::Program;
-use mc_launcher::batch::clear_cache;
-use mc_launcher::{try_run_batch_supervised, EvalPoint, LauncherOptions, RunReport};
+use mc_launcher::{Ctx, EvalPoint, LauncherOptions, RunReport};
 use std::sync::{Arc, Mutex};
 
 static EXEC_LOCK: Mutex<()> = Mutex::new(());
@@ -25,11 +24,9 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 /// (or test ordering) could have left behind.
 fn reset() {
     mc_guard::clear_faults();
-    mc_launcher::store::clear_store();
     mc_guard::clear_quarantine();
     mc_guard::reset_indices();
     mc_guard::set_policy(GuardPolicy::default());
-    clear_cache();
 }
 
 fn program(unroll: u32) -> Arc<Program> {
@@ -68,7 +65,7 @@ fn a_panic_at_one_index_leaves_the_other_99_points_alive() {
     reset();
     mc_exec::set_jobs(4);
     mc_guard::install_faults(FaultPlan::new().panic_at(5));
-    let results = try_run_batch_supervised(identical_points(100));
+    let results = Ctx::default().try_run_batch_supervised(identical_points(100));
     mc_guard::clear_faults();
     assert_eq!(results.len(), 100);
     let failures: Vec<usize> =
@@ -96,7 +93,7 @@ fn a_deadline_fires_deterministically_on_a_delayed_eval() {
     });
     // Index 1 sleeps 400 ms against a 50 ms deadline; index 0 is clean.
     mc_guard::install_faults(FaultPlan::new().delay_at(1, 400));
-    let results = try_run_batch_supervised(identical_points(2));
+    let results = Ctx::default().try_run_batch_supervised(identical_points(2));
     mc_guard::clear_faults();
     assert!(results[0].is_ok(), "{:?}", results[0]);
     let error = results[1].as_ref().unwrap_err();
@@ -114,7 +111,7 @@ fn transient_faults_are_retried_and_recover() {
     mc_guard::install_faults(FaultPlan::new().flaky_at(0, 1));
     mc_trace::metrics().reset();
     mc_trace::enable_metrics(true);
-    let results = try_run_batch_supervised(identical_points(1));
+    let results = Ctx::default().try_run_batch_supervised(identical_points(1));
     mc_trace::enable_metrics(false);
     mc_guard::clear_faults();
     assert!(results[0].is_ok(), "{:?}", results[0]);
@@ -133,21 +130,21 @@ fn resume_skips_exactly_the_stored_set() {
     let dir = store_dir("resume");
     // Interrupted run: point 3 fails with an injected I/O error, the
     // other seven are saved to the store as they finish.
-    mc_launcher::store::install_store(&dir);
+    let ctx = Ctx::default();
+    ctx.set_store(Some(&dir));
     mc_guard::install_faults(FaultPlan::new().io_error_at(3));
-    let first = try_run_batch_supervised(distinct_points());
+    let first = ctx.try_run_batch_supervised(distinct_points());
     mc_guard::clear_faults();
     assert_eq!(first.iter().filter(|r| r.is_ok()).count(), 7);
     assert_eq!(first[3].as_ref().unwrap_err().kind, EvalErrorKind::Failed);
 
-    // Resume as a new process would: a cold memo cache and a fresh store
-    // handle on the same directory. Seven points load from disk, only the
-    // failed one evaluates and is saved.
+    // Resume as a new process would: a fresh context, so a cold memo
+    // cache and a fresh store handle on the same directory. Seven points
+    // load from disk, only the failed one evaluates and is saved.
     mc_guard::clear_quarantine();
-    clear_cache();
-    let store = mc_launcher::store::install_store(&dir);
-    let second = try_run_batch_supervised(distinct_points());
-    mc_launcher::store::clear_store();
+    let ctx = Ctx::default();
+    let store = ctx.set_store(Some(&dir)).expect("store attached");
+    let second = ctx.try_run_batch_supervised(distinct_points());
     assert!(second.iter().all(Result::is_ok), "resume completes cleanly");
     let counters = store.counters();
     assert_eq!(counters.hit_disk, 7, "seven points served from the store");
@@ -171,21 +168,22 @@ fn a_warm_store_batch_counts_no_evaluations() {
     reset();
     mc_exec::set_jobs(2);
     let dir = store_dir("warm-count");
-    mc_launcher::store::install_store(&dir);
+    let cold_ctx = Ctx::default();
+    cold_ctx.set_store(Some(&dir));
     mc_trace::metrics().reset();
     mc_trace::enable_metrics(true);
     let measurements = || mc_trace::metrics().snapshot().counter("launcher.measurements");
-    let cold = try_run_batch_supervised(distinct_points());
+    let cold = cold_ctx.try_run_batch_supervised(distinct_points());
     let after_cold = measurements();
 
-    // A new process on the same store: cold memo, fresh handle.
-    clear_cache();
-    let store = mc_launcher::store::install_store(&dir);
-    let warm = try_run_batch_supervised(distinct_points());
+    // A new process on the same store: a fresh context, so a cold memo
+    // and a fresh handle.
+    let warm_ctx = Ctx::default();
+    let store = warm_ctx.set_store(Some(&dir)).expect("store attached");
+    let warm = warm_ctx.try_run_batch_supervised(distinct_points());
     let after_warm = measurements();
     let snapshot = mc_trace::metrics().snapshot();
     mc_trace::enable_metrics(false);
-    mc_launcher::store::clear_store();
 
     assert!(cold.iter().chain(&warm).all(Result::is_ok));
     assert_eq!(after_cold, Some(8), "the cold batch measures every point");
@@ -203,13 +201,13 @@ fn worker_count_does_not_change_the_csv_under_faults() {
         mc_exec::set_jobs(jobs);
         mc_guard::reset_indices();
         mc_guard::clear_quarantine();
-        clear_cache();
         // Reinstall per run: flaky fire budgets are consumed state.
         mc_guard::install_faults(FaultPlan::new().panic_at(2).io_error_at(6));
         let base = Arc::new(options());
         let points: Vec<EvalPoint> =
             (1..=8).map(|u| EvalPoint::new(program(u), base.clone())).collect();
-        let rows = try_run_batch_supervised(points)
+        let rows = Ctx::default()
+            .try_run_batch_supervised(points)
             .into_iter()
             .enumerate()
             .map(|(i, result)| match result {
@@ -239,7 +237,7 @@ fn fail_fast_skips_points_after_the_budget_is_spent() {
     mc_exec::set_jobs(1);
     mc_guard::set_policy(GuardPolicy { fail_fast: true, ..GuardPolicy::default() });
     mc_guard::install_faults(FaultPlan::new().panic_at(2));
-    let results = try_run_batch_supervised(identical_points(6));
+    let results = Ctx::default().try_run_batch_supervised(identical_points(6));
     mc_guard::clear_faults();
     assert!(results[0].is_ok() && results[1].is_ok());
     assert_eq!(results[2].as_ref().unwrap_err().kind, EvalErrorKind::Panic);

@@ -86,9 +86,8 @@ fn launcher_run_emits_protocol_shaped_events() {
 #[test]
 fn metrics_capture_launcher_and_simarch_tallies() {
     let _guard = tracer_lock();
-    // The replay runs inside verification, which replays from the
-    // verification memo once cached: start cold.
-    mc_launcher::batch::clear_cache();
+    // The replay runs inside verification; a run without a context
+    // memoizes none, so it always replays.
     mc_trace::metrics().reset();
     mc_trace::enable_metrics(true);
     let opts = LauncherOptions {
@@ -120,7 +119,7 @@ fn metrics_capture_launcher_and_simarch_tallies() {
 #[test]
 fn verification_runs_once_across_frequencies() {
     let _guard = tracer_lock();
-    mc_launcher::batch::clear_cache();
+    let ctx = mc_launcher::Ctx::default();
     mc_trace::metrics().reset();
     mc_trace::enable_metrics(true);
     let sink = Arc::new(MemorySink::new());
@@ -132,7 +131,7 @@ fn verification_runs_once_across_frequencies() {
             meta_repetitions: 2,
             ..LauncherOptions::default()
         };
-        let report = MicroLauncher::new(opts).run(&movaps_input(2)).unwrap();
+        let report = MicroLauncher::new(opts).run_in(&ctx, &movaps_input(2)).unwrap();
         assert!(report.verify.is_some_and(|v| v.passed));
     }
     mc_trace::uninstall();

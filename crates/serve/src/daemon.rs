@@ -12,10 +12,13 @@
 //!
 //! ## Life of a job
 //!
-//! Each job parses its kernel XML and takes its programs from the
-//! launcher's generation cache (`mc_launcher::sweeps::generate_shared`),
-//! keyed by the parsed description: the jobs of a frequency sweep over
-//! one kernel, or two spellings of it, share one generated set.
+//! Jobs evaluate through the process run context
+//! ([`mc_launcher::Ctx::process`]): its memos, and the store
+//! `ServeConfig::store_dir` attaches to it. Each job parses its kernel
+//! XML and takes its programs from that context's generation memo
+//! ([`mc_launcher::Ctx::generate_shared`]), keyed by the parsed
+//! description: the jobs of a frequency sweep over one kernel, or two
+//! spellings of it, share one generated set.
 //! One scheduler thread owns job execution; within a job, evaluation
 //! points fan out across the process-wide `mc-exec` pool, so `--jobs`
 //! controls intra-job parallelism while jobs themselves serialize —
@@ -36,7 +39,7 @@
 use crate::journal::{AcceptedJob, JobJournal, Outcome};
 use crate::quota::{ClientQuotas, QuotaConfig, Take};
 use mc_launcher::launcher::RunReport;
-use mc_launcher::{EvalPoint, LauncherOptions};
+use mc_launcher::{Ctx, EvalPoint, LauncherOptions};
 use mc_pulse::{HttpLimits, Registry, RunRecord};
 use mc_report::RunManifest;
 use mc_store::StoreCounters;
@@ -255,7 +258,6 @@ pub struct Daemon {
     wake: Condvar,
     draining: AtomicBool,
     halted: AtomicBool,
-    store: Option<Arc<mc_store::DiskStore>>,
 }
 
 impl Daemon {
@@ -265,13 +267,7 @@ impl Daemon {
     /// re-enter the queue in admission order.
     pub fn open(config: ServeConfig) -> std::io::Result<Arc<Daemon>> {
         fs::create_dir_all(config.state_dir.join("results"))?;
-        let store = match &config.store_dir {
-            Some(dir) => Some(mc_launcher::store::install_store(dir)),
-            None => {
-                mc_launcher::store::clear_store();
-                None
-            }
-        };
+        Ctx::process().set_store(config.store_dir.as_deref());
         let journal = JobJournal::open(&config.state_dir);
         let replay = journal.replay();
         let mut inner = Inner {
@@ -314,7 +310,6 @@ impl Daemon {
             wake: Condvar::new(),
             draining: AtomicBool::new(false),
             halted: AtomicBool::new(false),
-            store,
         }))
     }
 
@@ -490,7 +485,7 @@ impl Daemon {
         let inner = self.lock();
         let mut health = Health {
             draining: self.draining.load(Ordering::Acquire),
-            store: self.store.as_ref().map(|s| s.counters()),
+            store: Ctx::process().disk_store().map(|s| s.counters()),
             ..Health::default()
         };
         for entry in inner.jobs.values() {
@@ -531,7 +526,7 @@ impl Daemon {
     /// possibly compact) the store ledger, then register the serving run
     /// in the pulse registry so `mc-report history` sees daemon sessions.
     pub fn finish_drain(&self) {
-        if let Some(store) = &self.store {
+        if let Some(store) = Ctx::process().disk_store() {
             store.flush_ledger();
         }
         let Some(root) = &self.config.registry_root else { return };
@@ -614,7 +609,7 @@ impl Daemon {
         // per point), so catch panics here.
         let generated = catch_unwind(AssertUnwindSafe(|| {
             let desc = mc_kernel::xml::parse_kernel(&job.xml).map_err(|e| e.to_string())?;
-            mc_launcher::sweeps::generate_shared(&desc)
+            Ctx::process().generate_shared(&desc)
         }));
         let programs = match generated {
             Ok(Ok(programs)) => programs,
@@ -661,7 +656,8 @@ impl Daemon {
             }
             let points: Vec<EvalPoint> =
                 chunk.iter().map(|p| EvalPoint::new(p.clone(), base.clone())).collect();
-            for (program, result) in chunk.iter().zip(mc_launcher::try_run_batch_supervised(points))
+            for (program, result) in
+                chunk.iter().zip(Ctx::process().try_run_batch_supervised(points))
             {
                 match result {
                     Ok(report) => rows.push(report.csv_row()),

@@ -28,7 +28,7 @@ fn serialized() -> MutexGuard<'static, ()> {
     mc_guard::set_policy(mc_guard::GuardPolicy::default());
     mc_launcher::batch::clear_cache();
     mc_launcher::sweeps::clear_generation_cache();
-    mc_launcher::store::clear_store();
+    mc_launcher::Ctx::process().set_store(None);
     guard
 }
 

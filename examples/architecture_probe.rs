@@ -5,19 +5,27 @@
 //!
 //! Run with: `cargo run --example architecture_probe`
 
-use microtools::launcher::sweeps::{arithmetic_hiding_sweep, programs_by_unroll, stride_sweep};
+use microtools::launcher::sweeps::{
+    arithmetic_hiding_sweep, programs_by_unroll_shared, stride_sweep,
+};
 use microtools::prelude::*;
 use microtools::report::analysis;
 use microtools::simarch::energy::{energy_frequency_sweep, energy_optimal_frequency};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let ctx = microtools::launcher::Ctx::default();
     let machine = MachineConfig::nehalem_x5650_dual();
 
     // --- 1. Stride study (§3.5): where does the prefetcher give up? ----
     println!("── stride study: movss loads from RAM (X5650) ──");
     let opts = LauncherOptions { verify: false, ..LauncherOptions::default() };
-    let series =
-        stride_sweep(&opts, Mnemonic::Movss, &[1, 2, 4, 8, 16, 32, 64, 256, 1024], Level::Ram)?;
+    let series = stride_sweep(
+        &ctx,
+        &opts,
+        Mnemonic::Movss,
+        &[1, 2, 4, 8, 16, 32, 64, 256, 1024],
+        Level::Ram,
+    )?;
     for (stride, cycles) in &series.points {
         println!("  stride {stride:>7.0} B: {cycles:>7.2} cycles/access");
     }
@@ -25,7 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 2. Stencil kernel (§3.5) across the hierarchy ------------------
     println!("── 3-point stencil: cycles/iteration by residence ──");
-    let stencil_programs = programs_by_unroll(&microtools::kernel::builder::stencil_1d(1, 4))?;
+    let stencil_programs =
+        programs_by_unroll_shared(&ctx, &microtools::kernel::builder::stencil_1d(1, 4))?;
     for level in Level::ALL {
         let o = LauncherOptions {
             residence: Some(level),
@@ -45,7 +54,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("── free arithmetic under a movaps RAM stream ──");
     let o = LauncherOptions { verify: false, ..LauncherOptions::default() };
     for level in [Level::L1, Level::Ram] {
-        let (series, hidden) = arithmetic_hiding_sweep(&o, Mnemonic::Movaps, 10, level, 0.02)?;
+        let (series, hidden) =
+            arithmetic_hiding_sweep(&ctx, &o, Mnemonic::Movaps, 10, level, 0.02)?;
         print!("  {:4}:", level.name());
         for (k, c) in &series.points {
             print!(" k={k:.0}→{c:.1}");
@@ -59,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 3. Energy: the §7 power-utilization metric ---------------------
     println!("── energy per iteration vs core frequency (movaps ×8) ──");
-    let program = programs_by_unroll(&load_stream(Mnemonic::Movaps, 8, 8))?.remove(0);
+    let program = programs_by_unroll_shared(&ctx, &load_stream(Mnemonic::Movaps, 8, 8))?.remove(0);
     for level in [Level::L1, Level::Ram] {
         let w = Workload::resident_at(&machine, level);
         let points = energy_frequency_sweep(&program, &w, &machine);

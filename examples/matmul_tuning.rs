@@ -10,6 +10,7 @@
 use microtools::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let ctx = microtools::launcher::Ctx::default();
     let creator = MicroCreator::new();
 
     // --- 1. Size sweep (Figure 3) --------------------------------------
@@ -54,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trip_count: 200,
         ..LauncherOptions::default()
     };
-    let points = microtools::launcher::sweeps::alignment_sweep(&opts, &program, 512, 3584)?;
+    let points = microtools::launcher::sweeps::alignment_sweep(&ctx, &opts, &program, 512, 3584)?;
     let (mut min, mut max) = (f64::MAX, f64::MIN);
     for p in &points {
         min = min.min(p.cycles_per_iteration);
@@ -71,7 +72,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 3. Unroll sweep (Figure 5) ------------------------------------
     println!("── unroll sweep at 200² (Figure 5) ──");
-    let programs = microtools::launcher::sweeps::programs_by_unroll(&matmul_inner(200))?;
+    let programs =
+        microtools::launcher::sweeps::programs_by_unroll_shared(&ctx, &matmul_inner(200))?;
     let mut unroll_points = Vec::new();
     for program in &programs {
         let opts = LauncherOptions {

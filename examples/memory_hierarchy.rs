@@ -10,12 +10,13 @@ use microtools::launcher::sweeps::{
 use microtools::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let ctx = microtools::launcher::Ctx::default();
     let opts = LauncherOptions::default();
 
     for (mnemonic, figure) in [(Mnemonic::Movaps, "Figure 11"), (Mnemonic::Movss, "Figure 12")] {
         println!("── {figure}: cycles per {} load ──", mnemonic.name());
         let desc = load_stream(mnemonic, 1, 8);
-        let series = unroll_by_level_sweep(&opts, &desc, &Level::ALL, true)?;
+        let series = unroll_by_level_sweep(&ctx, &opts, &desc, &Level::ALL, true)?;
         println!("{}", render_chart(&series, 64, 14, Scale::Linear));
         for s in &series {
             let u8 = s.points.last().expect("8 points").1;
@@ -25,8 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("── Figure 13: frequency sweep (movaps ×8) ──");
-    let program = programs_by_unroll_shared(&load_stream(Mnemonic::Movaps, 8, 8))?.remove(0);
-    let series = frequency_sweep(&opts, &program, &Level::ALL)?;
+    let program = programs_by_unroll_shared(&ctx, &load_stream(Mnemonic::Movaps, 8, 8))?.remove(0);
+    let series = frequency_sweep(&ctx, &opts, &program, &Level::ALL)?;
     println!("{}", render_chart(&series, 64, 14, Scale::Linear));
     for s in &series {
         let slow = s.points.first().expect("points").1;

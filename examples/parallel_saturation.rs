@@ -9,6 +9,7 @@ use microtools::launcher::sweeps::{core_sweep, openmp_comparison, programs_by_un
 use microtools::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let ctx = microtools::launcher::Ctx::default();
     // --- Figure 14: fork-mode saturation on the dual-socket X5650 ------
     println!("── Figure 14: forked movaps streams from RAM (X5650) ──");
     let opts = LauncherOptions {
@@ -16,8 +17,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         verify: false,
         ..LauncherOptions::default()
     };
-    let program = programs_by_unroll_shared(&load_stream(Mnemonic::Movaps, 8, 8))?.remove(0);
-    let series = core_sweep(&opts, &program, 12)?;
+    let program = programs_by_unroll_shared(&ctx, &load_stream(Mnemonic::Movaps, 8, 8))?.remove(0);
+    let series = core_sweep(&ctx, &opts, &program, 12)?;
     println!("{}", render_chart(std::slice::from_ref(&series), 64, 14, Scale::Log10));
     let base = series.points[0].1;
     for (cores, cycles) in &series.points {
@@ -38,8 +39,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             verify: false,
             ..LauncherOptions::default()
         };
-        let cmp =
-            openmp_comparison(&base_opts, &load_stream(Mnemonic::Movss, 1, 8), elements, 4, 1)?;
+        let cmp = openmp_comparison(
+            &ctx,
+            &base_opts,
+            &load_stream(Mnemonic::Movss, 1, 8),
+            elements,
+            4,
+            1,
+        )?;
         println!(
             "{}",
             render_chart(&[cmp.sequential.clone(), cmp.openmp.clone()], 64, 12, Scale::Log10)

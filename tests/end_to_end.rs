@@ -79,9 +79,11 @@ fn unrolling_improves_or_holds_on_every_machine() {
     for machine in
         [MachinePreset::SandyBridgeE31240, MachinePreset::NehalemX5650, MachinePreset::NehalemX7550]
     {
-        let programs =
-            microtools::launcher::sweeps::programs_by_unroll(&load_stream(Mnemonic::Movaps, 1, 8))
-                .unwrap();
+        let programs = microtools::launcher::sweeps::programs_by_unroll_shared(
+            &microtools::launcher::Ctx::default(),
+            &load_stream(Mnemonic::Movaps, 1, 8),
+        )
+        .unwrap();
         let opts = LauncherOptions { machine, verify: false, ..Default::default() };
         let launcher = MicroLauncher::new(opts);
         let mut last_per_load = f64::MAX;
@@ -102,9 +104,11 @@ fn unrolling_improves_or_holds_on_every_machine() {
 fn sandy_bridge_outruns_nehalem_on_l1_loads() {
     // Two load ports vs one: the E31240 sustains twice the L1 load
     // throughput of the X5650 — visible straight through the launcher.
-    let programs =
-        microtools::launcher::sweeps::programs_by_unroll(&load_stream(Mnemonic::Movaps, 8, 8))
-            .unwrap();
+    let programs = microtools::launcher::sweeps::programs_by_unroll_shared(
+        &microtools::launcher::Ctx::default(),
+        &load_stream(Mnemonic::Movaps, 8, 8),
+    )
+    .unwrap();
     let run = |machine| {
         let opts = LauncherOptions { machine, verify: false, ..Default::default() };
         MicroLauncher::new(opts)
@@ -157,10 +161,12 @@ fn launcher_options_parse_from_cli_and_drive_a_run() {
         "--aggregate=median",
     ])
     .unwrap();
-    let program =
-        microtools::launcher::sweeps::programs_by_unroll(&load_stream(Mnemonic::Movss, 4, 4))
-            .unwrap()
-            .remove(0);
+    let program = microtools::launcher::sweeps::programs_by_unroll_shared(
+        &microtools::launcher::Ctx::default(),
+        &load_stream(Mnemonic::Movss, 4, 4),
+    )
+    .unwrap()
+    .remove(0);
     let report = MicroLauncher::new(opts).run(&KernelInput::program(program)).unwrap();
     assert_eq!(report.residence, Some(Level::L3));
     assert!(report.stable);

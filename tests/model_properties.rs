@@ -125,7 +125,12 @@ fn non_temporal_stores_beat_regular_stores_in_ram() {
 #[test]
 fn store_streams_cost_more_than_load_streams_in_ram() {
     let programs = |m| {
-        microtools::launcher::sweeps::programs_by_unroll(&load_stream(m, 8, 8)).unwrap().remove(0)
+        microtools::launcher::sweeps::programs_by_unroll_shared(
+            &microtools::launcher::Ctx::default(),
+            &load_stream(m, 8, 8),
+        )
+        .unwrap()
+        .remove(0)
     };
     let opts = LauncherOptions {
         residence: Some(Level::Ram),
