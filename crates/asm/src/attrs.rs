@@ -100,11 +100,6 @@ impl Mnemonic {
         }
     }
 
-    /// True for SSE floating-point arithmetic (not moves or logic).
-    pub fn is_fp_arith(self) -> bool {
-        matches!(self.class(), InstClass::FpAdd | InstClass::FpMul | InstClass::FpDiv)
-    }
-
     /// True for packed (vector) SSE operations.
     pub fn is_vector(self) -> bool {
         use Mnemonic::*;

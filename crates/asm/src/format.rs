@@ -20,11 +20,6 @@ pub fn write_instruction(inst: &Inst, f: &mut fmt::Formatter<'_>) -> fmt::Result
     Ok(())
 }
 
-/// Formats an instruction to a `String` (convenience over `to_string`).
-pub fn instruction_to_string(inst: &Inst) -> String {
-    inst.to_string()
-}
-
 /// A line of assembly text: label, instruction, directive or comment.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AsmLine {

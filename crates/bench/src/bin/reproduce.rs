@@ -259,13 +259,7 @@ fn reproduce(args: Vec<String>, run: &mut Run) -> (u8, Option<RunManifest>) {
     let passed: usize =
         results.iter().map(|r| r.outcome.checks.iter().filter(|c| c.passed).count()).sum();
     println!("════ {passed}/{total} shape checks passed across {} experiments ════", results.len());
-    let code = if mc_guard::over_budget() {
-        exitcode::EVAL
-    } else if passed == total {
-        exitcode::OK
-    } else {
-        exitcode::REGRESSION
-    };
+    let code = run.exit_code(passed != total);
     let mut manifest = RunManifest::new();
     manifest.set("tool", "reproduce");
     manifest.set("input", input_label.as_str());

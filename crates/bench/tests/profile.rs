@@ -36,7 +36,7 @@ fn context(dir: Option<&Path>) -> (Ctx, Option<Arc<Profiler>>) {
     match dir {
         Some(dir) => {
             let profiler = Arc::new(Profiler::new(dir).expect("profiler opens"));
-            (Ctx::with_profiler(profiler.clone()), Some(profiler))
+            (Ctx::new(mc_guard::Guard::default(), Some(profiler.clone())), Some(profiler))
         }
         None => (Ctx::default(), None),
     }

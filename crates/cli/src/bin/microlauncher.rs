@@ -19,7 +19,7 @@
 use mc_creator::MicroCreator;
 use mc_launcher::launcher::RunReport;
 use mc_launcher::{KernelInput, LauncherOptions, MicroLauncher};
-use mc_tools::{exitcode, guard_exit_code, Run};
+use mc_tools::{exitcode, Run};
 use mc_trace::diag;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -228,5 +228,5 @@ fn launch(args: Vec<String>, run: &mut Run) -> (u8, Option<mc_report::RunManifes
     }
     print!("{document}");
     run.record_document(&document_name(input), &document);
-    (guard_exit_code(), Some(manifest))
+    (run.exit_code(false), Some(manifest))
 }

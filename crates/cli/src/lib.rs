@@ -74,17 +74,6 @@ pub fn take_flag(flags: &mut Vec<String>, name: &str) -> Option<String> {
     }
 }
 
-/// The exit code a supervised run ends with: [`exitcode::EVAL`] when
-/// terminal failures exceeded the error budget, [`exitcode::OK`]
-/// otherwise. Call after the sweep completes.
-pub fn guard_exit_code() -> u8 {
-    if mc_guard::over_budget() {
-        exitcode::EVAL
-    } else {
-        exitcode::OK
-    }
-}
-
 /// The observability flags every binary shares, and the end-of-run
 /// reporting they imply. `mc-report` uses this part alone; the
 /// evaluating binaries get it inside [`Run`].
@@ -240,9 +229,12 @@ pub const PROFILE_ENV: &str = "MICROTOOLS_PROFILE";
 ///    `--max-failures=N` (the error budget: exit 3 only past N terminal
 ///    failures), `--keep-going` (the default, stated explicitly) and
 ///    `--fail-fast` (skip the remaining points once the budget is spent).
-///    `MICROTOOLS_FAULT` installs a deterministic fault plan (`panic@I`,
-///    `delay@I:MS`, `io@I`, `flaky@I:N`, comma-separated); the recovery
-///    tests and the CI smoke use it to make evaluations fail on purpose.
+///    `MICROTOOLS_FAULT` gives the run a deterministic fault plan
+///    (`panic@I`, `delay@I:MS`, `io@I`, `flaky@I:N`, `enospc@I`,
+///    comma-separated); the recovery tests and the CI smoke use it to
+///    make evaluations fail on purpose. The policy, the plan's
+///    evaluation half, the eval indices and the failure count belong to
+///    the run context's guard, which [`Run::exit_code`] reads.
 /// 4. **Registry and live view** (mc-pulse): `--register` persists the
 ///    run (manifest, extracted points, metrics snapshot) for
 ///    `mc-report history/trend`; the root defaults to `.microtools`,
@@ -306,7 +298,7 @@ impl Run {
         if let Some(value) = take_flag(flags, "--jobs") {
             mc_exec::set_jobs(mc_exec::parse_jobs(&value)?);
         }
-        set_guard_policy(flags)?;
+        let guard = guard_from_flags(flags)?;
         run.start_pulse(flags)?;
 
         let root = run.registry.as_ref().map(|r| r.root().to_path_buf());
@@ -325,18 +317,34 @@ impl Run {
             Some(dir) => Some(PathBuf::from(dir)),
             None => std::env::var(PROFILE_ENV).ok().filter(|v| !v.is_empty()).map(PathBuf::from),
         };
-        if let Some(dir) = profile_dir {
-            let profiler =
-                mc_launcher::profile::Profiler::new(dir).map_err(|e| format!("--profile: {e}"))?;
-            run.ctx = mc_launcher::Ctx::with_profiler(Arc::new(profiler));
-        }
+        let profiler = match profile_dir {
+            Some(dir) => Some(Arc::new(
+                mc_launcher::profile::Profiler::new(dir).map_err(|e| format!("--profile: {e}"))?,
+            )),
+            None => None,
+        };
+        run.ctx = mc_launcher::Ctx::new(guard, profiler);
         run.ctx.set_store(store_dir.as_deref());
         Ok(run)
     }
 
-    /// The run context (memos, `--store`, `--profile`) this run evaluates in.
+    /// The run context (memos, `--store`, `--profile`, the guard) this
+    /// run evaluates in.
     pub fn ctx(&self) -> &mc_launcher::Ctx {
         &self.ctx
+    }
+
+    /// The exit code a finished run ends with: [`exitcode::EVAL`] when
+    /// its context's terminal failures exceeded the error budget, else
+    /// [`exitcode::REGRESSION`] when `regressed`, else [`exitcode::OK`].
+    pub fn exit_code(&self, regressed: bool) -> u8 {
+        if self.ctx.guard().over_budget() {
+            exitcode::EVAL
+        } else if regressed {
+            exitcode::REGRESSION
+        } else {
+            exitcode::OK
+        }
     }
 
     /// The mc-pulse part of [`Run::from_flags`]: registry, live progress
@@ -540,9 +548,10 @@ fn register(
     }
 }
 
-/// The supervision part of [`Run::from_flags`]: installs the guard
-/// policy and, from `MICROTOOLS_FAULT`, the fault plan.
-fn set_guard_policy(flags: &mut Vec<String>) -> Result<(), String> {
+/// The supervision part of [`Run::from_flags`]: the run's guard, under
+/// the policy the flags select and the fault plan in `MICROTOOLS_FAULT`,
+/// whose durable-write half is installed process-wide.
+fn guard_from_flags(flags: &mut Vec<String>) -> Result<mc_guard::Guard, String> {
     let mut policy = mc_guard::GuardPolicy::default();
     if let Some(v) = take_flag(flags, "--deadline-ms") {
         let ms: u64 = v.parse().map_err(|_| format!("--deadline-ms: not a number: `{v}`"))?;
@@ -564,14 +573,11 @@ fn set_guard_policy(flags: &mut Vec<String>) -> Result<(), String> {
         return Err("--keep-going and --fail-fast are mutually exclusive".into());
     }
     policy.fail_fast = fail_fast;
-    mc_guard::set_policy(policy);
 
-    if let Ok(spec) = std::env::var("MICROTOOLS_FAULT") {
-        if !spec.is_empty() {
-            mc_guard::install_fault_spec(&spec).map_err(|e| format!("MICROTOOLS_FAULT: {e}"))?;
-        }
-    }
-    Ok(())
+    let spec = std::env::var("MICROTOOLS_FAULT").unwrap_or_default();
+    let plan = mc_guard::FaultPlan::parse(&spec).map_err(|e| format!("MICROTOOLS_FAULT: {e}"))?;
+    mc_guard::install_write_faults(&plan);
+    Ok(mc_guard::Guard::new(policy, plan))
 }
 
 #[cfg(test)]
@@ -579,8 +585,8 @@ mod tests {
     use super::*;
     use std::sync::{Mutex, MutexGuard, PoisonError};
 
-    /// A [`Run`] installs process-wide state (guard policy, trace and
-    /// progress sinks), so the tests that build one take turns.
+    /// A [`Run`] installs process-wide state (trace and progress sinks),
+    /// so the tests that build one take turns.
     static GLOBALS: Mutex<()> = Mutex::new(());
 
     fn globals() -> MutexGuard<'static, ()> {
@@ -638,7 +644,6 @@ mod tests {
             // caller's unknown-flag check must not see them.
             assert_eq!(flags, vec!["--other=1"], "{bad:?}");
         }
-        mc_guard::set_policy(mc_guard::GuardPolicy::default());
     }
 
     #[test]
@@ -672,13 +677,14 @@ mod tests {
         ]);
         let run = Run::from_flags(&mut flags).unwrap();
         assert_eq!(flags, vec!["--other=1"]);
-        let p = mc_guard::policy();
+        let p = run.ctx().guard().policy();
         assert_eq!(p.deadline, Some(std::time::Duration::from_millis(500)));
         assert_eq!(p.retries, 2);
         assert_eq!(p.max_failures, 3);
         assert!(p.fail_fast);
+        assert_eq!(run.exit_code(false), exitcode::OK);
+        assert_eq!(run.exit_code(true), exitcode::REGRESSION);
         run.finish("test", None, exitcode::OK);
-        mc_guard::set_policy(mc_guard::GuardPolicy::default());
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! Deterministic fault injection — the test-only hook behind the
 //! recovery test suite and the CI kill/resume smoke.
 //!
-//! Evaluations are numbered by a process-wide sequence: each batch
-//! reserves a contiguous index range up front ([`reserve_indices`]), so
-//! eval index `N` names the same point whether the pool runs 1 worker or
-//! 8. A [`FaultPlan`] maps indices to faults; [`fire`] is called inside
-//! the guarded region of every supervised attempt, before the real
-//! evaluation runs.
+//! Evaluations are numbered by their run's [`crate::Guard`]: each batch
+//! reserves a contiguous index range up front ([`crate::Guard::reserve`]),
+//! so eval index `N` names the same point whether the pool runs 1 worker
+//! or 8. A [`FaultPlan`] maps indices to faults; the guard fires them
+//! inside the guarded region of every supervised attempt, before the
+//! real evaluation runs.
 //!
-//! Plans are installed programmatically ([`install_faults`]) or from a
-//! spec string ([`install_fault_spec`], also reachable through the
-//! `MICROTOOLS_FAULT` environment variable in the binaries):
+//! Plans are built programmatically or parsed from a spec string
+//! ([`FaultPlan::parse`], the grammar of the `MICROTOOLS_FAULT`
+//! environment variable in the binaries):
 //!
 //! ```text
 //! panic@5            panic at eval index 5 (every attempt)
@@ -20,15 +20,16 @@
 //! enospc@4           disk-full error at durable-write index 4
 //! ```
 //!
-//! `enospc` faults ride a *separate* process-wide counter: durable
-//! writers (store records, hit ledgers, registry files, job journals)
+//! `enospc` faults ride a *separate*, process-wide counter and plan
+//! ([`install_write_faults`]): durable writers (store records, hit
+//! ledgers, registry files, job journals) own no run context, so they
 //! call [`fire_write`] immediately before each write, and an injected
 //! failure there must be skipped-and-counted by the caller — persistence
 //! is best-effort, never a correctness dependency. The split keeps write
 //! indices independent of how many evaluations ran first.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// One injected fault.
@@ -42,7 +43,7 @@ pub enum Fault {
     Error(String),
 }
 
-/// A deterministic schedule of faults keyed by global eval index.
+/// A deterministic schedule of faults keyed by eval index.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// (eval index, fault, remaining fires; `u32::MAX` = unlimited).
@@ -131,69 +132,67 @@ impl FaultPlan {
         }
         Ok(plan)
     }
+}
 
-    /// Number of scheduled faults.
-    pub fn len(&self) -> usize {
-        self.faults.len() + self.write_faults.len()
+/// The evaluation half of a [`FaultPlan`], owned by one [`crate::Guard`]
+/// and shared with its attempts: under a deadline an attempt fires its
+/// fault on the sacrificial thread, which may outlive the call.
+#[derive(Debug, Default)]
+pub(crate) struct EvalFaults {
+    active: AtomicBool,
+    faults: Mutex<Vec<(u64, Fault, u32)>>,
+}
+
+impl EvalFaults {
+    /// Replaces the schedule with `plan`'s evaluation faults.
+    pub(crate) fn set(&self, plan: FaultPlan) {
+        let active = !plan.faults.is_empty();
+        *self.faults.lock().unwrap_or_else(PoisonError::into_inner) = plan.faults;
+        self.active.store(active, Ordering::Release);
     }
 
-    /// True when no faults are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty() && self.write_faults.is_empty()
+    /// Fires any fault scheduled at `index`. Called inside the guarded
+    /// region of every attempt; a panic here is caught by the supervisor
+    /// like any other evaluation panic. The non-firing path is one
+    /// relaxed atomic load.
+    pub(crate) fn fire(&self, index: u64) -> Result<(), String> {
+        if !self.active.load(Ordering::Relaxed) {
+            return Ok(());
+        }
+        let fault = {
+            let mut faults = self.faults.lock().unwrap_or_else(PoisonError::into_inner);
+            match faults.iter_mut().find(|(i, _, fires)| *i == index && *fires > 0) {
+                Some((_, fault, fires)) => {
+                    if *fires != u32::MAX {
+                        *fires -= 1;
+                    }
+                    fault.clone()
+                }
+                None => return Ok(()),
+            }
+        };
+        match fault {
+            Fault::Panic(message) => panic!("{message}"),
+            Fault::Delay(duration) => {
+                std::thread::sleep(duration);
+                Ok(())
+            }
+            Fault::Error(message) => Err(message),
+        }
     }
 }
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
 static WRITE_ACTIVE: AtomicBool = AtomicBool::new(false);
-static NEXT_INDEX: AtomicU64 = AtomicU64::new(0);
 static NEXT_WRITE_INDEX: AtomicU64 = AtomicU64::new(0);
+static WRITE_FAULTS: Mutex<Vec<(u64, u32)>> = Mutex::new(Vec::new());
 
-fn plan_slot() -> &'static Mutex<FaultPlan> {
-    static PLAN: OnceLock<Mutex<FaultPlan>> = OnceLock::new();
-    PLAN.get_or_init(|| Mutex::new(FaultPlan::new()))
-}
-
-/// Installs a fault plan process-wide (test-only hook).
-pub fn install_faults(plan: FaultPlan) {
-    let active = !plan.faults.is_empty();
-    let write_active = !plan.write_faults.is_empty();
-    *plan_slot().lock().expect("fault plan lock poisoned") = plan;
-    ACTIVE.store(active, Ordering::Release);
-    WRITE_ACTIVE.store(write_active, Ordering::Release);
-}
-
-/// Parses and installs a `MICROTOOLS_FAULT` spec.
-pub fn install_fault_spec(spec: &str) -> Result<(), String> {
-    install_faults(FaultPlan::parse(spec)?);
-    Ok(())
-}
-
-/// Removes any installed plan.
-pub fn clear_faults() {
-    install_faults(FaultPlan::new());
-}
-
-/// Reserves `count` consecutive eval indices for a batch and returns the
-/// first. Reservation happens at submission time, so index assignment is
-/// independent of worker count and scheduling order.
-pub fn reserve_indices(count: usize) -> u64 {
-    NEXT_INDEX.fetch_add(count as u64, Ordering::Relaxed)
-}
-
-/// The next index [`reserve_indices`] would hand out.
-pub fn next_eval_index() -> u64 {
-    NEXT_INDEX.load(Ordering::Relaxed)
-}
-
-/// Resets the index sequence to zero (test-only: lets a test pin faults
-/// to batch-relative indices regardless of what ran before it).
-pub fn reset_indices() {
-    NEXT_INDEX.store(0, Ordering::Relaxed);
-}
-
-/// The next index [`fire_write`] will consume.
-pub fn next_write_index() -> u64 {
-    NEXT_WRITE_INDEX.load(Ordering::Relaxed)
+/// Installs `plan`'s durable-write (`enospc`) faults process-wide in
+/// place of any others; a plan without any clears them. Its evaluation
+/// faults belong to a [`crate::Guard`] instead.
+pub fn install_write_faults(plan: &FaultPlan) {
+    let active = !plan.write_faults.is_empty();
+    *WRITE_FAULTS.lock().unwrap_or_else(PoisonError::into_inner) = plan.write_faults.clone();
+    WRITE_ACTIVE.store(active, Ordering::Release);
 }
 
 /// Resets the durable-write index sequence to zero (test-only: lets a
@@ -214,8 +213,8 @@ pub fn fire_write(what: &str) -> std::io::Result<()> {
     }
     let index = NEXT_WRITE_INDEX.fetch_add(1, Ordering::Relaxed);
     let fired = {
-        let mut plan = plan_slot().lock().expect("fault plan lock poisoned");
-        match plan.write_faults.iter_mut().find(|(i, fires)| *i == index && *fires > 0) {
+        let mut faults = WRITE_FAULTS.lock().unwrap_or_else(PoisonError::into_inner);
+        match faults.iter_mut().find(|(i, fires)| *i == index && *fires > 0) {
             Some((_, fires)) => {
                 if *fires != u32::MAX {
                     *fires -= 1;
@@ -231,36 +230,6 @@ pub fn fire_write(what: &str) -> std::io::Result<()> {
         )))
     } else {
         Ok(())
-    }
-}
-
-/// Fires any fault scheduled at `index`. Called inside the guarded
-/// region of every attempt; a panic here is caught by the supervisor
-/// like any other evaluation panic. The non-firing path is one relaxed
-/// atomic load.
-pub(crate) fn fire(index: u64) -> Result<(), String> {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return Ok(());
-    }
-    let fault = {
-        let mut plan = plan_slot().lock().expect("fault plan lock poisoned");
-        match plan.faults.iter_mut().find(|(i, _, fires)| *i == index && *fires > 0) {
-            Some((_, fault, fires)) => {
-                if *fires != u32::MAX {
-                    *fires -= 1;
-                }
-                fault.clone()
-            }
-            None => return Ok(()),
-        }
-    };
-    match fault {
-        Fault::Panic(message) => panic!("{message}"),
-        Fault::Delay(duration) => {
-            std::thread::sleep(duration);
-            Ok(())
-        }
-        Fault::Error(message) => Err(message),
     }
 }
 
@@ -280,8 +249,7 @@ mod tests {
                 .flaky_at(3, 2)
                 .enospc_at(1)
         );
-        assert_eq!(plan.len(), 5);
-        assert!(FaultPlan::parse("").unwrap().is_empty());
+        assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::new());
     }
 
     #[test]
@@ -302,11 +270,19 @@ mod tests {
     }
 
     #[test]
-    fn index_reservation_is_contiguous() {
-        // Not reset here: other tests share the counter; only the
-        // contiguity of one reservation is asserted.
-        let base = reserve_indices(10);
-        let next = reserve_indices(1);
-        assert_eq!(next, base + 10);
+    fn enospc_fires_on_the_scheduled_write_only() {
+        // The only test in this crate on the process-wide write half.
+        install_write_faults(&FaultPlan::new().enospc_at(1));
+        reset_write_indices();
+        assert!(fire_write("first").is_ok());
+        let error = fire_write("second").expect_err("write index 1 must fail");
+        assert!(error.to_string().contains("ENOSPC"), "{error}");
+        assert!(error.to_string().contains("second"), "{error}");
+        assert!(fire_write("third").is_ok());
+        install_write_faults(&FaultPlan::new());
+        // Inactive plans consume no indices and fail nothing.
+        let before = NEXT_WRITE_INDEX.load(Ordering::Relaxed);
+        assert!(fire_write("idle").is_ok());
+        assert_eq!(NEXT_WRITE_INDEX.load(Ordering::Relaxed), before);
     }
 }

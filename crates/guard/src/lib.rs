@@ -8,32 +8,39 @@
 //! layer so a bad point yields a structured [`EvalError`] row instead of
 //! killing the pool:
 //!
-//! * **Panic isolation** — [`supervise`] runs the evaluation under
-//!   `catch_unwind` with a capturing panic hook, so the panic message and
-//!   location come back as data and the worker thread survives.
+//! All of a run's supervision state lives in one [`Guard`]: its policy,
+//! its fault plan, its eval-index sequence and its failure count. A
+//! launcher run context owns one, so two runs in one process share
+//! nothing.
+//!
+//! * **Panic isolation** — [`Guard::supervise`] runs the evaluation
+//!   under `catch_unwind` with a capturing panic hook, so the panic
+//!   message and location come back as data and the worker thread
+//!   survives.
 //! * **Deadlines** — an optional per-eval deadline
 //!   ([`GuardPolicy::deadline`]) runs the attempt on a sacrificial
 //!   thread while the calling worker stands watch; a hung evaluation is
 //!   abandoned and reported as [`EvalErrorKind::Timeout`].
-//! * **Retries** — a bounded retry budget with deterministic, seedable
-//!   backoff jitter ([`backoff_delay`]) re-runs transient failures.
-//! * **Quarantine & error budget** — every terminal failure lands on the
-//!   process-wide [`quarantine_snapshot`] list; binaries compare
-//!   [`failure_count`] against [`GuardPolicy::max_failures`] to pick an
-//!   exit code, and [`GuardPolicy::fail_fast`] skips the remaining work
-//!   once the budget is spent.
+//! * **Retries** — a bounded retry budget with deterministic backoff
+//!   jitter re-runs transient failures.
+//! * **Error budget** — the guard counts terminal failures; binaries
+//!   ask [`Guard::over_budget`] (more than [`GuardPolicy::max_failures`])
+//!   to pick an exit code, and [`GuardPolicy::fail_fast`] skips the
+//!   remaining work once the budget is spent.
 //! * **Fault injection** — a deterministic, test-only [`FaultPlan`]
-//!   injects panics, delays, and I/O errors at chosen eval indices
-//!   (also reachable via the `MICROTOOLS_FAULT` environment variable),
-//!   which is how the recovery test suite and the CI kill/resume smoke
-//!   exercise every path above.
+//!   injects panics, delays, and I/O errors at chosen eval indices of a
+//!   guard (also reachable via the `MICROTOOLS_FAULT` environment
+//!   variable), which is how the recovery test suite and the CI
+//!   kill/resume smoke exercise every path above. Its disk-full half
+//!   ([`fire_write`]) stays process-wide: the durable writers it fails
+//!   own no run context.
 //!
 //! The crate is deliberately generic: it knows nothing about launcher
 //! reports or CSV rows, and it persists nothing. `mc-launcher` threads
-//! its batch evaluations through [`supervise`]; the binaries surface the
-//! policy knobs as flags. A killed sweep resumes from the launcher's
-//! persistent evaluation store (`--store`), which re-evaluates only the
-//! points it holds no record for.
+//! its batch evaluations through its context's guard; the binaries
+//! surface the policy knobs as flags. A killed sweep resumes from the
+//! launcher's persistent evaluation store (`--store`), which
+//! re-evaluates only the points it holds no record for.
 
 mod error;
 mod fault;
@@ -41,11 +48,6 @@ mod policy;
 mod supervisor;
 
 pub use error::{EvalError, EvalErrorKind};
-pub use fault::{
-    clear_faults, fire_write, install_fault_spec, install_faults, next_eval_index,
-    next_write_index, reserve_indices, reset_indices, reset_write_indices, Fault, FaultPlan,
-};
-pub use policy::{backoff_delay, policy, set_policy, GuardPolicy};
-pub use supervisor::{
-    clear_quarantine, failure_count, over_budget, quarantine_snapshot, supervise, QuarantineEntry,
-};
+pub use fault::{fire_write, install_write_faults, reset_write_indices, Fault, FaultPlan};
+pub use policy::GuardPolicy;
+pub use supervisor::Guard;

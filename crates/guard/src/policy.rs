@@ -1,23 +1,22 @@
 //! The supervision policy: deadlines, retries, and the error budget.
 
-use std::sync::{OnceLock, RwLock};
 use std::time::Duration;
 
-/// Process-wide supervision knobs, set once by the binary from its
-/// flags and read by every supervised evaluation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Base backoff between attempts; attempt `n` waits
+/// `BACKOFF_BASE_MS * 2^(n-1) + jitter`.
+const BACKOFF_BASE_MS: u64 = 25;
+/// Seed for the backoff jitter, so retry schedules are reproducible.
+const RETRY_SEED: u64 = 0x6d63_6775_6172_6421; // "mcguard!"
+
+/// A run's supervision knobs, set by the binary from its flags and held
+/// by the run's [`crate::Guard`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GuardPolicy {
     /// Per-eval wall-clock deadline. `None` disables the watchdog and
     /// runs evaluations inline on the worker thread.
     pub deadline: Option<Duration>,
     /// Retries after the first failed attempt (0 = single attempt).
     pub retries: u32,
-    /// Base backoff between attempts; attempt `n` waits
-    /// `base * 2^(n-1) + jitter` where the jitter is a deterministic
-    /// function of (`retry_seed`, eval index, attempt).
-    pub backoff_base_ms: u64,
-    /// Seed for the backoff jitter, so retry schedules are reproducible.
-    pub retry_seed: u64,
     /// Error budget: the run is considered failed (exit code 3) only
     /// when more than this many evaluations fail terminally.
     pub max_failures: u64,
@@ -27,49 +26,20 @@ pub struct GuardPolicy {
     pub fail_fast: bool,
 }
 
-impl Default for GuardPolicy {
-    fn default() -> Self {
-        GuardPolicy {
-            deadline: None,
-            retries: 0,
-            backoff_base_ms: 25,
-            retry_seed: 0x6d63_6775_6172_6421, // "mcguard!"
-            max_failures: 0,
-            fail_fast: false,
-        }
-    }
-}
-
-fn policy_slot() -> &'static RwLock<GuardPolicy> {
-    static POLICY: OnceLock<RwLock<GuardPolicy>> = OnceLock::new();
-    POLICY.get_or_init(|| RwLock::new(GuardPolicy::default()))
-}
-
-/// Installs the process-wide policy.
-pub fn set_policy(policy: GuardPolicy) {
-    *policy_slot().write().expect("guard policy lock poisoned") = policy;
-}
-
-/// The current process-wide policy.
-pub fn policy() -> GuardPolicy {
-    policy_slot().read().expect("guard policy lock poisoned").clone()
-}
-
 /// The deterministic backoff before retry `attempt` (1-based: the wait
 /// after the first failure is `attempt = 1`). Exponential in the attempt
-/// with seeded FNV-1a jitter, so a re-run retries on exactly the same
-/// schedule — no wall clock, no RNG state.
-pub fn backoff_delay(policy: &GuardPolicy, index: u64, attempt: u32) -> Duration {
-    let base = policy.backoff_base_ms.max(1);
-    let scaled = base.saturating_mul(1u64 << attempt.saturating_sub(1).min(8));
+/// with seeded FNV-1a jitter over the eval index, so a re-run retries on
+/// exactly the same schedule — no wall clock, no RNG state.
+pub(crate) fn backoff_delay(index: u64, attempt: u32) -> Duration {
+    let scaled = BACKOFF_BASE_MS.saturating_mul(1u64 << attempt.saturating_sub(1).min(8));
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for word in [policy.retry_seed, index, u64::from(attempt)] {
+    for word in [RETRY_SEED, index, u64::from(attempt)] {
         for byte in word.to_le_bytes() {
             h ^= u64::from(byte);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-    Duration::from_millis(scaled + h % base)
+    Duration::from_millis(scaled + h % BACKOFF_BASE_MS)
 }
 
 #[cfg(test)]
@@ -78,30 +48,16 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_and_grows() {
-        let p = GuardPolicy::default();
-        let first = backoff_delay(&p, 7, 1);
-        assert_eq!(first, backoff_delay(&p, 7, 1), "same inputs, same delay");
-        let second = backoff_delay(&p, 7, 2);
-        assert!(second >= Duration::from_millis(2 * p.backoff_base_ms), "{second:?}");
-        assert!(first < Duration::from_millis(2 * p.backoff_base_ms), "{first:?}");
-    }
-
-    #[test]
-    fn backoff_depends_on_the_seed() {
-        let a = GuardPolicy::default();
-        let b = GuardPolicy { retry_seed: 1, ..GuardPolicy::default() };
-        // Jitter differs for at least one of a few indices (collisions
-        // on every index would mean the seed is ignored).
-        assert!(
-            (0..8).any(|i| backoff_delay(&a, i, 1) != backoff_delay(&b, i, 1)),
-            "seed must perturb the jitter"
-        );
+        let first = backoff_delay(7, 1);
+        assert_eq!(first, backoff_delay(7, 1), "same inputs, same delay");
+        let second = backoff_delay(7, 2);
+        assert!(second >= Duration::from_millis(2 * BACKOFF_BASE_MS), "{second:?}");
+        assert!(first < Duration::from_millis(2 * BACKOFF_BASE_MS), "{first:?}");
     }
 
     #[test]
     fn backoff_exponent_saturates() {
-        let p = GuardPolicy { backoff_base_ms: 10, ..GuardPolicy::default() };
-        let capped = backoff_delay(&p, 0, 1000);
-        assert!(capped <= Duration::from_millis(10 * 256 + 10), "{capped:?}");
+        let capped = backoff_delay(0, 1000);
+        assert!(capped <= Duration::from_millis(BACKOFF_BASE_MS * 257), "{capped:?}");
     }
 }

@@ -34,12 +34,12 @@
 //!
 //! ## Supervision
 //!
-//! Every point runs through [`mc_guard::supervise`]: a panic, a blown
-//! per-eval deadline or an exhausted retry budget yields a structured
-//! [`mc_guard::EvalError`] for that point while the rest of the batch
-//! completes. Memo hits, disk hits and evaluations all happen inside the
-//! supervised attempt, so an armed fault fires at its eval index however
-//! the point is then answered.
+//! Every point runs through its context's [`mc_guard::Guard`]: a panic,
+//! a blown per-eval deadline or an exhausted retry budget yields a
+//! structured [`mc_guard::EvalError`] for that point while the rest of
+//! the batch completes. Memo hits, disk hits and evaluations all happen
+//! inside the supervised attempt, so an armed fault fires at its eval
+//! index however the point is then answered.
 
 use crate::ctx::Ctx;
 use crate::input::KernelInput;
@@ -102,10 +102,11 @@ impl Ctx {
     /// `results[i]` corresponds to `points[i]`. Failures are neither
     /// cached nor persisted, so a rerun retries them.
     ///
-    /// Eval indices for fault injection are reserved contiguously at
-    /// submission time, so `results[i]` always carries global index
-    /// `base + i` regardless of worker count — the foundation of the
-    /// "jobs=1 and jobs=8 agree under injected faults" guarantee.
+    /// Eval indices for fault injection are reserved contiguously from
+    /// this context's guard at submission time, so `results[i]` always
+    /// carries index `base + i` regardless of worker count — the
+    /// foundation of the "jobs=1 and jobs=8 agree under injected faults"
+    /// guarantee.
     pub fn try_run_batch_supervised(
         &self,
         points: Vec<EvalPoint>,
@@ -113,7 +114,7 @@ impl Ctx {
         let mut span = mc_trace::span("launcher.batch");
         span.field("points", points.len() as u64);
         span.field("jobs", mc_exec::jobs() as u64);
-        let base_index = mc_guard::reserve_indices(points.len());
+        let base_index = self.guard().reserve(points.len());
         // One fingerprint per distinct program allocation, not per point.
         let mut fingerprints: HashMap<*const Program, u64> = HashMap::new();
         let prepared: Vec<(u64, u64, EvalPoint)> = points
@@ -133,7 +134,7 @@ impl Ctx {
             // A supervised attempt may outlive this call on a deadline
             // thread, so it holds its own handle on the context.
             let ctx = self.clone();
-            mc_guard::supervise(index, &label, move || {
+            self.guard().supervise(index, &label, move || {
                 let store = ctx.disk_store();
                 let mut computed = false;
                 let report = ctx.0.evals.get_or_try_compute(key, || {

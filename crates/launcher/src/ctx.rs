@@ -1,5 +1,6 @@
-//! The run context: the memos, the persistent store and the profiler an
-//! evaluation may reuse or write, passed explicitly to the batch,
+//! The run context: the memos, the persistent store, the profiler and
+//! the supervision [`Guard`] an evaluation may reuse, write or answer
+//! to, passed explicitly to the batch,
 //! generation, the sweep drivers and [`crate::MicroLauncher::run_in`]. A
 //! lone [`crate::MicroLauncher::run`] memoizes nothing. Clones of a
 //! [`Ctx`] share one state (a supervised attempt may outlive its batch on
@@ -10,13 +11,14 @@ use crate::launcher::{RunReport, VerifyReport};
 use crate::profile::Profiler;
 use crate::store::{calib_fingerprint, schema_fingerprint};
 use mc_exec::MemoCache;
+use mc_guard::Guard;
 use mc_kernel::Program;
 use mc_simarch::ProgramModel;
 use mc_store::DiskStore;
 use std::path::Path;
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
-/// One run's memos, store and profiler, shared by every clone.
+/// One run's memos, store, profiler and guard, shared by every clone.
 #[derive(Clone, Default)]
 pub struct Ctx(pub(crate) Arc<State>);
 
@@ -28,6 +30,7 @@ pub(crate) struct State {
     pub(crate) generated: MemoCache<u64, Arc<Vec<Arc<Program>>>>,
     store: RwLock<Option<Arc<DiskStore>>>,
     profiler: Option<Arc<Profiler>>,
+    guard: Guard,
 }
 
 impl Default for State {
@@ -39,6 +42,7 @@ impl Default for State {
             generated: MemoCache::new("exec.gen"),
             store: RwLock::new(None),
             profiler: None,
+            guard: Guard::default(),
         }
     }
 }
@@ -51,9 +55,10 @@ impl Ctx {
         PROCESS.get_or_init(Ctx::default)
     }
 
-    /// A fresh context whose evaluations record profiles into `profiler`.
-    pub fn with_profiler(profiler: Arc<Profiler>) -> Ctx {
-        Ctx(Arc::new(State { profiler: Some(profiler), ..State::default() }))
+    /// A fresh context whose evaluations run under `guard` and, with a
+    /// `profiler`, record profiles into it.
+    pub fn new(guard: Guard, profiler: Option<Arc<Profiler>>) -> Ctx {
+        Ctx(Arc::new(State { profiler, guard, ..State::default() }))
     }
 
     /// Attaches the store rooted at `dir` under this build's fingerprints
@@ -68,6 +73,12 @@ impl Ctx {
     /// The attached disk store, if any.
     pub fn disk_store(&self) -> Option<Arc<DiskStore>> {
         self.0.store.read().unwrap_or_else(PoisonError::into_inner).clone()
+    }
+
+    /// The guard this context's evaluations run under: its policy, fault
+    /// plan, eval indices and failure count.
+    pub fn guard(&self) -> &Guard {
+        &self.0.guard
     }
 
     /// The profiler this context's evaluations record into, if any.

@@ -712,7 +712,7 @@ mod tests {
         let desc = load_stream(mc_asm::Mnemonic::Movaps, 8, 8);
         let program = MicroCreator::new().generate(&desc).unwrap().programs.remove(0);
         let profiler = Arc::new(crate::profile::Profiler::new(&dir).unwrap());
-        let ctx = Ctx::with_profiler(profiler.clone());
+        let ctx = Ctx::new(mc_guard::Guard::default(), Some(profiler.clone()));
         let input = KernelInput::program(program);
         let report = MicroLauncher::with_defaults().run_in(&ctx, &input).unwrap();
         assert_eq!(profiler.kernels(), vec![report.name.clone()], "one evaluation, one profile");

@@ -1,6 +1,6 @@
 //! The launcher's side of evaluation profiling (mc-scope).
 //!
-//! A [`Profiler`] belongs to a run context ([`crate::Ctx::with_profiler`]):
+//! A [`Profiler`] belongs to a run context ([`crate::Ctx::new`]):
 //! binaries build one when `--profile` is passed, and the simulated run
 //! path collects an [`EvalProfile`] per kernel it *evaluates* under that
 //! context (memo/store warm hits produce no profile — a profile documents

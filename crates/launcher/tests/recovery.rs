@@ -2,13 +2,13 @@
 //! launcher batches — panic isolation, deadlines, retries, store-backed
 //! resume, and worker-count determinism under injected faults.
 //!
-//! Each test evaluates on its own run context, but the fault plan, the
-//! eval-index sequence, the guard policy, the worker count and the
-//! metrics registry are process-global, so each test takes one shared
-//! lock and resets that state up front.
+//! Each test evaluates on its own run context, whose guard holds the
+//! policy, the fault plan, the eval-index sequence and the failure
+//! count. Only the worker count and the metrics registry are
+//! process-global, so each test takes one shared lock for them.
 
 use mc_creator::MicroCreator;
-use mc_guard::{EvalErrorKind, FaultPlan, GuardPolicy};
+use mc_guard::{EvalErrorKind, FaultPlan, Guard, GuardPolicy};
 use mc_kernel::builder::load_stream;
 use mc_kernel::Program;
 use mc_launcher::{Ctx, EvalPoint, LauncherOptions, RunReport};
@@ -20,13 +20,9 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     EXEC_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Resets every piece of process-global guard/exec state a previous test
-/// (or test ordering) could have left behind.
-fn reset() {
-    mc_guard::clear_faults();
-    mc_guard::clear_quarantine();
-    mc_guard::reset_indices();
-    mc_guard::set_policy(GuardPolicy::default());
+/// A fresh run context supervised under `policy`, firing `plan`.
+fn guarded(policy: GuardPolicy, plan: FaultPlan) -> Ctx {
+    Ctx::new(Guard::new(policy, plan), None)
 }
 
 fn program(unroll: u32) -> Arc<Program> {
@@ -62,11 +58,9 @@ fn store_dir(tag: &str) -> std::path::PathBuf {
 #[test]
 fn a_panic_at_one_index_leaves_the_other_99_points_alive() {
     let _guard = lock();
-    reset();
     mc_exec::set_jobs(4);
-    mc_guard::install_faults(FaultPlan::new().panic_at(5));
-    let results = Ctx::default().try_run_batch_supervised(identical_points(100));
-    mc_guard::clear_faults();
+    let ctx = guarded(GuardPolicy::default(), FaultPlan::new().panic_at(5));
+    let results = ctx.try_run_batch_supervised(identical_points(100));
     assert_eq!(results.len(), 100);
     let failures: Vec<usize> =
         results.iter().enumerate().filter(|(_, r)| r.is_err()).map(|(i, _)| i).collect();
@@ -74,27 +68,24 @@ fn a_panic_at_one_index_leaves_the_other_99_points_alive() {
     let error = results[5].as_ref().unwrap_err();
     assert_eq!(error.kind, EvalErrorKind::Panic);
     assert!(error.message.contains("injected panic"), "{}", error.message);
-    // The quarantine names the point; the default zero budget is blown.
-    let quarantined = mc_guard::quarantine_snapshot();
-    assert_eq!(quarantined.len(), 1);
-    assert_eq!(quarantined[0].index, 5);
-    assert_eq!(mc_guard::failure_count(), 1);
-    assert!(mc_guard::over_budget());
+    // The guard counts the failure; the default zero budget is blown.
+    assert_eq!(ctx.guard().failures(), 1);
+    assert!(ctx.guard().over_budget());
 }
 
 #[test]
 fn a_deadline_fires_deterministically_on_a_delayed_eval() {
     let _guard = lock();
-    reset();
     mc_exec::set_jobs(2);
-    mc_guard::set_policy(GuardPolicy {
-        deadline: Some(std::time::Duration::from_millis(50)),
-        ..GuardPolicy::default()
-    });
     // Index 1 sleeps 400 ms against a 50 ms deadline; index 0 is clean.
-    mc_guard::install_faults(FaultPlan::new().delay_at(1, 400));
-    let results = Ctx::default().try_run_batch_supervised(identical_points(2));
-    mc_guard::clear_faults();
+    let ctx = guarded(
+        GuardPolicy {
+            deadline: Some(std::time::Duration::from_millis(50)),
+            ..GuardPolicy::default()
+        },
+        FaultPlan::new().delay_at(1, 400),
+    );
+    let results = ctx.try_run_batch_supervised(identical_points(2));
     assert!(results[0].is_ok(), "{:?}", results[0]);
     let error = results[1].as_ref().unwrap_err();
     assert_eq!(error.kind, EvalErrorKind::Timeout);
@@ -104,44 +95,41 @@ fn a_deadline_fires_deterministically_on_a_delayed_eval() {
 #[test]
 fn transient_faults_are_retried_and_recover() {
     let _guard = lock();
-    reset();
     mc_exec::set_jobs(1);
-    mc_guard::set_policy(GuardPolicy { retries: 2, backoff_base_ms: 1, ..GuardPolicy::default() });
     // Fails the first attempt at index 0, then succeeds on the retry.
-    mc_guard::install_faults(FaultPlan::new().flaky_at(0, 1));
+    let ctx = guarded(
+        GuardPolicy { retries: 2, ..GuardPolicy::default() },
+        FaultPlan::new().flaky_at(0, 1),
+    );
     mc_trace::metrics().reset();
     mc_trace::enable_metrics(true);
-    let results = Ctx::default().try_run_batch_supervised(identical_points(1));
+    let results = ctx.try_run_batch_supervised(identical_points(1));
     mc_trace::enable_metrics(false);
-    mc_guard::clear_faults();
     assert!(results[0].is_ok(), "{:?}", results[0]);
     let snapshot = mc_trace::metrics().snapshot();
     assert_eq!(snapshot.counter("guard.retries"), Some(1));
     assert_eq!(snapshot.counter("guard.recovered"), Some(1));
     assert!(snapshot.counter("guard.failures").is_none());
-    assert_eq!(mc_guard::failure_count(), 0, "a recovered eval is not quarantined");
+    assert_eq!(ctx.guard().failures(), 0, "a recovered eval is not counted");
 }
 
 #[test]
 fn resume_skips_exactly_the_stored_set() {
     let _guard = lock();
-    reset();
     mc_exec::set_jobs(2);
     let dir = store_dir("resume");
     // Interrupted run: point 3 fails with an injected I/O error, the
     // other seven are saved to the store as they finish.
-    let ctx = Ctx::default();
+    let ctx = guarded(GuardPolicy::default(), FaultPlan::new().io_error_at(3));
     ctx.set_store(Some(&dir));
-    mc_guard::install_faults(FaultPlan::new().io_error_at(3));
     let first = ctx.try_run_batch_supervised(distinct_points());
-    mc_guard::clear_faults();
     assert_eq!(first.iter().filter(|r| r.is_ok()).count(), 7);
     assert_eq!(first[3].as_ref().unwrap_err().kind, EvalErrorKind::Failed);
 
     // Resume as a new process would: a fresh context, so a cold memo
-    // cache and a fresh store handle on the same directory. Seven points
-    // load from disk, only the failed one evaluates and is saved.
-    mc_guard::clear_quarantine();
+    // cache, a fresh guard and a fresh store handle on the same
+    // directory. Seven points load from disk, only the failed one
+    // evaluates and is saved.
     let ctx = Ctx::default();
     let store = ctx.set_store(Some(&dir)).expect("store attached");
     let second = ctx.try_run_batch_supervised(distinct_points());
@@ -165,7 +153,6 @@ fn resume_skips_exactly_the_stored_set() {
 #[test]
 fn a_warm_store_batch_counts_no_evaluations() {
     let _guard = lock();
-    reset();
     mc_exec::set_jobs(2);
     let dir = store_dir("warm-count");
     let cold_ctx = Ctx::default();
@@ -196,18 +183,15 @@ fn a_warm_store_batch_counts_no_evaluations() {
 #[test]
 fn worker_count_does_not_change_the_csv_under_faults() {
     let _guard = lock();
-    reset();
     let render = |jobs: usize| -> Vec<String> {
         mc_exec::set_jobs(jobs);
-        mc_guard::reset_indices();
-        mc_guard::clear_quarantine();
-        // Reinstall per run: flaky fire budgets are consumed state.
-        mc_guard::install_faults(FaultPlan::new().panic_at(2).io_error_at(6));
+        // A fresh context per run: indices restart at 0, and flaky fire
+        // budgets are consumed state.
+        let ctx = guarded(GuardPolicy::default(), FaultPlan::new().panic_at(2).io_error_at(6));
         let base = Arc::new(options());
         let points: Vec<EvalPoint> =
             (1..=8).map(|u| EvalPoint::new(program(u), base.clone())).collect();
-        let rows = Ctx::default()
-            .try_run_batch_supervised(points)
+        ctx.try_run_batch_supervised(points)
             .into_iter()
             .enumerate()
             .map(|(i, result)| match result {
@@ -217,9 +201,7 @@ fn worker_count_does_not_change_the_csv_under_faults() {
                     RunReport::failed_csv_row(&name, &name, &options(), error.kind.name())
                 }
             })
-            .collect();
-        mc_guard::clear_faults();
-        rows
+            .collect()
     };
     let serial = render(1);
     let parallel = render(8);
@@ -232,18 +214,46 @@ fn worker_count_does_not_change_the_csv_under_faults() {
 #[test]
 fn fail_fast_skips_points_after_the_budget_is_spent() {
     let _guard = lock();
-    reset();
     // Serial execution makes "after the failure" well defined.
     mc_exec::set_jobs(1);
-    mc_guard::set_policy(GuardPolicy { fail_fast: true, ..GuardPolicy::default() });
-    mc_guard::install_faults(FaultPlan::new().panic_at(2));
-    let results = Ctx::default().try_run_batch_supervised(identical_points(6));
-    mc_guard::clear_faults();
+    let ctx = guarded(
+        GuardPolicy { fail_fast: true, ..GuardPolicy::default() },
+        FaultPlan::new().panic_at(2),
+    );
+    let results = ctx.try_run_batch_supervised(identical_points(6));
     assert!(results[0].is_ok() && results[1].is_ok());
     assert_eq!(results[2].as_ref().unwrap_err().kind, EvalErrorKind::Panic);
     for r in &results[3..] {
         assert_eq!(r.as_ref().unwrap_err().kind, EvalErrorKind::Skipped);
     }
-    // Skipped points are not failures: the quarantine holds one entry.
-    assert_eq!(mc_guard::failure_count(), 1);
+    // Skipped points are not failures: the guard counts one.
+    assert_eq!(ctx.guard().failures(), 1);
+}
+
+#[test]
+fn two_contexts_keep_their_faults_budgets_and_indices_apart() {
+    let _guard = lock();
+    mc_exec::set_jobs(2);
+    // Both fail fast on a zero budget; only A has a fault.
+    let fail_fast = || GuardPolicy { fail_fast: true, ..GuardPolicy::default() };
+    let a = guarded(fail_fast(), FaultPlan::new().panic_at(0));
+    let b = guarded(fail_fast(), FaultPlan::new());
+    let (first_a, first_b) = std::thread::scope(|s| {
+        let run_a = s.spawn(|| a.try_run_batch_supervised(identical_points(8)));
+        let run_b = s.spawn(|| b.try_run_batch_supervised(identical_points(8)));
+        (run_a.join().unwrap(), run_b.join().unwrap())
+    });
+    assert_eq!(first_a[0].as_ref().unwrap_err().kind, EvalErrorKind::Panic);
+    assert_eq!(a.guard().failures(), 1);
+    assert!(a.guard().over_budget());
+    assert!(first_b.iter().all(Result::is_ok), "A's panic@0 must not fire in B");
+    assert_eq!(b.guard().failures(), 0);
+    assert_eq!(b.guard().next_index(), 8, "B's indices start at 0");
+
+    // A's spent budget skips A's next batch and nothing of B's.
+    let second_a = a.try_run_batch_supervised(identical_points(2));
+    assert!(second_a.iter().all(|r| r.as_ref().unwrap_err().kind == EvalErrorKind::Skipped));
+    let second_b = b.try_run_batch_supervised(identical_points(2));
+    assert!(second_b.iter().all(Result::is_ok), "{second_b:?}");
+    assert_eq!((b.guard().failures(), b.guard().next_index()), (0, 10));
 }

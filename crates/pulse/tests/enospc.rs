@@ -33,10 +33,10 @@ fn a_full_disk_registration_leaves_no_torn_record() {
     // Fail each of the three staged files in turn: every attempt must
     // clean its stage and leave the registry consistent.
     for i in 0..3u64 {
-        mc_guard::install_fault_spec(&format!("enospc@{i}")).unwrap();
+        mc_guard::install_write_faults(&mc_guard::FaultPlan::new().enospc_at(i));
         mc_guard::reset_write_indices();
         assert!(reg.register(&sample_record()).is_err(), "write {i} must fail");
-        mc_guard::clear_faults();
+        mc_guard::install_write_faults(&mc_guard::FaultPlan::new());
         let stages = std::fs::read_dir(reg.runs_dir()).map(|it| it.flatten().count()).unwrap_or(0);
         assert_eq!(stages, 0, "no stage litter after failing write {i}");
         assert!(reg.load_index().unwrap().is_empty(), "no index line for a lost record");
@@ -54,11 +54,11 @@ fn a_full_disk_index_append_is_retryable() {
     let dir = scratch("index");
     let reg = Registry::open(&dir);
     // Write index 3 is the index append (after the three staged files).
-    mc_guard::install_fault_spec("enospc@3").unwrap();
+    mc_guard::install_write_faults(&mc_guard::FaultPlan::new().enospc_at(3));
     mc_guard::reset_write_indices();
     let record = sample_record();
     assert!(reg.register(&record).is_err(), "index append must fail");
-    mc_guard::clear_faults();
+    mc_guard::install_write_faults(&mc_guard::FaultPlan::new());
     // The record directory landed; only the index line is missing.
     assert!(reg.run_dir(&record.run_id()).join("manifest.txt").exists());
     assert!(reg.load_index().unwrap().is_empty());

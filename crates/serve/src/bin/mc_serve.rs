@@ -130,10 +130,17 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     if let Ok(spec) = std::env::var("MICROTOOLS_FAULT") {
-        if let Err(e) = mc_guard::install_fault_spec(&spec) {
-            eprintln!("MICROTOOLS_FAULT rejected: {e}");
-            return ExitCode::from(2);
-        }
+        let plan = match mc_guard::FaultPlan::parse(&spec) {
+            Ok(plan) => plan,
+            Err(e) => {
+                eprintln!("MICROTOOLS_FAULT rejected: {e}");
+                return ExitCode::from(2);
+            }
+        };
+        // Jobs evaluate in the process context, so its guard fires the
+        // evaluation faults; the durable-write half is process-wide.
+        mc_guard::install_write_faults(&plan);
+        mc_launcher::Ctx::process().guard().set_faults(plan);
         eprintln!("mc-serve: chaos plan active: {spec}");
     }
     let mut config = ServeConfig::new(&state);

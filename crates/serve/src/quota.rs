@@ -106,7 +106,7 @@ impl ClientQuotas {
     }
 
     /// True once `client` has spent its error budget (strictly more
-    /// failures than the budget, matching `mc_guard::over_budget`).
+    /// failures than the budget, matching `mc_guard::Guard::over_budget`).
     pub fn over_budget(&self, client: &str) -> bool {
         self.failure_count(client) > self.config.max_failures
     }

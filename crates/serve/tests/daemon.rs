@@ -1,10 +1,9 @@
 //! Daemon integration tests: admission control, determinism, chaos
 //! isolation, and crash recovery.
 //!
-//! The daemon leans on process-global machinery (the evaluation memo
-//! cache, the generation cache, the store slot, fault plans, eval-index
-//! counters, the exec worker count), so every test here serializes on
-//! one local lock —
+//! The daemon evaluates in the process context (its memos, generation
+//! cache, store and guard) and leans on the exec worker count, so every
+//! test here serializes on one local lock —
 //! cargo runs separate test binaries sequentially, so only these tests
 //! contend.
 
@@ -19,13 +18,11 @@ use std::time::{Duration, Instant};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
-/// Serializes the tests and resets every process-global knob.
+/// Serializes the tests and resets the process context's caches and
+/// store. Its guard is not reset: a test that injects faults offsets its
+/// plan by the guard's next eval index.
 fn serialized() -> MutexGuard<'static, ()> {
     let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    mc_guard::clear_faults();
-    mc_guard::reset_indices();
-    mc_guard::reset_write_indices();
-    mc_guard::set_policy(mc_guard::GuardPolicy::default());
     mc_launcher::batch::clear_cache();
     mc_launcher::sweeps::clear_generation_cache();
     mc_launcher::Ctx::process().set_store(None);
@@ -232,19 +229,24 @@ fn jobs1_and_jobs8_result_documents_are_byte_identical() {
 fn chaos_faults_stay_per_job_and_spared_jobs_match_the_fault_free_run() {
     let _guard = serialized();
     let trips: Vec<u64> = (0..20).map(|k| 400 + k).collect();
-    let run = |faults: Option<mc_guard::FaultPlan>, tag: &str| {
-        mc_guard::clear_faults();
-        mc_guard::reset_indices();
+    let process_guard = mc_launcher::Ctx::process().guard();
+    // Fault job 2's first eval with a panic and job 5's second eval with
+    // an I/O error, counted from the first index this run will reserve.
+    let chaos = |base: u64| {
+        mc_guard::FaultPlan::new()
+            .panic_at(base + 2 * EVALS_PER_JOB)
+            .io_error_at(base + 5 * EVALS_PER_JOB + 1)
+    };
+    let run = |chaotic: bool, tag: &str| {
         mc_launcher::batch::clear_cache();
-        if let Some(plan) = faults {
-            mc_guard::install_faults(plan);
-        }
+        let base = process_guard.next_index();
+        process_guard.set_faults(if chaotic { chaos(base) } else { mc_guard::FaultPlan::new() });
         let mut config = ServeConfig::new(fresh_dir(tag));
         config.quota = QuotaConfig { capacity: 64.0, ..QuotaConfig::default() };
         let daemon = Daemon::open(config).unwrap();
         // Submit everything first so queue order (and therefore the
-        // global eval-index schedule: job k owns indices 6k..6k+6) is
-        // fixed before the scheduler starts.
+        // eval-index schedule: job k owns base+6k..base+6k+6) is fixed
+        // before the scheduler starts.
         let ids: Vec<String> = trips
             .iter()
             .map(|&trip| accepted(daemon.submit(&submission("chaos", trip), Instant::now())))
@@ -257,12 +259,8 @@ fn chaos_faults_stay_per_job_and_spared_jobs_match_the_fault_free_run() {
         scheduler.join().unwrap();
         (states, documents)
     };
-    // Fault job 2's first eval with a panic and job 5's second eval
-    // with an I/O error.
-    let plan =
-        mc_guard::FaultPlan::new().panic_at(2 * EVALS_PER_JOB).io_error_at(5 * EVALS_PER_JOB + 1);
-    let (chaos_states, chaos_documents) = run(Some(plan), "chaos");
-    let (clean_states, clean_documents) = run(None, "clean");
+    let (chaos_states, chaos_documents) = run(true, "chaos");
+    let (clean_states, clean_documents) = run(false, "clean");
     assert!(clean_states.iter().all(|s| s.name() == "done"), "{clean_states:?}");
     for (k, state) in chaos_states.iter().enumerate() {
         match k {
@@ -393,7 +391,8 @@ fn the_error_budget_cuts_off_a_client_whose_jobs_keep_failing() {
     config.quota = QuotaConfig { max_failures: 0, ..QuotaConfig::default() };
     let daemon = Daemon::open(config).unwrap();
     // The flaky client's first job dies on its first evaluation.
-    mc_guard::install_faults(mc_guard::FaultPlan::new().panic_at(0));
+    let process_guard = mc_launcher::Ctx::process().guard();
+    process_guard.set_faults(mc_guard::FaultPlan::new().panic_at(process_guard.next_index()));
     let scheduler = daemon.start();
     let doomed = accepted(daemon.submit(&submission("flaky", 700), Instant::now()));
     assert_eq!(wait_terminal(&daemon, &doomed, 120).name(), "failed");
@@ -408,6 +407,7 @@ fn the_error_budget_cuts_off_a_client_whose_jobs_keep_failing() {
     assert_eq!(wait_terminal(&daemon, &fine, 120).name(), "done");
     daemon.halt();
     scheduler.join().unwrap();
+    process_guard.set_faults(mc_guard::FaultPlan::new());
 }
 
 #[test]

@@ -24,12 +24,12 @@ fn a_full_disk_record_write_is_skipped_and_counted() {
     let _g = lock();
     let root = scratch("record");
     let store = DiskStore::open(&root, 1, 2);
-    mc_guard::install_fault_spec("enospc@1").unwrap();
+    mc_guard::install_write_faults(&mc_guard::FaultPlan::new().enospc_at(1));
     mc_guard::reset_write_indices();
     store.save("eval", "00000000000000aa", "survives");
     store.save("eval", "00000000000000bb", "lost to the full disk");
     store.save("eval", "00000000000000cc", "also survives");
-    mc_guard::clear_faults();
+    mc_guard::install_write_faults(&mc_guard::FaultPlan::new());
     let c = store.counters();
     assert_eq!((c.saved, c.write_failed), (2, 1), "{c:?}");
     // The failed write left no record and no torn file: a clean miss.
@@ -52,10 +52,10 @@ fn a_full_disk_ledger_append_is_not_fatal() {
     let root = scratch("ledger");
     let store = DiskStore::open(&root, 1, 2);
     store.save("eval", "00000000000000aa", "p");
-    mc_guard::install_fault_spec("enospc@0").unwrap();
+    mc_guard::install_write_faults(&mc_guard::FaultPlan::new().enospc_at(0));
     mc_guard::reset_write_indices();
     store.flush_ledger(); // swallowed: diagnosed, not propagated
-    mc_guard::clear_faults();
+    mc_guard::install_write_faults(&mc_guard::FaultPlan::new());
     assert_eq!(ledger_totals(&root).processes, 0, "nothing landed");
     // The record tier is untouched and a later flush succeeds.
     assert_eq!(store.load("eval", "00000000000000aa").as_deref(), Some("p"));

@@ -259,31 +259,6 @@ macro_rules! diag {
     };
 }
 
-/// Reads `MICROTOOLS_TRACE` (a JSONL path, or `stderr`) and
-/// `MICROTOOLS_TRACE_FILTER` (an event-name prefix) and installs the
-/// matching sink. Returns whether a sink was installed. Explicit
-/// `--trace` flags take precedence; binaries call this only when no flag
-/// was given.
-pub fn init_from_env() -> std::io::Result<bool> {
-    let Ok(target) = std::env::var("MICROTOOLS_TRACE") else {
-        return Ok(false);
-    };
-    if target.is_empty() {
-        return Ok(false);
-    }
-    if let Ok(prefix) = std::env::var("MICROTOOLS_TRACE_FILTER") {
-        if !prefix.is_empty() {
-            set_filter(Some(&prefix));
-        }
-    }
-    if target == "stderr" {
-        install(Arc::new(JsonlSink::new(std::io::stderr())));
-    } else {
-        install(Arc::new(JsonlSink::create(std::path::Path::new(&target))?));
-    }
-    Ok(true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -44,7 +44,7 @@ pub struct ProgressSnapshot {
     pub total: u64,
     /// Points completed (ok or failed).
     pub done: u64,
-    /// Terminal evaluation failures (quarantined by mc-guard).
+    /// Terminal evaluation failures (counted by mc-guard).
     pub failed: u64,
     /// Retry attempts consumed by mc-guard.
     pub retries: u64,
