@@ -78,7 +78,7 @@ const FIGURES: &[ExperimentId] = &[ExperimentId::Fig11, ExperimentId::Fig13, Exp
 /// Offsets of the frames in a namespace log: every position of the
 /// frame magic, whose first byte never occurs in a UTF-8 payload.
 fn frame_starts(log: &[u8]) -> Vec<usize> {
-    let magic = mc_store::MAGIC;
+    let magic = mc_report::fsio::MAGIC;
     (0..log.len().saturating_sub(magic.len()))
         .filter(|&i| log[i..i + magic.len()] == magic)
         .collect()
@@ -86,8 +86,8 @@ fn frame_starts(log: &[u8]) -> Vec<usize> {
 
 /// Offset of the payload of the frame starting at `start`.
 fn payload_start(log: &[u8], start: usize) -> usize {
-    let header = mc_store::Header::parse(&log[start..]).expect("a frame header");
-    start + mc_store::HEADER_LEN + header.key_len as usize
+    let header = mc_report::fsio::Header::parse(&log[start..]).expect("a frame header");
+    start + mc_report::fsio::HEADER_LEN + header.key_len as usize
 }
 
 /// The headline claim: a second process sharing the store directory

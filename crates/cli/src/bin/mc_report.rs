@@ -380,11 +380,10 @@ fn store_cmd(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
         );
         // The on-disk size after any auto-compaction (flushes fold the
         // ledger past mc_store::LEDGER_COMPACT_BYTES into one rollup).
-        let size = mc_store::ledger_size(root);
         println!(
             "  ledger file: {} bytes ({}, compacts past {})",
-            size,
-            mc_report::table::human_bytes(size),
+            ledger_bytes,
+            mc_report::table::human_bytes(ledger_bytes),
             mc_report::table::human_bytes(mc_store::LEDGER_COMPACT_BYTES)
         );
     }

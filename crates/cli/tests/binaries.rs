@@ -628,8 +628,8 @@ fn registered_runs_feed_history_and_trend() {
         .filter_map(Result::ok)
         .collect();
     assert_eq!(stored.len(), 1, "identical runs share one record");
-    let index = std::fs::read_to_string(registry.join("index.jsonl")).unwrap();
-    assert_eq!(index.lines().count(), 2, "…but both registrations are indexed");
+    let index = mc_pulse::Registry::open(&registry).load_index().unwrap();
+    assert_eq!(index.len(), 2, "…but both registrations are indexed");
 
     // Two healthy runs: trend sees no regression and renders the series.
     let trend = |args: &[&str]| {

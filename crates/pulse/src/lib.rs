@@ -6,9 +6,9 @@
 //!
 //! * [`registry`] — every `--register`ed invocation persists an atomic
 //!   run record (manifest, points, metrics) under `.microtools/runs/`,
-//!   indexed by an append-only, torn-tail-tolerant `index.jsonl`; run IDs
-//!   are content-derived, so identical runs collapse to one record while
-//!   every registration extends the time axis;
+//!   indexed by `index.frames`, an append-only log of checksummed frames;
+//!   run IDs are content-derived, so identical runs collapse to one record
+//!   while every registration extends the time axis;
 //! * [`trend`] — `mc-report history`/`trend` join N registered runs by
 //!   `diff`'s keys and judge each series with [`mc_report::gate`], the
 //!   regression gate `diff` shares, flagging latest-run movement beyond a

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! .microtools/
-//!   index.jsonl            append-only registration log (one line each)
+//!   index.frames           append-only registration log (one record each)
 //!   runs/<run_id>/
 //!     manifest.txt         `# key: value` provenance block
 //!     points.csv           extracted measurement points
@@ -16,17 +16,19 @@
 //! name, the manifest (minus volatile keys like timestamps), the exit
 //! status, and every measurement point. Re-registering a bit-identical
 //! run reuses its directory — the record is already on disk — but still
-//! appends an index line, because the index is the time axis: trends walk
-//! registrations, not directories.
+//! appends an index record, because the index is the time axis: trends
+//! walk registrations, not directories.
 //!
 //! Durability discipline: record directories are staged under a temp
-//! name and atomically renamed into place, index lines are single
-//! `O_APPEND` writes (safe against concurrent registrars), and the reader
-//! skips torn or foreign lines instead of refusing the whole index.
+//! name and atomically renamed into place. The index is a small log of
+//! [`mc_report::fsio`] frames, each one registration's trace event as
+//! JSON, appended in one `O_APPEND` write (safe against concurrent
+//! registrars); the reader skips damaged, torn or foreign records instead
+//! of refusing the whole index. An older `index.jsonl` is ignored.
 
 use crate::openmetrics;
 use mc_report::gate::Point;
-use mc_report::{atomic_write, fnv1a64, CsvTable, CsvWriter, RunManifest};
+use mc_report::{atomic_write, fnv1a64, fsio, CsvTable, CsvWriter, RunManifest};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -36,6 +38,10 @@ pub const DEFAULT_ROOT: &str = ".microtools";
 
 /// Environment variable overriding the registry root.
 pub const REGISTRY_ENV: &str = "MICROTOOLS_REGISTRY";
+
+/// File name and record kind of the registration log.
+const INDEX_FILE: &str = "index.frames";
+const INDEX_KIND: &str = "index";
 
 /// Manifest keys excluded from the run fingerprint: they vary between
 /// bit-identical runs (wall clock, scheduling width, store path).
@@ -120,7 +126,7 @@ impl RunRecord {
     }
 }
 
-/// One line of `index.jsonl`, read back.
+/// One record of the registration log, read back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexEntry {
     /// Position in the index (0-based registration order).
@@ -170,7 +176,7 @@ impl Registry {
 
     /// Path of the append-only registration log.
     pub fn index_path(&self) -> PathBuf {
-        self.root.join("index.jsonl")
+        self.root.join(INDEX_FILE)
     }
 
     /// Directory holding one subdirectory per run ID.
@@ -188,7 +194,7 @@ impl Registry {
     /// The record directory is staged under a temporary name and renamed
     /// into place; if a directory for the same ID already exists the
     /// content is by construction identical, so the stage is discarded.
-    /// Either way one line is appended to the index.
+    /// Either way one record is appended to the index.
     pub fn register(&self, record: &RunRecord) -> std::io::Result<String> {
         match self.try_register(record) {
             Ok(run_id) => Ok(run_id),
@@ -260,7 +266,7 @@ impl Registry {
     }
 
     fn append_index(&self, record: &RunRecord, run_id: &str) -> std::io::Result<()> {
-        mc_guard::fire_write("index.jsonl")?;
+        mc_guard::fire_write(INDEX_FILE)?;
         let label = record
             .manifest
             .get("input")
@@ -277,19 +283,19 @@ impl Registry {
             .with("timestamp_unix", record.timestamp_unix)
             .with("label", label.as_str());
         // One O_APPEND write per registration: concurrent processes
-        // interleave whole lines, never bytes within a line.
-        mc_trace::append_event(&self.index_path(), &event)?.sync_all()
+        // interleave whole frames, never bytes within a frame.
+        let frame = fsio::encode(0, 0, INDEX_KIND, &event.name, &event.to_json());
+        fsio::append_frame(&self.index_path(), &frame)?.sync_all()
     }
 
-    /// Reads the registration log in order, skipping torn or foreign
-    /// lines (the journal-reload discipline: a crash mid-append must not
-    /// poison every later read).
+    /// Reads the registration log in order, skipping damaged, torn or
+    /// foreign records (the journal-reload discipline: a crash mid-append
+    /// must not poison every later read).
     pub fn load_index(&self) -> std::io::Result<Vec<IndexEntry>> {
         let mut entries = Vec::new();
-        for event in mc_trace::read_events(&self.index_path())? {
-            if event.name != "pulse.run" {
-                continue;
-            }
+        for payload in fsio::read_log(&self.index_path(), INDEX_KIND)? {
+            let event = mc_trace::TraceEvent::from_json(&payload).ok();
+            let Some(event) = event.filter(|e| e.name == "pulse.run") else { continue };
             let str_field =
                 |k: &str| event.field(k).and_then(mc_trace::Value::as_str).map(str::to_owned);
             let num_field = |k: &str| event.field(k).and_then(mc_trace::Value::as_i64);
@@ -427,20 +433,35 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_and_foreign_lines_are_skipped() {
-        let dir = scratch("torn");
+    fn foreign_records_are_skipped() {
+        let dir = scratch("foreign");
         let reg = Registry::open(&dir);
         reg.register(&sample_record(4.0)).unwrap();
-        let mut text = fs::read_to_string(reg.index_path()).unwrap();
-        text.push_str("{\"kind\":\"event\",\"name\":\"other.thing\"}\n");
-        text.push_str("{\"kind\":\"event\",\"name\":\"pulse.run\",\"ts_us\":1,\"fie"); // torn
-        fs::write(reg.index_path(), text).unwrap();
-        let index = reg.load_index().unwrap();
-        assert_eq!(index.len(), 1, "only the intact pulse.run line survives");
-        // A registration after the tear is not glued onto it.
+        let other = "{\"seq\":0,\"us\":0,\"kind\":\"event\",\"name\":\"other.thing\"}";
+        for frame in [
+            fsio::encode(0, 0, INDEX_KIND, "other.thing", other),
+            fsio::encode(0, 0, INDEX_KIND, "pulse.run", "not json"),
+            fsio::encode(0, 0, "journal", "pulse.run", "{}"),
+        ] {
+            fsio::append_frame(&reg.index_path(), &frame).unwrap();
+        }
         reg.register(&sample_record(5.0)).unwrap();
         let index = reg.load_index().unwrap();
-        assert_eq!(index.len(), 2, "the registration after the tear survives");
+        assert_eq!(index.len(), 2, "only the pulse.run records count: {index:?}");
+        assert_eq!(index[1].seq, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stray_byte_between_registrations_loses_neither() {
+        let dir = scratch("stray");
+        let reg = Registry::open(&dir);
+        reg.register(&sample_record(4.0)).unwrap();
+        let mut index = fs::OpenOptions::new().append(true).open(reg.index_path()).unwrap();
+        std::io::Write::write_all(&mut index, &[0xff]).unwrap();
+        drop(index);
+        reg.register(&sample_record(5.0)).unwrap();
+        assert_eq!(reg.load_index().unwrap().len(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -465,7 +486,7 @@ mod tests {
         });
         let reg = Registry::open(&dir);
         let index = reg.load_index().unwrap();
-        assert_eq!(index.len(), threads * per_thread, "no line lost or torn");
+        assert_eq!(index.len(), threads * per_thread, "no record lost or torn");
         for entry in &index {
             assert_eq!(entry.tool, "microlauncher");
             assert!(reg.run_dir(&entry.run_id).join("points.csv").exists(), "{}", entry.run_id);

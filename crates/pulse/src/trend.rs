@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 /// One registered run with its points loaded.
 #[derive(Debug, Clone)]
 pub struct LoadedRun {
-    /// The index line.
+    /// The index record.
     pub entry: IndexEntry,
     /// The run's measurement points.
     pub points: Vec<Point>,

@@ -25,7 +25,8 @@
 //! * [`json`] — the workspace's one JSON codec: value type, writer and
 //!   parser for every trace, journal, index, profile and API document,
 //! * [`fsio`] — crash-safe artifact writes (temp file + fsync + rename),
-//!   so an interrupted run never leaves a torn CSV or manifest behind,
+//!   so an interrupted run never leaves a torn CSV or manifest behind, and
+//!   the one append-only log of checksummed frames,
 //! * [`rng`] — the workspace's seeded PRNG (SplitMix64), and [`prop`] —
 //!   the seeded property-test loop built on it.
 

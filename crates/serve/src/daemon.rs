@@ -262,14 +262,14 @@ pub struct Daemon {
 
 impl Daemon {
     /// Opens (or re-opens) a daemon over `config.state_dir`: creates the
-    /// state layout, attaches the evaluation store, and replays the job
-    /// journal — finished jobs become queryable history, unfinished ones
-    /// re-enter the queue in admission order.
+    /// state layout, attaches the evaluation store, and replays and
+    /// compacts the job journal — finished jobs become queryable history,
+    /// unfinished ones re-enter the queue in admission order.
     pub fn open(config: ServeConfig) -> std::io::Result<Arc<Daemon>> {
         fs::create_dir_all(config.state_dir.join("results"))?;
         Ctx::process().set_store(config.store_dir.as_deref());
         let journal = JobJournal::open(&config.state_dir);
-        let replay = journal.replay();
+        let replay = journal.compact();
         let mut inner = Inner {
             jobs: BTreeMap::new(),
             queue: VecDeque::new(),
@@ -467,9 +467,7 @@ impl Daemon {
                 entry.push_event(event);
                 inner.queue.retain(|queued| queued != id);
                 drop(inner);
-                if let Err(e) = self.journal.canceled(id) {
-                    diag!("mc-serve: journal cancel failed: {e}");
-                }
+                self.journal.finished(id, &Outcome::Canceled);
                 Ok("canceled")
             }
             JobState::Running => {
@@ -575,9 +573,8 @@ impl Daemon {
 
     /// Marks `id` failed, journals it, and charges the client's budget.
     fn fail_job(&self, id: &str, kind: &str, message: &str) {
-        if let Err(e) = self.journal.failed(id, kind, message) {
-            diag!("mc-serve: journal failure record failed: {e}");
-        }
+        let failed = Outcome::Failed { kind: kind.to_owned(), message: message.to_owned() };
+        self.journal.finished(id, &failed);
         let mut inner = self.lock();
         let Some(entry) = inner.jobs.get_mut(id) else { return };
         entry.state = JobState::Failed { kind: kind.to_owned(), message: message.to_owned() };
@@ -626,7 +623,7 @@ impl Daemon {
         let mut rows: Vec<String> = Vec::with_capacity(total);
         for chunk in programs.chunks(CHUNK) {
             // Observe control flags between chunks. Halt and drain leave
-            // the job without a terminal journal line: the next process
+            // the job without a terminal journal record: the next process
             // re-runs it and warm-hits everything evaluated so far.
             if self.halted.load(Ordering::Acquire) || self.draining.load(Ordering::Acquire) {
                 return;
@@ -635,9 +632,7 @@ impl Daemon {
                 let inner = self.lock();
                 if inner.jobs.get(id).is_some_and(|entry| entry.cancel) {
                     drop(inner);
-                    if let Err(e) = self.journal.canceled(id) {
-                        diag!("mc-serve: journal cancel failed: {e}");
-                    }
+                    self.journal.finished(id, &Outcome::Canceled);
                     let mut inner = self.lock();
                     if let Some(entry) = inner.jobs.get_mut(id) {
                         entry.state = JobState::Canceled;
@@ -689,9 +684,7 @@ impl Daemon {
         }
         // Result first, journal second: a crash between the two re-runs
         // the job, which rewrites the identical document.
-        if let Err(e) = self.journal.done(id, bytes) {
-            diag!("mc-serve: journal completion record failed: {e}");
-        }
+        self.journal.finished(id, &Outcome::Done { bytes });
         let mut inner = self.lock();
         if let Some(entry) = inner.jobs.get_mut(id) {
             entry.state = JobState::Done { bytes };

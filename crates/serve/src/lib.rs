@@ -10,12 +10,12 @@
 //! * [`quota`] — per-client token buckets plus an error budget modeled
 //!   on mc-guard's policy: typed `429` rejections with exact retry
 //!   hints, and a cutoff for clients whose kernels keep failing;
-//! * [`journal`] — the accepted-job journal (mc-trace JSONL, appended
-//!   and synced, torn-tail-tolerant) that makes `202 Accepted` a durable
-//!   promise: a SIGKILL'd daemon replays it on restart and re-runs only
-//!   what was genuinely lost, warm-hitting the evaluation store for
-//!   everything already paid for (job IDs are the store's own
-//!   content-derived keys);
+//! * [`journal`] — the accepted-job journal (checksummed frames of
+//!   trace events, appended, synced and compacted at open) that makes
+//!   `202 Accepted` a durable promise: a SIGKILL'd daemon replays it on
+//!   restart and re-runs only what was genuinely lost, warm-hitting the
+//!   evaluation store for everything already paid for (job IDs are the
+//!   store's own content-derived keys);
 //! * [`daemon`] — admission ladder, the bounded queue, the scheduler
 //!   (serial jobs, intra-job parallelism via mc-exec), per-job
 //!   deadlines and cancellation, graceful drain, and the byte-identical

@@ -51,9 +51,7 @@ pub use progress::{
     progress_point_done, progress_snapshot, uninstall_progress, ProgressEvent, ProgressSink,
     ProgressSnapshot,
 };
-pub use sink::{
-    append_event, append_line, read_events, FanoutSink, JsonlSink, MemorySink, TraceSink,
-};
+pub use sink::{FanoutSink, JsonlSink, MemorySink, TraceSink};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};

@@ -1,54 +1,9 @@
 //! Pluggable event sinks.
 
 use crate::event::TraceEvent;
-use std::fs::{self, File, OpenOptions};
-use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
+use std::io::Write;
 use std::path::Path;
 use std::sync::Mutex;
-
-/// Appends one record line to a JSONL file opened with read and append
-/// access: the record plus its `'\n'` go out in a single `O_APPEND`
-/// write, so concurrent appenders interleave whole lines. When the file
-/// does not end in `'\n'` — a crash tore its last line — the write
-/// starts with a `'\n'`, so the new record is not glued onto the torn
-/// one. That can leave a blank line, which readers skip; nothing is ever
-/// truncated. Durability (`sync_data`/`sync_all`) stays with the caller.
-pub fn append_line(mut file: &File, record: &str) -> std::io::Result<()> {
-    let len = file.metadata()?.len();
-    let mut last = [b'\n'];
-    if len > 0 {
-        file.seek(SeekFrom::Start(len - 1))?;
-        file.read_exact(&mut last)?;
-    }
-    let mut bytes = Vec::with_capacity(record.len() + 2);
-    if last[0] != b'\n' {
-        bytes.push(b'\n');
-    }
-    bytes.extend_from_slice(record.as_bytes());
-    bytes.push(b'\n');
-    file.write_all(&bytes)
-}
-
-/// Appends `event` to the JSONL event file at `path` (created if missing)
-/// as one [`append_line`] record. Returns the open file so the caller
-/// picks its durability (`sync_data`/`sync_all`).
-pub fn append_event(path: &Path, event: &TraceEvent) -> std::io::Result<File> {
-    let file = OpenOptions::new().create(true).read(true).append(true).open(path)?;
-    append_line(&file, &event.to_json())?;
-    Ok(file)
-}
-
-/// Reads the JSONL event file at `path` in order: empty when it does not
-/// exist, and torn or unparseable lines (a crash mid-append, a foreign
-/// writer) skipped, never fatal.
-pub fn read_events(path: &Path) -> std::io::Result<Vec<TraceEvent>> {
-    let text = match fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    Ok(text.lines().filter_map(|line| TraceEvent::from_json(line).ok()).collect())
-}
 
 /// Where emitted events go. Implementations must be cheap enough to sit
 /// on the generation hot path when tracing *is* enabled, and are never
@@ -163,42 +118,6 @@ mod tests {
     use super::*;
     use crate::event::EventKind;
     use std::sync::Arc;
-
-    #[test]
-    fn append_line_starts_a_fresh_line_after_a_torn_tail() {
-        let path =
-            std::env::temp_dir().join(format!("mc-trace-append-{}.jsonl", std::process::id()));
-        let open = || {
-            std::fs::OpenOptions::new().create(true).read(true).append(true).open(&path).unwrap()
-        };
-        std::fs::write(&path, "").unwrap();
-        append_line(&open(), "{\"a\":1}").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"a\":1}\n");
-        std::fs::write(&path, "{\"a\":1}\n{\"to").unwrap();
-        let file = open();
-        append_line(&file, "{\"b\":2}").unwrap();
-        append_line(&file, "{\"c\":3}").unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
-            "{\"a\":1}\n{\"to\n{\"b\":2}\n{\"c\":3}\n"
-        );
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn event_files_append_and_read_back_past_torn_lines() {
-        let path =
-            std::env::temp_dir().join(format!("mc-trace-events-{}.jsonl", std::process::id()));
-        let _ = fs::remove_file(&path);
-        assert!(read_events(&path).unwrap().is_empty(), "a missing file is empty");
-        append_event(&path, &sample("a")).unwrap();
-        fs::OpenOptions::new().append(true).open(&path).unwrap().write_all(b"{\"torn").unwrap();
-        append_event(&path, &sample("b")).unwrap().sync_data().unwrap();
-        let names: Vec<String> = read_events(&path).unwrap().into_iter().map(|e| e.name).collect();
-        assert_eq!(names, ["a", "b"]);
-        fs::remove_file(&path).unwrap();
-        assert!(read_events(&std::env::temp_dir()).is_err(), "other errors surface");
-    }
 
     fn sample(name: &str) -> TraceEvent {
         TraceEvent::new(EventKind::Event, name).with("k", 1u64)
