@@ -155,7 +155,7 @@ fn exec_metrics_cover_a_full_figure_run() {
         snapshot.counter("exec.cache.miss").unwrap_or(0) > 0,
         "figure evaluations must be counted"
     );
-    assert!(snapshot.counter("exec.batch.count").unwrap_or(0) > 0, "batches must be counted");
+    assert!(snapshot.span("exec.batch").is_some_and(|h| h.count > 0), "batches must be counted");
     assert!(snapshot.counter("exec.batch.points").unwrap_or(0) >= 12, "one point per core count");
     let utilization = snapshot.gauge("exec.pool.utilization").expect("utilization gauge");
     assert!((0.0..=1.0).contains(&utilization), "utilization {utilization} out of range");

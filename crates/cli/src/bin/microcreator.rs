@@ -35,7 +35,8 @@ options:
   --profile[=DIR]  per-evaluation mc-scope profiles (MICROTOOLS_PROFILE)
   --trace=PATH     stream trace events as JSONL to PATH (or `stderr`);
                    MICROTOOLS_TRACE / MICROTOOLS_TRACE_FILTER also apply
-  --metrics        print the end-of-run pass-timing table to stderr
+  --metrics        print the end-of-run span summary (one row per pass)
+                   and metrics registry to stderr
   --quiet          suppress diagnostic messages and progress displays
   --register       persist this run in the registry (--registry=DIR,
                    MICROTOOLS_REGISTRY, default .microtools)

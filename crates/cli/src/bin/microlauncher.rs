@@ -33,7 +33,8 @@ fn usage() -> String {
          (supervised execution; see README)\n  \
          --store=DIR (persistent evaluation store; MICROTOOLS_STORE)\n  \
          --profile[=DIR] (per-evaluation mc-scope profiles; MICROTOOLS_PROFILE)\n  \
-         --trace=PATH --metrics --quiet (observability; see README)\n  \
+         --trace=PATH --quiet (observability; see README)\n  \
+         --metrics (end-of-run span summary and metrics registry on stderr)\n  \
          --register --registry=DIR (persist this run; see README)\n  \
          --progress[=tty|jsonl|jsonl:PATH] --metrics-listen=ADDR (live view)\n\
          env: MICROTOOLS_ADAPTIVE=bool|MIN..MAX (adaptive sampling default; \

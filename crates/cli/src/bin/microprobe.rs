@@ -33,7 +33,9 @@ use std::process::ExitCode;
 const USAGE: &str = "usage: microprobe [x5650|x7550|e31240|sandybridge|nehalem2|nehalem4] \
                      [--explain [--evidence]] [--jobs=N] [--store=DIR] [--profile[=DIR]] \
                      [--trace=PATH] [--metrics] [--quiet] [--register] [--registry=DIR] \
-                     [--progress[=MODE]] [--metrics-listen=ADDR]";
+                     [--progress[=MODE]] [--metrics-listen=ADDR]\n  \
+                     --metrics prints the end-of-run span summary and metrics registry \
+                     to stderr";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

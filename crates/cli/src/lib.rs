@@ -87,8 +87,9 @@ pub fn take_flag(flags: &mut Vec<String>, name: &str) -> Option<String> {
 ///   (default) is the JSONL line protocol; `chrome` writes one
 ///   Chrome-trace/Perfetto document (load it in `chrome://tracing` or
 ///   ui.perfetto.dev), and requires a file path rather than `stderr`.
-/// * `--metrics` — buffer events in memory and print the end-of-run
-///   pass-timing/span tables plus the metrics registry to stderr.
+/// * `--metrics` — turn the metrics registry on (no sink: spans fold
+///   their wall time into per-name aggregates) and print its span summary
+///   and metric tables to stderr at the end of the run.
 /// * `--quiet` — suppress diagnostic output (`mc_trace::diag!` lines).
 ///
 /// The installed sink is flushed on drop even when [`Trace::finish`] was
@@ -96,13 +97,12 @@ pub fn take_flag(flags: &mut Vec<String>, name: &str) -> Option<String> {
 /// JSONL file or an empty Chrome trace.
 #[derive(Debug)]
 pub struct Trace {
-    buffer: Option<Arc<mc_trace::MemorySink>>,
     metrics: bool,
     finished: bool,
 }
 
 impl Trace {
-    /// Extracts the observability flags, installs the matching sinks,
+    /// Extracts the observability flags, installs the matching sink,
     /// and returns the handle. Call [`Trace::finish`] at exit.
     pub fn from_flags(flags: &mut Vec<String>) -> Result<Trace, String> {
         mc_trace::set_quiet(take_flag(flags, "--quiet").is_some());
@@ -129,10 +129,8 @@ impl Trace {
         if chrome && trace_target.is_none() {
             return Err("--trace-format=chrome requires --trace=PATH".into());
         }
-        let buffer = if metrics { Some(Arc::new(mc_trace::MemorySink::new())) } else { None };
-        let mut sinks: Vec<Arc<dyn mc_trace::TraceSink>> = Vec::new();
         if let Some(target) = &trace_target {
-            if chrome {
+            let sink: Arc<dyn mc_trace::TraceSink> = if chrome {
                 // A Chrome trace is one JSON document rewritten per flush;
                 // it cannot stream to stderr.
                 if target == "stderr" {
@@ -140,27 +138,20 @@ impl Trace {
                 }
                 let sink = mc_trace::ChromeTraceSink::create(Path::new(target))
                     .map_err(|e| format!("--trace: cannot create {target}: {e}"))?;
-                sinks.push(Arc::new(sink));
+                Arc::new(sink)
             } else if target == "stderr" {
-                sinks.push(Arc::new(mc_trace::JsonlSink::new(std::io::stderr())));
+                Arc::new(mc_trace::JsonlSink::new(std::io::stderr()))
             } else {
                 let sink = mc_trace::JsonlSink::create(Path::new(target))
                     .map_err(|e| format!("--trace: cannot create {target}: {e}"))?;
-                sinks.push(Arc::new(sink));
-            }
-        }
-        if let Some(buffer) = &buffer {
-            sinks.push(buffer.clone());
-        }
-        match sinks.len() {
-            0 => {}
-            1 => mc_trace::install(sinks.pop().expect("one sink")),
-            _ => mc_trace::install(Arc::new(mc_trace::FanoutSink::new(sinks))),
+                Arc::new(sink)
+            };
+            mc_trace::install(sink);
         }
         if metrics {
             mc_trace::enable_metrics(true);
         }
-        Ok(Trace { buffer, metrics, finished: false })
+        Ok(Trace { metrics, finished: false })
     }
 
     /// Flushes the trace and, under `--metrics`, prints the end-of-run
@@ -173,20 +164,8 @@ impl Trace {
         if !self.metrics || mc_trace::quiet() {
             return;
         }
-        let events = self.buffer.as_ref().map(|b| b.events()).unwrap_or_default();
-        if events.iter().any(|e| e.name.starts_with("creator.pass")) {
-            eprintln!("── pass timing ──");
-            eprint!("{}", mc_trace::summary::render_pass_table(&events));
-        }
-        let other_spans: Vec<mc_trace::TraceEvent> =
-            events.iter().filter(|e| e.name != "creator.pass").cloned().collect();
-        if other_spans.iter().any(|e| e.duration_micros.is_some()) {
-            eprintln!("── span summary ──");
-            eprint!("{}", mc_trace::summary::render_span_summary(&other_spans));
-        }
         let snapshot = mc_trace::metrics().snapshot();
         if !snapshot.is_empty() {
-            eprintln!("── metrics ──");
             eprint!("{}", mc_trace::summary::render_metrics(&snapshot));
         }
     }

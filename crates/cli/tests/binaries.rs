@@ -219,6 +219,42 @@ fn microcreator_trace_emits_one_span_per_executed_pass() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--metrics` is a view of the metrics registry: each pass that runs
+/// folds into its own `creator.pass.<pass>` span aggregate, one row per
+/// pass in the span summary.
+#[test]
+fn microcreator_metrics_prints_one_span_row_per_executed_pass() {
+    let dir = scratch("creator_metrics");
+    let xml = figure6_xml_file(&dir);
+    let result = Command::new(env!("CARGO_BIN_EXE_microcreator"))
+        .arg(&xml)
+        .arg("--stats")
+        .arg("--metrics")
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&result.stdout);
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert!(result.status.success(), "{stderr}");
+    // `--stats` rows: `<pass> yes|no <candidates>`.
+    let ran: Vec<&str> = stdout
+        .lines()
+        .skip(1)
+        .filter(|l| l.split_whitespace().nth(1) == Some("yes"))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(ran.len(), 17, "Figure 6 gates in 17 of the 19 passes: {stdout}");
+    let summary = stderr.split_once("── span summary ──\n").expect("span summary").1;
+    let pass_rows: Vec<&str> = summary.lines().filter(|l| l.starts_with("creator.pass.")).collect();
+    assert_eq!(pass_rows.len(), ran.len(), "{stderr}");
+    for pass in ran {
+        let key = format!("creator.pass.{pass}");
+        let row = pass_rows.iter().find(|r| r.split_whitespace().next() == Some(key.as_str()));
+        let count = row.and_then(|r| r.split_whitespace().nth(1));
+        assert_eq!(count, Some("1"), "{key} ran once: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn microlauncher_metrics_prints_summary_tables() {
     let dir = scratch("metrics");

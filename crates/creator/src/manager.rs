@@ -5,6 +5,7 @@ use crate::context::GenContext;
 use crate::error::{CreatorError, CreatorResult};
 use crate::pass::Pass;
 use std::sync::Arc;
+use std::time::Instant;
 
 type GateOverride = Arc<dyn Fn(&GenContext) -> bool + Send + Sync>;
 
@@ -129,7 +130,9 @@ impl PassManager {
     ///
     /// When tracing is enabled (see `mc-trace`), each gated-in pass emits
     /// one `creator.pass` span carrying variant counts and wall time, and
-    /// each gated-off pass emits one `creator.pass.skipped` event.
+    /// each gated-off pass emits one `creator.pass.skipped` event. When
+    /// metrics are on, each gated-in pass also folds its wall time into
+    /// the `creator.pass.<pass name>` span aggregate.
     pub fn run(&self, ctx: &mut GenContext) -> CreatorResult<Vec<(String, bool, usize, usize)>> {
         let mut stats = Vec::with_capacity(self.entries.len());
         for entry in &self.entries {
@@ -137,8 +140,13 @@ impl PassManager {
             let variants_in = ctx.candidates.len();
             let programs_in = ctx.programs.len();
             if ran {
+                let timed = mc_trace::metrics_enabled().then(Instant::now);
                 let mut span = mc_trace::span("creator.pass");
                 entry.pass.run(ctx)?;
+                if let Some(start) = timed {
+                    let key = format!("creator.pass.{}", entry.pass.name());
+                    mc_trace::metrics().observe_span(&key, start.elapsed().as_micros() as u64);
+                }
                 if span.is_active() {
                     let variants_out = ctx.candidates.len();
                     // Candidates `codegen` turns into programs are not pruned.

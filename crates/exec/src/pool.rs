@@ -117,7 +117,6 @@ fn record_batch_admitted(points: usize, workers: usize) -> Option<Counter> {
         return None;
     }
     let m = mc_trace::metrics();
-    m.inc("exec.batch.count", 1);
     m.inc("exec.batch.points", points as u64);
     m.gauge_set("exec.pool.workers", workers as f64);
     Some(m.counter("exec.batch.done"))
@@ -131,8 +130,8 @@ fn point_done(completed: Option<&Counter>) {
     mc_trace::progress_point_done();
 }
 
-/// End-of-batch telemetry: utilization (busy time over `workers × wall`)
-/// and the per-batch wall-time histogram.
+/// End-of-batch telemetry: utilization (busy time over `workers × wall`).
+/// The batch's count and wall time are the `exec.batch` span aggregate.
 fn record_batch(workers: usize, wall_seconds: f64, busy_nanos: u64) {
     if !mc_trace::metrics_enabled() {
         return;
@@ -142,7 +141,6 @@ fn record_batch(workers: usize, wall_seconds: f64, busy_nanos: u64) {
     if capacity > 0.0 {
         m.gauge_set("exec.pool.utilization", (busy_nanos as f64 / 1e9 / capacity).min(1.0));
     }
-    m.observe("exec.batch.wall_ms", wall_seconds * 1e3);
 }
 
 #[cfg(test)]
@@ -201,12 +199,11 @@ mod tests {
         mc_trace::enable_metrics(false);
         let snapshot = mc_trace::metrics().snapshot();
         mc_trace::metrics().reset();
-        assert_eq!(snapshot.counter("exec.batch.count"), Some(1));
+        assert_eq!(snapshot.span("exec.batch").map(|h| h.count), Some(1));
         assert_eq!(snapshot.counter("exec.batch.points"), Some(32));
         assert_eq!(snapshot.gauge("exec.pool.workers"), Some(4.0));
         let utilization = snapshot.gauge("exec.pool.utilization").expect("utilization gauge");
         assert!((0.0..=1.0).contains(&utilization), "utilization {utilization}");
-        assert_eq!(snapshot.histogram("exec.batch.wall_ms").map(|h| h.count), Some(1));
     }
 
     struct Quiet;
@@ -251,7 +248,7 @@ mod tests {
         let names =
             snapshot.counters.iter().map(|(n, _)| n).chain(snapshot.gauges.iter().map(|(n, _)| n));
         assert_eq!(names.filter(|n| n.starts_with("exec.")).count(), 0, "{snapshot:?}");
-        assert_eq!(snapshot.histogram("exec.batch.wall_ms"), None);
+        assert_eq!(snapshot.span("exec.batch"), None);
         assert_eq!(mc_trace::progress_snapshot(), mc_trace::ProgressSnapshot::default());
     }
 }

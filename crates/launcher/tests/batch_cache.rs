@@ -72,13 +72,12 @@ fn sweep_publishes_exec_metrics() {
     // 2 levels × 8 unroll factors, all cold: 16 misses, one batch.
     assert_eq!(snapshot.counter("exec.cache.miss"), Some(16));
     assert!(snapshot.counter("exec.cache.hit").is_none());
-    assert_eq!(snapshot.counter("exec.batch.count"), Some(1));
+    let batch = snapshot.span("exec.batch").expect("batch span aggregate");
+    assert_eq!(batch.count, 1);
     assert_eq!(snapshot.counter("exec.batch.points"), Some(16));
     assert_eq!(snapshot.gauge("exec.pool.workers"), Some(4.0));
     let utilization = snapshot.gauge("exec.pool.utilization").expect("utilization gauge");
     assert!((0.0..=1.0).contains(&utilization), "utilization {utilization} out of range");
-    let wall = snapshot.histogram("exec.batch.wall_ms").expect("wall-time histogram");
-    assert_eq!(wall.count, 1);
 
     // The warm re-run hits for every point.
     mc_trace::enable_metrics(true);

@@ -3,9 +3,11 @@
 //! [`render`] turns an [`mc_trace::MetricsSnapshot`] into the OpenMetrics
 //! text format: counters become `<name>_total`, gauges stay gauges, and
 //! histograms — which the registry keeps as p50/p95 digests, not buckets —
-//! are exposed as summaries (`_count`, `_sum` approximated by
-//! `mean × count`, plus the two quantiles). Metric names are sanitized to
-//! the `[a-zA-Z0-9_:]` alphabet (`exec.batch.count` → `exec_batch_count`).
+//! are exposed as summaries (`_count`, `_sum`, plus the two quantiles).
+//! Span aggregates are summaries too, of wall time in microseconds, named
+//! `<span>_us` (`launcher.run` → `launcher_run_us_count`). Metric names
+//! are sanitized to the `[a-zA-Z0-9_:]` alphabet (`exec.batch.points` →
+//! `exec_batch_points`).
 //!
 //! [`MetricsServer`] is the smallest HTTP server that can satisfy a
 //! scraper: one `std::net::TcpListener`, one service thread, one request
@@ -33,7 +35,7 @@ pub fn sanitize(name: &str) -> String {
 fn write_histogram(out: &mut String, name: &str, h: &HistogramStats) {
     let _ = writeln!(out, "# TYPE {name} summary");
     let _ = writeln!(out, "{name}_count {}", h.count);
-    let _ = writeln!(out, "{name}_sum {}", h.mean * h.count as f64);
+    let _ = writeln!(out, "{name}_sum {}", h.sum);
     let _ = writeln!(out, "{name}{{quantile=\"0.5\"}} {}", h.p50);
     let _ = writeln!(out, "{name}{{quantile=\"0.95\"}} {}", h.p95);
 }
@@ -54,6 +56,9 @@ pub fn render(snapshot: &MetricsSnapshot, progress: Option<&ProgressSnapshot>) -
     }
     for (name, h) in &snapshot.histograms {
         write_histogram(&mut out, &sanitize(name), h);
+    }
+    for (name, h) in &snapshot.spans {
+        write_histogram(&mut out, &format!("{}_us", sanitize(name)), h);
     }
     if let Some(p) = progress {
         let gauges: &[(&str, f64)] = &[
@@ -145,7 +150,7 @@ mod tests {
 
     #[test]
     fn sanitize_maps_dots_and_leading_digits() {
-        assert_eq!(sanitize("exec.batch.count"), "exec_batch_count");
+        assert_eq!(sanitize("exec.batch.points"), "exec_batch_points");
         assert_eq!(sanitize("guard.eval.executed"), "guard_eval_executed");
         assert_eq!(sanitize("1weird name"), "_1weird_name");
     }
@@ -153,16 +158,20 @@ mod tests {
     #[test]
     fn render_emits_counters_gauges_and_summaries() {
         let registry = mc_trace::MetricsRegistry::new();
-        registry.inc("exec.batch.count", 3);
+        registry.inc("exec.batch.points", 3);
         registry.gauge_set("exec.pool.workers", 8.0);
-        registry.observe("exec.batch.wall_ms", 2.0);
-        registry.observe("exec.batch.wall_ms", 4.0);
+        registry.observe("launcher.cycles_per_iteration", 2.0);
+        registry.observe("launcher.cycles_per_iteration", 4.0);
+        registry.observe_span("exec.batch", 20);
+        registry.observe_span("exec.batch", 40);
         let text = render(&registry.snapshot(), None);
-        assert!(text.contains("# TYPE exec_batch_count counter\nexec_batch_count_total 3\n"));
+        assert!(text.contains("# TYPE exec_batch_points counter\nexec_batch_points_total 3\n"));
         assert!(text.contains("# TYPE exec_pool_workers gauge\nexec_pool_workers 8\n"));
-        assert!(text.contains("exec_batch_wall_ms_count 2"), "{text}");
-        assert!(text.contains("exec_batch_wall_ms_sum 6"), "{text}");
-        assert!(text.contains("exec_batch_wall_ms{quantile=\"0.5\"}"), "{text}");
+        assert!(text.contains("launcher_cycles_per_iteration_count 2"), "{text}");
+        assert!(text.contains("launcher_cycles_per_iteration_sum 6"), "{text}");
+        assert!(text.contains("launcher_cycles_per_iteration{quantile=\"0.5\"}"), "{text}");
+        assert!(text.contains("# TYPE exec_batch_us summary\nexec_batch_us_count 2\n"), "{text}");
+        assert!(text.contains("exec_batch_us_sum 60"), "{text}");
         assert!(text.ends_with("# EOF\n"), "{text}");
     }
 

@@ -11,18 +11,22 @@
 //!
 //! * [`event`](mod@event) — [`TraceEvent`]: spans, point events, and routed
 //!   diagnostics with a flat JSONL wire format,
-//! * [`sink`] — pluggable [`TraceSink`]s: JSONL writer, in-memory buffer,
-//!   fan-out — plus [`chrome`]'s Perfetto/Chrome-trace timeline exporter,
+//! * [`sink`] — pluggable [`TraceSink`]s: JSONL writer and an in-memory
+//!   buffer for tests — plus [`chrome`]'s Perfetto/Chrome-trace timeline
+//!   exporter,
 //! * [`metrics`](mod@metrics) — a thread-safe [`MetricsRegistry`] of counters, gauges,
-//!   and histograms (p50/p95/max), rendered by [`summary`],
+//!   histograms (p50/p95/max) and per-name span aggregates, rendered by
+//!   [`summary`],
 //! * [`progress`] — live batch progress read from the metrics registry, and
 //!   the [`ProgressSink`] surface mc-pulse's displays consume.
 //!
 //! The tracer is a process-global dispatcher in the style of the `log`
 //! crate: libraries call [`span`]/[`event()`]/[`diag!`] unconditionally, and
 //! the calls are a single relaxed atomic load — no clock read, no
-//! allocation — until a binary installs a sink with [`install`]. The
-//! same pattern guards metrics behind [`enable_metrics`].
+//! allocation — until a binary installs a sink with [`install`] or turns
+//! the metrics registry on with [`enable_metrics`]. A span opened with
+//! metrics on and no sink only reads the clock: on drop it folds its wall
+//! time into the registry's aggregate for its name, and builds no event.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -51,14 +55,18 @@ pub use progress::{
     progress_point_done, progress_snapshot, uninstall_progress, ProgressEvent, ProgressSink,
     ProgressSnapshot,
 };
-pub use sink::{FanoutSink, JsonlSink, MemorySink, TraceSink};
+pub use sink::{JsonlSink, MemorySink, TraceSink};
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static METRICS_ENABLED: AtomicBool = AtomicBool::new(false);
+/// The switch word every hook reads: [`SINK_ON`] and [`METRICS_ON`] bits.
+static SWITCHES: AtomicU8 = AtomicU8::new(0);
+/// A sink is installed: spans and events emit.
+const SINK_ON: u8 = 1;
+/// The metrics registry records: spans fold into their name's aggregate.
+const METRICS_ON: u8 = 2;
 static QUIET: AtomicBool = AtomicBool::new(false);
 static SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -86,12 +94,12 @@ fn now_micros() -> u64 {
 pub fn install(sink: Arc<dyn TraceSink>) {
     epoch(); // pin the time base before the first event
     *sink_slot().write().expect("trace sink lock poisoned") = Some(sink);
-    ENABLED.store(true, Ordering::Release);
+    SWITCHES.fetch_or(SINK_ON, Ordering::Release);
 }
 
 /// Disables tracing, flushes, and drops the sink.
 pub fn uninstall() {
-    ENABLED.store(false, Ordering::Release);
+    SWITCHES.fetch_and(!SINK_ON, Ordering::Release);
     let sink = sink_slot().write().expect("trace sink lock poisoned").take();
     if let Some(sink) = sink {
         sink.flush();
@@ -109,18 +117,22 @@ pub fn flush() {
 /// atomic load, so instrumented code costs nothing when tracing is off.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    SWITCHES.load(Ordering::Relaxed) & SINK_ON != 0
 }
 
 /// Turns metrics recording on or off (off by default).
 pub fn enable_metrics(on: bool) {
-    METRICS_ENABLED.store(on, Ordering::Release);
+    if on {
+        SWITCHES.fetch_or(METRICS_ON, Ordering::Release);
+    } else {
+        SWITCHES.fetch_and(!METRICS_ON, Ordering::Release);
+    }
 }
 
 /// True when metrics recording is on — guard for hot-path call sites.
 #[inline]
 pub fn metrics_enabled() -> bool {
-    METRICS_ENABLED.load(Ordering::Relaxed)
+    SWITCHES.load(Ordering::Relaxed) & METRICS_ON != 0
 }
 
 /// The process-global metrics registry.
@@ -177,49 +189,58 @@ pub fn event(name: &str, fields: Vec<(&str, Value)>) {
     emit(e);
 }
 
-/// A span guard: records wall time from creation to drop and emits one
-/// `kind:"span"` event with the attached fields. When tracing is
-/// disabled the guard is inert — no clock read, no allocation.
+/// A span guard: records wall time from creation to drop. It has three
+/// states, fixed when it is opened:
+///
+/// * inert (no sink, metrics off) — no clock read, no allocation;
+/// * timing-only (metrics on, no sink) — one clock read at each end, and
+///   the wall time folds into the registry's aggregate for the span's
+///   name ([`MetricsRegistry::observe_span`]); no event is built;
+/// * emitting (a sink is installed) — one `kind:"span"` event with the
+///   attached fields, and the fold too when metrics are on.
 pub struct Span {
     inner: Option<SpanInner>,
 }
 
 struct SpanInner {
-    name: String,
+    name: &'static str,
     start: Instant,
-    start_micros: u64,
-    fields: Vec<(String, Value)>,
+    fold: bool,
+    /// The event's start stamp and fields, when a sink is installed.
+    event: Option<(u64, Vec<(String, Value)>)>,
 }
 
-/// Opens a span. Drop it (or let it fall out of scope) to emit.
-pub fn span(name: &str) -> Span {
-    if !enabled() {
+/// Opens a span. Drop it (or let it fall out of scope) to emit and fold.
+pub fn span(name: &'static str) -> Span {
+    let switches = SWITCHES.load(Ordering::Relaxed);
+    if switches == 0 {
         return Span { inner: None };
     }
     Span {
         inner: Some(SpanInner {
-            name: name.to_owned(),
+            name,
             start: Instant::now(),
-            start_micros: now_micros(),
-            fields: Vec::new(),
+            fold: switches & METRICS_ON != 0,
+            event: (switches & SINK_ON != 0).then(|| (now_micros(), Vec::new())),
         }),
     }
 }
 
 impl Span {
-    /// Attaches one field; a no-op on inert spans.
+    /// Attaches one field; a no-op unless the span will emit.
     pub fn field(&mut self, key: &str, value: impl Into<Value>) {
-        if let Some(inner) = &mut self.inner {
-            inner.fields.push((key.to_owned(), value.into()));
+        if let Some((_, fields)) = self.inner.as_mut().and_then(|i| i.event.as_mut()) {
+            fields.push((key.to_owned(), value.into()));
         }
     }
 
-    /// True when this span will emit (tracing was enabled at creation).
+    /// True when this span will emit an event (a sink was installed at
+    /// creation) — the guard for building fields.
     pub fn is_active(&self) -> bool {
-        self.inner.is_some()
+        self.inner.as_ref().is_some_and(|i| i.event.is_some())
     }
 
-    /// Discards the span without emitting.
+    /// Discards the span: it neither emits nor folds.
     pub fn cancel(mut self) {
         self.inner = None;
     }
@@ -228,11 +249,17 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         let Some(inner) = self.inner.take() else { return };
-        let mut event = TraceEvent::new(EventKind::Span, inner.name);
-        event.micros = inner.start_micros;
-        event.duration_micros = Some(inner.start.elapsed().as_micros() as u64);
-        event.fields = inner.fields;
-        emit(event);
+        let micros = inner.start.elapsed().as_micros() as u64;
+        if inner.fold {
+            metrics().observe_span(inner.name, micros);
+        }
+        if let Some((start_micros, fields)) = inner.event {
+            let mut event = TraceEvent::new(EventKind::Span, inner.name);
+            event.micros = start_micros;
+            event.duration_micros = Some(micros);
+            event.fields = fields;
+            emit(event);
+        }
     }
 }
 
@@ -297,10 +324,46 @@ mod tests {
     fn disabled_tracer_emits_nothing_and_spans_are_inert() {
         let _g = guard();
         uninstall();
+        metrics().reset();
+        let aggregate = |name| metrics().snapshot().span(name).map(|h| h.count);
+
+        // Both switches off: inert, nothing recorded.
         let s = span("ghost");
         assert!(!s.is_active());
+        assert!(s.inner.is_none());
         drop(s);
         event("ghost.event", vec![("k", Value::from(1u64))]);
+        assert!(metrics().snapshot().is_empty());
+
+        // Metrics on, no sink: one aggregate, no event built or stamped.
+        enable_metrics(true);
+        let seq = SEQ.load(Ordering::Relaxed);
+        let mut s = span("timed");
+        assert!(!s.is_active());
+        assert!(s.inner.as_ref().is_some_and(|i| i.fold && i.event.is_none()));
+        s.field("ignored", 1u64);
+        drop(s);
+        assert_eq!(aggregate("timed"), Some(1));
+        assert_eq!(SEQ.load(Ordering::Relaxed), seq, "no event reached emit");
+
+        // Sink and metrics on: today's event, plus the aggregate.
+        let events = with_memory_sink(|_| {
+            let mut s = span("timed");
+            assert!(s.is_active());
+            s.field("n", 3u64);
+        });
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].name, "timed");
+        assert_eq!(events[0].field("n").and_then(Value::as_u64), Some(3));
+        assert_eq!(aggregate("timed"), Some(2));
+
+        // A cancelled span neither emits nor folds.
+        let events = with_memory_sink(|_| span("timed").cancel());
+        assert!(events.is_empty());
+        assert_eq!(aggregate("timed"), Some(2));
+
+        enable_metrics(false);
+        metrics().reset();
         // Installing afterwards shows the buffer empty.
         let events = with_memory_sink(|_| {});
         assert!(events.is_empty());

@@ -1,10 +1,15 @@
-//! In-memory metrics: counters, gauges, and histograms.
+//! In-memory metrics: counters, gauges, histograms, and span aggregates.
 //!
 //! The registry is thread-safe and cheap: counters are lock-free atomics
-//! handed out as [`Counter`] handles; gauges and histogram observations
-//! take one short mutex. Call sites on hot paths should guard recording
-//! behind [`crate::metrics_enabled`], which is a single relaxed atomic
-//! load when metrics are off.
+//! handed out as [`Counter`] handles; gauges, histogram observations and
+//! span folds take one short mutex. Call sites on hot paths should guard
+//! recording behind [`crate::metrics_enabled`], which is a single relaxed
+//! atomic load when metrics are off.
+//!
+//! A span aggregate is a histogram of one span name's wall times in
+//! microseconds, fed by every closing [`crate::Span`] while metrics are
+//! on: the `--metrics` span table, OpenMetrics and registered snapshots
+//! all read it.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,6 +86,7 @@ impl Histogram {
             min: if self.count == 0 { 0.0 } else { self.min },
             max: if self.count == 0 { 0.0 } else { self.max },
             mean: if self.count == 0 { 0.0 } else { self.sum / self.count as f64 },
+            sum: self.sum,
             p50: pct(0.50),
             p95: pct(0.95),
         }
@@ -98,6 +104,8 @@ pub struct HistogramStats {
     pub max: f64,
     /// Arithmetic mean over all observations.
     pub mean: f64,
+    /// Sum of all observations.
+    pub sum: f64,
     /// 50th percentile.
     pub p50: f64,
     /// 95th percentile.
@@ -113,6 +121,8 @@ pub struct MetricsSnapshot {
     pub gauges: Vec<(String, f64)>,
     /// Histogram name → stats.
     pub histograms: Vec<(String, HistogramStats)>,
+    /// Span name → stats of its wall times in microseconds.
+    pub spans: Vec<(String, HistogramStats)>,
 }
 
 impl MetricsSnapshot {
@@ -131,18 +141,27 @@ impl MetricsSnapshot {
         self.histograms.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 
+    /// Looks up a span aggregate by name (wall times in microseconds).
+    pub fn span(&self, name: &str) -> Option<&HistogramStats> {
+        self.spans.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+    }
+
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty()
+            && self.gauges.is_empty()
+            && self.histograms.is_empty()
+            && self.spans.is_empty()
     }
 }
 
-/// The registry: named counters, gauges, and histograms.
+/// The registry: named counters, gauges, histograms, and span aggregates.
 #[derive(Default)]
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, f64>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
+    spans: Mutex<BTreeMap<String, Histogram>>,
 }
 
 impl MetricsRegistry {
@@ -182,6 +201,12 @@ impl MetricsRegistry {
         with_entry(&mut histograms, name, Histogram::new, |h| h.observe(value));
     }
 
+    /// Folds one closed span's wall time into its name's aggregate.
+    pub fn observe_span(&self, name: &str, micros: u64) {
+        let mut spans = self.spans.lock().expect("metrics poisoned");
+        with_entry(&mut spans, name, Histogram::new, |h| h.observe(micros as f64));
+    }
+
     /// Copies the current state, sorted by metric name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -199,13 +224,8 @@ impl MetricsRegistry {
                 .iter()
                 .map(|(k, v)| (k.clone(), *v))
                 .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .expect("metrics poisoned")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.stats()))
-                .collect(),
+            histograms: stats_of(&self.histograms),
+            spans: stats_of(&self.spans),
         }
     }
 
@@ -214,7 +234,13 @@ impl MetricsRegistry {
         self.counters.lock().expect("metrics poisoned").clear();
         self.gauges.lock().expect("metrics poisoned").clear();
         self.histograms.lock().expect("metrics poisoned").clear();
+        self.spans.lock().expect("metrics poisoned").clear();
     }
+}
+
+fn stats_of(histograms: &Mutex<BTreeMap<String, Histogram>>) -> Vec<(String, HistogramStats)> {
+    let histograms = histograms.lock().expect("metrics poisoned");
+    histograms.iter().map(|(k, v)| (k.clone(), v.stats())).collect()
 }
 
 /// Applies `f` to the entry for `name`, created with `make` on first use.
@@ -306,6 +332,18 @@ mod tests {
     }
 
     #[test]
+    fn span_aggregates_keep_count_total_and_percentiles_apart_from_histograms() {
+        let registry = MetricsRegistry::new();
+        for micros in [100, 300, 200] {
+            registry.observe_span("launcher.run", micros);
+        }
+        let snapshot = registry.snapshot();
+        let run = snapshot.span("launcher.run").expect("aggregate");
+        assert_eq!((run.count, run.sum, run.p50, run.max), (3, 600.0, 200.0, 300.0));
+        assert!(snapshot.histograms.is_empty(), "{snapshot:?}");
+    }
+
+    #[test]
     fn gauges_keep_last_value() {
         let registry = MetricsRegistry::new();
         registry.gauge_set("ghz", 2.67);
@@ -328,6 +366,7 @@ mod tests {
         registry.inc("c", 1);
         registry.gauge_set("g", 1.0);
         registry.observe("h", 1.0);
+        registry.observe_span("s", 1);
         registry.reset();
         assert!(registry.snapshot().is_empty());
     }

@@ -46,8 +46,7 @@ impl<W: Write + Send> TraceSink for JsonlSink<W> {
     }
 }
 
-/// Collects events in memory — the summary renderer's and the tests'
-/// sink.
+/// Collects events in memory — the tests' sink.
 #[derive(Debug, Default)]
 pub struct MemorySink {
     events: Mutex<Vec<TraceEvent>>,
@@ -86,38 +85,10 @@ impl TraceSink for MemorySink {
     }
 }
 
-/// Broadcasts each event to several sinks (e.g. a JSONL file plus the
-/// in-memory buffer behind `--metrics`).
-pub struct FanoutSink {
-    sinks: Vec<std::sync::Arc<dyn TraceSink>>,
-}
-
-impl FanoutSink {
-    /// A sink over the given targets.
-    pub fn new(sinks: Vec<std::sync::Arc<dyn TraceSink>>) -> Self {
-        FanoutSink { sinks }
-    }
-}
-
-impl TraceSink for FanoutSink {
-    fn record(&self, event: &TraceEvent) {
-        for sink in &self.sinks {
-            sink.record(event);
-        }
-    }
-
-    fn flush(&self) {
-        for sink in &self.sinks {
-            sink.flush();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::EventKind;
-    use std::sync::Arc;
 
     fn sample(name: &str) -> TraceEvent {
         TraceEvent::new(EventKind::Event, name).with("k", 1u64)
@@ -144,15 +115,5 @@ mod tests {
         assert_eq!(sink.events()[0].name, "x");
         sink.clear();
         assert!(sink.is_empty());
-    }
-
-    #[test]
-    fn fanout_reaches_every_target() {
-        let a = Arc::new(MemorySink::new());
-        let b = Arc::new(MemorySink::new());
-        let fan = FanoutSink::new(vec![a.clone(), b.clone()]);
-        fan.record(&sample("x"));
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
     }
 }

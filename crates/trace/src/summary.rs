@@ -1,17 +1,39 @@
-//! Human-readable end-of-run rendering: the `--metrics` summary table and
-//! the per-pass timing table the CLI binaries print.
+//! Human-readable end-of-run rendering: the `--metrics` tables the CLI
+//! binaries print, all read from one [`MetricsSnapshot`].
 
-use crate::event::{TraceEvent, Value};
 use crate::metrics::MetricsSnapshot;
 use std::fmt::Write as _;
 
-/// Renders a metrics snapshot as an aligned text block.
+/// Renders a metrics snapshot as aligned text blocks: the span summary
+/// (per-name wall-time aggregates) under `── span summary ──`, then the
+/// counters, gauges and histograms under `── metrics ──`.
 pub fn render_metrics(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::new();
     if snapshot.is_empty() {
         out.push_str("(no metrics recorded)\n");
         return out;
     }
+    if !snapshot.spans.is_empty() {
+        out.push_str("── span summary ──\n");
+        let width = snapshot.spans.iter().map(|(n, _)| n.len()).max().unwrap_or(0).max(4);
+        let _ = writeln!(
+            out,
+            "{:width$} {:>8} {:>14} {:>12} {:>10} {:>10}",
+            "span", "count", "total µs", "mean µs", "p50", "p95"
+        );
+        for (name, h) in &snapshot.spans {
+            let _ = writeln!(
+                out,
+                "{name:width$} {:>8} {:>14} {:>12.1} {:>10} {:>10}",
+                h.count, h.sum, h.mean, h.p50, h.p95
+            );
+        }
+    }
+    if snapshot.counters.is_empty() && snapshot.gauges.is_empty() && snapshot.histograms.is_empty()
+    {
+        return out;
+    }
+    out.push_str("── metrics ──\n");
     if !snapshot.counters.is_empty() {
         out.push_str("─ counters ─\n");
         let width = snapshot.counters.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
@@ -45,83 +67,9 @@ pub fn render_metrics(snapshot: &MetricsSnapshot) -> String {
     out
 }
 
-/// Renders the pass-timing table from recorded `creator.pass` /
-/// `creator.pass.skipped` span events (the `--metrics` end-of-run view of
-/// one MicroCreator pipeline execution).
-pub fn render_pass_table(events: &[TraceEvent]) -> String {
-    let field_u64 =
-        |e: &TraceEvent, key: &str| -> u64 { e.field(key).and_then(Value::as_u64).unwrap_or(0) };
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:28} {:>5} {:>12} {:>12} {:>8} {:>12}",
-        "pass", "ran", "variants in", "variants out", "pruned", "wall µs"
-    );
-    for event in events {
-        match event.name.as_str() {
-            "creator.pass" => {
-                let _ = writeln!(
-                    out,
-                    "{:28} {:>5} {:>12} {:>12} {:>8} {:>12}",
-                    event.field("pass").and_then(Value::as_str).unwrap_or("?"),
-                    "yes",
-                    field_u64(event, "variants_in"),
-                    field_u64(event, "variants_out"),
-                    field_u64(event, "pruned"),
-                    event.duration_micros.unwrap_or(0),
-                );
-            }
-            "creator.pass.skipped" => {
-                let _ = writeln!(
-                    out,
-                    "{:28} {:>5} {:>12} {:>12} {:>8} {:>12}",
-                    event.field("pass").and_then(Value::as_str).unwrap_or("?"),
-                    "no",
-                    field_u64(event, "variants_in"),
-                    field_u64(event, "variants_in"),
-                    0,
-                    "-",
-                );
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// Aggregates span events by name: count, total and mean wall time. The
-/// generic end-of-run view for launcher/bench runs.
-pub fn render_span_summary(events: &[TraceEvent]) -> String {
-    use std::collections::BTreeMap;
-    let mut groups: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-    for event in events {
-        if let Some(d) = event.duration_micros {
-            let entry = groups.entry(event.name.as_str()).or_insert((0, 0));
-            entry.0 += 1;
-            entry.1 += d;
-        }
-    }
-    let mut out = String::new();
-    if groups.is_empty() {
-        out.push_str("(no spans recorded)\n");
-        return out;
-    }
-    let width = groups.keys().map(|n| n.len()).max().unwrap_or(4).max(4);
-    let _ = writeln!(out, "{:width$} {:>8} {:>14} {:>14}", "span", "count", "total µs", "mean µs");
-    for (name, (count, total)) in groups {
-        let _ = writeln!(
-            out,
-            "{name:width$} {count:>8} {total:>14} {:>14.1}",
-            total as f64 / count as f64
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
     use crate::metrics::MetricsRegistry;
 
     #[test]
@@ -131,6 +79,7 @@ mod tests {
         registry.gauge_set("simarch.pressure.loads", 8.0);
         registry.observe("launcher.cycles", 3.25);
         let text = render_metrics(&registry.snapshot());
+        assert!(text.starts_with("── metrics ──\n"), "no spans, no span summary: {text}");
         assert!(text.contains("launcher.runs"), "{text}");
         assert!(text.contains("simarch.pressure.loads"), "{text}");
         assert!(text.contains("p95"), "{text}");
@@ -143,32 +92,20 @@ mod tests {
     }
 
     #[test]
-    fn pass_table_lists_ran_and_skipped() {
-        let mut ran = TraceEvent::new(EventKind::Span, "creator.pass")
-            .with("pass", "unrolling")
-            .with("variants_in", 8u64)
-            .with("variants_out", 64u64)
-            .with("pruned", 0u64);
-        ran.duration_micros = Some(120);
-        let skipped = TraceEvent::new(EventKind::Event, "creator.pass.skipped")
-            .with("pass", "random-selection")
-            .with("variants_in", 8u64);
-        let text = render_pass_table(&[ran, skipped]);
-        assert!(text.contains("unrolling"), "{text}");
-        assert!(text.contains("random-selection"), "{text}");
-        assert!(text.contains("120"), "{text}");
-    }
-
-    #[test]
-    fn span_summary_groups_by_name() {
-        let mut a = TraceEvent::new(EventKind::Span, "launcher.run");
-        a.duration_micros = Some(100);
-        let mut b = TraceEvent::new(EventKind::Span, "launcher.run");
-        b.duration_micros = Some(300);
-        let no_span = TraceEvent::new(EventKind::Event, "launcher.experiment");
-        let text = render_span_summary(&[a, b, no_span]);
-        assert!(text.contains("launcher.run"), "{text}");
-        assert!(text.contains("200.0"), "mean column: {text}");
-        assert!(!text.contains("launcher.experiment"), "{text}");
+    fn span_summary_has_one_row_per_name_before_the_metrics() {
+        let registry = MetricsRegistry::new();
+        registry.observe_span("launcher.run", 100);
+        registry.observe_span("launcher.run", 300);
+        registry.observe_span("creator.pass.unrolling", 120);
+        registry.inc("launcher.measurements", 2);
+        let text = render_metrics(&registry.snapshot());
+        let (spans, metrics) = text.split_once("── metrics ──\n").expect("both sections");
+        assert!(spans.starts_with("── span summary ──\n"), "{text}");
+        let row = |name: &str| spans.lines().find(|l| l.starts_with(name)).map(str::to_owned);
+        let run = row("launcher.run").expect("launcher.run row");
+        let columns: Vec<&str> = run.split_whitespace().collect();
+        assert_eq!(columns[1..4], ["2", "400", "200.0"], "count, total, mean: {run}");
+        assert!(row("creator.pass.unrolling").is_some(), "{text}");
+        assert!(metrics.contains("launcher.measurements"), "{text}");
     }
 }
