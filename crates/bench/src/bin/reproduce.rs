@@ -16,8 +16,8 @@
 //! `--adaptive[=bool]` switches every experiment's sweeps to adaptive
 //! sampling: each point starts at `--min-samples` (default 2) outer
 //! experiments and grows geometrically only while unstable, capped at
-//! `--max-samples` (default 8). `MICROTOOLS_ADAPTIVE=bool|MIN..MAX`
-//! sets the same policy from the environment; explicit flags win.
+//! `--max-samples` (default 8). They parse as the launcher's own
+//! options do (`LauncherOptions::from_args_over`).
 //!
 //! For each experiment the tool prints the regenerated data (terminal
 //! chart or table), the shape checks against the paper's claims as
@@ -115,20 +115,6 @@ fn main() -> ExitCode {
     run.finish("reproduce", manifest, code)
 }
 
-fn parse_bool_flag(flag: &str, value: &str) -> Result<bool, String> {
-    match value {
-        "1" | "true" | "yes" => Ok(true),
-        "0" | "false" | "no" => Ok(false),
-        other => Err(format!("{flag} expects a boolean, got `{other}`")),
-    }
-}
-
-fn parse_u32_flag(flag: &str, value: &str) -> Result<u32, String> {
-    value
-        .parse::<u32>()
-        .map_err(|_| format!("{flag} expects a non-negative integer, got `{value}`"))
-}
-
 /// Runs the selected experiments and prints their results. Returns the
 /// exit code and, once the results are out, the manifest to register.
 fn reproduce(args: Vec<String>, run: &mut Run) -> (u8, Option<RunManifest>) {
@@ -136,15 +122,7 @@ fn reproduce(args: Vec<String>, run: &mut Run) -> (u8, Option<RunManifest>) {
     let mut summary_only = false;
     let mut quick = false;
     let mut csv_dir: Option<String> = None;
-    // Environment-derived sampling policy first; explicit flags win. The
-    // reproduce defaults (2..8) are tighter than the launcher's because
-    // the quick suite's fixed budget is only 3 outer experiments.
-    let mut sampling =
-        LauncherOptions { min_samples: 2, max_samples: 8, ..LauncherOptions::default() };
-    if let Err(e) = sampling.apply_adaptive_env() {
-        diag!("{e}");
-        return (exitcode::USAGE, None);
-    }
+    let mut sampling_flags: Vec<&str> = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -156,7 +134,6 @@ fn reproduce(args: Vec<String>, run: &mut Run) -> (u8, Option<RunManifest>) {
             }
             "--summary" => summary_only = true,
             "--quick" => quick = true,
-            "--adaptive" => sampling.adaptive = true,
             "--exp" => exp = iter.next().cloned(),
             other if other.starts_with("--exp=") => {
                 exp = Some(other.trim_start_matches("--exp=").to_owned());
@@ -164,32 +141,12 @@ fn reproduce(args: Vec<String>, run: &mut Run) -> (u8, Option<RunManifest>) {
             other if other.starts_with("--csv-dir=") => {
                 csv_dir = Some(other.trim_start_matches("--csv-dir=").to_owned());
             }
-            other if other.starts_with("--adaptive=") => {
-                match parse_bool_flag("--adaptive", other.trim_start_matches("--adaptive=")) {
-                    Ok(v) => sampling.adaptive = v,
-                    Err(e) => {
-                        diag!("{e}");
-                        return (exitcode::USAGE, None);
-                    }
-                }
-            }
-            other if other.starts_with("--min-samples=") => {
-                match parse_u32_flag("--min-samples", other.trim_start_matches("--min-samples=")) {
-                    Ok(v) => sampling.min_samples = v,
-                    Err(e) => {
-                        diag!("{e}");
-                        return (exitcode::USAGE, None);
-                    }
-                }
-            }
-            other if other.starts_with("--max-samples=") => {
-                match parse_u32_flag("--max-samples", other.trim_start_matches("--max-samples=")) {
-                    Ok(v) => sampling.max_samples = v,
-                    Err(e) => {
-                        diag!("{e}");
-                        return (exitcode::USAGE, None);
-                    }
-                }
+            other
+                if ["--adaptive", "--min-samples", "--max-samples"]
+                    .iter()
+                    .any(|flag| other.starts_with(flag)) =>
+            {
+                sampling_flags.push(other)
             }
             other => {
                 diag!(
@@ -200,6 +157,16 @@ fn reproduce(args: Vec<String>, run: &mut Run) -> (u8, Option<RunManifest>) {
             }
         }
     }
+    // The reproduce defaults (2..8) are tighter than the launcher's
+    // because the quick suite's fixed budget is only 3 outer experiments.
+    let defaults = LauncherOptions { min_samples: 2, max_samples: 8, ..LauncherOptions::default() };
+    let sampling = match LauncherOptions::from_args_over(defaults, &sampling_flags) {
+        Ok(sampling) => sampling,
+        Err(e) => {
+            diag!("{e}");
+            return (exitcode::USAGE, None);
+        }
+    };
     if sampling.adaptive && sampling.max_samples > 0 && sampling.max_samples < sampling.min_samples
     {
         diag!("--max-samples must be >= --min-samples");

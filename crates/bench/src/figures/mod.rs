@@ -56,8 +56,8 @@ impl FigureResult {
 /// Launcher options tuned for harness throughput: the simulation is
 /// deterministic, so a fixed budget of 3 outer experiments suffices.
 /// `reproduce` derives its sampling policy (`--adaptive`,
-/// `--min-samples`, `--max-samples`, `MICROTOOLS_ADAPTIVE`) on top of
-/// these and hands the result to [`run_many`] as every figure's base.
+/// `--min-samples`, `--max-samples`) on top of these and hands the
+/// result to [`run_many`] as every figure's base.
 pub fn quick_options() -> LauncherOptions {
     LauncherOptions {
         repetitions: 4,

@@ -19,7 +19,7 @@
 //! one point regressed.
 //!
 //! `history` and `trend` read runs persisted by `--register` (root:
-//! `--registry=DIR`, else `MICROTOOLS_REGISTRY`, else `.microtools`).
+//! `--registry=DIR`, else `.microtools`).
 //! `history` lists one series' value across runs; `trend` joins every
 //! series, builds a noise band from each run's recorded stability
 //! spreads, and exits 4 when the latest run regressed beyond its band.
@@ -114,8 +114,8 @@ fn take_count(flags: &mut Vec<String>, name: &str) -> Result<Option<usize>, Stri
     }
 }
 
-/// The registry the subcommand reads or writes: `--registry=DIR` flag,
-/// then the environment, then `.microtools`.
+/// The registry the subcommand reads or writes: `--registry=DIR`, else
+/// `.microtools`.
 fn take_registry(flags: &mut Vec<String>) -> Result<Registry, String> {
     let flag = take_flag(flags, "--registry");
     if flag.as_deref() == Some("") {

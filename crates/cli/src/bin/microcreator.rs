@@ -28,18 +28,17 @@ options:
   --stats          print per-pass candidate counts
   --list           list generated variant names
   --print=NAME     print one variant's assembly to stdout
-  --jobs=N         worker threads for batch evaluation (MICROTOOLS_JOBS)
+  --jobs=N         worker threads for batch evaluation
   --deadline-ms=N --retries=N --max-failures=N --keep-going | --fail-fast
                    supervised execution (see README)
-  --store=DIR      persistent evaluation store (MICROTOOLS_STORE)
-  --profile[=DIR]  per-evaluation mc-scope profiles (MICROTOOLS_PROFILE)
-  --trace=PATH     stream trace events as JSONL to PATH (or `stderr`);
-                   MICROTOOLS_TRACE / MICROTOOLS_TRACE_FILTER also apply
+  --store=DIR      persistent evaluation store
+  --profile[=DIR]  per-evaluation mc-scope profiles
+  --trace=PATH     stream trace events as JSONL to PATH (or `stderr`)
   --metrics        print the end-of-run span summary (one row per pass)
                    and metrics registry to stderr
   --quiet          suppress diagnostic messages and progress displays
   --register       persist this run in the registry (--registry=DIR,
-                   MICROTOOLS_REGISTRY, default .microtools)
+                   default .microtools)
   --metrics-listen=ADDR  serve live OpenMetrics on ADDR";
 
 fn main() -> ExitCode {

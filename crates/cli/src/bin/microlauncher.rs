@@ -28,17 +28,15 @@ fn usage() -> String {
     format!(
         "usage: microlauncher <kernel.s | description.xml> [options]\n\
          options (MicroLauncher's §4.2 surface):\n  {}\n  \
-         --jobs=N (parallel batch evaluation; MICROTOOLS_JOBS)\n  \
+         --jobs=N (parallel batch evaluation)\n  \
          --deadline-ms=N --retries=N --max-failures=N --keep-going | --fail-fast \
          (supervised execution; see README)\n  \
-         --store=DIR (persistent evaluation store; MICROTOOLS_STORE)\n  \
-         --profile[=DIR] (per-evaluation mc-scope profiles; MICROTOOLS_PROFILE)\n  \
+         --store=DIR (persistent evaluation store)\n  \
+         --profile[=DIR] (per-evaluation mc-scope profiles)\n  \
          --trace=PATH --quiet (observability; see README)\n  \
          --metrics (end-of-run span summary and metrics registry on stderr)\n  \
          --register --registry=DIR (persist this run; see README)\n  \
-         --progress[=tty|jsonl|jsonl:PATH] --metrics-listen=ADDR (live view)\n\
-         env: MICROTOOLS_ADAPTIVE=bool|MIN..MAX (adaptive sampling default; \
-         flags win)",
+         --progress[=tty|jsonl|jsonl:PATH] --metrics-listen=ADDR (live view)",
         LauncherOptions::OPTION_NAMES.join("\n  ")
     )
 }
@@ -98,13 +96,7 @@ fn launch(args: Vec<String>, run: &mut Run) -> (u8, Option<mc_report::RunManifes
         diag!("{}", usage());
         return (exitcode::USAGE, None);
     };
-    // Environment-derived defaults first, explicit flags on top.
-    let mut env_base = LauncherOptions::default();
-    if let Err(e) = env_base.apply_adaptive_env() {
-        diag!("{e}\n{}", usage());
-        return (exitcode::USAGE, None);
-    }
-    let options = match LauncherOptions::from_args_over(env_base, &args[1..]) {
+    let options = match LauncherOptions::from_args(&args[1..]) {
         Ok(o) => o,
         Err(e) => {
             diag!("{e}\n{}", usage());

@@ -79,10 +79,7 @@ pub fn take_flag(flags: &mut Vec<String>, name: &str) -> Option<String> {
 /// evaluating binaries get it inside [`Run`].
 ///
 /// * `--trace=PATH` — stream every event as one JSON line to `PATH`
-///   (`stderr` streams to standard error). Falls back to the
-///   `MICROTOOLS_TRACE` environment variable when the flag is absent;
-///   `MICROTOOLS_TRACE_FILTER` restricts emission to an event-name
-///   prefix (e.g. `creator.`).
+///   (`stderr` streams to standard error).
 /// * `--trace-format=json|chrome` — wire format for `--trace`. `json`
 ///   (default) is the JSONL line protocol; `chrome` writes one
 ///   Chrome-trace/Perfetto document (load it in `chrome://tracing` or
@@ -118,14 +115,8 @@ impl Trace {
             Some(path) if path.is_empty() => {
                 return Err("--trace requires a file path (or `stderr`)".into())
             }
-            Some(path) => Some(path),
-            None => std::env::var("MICROTOOLS_TRACE").ok().filter(|v| !v.is_empty()),
+            other => other,
         };
-        if let Ok(prefix) = std::env::var("MICROTOOLS_TRACE_FILTER") {
-            if !prefix.is_empty() {
-                mc_trace::set_filter(Some(&prefix));
-            }
-        }
         if chrome && trace_target.is_none() {
             return Err("--trace-format=chrome requires --trace=PATH".into());
         }
@@ -181,12 +172,6 @@ impl Drop for Trace {
     }
 }
 
-/// Environment variable selecting the persistent evaluation store root.
-pub const STORE_ENV: &str = "MICROTOOLS_STORE";
-
-/// Environment variable selecting the evaluation-profile directory.
-pub const PROFILE_ENV: &str = "MICROTOOLS_PROFILE";
-
 /// One run of an evaluating binary (`microcreator`, `microlauncher`,
 /// `microprobe`, `reproduce`): every shared flag parsed once, the
 /// process-wide sinks it selects installed, the run context
@@ -200,8 +185,7 @@ pub const PROFILE_ENV: &str = "MICROTOOLS_PROFILE";
 ///    `--metrics`, `--quiet`. First, so `--quiet` is in effect before
 ///    the progress flags decide whether to install a sink.
 /// 2. **Evaluation engine**: `--jobs=N`, the batch worker count. Without
-///    the flag the count comes from `MICROTOOLS_JOBS`, then available
-///    parallelism.
+///    the flag the count is the machine's available parallelism.
 /// 3. **Supervision**: `--deadline-ms=N` (per-evaluation wall-clock
 ///    deadline; a blown deadline is a failed attempt), `--retries=N`
 ///    (retries with deterministic exponential backoff),
@@ -217,25 +201,25 @@ pub const PROFILE_ENV: &str = "MICROTOOLS_PROFILE";
 /// 4. **Registry and live view** (mc-pulse): `--register` persists the
 ///    run (manifest, extracted points, metrics snapshot) for
 ///    `mc-report history/trend`; the root defaults to `.microtools`,
-///    overridden by `MICROTOOLS_REGISTRY` or `--registry=DIR` (which
-///    implies `--register`). `--progress[=tty|jsonl|jsonl:PATH]` shows
-///    live sweep progress: `tty` repaints one stderr line and
-///    auto-disables off a terminal, `jsonl` streams deterministic records
-///    plus time-gated heartbeats, and `--quiet` suppresses both.
+///    overridden by `--registry=DIR` (which implies `--register`).
+///    `--progress[=tty|jsonl|jsonl:PATH]` shows live sweep progress:
+///    `tty` repaints one stderr line and auto-disables off a terminal,
+///    `jsonl` streams deterministic records plus time-gated heartbeats,
+///    and `--quiet` suppresses both.
 ///    `--metrics-listen=ADDR` serves the live metrics as OpenMetrics text
 ///    for the lifetime of the process (port 0 picks a free port).
-/// 5. **Persistent store**: `--store=DIR`, else `MICROTOOLS_STORE`, else
-///    `<registry root>/store` when the run registers, else none (memoized
-///    in the run context only). Records persisted under another report schema or
-///    simulator calibration self-invalidate, and corrupt records are
-///    skipped with a counted warning. A killed run resumes by rerunning
-///    it against the same store: finished points load from disk.
+/// 5. **Persistent store**: `--store=DIR`, else `<registry root>/store`
+///    when the run registers, else none (memoized in the run context
+///    only). Records persisted under another report schema or simulator
+///    calibration self-invalidate, and corrupt records are skipped with a
+///    counted warning. A killed run resumes by rerunning it against the
+///    same store: finished points load from disk.
 /// 6. **Profiles**: `--profile=DIR` writes one mc-scope `<key>.jsonl`
 ///    profile per evaluated kernel; bare `--profile` defaults to
 ///    `<registry root>/profiles` when the run registers, else
-///    `profiles/`; `MICROTOOLS_PROFILE` applies without the flag.
-///    Profiling is observation only: it never reaches the memo or store
-///    fingerprints, and memo or store hits record no profile.
+///    `profiles/`. Profiling is observation only: it never reaches the
+///    memo or store fingerprints, and memo or store hits record no
+///    profile.
 ///
 /// [`Run::finish`] tears the run down in the order its artifacts depend
 /// on: progress display off and the run registered (which yields the run
@@ -284,23 +268,20 @@ impl Run {
         let store_dir = match take_flag(flags, "--store") {
             Some(dir) if dir.is_empty() => return Err("--store requires a directory path".into()),
             Some(dir) => Some(PathBuf::from(dir)),
-            None => match std::env::var(STORE_ENV).ok().filter(|v| !v.is_empty()) {
-                Some(dir) => Some(PathBuf::from(dir)),
-                None => root.as_ref().map(|root| root.join("store")),
-            },
+            None => root.as_ref().map(|root| root.join("store")),
         };
-        let profile_dir = match take_flag(flags, "--profile") {
-            Some(dir) if dir.is_empty() => {
-                Some(root.map_or_else(|| PathBuf::from("profiles"), |r| r.join("profiles")))
-            }
-            Some(dir) => Some(PathBuf::from(dir)),
-            None => std::env::var(PROFILE_ENV).ok().filter(|v| !v.is_empty()).map(PathBuf::from),
-        };
-        let profiler = match profile_dir {
-            Some(dir) => Some(Arc::new(
-                mc_launcher::profile::Profiler::new(dir).map_err(|e| format!("--profile: {e}"))?,
-            )),
+        let profiler = match take_flag(flags, "--profile") {
             None => None,
+            Some(dir) => {
+                let dir = if dir.is_empty() {
+                    root.map_or_else(|| PathBuf::from("profiles"), |r| r.join("profiles"))
+                } else {
+                    PathBuf::from(dir)
+                };
+                let profiler = mc_launcher::profile::Profiler::new(dir)
+                    .map_err(|e| format!("--profile: {e}"))?;
+                Some(Arc::new(profiler))
+            }
         };
         run.ctx = mc_launcher::Ctx::new(guard, profiler);
         run.ctx.set_store(store_dir.as_deref());

@@ -1,5 +1,6 @@
 //! Integration tests driving the actual compiled binaries.
 
+use std::ffi::OsStr;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -326,11 +327,11 @@ fn hand_kernel(dir: &Path) -> PathBuf {
 }
 
 #[test]
-fn adaptive_flags_and_env_reach_the_manifest() {
+fn adaptive_flags_reach_the_manifest() {
     let dir = scratch("adaptive-cli");
     let kernel = hand_kernel(&dir);
-    // Explicit flags: the manifest records the policy and every row
-    // carries the samples it actually used (quiet sim → the floor).
+    // The manifest records the policy and every row carries the samples
+    // it actually used (quiet sim → the floor).
     let out = Command::new(env!("CARGO_BIN_EXE_microlauncher"))
         .arg(&kernel)
         .arg("--adaptive")
@@ -345,34 +346,64 @@ fn adaptive_flags_and_env_reach_the_manifest() {
     let row = text.lines().find(|l| l.ends_with(",ok")).expect("csv row");
     assert!(row.ends_with(",2,ok"), "samples_used column: {row}");
 
-    // The environment variable sets the default…
-    let out = Command::new(env!("CARGO_BIN_EXE_microlauncher"))
-        .arg(&kernel)
-        .env("MICROTOOLS_ADAPTIVE", "2..8")
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("# sampling: adaptive:2..8"), "{text}");
-
-    // …and explicit flags beat it.
-    let out = Command::new(env!("CARGO_BIN_EXE_microlauncher"))
-        .arg(&kernel)
-        .arg("--adaptive=false")
-        .env("MICROTOOLS_ADAPTIVE", "1")
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("# adaptive: false"), "{text}");
-
     // A malformed setting is a usage error, not a silent fallback.
     let out = Command::new(env!("CARGO_BIN_EXE_microlauncher"))
         .arg(&kernel)
-        .env("MICROTOOLS_ADAPTIVE", "sometimes")
+        .arg("--adaptive=sometimes")
         .output()
         .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--adaptive: invalid boolean"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Flags are the only run configuration: the environment variables that
+/// once mirrored `--jobs`, `--adaptive`, `--trace`, `--store`,
+/// `--profile` and `--registry` change no output and create no file.
+#[test]
+fn removed_environment_variables_are_dead() {
+    let dir = scratch("dead-env");
+    let kernel = hand_kernel(&dir);
+    let trace = dir.join("trace.jsonl");
+    let roots = ["store", "profiles", "registry"].map(|name| dir.join(format!("env-{name}")));
+    // Each run registers from its own working directory: `--register`
+    // writes `.microtools` there, the root the registry variable moved.
+    let launch = |cwd: &str, env: &[(&str, &OsStr)]| {
+        let cwd = dir.join(cwd);
+        std::fs::create_dir_all(&cwd).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_microlauncher"))
+            .arg(&kernel)
+            .arg("--register")
+            .current_dir(&cwd)
+            .envs(env.iter().copied())
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(cwd.join(".microtools").is_dir(), "--register writes its default root");
+        let text = String::from_utf8(out.stdout).unwrap();
+        text.lines().filter(|l| !l.starts_with("# timestamp_unix:")).collect::<Vec<_>>().join("\n")
+    };
+    let plain = launch("plain", &[]);
+    let with_env = launch(
+        "env",
+        &[
+            ("MICROTOOLS_JOBS", OsStr::new("3")),
+            ("MICROTOOLS_ADAPTIVE", OsStr::new("2..8")),
+            ("MICROTOOLS_TRACE", trace.as_os_str()),
+            ("MICROTOOLS_TRACE_FILTER", OsStr::new("launcher.")),
+            ("MICROTOOLS_STORE", roots[0].as_os_str()),
+            ("MICROTOOLS_PROFILE", roots[1].as_os_str()),
+            ("MICROTOOLS_REGISTRY", roots[2].as_os_str()),
+        ],
+    );
+    for key in ["# jobs: ", "# sampling: fixed:"] {
+        assert!(plain.lines().any(|l| l.starts_with(key)), "{key} missing:\n{plain}");
+    }
+    assert_eq!(plain, with_env, "the environment changed the run");
+    for path in roots.iter().chain([&trace]) {
+        assert!(!path.exists(), "{} was created", path.display());
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -14,10 +14,9 @@
 //!   evaluations are computed once and reused across sweeps and figures.
 //!
 //! Worker count resolution (highest priority first): an explicit
-//! [`set_jobs`] call (the binaries' `--jobs=N` flag), the
-//! `MICROTOOLS_JOBS` environment variable, then the machine's available
-//! parallelism. `jobs=1` falls back to inline serial execution with no
-//! threads spawned.
+//! [`set_jobs`] call (the binaries' `--jobs=N` flag), then the machine's
+//! available parallelism. `jobs=1` falls back to inline serial execution
+//! with no threads spawned.
 
 pub mod cache;
 pub mod pool;
@@ -31,27 +30,18 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 static JOBS: AtomicUsize = AtomicUsize::new(0);
 
 /// Sets the process-wide worker count (the `--jobs=N` flag). Clamped to
-/// at least 1; overrides the `MICROTOOLS_JOBS` environment variable.
+/// at least 1.
 pub fn set_jobs(n: usize) {
     JOBS.store(n.max(1), Ordering::SeqCst);
 }
 
-/// The effective worker count: [`set_jobs`] override, else
-/// `MICROTOOLS_JOBS`, else available parallelism.
+/// The effective worker count: [`set_jobs`] override, else available
+/// parallelism.
 pub fn jobs() -> usize {
-    let explicit = JOBS.load(Ordering::SeqCst);
-    if explicit > 0 {
-        return explicit;
+    match JOBS.load(Ordering::SeqCst) {
+        0 => std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1),
+        explicit => explicit,
     }
-    if let Some(n) = jobs_from_env() {
-        return n;
-    }
-    std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-}
-
-fn jobs_from_env() -> Option<usize> {
-    let value = std::env::var("MICROTOOLS_JOBS").ok()?;
-    value.trim().parse::<usize>().ok().filter(|&n| n > 0)
 }
 
 /// An engine sized by the current [`jobs`] resolution.

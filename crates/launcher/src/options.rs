@@ -153,10 +153,9 @@ pub struct LauncherOptions {
     pub repetitions: u32,
     /// Outer experiments (`--meta-repetitions`).
     pub meta_repetitions: u32,
-    /// Adaptive repetition control (`--adaptive`,
-    /// `MICROTOOLS_ADAPTIVE`): start from `--min-samples` outer
-    /// experiments and grow geometrically only while the samples' CV
-    /// exceeds `--stability-threshold`.
+    /// Adaptive repetition control (`--adaptive`): start from
+    /// `--min-samples` outer experiments and grow geometrically only
+    /// while the samples' CV exceeds `--stability-threshold`.
     pub adaptive: bool,
     /// Smallest outer experiment count adaptive mode may settle on
     /// (`--min-samples`).
@@ -319,9 +318,8 @@ impl LauncherOptions {
         Self::from_args_over(LauncherOptions::default(), args)
     }
 
-    /// Parses `--key=value` / `--flag` arguments over an explicit base —
-    /// used by the CLI tools so environment-derived defaults (e.g.
-    /// `MICROTOOLS_ADAPTIVE`) apply first and explicit flags win.
+    /// Parses `--key=value` / `--flag` arguments over an explicit base:
+    /// fields the arguments do not name keep the base's values.
     pub fn from_args_over<S: AsRef<str>>(
         base: LauncherOptions,
         args: &[S],
@@ -380,12 +378,12 @@ impl LauncherOptions {
                 }
                 "--repetitions" => opts.repetitions = parse_u32("count")?,
                 "--meta-repetitions" => opts.meta_repetitions = parse_u32("count")?,
-                "--adaptive" => opts.adaptive = parse_bool(value)?,
+                "--adaptive" => opts.adaptive = parse_bool(key, value)?,
                 "--min-samples" => opts.min_samples = parse_u32("count")?,
                 "--max-samples" => opts.max_samples = parse_u32("count")?,
                 "--warmup" => opts.warmup_runs = parse_u32("count")?,
-                "--heat-cache" => opts.heat_cache = parse_bool(value)?,
-                "--disable-interrupts" => opts.disable_interrupts = parse_bool(value)?,
+                "--heat-cache" => opts.heat_cache = parse_bool(key, value)?,
+                "--disable-interrupts" => opts.disable_interrupts = parse_bool(key, value)?,
                 "--aggregate" => {
                     opts.aggregation = match want("min|median|mean")? {
                         "min" => Aggregation::Min,
@@ -440,52 +438,19 @@ impl LauncherOptions {
                         other => return Err(format!("--eval-library: unknown library `{other}`")),
                     }
                 }
-                "--verify" => opts.verify = parse_bool(value)?,
-                "--verify-cache" => opts.verify_cache = parse_bool(value)?,
+                "--verify" => opts.verify = parse_bool(key, value)?,
+                "--verify-cache" => opts.verify_cache = parse_bool(key, value)?,
                 "--max-steps" => {
                     opts.max_interp_steps =
                         want("steps")?.parse().map_err(|_| "--max-steps: invalid integer")?
                 }
-                "--csv" => opts.csv = parse_bool(value)?,
-                "--full-function" => opts.full_function = parse_bool(value)?,
-                "--verbose" => opts.verbose = parse_bool(value)?,
+                "--csv" => opts.csv = parse_bool(key, value)?,
+                "--full-function" => opts.full_function = parse_bool(key, value)?,
+                "--verbose" => opts.verbose = parse_bool(key, value)?,
                 other => return Err(format!("unknown option `{other}`")),
             }
         }
         Ok(opts)
-    }
-
-    /// Applies the `MICROTOOLS_ADAPTIVE` environment variable over these
-    /// options. Accepted values: a boolean (`1`/`true`/`0`/`false`/…)
-    /// toggling adaptive mode, or a `min..max` range (e.g. `2..8`) which
-    /// enables it with explicit bounds. Explicit `--adaptive` /
-    /// `--min-samples` / `--max-samples` flags parsed afterwards win.
-    pub fn apply_adaptive_env(&mut self) -> Result<(), String> {
-        match std::env::var("MICROTOOLS_ADAPTIVE") {
-            Ok(value) => self.apply_adaptive_setting(&value),
-            Err(_) => Ok(()),
-        }
-    }
-
-    /// Parses one `MICROTOOLS_ADAPTIVE`-style setting (see
-    /// [`LauncherOptions::apply_adaptive_env`]).
-    pub fn apply_adaptive_setting(&mut self, value: &str) -> Result<(), String> {
-        let value = value.trim();
-        if let Some((min, max)) = value.split_once("..") {
-            let min: u32 =
-                min.parse().map_err(|_| format!("MICROTOOLS_ADAPTIVE: invalid min `{min}`"))?;
-            let max: u32 =
-                max.parse().map_err(|_| format!("MICROTOOLS_ADAPTIVE: invalid max `{max}`"))?;
-            if max < min {
-                return Err(format!("MICROTOOLS_ADAPTIVE: empty range `{value}`"));
-            }
-            self.adaptive = true;
-            self.min_samples = min;
-            self.max_samples = max;
-            return Ok(());
-        }
-        self.adaptive = parse_bool(Some(value)).map_err(|e| format!("MICROTOOLS_ADAPTIVE: {e}"))?;
-        Ok(())
     }
 
     /// The sampling policy as a manifest string: `fixed:N` or
@@ -643,11 +608,11 @@ impl LauncherOptions {
     }
 }
 
-fn parse_bool(value: Option<&str>) -> Result<bool, String> {
+fn parse_bool(key: &str, value: Option<&str>) -> Result<bool, String> {
     match value {
         None | Some("true") | Some("1") | Some("yes") => Ok(true),
         Some("false") | Some("0") | Some("no") => Ok(false),
-        Some(other) => Err(format!("invalid boolean `{other}`")),
+        Some(other) => Err(format!("{key}: invalid boolean `{other}`")),
     }
 }
 
@@ -787,26 +752,16 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_env_setting_parses_booleans_and_ranges() {
-        let mut o = LauncherOptions::default();
-        o.apply_adaptive_setting("1").unwrap();
-        assert!(o.adaptive);
-        o.apply_adaptive_setting("false").unwrap();
-        assert!(!o.adaptive);
-        o.apply_adaptive_setting("2..8").unwrap();
-        assert!(o.adaptive);
-        assert_eq!((o.min_samples, o.max_samples), (2, 8));
-        assert!(o.apply_adaptive_setting("8..2").is_err());
-        assert!(o.apply_adaptive_setting("maybe").is_err());
-    }
-
-    #[test]
-    fn env_derived_base_loses_to_explicit_flags() {
-        let mut base = LauncherOptions::default();
-        base.apply_adaptive_setting("2..8").unwrap();
+    fn explicit_flags_win_over_the_base() {
+        let base = LauncherOptions {
+            adaptive: true,
+            min_samples: 2,
+            max_samples: 8,
+            ..LauncherOptions::default()
+        };
         let o = LauncherOptions::from_args_over(base, &["--adaptive=false"]).unwrap();
-        assert!(!o.adaptive, "explicit flags must override the environment");
-        assert_eq!(o.min_samples, 2, "non-conflicting env settings survive");
+        assert!(!o.adaptive, "explicit flags must override the base");
+        assert_eq!(o.min_samples, 2, "fields the flags do not name survive");
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub use http::{read_request, respond, HttpLimits, Request, RequestError};
 pub use import::import_bench;
 pub use monitor::{strip_heartbeats, JsonlProgress, TtyProgress};
 pub use openmetrics::MetricsServer;
-pub use registry::{IndexEntry, Registry, RunRecord, DEFAULT_ROOT, REGISTRY_ENV};
+pub use registry::{IndexEntry, Registry, RunRecord, DEFAULT_ROOT};
 pub use trend::{
     compute_trend, load_runs, render_history, render_trend, trend_to_json, LoadedRun, TrendReport,
 };

@@ -36,9 +36,6 @@ use std::path::{Path, PathBuf};
 /// Default registry root, relative to the working directory.
 pub const DEFAULT_ROOT: &str = ".microtools";
 
-/// Environment variable overriding the registry root.
-pub const REGISTRY_ENV: &str = "MICROTOOLS_REGISTRY";
-
 /// File name and record kind of the registration log.
 const INDEX_FILE: &str = "index.frames";
 const INDEX_KIND: &str = "index";
@@ -159,14 +156,9 @@ impl Registry {
         Registry { root: root.into() }
     }
 
-    /// Resolves the root: explicit flag, then `MICROTOOLS_REGISTRY`,
-    /// then [`DEFAULT_ROOT`].
+    /// Resolves the root: the `--registry` flag, else [`DEFAULT_ROOT`].
     pub fn resolve(flag: Option<&str>) -> Registry {
-        let root = flag
-            .map(str::to_owned)
-            .or_else(|| std::env::var(REGISTRY_ENV).ok().filter(|v| !v.is_empty()))
-            .unwrap_or_else(|| DEFAULT_ROOT.to_owned());
-        Registry::open(root)
+        Registry::open(flag.unwrap_or(DEFAULT_ROOT))
     }
 
     /// The registry root directory.

@@ -262,6 +262,20 @@ fn wait_for_quiesce(addr: &str, wait_secs: u64) -> std::io::Result<Vec<(String, 
     }
 }
 
+/// The value of the numeric flag `name` as `flag` looks it up, `default`
+/// when it is absent. A malformed value is an error naming the flag,
+/// never the default.
+fn number<T: std::str::FromStr>(
+    flag: &impl Fn(&str) -> Option<String>,
+    name: &str,
+    default: T,
+) -> Result<T, String> {
+    match flag(name) {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| format!("{name}: invalid number `{v}`")),
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -276,13 +290,24 @@ fn main() -> ExitCode {
         eprintln!("--addr=HOST:PORT is required\n{}", usage());
         return ExitCode::from(2);
     };
-    let n: usize = flag("--n").and_then(|v| v.parse().ok()).unwrap_or(20);
-    let dup: f64 = flag("--dup").and_then(|v| v.parse().ok()).unwrap_or(0.5);
-    let clients: usize = flag("--clients").and_then(|v| v.parse().ok()).unwrap_or(2);
-    let concurrency: usize = flag("--concurrency").and_then(|v| v.parse().ok()).unwrap_or(4);
-    let seed: u64 = flag("--seed").and_then(|v| v.parse().ok()).unwrap_or(42);
+    let numbers = || -> Result<_, String> {
+        Ok((
+            number(&flag, "--n", 20usize)?,
+            number(&flag, "--dup", 0.5f64)?,
+            number(&flag, "--clients", 2usize)?,
+            number(&flag, "--concurrency", 4usize)?,
+            number(&flag, "--seed", 42u64)?,
+            number(&flag, "--wait-secs", 600u64)?,
+        ))
+    };
+    let (n, dup, clients, concurrency, seed, wait_secs) = match numbers() {
+        Ok(numbers) => numbers,
+        Err(e) => {
+            eprintln!("mc-loadgen: {e}\n{}", usage());
+            return ExitCode::from(2);
+        }
+    };
     let base_options = flag("--options").unwrap_or_default();
-    let wait_secs: u64 = flag("--wait-secs").and_then(|v| v.parse().ok()).unwrap_or(600);
     let xml = match flag("--kernel") {
         Some(path) => match std::fs::read_to_string(&path) {
             Ok(text) => text,

@@ -29,14 +29,14 @@ fn usage() -> &'static str {
      options:\n  \
      --listen=ADDR       bind address (default 127.0.0.1:7199)\n  \
      --state=DIR         state directory: journal + results (required)\n  \
-     --store=DIR         evaluation store root (MICROTOOLS_STORE)\n  \
+     --store=DIR         evaluation store root\n  \
      --registry=DIR      pulse registry for the drain record\n  \
      --queue-depth=N     queued-job bound before shedding (default 64)\n  \
      --quota-capacity=N  per-client token-bucket burst (default 16)\n  \
      --quota-refill=N    per-client tokens per second (default 4)\n  \
      --max-failures=N    per-client error budget (default 8)\n  \
      --deadline-ms=N     per-job wall-clock deadline (default none)\n  \
-     --jobs=N            evaluation workers (MICROTOOLS_JOBS)\n\
+     --jobs=N            evaluation workers (default: available parallelism)\n\
      env: MICROTOOLS_FAULT=PLAN (chaos injection; see mc-guard)"
 }
 
@@ -116,9 +116,12 @@ fn main() -> ExitCode {
                 Err(_) => return flag_error(arg),
             }
         } else if let Some(v) = parse_flag(arg, "--jobs") {
-            match v.parse() {
+            match mc_exec::parse_jobs(v) {
                 Ok(n) => mc_exec::set_jobs(n),
-                Err(_) => return flag_error(arg),
+                Err(e) => {
+                    eprintln!("{e}\n{}", usage());
+                    return ExitCode::from(2);
+                }
             }
         } else {
             eprintln!("unknown flag `{arg}`\n{}", usage());

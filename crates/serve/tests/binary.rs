@@ -1,5 +1,6 @@
-//! The `mc-serve` binary end to end: two jobs driven by `mc-loadgen`
-//! that differ only in `--frequency`, then a scrape of `GET /metrics`.
+//! The `mc-serve` and `mc-loadgen` binaries end to end: two jobs driven
+//! by `mc-loadgen` that differ only in `--frequency`, then a scrape of
+//! `GET /metrics`; and both binaries' rejection of malformed flags.
 //!
 //! Guards two things an in-process `Daemon` cannot: the binary enables
 //! the metrics registry (so `/metrics` is not an empty `# EOF`), and the
@@ -7,8 +8,8 @@
 //! memos.
 
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
-use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::process::{Child, Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 /// Kills the daemon even when an assertion fails mid-test.
 struct Daemon(Child);
@@ -85,4 +86,65 @@ fn metrics_endpoint_reports_verification_memo_hits_across_frequencies() {
     let generation =
         (counter(&metrics, "exec_gen_miss_total"), counter(&metrics, "exec_gen_hit_total"));
     assert_eq!(generation, (Some(1), Some(1)), "{metrics}");
+}
+
+/// Waits up to ten seconds for `child` to exit; `None` (after killing
+/// it) when it is still running, e.g. serving or blocked on a peer.
+fn exit_promptly(mut child: Child) -> Option<Output> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while child.try_wait().expect("child status").is_none() {
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            return None;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    Some(child.wait_with_output().expect("child output"))
+}
+
+#[test]
+fn mc_serve_rejects_a_bad_worker_count() {
+    let state = std::env::temp_dir().join(format!("mc-serve-bad-jobs-{}", std::process::id()));
+    for bad in ["--jobs=0", "--jobs=many"] {
+        let child = Command::new(env!("CARGO_BIN_EXE_mc-serve"))
+            .arg("--listen=127.0.0.1:0")
+            .arg(format!("--state={}", state.display()))
+            .arg(bad)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("mc-serve starts");
+        let out = exit_promptly(child).unwrap_or_else(|| panic!("mc-serve {bad} kept serving"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "mc-serve {bad}: {stderr}");
+        assert!(stderr.contains("--jobs"), "mc-serve {bad}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+#[test]
+fn mc_loadgen_rejects_malformed_numbers_before_connecting() {
+    // A peer that never answers: a run that got past flag parsing would
+    // connect here and block on the reply.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    listener.set_nonblocking(true).unwrap();
+    let addr = listener.local_addr().unwrap();
+    for bad in
+        ["--n=ten", "--dup=half", "--clients=-1", "--concurrency=4x", "--seed=s", "--wait-secs=1.5"]
+    {
+        let child = Command::new(env!("CARGO_BIN_EXE_mc-loadgen"))
+            .arg(format!("--addr={addr}"))
+            .arg(bad)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("mc-loadgen starts");
+        let out = exit_promptly(child).unwrap_or_else(|| panic!("mc-loadgen {bad} did not exit"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "mc-loadgen {bad}: {stderr}");
+        let flag = bad.split_once('=').unwrap().0;
+        assert!(stderr.contains(&format!("{flag}:")), "mc-loadgen {bad}: {stderr}");
+        assert!(listener.accept().is_err(), "mc-loadgen {bad} connected before failing");
+    }
 }

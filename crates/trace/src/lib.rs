@@ -75,11 +75,6 @@ fn sink_slot() -> &'static RwLock<Option<Arc<dyn TraceSink>>> {
     SINK.get_or_init(|| RwLock::new(None))
 }
 
-fn filter_slot() -> &'static RwLock<Option<String>> {
-    static FILTER: OnceLock<RwLock<Option<String>>> = OnceLock::new();
-    FILTER.get_or_init(|| RwLock::new(None))
-}
-
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
@@ -151,23 +146,10 @@ pub fn quiet() -> bool {
     QUIET.load(Ordering::Relaxed)
 }
 
-/// Restricts emission to events whose name starts with `prefix`
-/// (`MICROTOOLS_TRACE_FILTER`). `None` clears the filter.
-pub fn set_filter(prefix: Option<&str>) {
-    *filter_slot().write().expect("trace filter lock poisoned") = prefix.map(|p| p.to_owned());
-}
-
-fn passes_filter(name: &str) -> bool {
-    match filter_slot().read().expect("trace filter lock poisoned").as_ref() {
-        Some(prefix) => name.starts_with(prefix.as_str()),
-        None => true,
-    }
-}
-
 /// Stamps and emits one event through the installed sink. Most callers
 /// want the higher-level [`span`]/[`event()`]/[`diag!`] entry points.
 pub fn emit(mut event: TraceEvent) {
-    if !enabled() || !passes_filter(&event.name) {
+    if !enabled() {
         return;
     }
     event.seq = SEQ.fetch_add(1, Ordering::Relaxed);
@@ -301,7 +283,6 @@ mod tests {
         install(sink.clone());
         body(&sink);
         uninstall();
-        set_filter(None);
         sink.events()
     }
 
@@ -378,18 +359,6 @@ mod tests {
             event("c", vec![]);
         });
         assert!(events.windows(2).all(|w| w[1].seq > w[0].seq), "{events:?}");
-    }
-
-    #[test]
-    fn filter_drops_nonmatching_names() {
-        let _g = guard();
-        let events = with_memory_sink(|_| {
-            set_filter(Some("creator."));
-            event("creator.pass", vec![]);
-            event("launcher.run", vec![]);
-        });
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].name, "creator.pass");
     }
 
     #[test]
