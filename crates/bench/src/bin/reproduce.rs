@@ -16,8 +16,8 @@
 //! `--adaptive[=bool]` switches every experiment's sweeps to adaptive
 //! sampling: each point starts at `--min-samples` (default 2) outer
 //! experiments and grows geometrically only while unstable, capped at
-//! `--max-samples` (default 8). They parse as the launcher's own
-//! options do (`LauncherOptions::from_args_over`).
+//! `--max-samples` (default 8). Like every flag here they follow the
+//! launcher's own grammar (`mc_report::Flags`).
 //!
 //! For each experiment the tool prints the regenerated data (terminal
 //! chart or table), the shape checks against the paper's claims as
@@ -34,7 +34,7 @@ use mc_bench::figures::{quick_options, run_all, run_many, run_one, FigureResult}
 use mc_launcher::LauncherOptions;
 use mc_report::experiments::ExperimentId;
 use mc_report::series::render_chart;
-use mc_report::{CsvWriter, RunManifest};
+use mc_report::{CsvWriter, Flags, RunManifest};
 use mc_tools::{exitcode, Run};
 use mc_trace::diag;
 use std::path::Path;
@@ -102,83 +102,73 @@ const QUICK: &[ExperimentId] = &[
     ExperimentId::Fig14,
 ];
 
+const USAGE: &str = "\
+usage: reproduce [options]
+options:
+  --exp KEY | --exp=KEY  run one experiment (--list shows the keys)
+  --quick          a fast smoke subset of the experiments
+  --list           list experiment keys
+  --summary        verdict lines only, no charts
+  --csv-dir=DIR    also write each experiment's series as CSV
+  --adaptive[=BOOL] --min-samples=N --max-samples=N
+                   adaptive repetition control (default 2..8)
+  --jobs=N --store=DIR --profile[=DIR] --trace=PATH --metrics --quiet
+  --deadline-ms=N --retries=N --max-failures=N --keep-going | --fail-fast
+  --register --registry=DIR --progress[=MODE] --metrics-listen=ADDR
+                   shared run flags (see README)";
+
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut run = match Run::from_flags(&mut args) {
+    let mut flags = Flags::from_env(USAGE);
+    let mut run = match Run::from_flags(&mut flags) {
         Ok(run) => run,
         Err(e) => {
             diag!("{e}");
             return ExitCode::from(exitcode::USAGE);
         }
     };
-    let (code, manifest) = reproduce(args, &mut run);
+    let (code, manifest) = reproduce(flags, &mut run).unwrap_or_else(|e| {
+        diag!("{e}\n{USAGE}");
+        (exitcode::USAGE, None)
+    });
     run.finish("reproduce", manifest, code)
 }
 
 /// Runs the selected experiments and prints their results. Returns the
-/// exit code and, once the results are out, the manifest to register.
-fn reproduce(args: Vec<String>, run: &mut Run) -> (u8, Option<RunManifest>) {
-    let mut exp: Option<String> = None;
-    let mut summary_only = false;
-    let mut quick = false;
-    let mut csv_dir: Option<String> = None;
-    let mut sampling_flags: Vec<&str> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--list" => {
-                for id in ExperimentId::ALL {
-                    println!("{:8} {}", id.key(), id.paper_claim());
-                }
-                return (exitcode::OK, None);
-            }
-            "--summary" => summary_only = true,
-            "--quick" => quick = true,
-            "--exp" => exp = iter.next().cloned(),
-            other if other.starts_with("--exp=") => {
-                exp = Some(other.trim_start_matches("--exp=").to_owned());
-            }
-            other if other.starts_with("--csv-dir=") => {
-                csv_dir = Some(other.trim_start_matches("--csv-dir=").to_owned());
-            }
-            other
-                if ["--adaptive", "--min-samples", "--max-samples"]
-                    .iter()
-                    .any(|flag| other.starts_with(flag)) =>
-            {
-                sampling_flags.push(other)
-            }
-            other => {
-                diag!(
-                    "unknown argument `{other}` (try --list, --summary, --quick, --adaptive, \
-                     --exp <key>)"
-                );
-                return (exitcode::USAGE, None);
-            }
-        }
-    }
+/// exit code and, once the results are out, the manifest to register; a
+/// command-line error is `Err`.
+fn reproduce(mut flags: Flags, run: &mut Run) -> Result<(u8, Option<RunManifest>), String> {
+    let list = flags.switch("--list")?;
+    let summary_only = flags.switch("--summary")?;
+    let quick = flags.switch("--quick")?;
+    let csv_dir = flags.value("--csv-dir");
+    // `--exp KEY`, the spaced form, takes the one positional argument.
+    let exp = match (flags.take("--exp"), flags.positionals().as_slice()) {
+        (Some(flag), [key]) if flag.is_bare() => Some(key.clone()),
+        (exp, []) => exp.map(|flag| flag.value().to_owned()),
+        (_, [extra, ..]) => return Err(format!("unknown option `{extra}`")),
+    };
     // The reproduce defaults (2..8) are tighter than the launcher's
     // because the quick suite's fixed budget is only 3 outer experiments.
-    let defaults = LauncherOptions { min_samples: 2, max_samples: 8, ..LauncherOptions::default() };
-    let sampling = match LauncherOptions::from_args_over(defaults, &sampling_flags) {
-        Ok(sampling) => sampling,
-        Err(e) => {
-            diag!("{e}");
-            return (exitcode::USAGE, None);
+    let adaptive = flags.switch("--adaptive")?;
+    let min_samples = flags.parse("--min-samples")?.unwrap_or(2);
+    let max_samples = flags.parse("--max-samples")?.unwrap_or(8);
+    flags.finish()?;
+    if adaptive && max_samples > 0 && max_samples < min_samples {
+        return Err("--max-samples must be >= --min-samples".into());
+    }
+    if list {
+        for id in ExperimentId::ALL {
+            println!("{:8} {}", id.key(), id.paper_claim());
         }
-    };
-    if sampling.adaptive && sampling.max_samples > 0 && sampling.max_samples < sampling.min_samples
-    {
-        diag!("--max-samples must be >= --min-samples");
-        return (exitcode::USAGE, None);
+        return Ok((exitcode::OK, None));
     }
     // Every figure harness starts its sweeps from `base`; a fixed run
     // keeps the quick options' own sample bounds.
     let mut base = quick_options();
-    if sampling.adaptive {
+    if adaptive {
         base.adaptive = true;
-        base.min_samples = sampling.min_samples.max(1);
-        base.max_samples = sampling.max_samples;
+        base.min_samples = min_samples.max(1);
+        base.max_samples = max_samples;
     }
 
     let input_label = exp.clone().unwrap_or_else(|| if quick { "quick" } else { "all" }.to_owned());
@@ -186,13 +176,13 @@ fn reproduce(args: Vec<String>, run: &mut Run) -> (u8, Option<RunManifest>) {
         Some(key) => {
             let Some(id) = ExperimentId::from_key(&key) else {
                 diag!("unknown experiment `{key}`; --list shows the available keys");
-                return (exitcode::USAGE, None);
+                return Ok((exitcode::USAGE, None));
             };
             match run_one(run.ctx(), id, &base) {
                 Ok(r) => vec![r],
                 Err(e) => {
                     diag!("experiment failed: {e}");
-                    return (exitcode::EVAL, None);
+                    return Ok((exitcode::EVAL, None));
                 }
             }
         }
@@ -203,7 +193,7 @@ fn reproduce(args: Vec<String>, run: &mut Run) -> (u8, Option<RunManifest>) {
                 Ok(rs) => rs,
                 Err(e) => {
                     diag!("reproduction failed: {e}");
-                    return (exitcode::EVAL, None);
+                    return Ok((exitcode::EVAL, None));
                 }
             }
         }
@@ -235,5 +225,5 @@ fn reproduce(args: Vec<String>, run: &mut Run) -> (u8, Option<RunManifest>) {
     manifest.set("checks_total", total.to_string());
     manifest.set("adaptive", if base.adaptive { "true" } else { "false" });
     run.note_store(&mut manifest);
-    (code, Some(manifest))
+    Ok((code, Some(manifest)))
 }

@@ -44,8 +44,10 @@
 use mc_insight::{diff_documents, render_diff};
 use mc_pulse::{import_bench, Registry};
 use mc_report::gate::{GateOptions, DEFAULT_FLOOR};
-use mc_tools::{exitcode, split_args, take_flag, Trace};
+use mc_report::Flags;
+use mc_tools::{exitcode, Trace};
 use mc_trace::diag;
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: mc-report <command> [options]\n\
@@ -59,8 +61,7 @@ const USAGE: &str = "usage: mc-report <command> [options]\n\
 common: [--trace=PATH] [--metrics] [--quiet]";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (mut flags, positional) = split_args(&args);
+    let mut flags = Flags::from_env(USAGE);
     let mut trace = match Trace::from_flags(&mut flags) {
         Ok(t) => t,
         Err(e) => {
@@ -68,79 +69,59 @@ fn main() -> ExitCode {
             return ExitCode::from(exitcode::USAGE);
         }
     };
-    let code = run(flags, positional);
+    let code = run(flags).unwrap_or_else(|e| {
+        diag!("{e}\n{USAGE}");
+        ExitCode::from(exitcode::USAGE)
+    });
     trace.finish();
     code
 }
 
-fn usage_error(message: &str) -> ExitCode {
-    diag!("{message}\n{USAGE}");
-    ExitCode::from(exitcode::USAGE)
-}
-
-fn run(flags: Vec<String>, positional: Vec<String>) -> ExitCode {
-    match positional.first().map(String::as_str) {
-        Some("diff") => diff(flags, &positional[1..]),
-        Some("history") => history(flags, &positional[1..]),
-        Some("trend") => trend(flags, &positional[1..]),
-        Some("import-bench") => import(flags, &positional[1..]),
-        Some("store") => store_cmd(flags, &positional[1..]),
-        Some("profile") => profile_cmd(flags, &positional[1..]),
-        Some(other) => usage_error(&format!("unknown command `{other}`")),
-        None => usage_error("missing command"),
+/// Runs the subcommand. A command-line error is `Err`: the caller prints
+/// it with the usage and exits 2.
+fn run(mut flags: Flags) -> Result<ExitCode, String> {
+    let positional = flags.positionals();
+    let (command, rest) = positional.split_first().ok_or("missing command")?;
+    match command.as_str() {
+        "diff" => diff(flags, rest),
+        "history" => history(flags, rest),
+        "trend" => trend(flags, rest),
+        "import-bench" => import(flags, rest),
+        "store" => store_cmd(flags, rest),
+        "profile" => profile_cmd(flags, rest),
+        other => Err(format!("unknown command `{other}`")),
     }
 }
 
 /// `--threshold=FRACTION` (the regression floor, default 1%) and
 /// `--top=N` (table rows, default `top`): the options `diff` and `trend`
 /// share.
-fn take_gate_options(flags: &mut Vec<String>, top: usize) -> Result<GateOptions, String> {
-    let floor = match take_flag(flags, "--threshold") {
+fn gate_options(flags: &mut Flags, top: usize) -> Result<GateOptions, String> {
+    let floor = match flags.take("--threshold") {
         None => DEFAULT_FLOOR,
-        Some(v) => match v.parse::<f64>() {
-            Ok(t) if t.is_finite() && t >= 0.0 => t,
-            _ => return Err(format!("--threshold: expected a non-negative fraction, got `{v}`")),
-        },
+        Some(flag) => Some(flag.parse::<f64>()?)
+            .filter(|t| t.is_finite() && *t >= 0.0)
+            .ok_or_else(|| flag.invalid())?,
     };
-    Ok(GateOptions { floor, top: take_count(flags, "--top")?.unwrap_or(top) })
-}
-
-/// A positive count flag (`--top`, `--last`).
-fn take_count(flags: &mut Vec<String>, name: &str) -> Result<Option<usize>, String> {
-    let Some(v) = take_flag(flags, name) else { return Ok(None) };
-    match v.parse::<usize>() {
-        Ok(n) if n > 0 => Ok(Some(n)),
-        _ => Err(format!("{name}: expected a positive count, got `{v}`")),
-    }
+    let top = flags.parse::<NonZeroUsize>("--top")?.map_or(top, NonZeroUsize::get);
+    Ok(GateOptions { floor, top })
 }
 
 /// The registry the subcommand reads or writes: `--registry=DIR`, else
 /// `.microtools`.
-fn take_registry(flags: &mut Vec<String>) -> Result<Registry, String> {
-    let flag = take_flag(flags, "--registry");
+fn take_registry(flags: &mut Flags) -> Result<Registry, String> {
+    let flag = flags.value("--registry");
     if flag.as_deref() == Some("") {
         return Err("--registry requires a directory path".into());
     }
     Ok(Registry::resolve(flag.as_deref()))
 }
 
-fn reject_unknown(flags: &[String]) -> Result<(), String> {
-    match flags.first() {
-        Some(unknown) => Err(format!("unknown option `{unknown}`")),
-        None => Ok(()),
-    }
-}
-
-fn diff(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
-    let opts = match take_gate_options(&mut flags, 10) {
-        Ok(opts) => opts,
-        Err(e) => return usage_error(&e),
-    };
-    if let Err(e) = reject_unknown(&flags) {
-        return usage_error(&e);
-    }
+fn diff(mut flags: Flags, positional: &[String]) -> Result<ExitCode, String> {
+    let opts = gate_options(&mut flags, 10)?;
+    flags.finish()?;
     let [base_path, new_path] = positional else {
-        return usage_error("diff takes exactly two CSV paths");
+        return Err("diff takes exactly two CSV paths".into());
     };
     let read = |path: &str| -> Result<String, ExitCode> {
         std::fs::read_to_string(path).map_err(|e| {
@@ -150,18 +131,18 @@ fn diff(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
     };
     let base = match read(base_path) {
         Ok(text) => text,
-        Err(code) => return code,
+        Err(code) => return Ok(code),
     };
     let new = match read(new_path) {
         Ok(text) => text,
-        Err(code) => return code,
+        Err(code) => return Ok(code),
     };
     let mut span = mc_trace::span("report.diff");
     let report = match diff_documents(&base, &new, &opts) {
         Ok(report) => report,
         Err(e) => {
             diag!("{e}");
-            return ExitCode::from(exitcode::USAGE);
+            return Ok(ExitCode::from(exitcode::USAGE));
         }
     };
     span.field("points", report.entries.len());
@@ -174,73 +155,55 @@ fn diff(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
     }
     print!("{}", render_diff(&report, &opts));
     if report.regressions().is_empty() {
-        ExitCode::from(exitcode::OK)
+        Ok(ExitCode::from(exitcode::OK))
     } else {
-        ExitCode::from(exitcode::REGRESSION)
+        Ok(ExitCode::from(exitcode::REGRESSION))
     }
 }
 
-fn history(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
-    let (top, last) = match take_count(&mut flags, "--top")
-        .and_then(|top| Ok((top, take_count(&mut flags, "--last")?)))
-    {
-        Ok(counts) => counts,
-        Err(e) => return usage_error(&e),
-    };
-    let registry = match take_registry(&mut flags) {
-        Ok(r) => r,
-        Err(e) => return usage_error(&e),
-    };
-    if let Err(e) = reject_unknown(&flags) {
-        return usage_error(&e);
-    }
+fn history(mut flags: Flags, positional: &[String]) -> Result<ExitCode, String> {
+    let top = flags.parse::<NonZeroUsize>("--top")?.map_or(20, NonZeroUsize::get);
+    let last = flags.parse::<NonZeroUsize>("--last")?.map(NonZeroUsize::get);
+    let registry = take_registry(&mut flags)?;
+    flags.finish()?;
     let [series] = positional else {
-        return usage_error("history takes exactly one series filter (substring of doc:key)");
+        return Err("history takes exactly one series filter (substring of doc:key)".into());
     };
     let runs = match mc_pulse::load_runs(&registry, last) {
         Ok(runs) => runs,
         Err(e) => {
             diag!("{}: {e}", registry.root().display());
-            return ExitCode::from(exitcode::USAGE);
+            return Ok(ExitCode::from(exitcode::USAGE));
         }
     };
     if runs.is_empty() {
         diag!("no registered runs under {} (run with --register first)", registry.root().display());
-        return ExitCode::from(exitcode::USAGE);
+        return Ok(ExitCode::from(exitcode::USAGE));
     }
-    print!("{}", mc_pulse::render_history(&runs, series, top.unwrap_or(20)));
-    ExitCode::from(exitcode::OK)
+    print!("{}", mc_pulse::render_history(&runs, series, top));
+    Ok(ExitCode::from(exitcode::OK))
 }
 
-fn trend(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
-    let (opts, last) = match take_gate_options(&mut flags, 20)
-        .and_then(|opts| Ok((opts, take_count(&mut flags, "--last")?)))
-    {
-        Ok(parsed) => parsed,
-        Err(e) => return usage_error(&e),
-    };
-    let json = take_flag(&mut flags, "--json");
-    let registry = match take_registry(&mut flags) {
-        Ok(r) => r,
-        Err(e) => return usage_error(&e),
-    };
-    if let Err(e) = reject_unknown(&flags) {
-        return usage_error(&e);
-    }
+fn trend(mut flags: Flags, positional: &[String]) -> Result<ExitCode, String> {
+    let opts = gate_options(&mut flags, 20)?;
+    let last = flags.parse::<NonZeroUsize>("--last")?.map(NonZeroUsize::get);
+    let json = flags.value("--json");
+    let registry = take_registry(&mut flags)?;
+    flags.finish()?;
     if !positional.is_empty() {
-        return usage_error("trend takes no positional arguments");
+        return Err("trend takes no positional arguments".into());
     }
     let mut span = mc_trace::span("report.trend");
     let runs = match mc_pulse::load_runs(&registry, last) {
         Ok(runs) => runs,
         Err(e) => {
             diag!("{}: {e}", registry.root().display());
-            return ExitCode::from(exitcode::USAGE);
+            return Ok(ExitCode::from(exitcode::USAGE));
         }
     };
     if runs.is_empty() {
         diag!("no registered runs under {} (run with --register first)", registry.root().display());
-        return ExitCode::from(exitcode::USAGE);
+        return Ok(ExitCode::from(exitcode::USAGE));
     }
     let report = mc_pulse::compute_trend(&runs, &opts);
     span.field("runs", report.runs.len());
@@ -254,47 +217,39 @@ fn trend(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
             text.push('\n');
             if let Err(e) = std::fs::write(path, text) {
                 diag!("--json: cannot write {path}: {e}");
-                return ExitCode::from(exitcode::USAGE);
+                return Ok(ExitCode::from(exitcode::USAGE));
             }
             print!("{}", mc_pulse::render_trend(&report, &opts));
         }
     }
     if report.regressions().is_empty() {
-        ExitCode::from(exitcode::OK)
+        Ok(ExitCode::from(exitcode::OK))
     } else {
-        ExitCode::from(exitcode::REGRESSION)
+        Ok(ExitCode::from(exitcode::REGRESSION))
     }
 }
 
 /// `store stats <dir>`: what a persistent evaluation store holds and how
 /// it has been hit across processes, plus opt-in size-budget GC and a
 /// `--json` machine-readable mode.
-fn store_cmd(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
-    let want_gc = take_flag(&mut flags, "--gc").is_some();
-    let max_bytes = match take_flag(&mut flags, "--max-bytes") {
-        Some(v) => match v.parse::<u64>() {
-            Ok(n) => Some(n),
-            Err(_) => return usage_error(&format!("--max-bytes: invalid byte count `{v}`")),
-        },
-        None => None,
-    };
-    let json = take_flag(&mut flags, "--json");
+fn store_cmd(mut flags: Flags, positional: &[String]) -> Result<ExitCode, String> {
+    let want_gc = flags.switch("--gc")?;
+    let max_bytes = flags.parse::<u64>("--max-bytes")?;
+    let json = flags.value("--json");
     if want_gc != max_bytes.is_some() {
-        return usage_error("store stats: --gc and --max-bytes=N go together");
+        return Err("store stats: --gc and --max-bytes=N go together".into());
     }
-    if let Err(e) = reject_unknown(&flags) {
-        return usage_error(&e);
-    }
+    flags.finish()?;
     let [stats, dir] = positional else {
-        return usage_error("store takes a subcommand and a directory: store stats <dir>");
+        return Err("store takes a subcommand and a directory: store stats <dir>".into());
     };
     if stats != "stats" {
-        return usage_error(&format!("unknown store subcommand `{stats}` (expected `stats`)"));
+        return Err(format!("unknown store subcommand `{stats}` (expected `stats`)"));
     }
     let root = std::path::Path::new(dir);
     if !root.is_dir() {
         diag!("{dir}: not a directory");
-        return ExitCode::from(exitcode::USAGE);
+        return Ok(ExitCode::from(exitcode::USAGE));
     }
     let mut gc_report = None;
     if let Some(budget) = max_bytes {
@@ -313,7 +268,7 @@ fn store_cmd(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
             }
             Err(e) => {
                 diag!("gc failed under {dir}: {e}");
-                return ExitCode::from(exitcode::EVAL);
+                return Ok(ExitCode::from(exitcode::EVAL));
             }
         }
     }
@@ -321,7 +276,7 @@ fn store_cmd(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
         Ok(scan) => scan,
         Err(e) => {
             diag!("cannot scan {dir}: {e}");
-            return ExitCode::from(exitcode::USAGE);
+            return Ok(ExitCode::from(exitcode::USAGE));
         }
     };
     let ledger = mc_store::ledger_totals(root);
@@ -334,13 +289,13 @@ fn store_cmd(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
             Some(path) => {
                 if let Err(e) = std::fs::write(path, format!("{text}\n")) {
                     diag!("--json: cannot write {path}: {e}");
-                    return ExitCode::from(exitcode::USAGE);
+                    return Ok(ExitCode::from(exitcode::USAGE));
                 }
             }
             None => unreachable!("json.is_some() checked above"),
         }
         if json.as_deref() == Some("") {
-            return ExitCode::from(exitcode::OK);
+            return Ok(ExitCode::from(exitcode::OK));
         }
     }
     println!("store {dir}");
@@ -387,7 +342,7 @@ fn store_cmd(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
             mc_report::table::human_bytes(mc_store::LEDGER_COMPACT_BYTES)
         );
     }
-    ExitCode::from(exitcode::OK)
+    Ok(ExitCode::from(exitcode::OK))
 }
 
 /// The `store stats --json` document: one canonical JSON object, shaped
@@ -455,31 +410,29 @@ fn store_stats_json(
 
 /// `profile <file.jsonl>`: render (or validate, or export) one
 /// per-evaluation mc-scope profile.
-fn profile_cmd(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
-    let check = take_flag(&mut flags, "--check").is_some();
-    let format = take_flag(&mut flags, "--format");
-    if let Err(e) = reject_unknown(&flags) {
-        return usage_error(&e);
-    }
+fn profile_cmd(mut flags: Flags, positional: &[String]) -> Result<ExitCode, String> {
+    let check = flags.switch("--check")?;
+    let format = flags.value("--format");
+    flags.finish()?;
     let [path] = positional else {
-        return usage_error("profile takes exactly one profile .jsonl path");
+        return Err("profile takes exactly one profile .jsonl path".into());
     };
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
             diag!("cannot read {path}: {e}");
-            return ExitCode::from(exitcode::USAGE);
+            return Ok(ExitCode::from(exitcode::USAGE));
         }
     };
     if check {
         return match mc_scope::jsonl::validate(&text) {
             Ok(summary) => {
                 println!("{path}: {summary}");
-                ExitCode::from(exitcode::OK)
+                Ok(ExitCode::from(exitcode::OK))
             }
             Err(e) => {
                 diag!("{path}: invalid profile: {e}");
-                ExitCode::from(exitcode::REGRESSION)
+                Ok(ExitCode::from(exitcode::REGRESSION))
             }
         };
     }
@@ -487,7 +440,7 @@ fn profile_cmd(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
         Ok(p) => p,
         Err(e) => {
             diag!("{path}: invalid profile: {e}");
-            return ExitCode::from(exitcode::USAGE);
+            return Ok(ExitCode::from(exitcode::USAGE));
         }
     };
     match format.as_deref() {
@@ -500,7 +453,7 @@ fn profile_cmd(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
                     println!("  L{}: {}", l.line, l.text);
                 }
             }
-            ExitCode::from(exitcode::OK)
+            Ok(ExitCode::from(exitcode::OK))
         }
         Some(spec) if spec == "chrome" || spec.starts_with("chrome:") => {
             let out = spec.strip_prefix("chrome:").filter(|s| !s.is_empty());
@@ -512,14 +465,14 @@ fn profile_cmd(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
                         mc_report::atomic_write_str(std::path::Path::new(out_path), &document)
                     {
                         diag!("--format=chrome: cannot write {out_path}: {e}");
-                        return ExitCode::from(exitcode::USAGE);
+                        return Ok(ExitCode::from(exitcode::USAGE));
                     }
                     println!("wrote Chrome trace to {out_path}");
                 }
             }
-            ExitCode::from(exitcode::OK)
+            Ok(ExitCode::from(exitcode::OK))
         }
-        Some(other) => usage_error(&format!("--format: unknown format `{other}` (chrome[:OUT])")),
+        Some(other) => Err(format!("--format: unknown format `{other}` (chrome[:OUT])")),
     }
 }
 
@@ -547,16 +500,11 @@ fn profile_chrome_trace(profile: &mc_scope::EvalProfile) -> String {
     sink.render()
 }
 
-fn import(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
-    let registry = match take_registry(&mut flags) {
-        Ok(r) => r,
-        Err(e) => return usage_error(&e),
-    };
-    if let Err(e) = reject_unknown(&flags) {
-        return usage_error(&e);
-    }
+fn import(mut flags: Flags, positional: &[String]) -> Result<ExitCode, String> {
+    let registry = take_registry(&mut flags)?;
+    flags.finish()?;
     if positional.is_empty() {
-        return usage_error("import-bench takes one or more BENCH_*.json paths");
+        return Err("import-bench takes one or more BENCH_*.json paths".into());
     }
     let mut imported = 0usize;
     for path in positional {
@@ -564,7 +512,7 @@ fn import(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
             Ok(record) => record,
             Err(e) => {
                 diag!("{e}");
-                return ExitCode::from(exitcode::USAGE);
+                return Ok(ExitCode::from(exitcode::USAGE));
             }
         };
         match registry.register(&record) {
@@ -574,10 +522,10 @@ fn import(mut flags: Vec<String>, positional: &[String]) -> ExitCode {
             }
             Err(e) => {
                 diag!("{path}: registration failed: {e}");
-                return ExitCode::from(exitcode::USAGE);
+                return Ok(ExitCode::from(exitcode::USAGE));
             }
         }
     }
     diag!("{imported} snapshot(s) imported into {}", registry.root().display());
-    ExitCode::from(exitcode::OK)
+    Ok(ExitCode::from(exitcode::OK))
 }

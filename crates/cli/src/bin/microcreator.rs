@@ -12,7 +12,8 @@
 
 use mc_creator::emit::{render_asm_unit, write_programs};
 use mc_creator::{CreatorConfig, MicroCreator};
-use mc_tools::{exitcode, split_args, take_flag, Run};
+use mc_report::Flags;
+use mc_tools::{exitcode, Run};
 use mc_trace::diag;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -42,8 +43,7 @@ options:
   --metrics-listen=ADDR  serve live OpenMetrics on ADDR";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (mut flags, positional) = split_args(&args);
+    let mut flags = Flags::from_env(USAGE);
     let run = match Run::from_flags(&mut flags) {
         Ok(run) => run,
         Err(e) => {
@@ -51,23 +51,17 @@ fn main() -> ExitCode {
             return ExitCode::from(exitcode::USAGE);
         }
     };
-    let (code, manifest) = create(flags, positional, &run);
+    let (code, manifest) = create(flags, &run).unwrap_or_else(|e| {
+        diag!("{e}\n{USAGE}");
+        (exitcode::USAGE, None)
+    });
     run.finish("microcreator", manifest, code)
 }
 
 /// Generates and emits the programs. Returns the exit code and, once
-/// generation succeeded, the manifest to register.
-fn create(
-    mut flags: Vec<String>,
-    positional: Vec<String>,
-    run: &Run,
-) -> (u8, Option<mc_report::RunManifest>) {
-    let Some(input) = positional.first() else {
-        diag!("{USAGE}");
-        return (exitcode::USAGE, None);
-    };
-    let output_dir = positional.get(1).map(PathBuf::from);
-
+/// generation succeeded, the manifest to register; a command-line error
+/// is `Err`.
+fn create(mut flags: Flags, run: &Run) -> Result<(u8, Option<mc_report::RunManifest>), String> {
     let mut config = CreatorConfig::default();
     #[derive(PartialEq)]
     enum Format {
@@ -75,64 +69,37 @@ fn create(
         C,
         Bin,
     }
-    let format = match take_flag(&mut flags, "--format").as_deref() {
+    let format = match flags.value("--format").as_deref() {
         None | Some("asm") => Format::Asm,
         Some("c") => Format::C,
         Some("bin") => Format::Bin,
-        Some(other) => {
-            diag!("unknown --format `{other}` (asm, c or bin)");
-            return (exitcode::USAGE, None);
-        }
+        Some(other) => return Err(format!("unknown --format `{other}` (asm, c or bin)")),
     };
-    if let Some(v) = take_flag(&mut flags, "--limit") {
-        match v.parse() {
-            Ok(n) => config.limit = Some(n),
-            Err(_) => {
-                diag!("--limit: invalid integer `{v}`");
-                return (exitcode::USAGE, None);
-            }
-        }
+    config.limit = flags.parse("--limit")?;
+    if let Some(seed) = flags.parse("--seed")? {
+        config.seed = seed;
     }
-    if let Some(v) = take_flag(&mut flags, "--seed") {
-        match v.parse() {
-            Ok(s) => config.seed = s,
-            Err(_) => {
-                diag!("--seed: invalid integer `{v}`");
-                return (exitcode::USAGE, None);
-            }
-        }
+    if let Some(v) = flags.value("--random") {
+        let parsed = v.split_once(',').map(|(v, l)| (v.parse(), l.parse()));
+        let Some((Ok(variants), Ok(length))) = parsed else {
+            return Err("--random expects `variants,length` (e.g. --random=8,4)".into());
+        };
+        config.random_selection = Some(mc_creator::RandomSelection { variants, length });
     }
-    if let Some(v) = take_flag(&mut flags, "--random") {
-        let parts: Vec<&str> = v.split(',').collect();
-        match (
-            parts.first().and_then(|p| p.parse().ok()),
-            parts.get(1).and_then(|p| p.parse().ok()),
-        ) {
-            (Some(variants), Some(length)) if parts.len() == 2 => {
-                config.random_selection = Some(mc_creator::RandomSelection { variants, length });
-            }
-            _ => {
-                diag!("--random expects `variants,length` (e.g. --random=8,4)");
-                return (exitcode::USAGE, None);
-            }
-        }
-    }
-    if take_flag(&mut flags, "--no-comments").is_some() {
-        config.emit_comments = false;
-    }
-    let want_stats = take_flag(&mut flags, "--stats").is_some();
-    let want_list = take_flag(&mut flags, "--list").is_some();
-    let print_one = take_flag(&mut flags, "--print");
-    if let Some(unknown) = flags.first() {
-        diag!("unknown option `{unknown}`\n{USAGE}");
-        return (exitcode::USAGE, None);
-    }
+    config.emit_comments = !flags.switch("--no-comments")?;
+    let want_stats = flags.switch("--stats")?;
+    let want_list = flags.switch("--list")?;
+    let print_one = flags.value("--print");
+    let mut positional = flags.positionals().into_iter();
+    flags.finish()?;
+    let input = positional.next().ok_or("missing <input.xml>")?;
+    let output_dir = positional.next().map(PathBuf::from);
 
-    let xml = match std::fs::read_to_string(input) {
+    let xml = match std::fs::read_to_string(&input) {
         Ok(x) => x,
         Err(e) => {
             diag!("cannot read {input}: {e}");
-            return (exitcode::USAGE, None);
+            return Ok((exitcode::USAGE, None));
         }
     };
     let creator = MicroCreator::with_config(config);
@@ -140,7 +107,7 @@ fn create(
         Ok(r) => r,
         Err(e) => {
             diag!("generation failed: {e}");
-            return (exitcode::USAGE, None);
+            return Ok((exitcode::USAGE, None));
         }
     };
 
@@ -163,7 +130,7 @@ fn create(
             Some(p) => print!("{}", render_asm_unit(p)),
             None => {
                 diag!("no variant named `{name}` (try --list)");
-                return (exitcode::USAGE, None);
+                return Ok((exitcode::USAGE, None));
             }
         }
     }
@@ -171,7 +138,7 @@ fn create(
         if format == Format::Bin {
             if let Err(e) = std::fs::create_dir_all(&dir) {
                 diag!("cannot create {}: {e}", dir.display());
-                return (exitcode::EVAL, None);
+                return Ok((exitcode::EVAL, None));
             }
             let mut written = 0usize;
             for p in &result.programs {
@@ -180,13 +147,13 @@ fn create(
                         let file = dir.join(format!("{}.bin", p.name.replace('-', "_")));
                         if let Err(e) = mc_report::atomic_write(&file, &bytes) {
                             diag!("cannot write {}: {e}", file.display());
-                            return (exitcode::EVAL, None);
+                            return Ok((exitcode::EVAL, None));
                         }
                         written += 1;
                     }
                     Err(e) => {
                         diag!("{}: {e}", p.name);
-                        return (exitcode::EVAL, None);
+                        return Ok((exitcode::EVAL, None));
                     }
                 }
             }
@@ -201,7 +168,7 @@ fn create(
                 ),
                 Err(e) => {
                     diag!("emit failed: {e}");
-                    return (exitcode::EVAL, None);
+                    return Ok((exitcode::EVAL, None));
                 }
             }
         }
@@ -214,5 +181,5 @@ fn create(
     manifest.set("programs", result.programs.len().to_string());
     manifest.set("seed", creator.config().seed.to_string());
     run.note_store(&mut manifest);
-    (exitcode::OK, Some(manifest))
+    Ok((exitcode::OK, Some(manifest)))
 }

@@ -19,6 +19,7 @@
 use mc_creator::MicroCreator;
 use mc_launcher::launcher::RunReport;
 use mc_launcher::{KernelInput, LauncherOptions, MicroLauncher};
+use mc_report::Flags;
 use mc_tools::{exitcode, Run};
 use mc_trace::diag;
 use std::process::ExitCode;
@@ -73,35 +74,32 @@ fn document_name(input: &str) -> String {
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut run = match Run::from_flags(&mut args) {
+    let mut flags = Flags::from_env(&usage());
+    let mut run = match Run::from_flags(&mut flags) {
         Ok(run) => run,
         Err(e) => {
             diag!("{e}");
             return ExitCode::from(exitcode::USAGE);
         }
     };
-    let (code, manifest) = launch(args, &mut run);
+    let (code, manifest) = launch(flags, &mut run);
     run.finish("microlauncher", manifest, code)
 }
 
 /// Measures the input and prints its CSV document. Returns the exit code
 /// and, once the document is out, the manifest to register.
-fn launch(args: Vec<String>, run: &mut Run) -> (u8, Option<mc_report::RunManifest>) {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", usage());
-        return (exitcode::OK, None);
-    }
-    let Some(input) = args.first().filter(|a| !a.starts_with("--")) else {
-        diag!("{}", usage());
-        return (exitcode::USAGE, None);
-    };
-    let options = match LauncherOptions::from_args(&args[1..]) {
+fn launch(mut flags: Flags, run: &mut Run) -> (u8, Option<mc_report::RunManifest>) {
+    let positional = flags.positionals();
+    let options = match LauncherOptions::from_flags(LauncherOptions::default(), flags) {
         Ok(o) => o,
         Err(e) => {
             diag!("{e}\n{}", usage());
             return (exitcode::USAGE, None);
         }
+    };
+    let [input] = positional.as_slice() else {
+        diag!("{}", usage());
+        return (exitcode::USAGE, None);
     };
 
     // Object input: raw machine code, disassembled by mc-asm.

@@ -23,10 +23,11 @@ use mc_launcher::options::MachinePreset;
 use mc_launcher::sweeps::{core_sweep, programs_by_unroll_shared};
 use mc_launcher::{Ctx, KernelInput, LauncherOptions, MicroLauncher};
 use mc_report::table::{fmt_f, AsciiTable};
+use mc_report::Flags;
 use mc_simarch::config::Level;
 use mc_simarch::energy::{energy_frequency_sweep, energy_optimal_frequency};
 use mc_simarch::exec::{estimate, ExecEnv, Workload};
-use mc_tools::{exitcode, split_args, take_flag, Run};
+use mc_tools::{exitcode, Run};
 use mc_trace::diag;
 use std::process::ExitCode;
 
@@ -38,8 +39,7 @@ const USAGE: &str = "usage: microprobe [x5650|x7550|e31240|sandybridge|nehalem2|
                      to stderr";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (mut flags, positional) = split_args(&args);
+    let mut flags = Flags::from_env(USAGE);
     let run = match Run::from_flags(&mut flags) {
         Ok(run) => run,
         Err(e) => {
@@ -47,32 +47,25 @@ fn main() -> ExitCode {
             return ExitCode::from(exitcode::USAGE);
         }
     };
-    let (code, manifest) = probe(flags, positional, &run);
+    let (code, manifest) = probe(flags, &run).unwrap_or_else(|e| {
+        diag!("{e}\n{USAGE}");
+        (exitcode::USAGE, None)
+    });
     run.finish("microprobe", manifest, code)
 }
 
 /// Runs the probe (or `--explain`) and prints its report. Returns the
-/// exit code and, once the report is out, the manifest to register.
-fn probe(
-    mut flags: Vec<String>,
-    positional: Vec<String>,
-    run: &Run,
-) -> (u8, Option<mc_report::RunManifest>) {
-    let explain_mode = take_flag(&mut flags, "--explain").is_some();
-    let evidence_mode = take_flag(&mut flags, "--evidence").is_some();
+/// exit code and the manifest to register; a command-line error is `Err`.
+fn probe(mut flags: Flags, run: &Run) -> Result<(u8, Option<mc_report::RunManifest>), String> {
+    let explain_mode = flags.switch("--explain")?;
+    let evidence_mode = flags.switch("--evidence")?;
     if evidence_mode && !explain_mode {
-        diag!("--evidence requires --explain\n{USAGE}");
-        return (exitcode::USAGE, None);
+        return Err("--evidence requires --explain".into());
     }
-    if let Some(unknown) = flags.first() {
-        diag!("unknown option `{unknown}`\n{USAGE}");
-        return (exitcode::USAGE, None);
-    }
-    let arg = positional.first().cloned().unwrap_or_else(|| "x5650".to_owned());
-    let Some(preset) = MachinePreset::from_name(&arg) else {
-        diag!("{USAGE}");
-        return (exitcode::USAGE, None);
-    };
+    let arg = flags.positionals().into_iter().next().unwrap_or_else(|| "x5650".to_owned());
+    flags.finish()?;
+    let preset =
+        MachinePreset::from_name(&arg).ok_or_else(|| format!("unknown machine `{arg}`"))?;
     // The probe's product is its stdout report; the registered record is
     // the manifest alone, so the characterization run stays on the time
     // axis alongside measured sweeps, and the collected profiles get
@@ -85,7 +78,7 @@ fn probe(
     run.note_store(&mut manifest);
     if explain_mode {
         explain(run.ctx(), preset, evidence_mode);
-        return (exitcode::OK, Some(manifest));
+        return Ok((exitcode::OK, Some(manifest)));
     }
     let mut probe_span = mc_trace::span("probe.machine");
     probe_span.field("machine", preset.name());
@@ -161,7 +154,7 @@ fn probe(
         }
     }
     drop(probe_span);
-    (exitcode::OK, Some(manifest))
+    Ok((exitcode::OK, Some(manifest)))
 }
 
 /// `--explain`: run the canonical bottleneck kernels through the timing

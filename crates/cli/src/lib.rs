@@ -21,6 +21,8 @@
 //! (`mc-creator`, `mc-launcher`, `mc-simarch`), so scripted studies can
 //! skip the process boundary entirely.
 
+use mc_report::Flags;
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -47,31 +49,6 @@ pub mod exitcode {
     pub const EVAL: u8 = 3;
     /// A regression or shape-check failure over otherwise valid runs.
     pub const REGRESSION: u8 = 4;
-}
-
-/// Splits args into flags (`--x[=v]`) and positionals.
-pub fn split_args(args: &[String]) -> (Vec<String>, Vec<String>) {
-    let mut flags = Vec::new();
-    let mut positional = Vec::new();
-    for a in args {
-        if a.starts_with("--") {
-            flags.push(a.clone());
-        } else {
-            positional.push(a.clone());
-        }
-    }
-    (flags, positional)
-}
-
-/// Pulls `--name=value` out of a flag list, returning the remainder.
-pub fn take_flag(flags: &mut Vec<String>, name: &str) -> Option<String> {
-    let prefix = format!("{name}=");
-    let pos = flags.iter().position(|f| f.starts_with(&prefix) || f == name)?;
-    let flag = flags.remove(pos);
-    match flag.split_once('=') {
-        Some((_, v)) => Some(v.to_owned()),
-        None => Some(String::new()),
-    }
 }
 
 /// The observability flags every binary shares, and the end-of-run
@@ -101,17 +78,17 @@ pub struct Trace {
 impl Trace {
     /// Extracts the observability flags, installs the matching sink,
     /// and returns the handle. Call [`Trace::finish`] at exit.
-    pub fn from_flags(flags: &mut Vec<String>) -> Result<Trace, String> {
-        mc_trace::set_quiet(take_flag(flags, "--quiet").is_some());
-        let metrics = take_flag(flags, "--metrics").is_some();
-        let chrome = match take_flag(flags, "--trace-format").as_deref() {
+    pub fn from_flags(flags: &mut Flags) -> Result<Trace, String> {
+        mc_trace::set_quiet(flags.switch("--quiet")?);
+        let metrics = flags.switch("--metrics")?;
+        let chrome = match flags.value("--trace-format").as_deref() {
             None | Some("json") => false,
             Some("chrome") => true,
             Some(other) => {
                 return Err(format!("--trace-format: unknown format `{other}` (json or chrome)"))
             }
         };
-        let trace_target = match take_flag(flags, "--trace") {
+        let trace_target = match flags.value("--trace") {
             Some(path) if path.is_empty() => {
                 return Err("--trace requires a file path (or `stderr`)".into())
             }
@@ -249,7 +226,7 @@ enum ProgressMode {
 impl Run {
     /// Extracts every shared flag, installs what it selects, and returns
     /// the run. Call [`Run::finish`] once the product output is complete.
-    pub fn from_flags(flags: &mut Vec<String>) -> Result<Run, String> {
+    pub fn from_flags(flags: &mut Flags) -> Result<Run, String> {
         let mut run = Run {
             trace: Trace::from_flags(flags)?,
             registry: None,
@@ -258,19 +235,19 @@ impl Run {
             ctx: mc_launcher::Ctx::default(),
             documents: Vec::new(),
         };
-        if let Some(value) = take_flag(flags, "--jobs") {
-            mc_exec::set_jobs(mc_exec::parse_jobs(&value)?);
+        if let Some(jobs) = flags.parse::<NonZeroUsize>("--jobs")? {
+            mc_exec::set_jobs(jobs.get());
         }
         let guard = guard_from_flags(flags)?;
         run.start_pulse(flags)?;
 
         let root = run.registry.as_ref().map(|r| r.root().to_path_buf());
-        let store_dir = match take_flag(flags, "--store") {
+        let store_dir = match flags.value("--store") {
             Some(dir) if dir.is_empty() => return Err("--store requires a directory path".into()),
             Some(dir) => Some(PathBuf::from(dir)),
             None => root.as_ref().map(|root| root.join("store")),
         };
-        let profiler = match take_flag(flags, "--profile") {
+        let profiler = match flags.value("--profile") {
             None => None,
             Some(dir) => {
                 let dir = if dir.is_empty() {
@@ -308,21 +285,16 @@ impl Run {
     }
 
     /// The mc-pulse part of [`Run::from_flags`]: registry, live progress
-    /// and the metrics endpoint. Every pulse flag is consumed before any
-    /// is validated.
-    fn start_pulse(&mut self, flags: &mut Vec<String>) -> Result<(), String> {
+    /// and the metrics endpoint.
+    fn start_pulse(&mut self, flags: &mut Flags) -> Result<(), String> {
         use std::io::IsTerminal;
-        let register = match take_flag(flags, "--register") {
-            None => false,
-            Some(v) if v.is_empty() => true,
-            Some(v) => return Err(format!("--register takes no value (got `{v}`)")),
-        };
-        let registry_flag = take_flag(flags, "--registry");
+        let register = flags.switch("--register")?;
+        let registry_flag = flags.value("--registry");
         if registry_flag.as_deref() == Some("") {
             return Err("--registry requires a directory path".into());
         }
-        let progress = take_flag(flags, "--progress");
-        let listen = take_flag(flags, "--metrics-listen");
+        let progress = flags.value("--progress");
+        let listen = flags.value("--metrics-listen");
 
         let mode = match progress.as_deref() {
             None => None,
@@ -509,34 +481,27 @@ fn register(
 }
 
 /// The supervision part of [`Run::from_flags`]: the run's guard, under
-/// the policy the flags select and the fault plan in `MICROTOOLS_FAULT`,
-/// whose durable-write half is installed process-wide.
-fn guard_from_flags(flags: &mut Vec<String>) -> Result<mc_guard::Guard, String> {
+/// the policy the flags select and the fault plan in `MICROTOOLS_FAULT`.
+fn guard_from_flags(flags: &mut Flags) -> Result<mc_guard::Guard, String> {
     let mut policy = mc_guard::GuardPolicy::default();
-    if let Some(v) = take_flag(flags, "--deadline-ms") {
-        let ms: u64 = v.parse().map_err(|_| format!("--deadline-ms: not a number: `{v}`"))?;
+    if let Some(ms) = flags.parse::<u64>("--deadline-ms")? {
         if ms == 0 {
             return Err("--deadline-ms: deadline must be positive".into());
         }
         policy.deadline = Some(std::time::Duration::from_millis(ms));
     }
-    if let Some(v) = take_flag(flags, "--retries") {
-        policy.retries = v.parse().map_err(|_| format!("--retries: not a number: `{v}`"))?;
+    if let Some(retries) = flags.parse("--retries")? {
+        policy.retries = retries;
     }
-    if let Some(v) = take_flag(flags, "--max-failures") {
-        policy.max_failures =
-            v.parse().map_err(|_| format!("--max-failures: not a number: `{v}`"))?;
+    if let Some(max_failures) = flags.parse("--max-failures")? {
+        policy.max_failures = max_failures;
     }
-    let keep_going = take_flag(flags, "--keep-going").is_some();
-    let fail_fast = take_flag(flags, "--fail-fast").is_some();
-    if keep_going && fail_fast {
+    let keep_going = flags.switch("--keep-going")?;
+    policy.fail_fast = flags.switch("--fail-fast")?;
+    if keep_going && policy.fail_fast {
         return Err("--keep-going and --fail-fast are mutually exclusive".into());
     }
-    policy.fail_fast = fail_fast;
-
-    let spec = std::env::var("MICROTOOLS_FAULT").unwrap_or_default();
-    let plan = mc_guard::FaultPlan::parse(&spec).map_err(|e| format!("MICROTOOLS_FAULT: {e}"))?;
-    mc_guard::install_write_faults(&plan);
+    let (_, plan) = mc_guard::env_faults()?;
     Ok(mc_guard::Guard::new(policy, plan))
 }
 
@@ -553,29 +518,13 @@ mod tests {
         GLOBALS.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn owned(flags: &[&str]) -> Vec<String> {
-        flags.iter().map(|s| s.to_string()).collect()
-    }
-
     fn scratch(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("mc-cli-{tag}-{}", std::process::id()))
     }
 
-    #[test]
-    fn split_separates_flags_from_positionals() {
-        let args = owned(&["input.xml", "--format=c", "out", "--limit=5"]);
-        let (flags, pos) = split_args(&args);
-        assert_eq!(flags, vec!["--format=c", "--limit=5"]);
-        assert_eq!(pos, vec!["input.xml", "out"]);
-    }
-
-    #[test]
-    fn take_flag_removes_and_returns() {
-        let mut flags = owned(&["--format=c", "--verbose"]);
-        assert_eq!(take_flag(&mut flags, "--format"), Some("c".into()));
-        assert_eq!(take_flag(&mut flags, "--verbose"), Some(String::new()));
-        assert_eq!(take_flag(&mut flags, "--missing"), None);
-        assert!(flags.is_empty());
+    /// Asserts that `from_flags` took every flag but `--other=1`.
+    fn other_is_left(flags: Flags) {
+        assert_eq!(flags.finish(), Err("unknown option `--other=1`".into()));
     }
 
     #[test]
@@ -589,29 +538,28 @@ mod tests {
             (&["--jobs=zero"], "--jobs"),
             (&["--keep-going", "--fail-fast"], "mutually exclusive"),
             (&["--deadline-ms=0"], "positive"),
-            (&["--register=yes"], "--register"),
+            (&["--register=maybe"], "--register"),
             (&["--registry"], "directory"),
             (&["--progress=csv"], "csv"),
             (&["--metrics-listen"], "address"),
             (&["--store="], "--store"),
         ];
         for (bad, expected) in cases {
-            let mut flags = owned(bad);
-            flags.push("--other=1".into());
+            let mut flags = Flags::new(bad.iter().chain(&["--other=1"]));
             let err = Run::from_flags(&mut flags).err().unwrap_or_else(|| panic!("{bad:?}"));
             assert!(err.contains(expected), "{bad:?}: {err}");
             // The shared flags are consumed even on error paths; the
             // caller's unknown-flag check must not see them.
-            assert_eq!(flags, vec!["--other=1"], "{bad:?}");
+            other_is_left(flags);
         }
     }
 
     #[test]
     fn a_run_without_flags_is_inert() {
         let _guard = globals();
-        let mut flags = owned(&["--other=1"]);
+        let mut flags = Flags::new(["--other=1"]);
         let mut run = Run::from_flags(&mut flags).unwrap();
-        assert_eq!(flags, vec!["--other=1"]);
+        other_is_left(flags);
         assert!(!run.registering());
         assert!(run.ctx().disk_store().is_none());
         assert!(run.ctx().profiling().is_none());
@@ -628,7 +576,7 @@ mod tests {
     #[test]
     fn guard_flags_configure_the_policy_and_are_consumed() {
         let _guard = globals();
-        let mut flags = owned(&[
+        let mut flags = Flags::new([
             "--deadline-ms=500",
             "--retries=2",
             "--max-failures=3",
@@ -636,7 +584,7 @@ mod tests {
             "--other=1",
         ]);
         let run = Run::from_flags(&mut flags).unwrap();
-        assert_eq!(flags, vec!["--other=1"]);
+        other_is_left(flags);
         let p = run.ctx().guard().policy();
         assert_eq!(p.deadline, Some(std::time::Duration::from_millis(500)));
         assert_eq!(p.retries, 2);
@@ -651,15 +599,16 @@ mod tests {
     fn profile_flag_resolves_directories() {
         let _guard = globals();
         let base = scratch("profile");
-        let mut explicit = vec![format!("--profile={}", base.join("p").display())];
+        let mut explicit = Flags::new([format!("--profile={}", base.join("p").display())]);
         let run = Run::from_flags(&mut explicit).unwrap();
-        assert!(explicit.is_empty());
+        assert_eq!(explicit.finish(), Ok(()));
         let dir = |run: &Run| run.ctx().profiling().map(|p| p.dir().to_path_buf());
         assert_eq!(dir(&run), Some(base.join("p")));
         run.finish("test", None, exitcode::OK);
 
         // Bare --profile lands beside the registry when the run registers.
-        let mut bare = vec!["--profile".to_owned(), format!("--registry={}", base.display())];
+        let mut bare =
+            Flags::new(["--profile".to_owned(), format!("--registry={}", base.display())]);
         let run = Run::from_flags(&mut bare).unwrap();
         assert_eq!(dir(&run), Some(base.join("profiles")));
         run.finish("test", None, exitcode::OK);
@@ -670,10 +619,10 @@ mod tests {
     fn registry_flag_implies_registration_and_a_store_beside_it() {
         let _guard = globals();
         let dir = scratch("pulse");
-        let mut flags = vec![format!("--registry={}", dir.display())];
+        let mut flags = Flags::new([format!("--registry={}", dir.display())]);
         let mut run = Run::from_flags(&mut flags).unwrap();
         assert!(run.registering(), "--registry alone registers");
-        assert!(flags.is_empty());
+        assert_eq!(flags.finish(), Ok(()));
         let store_root = run.ctx().disk_store().map(|s| s.root().to_path_buf());
         assert_eq!(store_root, Some(dir.join("store")));
         run.record_document("doc", "not,a,launcher,csv\n");
@@ -695,15 +644,15 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let trace = dir.join("trace.json");
         let store = dir.join("store");
-        let mut flags = vec![
+        let mut flags = Flags::new([
             format!("--trace={}", trace.display()),
             "--trace-format=chrome".into(),
             format!("--store={}", store.display()),
             format!("--profile={}", dir.join("profiles").display()),
             format!("--progress=jsonl:{}", dir.join("progress.jsonl").display()),
-        ];
+        ]);
         let run = Run::from_flags(&mut flags).unwrap();
-        assert!(flags.is_empty());
+        assert_eq!(flags.finish(), Ok(()));
         assert!(run.ctx().profiling().is_some());
         assert!(mc_trace::progress_enabled());
         let installed = run.ctx().disk_store().expect("store attached");

@@ -319,6 +319,50 @@ fn shared_flag_misuse_is_a_usage_error_in_every_binary() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every switch reads its value (`--name=false` is off), and a value
+/// that is not a boolean is a usage error naming the flag.
+#[test]
+fn switch_values_are_honoured() {
+    let probe = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_microprobe")).args(args).output().expect("runs")
+    };
+    let on = probe(&["x5650", "--metrics"]);
+    assert!(String::from_utf8_lossy(&on.stderr).contains("── metrics"), "the table to look for");
+    let off = probe(&["x5650", "--metrics=false"]);
+    let stderr = String::from_utf8_lossy(&off.stderr);
+    assert_eq!(off.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("── metrics"), "--metrics=false printed the table: {stderr}");
+
+    let loud = probe(&["--quiet=false", "--bogus"]);
+    let stderr = String::from_utf8_lossy(&loud.stderr);
+    assert_eq!(loud.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown option `--bogus`"), "{stderr}");
+
+    let bad = probe(&["x5650", "--metrics=maybe"]);
+    let stderr = String::from_utf8_lossy(&bad.stderr);
+    assert_eq!(bad.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--metrics"), "{stderr}");
+    assert!(bad.stdout.is_empty(), "{}", String::from_utf8_lossy(&bad.stdout));
+}
+
+/// `--help` and `-h` print the usage on stdout and exit 0 in every binary.
+#[test]
+fn help_prints_the_usage_and_exits_zero() {
+    for binary in [
+        env!("CARGO_BIN_EXE_microcreator"),
+        env!("CARGO_BIN_EXE_microlauncher"),
+        env!("CARGO_BIN_EXE_microprobe"),
+        env!("CARGO_BIN_EXE_mc-report"),
+    ] {
+        for help in ["--help", "-h"] {
+            let out = Command::new(binary).arg(help).output().expect("runs");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert_eq!(out.status.code(), Some(0), "{binary} {help}");
+            assert!(stdout.starts_with("usage: "), "{binary} {help}: {stdout}");
+        }
+    }
+}
+
 fn hand_kernel(dir: &Path) -> PathBuf {
     let path = dir.join("hand.s");
     std::fs::write(&path, ".L0:\nmovss (%rsi), %xmm0\naddq $4, %rsi\nsubq $1, %rdi\njge .L0\n")

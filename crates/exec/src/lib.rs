@@ -49,16 +49,6 @@ pub fn engine() -> ExecEngine {
     ExecEngine::new(jobs())
 }
 
-/// Parses a `--jobs=N` value (the shared CLI surface).
-pub fn parse_jobs(value: &str) -> Result<usize, String> {
-    value
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n > 0)
-        .ok_or_else(|| format!("--jobs: invalid worker count `{value}` (want a positive integer)"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,15 +61,6 @@ mod tests {
     pub(crate) fn metrics_lock() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    #[test]
-    fn parse_jobs_accepts_positive_integers() {
-        assert_eq!(parse_jobs("4"), Ok(4));
-        assert_eq!(parse_jobs(" 1 "), Ok(1));
-        assert!(parse_jobs("0").is_err());
-        assert!(parse_jobs("-2").is_err());
-        assert!(parse_jobs("many").is_err());
     }
 
     #[test]

@@ -195,6 +195,17 @@ pub fn install_write_faults(plan: &FaultPlan) {
     WRITE_ACTIVE.store(active, Ordering::Release);
 }
 
+/// The chaos plan in `MICROTOOLS_FAULT` (unset: empty), its
+/// durable-write half installed process-wide: the variable's one reader.
+/// Returns the spec as given and the plan, whose evaluation half the
+/// caller hands to a [`crate::Guard`].
+pub fn env_faults() -> Result<(String, FaultPlan), String> {
+    let spec = std::env::var("MICROTOOLS_FAULT").unwrap_or_default();
+    let plan = FaultPlan::parse(&spec).map_err(|e| format!("MICROTOOLS_FAULT: {e}"))?;
+    install_write_faults(&plan);
+    Ok((spec, plan))
+}
+
 /// Resets the durable-write index sequence to zero (test-only: lets a
 /// test pin `enospc` faults to known write positions).
 pub fn reset_write_indices() {

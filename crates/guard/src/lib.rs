@@ -48,6 +48,8 @@ mod policy;
 mod supervisor;
 
 pub use error::{EvalError, EvalErrorKind};
-pub use fault::{fire_write, install_write_faults, reset_write_indices, Fault, FaultPlan};
+pub use fault::{
+    env_faults, fire_write, install_write_faults, reset_write_indices, Fault, FaultPlan,
+};
 pub use policy::GuardPolicy;
 pub use supervisor::Guard;

@@ -2,6 +2,7 @@
 //! behavior tweaking" (§4.2), exposed both as a builder-style struct and a
 //! `--key=value` command-line parser.
 
+use mc_report::Flags;
 use mc_simarch::config::{Level, MachineConfig};
 use mc_simarch::exec::EnvPlacement;
 use std::sync::OnceLock;
@@ -324,37 +325,25 @@ impl LauncherOptions {
         base: LauncherOptions,
         args: &[S],
     ) -> Result<LauncherOptions, String> {
+        Self::from_flags(base, Flags::new(args))
+    }
+
+    /// Takes every option in [`LauncherOptions::OPTION_NAMES`] from
+    /// `flags` over `base`, then ends parsing: any other argument is an
+    /// unknown option.
+    pub fn from_flags(base: LauncherOptions, mut flags: Flags) -> Result<LauncherOptions, String> {
         let mut opts = base;
-        for raw in args {
-            let raw = raw.as_ref();
-            let (key, value) = match raw.split_once('=') {
-                Some((k, v)) => (k, Some(v)),
-                None => (raw, None),
-            };
-            let want = |what: &str| -> Result<&str, String> {
-                value.ok_or_else(|| format!("{key} requires a value ({what})"))
-            };
-            let parse_u32 = |what: &str| -> Result<u32, String> {
-                want(what)?.parse().map_err(|_| format!("{key}: invalid integer"))
-            };
-            match key {
-                "--function" => opts.function = want("name")?.to_owned(),
-                "--nbvectors" => opts.nb_vectors = parse_u32("count")?,
-                "--label" => opts.label = want("text")?.to_owned(),
-                "--tripcount" => {
-                    opts.trip_count =
-                        want("n")?.parse().map_err(|_| "--tripcount: invalid integer")?
-                }
-                "--vector-bytes" => {
-                    opts.vector_bytes =
-                        want("bytes")?.parse().map_err(|_| "--vector-bytes: invalid integer")?
-                }
-                "--element-bytes" => {
-                    opts.element_bytes =
-                        want("bytes")?.parse().map_err(|_| "--element-bytes: invalid integer")?
-                }
+        for name in Self::OPTION_NAMES {
+            let Some(flag) = flags.take(name) else { continue };
+            match name {
+                "--function" => opts.function = flag.value().to_owned(),
+                "--nbvectors" => opts.nb_vectors = flag.parse()?,
+                "--label" => opts.label = flag.value().to_owned(),
+                "--tripcount" => opts.trip_count = flag.parse()?,
+                "--vector-bytes" => opts.vector_bytes = flag.parse()?,
+                "--element-bytes" => opts.element_bytes = flag.parse()?,
                 "--residence" => {
-                    opts.residence = Some(match want("level")? {
+                    opts.residence = Some(match flag.value() {
                         "l1" | "L1" => Level::L1,
                         "l2" | "L2" => Level::L2,
                         "l3" | "L3" => Level::L3,
@@ -363,93 +352,70 @@ impl LauncherOptions {
                     })
                 }
                 "--align" => {
-                    opts.alignments = want("offsets")?
+                    opts.alignments = flag
+                        .value()
                         .split(',')
-                        .map(|o| o.trim().parse().map_err(|_| "--align: invalid offset".to_owned()))
+                        .map(|o| o.trim().parse().map_err(|_| flag.invalid()))
                         .collect::<Result<_, _>>()?
                 }
-                "--align-step" => {
-                    opts.align_step =
-                        want("bytes")?.parse().map_err(|_| "--align-step: invalid integer")?
-                }
-                "--align-max" => {
-                    opts.align_max =
-                        want("bytes")?.parse().map_err(|_| "--align-max: invalid integer")?
-                }
-                "--repetitions" => opts.repetitions = parse_u32("count")?,
-                "--meta-repetitions" => opts.meta_repetitions = parse_u32("count")?,
-                "--adaptive" => opts.adaptive = parse_bool(key, value)?,
-                "--min-samples" => opts.min_samples = parse_u32("count")?,
-                "--max-samples" => opts.max_samples = parse_u32("count")?,
-                "--warmup" => opts.warmup_runs = parse_u32("count")?,
-                "--heat-cache" => opts.heat_cache = parse_bool(key, value)?,
-                "--disable-interrupts" => opts.disable_interrupts = parse_bool(key, value)?,
+                "--align-step" => opts.align_step = flag.parse()?,
+                "--align-max" => opts.align_max = flag.parse()?,
+                "--repetitions" => opts.repetitions = flag.parse()?,
+                "--meta-repetitions" => opts.meta_repetitions = flag.parse()?,
+                "--adaptive" => opts.adaptive = flag.switch()?,
+                "--min-samples" => opts.min_samples = flag.parse()?,
+                "--max-samples" => opts.max_samples = flag.parse()?,
+                "--warmup" => opts.warmup_runs = flag.parse()?,
+                "--heat-cache" => opts.heat_cache = flag.switch()?,
+                "--disable-interrupts" => opts.disable_interrupts = flag.switch()?,
                 "--aggregate" => {
-                    opts.aggregation = match want("min|median|mean")? {
+                    opts.aggregation = match flag.value() {
                         "min" => Aggregation::Min,
                         "median" => Aggregation::Median,
                         "mean" => Aggregation::Mean,
                         other => return Err(format!("--aggregate: unknown mode `{other}`")),
                     }
                 }
-                "--stability-threshold" => {
-                    opts.stability_threshold = want("fraction")?
-                        .parse()
-                        .map_err(|_| "--stability-threshold: invalid float")?
-                }
-                "--noise" => {
-                    opts.noise_amplitude =
-                        want("fraction")?.parse().map_err(|_| "--noise: invalid float")?
-                }
-                "--seed" => {
-                    opts.seed = want("seed")?.parse().map_err(|_| "--seed: invalid integer")?
-                }
+                "--stability-threshold" => opts.stability_threshold = flag.parse()?,
+                "--noise" => opts.noise_amplitude = flag.parse()?,
+                "--seed" => opts.seed = flag.parse()?,
                 "--machine" => {
-                    opts.machine = MachinePreset::from_name(want("name")?)
+                    opts.machine = MachinePreset::from_name(flag.value())
                         .ok_or_else(|| "--machine: unknown machine".to_owned())?
                 }
-                "--pin" => opts.pin_core = parse_u32("core")?,
-                "--cores" => opts.cores = parse_u32("count")?,
+                "--pin" => opts.pin_core = flag.parse()?,
+                "--cores" => opts.cores = flag.parse()?,
                 "--placement" => {
-                    opts.placement = match want("rr|compact")? {
+                    opts.placement = match flag.value() {
                         "rr" => EnvPlacement::RoundRobinSockets,
                         "compact" => EnvPlacement::FillFirstSocket,
                         other => return Err(format!("--placement: unknown policy `{other}`")),
                     }
                 }
-                "--frequency" => {
-                    opts.frequency_ghz =
-                        want("ghz")?.parse().map_err(|_| "--frequency: invalid float")?
-                }
-                "--omp-threads" => opts.omp_threads = parse_u32("count")?,
-                "--omp-overhead" => {
-                    opts.omp_overhead_ns =
-                        want("ns")?.parse().map_err(|_| "--omp-overhead: invalid float")?
-                }
+                "--frequency" => opts.frequency_ghz = flag.parse()?,
+                "--omp-threads" => opts.omp_threads = flag.parse()?,
+                "--omp-overhead" => opts.omp_overhead_ns = flag.parse()?,
                 "--mode" => {
-                    let name = want("seq|fork|omp|standalone")?;
-                    opts.mode = Mode::from_name(name)
-                        .ok_or_else(|| format!("--mode: unknown mode `{name}`"))?
+                    opts.mode = Mode::from_name(flag.value())
+                        .ok_or_else(|| format!("--mode: unknown mode `{}`", flag.value()))?
                 }
                 "--eval-library" => {
-                    opts.sim_clock = match want("rdtsc|sim")? {
+                    opts.sim_clock = match flag.value() {
                         "rdtsc" => false,
                         "sim" => true,
                         other => return Err(format!("--eval-library: unknown library `{other}`")),
                     }
                 }
-                "--verify" => opts.verify = parse_bool(key, value)?,
-                "--verify-cache" => opts.verify_cache = parse_bool(key, value)?,
-                "--max-steps" => {
-                    opts.max_interp_steps =
-                        want("steps")?.parse().map_err(|_| "--max-steps: invalid integer")?
-                }
-                "--csv" => opts.csv = parse_bool(key, value)?,
-                "--full-function" => opts.full_function = parse_bool(key, value)?,
-                "--verbose" => opts.verbose = parse_bool(key, value)?,
-                other => return Err(format!("unknown option `{other}`")),
+                "--verify" => opts.verify = flag.switch()?,
+                "--verify-cache" => opts.verify_cache = flag.switch()?,
+                "--max-steps" => opts.max_interp_steps = flag.parse()?,
+                "--csv" => opts.csv = flag.switch()?,
+                "--full-function" => opts.full_function = flag.switch()?,
+                "--verbose" => opts.verbose = flag.switch()?,
+                _ => unreachable!("{name} is listed without a parse arm"),
             }
         }
+        flags.finish()?;
         Ok(opts)
     }
 
@@ -605,14 +571,6 @@ impl LauncherOptions {
         m.set("adaptive", if self.adaptive { "true" } else { "false" });
         m.set("sampling", self.sampling_policy());
         m
-    }
-}
-
-fn parse_bool(key: &str, value: Option<&str>) -> Result<bool, String> {
-    match value {
-        None | Some("true") | Some("1") | Some("yes") => Ok(true),
-        Some("false") | Some("0") | Some("no") => Ok(false),
-        Some(other) => Err(format!("{key}: invalid boolean `{other}`")),
     }
 }
 

@@ -27,12 +27,15 @@
 //! * [`fsio`] — crash-safe artifact writes (temp file + fsync + rename),
 //!   so an interrupted run never leaves a torn CSV or manifest behind, and
 //!   the one append-only log of checksummed frames,
+//! * [`flags`] — the one command-line grammar (`--name[=value]`) every
+//!   binary and the launcher's option surface parse through,
 //! * [`rng`] — the workspace's seeded PRNG (SplitMix64), and [`prop`] —
 //!   the seeded property-test loop built on it.
 
 pub mod analysis;
 pub mod csv;
 pub mod experiments;
+pub mod flags;
 pub mod fsio;
 pub mod gate;
 pub mod json;
@@ -46,6 +49,7 @@ pub mod table;
 pub use analysis::Record;
 pub use csv::{CsvTable, CsvWriter};
 pub use experiments::{ExperimentId, ShapeCheck, ShapeOutcome};
+pub use flags::Flags;
 pub use fsio::{atomic_write, atomic_write_str};
 pub use json::Json;
 pub use manifest::{fnv1a64, Fnv64, RunManifest};

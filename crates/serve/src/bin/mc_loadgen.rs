@@ -18,6 +18,7 @@
 //! `--wait` polls until every submitted job is terminal and prints the
 //! final state tally.
 
+use mc_report::Flags;
 use mc_trace::{EventKind, TraceEvent};
 use std::collections::VecDeque;
 use std::io::{Read as _, Write as _};
@@ -262,64 +263,44 @@ fn wait_for_quiesce(addr: &str, wait_secs: u64) -> std::io::Result<Vec<(String, 
     }
 }
 
-/// The value of the numeric flag `name` as `flag` looks it up, `default`
-/// when it is absent. A malformed value is an error naming the flag,
-/// never the default.
-fn number<T: std::str::FromStr>(
-    flag: &impl Fn(&str) -> Option<String>,
-    name: &str,
-    default: T,
-) -> Result<T, String> {
-    match flag(name) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("{name}: invalid number `{v}`")),
-    }
+fn main() -> ExitCode {
+    run(Flags::from_env(usage())).unwrap_or_else(|e| {
+        eprintln!("mc-loadgen: {e}\n{}", usage());
+        ExitCode::from(2)
+    })
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", usage());
-        return ExitCode::SUCCESS;
+/// Drives the mix. A command-line error is `Err`, reported before any
+/// connection is made.
+fn run(mut flags: Flags) -> Result<ExitCode, String> {
+    let addr = flags.value("--addr").unwrap_or_default();
+    let n = flags.parse("--n")?.unwrap_or(20usize);
+    let dup = flags.parse("--dup")?.unwrap_or(0.5f64);
+    let clients = flags.parse("--clients")?.unwrap_or(2usize);
+    let concurrency = flags.parse("--concurrency")?.unwrap_or(4usize);
+    let seed = flags.parse("--seed")?.unwrap_or(42u64);
+    let wait_secs = flags.parse("--wait-secs")?.unwrap_or(600u64);
+    let wait = flags.switch("--wait")?;
+    let base_options = flags.value("--options").unwrap_or_default();
+    let kernel = flags.value("--kernel");
+    let replay = flags.value("--replay");
+    let record = flags.value("--record");
+    flags.finish()?;
+    if addr.is_empty() {
+        return Err("--addr=HOST:PORT is required".into());
     }
-    let flag = |name: &str| -> Option<String> {
-        args.iter()
-            .find_map(|a| a.strip_prefix(name).and_then(|r| r.strip_prefix('=')).map(str::to_owned))
-    };
-    let Some(addr) = flag("--addr") else {
-        eprintln!("--addr=HOST:PORT is required\n{}", usage());
-        return ExitCode::from(2);
-    };
-    let numbers = || -> Result<_, String> {
-        Ok((
-            number(&flag, "--n", 20usize)?,
-            number(&flag, "--dup", 0.5f64)?,
-            number(&flag, "--clients", 2usize)?,
-            number(&flag, "--concurrency", 4usize)?,
-            number(&flag, "--seed", 42u64)?,
-            number(&flag, "--wait-secs", 600u64)?,
-        ))
-    };
-    let (n, dup, clients, concurrency, seed, wait_secs) = match numbers() {
-        Ok(numbers) => numbers,
-        Err(e) => {
-            eprintln!("mc-loadgen: {e}\n{}", usage());
-            return ExitCode::from(2);
-        }
-    };
-    let base_options = flag("--options").unwrap_or_default();
-    let xml = match flag("--kernel") {
+    let xml = match kernel {
         Some(path) => match std::fs::read_to_string(&path) {
             Ok(text) => text,
             Err(e) => {
                 eprintln!("mc-loadgen: cannot read {path}: {e}");
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
         },
         None => DEFAULT_KERNEL.to_owned(),
     };
 
-    let mix = match flag("--replay") {
+    let mix = match replay {
         Some(path) => match replay_mix(&path) {
             Ok(mix) => {
                 eprintln!("mc-loadgen: replaying {} submissions from {path}", mix.len());
@@ -327,15 +308,15 @@ fn main() -> ExitCode {
             }
             Err(e) => {
                 eprintln!("mc-loadgen: cannot replay {path}: {e}");
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
         },
         None => generate_mix(n, dup, clients, &base_options, seed),
     };
-    if let Some(path) = flag("--record") {
+    if let Some(path) = record {
         if let Err(e) = record_mix(&path, &mix) {
             eprintln!("mc-loadgen: cannot record to {path}: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
         eprintln!("mc-loadgen: recorded {} submissions to {path}", mix.len());
     }
@@ -359,7 +340,7 @@ fn main() -> ExitCode {
         tally.accepted, tally.duplicate, tally.retries, tally.rejected, tally.errors
     );
     let failed = tally.errors > 0;
-    if args.iter().any(|a| a == "--wait") {
+    if wait {
         match wait_for_quiesce(&addr, wait_secs) {
             Ok(counts) => {
                 let rendered: Vec<String> =
@@ -368,13 +349,13 @@ fn main() -> ExitCode {
             }
             Err(e) => {
                 eprintln!("mc-loadgen: wait failed: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
     if failed {
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     } else {
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     }
 }

@@ -18,7 +18,9 @@
 //! evaluation path and every persistence write, so fault drills run
 //! against the real daemon binary.
 
-use mc_serve::{ApiServer, Daemon, QuotaConfig, ServeConfig};
+use mc_report::Flags;
+use mc_serve::{ApiServer, Daemon, ServeConfig};
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -64,94 +66,59 @@ fn install_signal_handlers() {
 #[cfg(not(unix))]
 fn install_signal_handlers() {}
 
-fn parse_flag<'a>(arg: &'a str, name: &str) -> Option<&'a str> {
-    arg.strip_prefix(name).and_then(|rest| rest.strip_prefix('='))
+/// The daemon's configuration and listen address from the command line.
+fn config(mut flags: Flags) -> Result<(ServeConfig, String), String> {
+    let listen = flags.value("--listen").unwrap_or_else(|| "127.0.0.1:7199".to_owned());
+    let mut config = ServeConfig::new(flags.value("--state").unwrap_or_default());
+    config.store_dir = flags.value("--store").map(Into::into);
+    config.registry_root = flags.value("--registry").map(Into::into);
+    if let Some(depth) = flags.parse("--queue-depth")? {
+        config.queue_depth = depth;
+    }
+    if let Some(capacity) = flags.parse("--quota-capacity")? {
+        config.quota.capacity = capacity;
+    }
+    if let Some(refill) = flags.parse("--quota-refill")? {
+        config.quota.refill_per_sec = refill;
+    }
+    if let Some(max_failures) = flags.parse("--max-failures")? {
+        config.quota.max_failures = max_failures;
+    }
+    if let Some(deadline_ms) = flags.parse("--deadline-ms")? {
+        config.job_deadline_ms = deadline_ms;
+    }
+    if let Some(jobs) = flags.parse::<NonZeroUsize>("--jobs")? {
+        mc_exec::set_jobs(jobs.get());
+    }
+    flags.finish()?;
+    if config.state_dir.as_os_str().is_empty() {
+        return Err("--state=DIR is required".into());
+    }
+    Ok((config, listen))
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", usage());
-        return ExitCode::SUCCESS;
-    }
-    let mut listen = "127.0.0.1:7199".to_owned();
-    let mut state: Option<String> = None;
-    let mut store: Option<String> = None;
-    let mut registry: Option<String> = None;
-    let mut queue_depth = 64usize;
-    let mut quota = QuotaConfig::default();
-    let mut deadline_ms = 0u64;
-    for arg in &args {
-        if let Some(v) = parse_flag(arg, "--listen") {
-            listen = v.to_owned();
-        } else if let Some(v) = parse_flag(arg, "--state") {
-            state = Some(v.to_owned());
-        } else if let Some(v) = parse_flag(arg, "--store") {
-            store = Some(v.to_owned());
-        } else if let Some(v) = parse_flag(arg, "--registry") {
-            registry = Some(v.to_owned());
-        } else if let Some(v) = parse_flag(arg, "--queue-depth") {
-            match v.parse() {
-                Ok(n) => queue_depth = n,
-                Err(_) => return flag_error(arg),
-            }
-        } else if let Some(v) = parse_flag(arg, "--quota-capacity") {
-            match v.parse() {
-                Ok(n) => quota.capacity = n,
-                Err(_) => return flag_error(arg),
-            }
-        } else if let Some(v) = parse_flag(arg, "--quota-refill") {
-            match v.parse() {
-                Ok(n) => quota.refill_per_sec = n,
-                Err(_) => return flag_error(arg),
-            }
-        } else if let Some(v) = parse_flag(arg, "--max-failures") {
-            match v.parse() {
-                Ok(n) => quota.max_failures = n,
-                Err(_) => return flag_error(arg),
-            }
-        } else if let Some(v) = parse_flag(arg, "--deadline-ms") {
-            match v.parse() {
-                Ok(n) => deadline_ms = n,
-                Err(_) => return flag_error(arg),
-            }
-        } else if let Some(v) = parse_flag(arg, "--jobs") {
-            match mc_exec::parse_jobs(v) {
-                Ok(n) => mc_exec::set_jobs(n),
-                Err(e) => {
-                    eprintln!("{e}\n{}", usage());
-                    return ExitCode::from(2);
-                }
-            }
-        } else {
-            eprintln!("unknown flag `{arg}`\n{}", usage());
+    let (config, listen) = match config(Flags::from_env(usage())) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("{e}\n{}", usage());
+            return ExitCode::from(2);
+        }
+    };
+    let state = config.state_dir.display().to_string();
+    match mc_guard::env_faults() {
+        Ok((spec, _)) if spec.is_empty() => {}
+        // Jobs evaluate in the process context, so its guard fires the
+        // evaluation faults; the durable-write half is process-wide.
+        Ok((spec, plan)) => {
+            mc_launcher::Ctx::process().guard().set_faults(plan);
+            eprintln!("mc-serve: chaos plan active: {spec}");
+        }
+        Err(e) => {
+            eprintln!("{e}");
             return ExitCode::from(2);
         }
     }
-    let Some(state) = state else {
-        eprintln!("--state=DIR is required\n{}", usage());
-        return ExitCode::from(2);
-    };
-    if let Ok(spec) = std::env::var("MICROTOOLS_FAULT") {
-        let plan = match mc_guard::FaultPlan::parse(&spec) {
-            Ok(plan) => plan,
-            Err(e) => {
-                eprintln!("MICROTOOLS_FAULT rejected: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        // Jobs evaluate in the process context, so its guard fires the
-        // evaluation faults; the durable-write half is process-wide.
-        mc_guard::install_write_faults(&plan);
-        mc_launcher::Ctx::process().guard().set_faults(plan);
-        eprintln!("mc-serve: chaos plan active: {spec}");
-    }
-    let mut config = ServeConfig::new(&state);
-    config.store_dir = store.map(Into::into);
-    config.registry_root = registry.map(Into::into);
-    config.queue_depth = queue_depth;
-    config.quota = quota;
-    config.job_deadline_ms = deadline_ms;
 
     install_signal_handlers();
     // `GET /metrics` serves the registry, which records nothing until
@@ -185,9 +152,4 @@ fn main() -> ExitCode {
     server.stop();
     eprintln!("mc-serve: drained clean");
     ExitCode::SUCCESS
-}
-
-fn flag_error(arg: &str) -> ExitCode {
-    eprintln!("bad flag value `{arg}`\n{}", usage());
-    ExitCode::from(2)
 }

@@ -130,9 +130,15 @@ fn mc_loadgen_rejects_malformed_numbers_before_connecting() {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     listener.set_nonblocking(true).unwrap();
     let addr = listener.local_addr().unwrap();
-    for bad in
-        ["--n=ten", "--dup=half", "--clients=-1", "--concurrency=4x", "--seed=s", "--wait-secs=1.5"]
-    {
+    for bad in [
+        "--n=ten",
+        "--dup=half",
+        "--clients=-1",
+        "--concurrency=4x",
+        "--seed=s",
+        "--wait-secs=1.5",
+        "--wiat",
+    ] {
         let child = Command::new(env!("CARGO_BIN_EXE_mc-loadgen"))
             .arg(format!("--addr={addr}"))
             .arg(bad)
@@ -143,8 +149,11 @@ fn mc_loadgen_rejects_malformed_numbers_before_connecting() {
         let out = exit_promptly(child).unwrap_or_else(|| panic!("mc-loadgen {bad} did not exit"));
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "mc-loadgen {bad}: {stderr}");
-        let flag = bad.split_once('=').unwrap().0;
-        assert!(stderr.contains(&format!("{flag}:")), "mc-loadgen {bad}: {stderr}");
+        let expected = match bad.split_once('=') {
+            Some((flag, _)) => format!("{flag}:"),
+            None => format!("unknown option `{bad}`"),
+        };
+        assert!(stderr.contains(&expected), "mc-loadgen {bad}: {stderr}");
         assert!(listener.accept().is_err(), "mc-loadgen {bad} connected before failing");
     }
 }
